@@ -61,6 +61,7 @@ import os
 import pickle
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -346,21 +347,6 @@ class SweepServiceStats:
         return out
 
 
-def _circuit_digest(circuit) -> str:
-    """Return a stable hex digest of a gate-level circuit's structure."""
-    h = hashlib.sha256()
-    h.update(repr(getattr(circuit, "name", "")).encode())
-    for node in circuit.nodes:
-        h.update(
-            (
-                "%s|%s|%s;"
-                % (node.name, getattr(node.op, "name", node.op), tuple(node.fanins))
-            ).encode()
-        )
-    h.update(repr(sorted(circuit.outputs.items())).encode())
-    return h.hexdigest()
-
-
 def _float_digest(values) -> str:
     h = hashlib.sha256()
     for v in values:
@@ -369,15 +355,23 @@ def _float_digest(values) -> str:
     return h.hexdigest()
 
 
+#: ``P'_i`` digests per component model.  A ``ComponentDefectModel`` is
+#: immutable, so its vector is hashed once rather than once per point
+#: (two racing threads at worst hash it twice, to the same value).
+_LETHAL_DIGESTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def structure_key(problem, truncation: int, ordering) -> Tuple:
     """Key identifying the reusable DD structure of a point.
 
     Two points share a structure exactly when they share the fault tree,
     the component list, the truncation level and the ordering strategy —
-    the defect model is free to differ.
+    the defect model is free to differ.  The fault tree contributes its
+    :meth:`~repro.faulttree.circuit.Circuit.digest`, which a frozen
+    (shared) circuit computes only once.
     """
     return (
-        _circuit_digest(problem.fault_tree),
+        problem.fault_tree.digest(),
         tuple(problem.component_names),
         int(truncation),
         ordering.key(),
@@ -389,15 +383,19 @@ def result_key(problem, truncation: int, ordering) -> Tuple:
 
     The probability traversal consumes exactly the lethal count pmf
     ``Q'_0..Q'_M`` (plus the tail mass) and the conditional hit vector
-    ``P'_i``, so hashing those captures every defect-model input.
+    ``P'_i``, so hashing those captures every defect-model input.  The
+    point's :func:`structure_key` is the key without its last two entries.
     """
     lethal = problem.lethal_defect_distribution()
     pmf = [lethal.pmf(k) for k in range(int(truncation) + 1)]
     pmf.append(lethal.tail(int(truncation)))
-    return structure_key(problem, truncation, ordering) + (
-        _float_digest(pmf),
-        _float_digest(problem.lethal_component_probabilities()),
-    )
+    components = problem.components
+    hits = _LETHAL_DIGESTS.get(components)
+    if hits is None:
+        hits = _LETHAL_DIGESTS[components] = _float_digest(
+            components.lethal_probabilities()
+        )
+    return structure_key(problem, truncation, ordering) + (_float_digest(pmf), hits)
 
 
 class SweepService:
@@ -630,8 +628,8 @@ class SweepService:
                 self._remember_result(rkey, cached)
                 results[idx] = cached
                 continue
-            skey = structure_key(point.problem, truncation, self.ordering)
-            pending.setdefault(skey, []).append(idx)
+            # the result key extends the structure key: no second hashing
+            pending.setdefault(rkey[:-2], []).append(idx)
 
         if pending:
             groups = list(pending.items())
@@ -744,6 +742,12 @@ class SweepService:
         mean_defects=mean)``).  Because the factory varies only the defect
         model, every point that resolves to the same truncation level
         shares one diagram build.
+
+        The point keys are cheapest when the factory reuses one frozen
+        fault tree and one component model, as the :mod:`repro.soc`
+        generators do: the circuit digest and the ``P'_i`` digest are then
+        computed once for the whole sweep.  A factory that builds a fresh
+        circuit per call gives the same results but hashes each circuit.
         """
         points = [
             SweepPoint(problem_factory(mean), max_defects=max_defects, epsilon=epsilon)

@@ -7,7 +7,7 @@ way reliability engineers think about them::
     ft = FaultTreeBuilder("duplex")
     a, b = ft.failed("A"), ft.failed("B")
     ft.set_top(ft.and_(a, b))          # system fails when both modules fail
-    circuit = ft.build()
+    circuit = ft.build()               # frozen: safe to share between problems
 
 Variables created with :meth:`FaultTreeBuilder.failed` are the ``x_i`` of the
 paper (1 = component failed); :meth:`FaultTreeBuilder.set_top` declares the
@@ -65,7 +65,7 @@ class FaultTreeBuilder:
 
     def failed(self, component: str) -> Expr:
         """Return the basic event "component ``component`` is failed" (``x_i``)."""
-        known = component in self._circuit.input_names
+        known = self._circuit.has_input(component)
         index = self._circuit.add_input(component)
         if not known:
             self._component_order.append(component)
@@ -190,6 +190,8 @@ class FaultTreeBuilder:
         """Declare ``expr`` as the fault-tree top event (1 = system failed)."""
         if expr.builder is not self:
             raise CircuitError("expression belongs to a different builder")
+        if self._circuit.frozen:
+            raise CircuitError("fault tree %r is already built" % (self._circuit.name,))
         self._top = expr.index
 
     def set_top_from_functioning(self, expr: Expr) -> None:
@@ -202,10 +204,16 @@ class FaultTreeBuilder:
         return tuple(self._component_order)
 
     def build(self) -> Circuit:
-        """Finalize and return the circuit (single output named ``"F"``)."""
-        if self._top is None:
-            raise CircuitError("fault tree has no top event; call set_top() first")
-        self._circuit.set_output(self._top, "F")
+        """Finalize and return the frozen circuit (single output named ``"F"``).
+
+        Idempotent: later calls return the same circuit.  The builder
+        cannot grow the circuit any further once it is built.
+        """
+        if not self._circuit.frozen:
+            if self._top is None:
+                raise CircuitError("fault tree has no top event; call set_top() first")
+            self._circuit.set_output(self._top, "F")
+            self._circuit.freeze()
         return self._circuit
 
     @property

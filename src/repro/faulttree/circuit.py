@@ -13,6 +13,7 @@ operate on it only through indices, ordered fanins and fanout information.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .ops import CircuitError, GateOp, evaluate_gate, validate_arity
@@ -71,9 +72,14 @@ class Circuit:
     * The two constants are created lazily and are shared.
     * Outputs are named; :attr:`primary_output` returns the single output when
       there is exactly one (the usual fault-tree case).
+    * A frozen circuit (:meth:`freeze`; builders and the parser return
+      frozen circuits) rejects the four mutators and a new :attr:`name`, so
+      problems can share it, and computes its :meth:`digest` only once.
     """
 
     def __init__(self, name: str = "circuit") -> None:
+        self._frozen = False
+        self._digest: Optional[str] = None
         self.name = name
         self._nodes: List[Node] = []
         self._inputs: List[int] = []
@@ -82,12 +88,62 @@ class Circuit:
         self._const_index: Dict[bool, int] = {}
         self._gate_cache: Dict[Tuple[GateOp, Tuple[int, ...]], int] = {}
 
+    @property
+    def name(self) -> str:
+        """The circuit's label (part of its :meth:`digest`)."""
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._check_mutable()
+        self._name = value
+
+    # ------------------------------------------------------------------ #
+    # Freezing
+    # ------------------------------------------------------------------ #
+
+    def freeze(self) -> "Circuit":
+        """Make the circuit immutable (idempotent) and return it."""
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """Whether :meth:`freeze` was called."""
+        return self._frozen
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise CircuitError("circuit %r is frozen" % (self._name,))
+
+    def digest(self) -> str:
+        """Return a stable SHA-256 hex digest of the name, nodes and outputs.
+
+        Equal digests mean equal structure, so the digest keys reusable
+        decision diagrams.  A frozen circuit hashes once and caches the
+        value (a pickled copy carries it along); a mutable one hashes on
+        every call.
+        """
+        if self._digest is not None:
+            return self._digest
+        h = hashlib.sha256()
+        h.update(repr(self._name).encode())
+        for node in self._nodes:
+            op = getattr(node.op, "name", node.op)
+            h.update(("%s|%s|%s;" % (node.name, op, node.fanins)).encode())
+        h.update(repr(sorted(self._outputs.items())).encode())
+        digest = h.hexdigest()
+        if self._frozen:
+            self._digest = digest
+        return digest
+
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
     def add_input(self, name: str) -> int:
         """Create (or return) the input variable called ``name``."""
+        self._check_mutable()
         if name in self._input_index:
             return self._input_index[name]
         index = len(self._nodes)
@@ -98,6 +154,7 @@ class Circuit:
 
     def add_const(self, value: bool) -> int:
         """Create (or return) the constant node for ``value``."""
+        self._check_mutable()
         value = bool(value)
         if value in self._const_index:
             return self._const_index[value]
@@ -119,6 +176,7 @@ class Circuit:
         share:
             When true (default) structurally identical gates are shared.
         """
+        self._check_mutable()
         fanins = tuple(int(f) for f in fanins)
         validate_arity(op, len(fanins))
         for f in fanins:
@@ -137,6 +195,7 @@ class Circuit:
 
     def set_output(self, index: int, name: str = "out") -> None:
         """Declare node ``index`` as the output called ``name``."""
+        self._check_mutable()
         if not 0 <= index < len(self._nodes):
             raise CircuitError("output index %d out of range" % index)
         self._outputs[name] = index
@@ -178,6 +237,10 @@ class Circuit:
     def node(self, index: int) -> Node:
         """Return the node with the given index."""
         return self._nodes[index]
+
+    def has_input(self, name: str) -> bool:
+        """Whether an input called ``name`` exists (constant time)."""
+        return name in self._input_index
 
     def input_index(self, name: str) -> int:
         """Return the node index of the input called ``name``."""

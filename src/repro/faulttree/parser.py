@@ -27,9 +27,10 @@ Rules
   (gate inputs are failures, so an ``and`` gate is a parallel/redundant
   structure and an ``or`` gate a series structure).
 
-:func:`loads` returns ``(circuit, component_model)``; :func:`dumps` writes a
-circuit and model back in the same format (gates are emitted in topological
-order, so a dump/parse round trip preserves the function).
+:func:`loads` returns ``(circuit, component_model)`` with a frozen circuit;
+:func:`dumps` writes a circuit and model back in the same format (gates are
+emitted in topological order, so a dump/parse round trip preserves the
+function).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _statements(text: str):
 
 
 def loads(text: str, *, name: str = "fault-tree") -> Tuple[Circuit, ComponentDefectModel]:
-    """Parse fault-tree text into ``(circuit, component_model)``."""
+    """Parse fault-tree text into ``(frozen circuit, component_model)``."""
     toplevel: Optional[str] = None
     gates: Dict[str, Tuple[str, List[str], int]] = {}
     probabilities: Dict[str, float] = {}
@@ -146,7 +147,6 @@ def loads(text: str, *, name: str = "fault-tree") -> Tuple[Circuit, ComponentDef
 
     builder.set_top(resolve(toplevel))
     circuit = builder.build()
-    circuit.name = name
 
     unused_gates = [g for g in gates if g not in cache]
     if unused_gates:

@@ -70,7 +70,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .http import ChunkedWriter, HTTPError, Request, error_bytes, read_request, response_bytes
 from ..engine.service import SweepPoint, SweepService
@@ -357,10 +357,53 @@ class YieldServer:
     # Service endpoints
     # ------------------------------------------------------------------ #
 
-    def _sweep_points(self, payload) -> Tuple[str, List[float], List[SweepPoint]]:
+    @staticmethod
+    def _benchmark_of(payload) -> str:
         benchmark = payload.get("benchmark")
         if not isinstance(benchmark, str):
             raise HTTPError(400, "'benchmark' must be a string")
+        return benchmark
+
+    @staticmethod
+    def _points_builder(
+        benchmark: str, densities: List, payload, what: str
+    ) -> Callable[[], List[SweepPoint]]:
+        """A callable that builds one point per density, for the executor.
+
+        Problem construction runs off the event loop; parameter errors
+        still surface as ``400`` (``KeyError`` for an unknown benchmark,
+        ``TypeError``/``ValueError`` for invalid parameters).
+        """
+        clustering = payload.get("clustering", 4.0)
+        max_defects = payload.get("max_defects")
+        epsilon = payload.get("epsilon")
+
+        def build() -> List[SweepPoint]:
+            from ..soc import benchmark_problem
+
+            try:
+                return [
+                    SweepPoint(
+                        benchmark_problem(
+                            benchmark,
+                            mean_defects=float(mean),
+                            clustering=float(clustering),
+                        ),
+                        max_defects=None if max_defects is None else int(max_defects),
+                        epsilon=None if epsilon is None else float(epsilon),
+                    )
+                    for mean in densities
+                ]
+            except KeyError as exc:
+                raise HTTPError(400, str(exc.args[0])) from None
+            except (TypeError, ValueError) as exc:
+                raise HTTPError(400, "invalid %s parameters: %s" % (what, exc)) from None
+
+        return build
+
+    def _sweep_request(self, payload):
+        """Validate a sweep body; return ``(benchmark, densities, build)``."""
+        benchmark = self._benchmark_of(payload)
         densities = payload.get("densities")
         if not isinstance(densities, list) or not densities:
             raise HTTPError(400, "'densities' must be a non-empty list of numbers")
@@ -368,42 +411,30 @@ class YieldServer:
             densities = [float(value) for value in densities]
         except (TypeError, ValueError):
             raise HTTPError(400, "'densities' must be a non-empty list of numbers") from None
-        clustering = payload.get("clustering", 4.0)
-        max_defects = payload.get("max_defects")
-        epsilon = payload.get("epsilon")
-        from ..soc import benchmark_problem
-
-        try:
-            points = [
-                SweepPoint(
-                    benchmark_problem(
-                        benchmark, mean_defects=mean, clustering=float(clustering)
-                    ),
-                    max_defects=None if max_defects is None else int(max_defects),
-                    epsilon=None if epsilon is None else float(epsilon),
-                )
-                for mean in densities
-            ]
-        except KeyError as exc:
-            raise HTTPError(400, str(exc.args[0])) from None
-        except (TypeError, ValueError) as exc:
-            raise HTTPError(400, "invalid sweep parameters: %s" % exc) from None
-        return benchmark, densities, points
+        build = self._points_builder(benchmark, densities, payload, "sweep")
+        return benchmark, densities, build
 
     async def _in_executor(self, func, *args):
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, func, *args)
 
-    async def _prime_structures(self, points: List[SweepPoint]) -> Dict[Tuple, List[int]]:
-        """Coalesce structure builds; return ``skey -> point indices``.
+    async def _prime_structures(
+        self, build: Callable[[], List[SweepPoint]]
+    ) -> Tuple[List[SweepPoint], Dict[Tuple, List[int]]]:
+        """Build the points, coalesce structure builds; return the points
+        and ``skey -> point indices``.
 
+        Problem construction and key resolution share one executor call.
         The in-flight table lives on the event loop, so membership checks
         and future creation are race-free without locks; the build itself
         runs on the thread pool.
         """
-        resolved = await self._in_executor(
-            lambda: [self.service.resolve_point(point) for point in points]
-        )
+
+        def resolve():
+            points = build()
+            return points, [self.service.resolve_point(point) for point in points]
+
+        points, resolved = await self._in_executor(resolve)
         groups: Dict[Tuple, List[int]] = {}
         waits = []
         for idx, (skey, truncation) in enumerate(resolved):
@@ -430,7 +461,7 @@ class YieldServer:
             outcome = await waited
             if isinstance(outcome, BaseException):
                 raise outcome
-        return groups
+        return points, groups
 
     async def _build_structure(self, skey, point: SweepPoint, truncation: int, future):
         """Run one coalesced structure build; resolve its future for joiners.
@@ -454,9 +485,9 @@ class YieldServer:
 
     async def _handle_sweep(self, request: Request, writer) -> int:
         payload = request.json()
-        benchmark, densities, points = self._sweep_points(payload)
+        benchmark, densities, build = self._sweep_request(payload)
         stream = bool(payload.get("stream", False))
-        groups = await self._prime_structures(points)
+        points, groups = await self._prime_structures(build)
         if not stream:
             results = await self._in_executor(self.service.evaluate_batch, points)
             body = {
@@ -489,30 +520,12 @@ class YieldServer:
 
     async def _handle_importance(self, request: Request, writer) -> int:
         payload = request.json()
-        benchmark = payload.get("benchmark")
-        if not isinstance(benchmark, str):
-            raise HTTPError(400, "'benchmark' must be a string")
-        from ..soc import benchmark_problem
-
-        try:
-            problem = benchmark_problem(
-                benchmark,
-                mean_defects=float(payload.get("mean_defects", 2.0)),
-                clustering=float(payload.get("clustering", 4.0)),
-            )
-        except KeyError as exc:
-            raise HTTPError(400, str(exc.args[0])) from None
-        except (TypeError, ValueError) as exc:
-            raise HTTPError(400, "invalid importance parameters: %s" % exc) from None
-        max_defects = payload.get("max_defects")
-        epsilon = payload.get("epsilon")
-        point = SweepPoint(
-            problem,
-            max_defects=None if max_defects is None else int(max_defects),
-            epsilon=None if epsilon is None else float(epsilon),
+        benchmark = self._benchmark_of(payload)
+        build = self._points_builder(
+            benchmark, [payload.get("mean_defects", 2.0)], payload, "importance"
         )
-        await self._prime_structures([point])
-        gradients = await self._in_executor(self.service.gradient_batch, [point])
+        points, _ = await self._prime_structures(build)
+        gradients = await self._in_executor(self.service.gradient_batch, points)
         body = dict(gradients_to_dict(gradients[0]), benchmark=benchmark)
         writer.write(response_bytes(200, _json_bytes(body)))
         await writer.drain()

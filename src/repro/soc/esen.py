@@ -39,6 +39,7 @@ unreadable, so the generator exposes the thresholds:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..distributions import (
@@ -64,6 +65,11 @@ DEFAULT_LETHALITY = 0.5
 
 #: Default negative-binomial clustering parameter ``alpha``.
 DEFAULT_CLUSTERING = 4.0
+
+#: Fault trees and component models kept per generator.  Both are
+#: immutable, so every problem built with the same parameters shares one
+#: template and the sweep service hashes its structure once.
+TEMPLATE_CACHE_SIZE = 32
 
 
 # --------------------------------------------------------------------------- #
@@ -185,6 +191,7 @@ def ipb_port(core_index: int, n: int, m: int) -> int:
 # --------------------------------------------------------------------------- #
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def esen_fault_tree(
     n: int,
     m: int,
@@ -192,7 +199,7 @@ def esen_fault_tree(
     required_ipa: Optional[int] = None,
     required_ipb: Optional[int] = None,
 ) -> Circuit:
-    """Return the gate-level fault tree of ESEN n x m.
+    """Return the (frozen, shared) gate-level fault tree of ESEN n x m.
 
     ``required_ipa`` / ``required_ipb`` default to ``n*m/2 - 1`` (tolerate the
     loss of one core on each side).
@@ -265,6 +272,7 @@ def esen_fault_tree(
 # --------------------------------------------------------------------------- #
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def esen_component_model(
     n: int,
     m: int,
@@ -274,7 +282,7 @@ def esen_component_model(
     se_to_ipa: float = DEFAULT_SE_TO_IPA,
     conc_to_ipa: float = DEFAULT_CONC_TO_IPA,
 ) -> ComponentDefectModel:
-    """Return the ``P_i`` model of ESEN n x m from the class ratios of Section 3."""
+    """Return the (shared) ``P_i`` model of ESEN n x m from the class ratios of Section 3."""
     classes = esen_component_classes(n, m)
     weights: Dict[str, float] = {}
     for name in classes["IPA"]:
@@ -303,7 +311,11 @@ def esen_problem(
     required_ipb: Optional[int] = None,
     defect_distribution: Optional[DefectCountDistribution] = None,
 ) -> YieldProblem:
-    """Return the full :class:`YieldProblem` for ESEN n x m."""
+    """Return the full :class:`YieldProblem` for ESEN n x m.
+
+    The fault tree and component model are shared templates; only the
+    defect distribution is built per call.
+    """
     circuit = esen_fault_tree(n, m, required_ipa=required_ipa, required_ipb=required_ipb)
     model = esen_component_model(
         n,

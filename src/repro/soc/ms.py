@@ -20,6 +20,7 @@ Component inventory (matches Table 1 of the paper: ``C = 6n + 6``):
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from ..distributions import (
@@ -46,6 +47,11 @@ DEFAULT_LETHALITY = 0.5
 #: Default negative-binomial clustering parameter ``alpha``.
 DEFAULT_CLUSTERING = 4.0
 
+#: Fault trees and component models kept per generator.  Both are
+#: immutable, so every problem built with the same parameters shares one
+#: template and the sweep service hashes its structure once.
+TEMPLATE_CACHE_SIZE = 32
+
 
 def ms_component_classes(n: int) -> Dict[str, List[str]]:
     """Return the component names of MSn grouped by class (IPM, CM, IPS, CS)."""
@@ -69,8 +75,9 @@ def ms_component_names(n: int) -> List[str]:
     return classes["IPM"] + classes["CM"] + classes["IPS"] + classes["CS"]
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def ms_fault_tree(n: int) -> Circuit:
-    """Return the gate-level fault tree of MSn.
+    """Return the (frozen, shared) gate-level fault tree of MSn.
 
     The system is functioning when there exists an unfailed master ``IPM_j``
     such that, for every cluster ``i``, there exist a slave ``IPS_i_k`` and a
@@ -98,6 +105,7 @@ def ms_fault_tree(n: int) -> Circuit:
     return ft.build()
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def ms_component_model(
     n: int,
     *,
@@ -105,7 +113,7 @@ def ms_component_model(
     ips_to_ipm: float = DEFAULT_IPS_TO_IPM,
     comm_to_ipm: float = DEFAULT_COMM_TO_IPM,
 ) -> ComponentDefectModel:
-    """Return the ``P_i`` model of MSn from the class ratios of Section 3."""
+    """Return the (shared) ``P_i`` model of MSn from the class ratios of Section 3."""
     classes = ms_component_classes(n)
     weights: Dict[str, float] = {}
     for name in classes["IPM"]:
@@ -133,7 +141,9 @@ def ms_problem(
 
     With the defaults (``mean_defects = 2``, ``lethality = 0.5``) the expected
     number of *lethal* defects is 1, the paper's "moderate" operating point;
-    ``mean_defects = 4`` gives the "large" point (``lambda' = 2``).
+    ``mean_defects = 4`` gives the "large" point (``lambda' = 2``).  The
+    fault tree and component model are shared templates; only the defect
+    distribution is built per call.
     """
     circuit = ms_fault_tree(n)
     model = ms_component_model(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faulttree import Circuit, CircuitError, GateOp
+from repro.faulttree import Circuit, CircuitError, FaultTreeBuilder, GateOp
+from repro.faulttree.parser import loads
 
 
 def build_small_circuit():
@@ -161,3 +162,81 @@ class TestStructuralQueries:
         assert stats["inputs"] == 3
         assert stats["gates"] == 3
         assert stats["depth"] == 2
+
+
+class TestFreezing:
+    def test_frozen_circuit_rejects_every_mutator(self):
+        circuit = build_small_circuit().freeze()
+        a = circuit.input_index("a")
+        mutations = [
+            lambda: circuit.add_input("d"),
+            lambda: circuit.add_input("a"),  # even an existing name
+            lambda: circuit.add_const(True),
+            lambda: circuit.add_gate(GateOp.NOT, [a]),
+            lambda: circuit.set_output(a, "out2"),
+        ]
+        for mutate in mutations:
+            with pytest.raises(CircuitError):
+                mutate()
+        with pytest.raises(CircuitError):
+            circuit.name = "renamed"
+        assert len(circuit) == 6
+        assert circuit.outputs == {"out": circuit.primary_output}
+
+    def test_freeze_is_idempotent(self):
+        circuit = build_small_circuit()
+        assert not circuit.frozen
+        assert circuit.freeze() is circuit
+        assert circuit.freeze().frozen
+
+    def test_builder_returns_one_frozen_circuit(self):
+        ft = FaultTreeBuilder("pair")
+        a = ft.failed("A")
+        ft.set_top(ft.and_(a, ft.failed("B")))
+        circuit = ft.build()
+        assert circuit.frozen
+        assert ft.build() is circuit
+        assert circuit.outputs == {"F": circuit.primary_output}
+        with pytest.raises(CircuitError):
+            ft.failed("C")
+        with pytest.raises(CircuitError):
+            ft.set_top(a)
+
+    def test_parser_returns_a_frozen_circuit(self):
+        circuit, _ = loads("toplevel S; S and A B; A prob 0.1; B prob 0.2;", name="pair")
+        assert circuit.frozen
+        assert circuit.name == "pair"
+
+    def test_has_input(self):
+        circuit = build_small_circuit()
+        assert circuit.has_input("a")
+        assert not circuit.has_input("zzz")
+
+
+class TestDigest:
+    def test_frozen_and_mutable_circuits_hash_alike(self):
+        assert build_small_circuit().digest() == build_small_circuit().freeze().digest()
+
+    def test_name_and_structure_enter_the_digest(self):
+        renamed = build_small_circuit()
+        renamed.name = "other"
+        assert renamed.digest() != build_small_circuit().digest()
+        rewired = Circuit("small")
+        a, b, c = (rewired.add_input(x) for x in "abc")
+        g1 = rewired.add_gate(GateOp.AND, [b, a])
+        g2 = rewired.add_gate(GateOp.NOT, [c])
+        rewired.set_output(rewired.add_gate(GateOp.OR, [g1, g2]), "out")
+        assert rewired.digest() != build_small_circuit().digest()
+
+    def test_mutable_circuit_rehashes_after_a_mutation(self):
+        circuit = build_small_circuit()
+        before = circuit.digest()
+        circuit.set_output(circuit.input_index("a"), "extra")
+        assert circuit.digest() != before
+
+    def test_frozen_circuit_hashes_once(self, monkeypatch):
+        circuit = build_small_circuit().freeze()
+        first = circuit.digest()
+        # a second hash would call sha256 and fail
+        monkeypatch.setattr("repro.faulttree.circuit.hashlib.sha256", None)
+        assert circuit.digest() == first

@@ -136,6 +136,51 @@ class TestEndpoints:
         response, _ = post_json(handle, "/v1/sweep", {"benchmark": BENCH})
         assert response.status == 400
 
+    def test_importance_unknown_benchmark_is_400(self, served):
+        _, handle = served
+        response, payload = post_json(
+            handle, "/v1/importance", {"benchmark": "NOPE", "max_defects": 3}
+        )
+        assert response.status == 400
+        assert "unknown benchmark" in payload["error"]
+
+    @pytest.mark.parametrize("clustering", ["dense", -1.0, None])
+    def test_importance_invalid_clustering_is_400(self, served, clustering):
+        service, handle = served
+        response, payload = post_json(
+            handle,
+            "/v1/importance",
+            {"benchmark": BENCH, "clustering": clustering, "max_defects": 3},
+        )
+        assert response.status == 400
+        assert "invalid importance parameters" in payload["error"]
+        # rejected before any structure was built
+        assert service.stats.structures_built == 0
+
+    def test_problems_are_built_off_the_event_loop(self, served, monkeypatch):
+        import repro.soc
+
+        threads = []
+        build = repro.soc.benchmark_problem
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(repro.soc, "benchmark_problem", recording)
+        _, handle = served
+        response, _ = post_json(
+            handle, "/v1/sweep", {"benchmark": BENCH, "densities": [1.0], "max_defects": 3}
+        )
+        assert response.status == 200
+        response, _ = post_json(
+            handle, "/v1/importance", {"benchmark": BENCH, "max_defects": 3}
+        )
+        assert response.status == 200
+        assert len(threads) == 2
+        # the executor's threads, never the loop's ("repro-server")
+        assert all(name.startswith("repro-http") for name in threads)
+
 
 class TestSweepCorrectness:
     def test_sweep_is_bit_identical_to_the_serial_service(self, served):
