@@ -22,7 +22,8 @@ in :data:`GATED_KEYS`.  A measured ratio may dip up to ``--tolerance``
 past that exits non-zero with a per-metric verdict table.  Ratios are
 gated rather than raw seconds so the gate is stable across runner
 hardware.  Missing records or metrics — a benchmark that did not run, or
-``native_speedup: null`` on a host without a C compiler — only warn: the
+``native_speedup``/``build_speedup: null`` on a host without a C
+compiler — only warn: the
 gate must not fail hosts where an optional backend is legitimately
 unavailable.
 """
@@ -46,6 +47,7 @@ GATED_KEYS = (
     "kernel_speedup",
     "native_speedup",
     "native_backward_speedup",
+    "build_speedup",
     "payload_shrink",
     "speedup",
 )

@@ -7,6 +7,13 @@ statistic the paper reports as *ROBDD peak* — the maximum total number of
 nodes of the ROBDDs that have to be held simultaneously in memory while the
 circuit is processed (the intermediate gate functions that are still needed
 by unprocessed gates).
+
+Two routes build the same diagram.  The native route hands the whole gate
+list to the C builder of :mod:`repro.engine.native` in one call and
+bulk-loads the reachable result into an ordinary :class:`BDDManager`.
+The Python gate loop runs instead when the caller supplies the manager
+(mid-build reordering needs a live one), when the peak is tracked, or
+when the native library cannot be built on this host.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from ..engine import native
 from ..engine.kernel import recursion_guard
 from ..faulttree.circuit import Circuit
 from ..faulttree.ops import GateOp
@@ -38,6 +48,8 @@ class BuildStats:
     gates_processed: int = 0
     #: Per-gate live size samples (only populated when peak tracking is on).
     live_samples: List[int] = field(default_factory=list)
+    #: Which route built the diagram: ``"native"`` or ``"python"``.
+    backend: str = "python"
 
 
 class CircuitBDDBuilder:
@@ -64,12 +76,15 @@ class CircuitBDDBuilder:
         "failed due to excessive memory requirements" entries of Table 2 in
         a controlled way.  ``None`` disables the check.  The limit counts
         nodes ever *created* (monotone), so enabling garbage collection does
-        not change which configurations fail.
+        not change which configurations fail.  The native route stops a
+        gate as soon as the count passes the limit, which fails the same
+        gate the after-gate check would.
     collect_garbage:
         Reference-count the intermediate gate functions and let the manager
         reclaim dead nodes at its :meth:`repro.engine.kernel.DDKernel.checkpoint`
         points between gates.  Keeps the live table bounded by what later
-        gates still need instead of everything ever built.
+        gates still need instead of everything ever built.  The native
+        route never collects: it allocates every distinct node once.
     """
 
     def __init__(
@@ -95,7 +110,8 @@ class CircuitBDDBuilder:
         """Return ``(manager, root, stats)`` for the circuit's primary output.
 
         A fresh :class:`BDDManager` is created unless one is supplied (it must
-        then contain every needed variable).
+        then contain every needed variable).  A fresh manager without peak
+        tracking is filled by the native builder when it is available.
         """
         output = circuit.primary_output
         cone = circuit.cone(output)
@@ -107,6 +123,8 @@ class CircuitBDDBuilder:
             )
         if manager is None:
             manager = BDDManager(self._order)
+            if not self._track_peak and native.available():
+                return self._build_native(circuit, manager, cone, output)
 
         # ITE recurses at most twice per level, so chain-shaped circuits
         # with thousands of variables need an explicit recursion budget
@@ -187,6 +205,52 @@ class CircuitBDDBuilder:
         stats.allocated_nodes = manager.num_nodes_allocated
         if stats.final_size > stats.peak_live_nodes:
             stats.peak_live_nodes = stats.final_size
+        return manager, root, stats
+
+    def _build_native(self, circuit: Circuit, manager: BDDManager, cone, output):
+        """Build through the C builder and bulk-load ``manager`` with it."""
+        order = sorted(cone)
+        position = {idx: pos for pos, idx in enumerate(order)}
+        kinds: List[int] = []
+        args: List[int] = []
+        starts = [0]
+        fanins: List[int] = []
+        for idx in order:
+            node = circuit.node(idx)
+            if node.is_input:
+                kinds.append(native.NODE_INPUT)
+                args.append(manager.level_of(node.name))
+            else:
+                if node.is_const:
+                    kinds.append(native.NODE_CONST1 if node.name == "1" else native.NODE_CONST0)
+                else:
+                    kinds.append(native.NODE_GATE_KINDS[node.op.name])
+                    fanins.extend(position[f] for f in node.fanins)
+                args.append(0)
+            starts.append(len(fanins))
+        status, info, arrays = native.build_bdd(
+            *(np.asarray(values, dtype=np.int64) for values in (kinds, args, starts, fanins)),
+            position[output],
+            manager.num_variables,
+            self._node_limit,
+        )
+        if status == native.BUILD_NODE_LIMIT:
+            raise ResourceLimitExceeded(
+                "ROBDD build exceeded the node limit (%d allocated > %d) after %d gates"
+                % (max(info["created"], self._node_limit + 1), self._node_limit, info["gates"])
+            )
+        root = manager.load_diagram(
+            *arrays, info["root"], created=info["created"], cache_stats=info
+        )
+        # a non-constant reduced diagram reaches both terminals
+        size = info["nodes"] + 2 if root > TRUE else 1
+        stats = BuildStats(
+            final_size=size,
+            peak_live_nodes=size,
+            allocated_nodes=info["created"],
+            gates_processed=info["gates"],
+            backend="native",
+        )
         return manager, root, stats
 
     @staticmethod

@@ -34,7 +34,10 @@ Design notes
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..engine.kernel import (
     DEFAULT_CACHE_BOUND,
@@ -52,6 +55,47 @@ class BDDError(ValueError):
 
 
 _TERMINAL_LEVEL = TERMINAL_LEVEL
+
+
+class _PendingUniqueTable:
+    """The unique table of a bulk-loaded manager, built on first use.
+
+    A loaded diagram is usually only read (converted, then dropped), so
+    its ``(level, low, high)`` keys are made only when an operation first
+    needs hash-consing.  Every manager operation touches the table before
+    it changes a node, so the table is built from the loaded nodes; it
+    then replaces this placeholder in the manager, which is held weakly so
+    that no reference cycle keeps a dropped manager alive.
+    """
+
+    __slots__ = ("_owner", "_table")
+
+    def __init__(self, manager: "BDDManager") -> None:
+        self._owner = weakref.ref(manager)
+        self._table: Optional[Dict[Tuple[int, int, int], int]] = None
+
+    def _built(self) -> Dict[Tuple[int, int, int], int]:
+        if self._table is None:
+            manager = self._owner()
+            size = len(manager._level)
+            keys = zip(manager._level[2:], manager._low[2:], manager._high[2:])
+            self._table = dict(zip(keys, range(2, size)))
+            if manager._unique is self:
+                manager._unique = self._table
+        return self._table
+
+    # the dict operations the manager and the kernel use on a unique table
+    def get(self, key, default=None):
+        return self._built().get(key, default)
+
+    def pop(self, key, *default):
+        return self._built().pop(key, *default)
+
+    def __setitem__(self, key, value) -> None:
+        self._built()[key] = value
+
+    def __delitem__(self, key) -> None:
+        del self._built()[key]
 
 
 class BDDManager(DDKernel):
@@ -156,6 +200,16 @@ class BDDManager(DDKernel):
         """Return whether ``node`` is one of the two terminals."""
         return node <= TRUE
 
+    def node_arrays(self):
+        """Return ``(level, low, high)`` int64 arrays indexed by handle.
+
+        Terminals report :data:`~repro.engine.kernel.TERMINAL_LEVEL` and
+        reclaimed slots :data:`~repro.engine.kernel.FREE_LEVEL`.
+        """
+        return tuple(
+            np.array(column, dtype=np.int64) for column in (self._level, self._low, self._high)
+        )
+
     # ------------------------------------------------------------------ #
     # Node construction
     # ------------------------------------------------------------------ #
@@ -186,6 +240,36 @@ class BDDManager(DDKernel):
         self._created += 1
         self._unique[key] = handle
         return handle
+
+    def load_diagram(self, level, low, high, root: int, *, created: int, cache_stats) -> int:
+        """Bulk-load one built diagram into this empty manager; return ``root``.
+
+        ``level``/``low``/``high`` (int arrays) describe handles ``2 ..``
+        with children before parents, as the native builder exports them.
+        The unique table (built on first use), the child-edge reference
+        counts plus one reference held by ``root``, the ``created`` count
+        and the ITE computed-table ``cache_stats``
+        (hits/misses/insertions/evictions) are set as if the nodes had been
+        built here, so every manager operation keeps working on the result.
+        """
+        if len(self._level) != 2:
+            raise BDDError("load_diagram needs an empty manager")
+        size = len(level) + 2
+        self._level.extend(level.tolist())
+        self._low.extend(low.tolist())
+        self._high.extend(high.tolist())
+        refs = np.bincount(np.concatenate((low, high)), minlength=size)
+        refs[:2] = 1  # terminals are pinned
+        if root > TRUE:
+            refs[root] += 1
+        self._refs = refs.tolist()
+        self._unique = _PendingUniqueTable(self)
+        self._created = int(created)
+        self._live_at_last_gc = size
+        stats = self._ite_cache.stats
+        for name in ("hits", "misses", "insertions", "evictions"):
+            setattr(stats, name, int(cache_stats[name]))
+        return root
 
     def var(self, name: str) -> int:
         """Return the BDD of the single positive literal ``name``."""

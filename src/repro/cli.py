@@ -843,6 +843,7 @@ def _run_serve(args) -> int:
 
     from .engine.service import SweepService
     from .server import YieldServer
+    from .server.app import SERVE_NODE_BUDGET
 
     try:
         service = SweepService(
@@ -856,6 +857,7 @@ def _run_serve(args) -> int:
             use_shared_memory=args.shared_memory,
             remote_workers=args.remote_workers,
             heartbeat_interval=args.heartbeat_interval,
+            node_limit=SERVE_NODE_BUDGET,
         )
     except (OrderingError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -656,7 +656,11 @@ class YieldAnalyzer:
                 build_stats.final_size = bdd_manager.size(bdd_root)
                 if build_stats.final_size > build_stats.peak_live_nodes:
                     build_stats.peak_live_nodes = build_stats.final_size
-            robdd_span.set(nodes=build_stats.final_size, sift_swaps=sift_swaps)
+            robdd_span.set(
+                nodes=build_stats.final_size,
+                sift_swaps=sift_swaps,
+                backend=build_stats.backend,
+            )
         t2 = time.perf_counter()
 
         with obs_trace.span("compile.romdd") as romdd_span:
@@ -747,15 +751,19 @@ class YieldAnalyzer:
             peak_stride=self.peak_stride,
             node_limit=self.node_limit,
         )
-        manager = BDDManager(grouped_order.flat_bit_order())
         trigger_state = {
             "groups": grouped_order.groups,
             "swaps": 0,
             "triggers": 0,
             "seconds": 0.0,
         }
+        # mid-build reordering needs a live manager, which keeps the build
+        # on the gate loop; otherwise the builder may take the native route
+        manager = None
         if self.reorder_on_growth is not None:
             from ..engine.reorder import sift_grouped
+
+            manager = BDDManager(grouped_order.flat_bit_order())
 
             def mid_build_reorder(mgr) -> None:
                 # the builder ref-protects every live gate function before
@@ -775,7 +783,8 @@ class YieldAnalyzer:
         bdd_manager, bdd_root, build_stats = builder.build(
             gfunction.binary_circuit(), manager
         )
-        bdd_manager.clear_reorder_trigger()
+        if manager is not None:
+            manager.clear_reorder_trigger()
         if trigger_state["triggers"]:
             grouped_order = GroupedVariableOrder(trigger_state["groups"])
             build_stats.final_size = bdd_manager.size(bdd_root)

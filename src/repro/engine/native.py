@@ -1,4 +1,4 @@
-"""Native compiled kernel backend behind the ``kernel=`` seam.
+"""Native compiled backend: the fused kernel and the coded-ROBDD builder.
 
 The fused CSR schedule (:class:`repro.engine.batch.FusedSchedule`) is
 already the exact input format a compiled kernel wants: one concatenated
@@ -6,8 +6,11 @@ child-position-major edge array, a layer bounds table, and contiguous
 float64 probability matrices.  This module compiles the C implementation
 shipped in-repo (``_native_kernel.c``) **on demand** with the system C
 compiler and calls it through :mod:`ctypes`, consuming the schedule
-arrays zero-copy.  No Numba/cffi/compiled-wheel dependency — a plain
-``cc`` is the only requirement, and its absence is a supported state:
+arrays zero-copy.  The same library builds coded ROBDDs
+(:func:`build_bdd`, the native route of
+:class:`repro.bdd.builder.CircuitBDDBuilder`).  No Numba/cffi/compiled-wheel
+dependency — a plain ``cc`` is the only requirement, and its absence is a
+supported state:
 
 * no usable compiler (including ``CC=/nonexistent``), a failed compile,
   or a checksum-mismatched cache entry never raises out of the kernel
@@ -21,8 +24,8 @@ arrays zero-copy.  No Numba/cffi/compiled-wheel dependency — a plain
   (``<store>/native``), so every process on the host warm-starts the
   library the way it warm-starts structures;
 * a freshly loaded library must pass a bit-exact smoke test (forward,
-  collapse, and backward on a handcrafted diagram) before it is ever
-  used for real passes.
+  collapse, and backward on a handcrafted diagram, plus the build of a
+  tiny circuit) before it is ever used for real passes.
 
 The C kernel mirrors the fused kernel operation-for-operation (including
 model-uniform level collapse and numpy's exact gradient-reduction
@@ -50,6 +53,7 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "available",
     "backward",
+    "build_bdd",
     "cache_dir",
     "counters",
     "forward",
@@ -73,7 +77,17 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off")
 
 #: Bumped whenever the C call signatures change; part of the cache key
 #: and checked against ``repro_native_abi()`` after every load.
-ABI_VERSION = 1
+ABI_VERSION = 2
+
+#: Node kinds of an encoded circuit for :func:`build_bdd` (the ``NODE_*``
+#: enum of the C source).
+NODE_INPUT, NODE_CONST0, NODE_CONST1 = 0, 1, 2
+NODE_GATE_KINDS = {
+    "AND": 3, "OR": 4, "NOT": 5, "BUF": 6, "XOR": 7, "XNOR": 8, "NAND": 9, "NOR": 10,
+}
+
+#: Status codes of :func:`build_bdd` (the ``BUILD_*`` enum of the C source).
+BUILD_OK, BUILD_NODE_LIMIT, BUILD_NO_MEMORY, BUILD_INVALID = 0, 1, 2, 3
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -228,7 +242,9 @@ def _cache_key(source: bytes, compiler_id: str) -> str:
 class _Library:
     """A loaded, bound, smoke-tested native library."""
 
-    __slots__ = ("cdll", "path", "forward", "backward")
+    __slots__ = (
+        "cdll", "path", "forward", "backward", "bdd_build", "bdd_export", "bdd_free",
+    )
 
     def __init__(self, cdll, path):
         self.cdll = cdll
@@ -265,6 +281,26 @@ class _Library:
             _c_double_p,  # scratch
             _c_int64_p,  # collapsed_out
         ]
+        self.bdd_build = cdll.repro_bdd_build
+        self.bdd_build.restype = ctypes.c_int
+        self.bdd_build.argtypes = [
+            _c_int64_p,  # kinds
+            _c_int64_p,  # args
+            _c_int64_p,  # starts
+            _c_int64_p,  # fanins
+            ctypes.c_int64,  # num_nodes
+            ctypes.c_int64,  # output
+            ctypes.c_int64,  # num_vars
+            ctypes.c_int64,  # node_limit
+            _c_int64_p,  # info
+            ctypes.POINTER(ctypes.c_void_p),  # result_out
+        ]
+        self.bdd_export = cdll.repro_bdd_result_export
+        self.bdd_export.restype = None
+        self.bdd_export.argtypes = [ctypes.c_void_p, _c_int64_p, _c_int64_p, _c_int64_p]
+        self.bdd_free = cdll.repro_bdd_result_free
+        self.bdd_free.restype = None
+        self.bdd_free.argtypes = [ctypes.c_void_p]
 
 
 def _bind(path: str):
@@ -330,13 +366,31 @@ def _smoke_test(lib) -> bool:
         _dp(values), _dp(narrow_values), narrow.ctypes.data_as(_c_uint8_p),
         ctypes.byref(collapsed),
     )
-    return (
+    if not (
         rc == 0
         and collapsed.value == 1
         and narrow[2] == 1
         and values[2, 0] == 0.5
         and values[2, 1] == 0.5
+    ):
+        return False
+
+    # a XOR b over the order (a, b): the XOR step first complements b, so
+    # six nodes are created (a, b, NOT b, the root and two terminals) and
+    # three are reachable; a limit of five stops the build in its gate
+    circuit = (
+        _np.array([NODE_INPUT, NODE_INPUT, NODE_GATE_KINDS["XOR"]], dtype=_np.int64),
+        _np.array([0, 1, 0], dtype=_np.int64),
+        _np.array([0, 0, 0, 2], dtype=_np.int64),
+        _np.array([0, 1], dtype=_np.int64),
     )
+    status, info, arrays = _run_build(lib, *circuit, 2, 2, None)
+    if status != BUILD_OK or (info["nodes"], info["root"], info["created"]) != (3, 4, 6):
+        return False
+    if [a.tolist() for a in arrays] != [[1, 1, 0], [0, 1, 2], [1, 0, 3]]:
+        return False
+    status, info, arrays = _run_build(lib, *circuit, 2, 2, 5)
+    return status == BUILD_NODE_LIMIT and arrays is None and info["gates"] == 1
 
 
 def _load_cached(so_path: str, marker_path: str):
@@ -456,6 +510,108 @@ def _load_locked():
 def available() -> bool:
     """Whether native passes can run in this process (loads on demand)."""
     return load() is not None
+
+
+# --------------------------------------------------------------------- #
+# Coded-ROBDD build
+# --------------------------------------------------------------------- #
+
+_BUILD_INFO_FIELDS = (
+    "nodes", "root", "created", "gates", "hits", "misses", "insertions", "evictions",
+)
+
+
+def _run_build(lib, kinds, args, starts, fanins, output, num_vars, node_limit):
+    """One ``repro_bdd_build`` call on checked arrays.
+
+    Returns ``(status, info, arrays)``; ``arrays`` is the exported
+    ``(level, low, high)`` triple on success and ``None`` otherwise.  The
+    C result is freed on every path.
+    """
+    info = _np.zeros(len(_BUILD_INFO_FIELDS), dtype=_np.int64)
+    result = ctypes.c_void_p()
+    status = lib.bdd_build(
+        _ip(kinds),
+        _ip(args),
+        _ip(starts),
+        _ip(fanins),
+        len(kinds),
+        output,
+        num_vars,
+        -1 if node_limit is None else node_limit,
+        _ip(info),
+        ctypes.byref(result),
+    )
+    arrays = None
+    try:
+        if status == BUILD_OK:
+            arrays = tuple(_np.empty(int(info[0]), dtype=_np.int64) for _ in range(3))
+            lib.bdd_export(result, *(_ip(a) for a in arrays))
+    finally:
+        lib.bdd_free(result)
+    return status, dict(zip(_BUILD_INFO_FIELDS, info.tolist())), arrays
+
+
+def _check_circuit(kinds, args, starts, fanins, output, num_vars) -> None:
+    """Validate an encoded circuit before any pointer reaches C."""
+    for array in (kinds, args, starts, fanins):
+        if not (
+            isinstance(array, _np.ndarray)
+            and array.dtype == _np.int64
+            and array.ndim == 1
+            and array.flags["C_CONTIGUOUS"]
+        ):
+            raise ValueError("encoded circuit arrays must be contiguous 1-D int64")
+    n = len(kinds)
+    if n < 1 or len(args) != n or len(starts) != n + 1:
+        raise ValueError("encoded circuit arrays disagree in length")
+    counts = _np.diff(starts)
+    if int(starts[0]) != 0 or int(starts[-1]) != len(fanins) or (counts < 0).any():
+        raise ValueError("fanin offsets do not cover the fanin array")
+    readers = _np.repeat(_np.arange(n, dtype=_np.int64), counts)
+    if ((fanins < 0) | (fanins >= readers)).any():
+        raise ValueError("a fanin does not point to an earlier node")
+    if ((kinds < NODE_INPUT) | (kinds > max(NODE_GATE_KINDS.values()))).any():
+        raise ValueError("unknown node kind")
+    levels = args[kinds == NODE_INPUT]
+    if not 1 <= num_vars < 2**31 or ((levels < 0) | (levels >= num_vars)).any():
+        raise ValueError("input level out of range")
+    if not 0 <= output < n:
+        raise ValueError("output position out of range")
+
+
+def build_bdd(kinds, args, starts, fanins, output, num_vars, node_limit=None):
+    """Build the ROBDD of an encoded circuit natively.
+
+    The circuit is given in topological order as four int64 arrays:
+    ``kinds`` (``NODE_INPUT``, ``NODE_CONST0``/``NODE_CONST1`` or a
+    :data:`NODE_GATE_KINDS` value), ``args`` (an input's variable level),
+    ``starts`` (CSR offsets into ``fanins``) and ``fanins`` (earlier node
+    positions), plus the ``output`` position and the number of variable
+    levels.  ``node_limit`` is checked as the gate loop checks it.
+
+    Returns ``None`` when the library is unavailable, else ``(status,
+    info, arrays)``: ``status`` is :data:`BUILD_OK` or
+    :data:`BUILD_NODE_LIMIT`; ``info`` holds the ``nodes`` count and
+    ``root`` handle of the reachable diagram, the ``created`` node count
+    (terminals included), ``gates`` processed and the computed-table
+    ``hits``/``misses``/``insertions``/``evictions``; ``arrays`` is
+    ``(level, low, high)`` for handles ``2 .. nodes + 1`` (children before
+    parents) when the build succeeded.  Raises :class:`MemoryError` when
+    the C side ran out of memory.
+    """
+    lib = load()
+    if lib is None:
+        return None
+    _check_circuit(kinds, args, starts, fanins, output, num_vars)
+    status, info, arrays = _run_build(
+        lib, kinds, args, starts, fanins, output, num_vars, node_limit
+    )
+    if status == BUILD_NO_MEMORY:
+        raise MemoryError("native ROBDD build ran out of memory")
+    if status not in (BUILD_OK, BUILD_NODE_LIMIT):
+        raise NativeError("native ROBDD build rejected its input (status %d)" % status)
+    return status, info, arrays
 
 
 # --------------------------------------------------------------------- #

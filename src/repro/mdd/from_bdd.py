@@ -15,16 +15,20 @@ coming from other (higher) layers, plus the root.  For every entry node and
 every value of the layer's variable, the group's code bits are "simulated"
 downward through the layer to find the node reached; the ROMDD node for the
 entry node has the (already converted) images of those reached nodes as
-children.  Hash-consing in :class:`repro.mdd.manager.MDDManager` performs the
-two reductions the paper describes (all-equal children collapse, structural
-sharing), and unreachable nodes created through unused codewords are simply
-never hit by the final size/probability traversals.
+children.  Each layer is one vectorized pass: all entry nodes walk all
+codewords at once with array gathers over the group's bits, rows whose
+children are all equal collapse to that child, and the remaining rows are
+deduplicated with ``np.unique`` and hash-consed into
+:class:`repro.mdd.manager.MDDManager` — the two reductions the paper
+describes.  Nodes created through unused codewords are simply never hit by
+the final size/probability traversals.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..bdd.manager import FALSE as BDD_FALSE
 from ..bdd.manager import TRUE as BDD_TRUE
@@ -127,44 +131,100 @@ def convert_bdd_to_mdd(
 
     bit_info = _bit_positions(groups)
     per_level = _validate_grouping(bdd, groups, bit_info)
-
-    mapping: Dict[int, int] = {BDD_FALSE: MDD_FALSE, BDD_TRUE: MDD_TRUE}
     if root <= BDD_TRUE:
-        return mdd, mapping[root]
+        return mdd, MDD_TRUE if root == BDD_TRUE else MDD_FALSE
 
-    def layer_of(node: int) -> int:
-        return per_level[bdd.level(node)][0]
+    # per-handle layer and code-bit position; terminals and free slots sit
+    # in the pseudo-layer len(groups), below every real layer
+    levels, lows, highs = bdd.node_arrays()
+    num_levels = len(per_level)
+    levels = np.where((levels >= 0) & (levels < num_levels), levels, num_levels)
+    per_level.append((len(groups), 0))
+    layer_of, bit_of = (np.asarray(column, dtype=np.int64)[levels] for column in zip(*per_level))
 
-    # collect the entry nodes of every layer: the root plus every node whose
-    # incoming edge crosses a layer boundary
-    entries: Dict[int, Set[int]] = defaultdict(set)
-    reachable = bdd.reachable(root)
-    entries[layer_of(root)].add(root)
-    for node in reachable:
-        if node <= BDD_TRUE:
-            continue
-        node_layer = layer_of(node)
-        for child in (bdd.low(node), bdd.high(node)):
-            if child <= BDD_TRUE:
-                continue
-            if layer_of(child) != node_layer:
-                entries[layer_of(child)].add(child)
+    # reachable nodes, one ROBDD level at a time from the root down
+    reachable = np.zeros(len(levels), dtype=bool)
+    reachable[root] = True
+    by_level = np.argsort(levels)
+    starts = np.searchsorted(levels[by_level], np.arange(num_levels + 1))
+    for level in range(int(levels[root]), num_levels):
+        nodes = by_level[starts[level] : starts[level + 1]]
+        nodes = nodes[reachable[nodes]]
+        reachable[lows[nodes]] = True
+        reachable[highs[nodes]] = True
 
-    # bottom-up over the layers that actually have entry nodes
-    for layer_index in sorted(entries.keys(), reverse=True):
-        variable = variables[layer_index]
-        for entry in entries[layer_index]:
-            children: List[int] = []
-            for value in variable.values:
-                codeword = variable.code.codeword(value)
-                current = entry
-                while current > BDD_TRUE and per_level[bdd.level(current)][0] == layer_index:
-                    bit_position = per_level[bdd.level(current)][1]
-                    if codeword[bit_position]:
-                        current = bdd.high(current)
-                    else:
-                        current = bdd.low(current)
-                children.append(mapping[current])
-            mapping[entry] = mdd.mk(layer_index, children)
+    # entry nodes: the root plus every child across a layer boundary
+    parents = np.flatnonzero(reachable & (levels < num_levels))
+    children = np.concatenate((lows[parents], highs[parents]))
+    crossing = (children > BDD_TRUE) & (layer_of[children] != np.tile(layer_of[parents], 2))
+    is_entry = np.zeros(len(levels), dtype=bool)
+    is_entry[children[crossing]] = True
+    is_entry[root] = True
+    entries = np.flatnonzero(is_entry)
+    entry_layers = layer_of[entries]
 
-    return mdd, mapping[root]
+    # the low child of handle h at 2 * h, the high child at 2 * h + 1
+    kids = np.stack((lows, highs), axis=1).ravel()
+    image = np.full(len(levels), -1, dtype=np.int64)
+    image[BDD_FALSE] = MDD_FALSE
+    image[BDD_TRUE] = MDD_TRUE
+    for layer in np.unique(entry_layers)[::-1].tolist():
+        variable, bit_names = groups[layer]
+        nodes = entries[entry_layers == layer]
+        codes = np.array([variable.code.codeword(v) for v in variable.values], dtype=np.int64)
+        cardinality, width = codes.shape
+        # walk every (entry node, codeword) pair down through the layer;
+        # pair i is entry i // cardinality under value i % cardinality, and
+        # only the pairs still inside the layer take the next step
+        current = np.repeat(nodes, cardinality)
+        walking = np.arange(len(current))
+        code_rows = np.tile(np.arange(0, cardinality * width, width), len(nodes))
+        codes = codes.ravel()
+        for _ in bit_names:
+            at = current[walking]
+            at = kids[2 * at + codes[code_rows[walking] + bit_of[at]]]
+            current[walking] = at
+            walking = walking[layer_of[at] == layer]
+            if not len(walking):
+                break
+        rows = image[current].reshape(len(nodes), cardinality)
+        same = (rows == rows[:, :1]).all(axis=1)
+        image[nodes[same]] = rows[same, 0]
+        if not same.all():
+            distinct, inverse = _unique_rows(rows[~same])
+            handles = np.array(mdd._mk_distinct(layer, distinct), dtype=np.int64)
+            image[nodes[~same]] = handles[inverse]
+
+    return mdd, int(image[root])
+
+
+def _unique_rows(rows):
+    """``np.unique(rows, axis=0, return_inverse=True)``, through a row hash.
+
+    Rows are deduplicated by one wrapping dot product with pseudo-random
+    odd weights and a one-dimensional ``np.unique`` — much faster than the
+    lexicographic row sort — then checked exactly; a hash collision falls
+    back to the row sort.  The distinct rows come in first-occurrence order.
+    """
+    # splitmix64 finalizer of the column index: unrelated 64-bit weights
+    weights = np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * _GOLDEN
+    for shift, multiplier in _SPLITMIX:
+        weights ^= weights >> np.uint64(shift)
+        weights *= multiplier
+    weights ^= weights >> np.uint64(31)
+    weights |= np.uint64(1)
+    keys = (rows.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if not (rows[first][inverse.reshape(-1)] == rows).all():
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    # number the distinct rows in order of first occurrence, so new nodes
+    # follow the entry order (children before parents) instead of hash order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[first[order]], rank[inverse.reshape(-1)]
+
+
+#: Fibonacci-hashing increment and the splitmix64 mixing steps.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))

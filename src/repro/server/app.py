@@ -53,6 +53,11 @@ one is rejected with ``429`` and a ``Retry-After`` header *before* any
 service work happens.  ``/healthz`` and ``/stats`` bypass admission so
 operators can always see in.
 
+A structure whose coded-ROBDD build passes the service's ``node_limit``
+(``repro serve`` uses :data:`SERVE_NODE_BUDGET`) is answered with ``422``
+before any evaluation runs, and counted as ``server.over_budget``; every
+coalesced joiner of that build gets the same answer.
+
 Shutdown
 --------
 
@@ -73,10 +78,22 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .http import ChunkedWriter, HTTPError, Request, error_bytes, read_request, response_bytes
+from ..bdd.builder import ResourceLimitExceeded
 from ..engine.service import SweepPoint, SweepService
 from ..engine.supervise import janitor
 
-__all__ = ["YieldServer", "ServerHandle", "serve_in_thread", "result_to_dict", "gradients_to_dict"]
+__all__ = [
+    "SERVE_NODE_BUDGET",
+    "YieldServer",
+    "ServerHandle",
+    "serve_in_thread",
+    "result_to_dict",
+    "gradients_to_dict",
+]
+
+#: Coded-ROBDD node budget of one structure build under ``repro serve``
+#: (the analyzer's ``node_limit``; the paper-table harness uses the same).
+SERVE_NODE_BUDGET = 2_000_000
 
 
 def result_to_dict(result, index: int, mean_defects: Optional[float] = None) -> Dict:
@@ -266,6 +283,13 @@ class YieldServer:
         except HTTPError as exc:
             status = exc.status
             writer.write(error_bytes(exc))
+            await writer.drain()
+        except ResourceLimitExceeded as exc:
+            # the structure build passed the node budget: the request asked
+            # for more than this server serves, before any evaluation ran
+            status = 422
+            self.registry.inc("server.over_budget")
+            writer.write(error_bytes(HTTPError(422, "over the node budget: %s" % exc)))
             await writer.drain()
         except Exception as exc:
             status = 500

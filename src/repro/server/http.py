@@ -48,6 +48,7 @@ _REASONS = {
     405: "Method Not Allowed",
     411: "Length Required",
     413: "Payload Too Large",
+    422: "Unprocessable Content",
     429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",

@@ -152,3 +152,30 @@ class TestGroupingValidation:
         bdd_manager = BDDManager(list(x.bit_names()))
         with pytest.raises(MDDError):
             convert_bdd_to_mdd(bdd_manager, bdd_manager.var(x.bit_names()[0]), groups)
+
+
+class TestVectorizedConversion:
+    def test_second_conversion_into_one_manager_reuses_every_node(self):
+        mv = make_mv_circuit()
+        groups = groups_for(mv, ["x", "y", "z"])
+        flat = [bit for _, bits in groups for bit in bits]
+        bdd_manager, root, _ = build_circuit_bdd(mv.binary_encode(), flat)
+        shared = MDDManager([mv.variable(n) for n in ["x", "y", "z"]])
+        _, first = convert_bdd_to_mdd(bdd_manager, root, groups, mdd=shared)
+        allocated = shared.num_nodes_allocated
+        _, second = convert_bdd_to_mdd(bdd_manager, root, groups, mdd=shared)
+        assert second == first
+        assert shared.num_nodes_allocated == allocated
+        assert all(shared.ref_count(n) >= 1 for n in shared.reachable(first) if n > TRUE and n != first)
+
+    def test_row_hash_collisions_fall_back_to_the_row_sort(self, monkeypatch):
+        import numpy as np
+
+        from repro.mdd import from_bdd
+
+        rows = np.array([[2, 3, 4], [4, 3, 2], [2, 3, 4], [3, 3, 3]], dtype=np.int64)
+        # equal weights make permuted rows collide
+        monkeypatch.setattr(from_bdd, "_GOLDEN", np.uint64(0))
+        distinct, inverse = from_bdd._unique_rows(rows)
+        assert distinct.tolist() == [[2, 3, 4], [4, 3, 2], [3, 3, 3]]  # first occurrences
+        assert inverse.tolist() == [0, 1, 0, 2]

@@ -79,8 +79,13 @@ def test_method_matches_exact_enumeration(expr, weights, mean, clustering, order
 )
 def test_truncation_estimates_are_monotone(expr, weights):
     problem = build_problem(expr, weights, 1.0, 4.0)
+    results = [evaluate_yield(problem, max_defects=m) for m in (0, 1, 2, 3)]
     previous = -1.0
-    for max_defects in (0, 1, 2, 3):
-        estimate = evaluate_yield(problem, max_defects=max_defects).yield_estimate
-        assert estimate >= previous - 1e-12
-        previous = estimate
+    for result in results:
+        assert result.yield_estimate >= previous - 1e-12
+        previous = result.yield_estimate
+    # the paper's guarantee: Y_M misses at most the tail mass beyond M
+    for result in results[:-1]:
+        assert results[-1].yield_estimate - result.yield_estimate <= (
+            result.error_bound + 1e-12
+        )

@@ -292,6 +292,71 @@ class TestCoalescing:
             service.close()
 
 
+class TestNodeBudget:
+    def test_over_budget_build_is_422_for_builder_and_joiners(self):
+        service = SweepService(node_limit=100)
+        real_prime = service.prime_structure
+        evaluated = []
+
+        def slow_prime(problem, truncation, skey=None):
+            time.sleep(0.5)  # every client joins the one in-flight build
+            return real_prime(problem, truncation, skey)
+
+        real_batch = service.evaluate_batch
+
+        def recording_batch(points):
+            evaluated.append(len(points))
+            return real_batch(points)
+
+        service.prime_structure = slow_prime
+        service.evaluate_batch = recording_batch
+        handle = serve_in_thread(service)
+        try:
+            clients = 3
+            payload = {"benchmark": BENCH, "densities": [1.0], "max_defects": 3}
+            outcomes = []
+            barrier = threading.Barrier(clients)
+
+            def client():
+                barrier.wait(timeout=30)
+                outcomes.append(post_json(handle, "/v1/sweep", payload))
+
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+
+            assert [response.status for response, _ in outcomes] == [422] * clients
+            assert all("node budget" in body["error"] for _, body in outcomes)
+            assert evaluated == []  # rejected before any evaluation
+            assert counter_from_stats(handle, "repro_server_over_budget") == clients
+            assert counter_from_stats(handle, "repro_server_builds_started") == 1
+            assert counter_from_stats(handle, "repro_server_coalesced_joins") == clients - 1
+            assert counter_from_stats(handle, "repro_server_errors") == 0
+        finally:
+            handle.stop()
+            service.close()
+
+    def test_serve_budgets_its_service(self, monkeypatch):
+        from repro import cli
+        from repro.server import app
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_service(**options):
+            seen.update(options)
+            raise Stop
+
+        monkeypatch.setattr("repro.engine.service.SweepService", fake_service)
+        with pytest.raises(Stop):
+            cli.main(["serve", "--port", "0"])
+        assert seen["node_limit"] == app.SERVE_NODE_BUDGET == 2_000_000
+
+
 class TestAdmissionControl:
     def test_overflow_gets_429_and_never_touches_the_service(self):
         service = SweepService()
