@@ -75,10 +75,13 @@ class CircuitBDDBuilder:
         has allocated more than this many nodes.  This reproduces the
         "failed due to excessive memory requirements" entries of Table 2 in
         a controlled way.  ``None`` disables the check.  The limit counts
-        nodes ever *created* (monotone), so enabling garbage collection does
-        not change which configurations fail.  The native route stops a
-        gate as soon as the count passes the limit, which fails the same
-        gate the after-gate check would.
+        nodes ever *created* (monotone) and is checked after every gate; the
+        native route stops a gate as soon as the count passes the limit,
+        which fails the same gate.  Outcomes near the limit depend on the
+        route: the native route counts each distinct node once, exactly like
+        the gate loop without ``collect_garbage``, while the collecting gate
+        loop also counts nodes it reclaims and builds again, so a limit just
+        above the distinct count can pass natively and fail on that loop.
     collect_garbage:
         Reference-count the intermediate gate functions and let the manager
         reclaim dead nodes at its :meth:`repro.engine.kernel.DDKernel.checkpoint`

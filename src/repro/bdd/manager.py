@@ -34,7 +34,6 @@ Design notes
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -55,47 +54,6 @@ class BDDError(ValueError):
 
 
 _TERMINAL_LEVEL = TERMINAL_LEVEL
-
-
-class _PendingUniqueTable:
-    """The unique table of a bulk-loaded manager, built on first use.
-
-    A loaded diagram is usually only read (converted, then dropped), so
-    its ``(level, low, high)`` keys are made only when an operation first
-    needs hash-consing.  Every manager operation touches the table before
-    it changes a node, so the table is built from the loaded nodes; it
-    then replaces this placeholder in the manager, which is held weakly so
-    that no reference cycle keeps a dropped manager alive.
-    """
-
-    __slots__ = ("_owner", "_table")
-
-    def __init__(self, manager: "BDDManager") -> None:
-        self._owner = weakref.ref(manager)
-        self._table: Optional[Dict[Tuple[int, int, int], int]] = None
-
-    def _built(self) -> Dict[Tuple[int, int, int], int]:
-        if self._table is None:
-            manager = self._owner()
-            size = len(manager._level)
-            keys = zip(manager._level[2:], manager._low[2:], manager._high[2:])
-            self._table = dict(zip(keys, range(2, size)))
-            if manager._unique is self:
-                manager._unique = self._table
-        return self._table
-
-    # the dict operations the manager and the kernel use on a unique table
-    def get(self, key, default=None):
-        return self._built().get(key, default)
-
-    def pop(self, key, *default):
-        return self._built().pop(key, *default)
-
-    def __setitem__(self, key, value) -> None:
-        self._built()[key] = value
-
-    def __delitem__(self, key) -> None:
-        del self._built()[key]
 
 
 class BDDManager(DDKernel):
@@ -246,11 +204,13 @@ class BDDManager(DDKernel):
 
         ``level``/``low``/``high`` (int arrays) describe handles ``2 ..``
         with children before parents, as the native builder exports them.
-        The unique table (built on first use), the child-edge reference
-        counts plus one reference held by ``root``, the ``created`` count
-        and the ITE computed-table ``cache_stats``
-        (hits/misses/insertions/evictions) are set as if the nodes had been
-        built here, so every manager operation keeps working on the result.
+        The unique table, the child-edge reference counts plus one reference
+        held by ``root``, the ``created`` count and the ITE computed-table
+        ``cache_stats`` (hits/misses/insertions/evictions) are set as if the
+        nodes had been built here, so every manager operation keeps working
+        on the result.  The manager keeps the three arrays: the unique table
+        is made from them on its first use (see :meth:`__getattr__`), since
+        a loaded diagram is usually only converted and then dropped.
         """
         if len(self._level) != 2:
             raise BDDError("load_diagram needs an empty manager")
@@ -263,13 +223,27 @@ class BDDManager(DDKernel):
         if root > TRUE:
             refs[root] += 1
         self._refs = refs.tolist()
-        self._unique = _PendingUniqueTable(self)
+        del self._unique
+        self._loaded = (level, low, high)
         self._created = int(created)
         self._live_at_last_gc = size
         stats = self._ite_cache.stats
         for name in ("hits", "misses", "insertions", "evictions"):
             setattr(stats, name, int(cache_stats[name]))
         return root
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: the unique table of
+        # a loaded diagram, made on first use from the arrays as they were
+        # loaded (an operation that changes a node also updates the table,
+        # so the loaded state is the one the table starts from)
+        loaded = self.__dict__.get("_loaded")
+        if name != "_unique" or loaded is None:
+            raise AttributeError(name)
+        del self._loaded
+        level, low, high = (column.tolist() for column in loaded)
+        self._unique = dict(zip(zip(level, low, high), range(2, len(level) + 2)))
+        return self._unique
 
     def var(self, name: str) -> int:
         """Return the BDD of the single positive literal ``name``."""

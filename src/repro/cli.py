@@ -52,6 +52,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from contextlib import closing
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -630,8 +632,6 @@ def _run_benchmark(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    import time
-
     from .engine.service import SweepService
     from .obs import trace as obs_trace
 
@@ -663,9 +663,14 @@ def _run_sweep(args) -> int:
             heartbeat_interval=args.heartbeat_interval,
         )
         started = time.perf_counter()
+        # the worker pool's teardown belongs to the command: close it
+        # inside the root span
         with obs_trace.span(
-            "cli.sweep", benchmark=args.name, points=len(args.densities)
-        ):
+            "cli.sweep",
+            started=args.started,
+            benchmark=args.name,
+            points=len(args.densities),
+        ), closing(service):
             rows = service.density_sweep(
                 lambda mean: benchmark_problem(
                     args.name, mean_defects=mean, clustering=args.clustering
@@ -744,8 +749,6 @@ def _report_engine_stats(service) -> None:
 
 
 def _run_importance(args) -> int:
-    import time
-
     from .analysis.importance import hardening_potential, yield_sensitivity
     from .engine.service import SweepService
     from .obs import trace as obs_trace
@@ -770,8 +773,11 @@ def _run_importance(args) -> int:
         started = time.perf_counter()
         rows = []
         with obs_trace.span(
-            "cli.importance", benchmark=args.name, measure=args.measure
-        ):
+            "cli.importance",
+            started=args.started,
+            benchmark=args.name,
+            measure=args.measure,
+        ), closing(service):
             if args.measure in ("sensitivity", "both"):
                 sensitivity = yield_sensitivity(
                     problem,
@@ -1075,8 +1081,12 @@ def _run_table(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
+    # the root span of a traced command reaches back to here, so argument
+    # parsing and set-up before tracing starts are covered too
+    started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = started
     try:
         return _dispatch(parser, args)
     except BrokenPipeError:  # pragma: no cover - needs a real closed pipe

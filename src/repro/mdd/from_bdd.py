@@ -18,9 +18,8 @@ entry node has the (already converted) images of those reached nodes as
 children.  Each layer is one vectorized pass: all entry nodes walk all
 codewords at once with array gathers over the group's bits, rows whose
 children are all equal collapse to that child, and the remaining rows are
-deduplicated with ``np.unique`` and hash-consed into
-:class:`repro.mdd.manager.MDDManager` — the two reductions the paper
-describes.  Nodes created through unused codewords are simply never hit by
+hash-consed into :class:`repro.mdd.manager.MDDManager`, whose unique table
+shares equal rows — the two reductions the paper describes.  Nodes created through unused codewords are simply never hit by
 the final size/probability traversals.
 """
 
@@ -190,41 +189,10 @@ def convert_bdd_to_mdd(
         rows = image[current].reshape(len(nodes), cardinality)
         same = (rows == rows[:, :1]).all(axis=1)
         image[nodes[same]] = rows[same, 0]
-        if not same.all():
-            distinct, inverse = _unique_rows(rows[~same])
-            handles = np.array(mdd._mk_distinct(layer, distinct), dtype=np.int64)
-            image[nodes[~same]] = handles[inverse]
+        # hash-consing shares equal rows and finds nodes built before; new
+        # nodes follow the entry order (children before parents)
+        image[nodes[~same]] = [
+            mdd._mk_raw(layer, row) for row in map(tuple, rows[~same].tolist())
+        ]
 
     return mdd, int(image[root])
-
-
-def _unique_rows(rows):
-    """``np.unique(rows, axis=0, return_inverse=True)``, through a row hash.
-
-    Rows are deduplicated by one wrapping dot product with pseudo-random
-    odd weights and a one-dimensional ``np.unique`` — much faster than the
-    lexicographic row sort — then checked exactly; a hash collision falls
-    back to the row sort.  The distinct rows come in first-occurrence order.
-    """
-    # splitmix64 finalizer of the column index: unrelated 64-bit weights
-    weights = np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * _GOLDEN
-    for shift, multiplier in _SPLITMIX:
-        weights ^= weights >> np.uint64(shift)
-        weights *= multiplier
-    weights ^= weights >> np.uint64(31)
-    weights |= np.uint64(1)
-    keys = (rows.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if not (rows[first][inverse.reshape(-1)] == rows).all():
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    # number the distinct rows in order of first occurrence, so new nodes
-    # follow the entry order (children before parents) instead of hash order
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rows[first[order]], rank[inverse.reshape(-1)]
-
-
-#: Fibonacci-hashing increment and the splitmix64 mixing steps.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_SPLITMIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..engine.kernel import (
     DEFAULT_CACHE_BOUND,
     DEFAULT_GC_THRESHOLD,
@@ -182,38 +180,6 @@ class MDDManager(DDKernel):
         self._created += 1
         self._unique[key] = handle
         return handle
-
-    def _mk_distinct(self, level: int, rows) -> List[int]:
-        """Hash-cons distinct, non-collapsing child rows at ``level``.
-
-        The bulk form of :meth:`_mk_raw` for a 2-D integer array of rows
-        that are pairwise different and not all-equal: existing nodes are
-        found through the unique table, new ones take fresh slots at the
-        end of the table and reference their children in one pass.
-        """
-        claim = self._unique.setdefault
-        handles: List[int] = []
-        fresh: List[int] = []
-        fresh_rows: List[Tuple[int, ...]] = []
-        next_handle = len(self._level)
-        for index, row in enumerate(map(tuple, rows.tolist())):
-            handle = claim((level, row), next_handle)
-            if handle == next_handle:
-                next_handle += 1
-                fresh.append(index)
-                fresh_rows.append(row)
-            handles.append(handle)
-        if fresh:
-            self._level.extend([level] * len(fresh))
-            self._children.extend(fresh_rows)
-            self._refs.extend([0] * len(fresh))
-            self._created += len(fresh)
-            counts = np.bincount(rows[fresh].ravel())
-            counts[: TRUE + 1] = 0
-            refs = self._refs
-            for child in np.flatnonzero(counts).tolist():
-                refs[child] += int(counts[child])
-        return handles
 
     def mk(self, level: int, children: Sequence[int]) -> int:
         """Return the (reduced, hash-consed) node at ``level`` with ``children``.

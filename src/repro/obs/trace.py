@@ -68,10 +68,11 @@ NULL_SPAN = _NullSpan()
 class _SpanContext:
     __slots__ = ("_tracer", "name", "args", "_start", "_id", "_parent")
 
-    def __init__(self, tracer, name, args):
+    def __init__(self, tracer, name, args, started=None):
         self._tracer = tracer
         self.name = name
         self.args = args
+        self._start = started
 
     def __enter__(self):
         tracer = self._tracer
@@ -79,7 +80,8 @@ class _SpanContext:
         self._parent = stack[-1] if stack else None
         self._id = next(tracer._ids)
         stack.append(self._id)
-        self._start = time.perf_counter()
+        if self._start is None:
+            self._start = time.perf_counter()
         return self
 
     def set(self, **args):
@@ -135,8 +137,9 @@ class Tracer:
         with self._lock:
             self._finished.append(finished)
 
-    def span(self, name, **args):
-        return _SpanContext(self, name, args)
+    def span(self, name, *, started=None, **args):
+        """Open a span; ``started`` backdates it to a ``perf_counter`` stamp."""
+        return _SpanContext(self, name, args, started)
 
     def spans(self):
         with self._lock:
@@ -227,12 +230,16 @@ def active():
     return _ACTIVE
 
 
-def span(name, **args):
-    """Open a span on the active tracer, or a shared no-op when disabled."""
+def span(name, *, started=None, **args):
+    """Open a span on the active tracer, or a shared no-op when disabled.
+
+    ``started`` (a ``time.perf_counter()`` stamp) backdates the span's start,
+    e.g. to cover work done before tracing could be switched on.
+    """
     tracer = _ACTIVE
     if tracer is None:
         return NULL_SPAN
-    return tracer.span(name, **args)
+    return tracer.span(name, started=started, **args)
 
 
 # -- tree rendering -------------------------------------------------------

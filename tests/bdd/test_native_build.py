@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager, ResourceLimitExceeded, build_circuit_bdd
 from repro.bdd.builder import CircuitBDDBuilder
+from repro.bdd.manager import TRUE
 from repro.core.gfunction import GeneralizedFaultTree
 from repro.core.method import YieldAnalyzer
 from repro.engine import native
@@ -62,8 +63,10 @@ def gate_loop(order, circuit, **options):
     return builder.build(circuit, BDDManager(order))
 
 
-def limit_outcome(order, circuit, limit, *, native_route):
-    builder = CircuitBDDBuilder(order, track_peak=False, node_limit=limit)
+def limit_outcome(order, circuit, limit, *, native_route, collect_garbage=True):
+    builder = CircuitBDDBuilder(
+        order, track_peak=False, node_limit=limit, collect_garbage=collect_garbage
+    )
     try:
         builder.build(circuit, None if native_route else BDDManager(order))
     except ResourceLimitExceeded:
@@ -93,12 +96,22 @@ def test_native_build_matches_the_gate_loop(expr, weights, ordering):
 
     # without collection the gate loop allocates every distinct node once
     _, _, no_gc = gate_loop(order, circuit, collect_garbage=False)
-    assert stats.allocated_nodes == no_gc.allocated_nodes
+    created = stats.allocated_nodes
+    assert created == no_gc.allocated_nodes
 
-    for limit in (max(2, stats.allocated_nodes // 2), stats.allocated_nodes - 1):
-        assert limit_outcome(order, circuit, limit, native_route=True) == limit_outcome(
-            order, circuit, limit, native_route=False
+    # ... so the two routes fail the same builds, on both sides of the count
+    for limit, expected in (
+        (max(2, created // 2), "exceeded"),
+        (created - 1, "exceeded"),
+        (created, "built"),
+    ):
+        assert limit_outcome(order, circuit, limit, native_route=True) == expected
+        assert (
+            limit_outcome(order, circuit, limit, native_route=False, collect_garbage=False)
+            == expected
         )
+    # the collecting gate loop counts at least as many nodes
+    assert limit_outcome(order, circuit, created - 1, native_route=False) == "exceeded"
 
 
 GATES = [GateOp.AND, GateOp.OR, GateOp.NAND, GateOp.NOR, GateOp.XOR, GateOp.XNOR]
@@ -151,11 +164,32 @@ def test_loaded_manager_keeps_working():
     assert manager.num_nodes_allocated == stats.allocated_nodes
     assert manager.ref_count(root) == 1
     assert manager.cache_totals()["misses"] > 0
+    # the unique table, made on first use, holds exactly the loaded nodes
+    loaded = {manager._node_key(h): h for h in manager.reachable(root) if h > TRUE}
+    assert manager._unique == loaded
     assert manager.garbage_collect() == 0  # everything loaded is reachable
     # hash-consing finds the loaded nodes; new nodes extend the table
     assert manager.var("c") in manager.reachable(root)
     assert manager.or_(manager.and_(manager.var("a"), manager.var("b")), manager.var("c")) == root
     assert manager.garbage_collect() == 3  # a AND b, a and b were only temporaries
+
+
+@needs_native
+def test_loaded_manager_collects_before_its_first_hash_cons():
+    """A collection is the first use of the table; rebuilding then works."""
+    circuit = Circuit("xor")
+    x = [circuit.add_input("x%d" % i) for i in range(6)]
+    circuit.set_output(circuit.add_gate(GateOp.XOR, x))
+    order = ["x%d" % i for i in range(6)]
+    manager, root, stats = build_circuit_bdd(circuit, order)
+    assert stats.backend == "native"
+    size = manager.size(root)
+    manager.deref(root)
+    assert manager.garbage_collect() == size - 2  # every loaded node is freed
+    # the gate loop rebuilds in the same manager through the updated table
+    _, rebuilt, _ = CircuitBDDBuilder(order, track_peak=False).build(circuit, manager)
+    assert manager.size(rebuilt) == size
+    assert manager.sat_count(rebuilt) == 2 ** 5
 
 
 @needs_native

@@ -167,15 +167,3 @@ class TestVectorizedConversion:
         assert second == first
         assert shared.num_nodes_allocated == allocated
         assert all(shared.ref_count(n) >= 1 for n in shared.reachable(first) if n > TRUE and n != first)
-
-    def test_row_hash_collisions_fall_back_to_the_row_sort(self, monkeypatch):
-        import numpy as np
-
-        from repro.mdd import from_bdd
-
-        rows = np.array([[2, 3, 4], [4, 3, 2], [2, 3, 4], [3, 3, 3]], dtype=np.int64)
-        # equal weights make permuted rows collide
-        monkeypatch.setattr(from_bdd, "_GOLDEN", np.uint64(0))
-        distinct, inverse = from_bdd._unique_rows(rows)
-        assert distinct.tolist() == [[2, 3, 4], [4, 3, 2], [3, 3, 3]]  # first occurrences
-        assert inverse.tolist() == [0, 1, 0, 2]

@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -45,6 +46,17 @@ class TestSpanRecording:
             span.set(nodes=42)
         trace.stop()
         assert tracer.spans()[0]["args"]["nodes"] == 42
+
+    def test_started_backdates_the_span(self):
+        tracer = trace.start()
+        stamp = time.perf_counter() - 0.5
+        with trace.span("cli.sweep", started=stamp, points=2):
+            pass
+        trace.stop()
+        (span,) = tracer.spans()
+        assert span["ts"] == pytest.approx(tracer.epoch_offset + stamp)
+        assert span["dur"] >= 0.5
+        assert span["args"] == {"points": 2}
 
     def test_non_json_args_are_coerced_to_repr(self):
         tracer = trace.start()
