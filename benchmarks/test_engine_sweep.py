@@ -28,7 +28,6 @@ import time
 import pytest
 
 from repro.core.method import YieldAnalyzer
-from repro.engine.batch import HAVE_NUMPY
 from repro.engine.service import SweepService
 from repro.mdd.probability import probability_of_one_reference
 from repro.ordering import OrderingSpec
@@ -183,7 +182,6 @@ def test_batched_engine_with_sharding_beats_per_point_traversal(benchmark):
         "per_point_seconds": per_point_seconds,
         "batched_seconds": batched_seconds,
         "speedup": speedup,
-        "numpy_path_available": HAVE_NUMPY,
         "service_stats": stats.as_dict(),
     }
     try:

@@ -19,10 +19,7 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.engine import faults
-from repro.engine.batch import HAVE_NUMPY
 from repro.engine.faults import FaultPlan
 from repro.engine.service import SweepService
 from repro.ordering import OrderingSpec
@@ -70,8 +67,6 @@ def _fabric_sweep(store_dir, worker_urls, fault_plan=None):
 
 def test_fabric_matches_serial_with_and_without_chaos(benchmark, tmp_path):
     """Acceptance bar: remote rows == serial rows, clean and under chaos."""
-    if not HAVE_NUMPY:
-        pytest.skip("the shard fabric requires numpy")
     from repro.engine.fabric import worker_in_thread
 
     store_dir = str(tmp_path / "store")

@@ -25,7 +25,6 @@ import pytest
 from repro.analysis.importance import yield_sensitivity
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, NegativeBinomialDefectDistribution
-from repro.engine.batch import HAVE_NUMPY
 from repro.engine.service import SweepService, structure_key
 from repro.faulttree import FaultTreeBuilder
 from repro.ordering import OrderingSpec
@@ -140,7 +139,6 @@ def test_analytic_importance_beats_finite_differences(benchmark):
         "fd_seconds": fd_seconds,
         "analytic_seconds": analytic_seconds,
         "speedup": speedup,
-        "numpy_path_available": HAVE_NUMPY,
         "service_stats": service.stats.as_dict(),
     }
     try:

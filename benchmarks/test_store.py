@@ -15,7 +15,6 @@ import json
 import os
 import time
 
-from repro.engine.batch import HAVE_NUMPY
 from repro.engine.service import SweepService
 from repro.engine.store import StructureStore
 from repro.ordering import OrderingSpec
@@ -92,7 +91,6 @@ def test_store_warm_start_beats_cold_build(benchmark, tmp_path):
         "warm_seconds": warm_seconds,
         "speedup": speedup,
         "store_entry_bytes": entry_bytes,
-        "numpy_path_available": HAVE_NUMPY,
         "cold_stats": cold_service.stats.as_dict(),
         "warm_stats": warm_service.stats.as_dict(),
     }

@@ -44,7 +44,6 @@ _SKIP_KEYS = {"benchmark", "numpy_path_available", "native_available"}
 #: factor), so a committed floor transfers between machines; absolute
 #: seconds deliberately stay trend-only.
 GATED_KEYS = (
-    "kernel_speedup",
     "native_speedup",
     "native_backward_speedup",
     "build_speedup",

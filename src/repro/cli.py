@@ -9,7 +9,7 @@ Python:
   (optionally with a Monte-Carlo cross-check);
 * ``sweep NAME``        — evaluate a defect-density sweep through the
   engine's batch service: one diagram build per truncation level, all defect
-  models of a build evaluated in a single fused-kernel pass, optional
+  models of a build evaluated in a single batched kernel pass, optional
   ``--workers``/``--jobs`` fan-out with intra-group point sharding
   (``--shard-size``, zero-copy shared-memory dispatch unless
   ``--no-shared-memory``), a ``--cache-dir`` result cache and ``--stats``
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative-binomial clustering parameter alpha (default 4.0)",
     )
     _add_method_options(sweep)
-    _add_kernel_option(sweep)
     sweep.add_argument(
         "--workers",
         "--jobs",
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print engine statistics (cache hits, linearization reuse, "
-        "fused kernel passes, shared-memory bytes, fault/retry counters, "
+        "kernel passes, shared-memory bytes, fault/retry counters, "
         "phase times)",
     )
     _add_telemetry_options(sweep)
@@ -211,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative-binomial clustering parameter alpha (default 4.0)",
     )
     _add_method_options(importance)
-    _add_kernel_option(importance)
     importance.add_argument(
         "--components",
         nargs="+",
@@ -338,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000, help="TCP port to bind (default 8000)"
     )
     _add_method_options(serve)
-    _add_kernel_option(serve)
     serve.add_argument(
         "--workers",
         "--jobs",
@@ -420,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8100,
         help="TCP port to bind; 0 picks an ephemeral port (default 8100)",
     )
-    _add_kernel_option(worker)
 
     table = subparsers.add_parser("table", help="regenerate one of the paper's tables")
     table.add_argument("number", type=int, choices=(1, 2, 3, 4))
@@ -466,19 +462,6 @@ def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
         default=1.0,
         metavar="SECONDS",
         help="probe remote workers' /healthz this often (default 1.0)",
-    )
-
-
-def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "layered", "fused", "native"),
-        default="auto",
-        help="traversal backend for every evaluate/gradient pass: auto "
-        "(default) picks the native compiled kernel when the library "
-        "loads and the pass is large enough, else the fused numpy "
-        "kernel; native pins the compiled backend (falls back to fused "
-        "on hosts without a working C compiler)",
     )
 
 
@@ -652,7 +635,6 @@ def _run_sweep(args) -> int:
             epsilon=args.epsilon,
             workers=args.workers,
             shard_size=args.shard_size,
-            kernel=args.kernel,
             cache_dir=args.cache_dir,
             store_dir=args.store_dir,
             use_shared_memory=args.shared_memory,
@@ -767,7 +749,6 @@ def _run_importance(args) -> int:
             ordering=_ordering_from(args),
             epsilon=args.epsilon,
             workers=args.workers,
-            kernel=args.kernel,
             store_dir=args.store_dir,
         )
         started = time.perf_counter()
@@ -857,7 +838,6 @@ def _run_serve(args) -> int:
             epsilon=args.epsilon,
             workers=args.workers,
             shard_size=args.shard_size,
-            kernel=args.kernel,
             cache_dir=args.cache_dir,
             store_dir=args.store_dir,
             use_shared_memory=args.shared_memory,
@@ -909,9 +889,7 @@ def _run_worker(args) -> int:
     from .engine.fabric import ShardWorker
 
     try:
-        worker = ShardWorker(
-            args.store_dir, host=args.host, port=args.port, kernel=args.kernel
-        )
+        worker = ShardWorker(args.store_dir, host=args.host, port=args.port)
     except (OSError, RuntimeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -35,7 +35,6 @@ from ..engine.batch import LinearizedDiagram
 from ..mdd.from_bdd import convert_bdd_to_mdd
 from ..mdd.probability import (
     LevelProfile,
-    columns_for_models,
     columns_from_matrices,
     model_matrices_from_columns,
     validate_model_columns,
@@ -191,8 +190,6 @@ class CompiledYield:
         problems: Sequence[YieldProblem],
         *,
         reused: bool = False,
-        use_numpy: Optional[bool] = None,
-        kernel: Optional[str] = None,
     ) -> List[YieldResult]:
         """Evaluate every defect model in one batched bottom-up pass.
 
@@ -200,12 +197,9 @@ class CompiledYield:
         names the structure was compiled from; only their defect models may
         differ.  The ROMDD is walked **once** for the whole batch (see
         :mod:`repro.engine.batch`), so K models cost one linearized pass
-        instead of K traversals.  ``kernel`` rides through to the pass
-        (and steers the column layout: matrix columns for the vectorized
-        and native kernels, tuple rows for the pure-Python one).  The
-        first result carries the build diagnostics (``reused`` flag and
-        build timings); the rest are marked as structure reuses,
-        mirroring the per-point route.
+        instead of K traversals.  The first result carries the build
+        diagnostics (``reused`` flag and build timings); the rest are
+        marked as structure reuses, mirroring the per-point route.
         """
         problems = list(problems)
         if not problems:
@@ -213,16 +207,8 @@ class CompiledYield:
 
         t0 = time.perf_counter()
         linearized = self.linearized()
-        if kernel in (None, "auto"):
-            use_numpy = linearized.resolve_numpy(use_numpy, len(problems))
-        else:
-            use_numpy = kernel != "python"
-        lethal_distributions, columns = self._model_columns(
-            problems, linearized, as_matrix=use_numpy
-        )
-        probabilities_failed = linearized.evaluate(
-            columns, len(problems), use_numpy=use_numpy, kernel=kernel
-        )
+        lethal_distributions, columns = self._model_columns(problems, linearized)
+        probabilities_failed = linearized.evaluate(columns, len(problems))
         elapsed = time.perf_counter() - t0
         return self.package_results(
             problems,
@@ -355,33 +341,24 @@ class CompiledYield:
         count_matrix,
         location_matrix,
         num_models: int,
-        *,
-        use_numpy: Optional[bool] = None,
-        kernel: Optional[str] = None,
     ) -> List[float]:
         """Run only the kernel pass over pre-assembled model matrices.
 
         The shared-memory shard protocol uses this in workers: the parent
         assembles (and validates) the matrices once for the whole group,
         the worker maps them out of a shared-memory block, slices its model
-        range and runs the pass on whatever kernel the payload requested
-        (each worker process resolves the native backend independently) —
-        no problems, no distributions, no pickled columns.
+        range and runs the pass (each worker process resolves the native
+        backend independently) — no problems, no distributions, no pickled
+        columns.
         """
         linearized = self.linearized()
         columns = columns_from_matrices(
             linearized, self.level_profile, count_matrix, location_matrix
         )
-        return linearized.evaluate(
-            columns, num_models, use_numpy=use_numpy, kernel=kernel
-        )
+        return linearized.evaluate(columns, num_models)
 
     def _model_columns(
-        self,
-        problems: Sequence[YieldProblem],
-        linearized: LinearizedDiagram,
-        *,
-        as_matrix: bool,
+        self, problems: Sequence[YieldProblem], linearized: LinearizedDiagram
     ):
         """Vectorized model-column assembly for a batch of defect models.
 
@@ -394,36 +371,19 @@ class CompiledYield:
         dict churn around them is gone.
 
         Returns ``(lethal_distributions, columns)`` where ``columns`` maps
-        every level of the linearized diagram to its probability rows —
-        float64 matrices when ``as_matrix``, tuple rows otherwise.
+        every level of the linearized diagram to its float64 matrix.
         """
-        if as_matrix:
-            lethal_distributions, count_matrix, location_matrix = (
-                self.model_matrices(problems)
-            )
-            columns = columns_from_matrices(
-                linearized, self.level_profile, count_matrix, location_matrix
-            )
-            return lethal_distributions, columns
-        lethal_distributions, count_columns, location_columns = (
-            self._model_column_lists(problems)
+        lethal_distributions, count_matrix, location_matrix = self.model_matrices(
+            problems
         )
-        columns = columns_for_models(
-            linearized,
-            self.level_profile,
-            count_columns,
-            location_columns,
-            as_matrix=False,
+        columns = columns_from_matrices(
+            linearized, self.level_profile, count_matrix, location_matrix
         )
         return lethal_distributions, columns
-
 
     def gradients_many(
         self,
         problems: Sequence[YieldProblem],
-        *,
-        use_numpy: Optional[bool] = None,
-        kernel: Optional[str] = None,
     ) -> List[YieldGradients]:
         """Differentiate ``Y_M`` for every defect model in one extra pass.
 
@@ -451,15 +411,9 @@ class CompiledYield:
         if not problems:
             return []
         linearized = self.linearized()
-        if kernel in (None, "auto"):
-            use_numpy = linearized.resolve_numpy(use_numpy, len(problems))
-        else:
-            use_numpy = kernel != "python"
-        lethal_distributions, columns = self._model_columns(
-            problems, linearized, as_matrix=use_numpy
-        )
+        lethal_distributions, columns = self._model_columns(problems, linearized)
         probabilities_failed, level_gradients = linearized.backward(
-            columns, len(problems), use_numpy=use_numpy, kernel=kernel
+            columns, len(problems)
         )
         self.gradient_evaluations += len(problems)
 

@@ -125,7 +125,7 @@ def thinned_count_columns(
     left-to-right float sum, so the emitted probabilities are bit-for-bit
     the values the per-model dict route produced.  The K columns feed the
     ``(M + 2) x K`` count matrix of the vectorized column assembly
-    (:func:`repro.mdd.probability.columns_for_models`).
+    (:func:`repro.mdd.probability.model_matrices_from_columns`).
     """
     if truncation < 0:
         raise DistributionError("truncation must be non-negative, got %d" % truncation)

@@ -14,16 +14,15 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
   pipeline;
 * :mod:`repro.engine.batch` — the batched probability engine: linearize a
   ROMDD once into flat topological arrays and evaluate every defect model
-  of a sweep in a single bottom-up pass.  Four bit-for-bit identical
-  kernels: pure Python, the layered numpy oracle, the fused CSR kernel
-  (blocked workspace accumulation plus model-uniform level collapse),
-  and the native compiled backend (:mod:`repro.engine.native`) that
-  large production passes run on;
-* :mod:`repro.engine.native` — the C backend behind ``kernel="native"``:
-  the in-repo kernel source is compiled on demand with the system ``cc``,
-  cached content-addressed under the store, loaded via ``ctypes`` and fed
-  the FusedSchedule arrays zero-copy; hosts without a working compiler
-  fall back to the fused kernel with identical results;
+  of a sweep in a single bottom-up pass.  Two bit-for-bit identical
+  kernels: the fused numpy CSR kernel (blocked workspace accumulation
+  plus model-uniform level collapse) and the native compiled backend
+  (:mod:`repro.engine.native`) that every pass runs on when it loads;
+* :mod:`repro.engine.native` — the C backend: the in-repo kernel source
+  is compiled on demand with the system ``cc``, cached content-addressed
+  under the store, loaded via ``ctypes`` and fed the FusedSchedule arrays
+  zero-copy; hosts without a working compiler run the fused kernel with
+  identical results;
 * :mod:`repro.engine.service` — the batch evaluation service: build a
   decision diagram once per (structure, truncation, ordering), evaluate all
   of its defect models in one batched pass, shard the points of large
@@ -32,11 +31,10 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
   ``multiprocessing.shared_memory`` blocks), and keep keyed result caches;
 * :mod:`repro.engine.store` — the persistent structure store: compiled
   structures serialized to a versioned on-disk format (content-addressed
-  per-array ``.npy`` files plus JSON metadata, memory-mappable; v1 npz
-  entries stay readable) so cold processes and worker shards warm-start
-  from disk instead of rebuilding the diagrams.  Corrupt entries are
-  detected, quarantined and rebuilt (``verify_all`` / ``repro cache
-  verify``);
+  per-array ``.npy`` files plus JSON metadata, memory-mappable) so cold
+  processes and worker shards warm-start from disk instead of rebuilding
+  the diagrams.  Corrupt entries are detected, quarantined and rebuilt
+  (``verify_all`` / ``repro cache verify``);
 * :mod:`repro.engine.supervise` — fault-tolerant dispatch: per-shard
   deadlines scaled from measured latency, a worker death watch with pool
   respawn, bounded retries with deterministic backoff, and the
@@ -52,10 +50,6 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
 """
 
 from .batch import (
-    HAVE_NUMPY,
-    KERNELS,
-    NATIVE_AUTO_CELLS,
-    NUMPY_AUTO_CELLS,
     BatchEvalError,
     DeadlineExceeded,
     FusedSchedule,
@@ -92,13 +86,9 @@ __all__ = [
     "DegradationLadder",
     "FaultPlan",
     "FusedSchedule",
-    "HAVE_NUMPY",
     "InjectedFault",
-    "KERNELS",
     "KernelStats",
     "LinearizedDiagram",
-    "NATIVE_AUTO_CELLS",
-    "NUMPY_AUTO_CELLS",
     "ReorderStats",
     "ShardJob",
     "ShardSupervisor",

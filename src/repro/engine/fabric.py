@@ -65,7 +65,7 @@ from urllib.parse import urlsplit
 
 from . import faults
 from . import native as _native
-from .batch import HAVE_NUMPY, KERNELS, shard_deadline
+from .batch import shard_deadline
 from .supervise import Backoff
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
@@ -848,24 +848,16 @@ class ShardWorker:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        kernel: str = "auto",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("the shard worker requires numpy")
-        if kernel not in ("auto",) + KERNELS:
-            raise ValueError(
-                "kernel must be one of %s" % ", ".join(("auto",) + KERNELS)
-            )
         from .store import StructureStore
 
         self.store_root = store_root
         self.host = host
         self.port = int(port)
-        #: Kernel request for every shard pass; the worker resolves the
-        #: native backend for its own host (compile/warm-start from the
-        #: store's `native/` cache, fused fallback when that fails).
-        self.kernel = kernel
+        # every shard pass resolves the native backend for this host
+        # (compile/warm-start from the store's `native/` cache, fused
+        # fallback when that fails)
         _native.set_cache_dir(os.path.join(store_root, "native"))
         self._native_state: Dict[str, int] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -1038,9 +1030,7 @@ class ShardWorker:
             linearized_before.native_passes if linearized_before is not None else 0
         )
         with shard_deadline(header.get("deadline")):
-            probabilities = compiled.evaluate_probabilities(
-                count, location, k, kernel=self.kernel
-            )
+            probabilities = compiled.evaluate_probabilities(count, location, k)
         linearized = getattr(compiled, "_linearized", None)
         if linearized is not None and linearized.native_passes > native_before:
             self.registry.inc(

@@ -13,9 +13,9 @@ dependency — a plain ``cc`` is the only requirement, and its absence is a
 supported state:
 
 * no usable compiler (including ``CC=/nonexistent``), a failed compile,
-  or a checksum-mismatched cache entry never raises out of the kernel
-  chooser — the pass falls back to the fused numpy kernel and the
-  ``native.fallbacks`` counter records it;
+  or a checksum-mismatched cache entry never raises out of a pass — the
+  pass runs on the fused numpy kernel and the ``native.fallbacks``
+  counter records it;
 * the compiled ``.so`` is cached **content-addressed** (SHA-256 of the C
   source + the compiler identity + the flags + the ABI tag) with a JSON
   marker recording the shared object's own checksum, the same
@@ -45,10 +45,7 @@ import subprocess
 import tempfile
 import threading
 
-try:  # pragma: no cover - exercised implicitly on both kinds of hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = [
     "available",
@@ -459,10 +456,10 @@ def load():
     """Return the bound native library, or ``None`` when unavailable.
 
     The full compile-or-load decision runs at most once per process;
-    every later call is a dict read.  All failure modes — no numpy, no
-    source, no compiler, compile error, checksum mismatch with no way to
-    recompile, ABI mismatch, smoke-test failure — yield ``None``, which
-    the kernel chooser translates into a clean fused fallback.
+    every later call is a dict read.  All failure modes — no source, no
+    compiler, compile error, checksum mismatch with no way to recompile,
+    ABI mismatch, smoke-test failure — yield ``None``, which every pass
+    translates into a clean fused fallback.
     """
     with _LOCK:
         if _STATE["attempted"]:
@@ -475,8 +472,6 @@ def load():
 
 
 def _load_locked():
-    if _np is None:
-        return None
     try:
         with open(SOURCE_PATH, "rb") as handle:
             source = handle.read()
@@ -683,7 +678,7 @@ def _column_ptrs(ctx, columns_by_level, num_models):
             entry = _np.ascontiguousarray(columns, dtype=_np.float64)
             contiguous[id(columns)] = entry
             keep.append(columns)
-        if entry.ndim != 2 or entry.shape[1] != num_models:
+        if entry.shape != (ctx.cards[index], num_models):
             raise NativeError(
                 "level %d columns have shape %r, expected (%d, %d)"
                 % (index, entry.shape, ctx.cards[index], num_models)

@@ -69,7 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import faults
 from . import native as _native
-from .batch import HAVE_NUMPY, KERNELS, shard_deadline
+from .batch import shard_deadline
 from .supervise import Backoff, DegradationLadder, ShardJob, ShardSupervisor, janitor
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
@@ -136,9 +136,9 @@ def _native_passes_of(compiled) -> int:
 def _annotate_kernel(span, compiled) -> None:
     """Record which kernel the pass actually ran into its span.
 
-    The chooser resolves ``auto`` per pass, so traces must carry the
-    *resolved* backend (``linearized.last_kernel``) — otherwise a trace
-    cannot show whether a pass took the native or the fused path.
+    Each pass resolves its backend on the host it runs on, so traces must
+    carry the *resolved* one (``linearized.last_kernel``) — otherwise a
+    trace cannot show whether a pass took the native or the fused path.
     """
     linearized = getattr(compiled, "_linearized", None)
     kernel = getattr(linearized, "last_kernel", None)
@@ -422,14 +422,6 @@ class SweepService:
         least ``2 * shard_size`` points is split into up to ``workers``
         chunks so a single large group can saturate the pool; smaller
         groups stay whole (one batched pass each).
-    kernel:
-        Kernel request forwarded to every evaluate/gradient pass:
-        ``auto`` (default) lets the per-pass chooser pick — the native
-        compiled backend when it loads and the pass is large enough,
-        else the fused numpy kernel; ``native``/``fused``/``layered``/
-        ``python`` pin a backend (``native`` still degrades to ``fused``
-        on hosts where the library cannot be built).  Workers receive
-        the same request and resolve the native backend independently.
     cache_dir:
         Optional directory for the on-disk result cache (created on
         demand).  Results are pickled per key; corrupt or unreadable
@@ -445,8 +437,8 @@ class SweepService:
         Dispatch the model-column matrices and result vectors of
         store-backed intra-group shards through
         ``multiprocessing.shared_memory`` blocks instead of pickling the
-        problems into every shard payload (default on; requires numpy and
-        a store).  Platforms or situations where a block cannot be created
+        problems into every shard payload (default on; requires a
+        store).  Platforms or situations where a block cannot be created
         fall back to the pickled protocol transparently — results are
         identical either way.
     remote_workers:
@@ -458,7 +450,7 @@ class SweepService:
         store — falls back to the local pool and then in-parent, so
         results are identical with or without the fabric.  Requires
         ``store_dir`` (workers resolve structures by digest from the
-        shared store) and numpy.
+        shared store).
     heartbeat_interval:
         Seconds between liveness probes of the remote workers.
     max_structures:
@@ -478,7 +470,6 @@ class SweepService:
         epsilon: float = 1e-4,
         workers: int = 0,
         shard_size: int = 16,
-        kernel: str = "auto",
         cache_dir: Optional[str] = None,
         store_dir: Optional[str] = None,
         use_shared_memory: bool = True,
@@ -498,20 +489,12 @@ class SweepService:
             raise ValueError("max_results must be at least 1")
         if shard_size < 1:
             raise ValueError("shard_size must be at least 1")
-        if kernel not in ("auto",) + KERNELS:
-            raise ValueError(
-                "kernel must be one of %s" % ", ".join(("auto",) + KERNELS)
-            )
         from ..ordering.strategies import OrderingSpec
 
         self.ordering = ordering or OrderingSpec("w", "ml")
         self.epsilon = float(epsilon)
         self.workers = int(workers)
         self.shard_size = int(shard_size)
-        #: Kernel request forwarded to every pass (``auto`` lets the
-        #: chooser in :mod:`repro.engine.batch` pick per pass; workers
-        #: resolve the native backend independently on their own hosts).
-        self.kernel = kernel
         self.cache_dir = cache_dir
         self.store_dir = store_dir
         #: High-water marks for the native backend's process-wide
@@ -705,8 +688,7 @@ class SweepService:
                         "service.gradients", models=len(indices)
                     ) as span:
                         gradients = compiled.gradients_many(
-                            [points[idx].problem for idx in indices],
-                            kernel=self.kernel,
+                            [points[idx].problem for idx in indices]
                         )
                         _annotate_kernel(span, compiled)
                     self.stats.gradient_seconds += time.perf_counter() - started
@@ -1036,9 +1018,7 @@ class SweepService:
         native_before = _native_passes_of(compiled)
         started = time.perf_counter()
         with obs_trace.span("service.evaluate", models=len(problems)) as span:
-            results = compiled.evaluate_many(
-                problems, reused=reused, kernel=self.kernel
-            )
+            results = compiled.evaluate_many(problems, reused=reused)
             _annotate_kernel(span, compiled)
         self.stats.evaluate_seconds += time.perf_counter() - started
         self.stats.batched_passes += 1
@@ -1080,12 +1060,11 @@ class SweepService:
     def _fabric_scheduler(self):
         """The remote shard fabric, created lazily (``None`` if unusable).
 
-        The fabric needs configured workers, a structure store (workers
-        resolve structures by digest) and numpy (the wire format is raw
-        float64 matrices).  Rebuilt after :meth:`close`, so a respawned
-        service keeps its remote route.
+        The fabric needs configured workers and a structure store (workers
+        resolve structures by digest).  Rebuilt after :meth:`close`, so a
+        respawned service keeps its remote route.
         """
-        if not self.remote_workers or self._store is None or not HAVE_NUMPY:
+        if not self.remote_workers or self._store is None:
             return None
         with self._lock:
             if self._fabric is None:
@@ -1249,12 +1228,10 @@ class SweepService:
         when a block cannot be created (the caller falls back to the
         pickled protocol).
         """
-        try:
-            from multiprocessing import shared_memory
+        from multiprocessing import shared_memory
 
-            import numpy
-        except ImportError:  # pragma: no cover - numpy checked by caller
-            return None
+        import numpy
+
         problems = [points[idx].problem for idx in indices]
         k = len(problems)
         count_rows = compiled.truncation + 2
@@ -1417,12 +1394,7 @@ class SweepService:
                 if self._store.contains(skey):
                     ship = None  # workers load the slim on-disk form instead
             shm_group = None
-            if (
-                ship is None
-                and self.use_shared_memory
-                and HAVE_NUMPY
-                and self._ladder.allows("shm")
-            ):
+            if ship is None and self.use_shared_memory and self._ladder.allows("shm"):
                 # zero-copy dispatch: columns and results move through one
                 # shared-memory block, the payload shrinks to a span + name
                 shm_group = self._prepare_shm_group(compiled, indices, points, fresh)
@@ -1446,7 +1418,6 @@ class SweepService:
                             "models": shm_group["models"],
                             "store_root": store_root,
                             "trace": obs_trace.active() is not None,
-                            "kernel": self.kernel,
                         }
                     )
                     sharded_payloads += 1
@@ -1645,7 +1616,6 @@ class SweepService:
             store_root,
             adopt,
             obs_trace.active() is not None,
-            self.kernel,
         )
 
     # ------------------------------------------------------------------ #
@@ -1800,8 +1770,7 @@ def _evaluate_shard_pickled(payload):
         store_root,
         adopt,
         _trace,
-    ) = payload[:12]
-    kernel = payload[12] if len(payload) > 12 else "auto"
+    ) = payload
     _worker_native_setup(store_root)
     registry = MetricsRegistry()
     wstats = SweepServiceStats(registry)
@@ -1850,7 +1819,7 @@ def _evaluate_shard_pickled(payload):
         fused_before = _fused_passes_of(compiled)
         native_before = _native_passes_of(compiled)
         started = time.perf_counter()
-        results = compiled.evaluate_many(problems, reused=not fresh, kernel=kernel)
+        results = compiled.evaluate_many(problems, reused=not fresh)
         wstats.worker_evaluate_seconds += time.perf_counter() - started
         wstats.batched_passes += 1
         wstats.linearize_builds += compiled.linearize_builds - builds_before
@@ -1887,7 +1856,6 @@ def _evaluate_shard_columns(payload):
     """
     skey = payload["skey"]
     a, b = payload["span"]
-    kernel = payload.get("kernel", "auto")
     _worker_native_setup(payload.get("store_root"))
     registry = MetricsRegistry()
     wstats = SweepServiceStats(registry)
@@ -1946,7 +1914,7 @@ def _evaluate_shard_columns(payload):
             native_before = _native_passes_of(compiled)
             started = time.perf_counter()
             vector[a:b] = compiled.evaluate_probabilities(
-                count[:, a:b], location[:, a:b], b - a, kernel=kernel
+                count[:, a:b], location[:, a:b], b - a
             )
             seconds = time.perf_counter() - started
             shard_stats["evaluate_seconds"] = seconds

@@ -32,10 +32,9 @@ The arrays are the fused CSR schedule of :class:`repro.engine.batch` —
 written **uncompressed**, one plain ``.npy`` file per array, so loaders
 open them with ``numpy.load(..., mmap_mode="r")``: no decompression, no
 copy, and on fork-capable platforms every worker process shares the same
-page-cache pages.  Version 1 entries (per-layer arrays inside one
-compressed ``.npz``) remain fully readable; new saves always write v2.
-Hosts without numpy embed the layers in the JSON file (``encoding:
-"json"``), and either side can read both encodings.
+page-cache pages.  A diagram whose root is a terminal writes empty
+arrays.  Entries of any other version (such as v1, per-layer arrays in
+one compressed ``.npz``) load as misses and are rebuilt.
 
 Every file is written to a temporary and moved into place with
 ``os.replace``; the JSON file is written *last* and acts as the commit
@@ -54,27 +53,20 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from . import faults
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 
-try:  # pragma: no cover - exercised implicitly on both kinds of hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: Identifies the file format (checked on load).
 FORMAT_NAME = "repro-structure"
 
-#: The version new entries are written with.
+#: The version entries are written with; any other version loads as a miss.
 FORMAT_VERSION = 2
 
-#: Versions :meth:`StructureStore.load` can read.  v1 (npz layer arrays)
-#: stays readable so existing stores keep warm-starting after an upgrade;
-#: anything else loads as a miss.
-SUPPORTED_VERSIONS = (1, 2)
-
-#: Sidecar suffixes an entry may own next to its ``.json`` marker.
+#: Sidecar suffixes an entry may own next to its ``.json`` marker (the
+#: ``.npz`` of a v1 entry included, so removal and quarantine take it too).
 _SIDECAR_SUFFIXES = (".npz", ".kids.npy", ".seg.npy", ".levels.npy", ".bounds.npy")
 
 #: The v2 array names, in the order they are written.
@@ -191,7 +183,6 @@ class StructureStore:
         json_path = self._json_path(digest)
         os.makedirs(os.path.dirname(json_path), exist_ok=True)
 
-        use_npy = _np is not None and linearized.node_count > 0
         meta = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -222,53 +213,43 @@ class StructureStore:
             "linearized": {
                 "root_slot": linearized.root_slot,
                 "num_slots": linearized.num_slots,
-                "levels": list(linearized.levels),
-                "encoding": "npy" if use_npy else "json",
+                "encoding": "npy",
             },
         }
 
         nbytes = 0
-        stale = list(_SIDECAR_SUFFIXES)
-        if use_npy:
-            schedule = linearized.fused()
-            arrays = {
-                "kids": _np.asarray(schedule.kids, dtype=_np.int64),
-                "seg": _np.asarray(schedule.seg, dtype=_np.int64),
-                "levels": _np.asarray(schedule.slot_levels, dtype=_np.int64),
-                "bounds": _np.asarray(schedule.bounds, dtype=_np.int64).reshape(
-                    len(schedule.bounds), 6
-                ),
-            }
-            checksums = {}
-            for name in _V2_ARRAYS:
-                suffix = ".%s.npy" % name
-                path = self._sidecar(digest, suffix)
-                array = arrays[name]
+        schedule = linearized.fused()
+        arrays = {
+            "kids": _np.asarray(schedule.kids, dtype=_np.int64),
+            "seg": _np.asarray(schedule.seg, dtype=_np.int64),
+            "levels": _np.asarray(schedule.slot_levels, dtype=_np.int64),
+            "bounds": _np.asarray(schedule.bounds, dtype=_np.int64).reshape(
+                len(schedule.bounds), 6
+            ),
+        }
+        checksums = {}
+        for name in _V2_ARRAYS:
+            suffix = ".%s.npy" % name
+            path = self._sidecar(digest, suffix)
+            array = arrays[name]
 
-                def write_npy(handle, array=array):
-                    # plain uncompressed .npy so loaders can mmap it
-                    _np.save(handle, array, allow_pickle=False)
+            def write_npy(handle, array=array):
+                # plain uncompressed .npy so loaders can mmap it
+                _np.save(handle, array, allow_pickle=False)
 
-                self._commit(path, "wb", write_npy)
-                nbytes += os.path.getsize(path)
-                checksums[name] = _file_sha256(path)
-                stale.remove(suffix)
-            # recorded for `repro cache verify`: the hot load path stays
-            # checksum-free (hashing would defeat the zero-copy mmap), the
-            # verifier compares these against the bytes on disk
-            meta["checksums"] = checksums
-        else:
-            meta["linearized"]["layers"] = [
-                [level, list(slots), [list(row) for row in kid_rows]]
-                for level, slots, kid_rows in linearized.layers
-            ]
-        # drop sidecars of any previous encoding/version of this entry so
-        # the committed entry stays self-consistent
-        for suffix in stale:
-            try:
-                os.unlink(self._sidecar(digest, suffix))
-            except OSError:
-                pass
+            self._commit(path, "wb", write_npy)
+            nbytes += os.path.getsize(path)
+            checksums[name] = _file_sha256(path)
+        # recorded for `repro cache verify`: the hot load path stays
+        # checksum-free (hashing would defeat the zero-copy mmap), the
+        # verifier compares these against the bytes on disk
+        meta["checksums"] = checksums
+        # drop the sidecar a v1 entry of this digest left behind so the
+        # committed entry stays self-consistent
+        try:
+            os.unlink(self._sidecar(digest, ".npz"))
+        except OSError:
+            pass
 
         self._commit(json_path, "w", lambda handle: json.dump(meta, handle))
         nbytes += os.path.getsize(json_path)
@@ -371,7 +352,7 @@ class StructureStore:
         if (
             not isinstance(meta, dict)
             or meta.get("format") != FORMAT_NAME
-            or meta.get("version") not in SUPPORTED_VERSIONS
+            or meta.get("version") != FORMAT_VERSION
             or meta.get("digest") != digest
         ):
             return None
@@ -380,50 +361,13 @@ class StructureStore:
     def _read_linearized(self, meta: Dict, digest: str, mmap: bool):
         """Build the :class:`LinearizedDiagram` of a committed entry.
 
-        Returns ``(diagram, payload bytes, used mmap)``.  Dispatches on the
-        entry's version and encoding; raises on any inconsistency (the
-        caller turns that into a miss).
+        Returns ``(diagram, payload bytes, used mmap)`` from the fused CSR
+        arrays, one plain ``.npy`` file each.  Raises on any inconsistency
+        (the caller turns that into a miss).
         """
         from ..engine.batch import LinearizedDiagram
 
         linearized_meta = meta["linearized"]
-        root_slot = int(linearized_meta["root_slot"])
-        num_slots = int(linearized_meta["num_slots"])
-        encoding = linearized_meta["encoding"]
-        if encoding == "json":
-            layers = tuple(
-                (int(level), tuple(int(s) for s in slots), tuple(
-                    tuple(int(c) for c in row) for row in kid_rows
-                ))
-                for level, slots, kid_rows in linearized_meta["layers"]
-            )
-            return LinearizedDiagram(root_slot, num_slots, layers), 0, False
-        if _np is None:
-            raise StoreError("entry uses binary arrays but numpy is unavailable")
-        if meta["version"] == 1:
-            return self._read_v1(linearized_meta, digest, root_slot, num_slots)
-        return self._read_v2(digest, root_slot, num_slots, mmap)
-
-    def _read_v1(self, linearized_meta: Dict, digest: str, root_slot, num_slots):
-        """Version 1: one ``slots_i``/``kids_i`` array pair per layer (npz)."""
-        from ..engine.batch import LinearizedDiagram
-
-        npz_path = self._sidecar(digest, ".npz")
-        layers = []
-        with _np.load(npz_path) as arrays:
-            for index, level in enumerate(linearized_meta["levels"]):
-                slots = tuple(int(s) for s in arrays["slots_%d" % index])
-                kid_rows = tuple(
-                    tuple(int(c) for c in row) for row in arrays["kids_%d" % index]
-                )
-                layers.append((int(level), slots, kid_rows))
-        diagram = LinearizedDiagram(root_slot, num_slots, tuple(layers))
-        return diagram, os.path.getsize(npz_path), False
-
-    def _read_v2(self, digest: str, root_slot, num_slots, mmap: bool):
-        """Version 2: the fused CSR arrays, one plain ``.npy`` file each."""
-        from ..engine.batch import LinearizedDiagram
-
         mmap_mode = "r" if mmap else None
         arrays = {}
         payload_bytes = 0
@@ -433,8 +377,8 @@ class StructureStore:
             payload_bytes += os.path.getsize(path)
         bounds = [tuple(int(v) for v in row) for row in arrays["bounds"].reshape(-1, 6)]
         diagram = LinearizedDiagram.from_fused_arrays(
-            root_slot,
-            num_slots,
+            int(linearized_meta["root_slot"]),
+            int(linearized_meta["num_slots"]),
             arrays["kids"],
             arrays["seg"],
             arrays["levels"],

@@ -19,7 +19,6 @@ from .manager import FALSE, TRUE, MDDError, MDDManager
 from .probability import (
     LevelProfile,
     VariableDistributions,
-    columns_for_models,
     probability_of_many,
     probability_of_one,
     probability_of_one_reference,
@@ -38,7 +37,6 @@ __all__ = [
     "probability_of_one_reference",
     "VariableDistributions",
     "LevelProfile",
-    "columns_for_models",
     "mdd_to_dot",
     "write_mdd_dot",
 ]

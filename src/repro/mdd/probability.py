@@ -17,24 +17,20 @@ one, so no correction is needed for edges that jump levels.
 Since the batched engine landed, the pass is executed by
 :mod:`repro.engine.batch`: the diagram is linearized once into flat arrays
 and :func:`probability_of_many` evaluates any number of defect models in a
-single bottom-up sweep (no recursion, no memo dicts, optional numpy
-vectorization).  :func:`probability_of_one` is the single-model wrapper; the
-original recursive traversal survives as
-:func:`probability_of_one_reference` because the equivalence tests pin the
-batched kernel to it bit for bit.
+single vectorized bottom-up sweep (no recursion, no memo dicts).
+:func:`probability_of_one` is the single-model wrapper; the original
+recursive traversal survives as :func:`probability_of_one_reference`
+because the equivalence tests pin the batched kernels to it bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..engine.batch import HAVE_NUMPY, LinearizedDiagram
-from .manager import FALSE, TRUE, MDDError, MDDManager
+import numpy as _np
 
-if HAVE_NUMPY:  # pragma: no branch - resolved once at import
-    import numpy as _np
-else:  # pragma: no cover - numpy is present on the supported hosts
-    _np = None
+from ..engine.batch import LinearizedDiagram
+from .manager import FALSE, TRUE, MDDError, MDDManager
 
 
 class VariableDistributions:
@@ -163,60 +159,6 @@ class LevelProfile:
         return "LevelProfile(%d levels)" % len(self.entries)
 
 
-def columns_for_models(
-    linearized: LinearizedDiagram,
-    profile: LevelProfile,
-    count_columns: Sequence[Sequence[float]],
-    location_columns: Sequence[Sequence[float]],
-    *,
-    as_matrix: bool = True,
-) -> Dict[int, object]:
-    """Assemble the batch kernel's per-level columns in one shot.
-
-    ``count_columns`` holds one ``[Q'_0 .. Q'_M, overflow]`` column per
-    model (see :func:`repro.distributions.thinned_count_columns`) and
-    ``location_columns`` one ``[P'_1 .. P'_C]`` column per model.  Instead
-    of building K per-variable probability dicts and transposing them level
-    by level, this produces exactly **two** ``cardinality x K`` float64
-    matrices — one for the count variable, one shared by *all* location
-    levels (every ``v_l`` carries the same distribution) — and maps them
-    onto the levels the diagram actually contains.  With ``as_matrix=False``
-    the same sharing happens with tuple rows for the pure-Python kernel.
-
-    The matrix entries are the same floats the dict route produced, so the
-    kernel's child-ordered accumulation stays bit-for-bit identical.
-    """
-    if as_matrix:
-        count_matrix, location_matrix = model_matrices_from_columns(
-            count_columns, location_columns
-        )
-        return columns_from_matrices(
-            linearized, profile, count_matrix, location_matrix
-        )
-    need = set(linearized.levels)
-    columns: Dict[int, object] = {}
-    count_rows: Optional[object] = None
-    location_rows: Optional[object] = None
-    for level, name, cardinality, is_count in profile.entries:
-        if level not in need:
-            continue
-        source = count_columns if is_count else location_columns
-        if len(source) and len(source[0]) != cardinality:
-            raise MDDError(
-                "variable %r at level %d expects %d-value columns, got %d"
-                % (name, level, cardinality, len(source[0]))
-            )
-        if is_count:
-            if count_rows is None:
-                count_rows = tuple(zip(*source))
-            columns[level] = count_rows
-        else:
-            if location_rows is None:
-                location_rows = tuple(zip(*source))
-            columns[level] = location_rows
-    return columns
-
-
 def model_matrices_from_columns(
     count_columns: Sequence[Sequence[float]],
     location_columns: Sequence[Sequence[float]],
@@ -240,8 +182,6 @@ def model_matrices_from_columns(
 
 
 def _transpose_into(model_columns, out):
-    if _np is None:
-        raise MDDError("numpy is not available on this interpreter")
     transposed = _np.asarray(model_columns, dtype=_np.float64).T
     if out is None:
         # ascontiguousarray keeps row indexing (columns[j]) cache-friendly
@@ -314,7 +254,6 @@ def probability_of_many(
     distributions: Sequence[Mapping[str, Mapping[int, float]]],
     *,
     linearized: Optional[LinearizedDiagram] = None,
-    use_numpy: Optional[bool] = None,
 ) -> List[float]:
     """Return ``P(function == 1)`` under every defect model, in one pass.
 
@@ -328,7 +267,7 @@ def probability_of_many(
     if linearized is None:
         linearized = LinearizedDiagram.from_mdd(manager, root)
     columns = level_columns_for(linearized, validated)
-    return linearized.evaluate(columns, len(validated), use_numpy=use_numpy)
+    return linearized.evaluate(columns, len(validated))
 
 
 def gradient_of_many(
@@ -337,7 +276,6 @@ def gradient_of_many(
     distributions: Sequence[Mapping[str, Mapping[int, float]]],
     *,
     linearized: Optional[LinearizedDiagram] = None,
-    use_numpy: Optional[bool] = None,
 ):
     """Probabilities *and* exact per-entry gradients for every defect model.
 
@@ -361,9 +299,7 @@ def gradient_of_many(
     if linearized is None:
         linearized = LinearizedDiagram.from_mdd(manager, root)
     columns = level_columns_for(linearized, validated)
-    probabilities, level_gradients = linearized.backward(
-        columns, len(validated), use_numpy=use_numpy
-    )
+    probabilities, level_gradients = linearized.backward(columns, len(validated))
     gradients = []
     for k in range(len(validated)):
         per_variable: Dict[str, Dict[int, float]] = {}

@@ -5,7 +5,8 @@ import pytest
 from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
-from repro.engine.batch import HAVE_NUMPY, BatchEvalError, LinearizedDiagram
+from repro.engine import native
+from repro.engine.batch import BatchEvalError, LinearizedDiagram
 from repro.engine.service import SweepPoint, SweepService
 from repro.faulttree import FaultTreeBuilder
 from repro.faulttree.multivalued import MultiValuedVariable
@@ -57,13 +58,20 @@ class TestLinearizedDiagram:
         assert batched[0] == expected
         assert batched[1] == probability_of_one_reference(manager, root, DIST2)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_numpy_path_is_bit_for_bit(self):
         manager, root = small_manager()
         models = [DIST, DIST2] * 4
-        python = probability_of_many(manager, root, models, use_numpy=False)
-        vectorized = probability_of_many(manager, root, models, use_numpy=True)
-        assert python == vectorized
+        reference = [
+            probability_of_one_reference(manager, root, model) for model in models
+        ]
+        assert probability_of_many(manager, root, models) == reference
+        linearized = LinearizedDiagram.from_mdd(manager, root)
+        columns = {
+            0: tuple(tuple(m["w"][value] for m in models) for value in (0, 1, 2)),
+            1: tuple(tuple(m["v"][value] for m in models) for value in (1, 2)),
+        }
+        for kernel in ALL_KERNELS:
+            assert linearized.evaluate(columns, len(models), kernel=kernel) == reference
 
     def test_missing_level_probabilities_raise(self):
         manager, root = small_manager()
@@ -76,14 +84,11 @@ class TestLinearizedDiagram:
         linearized = LinearizedDiagram.from_mdd(manager, root)
         # K = 0 batches short-circuit identically on every kernel — no
         # columns are read, no pass counters move
-        kernels = ["python"]
-        if HAVE_NUMPY:
-            kernels += ["layered", "fused"]
-        for kernel in kernels:
+        for kernel in ALL_KERNELS:
             assert linearized.evaluate({}, 0, kernel=kernel) == []
             assert linearized.backward({}, 0, kernel=kernel) == ([], {})
-        assert linearized.python_passes == 0
-        assert linearized.numpy_passes == 0
+        assert linearized.fused_passes == 0
+        assert linearized.native_passes == 0
         assert linearized.models_evaluated == 0
         with pytest.raises(BatchEvalError):
             linearized.evaluate({}, -1)
@@ -95,64 +100,93 @@ class TestLinearizedDiagram:
             0: ((0.5,), (0.3,), (0.2,)),
             1: ((0.4,), (0.6,)),
         }
-        linearized.evaluate(columns, 1, use_numpy=False)
-        assert linearized.python_passes == 1
+        linearized.evaluate(columns, 1, kernel="fused")
+        assert linearized.fused_passes == 1
         assert linearized.models_evaluated == 1
-        if HAVE_NUMPY:
-            linearized.evaluate(columns, 1, use_numpy=True)
-            assert linearized.numpy_passes == 1
+        linearized.evaluate(columns, 1)
+        assert linearized.fused_passes + linearized.native_passes == 2
+        assert linearized.models_evaluated == 2
 
 
 COLUMNS_1 = {0: ((0.5,), (0.3,), (0.2,)), 1: ((0.4,), (0.6,))}
-ALL_KERNELS = ["python"] + (["layered", "fused"] if HAVE_NUMPY else [])
+#: ``native`` degrades to ``fused`` where the library cannot load.
+ALL_KERNELS = ["fused", "native"]
 
 
 class TestKernelDecision:
-    """The kernel is chosen once per pass, from whole-diagram cell counts."""
+    """The kernel is resolved once per pass: native if it loads, else fused."""
 
     def test_exactly_one_kernel_family_per_pass(self):
         manager, root = small_manager()
         linearized = LinearizedDiagram.from_mdd(manager, root)
-        for kernel in ALL_KERNELS:
-            python_before = linearized.python_passes
-            numpy_before = linearized.numpy_passes
+        for kernel in ALL_KERNELS + [None]:
+            before = linearized.fused_passes + linearized.native_passes
             linearized.evaluate(COLUMNS_1, 1, kernel=kernel)
-            moved = (linearized.python_passes - python_before) + (
-                linearized.numpy_passes - numpy_before
-            )
+            moved = linearized.fused_passes + linearized.native_passes - before
             assert moved == 1  # one pass, one kernel — never a mix
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_auto_threshold_uses_whole_diagram_cells(self):
-        from repro.engine.batch import _NUMPY_AUTO_CELLS
-
+    def test_auto_resolves_native_else_fused(self):
         manager, root = small_manager()
         linearized = LinearizedDiagram.from_mdd(manager, root)
-        # just below the cell threshold: python; at/above: numpy (fused),
-        # even though every individual layer is tiny
-        below = (_NUMPY_AUTO_CELLS - 1) // linearized.node_count
-        above = -(-_NUMPY_AUTO_CELLS // linearized.node_count)
-        assert linearized.resolve_kernel(None, None, below) == "python"
-        assert linearized.resolve_kernel(None, None, above) == "fused"
+        fallbacks = native.counters()["fallbacks"]
+        # even a one-model pass over a two-node diagram takes the backend
+        # that loads: there is no size threshold
+        linearized.evaluate(COLUMNS_1, 1)
+        if native.available():
+            assert linearized.last_kernel == "native"
+            assert linearized.native_passes == 1
+            assert native.counters()["fallbacks"] == fallbacks
+        else:
+            assert linearized.last_kernel == "fused"
+            assert linearized.fused_passes == 1
+            assert native.counters()["fallbacks"] == fallbacks + 1
+        linearized.evaluate(COLUMNS_1, 1, kernel="fused")
+        assert linearized.last_kernel == "fused"
 
     def test_unknown_kernel_rejected(self):
         manager, root = small_manager()
         linearized = LinearizedDiagram.from_mdd(manager, root)
-        with pytest.raises(BatchEvalError):
-            linearized.evaluate(COLUMNS_1, 1, kernel="simd")
+        for kernel in ("simd", "python", "layered", "auto"):
+            with pytest.raises(BatchEvalError):
+                linearized.evaluate(COLUMNS_1, 1, kernel=kernel)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_auto_fused_falls_back_on_non_contiguous_slots(self):
-        # hand-built layers with a slot gap cannot be fused; auto quietly
-        # uses the layered kernel, an explicit request surfaces the error
+    def test_non_contiguous_slots_are_rejected(self):
+        # hand-built layers with a slot gap cannot be compiled into the
+        # fused schedule, the diagram's only representation
         layers = ((0, (3,), ((0, 1, 1),)),)
-        linearized = LinearizedDiagram(3, 4, layers)
-        columns = {0: ((0.5,), (0.3,), (0.2,))}
         with pytest.raises(BatchEvalError):
-            linearized.evaluate(columns, 1, kernel="fused")
-        assert linearized.evaluate(columns, 1, use_numpy=True) == [0.3 + 0.2]
-        assert linearized.numpy_passes == 1
-        assert linearized.fused_passes == 0
+            LinearizedDiagram(3, 4, layers)
+
+
+class TestColumnShapes:
+    """Every level's matrix must be ``cardinality x K`` on both kernels."""
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_model_width_is_rejected(self, kernel, width):
+        manager, root = small_manager()
+        linearized = LinearizedDiagram.from_mdd(manager, root)
+        columns = {
+            0: tuple((p,) * width for p in (0.5, 0.3, 0.2)),
+            1: tuple((p,) * width for p in (0.4, 0.6)),
+        }
+        # K = 2: width-1 columns would broadcast silently in the fused
+        # kernel, width-3 columns would fail deep inside numpy
+        for run in (linearized.evaluate, linearized.backward):
+            with pytest.raises(BatchEvalError):
+                run(columns, 2, kernel=kernel)
+        assert linearized.fused_passes == linearized.native_passes == 0
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_wrong_cardinality_is_rejected(self, kernel):
+        manager, root = small_manager()
+        linearized = LinearizedDiagram.from_mdd(manager, root)
+        for columns in (
+            {0: ((0.5,), (0.5,)), 1: ((0.4,), (0.6,))},
+            {0: ((0.5,), (0.3,), (0.2,)), 1: ((0.4,), (0.6, 0.1))},
+        ):
+            with pytest.raises(BatchEvalError):
+                linearized.evaluate(columns, 1, kernel=kernel)
 
 
 class TestDegenerateInputs:
@@ -168,15 +202,15 @@ class TestDegenerateInputs:
                 probabilities, gradients = linearized.backward({}, 3, kernel=kernel)
                 assert probabilities == [value] * 3
                 assert gradients == {}
-            assert linearized.python_passes == 0  # short-circuits, no pass
-            assert linearized.numpy_passes == 0
+            assert linearized.fused_passes == 0  # short-circuits, no pass
+            assert linearized.native_passes == 0
 
     def test_single_layer_diagram_on_every_kernel(self):
         variables = [MultiValuedVariable("w", (0, 1, 2))]
         manager = MDDManager(variables)
         root = manager.mk(0, [FALSE, TRUE, TRUE])
         linearized = LinearizedDiagram.from_mdd(manager, root)
-        assert len(linearized.layers) == 1
+        assert linearized.levels == (0,)
         columns = {0: ((0.5, 0.1), (0.3, 0.2), (0.2, 0.7))}
         expected = [0.3 + 0.2, 0.2 + 0.7]
         reference = None
@@ -193,7 +227,6 @@ class TestDegenerateInputs:
             assert probabilities == reference  # bit-for-bit across kernels
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestFusedSchedule:
     def test_csr_arrays_are_consistent(self):
         import numpy as np
@@ -215,9 +248,20 @@ class TestFusedSchedule:
             assert (schedule.slot_levels[s0 - 2 : s1 - 2] == level).all()
 
     def test_layers_round_trip_through_fused_arrays(self):
-        manager, root = small_manager()
-        linearized = LinearizedDiagram.from_mdd(manager, root)
+        import numpy as np
+
+        # (level, slots, kid_rows) layers compile into the fused arrays,
+        # and the arrays rebuild a diagram with the same schedule
+        layers = (
+            (1, (2,), ((0, 1),)),
+            (0, (3, 4), ((0, 2, 2), (2, 1, 0))),
+        )
+        linearized = LinearizedDiagram(4, 5, layers)
         schedule = linearized.fused()
+        assert schedule.bounds == ((1, 2, 3, 0, 2, 2), (0, 3, 5, 2, 8, 3))
+        # child-position major within a layer: node 3's and node 4's
+        # first children, then their second, then their third
+        assert schedule.kids.tolist() == [0, 1, 0, 2, 2, 1, 2, 0]
         rebuilt = LinearizedDiagram.from_fused_arrays(
             linearized.root_slot,
             linearized.num_slots,
@@ -226,8 +270,14 @@ class TestFusedSchedule:
             schedule.slot_levels,
             schedule.bounds,
         )
-        assert rebuilt.layers == linearized.layers
-        assert rebuilt.levels == linearized.levels
+        for name in ("kids", "seg", "slot_levels"):
+            assert np.array_equal(
+                getattr(rebuilt.fused(), name), getattr(schedule, name)
+            )
+        assert rebuilt.fused().bounds == schedule.bounds
+        assert rebuilt.levels == linearized.levels == (1, 0)
+        columns = {0: ((0.5,), (0.3,), (0.2,)), 1: ((0.4,), (0.6,))}
+        assert rebuilt.evaluate(columns, 1) == linearized.evaluate(columns, 1)
 
     def test_corrupt_bounds_are_rejected(self):
         manager, root = small_manager()
@@ -246,10 +296,18 @@ class TestFusedSchedule:
             0: ((0.5, 0.4), (0.3, 0.4), (0.2, 0.2)),
             1: ((0.4, 0.4), (0.6, 0.6)),  # uniform across the two models
         }
-        expected = linearized.evaluate(varying, 2, kernel="layered")
-        collapsed_before = linearized.collapsed_layers
-        assert linearized.evaluate(varying, 2, kernel="fused") == expected
-        assert linearized.collapsed_layers == collapsed_before + 1  # level 1 only
+        expected = [
+            probability_of_one_reference(
+                manager,
+                root,
+                {"w": dict(zip((0, 1, 2), w)), "v": dict(zip((1, 2), v))},
+            )
+            for w, v in zip(zip(*varying[0]), zip(*varying[1]))
+        ]
+        for kernel in ALL_KERNELS:
+            collapsed_before = linearized.collapsed_layers
+            assert linearized.evaluate(varying, 2, kernel=kernel) == expected
+            assert linearized.collapsed_layers == collapsed_before + 1  # level 1 only
 
 
 def build_tree():

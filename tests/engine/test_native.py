@@ -3,10 +3,10 @@
 The equivalence suite (``tests/property/test_fused_equivalence.py``) pins
 the native kernel's floats to the fused kernel bit-for-bit; this module
 pins the *degradation* story: a host with no compiler, a failing compile,
-or a corrupt cached ``.so`` must complete every ``kernel="native"`` pass
-bit-identically through the fused fallback — with ``native.fallbacks``
-recording each degraded pass — and a healthy cache must warm-start the
-library without recompiling.
+or a corrupt cached ``.so`` must complete every pass bit-identically on
+the fused kernel — with ``native.fallbacks`` recording each degraded
+pass — and a healthy cache must warm-start the library without
+recompiling.
 """
 
 import glob
@@ -16,14 +16,10 @@ import stat
 import pytest
 
 from repro.engine import native
-from repro.engine.batch import HAVE_NUMPY, LinearizedDiagram
+from repro.engine.batch import LinearizedDiagram
 from repro.faulttree.multivalued import MultiValuedVariable
 from repro.mdd.manager import FALSE, MDDManager
 from repro.obs.metrics import MetricsRegistry
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the native backend requires numpy"
-)
 
 HAVE_CC = native._find_compiler() is not None
 
@@ -181,14 +177,14 @@ class TestServiceFallback:
             for mean in (0.5, 1.0, 2.0)
         ]
 
-        fused = SweepService(kernel="fused")
-        expected = [r.yield_estimate for r in fused.evaluate_batch(points)]
+        # native wherever the library loads on this host
+        expected = [r.yield_estimate for r in SweepService().evaluate_batch(points)]
 
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
         monkeypatch.setenv("CC", "/nonexistent")
         native.reset()
         try:
-            service = SweepService(kernel="native")
+            service = SweepService()
             results = [r.yield_estimate for r in service.evaluate_batch(points)]
             assert results == expected  # bit-for-bit through the fallback
             assert service.registry.counter("native.fallbacks") > 0

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.method import YieldAnalyzer
@@ -40,6 +41,15 @@ def compile_structure(truncation=3):
     return problem, compiled, skey
 
 
+def assert_same_schedule(restored, fresh):
+    """The restored diagram carries the fresh build's fused arrays exactly."""
+    assert (restored.root_slot, restored.num_slots) == (fresh.root_slot, fresh.num_slots)
+    a, b = restored.fused(), fresh.fused()
+    for name in ("kids", "seg", "slot_levels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.bounds == b.bounds
+
+
 class TestStoreFormat:
     def test_save_then_load_restores_an_equivalent_structure(self, tmp_path):
         problem, compiled, skey = compile_structure()
@@ -57,7 +67,7 @@ class TestStoreFormat:
         assert restored.component_names == compiled.component_names
         assert restored.variable_names == compiled.variable_names
         assert restored.level_profile == compiled.level_profile
-        assert restored.linearized().layers == compiled.linearized().layers
+        assert_same_schedule(restored.linearized(), compiled.linearized())
 
     def test_v2_layout_and_mmap_load(self, tmp_path):
         """New saves write uncompressed per-array .npy files (format v2)."""
@@ -113,30 +123,35 @@ class TestStoreFormat:
         problem, compiled, skey = compile_structure()
         store = StructureStore(str(tmp_path / "store"))
         store.save(skey, compiled)
-        kids_path = store._sidecar(digest_of(skey), ".kids.npy")
-        if os.path.exists(kids_path):
-            os.unlink(kids_path)
-            assert store.load(skey) is None
+        os.unlink(store._sidecar(digest_of(skey), ".kids.npy"))
+        assert store.load(skey) is None
 
-    def test_json_encoded_arrays_round_trip(self, tmp_path, monkeypatch):
-        """Entries written without numpy (arrays in JSON) load everywhere."""
-        import repro.engine.store as store_module
+    def test_terminal_root_entry_round_trips_with_empty_arrays(self, tmp_path):
+        """A structure whose ROMDD is a terminal writes (and mmaps) empty arrays."""
+        ft = FaultTreeBuilder("always-fails")
+        ft.set_top(ft.or_(ft.const(True), ft.failed("M1"), ft.failed("M2")))
+        model = ComponentDefectModel.uniform(["M1", "M2"], lethality=0.8)
 
-        problem, compiled, skey = compile_structure()
+        def make(mean):
+            return YieldProblem(ft.build(), model, PoissonDefectDistribution(mean=mean))
+
+        compiled = YieldAnalyzer(ORDERING).compile_for_truncation(make(1.0), 2)
+        assert compiled.linearized().node_count == 0
+        skey = structure_key(make(1.0), 2, ORDERING)
         store = StructureStore(str(tmp_path / "store"))
-        monkeypatch.setattr(store_module, "_np", None)
         store.save(skey, compiled)
         digest = digest_of(skey)
-        for suffix in (".npz", ".kids.npy", ".seg.npy", ".levels.npy", ".bounds.npy"):
-            assert not os.path.exists(store._sidecar(digest, suffix))
-        monkeypatch.undo()
+        for suffix in (".kids.npy", ".seg.npy", ".levels.npy", ".bounds.npy"):
+            assert os.path.exists(store._sidecar(digest, suffix))
+        assert store.verify_entry(digest) == (True, [])
 
-        restored, _ = store.load(skey)
-        assert restored.linearized().layers == compiled.linearized().layers
-        fresh = compiled.evaluate_many([make_problem(m) for m in MEANS])
-        loaded = restored.evaluate_many([make_problem(m) for m in MEANS])
-        for a, b in zip(fresh, loaded):
-            assert b.yield_estimate == a.yield_estimate
+        restored, _ = store.load(skey, mmap=True)
+        assert restored.store_mmapped
+        assert_same_schedule(restored.linearized(), compiled.linearized())
+        problems = [make(m) for m in MEANS]
+        loaded = [r.yield_estimate for r in restored.evaluate_many(problems)]
+        assert loaded == [r.yield_estimate for r in compiled.evaluate_many(problems)]
+        assert loaded == [0.0] * len(MEANS)
 
     def test_entries_info_remove_and_clear(self, tmp_path):
         store = StructureStore(str(tmp_path / "store"))
@@ -300,9 +315,9 @@ class TestVerifyAndQuarantine:
         store.save(skey, compiled)
         with open(store._json_path(digest_of(skey))) as handle:
             meta = json.load(handle)
-        checksums = meta.get("checksums")
-        if checksums:  # npy sidecars only exist with numpy
-            assert all(len(value) == 64 for value in checksums.values())
+        checksums = meta["checksums"]
+        assert sorted(checksums) == ["bounds", "kids", "levels", "seg"]
+        assert all(len(value) == 64 for value in checksums.values())
 
     def test_verify_detects_a_silent_bit_flip(self, tmp_path):
         """Damage that still parses is caught by the recorded checksums."""
@@ -311,8 +326,6 @@ class TestVerifyAndQuarantine:
         store.save(skey, compiled)
         digest = digest_of(skey)
         kids_path = store._sidecar(digest, ".kids.npy")
-        if not os.path.exists(kids_path):
-            pytest.skip("no npy sidecars without numpy")
         with open(kids_path, "r+b") as handle:
             handle.seek(os.path.getsize(kids_path) - 1)
             byte = handle.read(1)
@@ -335,8 +348,6 @@ class TestVerifyAndQuarantine:
 
         digest = digest_of(skey)
         kids_path = store._sidecar(digest, ".kids.npy")
-        if not os.path.exists(kids_path):
-            pytest.skip("no npy sidecars without numpy")
         with open(kids_path, "r+b") as handle:
             handle.truncate(os.path.getsize(kids_path) // 2)
 
@@ -364,8 +375,6 @@ class TestVerifyAndQuarantine:
         store.save(skey, compiled)
         digest = digest_of(skey)
         kids_path = store._sidecar(digest, ".kids.npy")
-        if not os.path.exists(kids_path):
-            pytest.skip("no npy sidecars without numpy")
         with open(kids_path, "r+b") as handle:
             handle.truncate(os.path.getsize(kids_path) // 2)
 

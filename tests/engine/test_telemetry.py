@@ -9,15 +9,19 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.engine import native
 from repro.engine.service import SweepService
 from repro.obs import trace as obs_trace
 from repro.soc import benchmark_problem
 
 
 def make_problem(mean_defects):
-    # ESEN4x2 is large enough (~200 ROMDD nodes) that sharded passes clear
-    # the fused kernel's auto threshold, so worker-side fused_passes move
     return benchmark_problem("ESEN4x2", mean_defects=mean_defects, clustering=4.0)
+
+
+def resolved_pass_counter():
+    """The pass counter of the kernel every pass resolves to on this host."""
+    return "kernel.native_passes" if native.available() else "kernel.fused_passes"
 
 
 DENSITIES = [0.2 + 0.05 * index for index in range(48)]
@@ -61,7 +65,7 @@ class TestWorkerMetricAggregation:
         # this route; seeing them here proves the snapshots were merged
         assert registry.counter("store.hits") >= 1
         assert registry.counter("store.mmap_loads") >= 1
-        assert registry.counter("kernel.fused_passes") >= 1
+        assert registry.counter(resolved_pass_counter()) >= 1
         assert (
             registry.counter("service.passes.batched")
             >= service.stats.shards_dispatched
@@ -71,6 +75,7 @@ class TestWorkerMetricAggregation:
         assert service.stats.store_hits == registry.counter("store.hits")
         assert service.stats.mmap_loads == registry.counter("store.mmap_loads")
         assert service.stats.fused_passes == registry.counter("kernel.fused_passes")
+        assert service.stats.native_passes == registry.counter("kernel.native_passes")
 
     def test_pickled_route(self, tmp_path):
         service, rows = run_sweep(tmp_path, "pickled", use_shared_memory=False)
@@ -80,7 +85,7 @@ class TestWorkerMetricAggregation:
         registry = service.registry
         assert service.stats.shm_bytes == 0
         assert registry.counter("store.hits") >= 1
-        assert registry.counter("kernel.fused_passes") >= 1
+        assert registry.counter(resolved_pass_counter()) >= 1
         assert registry.histogram_count("phase.worker_evaluate_seconds") >= 1
 
     def test_fallback_route_ships_metrics_with_ok_false(self, tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 """Property tests: the batched probability kernel is the recursive traversal.
 
 Random fault trees, random truncation levels and random defect models are
-compiled through the full pipeline; the batched evaluation (pure-Python and
-numpy paths) must match the original recursive traversal **bit for bit** —
-both kernels accumulate each node's children in the same IEEE order, so even
-the floating-point rounding is identical.
+compiled through the full pipeline; the batched evaluation (through
+:func:`probability_of_many` and through :meth:`CompiledYield.evaluate_many`)
+must match the original recursive traversal **bit for bit** — the kernels
+accumulate each node's children in the same IEEE order, so even the
+floating-point rounding is identical.
 """
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, NegativeBinomialDefectDistribution
-from repro.engine.batch import HAVE_NUMPY
 from repro.faulttree import FaultTreeBuilder
 from repro.mdd.probability import probability_of_many, probability_of_one_reference
 from repro.ordering import OrderingSpec
@@ -83,16 +83,8 @@ def test_batched_kernel_matches_recursive_traversal(
         for d in distributions
     ]
 
-    python_path = probability_of_many(
-        compiled.mdd_manager, compiled.mdd_root, distributions, use_numpy=False
-    )
-    assert python_path == expected  # bit-for-bit, not approx
-
-    if HAVE_NUMPY:
-        numpy_path = probability_of_many(
-            compiled.mdd_manager, compiled.mdd_root, distributions, use_numpy=True
-        )
-        assert numpy_path == expected  # bit-for-bit, not approx
+    batched = probability_of_many(compiled.mdd_manager, compiled.mdd_root, distributions)
+    assert batched == expected  # bit-for-bit, not approx
 
     batched_results = compiled.evaluate_many(problems)
     for result, probability in zip(batched_results, expected):

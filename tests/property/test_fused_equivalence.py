@@ -1,22 +1,25 @@
-"""Property tests: native IS the fused kernel IS the layered kernel.
+"""Property tests: native IS the fused kernel IS the recursive traversal.
 
 The fused CSR schedule (blocked workspace accumulation plus model-uniform
 level collapse) and the native compiled backend behind it must not change
 a single bit of any result: for every diagram shape the engine produces —
 pipeline ROMDDs compiled through the full method, sifted multi-valued
 layouts, chains far deeper than the recursion limit, degenerate 0/1
-probability columns — the fused and native kernels' ``evaluate`` *and*
-``backward`` outputs are compared ``==`` (never approx) against the
-layered numpy kernel, the pure-Python kernel and the original recursive
-traversal.  On hosts without a working C compiler ``kernel="native"``
-degrades to the fused kernel, so the native leg still runs (and still
-compares ``==``) — it just exercises the fallback instead.  The store
-round-trip leg additionally pins format v2 (and the v1 compatibility
-reader) to the same bit-for-bit bar.
+probability columns — the native kernel's ``evaluate`` *and* ``backward``
+outputs are compared ``==`` (never approx) against the fused kernel's,
+and the fused probabilities ``==`` against the original recursive
+traversal (the gradients are checked against finite differences in
+``test_gradient_equivalence.py``).  On hosts without a working C compiler
+``kernel="native"`` degrades to the fused kernel, so the native leg still
+runs (and still compares ``==``) — it just exercises the fallback
+instead.  The store leg pins format v2 round trips to the same
+bit-for-bit bar, and v1 entries to a clean miss-and-rebuild.
 """
 
 import json
 import os
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +32,8 @@ from repro.distributions import (
     PoissonDefectDistribution,
 )
 from repro.engine import native as native_backend
-from repro.engine.batch import HAVE_NUMPY, LinearizedDiagram
-from repro.engine.service import structure_key
+from repro.engine.batch import LinearizedDiagram
+from repro.engine.service import SweepPoint, SweepService, structure_key
 from repro.engine.store import StructureStore, digest_of
 from repro.faulttree import FaultTreeBuilder
 from repro.faulttree.multivalued import MultiValuedVariable
@@ -41,10 +44,6 @@ from repro.mdd.probability import (
     probability_of_one_reference,
 )
 from repro.ordering import OrderingSpec
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the fused kernel requires numpy"
-)
 
 COMPONENTS = ["C0", "C1", "C2", "C3", "C4"]
 
@@ -84,7 +83,7 @@ def build_problem(expr, weights, mean, clustering):
 
 
 def model_columns(compiled, problems):
-    """Tuple-row columns consumable by every kernel."""
+    """Per-level tuple-row columns (converted once by the pass)."""
     lethal = [p.lethal_defect_distribution() for p in problems]
     distributions = [
         compiled.gfunction.variable_distributions(
@@ -100,36 +99,26 @@ def model_columns(compiled, problems):
 
 
 def assert_kernels_agree(linearized, columns, num_models, expected=None):
-    """Evaluate + backward on all four kernels, compared ``==``.
+    """Evaluate + backward on both kernels, compared ``==``.
 
-    Probabilities are bit-for-bit identical across every kernel (and the
-    recursive reference, when given).  Gradients are bit-for-bit identical
-    between the native, fused and layered kernels — the guarantee the
-    compiled backend must uphold; the pure-Python backward accumulates
-    shared-child adjoints in node order rather than child-position order,
-    so its gradients agree to the last ulp only, as before.  The native
-    leg runs even where the library cannot load: it then exercises the
-    documented fused fallback, whose results are the fused results.
+    Probabilities and gradients are bit-for-bit identical between the
+    native and fused kernels — the guarantee the compiled backend must
+    uphold — and the probabilities equal the recursive reference, when
+    given.  The native leg runs even where the library cannot load: it
+    then exercises the documented fused fallback, whose results are the
+    fused results.
     """
     results = {}
-    for kernel in ("python", "layered", "fused", "native"):
+    for kernel in ("fused", "native"):
         probabilities = linearized.evaluate(columns, num_models, kernel=kernel)
         grad_probabilities, gradients = linearized.backward(
             columns, num_models, kernel=kernel
         )
         assert grad_probabilities == probabilities  # forward == backward forward
         results[kernel] = (probabilities, gradients)
-    python = results["python"]
-    assert results["layered"][0] == python[0]  # bit-for-bit, not approx
-    assert results["fused"] == results["layered"]  # bit-for-bit, not approx
     assert results["native"] == results["fused"]  # bit-for-bit, not approx
-    for level, python_rows in python[1].items():
-        layered_rows = results["layered"][1][level]
-        for python_row, layered_row in zip(python_rows, layered_rows):
-            for a, b in zip(python_row, layered_row):
-                assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
     if expected is not None:
-        assert python[0] == expected
+        assert results["fused"][0] == expected  # bit-for-bit, not approx
     return results["fused"]
 
 
@@ -240,13 +229,15 @@ class TestDeepChains:
             schedule.slot_levels,
             schedule.bounds,
         )
-        assert restored.layers == linearized.layers
+        for name in ("kids", "seg", "slot_levels"):
+            assert np.array_equal(getattr(restored.fused(), name), getattr(schedule, name))
+        assert restored.fused().bounds == schedule.bounds
         columns = {
             level: ((0.001, 0.3), (0.999, 0.7)) for level in range(self.DEPTH)
         }
-        assert restored.evaluate(columns, 2, kernel="fused") == linearized.evaluate(
-            columns, 2, kernel="python"
-        )
+        expected = linearized.evaluate(columns, 2, kernel="fused")
+        for kernel in ("fused", "native"):
+            assert restored.evaluate(columns, 2, kernel=kernel) == expected
 
 
 class TestDegenerateColumns:
@@ -278,7 +269,7 @@ class TestDegenerateColumns:
 
 
 class TestStoreMigration:
-    """v1 entries stay readable; v2 round-trips are bit-for-bit."""
+    """v1 entries load as misses and are rebuilt; v2 round-trips are exact."""
 
     def compile_one(self):
         ft = FaultTreeBuilder("migrate")
@@ -299,63 +290,75 @@ class TestStoreMigration:
 
     def write_v1_entry(self, store, skey, compiled):
         """Write an entry in the legacy v1 layout (npz layer arrays)."""
-        import numpy as np
-
         digest = digest_of(skey)
         store.save(skey, compiled)  # v2 files + correct metadata to start from
         json_path = store._json_path(digest)
         with open(json_path) as handle:
             meta = json.load(handle)
-        linearized = compiled.linearized()
+        schedule = compiled.linearized().fused()
         arrays = {}
-        for index, (_, slots, kid_rows) in enumerate(linearized.layers):
-            arrays["slots_%d" % index] = np.asarray(slots, dtype=np.int64)
-            arrays["kids_%d" % index] = np.asarray(kid_rows, dtype=np.int64)
+        for index, (level, s0, s1, e0, e1, card) in enumerate(schedule.bounds):
+            arrays["slots_%d" % index] = np.arange(s0, s1, dtype=np.int64)
+            # v1 stored node-major kid rows: one row of children per node
+            arrays["kids_%d" % index] = schedule.kids[e0:e1].reshape(card, s1 - s0).T
         np.savez(store._sidecar(digest, ".npz"), **arrays)
         for suffix in (".kids.npy", ".seg.npy", ".levels.npy", ".bounds.npy"):
             os.unlink(store._sidecar(digest, suffix))
         meta["version"] = 1
         meta["linearized"]["encoding"] = "npz"
+        meta["linearized"]["levels"] = [bound[0] for bound in schedule.bounds]
+        del meta["checksums"]
         with open(json_path, "w") as handle:
             json.dump(meta, handle)
 
-    def test_v1_entry_loads_and_matches_v2(self, tmp_path):
+    def test_v1_entry_loads_as_a_miss(self, tmp_path):
         make, compiled, skey = self.compile_one()
-        problems = [make(m) for m in (0.5, 1.0, 1.5, 2.0)]
-        fresh = [r.yield_estimate for r in compiled.evaluate_many(problems)]
-
-        v1_store = StructureStore(str(tmp_path / "v1"))
-        self.write_v1_entry(v1_store, skey, compiled)
-        restored_v1, _ = v1_store.load(skey, mmap=True)
-        assert restored_v1.from_store and not restored_v1.store_mmapped
-        v1_rows = [r.yield_estimate for r in restored_v1.evaluate_many(problems)]
-        assert v1_rows == fresh  # bit-for-bit
-
-        v2_store = StructureStore(str(tmp_path / "v2"))
-        v2_store.save(skey, compiled)
-        restored_v2, _ = v2_store.load(skey, mmap=True)
-        assert restored_v2.from_store and restored_v2.store_mmapped
-        v2_rows = [r.yield_estimate for r in restored_v2.evaluate_many(problems)]
-        assert v2_rows == fresh  # bit-for-bit
-        assert restored_v2.linearized().layers == compiled.linearized().layers
+        store = StructureStore(str(tmp_path / "v1"))
+        self.write_v1_entry(store, skey, compiled)
+        digest = digest_of(skey)
+        assert store.load(skey, mmap=True) is None  # like any unsupported version
+        assert store.entries() == []
+        ok, problems = store.verify_entry(digest)
+        assert not ok and problems
 
     def test_v1_entry_migrates_to_v2_on_save(self, tmp_path):
-        """Re-saving over a v1 entry leaves a clean v2 entry, nothing stale."""
+        """A service rebuild over a v1 entry leaves a clean v2 entry."""
         make, compiled, skey = self.compile_one()
-        store = StructureStore(str(tmp_path / "store"))
+        store_dir = str(tmp_path / "store")
+        store = StructureStore(store_dir)
         self.write_v1_entry(store, skey, compiled)
         digest = digest_of(skey)
         assert os.path.exists(store._sidecar(digest, ".npz"))
 
-        store.save(skey, compiled)
+        problems = [make(m) for m in (0.7, 1.3)]
+        service = SweepService(store_dir=store_dir)
+        rows = service.evaluate_batch([SweepPoint(p, max_defects=3) for p in problems])
+        assert [r.yield_estimate for r in rows] == [
+            r.yield_estimate for r in compiled.evaluate_many(problems)
+        ]
+        assert service.stats.store_misses == 1 and service.stats.structures_built == 1
         assert not os.path.exists(store._sidecar(digest, ".npz"))
         for suffix in (".kids.npy", ".seg.npy", ".levels.npy", ".bounds.npy"):
             assert os.path.exists(store._sidecar(digest, suffix))
+        with open(store._json_path(digest)) as handle:
+            assert json.load(handle)["version"] == 2
+        assert store.verify_entry(digest) == (True, [])
         restored, _ = store.load(skey, mmap=True)
-        problems = [make(m) for m in (0.7, 1.3)]
         assert [r.yield_estimate for r in restored.evaluate_many(problems)] == [
-            r.yield_estimate for r in compiled.evaluate_many(problems)
+            r.yield_estimate for r in rows
         ]
+
+    def test_stale_v1_sidecar_is_removed_on_save(self, tmp_path):
+        """Saving over a v1 entry that was not quarantined drops its .npz."""
+        make, compiled, skey = self.compile_one()
+        store = StructureStore(str(tmp_path / "store"))
+        self.write_v1_entry(store, skey, compiled)
+        digest = digest_of(skey)
+        assert store.load(skey, quarantine=False) is None
+        assert os.path.exists(store._sidecar(digest, ".npz"))
+        store.save(skey, compiled)
+        assert not os.path.exists(store._sidecar(digest, ".npz"))
+        assert store.verify_entry(digest) == (True, [])
 
     def test_truncated_v2_array_is_a_miss(self, tmp_path):
         make, compiled, skey = self.compile_one()
@@ -369,8 +372,6 @@ class TestStoreMigration:
 
     def test_bit_rotted_kids_array_is_a_miss(self, tmp_path):
         """Out-of-range children must never load as a silently-wrong hit."""
-        import numpy as np
-
         make, compiled, skey = self.compile_one()
         store = StructureStore(str(tmp_path / "store"))
         digest = digest_of(skey)

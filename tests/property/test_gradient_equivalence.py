@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, NegativeBinomialDefectDistribution
-from repro.engine.batch import BatchEvalError, HAVE_NUMPY, LinearizedDiagram
+from repro.engine.batch import BatchEvalError, LinearizedDiagram
 from repro.faulttree import FaultTreeBuilder
 from repro.faulttree.multivalued import MultiValuedVariable
 from repro.mdd.manager import FALSE, TRUE, MDDManager
@@ -95,11 +95,9 @@ def fd_gradient(manager, root, distributions, variable, value):
     return (evaluate_at(base + step) - evaluate_at(base)) / step
 
 
-def assert_gradients_match_fd(manager, root, distributions_list, *, use_numpy=None):
+def assert_gradients_match_fd(manager, root, distributions_list):
     """Assert the analytic gradients equal FD of the reference traversal."""
-    probabilities, gradients = gradient_of_many(
-        manager, root, distributions_list, use_numpy=use_numpy
-    )
+    probabilities, gradients = gradient_of_many(manager, root, distributions_list)
     for distributions, probability, grads in zip(
         distributions_list, probabilities, gradients
     ):
@@ -138,13 +136,7 @@ def test_pipeline_romdd_gradients_match_finite_differences(
         problems[0], max_defects=truncation
     )
     distributions = [model_distributions(compiled, p) for p in problems]
-    assert_gradients_match_fd(
-        compiled.mdd_manager, compiled.mdd_root, distributions, use_numpy=False
-    )
-    if HAVE_NUMPY:
-        assert_gradients_match_fd(
-            compiled.mdd_manager, compiled.mdd_root, distributions, use_numpy=True
-        )
+    assert_gradients_match_fd(compiled.mdd_manager, compiled.mdd_root, distributions)
 
 
 @settings(max_examples=10, deadline=None)
@@ -190,9 +182,7 @@ def test_ungrouped_mdd_gradients_match_finite_differences(rows, rng):
                 values[2] = 0.0
         distributions[variable.name] = dict(enumerate(values))
 
-    assert_gradients_match_fd(manager, root, [distributions], use_numpy=False)
-    if HAVE_NUMPY:
-        assert_gradients_match_fd(manager, root, [distributions], use_numpy=True)
+    assert_gradients_match_fd(manager, root, [distributions])
 
 
 class TestDeepChains:
@@ -229,29 +219,22 @@ class TestDeepChains:
             assert grads["x%d" % level][1] == pytest.approx(expected, rel=1e-9)
             assert grads["x%d" % level][0] == 0.0
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_numpy_path_matches_python_path(self, chain):
+    def test_native_backward_matches_fused(self, chain):
         manager, root = chain
-        distributions = [
-            {
-                "x%d" % i: {0: 1.0 - p, 1: p}
-                for i in range(self.DEPTH)
-            }
-            for p in (0.999, 0.9995)
-        ]
-        py_probs, py_grads = gradient_of_many(
-            manager, root, distributions, use_numpy=False
-        )
-        np_probs, np_grads = gradient_of_many(
-            manager, root, distributions, use_numpy=True
-        )
-        assert np_probs == py_probs
-        for py_model, np_model in zip(py_grads, np_grads):
-            for variable in ("x0", "x750", "x1499"):
-                for value in (0, 1):
-                    assert np_model[variable][value] == pytest.approx(
-                        py_model[variable][value], rel=1e-12, abs=1e-300
-                    )
+        linearized = LinearizedDiagram.from_mdd(manager, root)
+        columns = {
+            level: ((0.001, 0.0005), (0.999, 0.9995)) for level in range(self.DEPTH)
+        }
+        fused = linearized.backward(columns, 2, kernel="fused")
+        assert linearized.backward(columns, 2, kernel="native") == fused  # bit-for-bit
+        probabilities, gradients = fused
+        for p, probability in zip((0.999, 0.9995), probabilities):
+            assert probability == pytest.approx(p ** self.DEPTH, rel=1e-9)
+        for level in (0, 750, self.DEPTH - 1):
+            for k, p in enumerate((0.999, 0.9995)):
+                assert gradients[level][1][k] == pytest.approx(
+                    p ** (self.DEPTH - 1), rel=1e-9
+                )
 
 
 class TestBackwardEdgeCases:
@@ -281,7 +264,7 @@ class TestBackwardEdgeCases:
         root = manager.mk(0, (FALSE, TRUE))
         linearized = LinearizedDiagram.from_mdd(manager, root)
         columns = {0: ((0.25, 0.5), (0.75, 0.5))}
-        linearized.backward(columns, 2, use_numpy=False)
+        linearized.backward(columns, 2)
         assert linearized.gradient_passes == 1
         assert linearized.models_differentiated == 2
         # probability counters belong to evaluate(), not backward()

@@ -3,8 +3,12 @@
 Every sample builds a random coherent fault tree over a handful of
 components, assigns random defect probabilities and checks the combinatorial
 method against the exact enumeration baseline — the strongest invariant the
-library has, because it crosses every subsystem.
+library has, because it crosses every subsystem.  The oracle also reaches
+through the production stack: the sweep service, in process and after a
+round trip through the structure store.
 """
+
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from repro.core.exact import exact_yield
 from repro.core.method import evaluate_yield
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, NegativeBinomialDefectDistribution
+from repro.engine.service import SweepPoint, SweepService
 from repro.faulttree import FaultTreeBuilder
 from repro.ordering import OrderingSpec
 
@@ -89,3 +94,28 @@ def test_truncation_estimates_are_monotone(expr, weights):
         assert results[-1].yield_estimate - result.yield_estimate <= (
             result.error_bound + 1e-12
         )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    structure_expressions(),
+    st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=5, max_size=5),
+    st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=1, max_size=4),
+    st.floats(min_value=0.5, max_value=8.0),
+    st.integers(min_value=0, max_value=3),
+)
+def test_service_matches_exact_enumeration(expr, weights, means, clustering, truncation):
+    """Two service routes: in process, then a fresh service on the same store
+    (memory-mapped load); bit-for-bit equal, and exact to rel 1e-9."""
+    problems = [build_problem(expr, weights, mean, clustering) for mean in means]
+    points = [SweepPoint(problem, max_defects=truncation) for problem in problems]
+    with tempfile.TemporaryDirectory() as store_dir:
+        in_process = SweepService(store_dir=store_dir).evaluate_batch(points)
+        restored_service = SweepService(store_dir=store_dir)
+        restored = restored_service.evaluate_batch(points)
+        stats = restored_service.stats
+        assert (stats.store_hits, stats.mmap_loads, stats.structures_built) == (1, 1, 0)
+    for problem, fresh, loaded in zip(problems, in_process, restored):
+        assert loaded.yield_estimate == fresh.yield_estimate  # bit-for-bit
+        reference = exact_yield(problem, max_defects=truncation)
+        assert fresh.yield_estimate == pytest.approx(reference.yield_estimate, rel=1e-9)

@@ -4,13 +4,14 @@ Random fault trees are compiled through the full pipeline (ordering, coded
 ROBDD, multi-valued ROMDD conversion), persisted to a temporary structure
 store, loaded back, and driven through both the batched evaluation and the
 reverse-mode gradient pass.  The restored structure must reproduce the
-fresh build **bit for bit** — same yields, same error bounds, same
-gradients — on the python and numpy kernels alike, including degenerate
-defect models whose probabilities collapse to 0/1.
+fresh build **bit for bit** — same fused arrays, same yields, same error
+bounds, same gradients — including degenerate defect models whose
+probabilities collapse to 0/1.
 """
 
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.method import YieldAnalyzer
@@ -20,7 +21,6 @@ from repro.distributions import (
     NegativeBinomialDefectDistribution,
     PoissonDefectDistribution,
 )
-from repro.engine.batch import HAVE_NUMPY
 from repro.engine.service import structure_key
 from repro.engine.store import StructureStore
 from repro.faulttree import FaultTreeBuilder
@@ -77,25 +77,31 @@ def roundtrip(compiled, skey):
 
 
 def assert_equivalent(compiled, restored, problems):
-    kernels = [False, True] if HAVE_NUMPY else [False]
-    for use_numpy in kernels:
-        fresh_results = compiled.evaluate_many(problems, use_numpy=use_numpy)
-        restored_results = restored.evaluate_many(problems, use_numpy=use_numpy)
-        for fresh, loaded in zip(fresh_results, restored_results):
-            assert loaded.yield_estimate == fresh.yield_estimate  # bit-for-bit
-            assert loaded.error_bound == fresh.error_bound
-            assert loaded.truncation == fresh.truncation
-            assert loaded.romdd_size == fresh.romdd_size
-            assert loaded.variable_order == fresh.variable_order
+    fresh_schedule = compiled.linearized().fused()
+    restored_schedule = restored.linearized().fused()
+    for name in ("kids", "seg", "slot_levels"):
+        assert np.array_equal(
+            getattr(restored_schedule, name), getattr(fresh_schedule, name)
+        )
+    assert restored_schedule.bounds == fresh_schedule.bounds
 
-        fresh_gradients = compiled.gradients_many(problems, use_numpy=use_numpy)
-        restored_gradients = restored.gradients_many(problems, use_numpy=use_numpy)
-        for fresh, loaded in zip(fresh_gradients, restored_gradients):
-            assert loaded.yield_estimate == fresh.yield_estimate
-            assert loaded.d_yield_d_raw == fresh.d_yield_d_raw  # bit-for-bit
-            assert loaded.sensitivity == fresh.sensitivity
-            assert loaded.d_failure_d_count == fresh.d_failure_d_count
-            assert loaded.d_failure_d_location == fresh.d_failure_d_location
+    fresh_results = compiled.evaluate_many(problems)
+    restored_results = restored.evaluate_many(problems)
+    for fresh, loaded in zip(fresh_results, restored_results):
+        assert loaded.yield_estimate == fresh.yield_estimate  # bit-for-bit
+        assert loaded.error_bound == fresh.error_bound
+        assert loaded.truncation == fresh.truncation
+        assert loaded.romdd_size == fresh.romdd_size
+        assert loaded.variable_order == fresh.variable_order
+
+    fresh_gradients = compiled.gradients_many(problems)
+    restored_gradients = restored.gradients_many(problems)
+    for fresh, loaded in zip(fresh_gradients, restored_gradients):
+        assert loaded.yield_estimate == fresh.yield_estimate
+        assert loaded.d_yield_d_raw == fresh.d_yield_d_raw  # bit-for-bit
+        assert loaded.sensitivity == fresh.sensitivity
+        assert loaded.d_failure_d_count == fresh.d_failure_d_count
+        assert loaded.d_failure_d_location == fresh.d_failure_d_location
 
 
 @settings(max_examples=15, deadline=None)
@@ -119,7 +125,6 @@ def test_roundtrip_is_bit_for_bit_on_pipeline_romdds(
     skey = structure_key(problems[0], truncation, OrderingSpec("w", "ml"))
     restored = roundtrip(compiled, skey)
     assert restored.level_profile == compiled.level_profile
-    assert restored.linearized().layers == compiled.linearized().layers
     assert_equivalent(compiled, restored, problems)
 
 
