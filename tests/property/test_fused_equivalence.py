@@ -44,6 +44,7 @@ from repro.mdd.probability import (
     probability_of_one_reference,
 )
 from repro.ordering import OrderingSpec
+from tests.engine.test_golden import fused_digest
 
 COMPONENTS = ["C0", "C1", "C2", "C3", "C4"]
 
@@ -229,9 +230,7 @@ class TestDeepChains:
             schedule.slot_levels,
             schedule.bounds,
         )
-        for name in ("kids", "seg", "slot_levels"):
-            assert np.array_equal(getattr(restored.fused(), name), getattr(schedule, name))
-        assert restored.fused().bounds == schedule.bounds
+        assert fused_digest(restored) == fused_digest(linearized)
         columns = {
             level: ((0.001, 0.3), (0.999, 0.7)) for level in range(self.DEPTH)
         }
