@@ -10,7 +10,9 @@ Design notes
 * Nodes are identified by dense integer handles.  Handles ``0`` and ``1`` are
   the FALSE and TRUE terminals.  Node attributes are stored in parallel lists
   (``_level``, ``_low``, ``_high``) — the dominant cost in pure Python is
-  attribute and dict access, and flat lists keep that cheap.
+  attribute and dict access, and flat lists keep that cheap.  A manager
+  bulk-loaded by the native builder holds the same columns as arrays and
+  builds the lists only when an operation first needs them.
 * The manager plugs into the shared kernel of :mod:`repro.engine.kernel`:
   nodes carry reference counts, dead nodes are reclaimed by
   :meth:`repro.engine.kernel.DDKernel.garbage_collect` (slots are recycled
@@ -71,6 +73,8 @@ class BDDManager(DDKernel):
         Node-table growth that makes :meth:`~repro.engine.kernel.DDKernel.checkpoint`
         trigger an automatic garbage collection.
     """
+
+    _NODE_TABLES = ("_level", "_low", "_high", "_refs", "_unique")
 
     def __init__(
         self,
@@ -162,8 +166,13 @@ class BDDManager(DDKernel):
         """Return ``(level, low, high)`` int64 arrays indexed by handle.
 
         Terminals report :data:`~repro.engine.kernel.TERMINAL_LEVEL` and
-        reclaimed slots :data:`~repro.engine.kernel.FREE_LEVEL`.
+        reclaimed slots :data:`~repro.engine.kernel.FREE_LEVEL`.  A loaded
+        manager whose lists are not built yet returns the loaded arrays
+        themselves, which callers must not modify.
         """
+        loaded = self.__dict__.get("_loaded")
+        if loaded is not None:
+            return loaded[:3]
         return tuple(
             np.array(column, dtype=np.int64) for column in (self._level, self._low, self._high)
         )
@@ -204,46 +213,35 @@ class BDDManager(DDKernel):
 
         ``level``/``low``/``high`` (int arrays) describe handles ``2 ..``
         with children before parents, as the native builder exports them.
-        The unique table, the child-edge reference counts plus one reference
-        held by ``root``, the ``created`` count and the ITE computed-table
-        ``cache_stats`` (hits/misses/insertions/evictions) are set as if the
-        nodes had been built here, so every manager operation keeps working
-        on the result.  The manager keeps the three arrays: the unique table
-        is made from them on its first use (see :meth:`__getattr__`), since
-        a loaded diagram is usually only converted and then dropped.
+        The child-edge reference counts plus one reference held by
+        ``root``, the ``created`` count and the ITE computed-table
+        ``cache_stats`` (hits/misses/insertions/evictions) are set as if
+        the nodes had been built here, so every manager operation keeps
+        working on the result.  The manager keeps the arrays and builds its
+        node lists and unique table on first use (see
+        :meth:`~repro.engine.kernel.DDKernel._load_lazily`).
         """
         if len(self._level) != 2:
             raise BDDError("load_diagram needs an empty manager")
-        size = len(level) + 2
-        self._level.extend(level.tolist())
-        self._low.extend(low.tolist())
-        self._high.extend(high.tolist())
-        refs = np.bincount(np.concatenate((low, high)), minlength=size)
+        level = np.concatenate(([TERMINAL_LEVEL, TERMINAL_LEVEL], level))
+        low = np.concatenate(([FALSE, TRUE], low))
+        high = np.concatenate(([FALSE, TRUE], high))
+        refs = np.bincount(np.concatenate((low, high)), minlength=len(level))
         refs[:2] = 1  # terminals are pinned
         if root > TRUE:
             refs[root] += 1
-        self._refs = refs.tolist()
-        del self._unique
-        self._loaded = (level, low, high)
+        self._load_lazily((level, low, high, refs))
         self._created = int(created)
-        self._live_at_last_gc = size
+        self._live_at_last_gc = len(level)
         stats = self._ite_cache.stats
         for name in ("hits", "misses", "insertions", "evictions"):
             setattr(stats, name, int(cache_stats[name]))
         return root
 
-    def __getattr__(self, name: str):
-        # reached only for attributes the instance lacks: the unique table of
-        # a loaded diagram, made on first use from the arrays as they were
-        # loaded (an operation that changes a node also updates the table,
-        # so the loaded state is the one the table starts from)
-        loaded = self.__dict__.get("_loaded")
-        if name != "_unique" or loaded is None:
-            raise AttributeError(name)
-        del self._loaded
-        level, low, high = (column.tolist() for column in loaded)
-        self._unique = dict(zip(zip(level, low, high), range(2, len(level) + 2)))
-        return self._unique
+    def _materialise(self, loaded):
+        level, low, high, refs = (column.tolist() for column in loaded)
+        unique = dict(zip(zip(level[2:], low[2:], high[2:]), range(2, len(level))))
+        return {"_level": level, "_low": low, "_high": high, "_refs": refs, "_unique": unique}
 
     def var(self, name: str) -> int:
         """Return the BDD of the single positive literal ``name``."""

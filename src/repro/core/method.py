@@ -618,10 +618,11 @@ class YieldAnalyzer:
         t2 = time.perf_counter()
 
         with obs_trace.span("compile.romdd") as romdd_span:
+            # the converted root arrives referenced, and size() counts on the
+            # loaded arrays: neither builds the manager's node lists
             mdd_manager, mdd_root = convert_bdd_to_mdd(
                 bdd_manager, bdd_root, grouped_order.groups
             )
-            mdd_manager.ref(mdd_root)
             romdd_size = mdd_manager.size(mdd_root)
             romdd_span.set(nodes=romdd_size)
         t3 = time.perf_counter()

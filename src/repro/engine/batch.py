@@ -323,7 +323,7 @@ class LinearizedDiagram:
         self,
         root_slot: int,
         num_slots: int,
-        layers: Sequence[Tuple[int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]],
+        layers: Sequence[Tuple[int, Sequence[int], Sequence[Sequence[int]]]],
     ) -> None:
         self._adopt(root_slot, num_slots, FusedSchedule.from_layers(layers))
 
@@ -350,42 +350,56 @@ class LinearizedDiagram:
 
     @classmethod
     def from_mdd(cls, manager, root: int) -> "LinearizedDiagram":
-        """Linearize the ROMDD rooted at ``root`` (iterative, no recursion)."""
+        """Linearize the ROMDD rooted at ``root`` (iterative, no recursion).
+
+        Works on the manager's CSR :meth:`~repro.mdd.MDDManager.node_arrays`,
+        so a bulk-loaded manager never builds its node tuples.  Slots follow
+        a stack depth-first walk from the root: layers deepest level first,
+        and within a layer the order the walk pops the nodes.  The walk is
+        the one Python loop; it visits each node once and looks only at
+        non-terminal children that differ from their left neighbour.  The
+        layers' child-slot rows are numpy gathers.
+        """
         if root <= 1:
             return cls(root, 2, ())
+        level, offsets, children = manager.node_arrays()
+        counts = _np.diff(offsets)
 
-        # iterative reachability, grouping non-terminal handles by level
-        by_level: Dict[int, List[int]] = {}
-        seen = {root}
+        # the walk skips terminal children and a child repeating its left
+        # neighbour; any other repeat is caught by the seen check
+        keep = children > 1
+        keep[1:] &= children[1:] != children[:-1]
+        firsts = offsets[:-1][counts > 0]
+        keep[firsts] = children[firsts] > 1
+        starts = _np.concatenate(([0], _np.cumsum(keep)))[offsets].tolist()
+        kept = children[keep].tolist()
+
+        walked = []
+        seen = bytearray(len(level))
+        seen[root] = 1
         stack = [root]
-        children_of = manager.children
-        level_of = manager.level
         while stack:
             node = stack.pop()
-            by_level.setdefault(level_of(node), []).append(node)
-            for child in children_of(node):
-                if child > 1 and child not in seen:
-                    seen.add(child)
+            walked.append(node)
+            for child in kept[starts[node] : starts[node + 1]]:
+                if not seen[child]:
+                    seen[child] = 1
                     stack.append(child)
 
         # deepest level first; slots 0/1 are the terminals
-        slot_of: Dict[int, int] = {0: 0, 1: 1}
-        next_slot = 2
-        ordered_levels = sorted(by_level, reverse=True)
-        for level in ordered_levels:
-            for node in by_level[level]:
-                slot_of[node] = next_slot
-                next_slot += 1
-
+        walked = _np.array(walked, dtype=_np.int64)
+        order = walked[_np.argsort(-level[walked], kind="stable")]
+        slot_of = _np.arange(len(level), dtype=_np.int64)  # terminals keep 0/1
+        slot_of[order] = _np.arange(2, len(order) + 2)
+        order_levels = level[order]
+        cuts = _np.flatnonzero(order_levels[1:] != order_levels[:-1]) + 1
         layers = []
-        for level in ordered_levels:
-            nodes = by_level[level]
-            slots = tuple(slot_of[node] for node in nodes)
-            kid_rows = tuple(
-                tuple(slot_of[child] for child in children_of(node)) for node in nodes
-            )
-            layers.append((level, slots, kid_rows))
-        return cls(slot_of[root], next_slot, layers)
+        for s0, s1 in zip([0] + cuts.tolist(), cuts.tolist() + [len(order)]):
+            nodes = order[s0:s1]
+            edges = offsets[nodes, None] + _np.arange(counts[nodes[0]])
+            rows = slot_of[children[edges]]
+            layers.append((int(order_levels[s0]), range(s0 + 2, s1 + 2), rows))
+        return cls(int(slot_of[root]), len(order) + 2, layers)
 
     @classmethod
     def from_fused_arrays(

@@ -21,7 +21,12 @@ arena:
   grow-the-table-instead-of-thrashing policy of the C kernels;
 * **bounded computed tables** — :class:`BoundedComputedTable` is the cache
   used for ITE/apply memoization: a dict with a size bound, eviction of the
-  oldest entries, and monotone hit/miss/eviction statistics.
+  oldest entries, and monotone hit/miss/eviction statistics;
+* **lazy node tables** — a manager bulk-loaded from arrays (a native
+  build, a converted ROMDD) keeps those arrays and builds its node lists
+  and unique table only when an operation first needs them
+  (:meth:`DDKernel._load_lazily`), since a loaded diagram is usually only
+  converted or linearized and then dropped.
 
 The kernel deliberately does not know what a node *is*; subclasses provide
 three hooks (:meth:`DDKernel._node_children`, :meth:`DDKernel._node_key`,
@@ -215,7 +220,9 @@ class DDKernel:
       start them with reference count 0, and count one reference per child
       edge (``self._created`` tracks nodes ever made);
     * implement :meth:`_node_children`, :meth:`_node_key` and
-      :meth:`_release_slot`.
+      :meth:`_release_slot`;
+    * to bulk-load, name their lists and unique table in
+      :attr:`_NODE_TABLES` and implement :meth:`_materialise`.
 
     Reference-count convention: ``_refs[h]`` counts the parent edges of
     every *allocated* node pointing at ``h`` plus the external references
@@ -224,6 +231,10 @@ class DDKernel:
     which means :meth:`garbage_collect` must only run at *safe points*:
     when every diagram the caller still needs is protected by :meth:`ref`.
     """
+
+    #: The node lists and unique table a bulk-loaded manager builds on
+    #: first use (see :meth:`_load_lazily`).
+    _NODE_TABLES: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------ #
     # Initialisation
@@ -256,6 +267,36 @@ class DDKernel:
         table = BoundedComputedTable(self._cache_bound)
         self._computed_tables[name] = table
         return table
+
+    def _load_lazily(self, loaded: Any) -> None:
+        """Hold a bulk-loaded node table as ``loaded`` until first use.
+
+        Drops every attribute named in :attr:`_NODE_TABLES`; the first read
+        of any of them builds them all at once with :meth:`_materialise`, so
+        the lists and the unique table always describe the same nodes.
+        """
+        for name in self._NODE_TABLES:
+            self.__dict__.pop(name, None)
+        self._loaded = loaded
+
+    def _materialise(self, loaded: Any) -> Dict[str, Any]:
+        """Return the :attr:`_NODE_TABLES` attributes built from ``loaded``."""
+        raise NotImplementedError
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks.  Every name other
+        # than a node table still pending must raise AttributeError: pickle
+        # and copy probe for optional hooks (__getstate__, __setstate__)
+        # this way, on instances whose __dict__ may still be empty
+        loaded = self.__dict__.get("_loaded")
+        if loaded is None or name not in self._NODE_TABLES:
+            raise AttributeError(name)
+        tables = self._materialise(loaded)
+        # tables first, then drop the arrays: a concurrent first read builds
+        # equal tables instead of finding neither
+        self.__dict__.update(tables)
+        self.__dict__.pop("_loaded", None)
+        return tables[name]
 
     # ------------------------------------------------------------------ #
     # Subclass hooks

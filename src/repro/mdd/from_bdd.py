@@ -15,17 +15,21 @@ coming from other (higher) layers, plus the root.  For every entry node and
 every value of the layer's variable, the group's code bits are "simulated"
 downward through the layer to find the node reached; the ROMDD node for the
 entry node has the (already converted) images of those reached nodes as
-children.  Each layer is one vectorized pass: all entry nodes walk all
-codewords at once with array gathers over the group's bits, rows whose
-children are all equal collapse to that child, and the remaining rows are
-hash-consed into :class:`repro.mdd.manager.MDDManager`, whose unique table
-shares equal rows — the two reductions the paper describes.  Nodes created through unused codewords are simply never hit by
-the final size/probability traversals.
+children.  Each layer is one vectorized pass: all entry nodes walk the
+tree of codeword prefixes at once with array gathers, one ROBDD level per
+step, rows whose children are all equal collapse to that child, and equal
+rows share one node — the two reductions the paper describes.  The distinct
+rows are found in bulk and numbered as hash-consing them one by one would
+number them, and the finished layers are bulk-loaded into a fresh
+:class:`repro.mdd.manager.MDDManager` (:meth:`~repro.mdd.manager.MDDManager.load_layers`),
+which builds its node lists only if an operation needs them.  Nodes created
+through unused codewords are simply never hit by the final
+size/probability traversals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -96,7 +100,6 @@ def convert_bdd_to_mdd(
     bdd: BDDManager,
     root: int,
     groups: GroupSpec,
-    mdd: Optional[MDDManager] = None,
 ) -> Tuple[MDDManager, int]:
     """Convert the coded ROBDD rooted at ``root`` into a ROMDD.
 
@@ -111,35 +114,26 @@ def convert_bdd_to_mdd(
     groups:
         The multiple-valued variables (top to bottom) together with the names
         of their encoding bits in the order they appear in the ROBDD.
-    mdd:
-        Optional existing :class:`MDDManager` whose variable order matches
-        ``groups``; a fresh one is created when omitted.
 
     Returns
     -------
     (MDDManager, int)
-        The ROMDD manager and the handle of the converted function.
+        A fresh ROMDD manager, bulk-loaded with the converted nodes (the
+        root holds one reference), and the handle of the converted function.
     """
-    variables = [variable for variable, _ in groups]
-    if mdd is None:
-        mdd = MDDManager(variables)
-    else:
-        existing = [v.name for v in mdd.variables]
-        if existing != [v.name for v in variables]:
-            raise MDDError("supplied MDD manager has a different variable order")
-
+    mdd = MDDManager([variable for variable, _ in groups])
     bit_info = _bit_positions(groups)
     per_level = _validate_grouping(bdd, groups, bit_info)
     if root <= BDD_TRUE:
         return mdd, MDD_TRUE if root == BDD_TRUE else MDD_FALSE
 
-    # per-handle layer and code-bit position; terminals and free slots sit
-    # in the pseudo-layer len(groups), below every real layer
+    # per-handle layer; terminals and free slots sit in the pseudo-layer
+    # len(groups), below every real layer
     levels, lows, highs = bdd.node_arrays()
     num_levels = len(per_level)
     levels = np.where((levels >= 0) & (levels < num_levels), levels, num_levels)
-    per_level.append((len(groups), 0))
-    layer_of, bit_of = (np.asarray(column, dtype=np.int64)[levels] for column in zip(*per_level))
+    level_layers = [layer for layer, _ in per_level]
+    layer_of = np.asarray(level_layers + [len(groups)], dtype=np.int64)[levels]
 
     # reachable nodes, one ROBDD level at a time from the root down
     reachable = np.zeros(len(levels), dtype=bool)
@@ -167,32 +161,42 @@ def convert_bdd_to_mdd(
     image = np.full(len(levels), -1, dtype=np.int64)
     image[BDD_FALSE] = MDD_FALSE
     image[BDD_TRUE] = MDD_TRUE
+    layers = []
+    created = MDD_TRUE + 1
     for layer in np.unique(entry_layers)[::-1].tolist():
         variable, bit_names = groups[layer]
         nodes = entries[entry_layers == layer]
+        top = level_layers.index(layer)
         codes = np.array([variable.code.codeword(v) for v in variable.values], dtype=np.int64)
-        cardinality, width = codes.shape
-        # walk every (entry node, codeword) pair down through the layer;
-        # pair i is entry i // cardinality under value i % cardinality, and
-        # only the pairs still inside the layer take the next step
-        current = np.repeat(nodes, cardinality)
-        walking = np.arange(len(current))
-        code_rows = np.tile(np.arange(0, cardinality * width, width), len(nodes))
-        codes = codes.ravel()
-        for _ in bit_names:
-            at = current[walking]
-            at = kids[2 * at + codes[code_rows[walking] + bit_of[at]]]
-            current[walking] = at
-            walking = walking[layer_of[at] == layer]
-            if not len(walking):
-                break
-        rows = image[current].reshape(len(nodes), cardinality)
+        # the codeword bits in ROBDD level order
+        bits = codes[:, [position for _, position in per_level[top : top + len(bit_names)]]]
+        # walk every entry node down the tree of codeword prefixes: after k
+        # steps, column j of `at` holds each entry's first node below level
+        # top + k on the path of prefix j, and codeword v ends in column
+        # prefix[v]; a node steps only when it tests the next level's bit
+        at = nodes[:, None]
+        prefix = np.zeros(len(codes), dtype=np.int64)
+        for step in range(bits.shape[1]):
+            extended, prefix = np.unique(2 * prefix + bits[:, step], return_inverse=True)
+            at = at[:, extended // 2]
+            at = np.where(levels[at] == top + step, kids[2 * at + extended % 2], at)
+        rows = image[at[:, prefix]]
         same = (rows == rows[:, :1]).all(axis=1)
         image[nodes[same]] = rows[same, 0]
-        # hash-consing shares equal rows and finds nodes built before; new
-        # nodes follow the entry order (children before parents)
-        image[nodes[~same]] = [
-            mdd._mk_raw(layer, row) for row in map(tuple, rows[~same].tolist())
-        ]
+        rows = rows[~same]
+        if not len(rows):
+            continue
+        # equal rows share one node (compared as raw bytes); distinct rows
+        # become nodes numbered in order of first occurrence, as hash-consing
+        # them one by one in the entry order (children before parents) would
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        handles = np.empty(len(order), dtype=np.int64)
+        handles[order] = np.arange(created, created + len(order))
+        image[nodes[~same]] = handles[inverse]
+        layers.append((layer, rows[first[order]]))
+        created += len(order)
 
-    return mdd, int(image[root])
+    root = int(image[root])
+    return mdd, mdd.load_layers(layers, root)

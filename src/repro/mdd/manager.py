@@ -12,6 +12,10 @@ traversal (and the construction routes feeding it) needs:
   representation canonical for a fixed variable order;
 * generic ``apply`` for building ROMDDs directly from a filter-gate circuit
   (used by the ablation baseline in :mod:`repro.mdd.direct`);
+* bulk loading of the layers the coded-ROBDD conversion produces
+  (:meth:`MDDManager.load_layers`): the manager then holds CSR arrays
+  (:meth:`MDDManager.node_arrays`) and builds its node tuples only if an
+  operation needs them;
 * traversal, evaluation and size queries.
 
 Like the ROBDD manager, this manager plugs into the shared kernel of
@@ -27,7 +31,10 @@ multiple-valued, which is all the yield method requires.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..engine.kernel import (
     DEFAULT_CACHE_BOUND,
@@ -63,6 +70,8 @@ class MDDManager(DDKernel):
         Node-table growth that makes :meth:`~repro.engine.kernel.DDKernel.checkpoint`
         trigger an automatic garbage collection.
     """
+
+    _NODE_TABLES = ("_level", "_children", "_refs", "_unique")
 
     def __init__(
         self,
@@ -143,6 +152,24 @@ class MDDManager(DDKernel):
         """Return whether ``node`` is one of the two terminals."""
         return node <= TRUE
 
+    def node_arrays(self):
+        """Return ``(level, offsets, children)`` int64 arrays indexed by handle.
+
+        The children of handle ``h`` are ``children[offsets[h]:offsets[h + 1]]``
+        (terminals and reclaimed slots have none).  Terminals report
+        :data:`~repro.engine.kernel.TERMINAL_LEVEL` and reclaimed slots
+        :data:`~repro.engine.kernel.FREE_LEVEL`.  A loaded manager whose
+        lists are not built yet returns the loaded arrays themselves, which
+        callers must not modify.
+        """
+        loaded = self.__dict__.get("_loaded")
+        if loaded is not None:
+            return loaded[:3]
+        counts = np.fromiter(map(len, self._children), np.int64, len(self._children))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        children = np.fromiter(chain.from_iterable(self._children), np.int64, int(offsets[-1]))
+        return np.array(self._level, dtype=np.int64), offsets, children
+
     # ------------------------------------------------------------------ #
     # Node construction
     # ------------------------------------------------------------------ #
@@ -180,6 +207,50 @@ class MDDManager(DDKernel):
         self._created += 1
         self._unique[key] = handle
         return handle
+
+    def load_layers(self, layers, root: int) -> int:
+        """Bulk-load converted layers into this empty manager; return ``root``.
+
+        ``layers`` holds ``(level, rows)`` pairs, where ``rows`` is an
+        ``n x cardinality`` int array of child handles.  The rows of all
+        layers become handles ``2 ..`` in order, exactly the nodes making
+        them one by one with :meth:`mk` would create: children come before
+        their parents, and no row repeats within its level or has all its
+        children equal.  The child-edge reference counts plus one reference
+        held by ``root`` and the created count are set as
+        :meth:`repro.bdd.BDDManager.load_diagram` sets them; the node lists
+        and unique table are built on first use (see
+        :meth:`~repro.engine.kernel.DDKernel._load_lazily`).
+        """
+        if len(self._level) != 2:
+            raise MDDError("load_layers needs an empty manager")
+        level = np.concatenate(
+            [[TERMINAL_LEVEL, TERMINAL_LEVEL]] + [np.full(len(rows), lv) for lv, rows in layers]
+        )
+        counts = np.concatenate(
+            [[0, 0]] + [np.full(len(rows), rows.shape[1]) for _, rows in layers]
+        )
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        children = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [rows.ravel() for _, rows in layers]
+        )
+        refs = np.bincount(children, minlength=len(level))
+        refs[:2] = 1  # terminals are pinned
+        if root > TRUE:
+            refs[root] += 1
+        self._load_lazily((level, offsets, children, refs))
+        self._created = len(level)
+        self._live_at_last_gc = len(level)
+        return root
+
+    def _materialise(self, loaded):
+        level, offsets, children, refs = loaded
+        flat = children.tolist()
+        bounds = offsets.tolist()
+        kids = [tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+        level = level.tolist()
+        unique = dict(zip(zip(level[2:], kids[2:]), range(2, len(level))))
+        return {"_level": level, "_children": kids, "_refs": refs.tolist(), "_unique": unique}
 
     def mk(self, level: int, children: Sequence[int]) -> int:
         """Return the (reduced, hash-consed) node at ``level`` with ``children``.
@@ -533,8 +604,24 @@ class MDDManager(DDKernel):
         return seen
 
     def size(self, node: int) -> int:
-        """Return the number of nodes reachable from ``node`` (terminals included)."""
-        return len(self.reachable(node))
+        """Return the number of nodes reachable from ``node`` (terminals included).
+
+        Counted one level at a time on :meth:`node_arrays`, so a loaded
+        manager answers without building its node lists.
+        """
+        if node <= TRUE:
+            return 1
+        level, offsets, children = self.node_arrays()
+        reached = np.zeros(len(level), dtype=bool)
+        reached[node] = True
+        by_level = np.argsort(level)
+        starts = np.searchsorted(level[by_level], np.arange(self.num_variables + 1))
+        for lv in range(int(level[node]), self.num_variables):
+            nodes = by_level[starts[lv] : starts[lv + 1]]
+            nodes = nodes[reached[nodes]]
+            edges = offsets[nodes, None] + np.arange(self._variables[lv].cardinality)
+            reached[children[edges]] = True
+        return int(reached.sum())
 
     def support(self, node: int) -> List[str]:
         """Return the names of the variables the function depends on."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bdd import BDDManager, build_circuit_bdd
 from repro.faulttree import GateOp, MVCircuit, MultiValuedVariable
-from repro.mdd import MDDError, MDDManager, TRUE, convert_bdd_to_mdd
+from repro.mdd import MDDError, TRUE, convert_bdd_to_mdd
 from repro.mdd.direct import build_mdd_from_mvcircuit
 
 
@@ -91,28 +91,6 @@ class TestConversionCorrectness:
         assert mdd_a.size(root_a) == mdd_b.size(root_b)
         assert_matches_mv(mv, mdd_b, root_b)
 
-    def test_existing_manager_can_be_reused(self):
-        mv = make_mv_circuit()
-        order = ["x", "y", "z"]
-        groups = groups_for(mv, order)
-        flat = [bit for _, bits in groups for bit in bits]
-        binary = mv.binary_encode()
-        bdd_manager, root, _ = build_circuit_bdd(binary, flat)
-        shared = MDDManager([mv.variable(n) for n in order])
-        mdd_manager, mdd_root = convert_bdd_to_mdd(bdd_manager, root, groups, mdd=shared)
-        assert mdd_manager is shared
-        assert_matches_mv(mv, mdd_manager, mdd_root)
-
-    def test_mismatched_manager_rejected(self):
-        mv = make_mv_circuit()
-        groups = groups_for(mv, ["x", "y", "z"])
-        flat = [bit for _, bits in groups for bit in bits]
-        binary = mv.binary_encode()
-        bdd_manager, root, _ = build_circuit_bdd(binary, flat)
-        wrong = MDDManager([mv.variable("z"), mv.variable("x"), mv.variable("y")])
-        with pytest.raises(MDDError):
-            convert_bdd_to_mdd(bdd_manager, root, groups, mdd=wrong)
-
 
 class TestGroupingValidation:
     def test_non_contiguous_groups_rejected(self):
@@ -152,18 +130,3 @@ class TestGroupingValidation:
         bdd_manager = BDDManager(list(x.bit_names()))
         with pytest.raises(MDDError):
             convert_bdd_to_mdd(bdd_manager, bdd_manager.var(x.bit_names()[0]), groups)
-
-
-class TestVectorizedConversion:
-    def test_second_conversion_into_one_manager_reuses_every_node(self):
-        mv = make_mv_circuit()
-        groups = groups_for(mv, ["x", "y", "z"])
-        flat = [bit for _, bits in groups for bit in bits]
-        bdd_manager, root, _ = build_circuit_bdd(mv.binary_encode(), flat)
-        shared = MDDManager([mv.variable(n) for n in ["x", "y", "z"]])
-        _, first = convert_bdd_to_mdd(bdd_manager, root, groups, mdd=shared)
-        allocated = shared.num_nodes_allocated
-        _, second = convert_bdd_to_mdd(bdd_manager, root, groups, mdd=shared)
-        assert second == first
-        assert shared.num_nodes_allocated == allocated
-        assert all(shared.ref_count(n) >= 1 for n in shared.reachable(first) if n > TRUE and n != first)

@@ -4,10 +4,12 @@ Every sample builds a random coherent fault tree over a handful of
 components, assigns random defect probabilities and checks the combinatorial
 method against the exact enumeration baseline — the strongest invariant the
 library has, because it crosses every subsystem.  The oracle also reaches
-through the production stack: the sweep service, in process and after a
-round trip through the structure store.
+through the production stack: the sweep service, in process, after a round
+trip through the structure store, and sharded over a worker pool on both of
+its routes (a pickled structure, and shared memory with a store).
 """
 
+import random
 import tempfile
 
 import pytest
@@ -119,3 +121,46 @@ def test_service_matches_exact_enumeration(expr, weights, means, clustering, tru
         assert loaded.yield_estimate == fresh.yield_estimate  # bit-for-bit
         reference = exact_yield(problem, max_defects=truncation)
         assert fresh.yield_estimate == pytest.approx(reference.yield_estimate, rel=1e-9)
+
+
+def fixed_expression(rng, depth=0):
+    """One expression of the :func:`structure_expressions` grammar."""
+    if depth >= 3 or (depth and rng.random() < 0.3):
+        return rng.choice(COMPONENTS)
+    kind = rng.choice(["and", "or", "k2"])
+    arity = 3 if kind == "k2" else 2
+    return (kind,) + tuple(fixed_expression(rng, depth + 1) for _ in range(arity))
+
+
+#: Five fixed random fault trees with their component weights.
+FIXED_TREES = [
+    (fixed_expression(rng), [rng.uniform(0.1, 3.0) for _ in COMPONENTS])
+    for rng in map(random.Random, range(5))
+]
+
+
+@pytest.mark.parametrize("route", ["pickled", "shm"])
+def test_service_pool_matches_exact_enumeration(route, tmp_path):
+    """Sharded over two workers: without a store each shard unpickles the
+    structure (its ROMDD manager still in loaded form), with a store each
+    maps it and reads its columns from shared memory.  Bit-for-bit equal to
+    the in-process route, and exact to rel 1e-9."""
+    store_dir = str(tmp_path / "store") if route == "shm" else None
+    pool = SweepService(workers=2, shard_size=2, store_dir=store_dir)
+    try:
+        for expr, weights in FIXED_TREES:
+            problems = [build_problem(expr, weights, mean, 2.0) for mean in (0.3, 0.9, 1.6, 2.4)]
+            points = [SweepPoint(problem, max_defects=3) for problem in problems]
+            dispatched = pool.stats.shards_dispatched
+            sharded = pool.evaluate_batch(points)
+            assert pool.stats.shards_dispatched > dispatched
+            in_process = SweepService().evaluate_batch(points)
+            for problem, fresh, result in zip(problems, in_process, sharded):
+                assert result.yield_estimate == fresh.yield_estimate  # bit-for-bit
+                reference = exact_yield(problem, max_defects=3)
+                assert result.yield_estimate == pytest.approx(
+                    reference.yield_estimate, rel=1e-9
+                )
+        assert (pool.stats.shm_bytes > 0) == (route == "shm")
+    finally:
+        pool.close()
