@@ -222,7 +222,7 @@ def test_other_names_keep_raising_attribute_error(cls):
     for name in ("__getstate__", "__setstate__", "__getnewargs_ex__", "_unique", "_level"):
         with pytest.raises(AttributeError):
             cls.__getattr__(blank, name)
-    loaded, _ = converted("loaded") if cls is MDDManager else bdd_pair()[::2]
+    loaded = converted("loaded")[0] if cls is MDDManager else bdd_pair()[0]
     for name in ("__getstate__", "__setstate__", "_no_such_table"):
         with pytest.raises(AttributeError):
             cls.__getattr__(loaded, name)
