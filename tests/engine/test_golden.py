@@ -142,3 +142,93 @@ def test_golden_fused_schedule_on_both_build_routes(name, route):
     assert (stats.final_size, mdd.size(mdd_root)) == golden["sizes"]
     assert mdd.num_nodes_allocated == golden["mdd_allocated"]
     assert fused_digest(LinearizedDiagram.from_mdd(mdd, mdd_root)) == golden["fused"]
+
+
+#: The fixed densities of the 96-point sweep digests.
+SWEEP = tuple(0.05 + 0.03 * i for i in range(96))
+
+#: Density of the pinned gradient sensitivities.
+GRADIENT_DENSITY = 1.5
+
+#: ``(results, sensitivity)`` SHA-256 digests per golden structure: every
+#: ``YieldResult`` field but the timings over the 96-point sweep, and the
+#: ``sensitivity`` of ``gradients`` at ``GRADIENT_DENSITY``.  The one
+#: build-route diagnostic, ``extra["robdd_allocated"]`` (the native builder
+#: and the gate loop allocate different node counts), is left out of the
+#: digest and checked to be one value across the sweep instead.
+SWEEP_DIGESTS = {
+    "MS2": (
+        "d2d7f1e64058cc8f890a0e52432bf288f8a8fee24fcd592cc0535ebc29122749",
+        "dac58f6014cb07990ef988affe94f61ba9566beeb763200645921329b0ccba3f",
+    ),
+    "ESEN4x1": (
+        "834824dc58018af4b615bfa05da9851a08454bcb78bf9dcd33867758ffd6bfba",
+        "08a301b892df1b1591bbaa55a839ed56ba41fc9b8bc247e3b47707da7312ba23",
+    ),
+    "ESEN4x2": (
+        "b498e14ebee0493705e7e59bd8631d7e38dd06ddfd440e894f02da6c01186719",
+        "0190b7003617b8949b676a906f6510fca71d017ddef07deb0abbd42bec257b4d",
+    ),
+    "MS4": (
+        "71f1fa971b74d5638fe8395fe31f4e56c08773ddf5570a04df76ccec019ee1ec",
+        "fc6179de40001f9824ea2a79a7d21ff6307be6cc4c05155606520a508b1a2782",
+    ),
+}
+
+
+def results_digest(results):
+    """SHA-256 over every field of the results except their timings."""
+    digest = hashlib.sha256()
+    for r in results:
+        fields = (
+            r.name,
+            r.yield_estimate,
+            r.error_bound,
+            r.truncation,
+            r.probability_not_functioning,
+            r.coded_robdd_size,
+            r.robdd_peak,
+            r.romdd_size,
+            r.ordering,
+            r.variable_order,
+            sorted(item for item in r.extra.items() if item[0] != "robdd_allocated"),
+        )
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+def sensitivity_digest(gradients):
+    return hashlib.sha256(repr(list(gradients.sensitivity.items())).encode()).hexdigest()
+
+
+def sweep_points(name, truncation):
+    from repro.engine.service import SweepPoint
+
+    return [
+        SweepPoint(benchmark_problem(name, mean_defects=mean), max_defects=truncation)
+        for mean in SWEEP
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_sweep_and_gradient_digests(name):
+    truncation = GOLDEN[name]["truncation"]
+    service = SweepService()
+    results = service.evaluate_batch(sweep_points(name, truncation))
+    gradients = service.gradients(
+        benchmark_problem(name, mean_defects=GRADIENT_DENSITY), max_defects=truncation
+    )
+    assert (results_digest(results), sensitivity_digest(gradients)) == SWEEP_DIGESTS[name]
+    assert len({r.extra["robdd_allocated"] for r in results}) == 1
+
+
+def test_golden_sweep_digest_on_the_shared_memory_route(tmp_path):
+    name = "ESEN4x1"
+    service = SweepService(workers=2, shard_size=16, store_dir=str(tmp_path / "store"))
+    try:
+        results = service.evaluate_batch(sweep_points(name, GOLDEN[name]["truncation"]))
+    finally:
+        service.close()
+    assert service.stats.points_sharded == len(SWEEP)
+    assert service.stats.shm_bytes > 0
+    assert results_digest(results) == SWEEP_DIGESTS[name][0]
