@@ -82,28 +82,23 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _MISS = object()
 
 
-def _attach_shared_block(name: str, registry=None):
-    """Attach to an existing shared-memory block without tracker churn.
+def _attach_shared_block(name: str):
+    """Attach a pool worker to a shared-memory block the parent created.
 
-    Python 3.13 grew ``track=False``; on older interpreters attaching
-    registers the segment with the (fork-shared) resource tracker, which
-    would later try to unlink a block the parent already unlinked — so the
-    registration is undone immediately.  Workers only ever *attach*; the
-    parent owns creation and unlinking.
+    Python 3.13 grew ``track=False``.  On older interpreters attaching
+    registers the segment with the resource tracker, which every pool
+    worker shares with the parent (:meth:`SweepService.ensure_workers`
+    starts it before forking).  That registration repeats the parent's
+    own and is left alone: undoing it would drop the parent's, and the
+    tracker would fail on the parent's unlink.  Workers only ever
+    *attach*; the parent owns creation and unlinking.
     """
     from multiprocessing import shared_memory
 
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover - Python < 3.13
-        block = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception as exc:
-            faults.note_suppressed(registry, "shm.untrack", exc)
-        return block
+        return shared_memory.SharedMemory(name=name)
 
 
 def _release_shared_block(block, *, unlink: bool, registry=None) -> None:
@@ -815,6 +810,15 @@ class SweepService:
             if self.workers <= 1 or self._pool_broken:
                 return None
             if self._pool is None:
+                try:
+                    from multiprocessing import resource_tracker
+
+                    # workers forked after this share the parent's
+                    # tracker, so their shared-memory attaches register
+                    # with the one process that sees the parent unlink
+                    resource_tracker.ensure_running()
+                except Exception as exc:  # pragma: no cover - platform specific
+                    faults.note_suppressed(self.registry, "shm.tracker", exc)
                 try:
                     import multiprocessing
 
@@ -1891,7 +1895,7 @@ def _evaluate_shard_columns(payload):
         k = payload["models"]
         count_rows = payload["count_rows"]
         location_rows = payload["location_rows"]
-        block = _attach_shared_block(payload["shm"], registry=registry)
+        block = _attach_shared_block(payload["shm"])
         try:
             count = numpy.ndarray(
                 (count_rows, k), dtype=numpy.float64, buffer=block.buf

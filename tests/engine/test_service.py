@@ -172,6 +172,48 @@ class TestSharedMemoryDispatch:
         assert stats.batched_passes >= stats.shards_dispatched
 
 
+    def test_consecutive_pools_leave_the_resource_tracker_quiet(self, tmp_path):
+        """Three pools in one process: the tracker must never complain.
+
+        Workers of every pool attach the parent's blocks; the parent's
+        resource tracker must see each block registered once and
+        unregistered once, so its stderr stays free of tracebacks.
+        """
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.engine.service import SweepService\n"
+            "from repro.soc import benchmark_problem\n"
+            "means = [0.05 + 0.05 * i for i in range(64)]\n"
+            "for _ in range(3):\n"
+            "    service = SweepService(store_dir=%r, workers=2, shard_size=16)\n"
+            "    service.density_sweep(\n"
+            "        lambda mean: benchmark_problem('ESEN4x1', mean_defects=mean),\n"
+            "        means,\n"
+            "        max_defects=4,\n"
+            "    )\n"
+            "    service.close()\n"
+            "    print(service.stats.shm_bytes > 0, flush=True)\n"
+        ) % str(tmp_path / "store")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        if result.stdout.split() != ["True"] * 3:
+            pytest.skip("platform cannot dispatch through shared memory")
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "KeyError" not in result.stderr, result.stderr
+        assert "leaked" not in result.stderr, result.stderr
+
+
 class TestParallelFanOut:
     def test_worker_fan_out_matches_serial_results(self):
         serial = SweepService()
