@@ -30,6 +30,7 @@ import pytest
 from repro.core.method import YieldAnalyzer
 from repro.engine import native as native_backend
 from repro.engine.service import SweepService
+from repro.mdd.probability import columns_from_matrices
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
 
@@ -63,7 +64,10 @@ def test_native_kernel_and_zero_copy_dispatch(benchmark, tmp_path):
     )
     linearized = compiled.linearized()
     problems = [_problem(mean) for mean in DENSITIES]
-    _, columns = compiled._model_columns(problems, linearized)
+    counts = [problem.lethal_counts(MAX_DEFECTS) for problem in problems]
+    columns = columns_from_matrices(
+        linearized, compiled.level_profile, *compiled.model_matrices(problems, counts)
+    )
 
     def forward(kernel):
         return lambda: linearized.evaluate(columns, MODELS, kernel=kernel)

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.builder import CircuitBDDBuilder
 from ..bdd.manager import BDDManager
-from ..distributions import thinned_count_columns
 from ..engine.batch import LinearizedDiagram
 from ..mdd.from_bdd import convert_bdd_to_mdd
 from ..mdd.probability import (
@@ -189,6 +188,7 @@ class CompiledYield:
         self,
         problems: Sequence[YieldProblem],
         *,
+        counts: Optional[Sequence[Sequence[float]]] = None,
         reused: bool = False,
     ) -> List[YieldResult]:
         """Evaluate every defect model in one batched bottom-up pass.
@@ -200,19 +200,27 @@ class CompiledYield:
         instead of K traversals.  The first result carries the build
         diagnostics (``reused`` flag and build timings); the rest are
         marked as structure reuses, mirroring the per-point route.
+
+        ``counts`` are the models' lethal count vectors at this structure's
+        ``M`` (:meth:`~repro.core.problem.YieldProblem.lethal_counts`).  A
+        caller that holds them already — the sweep service computes them
+        for its result keys — passes them in; otherwise they are computed
+        here, so each model's pmf is evaluated once either way.
         """
         problems = list(problems)
         if not problems:
             return []
-
+        if counts is None:
+            counts = [problem.lethal_counts(self.truncation) for problem in problems]
         t0 = time.perf_counter()
-        linearized = self.linearized()
-        lethal_distributions, columns = self._model_columns(problems, linearized)
-        probabilities_failed = linearized.evaluate(columns, len(problems))
+        count_matrix, location_matrix = self.model_matrices(problems, counts)
+        probabilities_failed = self.evaluate_probabilities(
+            count_matrix, location_matrix, len(problems)
+        )
         elapsed = time.perf_counter() - t0
         return self.package_results(
             problems,
-            lethal_distributions,
+            [vector[-1] for vector in counts],
             probabilities_failed,
             reused=reused,
             per_point=elapsed / len(problems),
@@ -221,7 +229,7 @@ class CompiledYield:
     def package_results(
         self,
         problems: Sequence[YieldProblem],
-        lethal_distributions: Sequence[object],
+        error_bounds: Sequence[float],
         probabilities_failed: Sequence[float],
         *,
         reused: bool = False,
@@ -229,112 +237,124 @@ class CompiledYield:
     ) -> List[YieldResult]:
         """Turn raw traversal probabilities into :class:`YieldResult` records.
 
-        Split out of :meth:`evaluate_many` so dispatch routes that run the
-        kernel elsewhere (a worker shard writing probabilities into a
-        shared-memory result vector) can package the results in the parent
-        without re-running the pass.
+        ``error_bounds`` are the models' truncation error bounds, the tails
+        of their lethal count vectors.  Split out of :meth:`evaluate_many`
+        so dispatch routes that run the kernel elsewhere (a worker shard
+        writing probabilities into a shared-memory result vector) can
+        package the results in the parent without re-running the pass.
+        Reused points share one frozen :class:`StageTimings`; every result
+        gets its own copy of one ``extra`` template, because cached results
+        are handed to many callers.
         """
         self.evaluations += len(problems)
-        ordering_t, build_t, conversion_t = self.build_timings
+        extra = {
+            "robdd_allocated": float(self.robdd_allocated),
+            "mdd_allocated": float(self.mdd_allocated),
+            "binary_variables": float(self.binary_variables),
+            "gates_processed": float(self.gates_processed),
+            "structure_reused": 1.0,
+            "batched_models": float(len(problems)),
+        }
+        if self.from_store:
+            extra["structure_from_store"] = 1.0
+        if self.ordering.sift:
+            extra["sift_swaps"] = float(self.sift_swaps)
+        if self.reorder_triggers:
+            extra["reorder_triggers"] = float(self.reorder_triggers)
+        reused_timings = StageTimings(probability=per_point)
+        ordering = (self.ordering.mv, self.ordering.bits)
         results: List[YieldResult] = []
-        for index, (problem, lethal, probability_failed) in enumerate(
-            zip(problems, lethal_distributions, probabilities_failed)
+        for problem, error_bound, probability_failed in zip(
+            problems, error_bounds, probabilities_failed
         ):
-            point_reused = reused if index == 0 else True
-            timings = StageTimings(
-                ordering=0.0 if point_reused else ordering_t,
-                robdd_build=0.0 if point_reused else build_t,
-                mdd_conversion=0.0 if point_reused else conversion_t,
-                probability=per_point,
-            )
-            extra = {
-                "robdd_allocated": float(self.robdd_allocated),
-                "mdd_allocated": float(self.mdd_allocated),
-                "binary_variables": float(self.binary_variables),
-                "gates_processed": float(self.gates_processed),
-                "structure_reused": 1.0 if point_reused else 0.0,
-                "batched_models": float(len(problems)),
-            }
-            if self.from_store:
-                extra["structure_from_store"] = 1.0
-            if self.ordering.sift:
-                extra["sift_swaps"] = float(self.sift_swaps)
-            if self.reorder_triggers:
-                extra["reorder_triggers"] = float(self.reorder_triggers)
+            timings = reused_timings
+            point_extra = dict(extra)
+            if not (reused or results):
+                # the first point of a fresh build carries its timings
+                timings = StageTimings(*self.build_timings, probability=per_point)
+                point_extra["structure_reused"] = 0.0
             results.append(
                 YieldResult(
                     name=problem.name,
                     yield_estimate=1.0 - probability_failed,
-                    error_bound=lethal.tail(self.truncation),
+                    error_bound=error_bound,
                     truncation=self.truncation,
                     probability_not_functioning=probability_failed,
                     coded_robdd_size=self.coded_robdd_size,
                     robdd_peak=self.robdd_peak,
                     romdd_size=self.romdd_size,
-                    ordering=(self.ordering.mv, self.ordering.bits),
+                    ordering=ordering,
                     variable_order=self.variable_names,
                     timings=timings,
-                    extra=extra,
+                    extra=point_extra,
                 )
             )
         return results
 
-    def _model_column_lists(self, problems: Sequence[YieldProblem]):
-        """Validated per-model probability columns for a batch of models.
-
-        Returns ``(lethal_distributions, count_columns, location_columns)``
-        — one ``[Q'_0 .. Q'_M, overflow]`` column and one ``[P'_1 .. P'_C]``
-        column per model, both validated (non-negative, sum to 1).
-        """
-        lethal_distributions = [p.lethal_defect_distribution() for p in problems]
-        location_columns: List[List[float]] = []
-        expected = len(self.component_names)
-        for problem in problems:
-            probabilities = [
-                float(p) for p in problem.lethal_component_probabilities()
-            ]
-            if len(probabilities) != expected:
-                raise GFunctionError(
-                    "expected %d component probabilities, got %d"
-                    % (expected, len(probabilities))
-                )
-            total = sum(probabilities)
-            if abs(total - 1.0) > 1e-6:
-                raise GFunctionError(
-                    "lethal component probabilities must sum to 1, got %g" % total
-                )
-            location_columns.append(probabilities)
-        count_columns = thinned_count_columns(lethal_distributions, self.truncation)
-        validate_model_columns(count_columns, what="count")
-        validate_model_columns(location_columns, what="location")
-        return lethal_distributions, count_columns, location_columns
-
     def model_matrices(
         self,
         problems: Sequence[YieldProblem],
+        counts: Sequence[Sequence[float]],
         *,
         out_count=None,
         out_location=None,
     ):
         """Assemble the two shared ``cardinality x K`` model matrices.
 
-        Returns ``(lethal_distributions, count_matrix, location_matrix)``
-        for a batch of defect models — the exact float64 inputs of the
-        linearized kernel.  ``out_count`` / ``out_location`` let callers
-        assemble directly into preallocated buffers (the sweep service
-        points them at a shared-memory block, so worker shards read the
-        matrices zero-copy instead of unpickling them).
+        ``counts`` holds one vector of ``M + 2`` floats per model whose
+        first ``M + 1`` entries are ``Q'_0 .. Q'_M``: a lethal count
+        vector, or the ``pmf_vector(M + 1)`` of the gradient pass.  Its
+        last entry is not read — the column's saturated entry is
+        ``max(0, 1 - sum(Q'))`` with a plain left-to-right float sum, the
+        value the per-model dict route produced.  Every count column is
+        validated; each distinct component model's ``P'`` column is
+        validated once and tiled to ``C x K``.
+
+        Returns ``(count_matrix, location_matrix)``, the exact float64
+        inputs of the linearized kernel.  ``out_count`` / ``out_location``
+        let callers assemble directly into preallocated buffers (the sweep
+        service points them at a shared-memory block, so worker shards
+        read the matrices zero-copy instead of unpickling them).
         """
-        lethal_distributions, count_columns, location_columns = (
-            self._model_column_lists(problems)
-        )
-        count_matrix, location_matrix = model_matrices_from_columns(
+        count_columns: List[List[float]] = []
+        for vector in counts:
+            head = vector[:-1]
+            count_columns.append([*head, max(0.0, 1.0 - sum(head))])
+        validate_model_columns(count_columns, what="count")
+        location_columns: List[List[float]] = []
+        slot_of: Dict[int, int] = {}
+        location_slots: List[int] = []
+        for problem in problems:
+            components = problem.components
+            slot = slot_of.get(id(components))
+            if slot is None:
+                slot = slot_of[id(components)] = len(location_columns)
+                location_columns.append(self._location_column(problem))
+            location_slots.append(slot)
+        validate_model_columns(location_columns, what="location")
+        return model_matrices_from_columns(
             count_columns,
             location_columns,
+            location_slots,
             out_count=out_count,
             out_location=out_location,
         )
-        return lethal_distributions, count_matrix, location_matrix
+
+    def _location_column(self, problem: YieldProblem) -> List[float]:
+        """The ``[P'_1 .. P'_C]`` column of one component model, checked."""
+        probabilities = [float(p) for p in problem.lethal_component_probabilities()]
+        expected = len(self.component_names)
+        if len(probabilities) != expected:
+            raise GFunctionError(
+                "expected %d component probabilities, got %d"
+                % (expected, len(probabilities))
+            )
+        total = sum(probabilities)
+        if abs(total - 1.0) > 1e-6:
+            raise GFunctionError(
+                "lethal component probabilities must sum to 1, got %g" % total
+            )
+        return probabilities
 
     def evaluate_probabilities(
         self,
@@ -344,11 +364,12 @@ class CompiledYield:
     ) -> List[float]:
         """Run only the kernel pass over pre-assembled model matrices.
 
-        The shared-memory shard protocol uses this in workers: the parent
-        assembles (and validates) the matrices once for the whole group,
-        the worker maps them out of a shared-memory block, slices its model
-        range and runs the pass (each worker process resolves the native
-        backend independently) — no problems, no distributions, no pickled
+        :meth:`evaluate_many` runs its pass through here, and so do the
+        shared-memory shards in workers: the parent assembles (and
+        validates) the matrices once for the whole group, the worker maps
+        them out of a shared-memory block, slices its model range and runs
+        the pass (each worker process resolves the native backend
+        independently) — no problems, no distributions, no pickled
         columns.
         """
         linearized = self.linearized()
@@ -356,30 +377,6 @@ class CompiledYield:
             linearized, self.level_profile, count_matrix, location_matrix
         )
         return linearized.evaluate(columns, num_models)
-
-    def _model_columns(
-        self, problems: Sequence[YieldProblem], linearized: LinearizedDiagram
-    ):
-        """Vectorized model-column assembly for a batch of defect models.
-
-        Builds the two per-level probability inputs of the linearized kernel
-        in one shot — a ``(M + 2) x K`` count matrix and a ``C x K``
-        location matrix shared by every location level — instead of one
-        probability dict per (model, variable) pair.  The floats are the
-        same values the dict route produced (plain sums, same overflow
-        clamp), so evaluation stays bit-for-bit identical; only the Python
-        dict churn around them is gone.
-
-        Returns ``(lethal_distributions, columns)`` where ``columns`` maps
-        every level of the linearized diagram to its float64 matrix.
-        """
-        lethal_distributions, count_matrix, location_matrix = self.model_matrices(
-            problems
-        )
-        columns = columns_from_matrices(
-            linearized, self.level_profile, count_matrix, location_matrix
-        )
-        return lethal_distributions, columns
 
     def gradients_many(
         self,
@@ -410,15 +407,23 @@ class CompiledYield:
         problems = list(problems)
         if not problems:
             return []
+        truncation = self.truncation
+        # one pmf evaluation per model: Q'_0 .. Q'_M form the count column,
+        # and Q'_{M+1} joins them in the chain rule below
+        qprimes = [
+            problem.lethal_defect_distribution().pmf_vector(truncation + 1)
+            for problem in problems
+        ]
         linearized = self.linearized()
-        lethal_distributions, columns = self._model_columns(problems, linearized)
+        columns = columns_from_matrices(
+            linearized, self.level_profile, *self.model_matrices(problems, qprimes)
+        )
         probabilities_failed, level_gradients = linearized.backward(
             columns, len(problems)
         )
         self.gradient_evaluations += len(problems)
 
         names = self.component_names
-        truncation = self.truncation
         profile = self.level_profile
         # per-level gradient rows mapped back to the variables; levels the
         # diagram skips have identically-zero gradients (their probability
@@ -436,8 +441,8 @@ class CompiledYield:
             if rows is not None:
                 location_row_sets.append(rows)
         out: List[YieldGradients] = []
-        for model, (problem, lethal, probability_failed) in enumerate(
-            zip(problems, lethal_distributions, probabilities_failed)
+        for model, (problem, qprime, probability_failed) in enumerate(
+            zip(problems, qprimes, probabilities_failed)
         ):
             lethality = problem.lethality
             conditional = problem.lethal_component_probabilities()
@@ -459,7 +464,6 @@ class CompiledYield:
                     location_sums[index] += rows[index][model]
 
             # chain rule through the thinned count distribution Q'_k(P_L)
-            qprime = [lethal.pmf(k) for k in range(truncation + 2)]
             d_count_d_lethality = [
                 (k * qprime[k] - (k + 1) * qprime[k + 1]) / lethality
                 for k in range(truncation + 1)

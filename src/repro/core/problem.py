@@ -10,7 +10,8 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+import math
+from typing import Optional, Sequence, Tuple
 
 from ..distributions import ComponentDefectModel, DefectCountDistribution
 from ..faulttree.circuit import Circuit
@@ -52,11 +53,8 @@ class YieldProblem:
             fault_tree.primary_output
         except CircuitError as exc:
             raise ProblemError("fault tree must have exactly one output: %s" % exc) from exc
-        unknown = [
-            input_name
-            for input_name in fault_tree.input_names
-            if input_name not in components.names
-        ]
+        known = components.name_set
+        unknown = [name for name in fault_tree.input_names if name not in known]
         if unknown:
             raise ProblemError(
                 "fault tree inputs missing from the component model: %s"
@@ -79,6 +77,19 @@ class YieldProblem:
     def lethal_defect_distribution(self) -> DefectCountDistribution:
         """Return ``Q'_k``, the distribution of the number of *lethal* defects."""
         return self.defect_distribution.thinned(self.lethality)
+
+    def lethal_counts(self, truncation: int) -> Tuple[float, ...]:
+        """Return the lethal count vector ``(Q'_0 .. Q'_M, tail)`` at ``M = truncation``.
+
+        One pmf evaluation (:meth:`DefectCountDistribution.pmf_vector`).
+        The tail ``max(0, 1 - min(1, fsum(Q')))`` is bit for bit
+        ``Q'.tail(M)``, the truncation error bound.  The sweep service keys
+        a result on this vector, and every evaluation route assembles the
+        point's count column and error bound from it.
+        """
+        pmf = self.lethal_defect_distribution().pmf_vector(int(truncation))
+        pmf.append(max(0.0, 1.0 - min(1.0, math.fsum(pmf))))
+        return tuple(pmf)
 
     def lethal_component_probabilities(self) -> Tuple[float, ...]:
         """Return the ``P'_i`` vector (conditional hit probabilities, sums to 1)."""

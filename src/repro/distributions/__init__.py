@@ -18,7 +18,6 @@ This subpackage provides the probabilistic substrate of the yield method:
 from .base import (
     DefectCountDistribution,
     DistributionError,
-    thinned_count_columns,
     validate_probability_vector,
 )
 from .components import ComponentDefectModel, split_weights_by_class
@@ -30,7 +29,6 @@ from .poisson import PoissonDefectDistribution
 __all__ = [
     "DefectCountDistribution",
     "DistributionError",
-    "thinned_count_columns",
     "validate_probability_vector",
     "ComponentDefectModel",
     "split_weights_by_class",

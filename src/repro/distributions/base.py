@@ -62,7 +62,13 @@ class DefectCountDistribution(ABC):
         return max(0.0, 1.0 - self.cdf(k))
 
     def pmf_vector(self, max_k: int) -> List[float]:
-        """Return ``[pmf(0), ..., pmf(max_k)]``."""
+        """Return ``[pmf(0), ..., pmf(max_k)]``.
+
+        This is where a sweep point's pmf is computed: once per point, for
+        its result key, count column and error bound alike (see
+        :meth:`repro.core.problem.YieldProblem.lethal_counts`).  Overrides
+        must return the floats :meth:`pmf` returns, bit for bit.
+        """
         if max_k < 0:
             raise DistributionError("max_k must be non-negative, got %d" % max_k)
         return [self.pmf(k) for k in range(max_k + 1)]
@@ -112,29 +118,6 @@ class DefectCountDistribution(ABC):
                     out.append(k)
                     break
         return out
-
-
-def thinned_count_columns(
-    distributions: Sequence["DefectCountDistribution"], truncation: int
-) -> List[List[float]]:
-    """Return one ``[Q'_0 .. Q'_M, overflow]`` column per count distribution.
-
-    This is the batched form of the ``w``-distribution assembly of
-    :meth:`repro.core.gfunction.GeneralizedFaultTree.variable_distributions`:
-    the saturated entry is ``max(0, 1 - sum_{k<=M} Q'_k)`` with a plain
-    left-to-right float sum, so the emitted probabilities are bit-for-bit
-    the values the per-model dict route produced.  The K columns feed the
-    ``(M + 2) x K`` count matrix of the vectorized column assembly
-    (:func:`repro.mdd.probability.model_matrices_from_columns`).
-    """
-    if truncation < 0:
-        raise DistributionError("truncation must be non-negative, got %d" % truncation)
-    columns: List[List[float]] = []
-    for distribution in distributions:
-        pmf = [distribution.pmf(k) for k in range(truncation + 1)]
-        pmf.append(max(0.0, 1.0 - sum(pmf)))
-        columns.append(pmf)
-    return columns
 
 
 def validate_probability_vector(values: Sequence[float], *, name: str = "probabilities") -> List[float]:

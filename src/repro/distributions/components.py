@@ -15,7 +15,7 @@ the benchmark generators exchange.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .base import DistributionError
 
@@ -56,6 +56,7 @@ class ComponentDefectModel:
                 % total
             )
         self._names: Tuple[str, ...] = tuple(names)
+        self._name_set: FrozenSet[str] = frozenset(names)
         self._raw: Tuple[float, ...] = tuple(values)
         self._lethality = total
         self._lethal: Tuple[float, ...] = tuple(v / total for v in values)
@@ -95,6 +96,11 @@ class ComponentDefectModel:
     def names(self) -> Tuple[str, ...]:
         """Component names in index order."""
         return self._names
+
+    @property
+    def name_set(self) -> FrozenSet[str]:
+        """The component names as a set, for constant-time membership tests."""
+        return self._name_set
 
     @property
     def count(self) -> int:

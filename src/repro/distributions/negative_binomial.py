@@ -21,6 +21,7 @@ parameter and mean ``lambda' = lambda * P_L``.
 from __future__ import annotations
 
 import math
+from typing import List
 
 from .base import DefectCountDistribution, DistributionError
 
@@ -74,6 +75,33 @@ class NegativeBinomialDefectDistribution(DefectCountDistribution):
             - (alpha + k) * math.log1p(lam / alpha)
         )
         return math.exp(log_q)
+
+    def pmf_vector(self, max_k: int) -> List[float]:
+        """Return ``[pmf(0), ..., pmf(max_k)]``, each entry bit for bit ``pmf(k)``.
+
+        The terms that do not depend on ``k`` (``lgamma(alpha)``,
+        ``log(lam/alpha)``, ``log1p(lam/alpha)``) are computed once; every
+        entry keeps :meth:`pmf`'s scalar expression in its left-to-right
+        order, so the floats are the same.  A recurrence or numpy's
+        ``exp``/``log`` would round differently.
+        """
+        if max_k < 0:
+            raise DistributionError("max_k must be non-negative, got %d" % max_k)
+        lam, alpha = self._mean, self._alpha
+        lgamma, exp = math.lgamma, math.exp
+        log_gamma_alpha = lgamma(alpha)
+        log_ratio = math.log(lam / alpha)
+        log1p_ratio = math.log1p(lam / alpha)
+        return [
+            exp(
+                lgamma(alpha + k)
+                - lgamma(k + 1)
+                - log_gamma_alpha
+                + k * log_ratio
+                - (alpha + k) * log1p_ratio
+            )
+            for k in range(max_k + 1)
+        ]
 
     def thinned(self, retain_probability: float) -> "NegativeBinomialDefectDistribution":
         if not 0.0 < retain_probability <= 1.0:

@@ -378,19 +378,24 @@ def result_key(problem, truncation: int, ordering) -> Tuple:
 
     The probability traversal consumes exactly the lethal count pmf
     ``Q'_0..Q'_M`` (plus the tail mass) and the conditional hit vector
-    ``P'_i``, so hashing those captures every defect-model input.  The
-    point's :func:`structure_key` is the key without its last two entries.
+    ``P'_i``, so those capture every defect-model input.  The key carries
+    the point's lethal count vector itself
+    (:meth:`~repro.core.problem.YieldProblem.lethal_counts`, the one pmf
+    evaluation of the point) followed by the ``P'_i`` digest: every
+    evaluation route reads the vector back from the key (``key[-2]``) for
+    the count column and the error bound.  The point's
+    :func:`structure_key` is the key without its last two entries.
     """
-    lethal = problem.lethal_defect_distribution()
-    pmf = [lethal.pmf(k) for k in range(int(truncation) + 1)]
-    pmf.append(lethal.tail(int(truncation)))
     components = problem.components
     hits = _LETHAL_DIGESTS.get(components)
     if hits is None:
         hits = _LETHAL_DIGESTS[components] = _float_digest(
             components.lethal_probabilities()
         )
-    return structure_key(problem, truncation, ordering) + (_float_digest(pmf), hits)
+    return structure_key(problem, truncation, ordering) + (
+        problem.lethal_counts(truncation),
+        hits,
+    )
 
 
 class SweepService:
@@ -582,34 +587,43 @@ class SweepService:
     def _evaluate_batch(self, points: Sequence[SweepPoint]) -> List[object]:
         points = list(points)
         self.stats.points_requested += len(points)
-        results: List[object] = [_MISS] * len(points)
+        truncations = [self._resolve_truncation(point) for point in points]
+        keys = [
+            result_key(point.problem, truncation, self.ordering)
+            for point, truncation in zip(points, truncations)
+        ]
 
-        # resolve truncations and serve what the caches already know
-        pending: Dict[Tuple, List[int]] = {}
-        keys: List[Optional[Tuple]] = [None] * len(points)
-        truncations: List[int] = [0] * len(points)
-        for idx, point in enumerate(points):
-            truncation = self._resolve_truncation(point)
-            truncations[idx] = truncation
-            rkey = result_key(point.problem, truncation, self.ordering)
-            keys[idx] = rkey
-            with self._lock:
+        # serve what the caches already know: one lock for the memory LRU,
+        # the disk only when there is one
+        results: List[object] = [_MISS] * len(points)
+        hits = 0
+        with self._lock:
+            for idx, rkey in enumerate(keys):
                 cached = self._results.get(rkey, _MISS)
                 if cached is not _MISS:
                     self._results.move_to_end(rkey)
-                    self.stats.result_cache_hits += 1
                     results[idx] = cached
-                    continue
-            cached = self._disk_get(rkey)
-            if cached is not _MISS:
-                self.stats.disk_cache_hits += 1
-                self._remember_result(rkey, cached)
-                results[idx] = cached
-                continue
-            # the result key extends the structure key: no second hashing
-            pending.setdefault(rkey[:-2], []).append(idx)
+                    hits += 1
+        self.stats.result_cache_hits += hits
+        if self.cache_dir:
+            disk_hits = []
+            for idx, rkey in enumerate(keys):
+                if results[idx] is _MISS:
+                    results[idx] = self._disk_get(rkey)
+                    if results[idx] is not _MISS:
+                        disk_hits.append((rkey, results[idx]))
+            self.stats.disk_cache_hits += len(disk_hits)
+            self._remember_results(disk_hits)
+
+        pending: Dict[Tuple, List[int]] = {}
+        for idx, rkey in enumerate(keys):
+            if results[idx] is _MISS:
+                # the result key extends the structure key: no second hashing
+                pending.setdefault(rkey[:-2], []).append(idx)
 
         if pending:
+            # each point's lethal count vector, computed once for its key
+            counts = [rkey[-2] for rkey in keys]
             groups = list(pending.items())
             evaluated = []
             # the remote fabric gets first claim on sharded groups; what
@@ -618,20 +632,25 @@ class SweepService:
             fabric = self._fabric_scheduler()
             if fabric is not None and self._ladder.allows("remote"):
                 remote_evaluated, groups = self._run_fabric(
-                    groups, points, truncations, fabric
+                    groups, points, truncations, counts, fabric
                 )
                 evaluated.extend(remote_evaluated)
             if groups:
                 if self.workers > 1:
-                    evaluated.extend(self._run_parallel(groups, points, truncations))
+                    evaluated.extend(
+                        self._run_parallel(groups, points, truncations, counts)
+                    )
                 else:
-                    evaluated.extend(self._run_serial(groups, points, truncations))
+                    evaluated.extend(
+                        self._run_serial(groups, points, truncations, counts)
+                    )
             for idx, result in evaluated:
                 results[idx] = result
-                rkey = keys[idx]
-                self._remember_result(rkey, result)
-                self._disk_put(rkey, result)
-                self.stats.points_evaluated += 1
+            self._remember_results([(keys[idx], result) for idx, result in evaluated])
+            if self.cache_dir:
+                for idx, result in evaluated:
+                    self._disk_put(keys[idx], result)
+            self.stats.points_evaluated += len(evaluated)
 
         missing = [i for i, r in enumerate(results) if r is _MISS]
         if missing:  # pragma: no cover - defensive
@@ -1014,7 +1033,7 @@ class SweepService:
         # saving linearizes on demand; surface that build in the counters
         self.stats.linearize_builds += compiled.linearize_builds - builds_before
 
-    def _evaluate_group_locally(self, compiled, problems, *, reused: bool):
+    def _evaluate_group_locally(self, compiled, problems, counts, *, reused: bool):
         """One batched pass over a group's defect models, with bookkeeping."""
         builds_before = compiled.linearize_builds
         reuses_before = compiled.linearize_reuses
@@ -1022,7 +1041,7 @@ class SweepService:
         native_before = _native_passes_of(compiled)
         started = time.perf_counter()
         with obs_trace.span("service.evaluate", models=len(problems)) as span:
-            results = compiled.evaluate_many(problems, reused=reused)
+            results = compiled.evaluate_many(problems, counts=counts, reused=reused)
             _annotate_kernel(span, compiled)
         self.stats.evaluate_seconds += time.perf_counter() - started
         self.stats.batched_passes += 1
@@ -1040,14 +1059,18 @@ class SweepService:
             while len(self._structures) > self.max_structures:
                 self._structures.popitem(last=False)
 
-    def _remember_result(self, rkey: Tuple, result) -> None:
+    def _remember_results(self, items) -> None:
+        """Put ``(result key, result)`` pairs in the memory LRU, one lock."""
+        if not items:
+            return
         with self._lock:
-            self._results[rkey] = result
-            self._results.move_to_end(rkey)
+            for rkey, result in items:
+                self._results[rkey] = result
+                self._results.move_to_end(rkey)
             while len(self._results) > self.max_results:
                 self._results.popitem(last=False)
 
-    def _run_serial(self, groups, points, truncations):
+    def _run_serial(self, groups, points, truncations, counts):
         evaluated = []
         for skey, indices in groups:
             first = indices[0]
@@ -1056,7 +1079,10 @@ class SweepService:
                     skey, points[first].problem, truncations[first]
                 )
                 results = self._evaluate_group_locally(
-                    compiled, [points[idx].problem for idx in indices], reused=reused
+                    compiled,
+                    [points[idx].problem for idx in indices],
+                    [counts[idx] for idx in indices],
+                    reused=reused,
                 )
             evaluated.extend(zip(indices, results))
         return evaluated
@@ -1085,7 +1111,7 @@ class SweepService:
                 )
             return self._fabric
 
-    def _run_fabric(self, groups, points, truncations, fabric):
+    def _run_fabric(self, groups, points, truncations, counts, fabric):
         """Dispatch sharded groups to the remote fabric.
 
         Returns ``(evaluated, leftover)``: results for every model span a
@@ -1127,9 +1153,10 @@ class SweepService:
                     leftover.append((skey, indices))
                     continue
             problems = [points[idx].problem for idx in indices]
+            vectors = [counts[idx] for idx in indices]
             k = len(problems)
             try:
-                lethal, count, location = compiled.model_matrices(problems)
+                count, location = compiled.model_matrices(problems, vectors)
             except Exception:
                 leftover.append((skey, indices))
                 continue
@@ -1139,7 +1166,7 @@ class SweepService:
                 "skey": skey,
                 "compiled": compiled,
                 "problems": problems,
-                "lethal": lethal,
+                "bounds": [vector[-1] for vector in vectors],
                 "indices": list(indices),
                 "fresh": not reused,
                 "models": k,
@@ -1192,7 +1219,7 @@ class SweepService:
             if ok:
                 results = group["compiled"].package_results(
                     [group["problems"][m] for m in ok],
-                    [group["lethal"][m] for m in ok],
+                    [group["bounds"][m] for m in ok],
                     [group["probabilities"][m] for m in ok],
                     reused=not (group["fresh"] and ok[0] == 0),
                     per_point=group["evaluate_seconds"] / max(1, k),
@@ -1220,7 +1247,7 @@ class SweepService:
             return 1
         return min(self.workers, max(1, num_points // self.shard_size))
 
-    def _prepare_shm_group(self, compiled, indices, points, fresh):
+    def _prepare_shm_group(self, compiled, indices, points, counts, fresh):
         """Stage one sharded group's matrices in a shared-memory block.
 
         Layout: the ``(M + 2) x K`` count matrix, the ``C x K`` location
@@ -1237,6 +1264,7 @@ class SweepService:
         import numpy
 
         problems = [points[idx].problem for idx in indices]
+        vectors = [counts[idx] for idx in indices]
         k = len(problems)
         count_rows = compiled.truncation + 2
         location_rows = len(compiled.component_names)
@@ -1258,8 +1286,8 @@ class SweepService:
                 buffer=block.buf,
                 offset=count_rows * k * 8,
             )
-            lethal_distributions, _, _ = compiled.model_matrices(
-                problems, out_count=count, out_location=location
+            compiled.model_matrices(
+                problems, vectors, out_count=count, out_location=location
             )
         except Exception:
             _release_shared_block(block, unlink=True, registry=self.registry)
@@ -1271,7 +1299,7 @@ class SweepService:
             "block": block,
             "compiled": compiled,
             "problems": problems,
-            "lethal": lethal_distributions,
+            "counts": vectors,
             "indices": list(indices),
             "fresh": fresh,
             "count_rows": count_rows,
@@ -1312,7 +1340,7 @@ class SweepService:
         if ok:
             results = compiled.package_results(
                 [group["problems"][m] for m in ok],
-                [group["lethal"][m] for m in ok],
+                [group["counts"][m][-1] for m in ok],
                 [probabilities[m] for m in ok],
                 reused=not (group["fresh"] and ok[0] == 0),
                 per_point=group["evaluate_seconds"] / max(1, k),
@@ -1327,26 +1355,29 @@ class SweepService:
             retry = sorted(failed)
             with self._locked_key(group["skey"]):
                 results = self._evaluate_group_locally(
-                    compiled, [group["problems"][m] for m in retry], reused=True
+                    compiled,
+                    [group["problems"][m] for m in retry],
+                    [group["counts"][m] for m in retry],
+                    reused=True,
                 )
             evaluated.extend(
                 (group["indices"][m], result) for m, result in zip(retry, results)
             )
 
-    def _run_parallel(self, groups, points, truncations):
+    def _run_parallel(self, groups, points, truncations, counts):
         # one supervised dispatch at a time: the supervisor respawns the
         # shared pool on faults, which two concurrent dispatch loops would
         # race; concurrent batches queue here while serial-route batches
         # (different keys) keep running in parallel
         with self._dispatch_lock:
-            return self._run_parallel_locked(groups, points, truncations)
+            return self._run_parallel_locked(groups, points, truncations, counts)
 
-    def _run_parallel_locked(self, groups, points, truncations):
+    def _run_parallel_locked(self, groups, points, truncations, counts):
         # settle pool availability before any stats-mutating shard prep, so
         # a platform that cannot spawn workers falls back to the serial
         # route without double-counting structure/linearization work
         if self.ensure_workers() is None:
-            return self._run_serial(groups, points, truncations)
+            return self._run_serial(groups, points, truncations, counts)
         store_root = self.store_dir if self._store is not None else None
         payloads = []
         local_groups = []
@@ -1367,7 +1398,7 @@ class SweepService:
                     # the parent's LRU to serve later batches
                     payloads.append(
                         self._payload(
-                            skey, indices, points, truncations, None, False,
+                            skey, indices, points, truncations, counts, None, False,
                             store_root, True,
                         )
                     )
@@ -1401,7 +1432,9 @@ class SweepService:
             if ship is None and self.use_shared_memory and self._ladder.allows("shm"):
                 # zero-copy dispatch: columns and results move through one
                 # shared-memory block, the payload shrinks to a span + name
-                shm_group = self._prepare_shm_group(compiled, indices, points, fresh)
+                shm_group = self._prepare_shm_group(
+                    compiled, indices, points, counts, fresh
+                )
                 if shm_group is None:
                     # creation failed: block the route for a cooldown so the
                     # next groups go straight to the pickled protocol
@@ -1433,6 +1466,7 @@ class SweepService:
                         chunk,
                         points,
                         truncations,
+                        counts,
                         ship,
                         fresh and shard_index == 0,
                         store_root if ship is None else None,
@@ -1451,14 +1485,14 @@ class SweepService:
                         group["block"], unlink=True, registry=self.registry
                     )
                 shm_groups = {}
-                return self._run_serial(groups, points, truncations)
+                return self._run_serial(groups, points, truncations, counts)
 
             evaluated = []
             local_keys = {skey for skey, _ in local_groups}
             pool = self.ensure_workers()
             if pool is None:  # pragma: no cover - pool died between the checks
                 fallback = [g for g in groups if g[0] not in local_keys]
-                evaluated = self._run_serial(fallback, points, truncations)
+                evaluated = self._run_serial(fallback, points, truncations, counts)
             else:
                 try:
                     # the parent pickles the payloads itself (the pool then
@@ -1503,7 +1537,7 @@ class SweepService:
                         a, b = payload["span"]
                         chunk = [group["indices"][m] for m in range(a, b)]
                         replacement = self._payload(
-                            payload["skey"], chunk, points, truncations,
+                            payload["skey"], chunk, points, truncations, counts,
                             None, False, store_root, False,
                         )
                         group["external_spans"].append((a, b))
@@ -1572,7 +1606,7 @@ class SweepService:
                                 qkey, q_problems[0], truncation
                             )
                             q_results = self._evaluate_group_locally(
-                                compiled, q_problems, reused=reused
+                                compiled, q_problems, payload[12], reused=reused
                             )
                         evaluated.extend(zip(q_indices, q_results))
                     for group in shm_groups.values():
@@ -1594,9 +1628,11 @@ class SweepService:
                     # disable parallelism for the service's lifetime
                     self.close()
                     fallback = [g for g in groups if g[0] not in local_keys]
-                    evaluated = self._run_serial(fallback, points, truncations)
+                    evaluated = self._run_serial(fallback, points, truncations, counts)
             if local_groups:
-                evaluated.extend(self._run_serial(local_groups, points, truncations))
+                evaluated.extend(
+                    self._run_serial(local_groups, points, truncations, counts)
+                )
             return evaluated
         finally:
             for group in shm_groups.values():
@@ -1605,7 +1641,8 @@ class SweepService:
                 )
 
     def _payload(
-        self, skey, indices, points, truncations, compiled, fresh, store_root, adopt
+        self, skey, indices, points, truncations, counts, compiled, fresh, store_root,
+        adopt,
     ):
         return (
             skey,
@@ -1620,6 +1657,7 @@ class SweepService:
             store_root,
             adopt,
             obs_trace.active() is not None,
+            [counts[idx] for idx in indices],
         )
 
     # ------------------------------------------------------------------ #
@@ -1774,6 +1812,7 @@ def _evaluate_shard_pickled(payload):
         store_root,
         adopt,
         _trace,
+        counts,
     ) = payload
     _worker_native_setup(store_root)
     registry = MetricsRegistry()
@@ -1823,7 +1862,7 @@ def _evaluate_shard_pickled(payload):
         fused_before = _fused_passes_of(compiled)
         native_before = _native_passes_of(compiled)
         started = time.perf_counter()
-        results = compiled.evaluate_many(problems, reused=not fresh)
+        results = compiled.evaluate_many(problems, counts=counts, reused=not fresh)
         wstats.worker_evaluate_seconds += time.perf_counter() - started
         wstats.batched_passes += 1
         wstats.linearize_builds += compiled.linearize_builds - builds_before

@@ -74,12 +74,14 @@ class Circuit:
       there is exactly one (the usual fault-tree case).
     * A frozen circuit (:meth:`freeze`; builders and the parser return
       frozen circuits) rejects the four mutators and a new :attr:`name`, so
-      problems can share it, and computes its :meth:`digest` only once.
+      problems can share it, and computes its :meth:`digest` and
+      :attr:`input_names` only once.
     """
 
     def __init__(self, name: str = "circuit") -> None:
         self._frozen = False
         self._digest: Optional[str] = None
+        self._input_names: Tuple[str, ...] = ()
         self.name = name
         self._nodes: List[Node] = []
         self._inputs: List[int] = []
@@ -104,6 +106,7 @@ class Circuit:
 
     def freeze(self) -> "Circuit":
         """Make the circuit immutable (idempotent) and return it."""
+        self._input_names = tuple(self._nodes[i].name for i in self._inputs)
         self._frozen = True
         return self
 
@@ -216,7 +219,9 @@ class Circuit:
 
     @property
     def input_names(self) -> Tuple[str, ...]:
-        """Names of the input variables in creation order."""
+        """Names of the input variables in creation order (cached once frozen)."""
+        if self._frozen:
+            return self._input_names
         return tuple(self._nodes[i].name for i in self._inputs)
 
     @property

@@ -162,36 +162,40 @@ class LevelProfile:
 def model_matrices_from_columns(
     count_columns: Sequence[Sequence[float]],
     location_columns: Sequence[Sequence[float]],
+    location_slots: Sequence[int],
     *,
     out_count=None,
     out_location=None,
 ):
-    """Transpose per-model columns into the two shared float64 matrices.
+    """Lay per-model columns out as the two shared float64 matrices.
 
     Returns ``(count_matrix, location_matrix)`` of shapes ``(M + 2) x K``
-    and ``C x K``.  ``out_count`` / ``out_location`` are optional
-    preallocated float64 destinations (matching shapes) — the sweep
-    service points them into a ``multiprocessing.shared_memory`` block so
-    worker shards map the matrices instead of receiving pickled copies.
-    The floats are byte-identical either way.
+    and ``C x K``.  Column ``k`` of the count matrix is
+    ``count_columns[k]``; column ``k`` of the location matrix is
+    ``location_columns[location_slots[k]]``, so models that share one
+    component model share one ``P'`` column, tiled here.  ``out_count`` /
+    ``out_location`` are optional preallocated float64 destinations
+    (matching shapes) — the sweep service points them into a
+    ``multiprocessing.shared_memory`` block so worker shards map the
+    matrices instead of receiving pickled copies.  The floats are
+    byte-identical either way.
     """
+    distinct = _np.asarray(location_columns, dtype=_np.float64).T
     return (
-        _transpose_into(count_columns, out_count),
-        _transpose_into(location_columns, out_location),
+        _place(_np.asarray(count_columns, dtype=_np.float64).T, out_count),
+        _place(distinct[:, _np.asarray(location_slots, dtype=_np.intp)], out_location),
     )
 
 
-def _transpose_into(model_columns, out):
-    transposed = _np.asarray(model_columns, dtype=_np.float64).T
+def _place(matrix, out):
     if out is None:
         # ascontiguousarray keeps row indexing (columns[j]) cache-friendly
-        return _np.ascontiguousarray(transposed)
-    if out.shape != transposed.shape:
+        return _np.ascontiguousarray(matrix)
+    if out.shape != matrix.shape:
         raise MDDError(
-            "column buffer has shape %r, expected %r"
-            % (out.shape, transposed.shape)
+            "column buffer has shape %r, expected %r" % (out.shape, matrix.shape)
         )
-    out[...] = transposed
+    out[...] = matrix
     return out
 
 

@@ -242,3 +242,58 @@ class TestParallelFanOut:
         service.truncation_sweep(make_problem(1.5), [2, 3])
         assert service.stats.structures_built == built
         assert service.stats.structure_reuses == 2
+
+
+class TestOnePmfPerPoint:
+    """The sweep path evaluates each point's lethal count pmf exactly once.
+
+    The calls are counted on the distribution class the benchmark
+    problems use; a warm sweep must make one ``pmf_vector(M)`` call per
+    point (its result key's vector, reused for the column and the error
+    bound) and no scalar ``pmf``, ``tail`` or ``cdf`` call at all.
+    """
+
+    NAME, M = "ESEN4x1", 4
+    DENSITIES = [0.1 + 0.03 * index for index in range(32)]
+
+    def factory(self, mean):
+        from repro.soc import benchmark_problem
+
+        return benchmark_problem(self.NAME, mean_defects=mean)
+
+    def count_calls(self, monkeypatch):
+        from collections import Counter
+
+        from repro.distributions import NegativeBinomialDefectDistribution
+
+        calls = Counter()
+        for method in ("pmf", "pmf_vector", "tail", "cdf"):
+            original = getattr(NegativeBinomialDefectDistribution, method)
+
+            def counted(self, k, _original=original, _method=method):
+                calls[(_method, k)] += 1
+                return _original(self, k)
+
+            monkeypatch.setattr(NegativeBinomialDefectDistribution, method, counted)
+        return calls
+
+    def primed_service(self):
+        service = SweepService()
+        service.density_sweep(self.factory, [1.0], max_defects=self.M)
+        return service
+
+    def test_warm_sweep_makes_one_pmf_vector_call_per_point(self, monkeypatch):
+        service = self.primed_service()
+        calls = self.count_calls(monkeypatch)
+        rows = service.density_sweep(self.factory, self.DENSITIES, max_defects=self.M)
+        assert len(rows) == len(self.DENSITIES)
+        assert service.stats.structures_built == 1
+        assert dict(calls) == {("pmf_vector", self.M): len(self.DENSITIES)}
+
+    def test_gradients_make_one_pmf_vector_call_per_model(self, monkeypatch):
+        service = self.primed_service()
+        calls = self.count_calls(monkeypatch)
+        service.gradient_batch(
+            [SweepPoint(self.factory(mean), max_defects=self.M) for mean in self.DENSITIES]
+        )
+        assert dict(calls) == {("pmf_vector", self.M + 1): len(self.DENSITIES)}

@@ -200,7 +200,7 @@ class TestNoneResultCaching:
     def test_memory_cached_none_is_a_hit_not_a_miss(self):
         service = SweepService()
         point = SweepPoint(make_problem(1.0), max_defects=3)
-        service._remember_result(self._rkey(service, point), None)
+        service._remember_results([(self._rkey(service, point), None)])
         results = service.evaluate_batch([point])
         assert results == [None]
         assert service.stats.result_cache_hits == 1
