@@ -57,6 +57,8 @@ more:
 The HTTP front end (:mod:`repro.server`) adds a ``server.*`` namespace
 on the same shared registry: ``server.requests[.<route>]``,
 ``server.responses.<status>``, ``server.rejected`` (admission control),
+``server.over_budget`` / ``server.over_densities`` /
+``server.over_truncation`` (requests past a work bound),
 ``server.coalesced_joins`` / ``server.builds_started`` (request
 coalescing), ``server.inflight`` (gauge) and the
 ``server.request_seconds`` latency histogram — all served by

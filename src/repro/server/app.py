@@ -58,6 +58,14 @@ A structure whose coded-ROBDD build passes the service's ``node_limit``
 before any evaluation runs, and counted as ``server.over_budget``; every
 coalesced joiner of that build gets the same answer.
 
+Two request bounds cap a request's work well below the body size cap,
+each answered with ``422`` before any structure is built: a sweep with
+more than :data:`MAX_SWEEP_DENSITIES` densities (``server.over_densities``,
+checked before any problem is built), and a truncation level ``M`` above
+:data:`MAX_SERVED_TRUNCATION` (``server.over_truncation``; an explicit
+``max_defects`` is checked before any problem is built, an
+``epsilon``-resolved ``M`` right after the problems resolve it).
+
 Shutdown
 --------
 
@@ -83,6 +91,8 @@ from ..engine.service import SweepPoint, SweepService
 from ..engine.supervise import janitor
 
 __all__ = [
+    "MAX_SERVED_TRUNCATION",
+    "MAX_SWEEP_DENSITIES",
     "SERVE_NODE_BUDGET",
     "YieldServer",
     "ServerHandle",
@@ -94,6 +104,16 @@ __all__ = [
 #: Coded-ROBDD node budget of one structure build under ``repro serve``
 #: (the analyzer's ``node_limit``; the paper-table harness uses the same).
 SERVE_NODE_BUDGET = 2_000_000
+
+#: Most densities one ``/v1/sweep`` request may carry.  A 4 MiB body holds
+#: ~200,000 of them, seconds of parent CPU; this caps a request at a
+#: fraction of a second on a warm structure.
+MAX_SWEEP_DENSITIES = 10_000
+
+#: Highest truncation level ``M`` a request may resolve to: the paper's
+#: largest (``M = 10``, at ``lambda' = 2``).  Builds grow steeply with
+#: ``M``, so a larger one would burn seconds before its node budget stops it.
+MAX_SERVED_TRUNCATION = 10
 
 
 def result_to_dict(result, index: int, mean_defects: Optional[float] = None) -> Dict:
@@ -388,40 +408,67 @@ class YieldServer:
             raise HTTPError(400, "'benchmark' must be a string")
         return benchmark
 
-    @staticmethod
-    def _points_builder(
-        benchmark: str, densities: List, payload, what: str
-    ) -> Callable[[], List[SweepPoint]]:
-        """A callable that builds one point per density, for the executor.
+    def _over_truncation(self, truncation: int) -> HTTPError:
+        self.registry.inc("server.over_truncation")
+        return HTTPError(
+            422,
+            "truncation level M=%d is over the served maximum %d"
+            % (truncation, MAX_SERVED_TRUNCATION),
+        )
 
-        Problem construction runs off the event loop; parameter errors
-        still surface as ``400`` (``KeyError`` for an unknown benchmark,
-        ``TypeError``/``ValueError`` for invalid parameters).
+    def _points_builder(
+        self, benchmark: str, densities: List, payload, what: str
+    ) -> Callable[[], Tuple[List[SweepPoint], List[Tuple[Tuple, int]]]]:
+        """A callable that builds and resolves one point per density, for the executor.
+
+        Problem construction and truncation resolution run off the event
+        loop and return ``(points, [(structure key, M), ...])``; parameter
+        errors still surface as ``400`` (``KeyError`` for an unknown
+        benchmark, ``TypeError``/``ValueError`` for invalid parameters).
+        An ``M`` over :data:`MAX_SERVED_TRUNCATION` is ``422``: an explicit
+        ``max_defects`` here, before any problem is built, and an
+        ``epsilon``-resolved one before any structure is built.
         """
         clustering = payload.get("clustering", 4.0)
         max_defects = payload.get("max_defects")
         epsilon = payload.get("epsilon")
+        if max_defects is not None:
+            try:
+                max_defects = int(max_defects)
+            except (TypeError, ValueError) as exc:
+                raise HTTPError(400, "invalid %s parameters: %s" % (what, exc)) from None
+            if max_defects < 0:
+                raise HTTPError(
+                    400, "invalid %s parameters: max_defects must be >= 0" % what
+                )
+            if max_defects > MAX_SERVED_TRUNCATION:
+                raise self._over_truncation(max_defects)
 
-        def build() -> List[SweepPoint]:
+        def build():
             from ..soc import benchmark_problem
 
             try:
-                return [
+                points = [
                     SweepPoint(
                         benchmark_problem(
                             benchmark,
                             mean_defects=float(mean),
                             clustering=float(clustering),
                         ),
-                        max_defects=None if max_defects is None else int(max_defects),
+                        max_defects=max_defects,
                         epsilon=None if epsilon is None else float(epsilon),
                     )
                     for mean in densities
                 ]
+                resolved = [self.service.resolve_point(point) for point in points]
             except KeyError as exc:
                 raise HTTPError(400, str(exc.args[0])) from None
             except (TypeError, ValueError) as exc:
                 raise HTTPError(400, "invalid %s parameters: %s" % (what, exc)) from None
+            deepest = max(truncation for _, truncation in resolved)
+            if deepest > MAX_SERVED_TRUNCATION:
+                raise self._over_truncation(deepest)
+            return points, resolved
 
         return build
 
@@ -431,6 +478,13 @@ class YieldServer:
         densities = payload.get("densities")
         if not isinstance(densities, list) or not densities:
             raise HTTPError(400, "'densities' must be a non-empty list of numbers")
+        if len(densities) > MAX_SWEEP_DENSITIES:
+            self.registry.inc("server.over_densities")
+            raise HTTPError(
+                422,
+                "%d densities are over the per-request maximum %d"
+                % (len(densities), MAX_SWEEP_DENSITIES),
+            )
         try:
             densities = [float(value) for value in densities]
         except (TypeError, ValueError):
@@ -443,22 +497,18 @@ class YieldServer:
         return await loop.run_in_executor(self._executor, func, *args)
 
     async def _prime_structures(
-        self, build: Callable[[], List[SweepPoint]]
+        self, build: Callable[[], Tuple[List[SweepPoint], List[Tuple[Tuple, int]]]]
     ) -> Tuple[List[SweepPoint], Dict[Tuple, List[int]]]:
         """Build the points, coalesce structure builds; return the points
         and ``skey -> point indices``.
 
-        Problem construction and key resolution share one executor call.
-        The in-flight table lives on the event loop, so membership checks
-        and future creation are race-free without locks; the build itself
-        runs on the thread pool.
+        Problem construction and key resolution share one executor call
+        (``build``, see :meth:`_points_builder`).  The in-flight table
+        lives on the event loop, so membership checks and future creation
+        are race-free without locks; the build itself runs on the thread
+        pool.
         """
-
-        def resolve():
-            points = build()
-            return points, [self.service.resolve_point(point) for point in points]
-
-        points, resolved = await self._in_executor(resolve)
+        points, resolved = await self._in_executor(build)
         groups: Dict[Tuple, List[int]] = {}
         waits = []
         for idx, (skey, truncation) in enumerate(resolved):

@@ -357,6 +357,85 @@ class TestNodeBudget:
         assert seen["node_limit"] == app.SERVE_NODE_BUDGET == 2_000_000
 
 
+class TestRequestBounds:
+    """Oversized requests are 422 before the engine does their work."""
+
+    @pytest.fixture
+    def recorded(self, served, monkeypatch):
+        import repro.soc
+
+        built = []
+        real = repro.soc.benchmark_problem
+
+        def recording(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.soc, "benchmark_problem", recording)
+        return served + (built,)
+
+    def test_the_bounds_cover_the_paper(self):
+        from repro.server import app
+
+        assert app.MAX_SERVED_TRUNCATION >= 10  # the paper's largest M
+        assert app.MAX_SWEEP_DENSITIES >= 96
+
+    def test_too_many_densities_are_422_before_any_problem(self, recorded):
+        from repro.server.app import MAX_SWEEP_DENSITIES
+
+        service, handle, built = recorded
+        densities = [1.0] * (MAX_SWEEP_DENSITIES + 1)
+        response, payload = post_json(
+            handle, "/v1/sweep", {"benchmark": BENCH, "densities": densities, "max_defects": 3}
+        )
+        assert response.status == 422
+        assert "densities" in payload["error"]
+        assert built == []
+        assert service.stats.points_requested == 0
+        assert counter_from_stats(handle, "repro_server_over_densities") == 1
+
+    @pytest.mark.parametrize("path", ["/v1/sweep", "/v1/importance"])
+    def test_max_defects_over_the_maximum_is_422_before_any_problem(self, recorded, path):
+        from repro.server.app import MAX_SERVED_TRUNCATION
+
+        service, handle, built = recorded
+        body = {"benchmark": BENCH, "densities": [1.0], "max_defects": MAX_SERVED_TRUNCATION + 1}
+        response, payload = post_json(handle, path, body)
+        assert response.status == 422
+        assert "truncation level" in payload["error"]
+        assert built == []
+        assert service.stats.structures_built == 0
+        assert counter_from_stats(handle, "repro_server_over_truncation") == 1
+
+    @pytest.mark.parametrize("path", ["/v1/sweep", "/v1/importance"])
+    def test_epsilon_resolving_over_the_maximum_is_422_before_any_build(self, recorded, path):
+        from repro.server.app import MAX_SERVED_TRUNCATION
+
+        service, handle, built = recorded
+        mean, epsilon = 20.0, 1e-12
+        point = SweepPoint(benchmark_problem(BENCH, mean_defects=mean), epsilon=epsilon)
+        assert service.resolve_point(point)[1] > MAX_SERVED_TRUNCATION
+        body = {"benchmark": BENCH, "densities": [mean], "mean_defects": mean, "epsilon": epsilon}
+        response, payload = post_json(handle, path, body)
+        assert response.status == 422
+        assert "truncation level" in payload["error"]
+        assert service.stats.structures_built == 0
+        assert service.stats.points_requested == 0
+        assert counter_from_stats(handle, "repro_server_over_truncation") == 1
+
+    @pytest.mark.parametrize(
+        "bad", [{"max_defects": -1}, {"max_defects": "many"}, {"epsilon": 0}, {"epsilon": 1e-300}]
+    )
+    def test_invalid_truncation_parameters_are_400(self, served, bad):
+        service, handle = served
+        body = dict({"benchmark": BENCH, "densities": [1.0]}, **bad)
+        response, payload = post_json(handle, "/v1/sweep", body)
+        assert response.status == 400
+        assert "invalid sweep parameters" in payload["error"]
+        assert service.stats.structures_built == 0
+        assert counter_from_stats(handle, "repro_server_errors") == 0
+
+
 class TestAdmissionControl:
     def test_overflow_gets_429_and_never_touches_the_service(self):
         service = SweepService()
