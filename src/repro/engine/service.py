@@ -1166,7 +1166,7 @@ class SweepService:
                 "skey": skey,
                 "compiled": compiled,
                 "problems": problems,
-                "bounds": [vector[-1] for vector in vectors],
+                "counts": vectors,
                 "indices": list(indices),
                 "fresh": not reused,
                 "models": k,
@@ -1219,7 +1219,7 @@ class SweepService:
             if ok:
                 results = group["compiled"].package_results(
                     [group["problems"][m] for m in ok],
-                    [group["bounds"][m] for m in ok],
+                    [group["counts"][m][-1] for m in ok],
                     [group["probabilities"][m] for m in ok],
                     reused=not (group["fresh"] and ok[0] == 0),
                     per_point=group["evaluate_seconds"] / max(1, k),
@@ -1398,7 +1398,7 @@ class SweepService:
                     # the parent's LRU to serve later batches
                     payloads.append(
                         self._payload(
-                            skey, indices, points, truncations, counts, None, False,
+                            skey, indices, points, truncations, None, False,
                             store_root, True,
                         )
                     )
@@ -1466,7 +1466,6 @@ class SweepService:
                         chunk,
                         points,
                         truncations,
-                        counts,
                         ship,
                         fresh and shard_index == 0,
                         store_root if ship is None else None,
@@ -1537,7 +1536,7 @@ class SweepService:
                         a, b = payload["span"]
                         chunk = [group["indices"][m] for m in range(a, b)]
                         replacement = self._payload(
-                            payload["skey"], chunk, points, truncations, counts,
+                            payload["skey"], chunk, points, truncations,
                             None, False, store_root, False,
                         )
                         group["external_spans"].append((a, b))
@@ -1606,7 +1605,10 @@ class SweepService:
                                 qkey, q_problems[0], truncation
                             )
                             q_results = self._evaluate_group_locally(
-                                compiled, q_problems, payload[12], reused=reused
+                                compiled,
+                                q_problems,
+                                [counts[idx] for idx in q_indices],
+                                reused=reused,
                             )
                         evaluated.extend(zip(q_indices, q_results))
                     for group in shm_groups.values():
@@ -1641,8 +1643,7 @@ class SweepService:
                 )
 
     def _payload(
-        self, skey, indices, points, truncations, counts, compiled, fresh, store_root,
-        adopt,
+        self, skey, indices, points, truncations, compiled, fresh, store_root, adopt
     ):
         return (
             skey,
@@ -1657,7 +1658,6 @@ class SweepService:
             store_root,
             adopt,
             obs_trace.active() is not None,
-            [counts[idx] for idx in indices],
         )
 
     # ------------------------------------------------------------------ #
@@ -1812,7 +1812,6 @@ def _evaluate_shard_pickled(payload):
         store_root,
         adopt,
         _trace,
-        counts,
     ) = payload
     _worker_native_setup(store_root)
     registry = MetricsRegistry()
@@ -1862,7 +1861,9 @@ def _evaluate_shard_pickled(payload):
         fused_before = _fused_passes_of(compiled)
         native_before = _native_passes_of(compiled)
         started = time.perf_counter()
-        results = compiled.evaluate_many(problems, counts=counts, reused=not fresh)
+        # a pickled shard holds only problems: their vectors are computed
+        # here, by the helper the parent's result keys use
+        results = compiled.evaluate_many(problems, reused=not fresh)
         wstats.worker_evaluate_seconds += time.perf_counter() - started
         wstats.batched_passes += 1
         wstats.linearize_builds += compiled.linearize_builds - builds_before

@@ -358,6 +358,16 @@ class TestFaultInjectionEndToEnd:
         assert counters.get("fault.shard_error", 0) >= 1
         assert counters.get("retry.attempts", 0) >= 1
 
+    def test_exhausted_pickled_shards_are_evaluated_in_parent(self, tmp_path, clean):
+        counters = self._run_faulted(
+            tmp_path,
+            clean,
+            {"shard.unpickle": {"at": list(range(1, 40))}},
+            use_shared_memory=False,
+            max_retries=0,
+        )
+        assert counters.get("fault.quarantined", 0) >= 1
+
     def test_shm_creation_failure_degrades_to_pickled(self, tmp_path, clean):
         counters = self._run_faulted(tmp_path, clean, {"shm.create": {"at": [1]}})
         assert counters.get("fault.shm_create", 0) >= 1
