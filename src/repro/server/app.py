@@ -435,7 +435,7 @@ class YieldServer:
         if max_defects is not None:
             try:
                 max_defects = int(max_defects)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise HTTPError(400, "invalid %s parameters: %s" % (what, exc)) from None
             if max_defects < 0:
                 raise HTTPError(

@@ -424,7 +424,14 @@ class TestRequestBounds:
         assert counter_from_stats(handle, "repro_server_over_truncation") == 1
 
     @pytest.mark.parametrize(
-        "bad", [{"max_defects": -1}, {"max_defects": "many"}, {"epsilon": 0}, {"epsilon": 1e-300}]
+        "bad",
+        [
+            {"max_defects": -1},
+            {"max_defects": "many"},
+            {"max_defects": float("inf")},
+            {"epsilon": 0},
+            {"epsilon": 1e-300},
+        ],
     )
     def test_invalid_truncation_parameters_are_400(self, served, bad):
         service, handle = served
