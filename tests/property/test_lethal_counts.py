@@ -9,6 +9,7 @@ and the count column is the per-model column built from ``pmf`` calls
 (:func:`thinned_count_columns`, the oracle).
 """
 
+import functools
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -36,18 +37,14 @@ def build_tree():
 
 
 TREE = build_tree()
-_COMPILED = {}
 
 
+@functools.lru_cache(maxsize=None)
 def compiled_at(truncation):
-    if truncation not in _COMPILED:
-        problem = YieldProblem(
-            TREE, ComponentDefectModel({"A": 0.5, "B": 0.5}), PoissonDefectDistribution(1.0)
-        )
-        _COMPILED[truncation] = YieldAnalyzer(ORDERING).compile_for_truncation(
-            problem, truncation
-        )
-    return _COMPILED[truncation]
+    problem = YieldProblem(
+        TREE, ComponentDefectModel({"A": 0.5, "B": 0.5}), PoissonDefectDistribution(1.0)
+    )
+    return YieldAnalyzer(ORDERING).compile_for_truncation(problem, truncation)
 
 
 def thinned_count_columns(distributions, truncation):
