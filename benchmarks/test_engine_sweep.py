@@ -198,6 +198,24 @@ def test_batched_engine_with_sharding_beats_per_point_traversal(benchmark):
     assert speedup >= 3.0
 
 
+def _merge_into_sweep_record(**entries):
+    """Add ``entries`` to ``BENCH_sweep.json``, keeping what is there."""
+    try:
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        path = os.path.join(RESULTS_DIR, "BENCH_sweep.json")
+        merged = {}
+        try:
+            with open(path) as existing:
+                merged = json.load(existing)
+        except (OSError, ValueError):
+            pass
+        merged.update(entries)
+        with open(path, "w") as out:
+            json.dump(merged, out, indent=2, sort_keys=True)
+    except OSError:  # pragma: no cover - reporting must never fail a benchmark
+        pass
+
+
 #: Acceptance bar of the supervision layer: on a fault-free sweep the
 #: supervised dispatch (deadlines, watchdog polling, retry accounting) must
 #: cost at most 5% over the bare ``pool.map`` it replaced, plus a small
@@ -292,20 +310,7 @@ def test_supervised_dispatch_overhead_within_bound(monkeypatch):
             "fault_counters": service.registry.counters_with_prefix("fault."),
             "retry_counters": service.registry.counters_with_prefix("retry."),
         }
-        try:
-            os.makedirs(RESULTS_DIR, exist_ok=True)
-            path = os.path.join(RESULTS_DIR, "BENCH_sweep.json")
-            merged = {}
-            try:
-                with open(path) as existing:
-                    merged = json.load(existing)
-            except (OSError, ValueError):
-                pass
-            merged["supervision"] = record
-            with open(path, "w") as out:
-                json.dump(merged, out, indent=2, sort_keys=True)
-        except OSError:  # pragma: no cover - reporting must never fail a benchmark
-            pass
+        _merge_into_sweep_record(supervision=record)
 
         # a clean sweep must not trip the fault machinery at all
         assert service.registry.counter("fault.quarantined") == 0
@@ -317,6 +322,113 @@ def test_supervised_dispatch_overhead_within_bound(monkeypatch):
         )
     finally:
         service.close()
+
+
+#: Point counts and timed rounds of the pool-vs-serial ratio.
+POOL_VS_SERIAL_POINTS = (96, 960, 4800)
+POOL_VS_SERIAL_ROUNDS = 25
+
+
+def test_default_pool_against_serial_in_process(tmp_path):
+    """A default-configured pool must not be slower than serial in-process.
+
+    Both services are primed (structure held, pool spawned, the pool's
+    dispatch ledger seeded by its own sweeps); every round sweeps fresh
+    densities through both, alternating which goes first, and the best of
+    the rounds is kept per route and point count.  ``pool_vs_serial`` is
+    the smallest best-serial / best-pool ratio over the point counts.
+    """
+    import gc
+    import random
+
+    factory = _factory(MULTI_MODEL_BENCHMARK)
+    truncation = MULTI_MODEL_MAX_DEFECTS
+    ordering = OrderingSpec("w", "ml")
+    draw = random.Random(17)
+    routes = {
+        "serial": SweepService(ordering=ordering, epsilon=PAPER_EPSILON),
+        "pool": SweepService(
+            ordering=ordering,
+            epsilon=PAPER_EPSILON,
+            workers=2,
+            store_dir=str(tmp_path / "store"),
+        ),
+    }
+    pool = routes["pool"]
+    try:
+        if pool.ensure_workers() is None:
+            pytest.skip("platform cannot spawn worker processes")
+
+        def sweep_round(points, order):
+            densities = [draw.uniform(0.25, 5.0) for _ in range(points)]
+            seconds, rows = {}, {}
+            for route in order:
+                service = routes[route]
+                service._results.clear()
+                gc.collect()
+                started = time.perf_counter()
+                rows[route] = service.density_sweep(
+                    factory, densities, max_defects=truncation
+                )
+                seconds[route] = time.perf_counter() - started
+            assert rows["pool"] == rows["serial"]  # bit for bit
+            return seconds
+
+        for points in POOL_VS_SERIAL_POINTS:
+            sweep_round(points, ("serial", "pool"))
+        best = {points: {} for points in POOL_VS_SERIAL_POINTS}
+        for round_index in range(POOL_VS_SERIAL_ROUNDS):
+            order = ("serial", "pool") if round_index % 2 == 0 else ("pool", "serial")
+            for points in POOL_VS_SERIAL_POINTS:
+                for route, seconds in sweep_round(points, order).items():
+                    best[points][route] = min(best[points].get(route, seconds), seconds)
+    finally:
+        pool.close()
+
+    by_points = {
+        str(points): {
+            "serial_seconds": times["serial"],
+            "pool_seconds": times["pool"],
+            "ratio": times["serial"] / times["pool"],
+        }
+        for points, times in best.items()
+    }
+    pool_vs_serial = min(entry["ratio"] for entry in by_points.values())
+    registry = pool.registry
+    ledger = {
+        "counters": {
+            name: registry.counter(name)
+            for name in (
+                "dispatch.groups_in_process",
+                "dispatch.groups_sharded",
+                "service.shards.dispatched",
+            )
+        },
+        "gauges": {
+            name: value
+            for name, value in registry.snapshot()["gauges"].items()
+            if name.startswith(("kernel.seconds_per_cell", "dispatch.overhead_seconds"))
+        },
+    }
+    print_table(
+        "Default pool vs serial in-process — %s M=%d, best of %d"
+        % (MULTI_MODEL_BENCHMARK, truncation, POOL_VS_SERIAL_ROUNDS),
+        ("points", "serial (s)", "pool (s)", "serial / pool"),
+        [
+            (
+                points,
+                round(entry["serial_seconds"], 4),
+                round(entry["pool_seconds"], 4),
+                "%.2f" % entry["ratio"],
+            )
+            for points, entry in by_points.items()
+        ],
+    )
+    _merge_into_sweep_record(
+        pool_vs_serial=pool_vs_serial,
+        pool_vs_serial_by_points=by_points,
+        pool_ledger=ledger,
+    )
 
 
 def test_sifting_recovers_from_worst_static_ordering():

@@ -41,14 +41,16 @@ _SKIP_KEYS = {"benchmark", "numpy_path_available", "native_available"}
 
 #: Higher-is-better ratio metrics the ``--gate`` mode enforces floors on.
 #: All are dimensionless (speedup over an in-run reference, payload shrink
-#: factor), so a committed floor transfers between machines; absolute
-#: seconds deliberately stay trend-only.
+#: factor, a default worker pool against serial in-process sweeps), so a
+#: committed floor transfers between machines; absolute seconds
+#: deliberately stay trend-only.
 GATED_KEYS = (
     "native_speedup",
     "native_backward_speedup",
     "build_speedup",
     "payload_shrink",
     "speedup",
+    "pool_vs_serial",
 )
 
 

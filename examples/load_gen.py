@@ -12,8 +12,10 @@ Every client round issues one ``POST /v1/sweep`` (half the clients with
 ``"stream": true``, exercising the NDJSON path) and one
 ``POST /v1/importance``.  All clients request the **same** benchmark and
 densities, so the server's per-structure-key request coalescing is under
-real concurrent fire; afterwards the script scrapes ``/stats`` and
-reports the build/coalesce counters.
+real concurrent fire; afterwards the script prints client-side latency
+percentiles (p50/p90/p99) per request kind — sweep, streamed sweep and
+importance — and scrapes ``/stats`` for the build/coalesce counters and
+the server's own ``server.request_seconds`` count and sum.
 
 ``--verify`` additionally computes the same batch in-process through a
 serial :class:`repro.engine.service.SweepService` and asserts the HTTP
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import threading
@@ -113,11 +116,14 @@ class Tally:
         self.retries = 0
         self.backoff_seconds = 0.0
         self.errors = []
+        #: client-side seconds of each successful request, per kind
+        self.latencies = {"sweep": [], "stream": [], "importance": []}
 
-    def record(self, status, context):
+    def record(self, status, context, kind, seconds):
         with self.lock:
             if status == 200:
                 self.ok += 1
+                self.latencies[kind].append(seconds)
             elif status == 429:
                 # still rejected after every Retry-After-honoring attempt
                 self.rejected += 1
@@ -136,14 +142,28 @@ class Tally:
             self.errors.append("%s -> %r" % (context, exc))
 
 
+def _timed(base, path, payload, tally):
+    """One request through :func:`_request_with_backoff`, with its latency."""
+    started = time.perf_counter()
+    status, body = _request_with_backoff(base, "POST", path, payload, tally)
+    return status, body, time.perf_counter() - started
+
+
+def _percentile(values, fraction):
+    """Nearest-rank percentile of a non-empty list."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+
+
 def _client(base, client_id, rounds, sweep_payload, importance_payload, tally, responses):
     stream = client_id % 2 == 1
     payload = dict(sweep_payload, stream=stream)
+    kind = "stream" if stream else "sweep"
     for round_index in range(rounds):
         context = "client %d round %d" % (client_id, round_index)
         try:
-            status, body = _request_with_backoff(base, "POST", "/v1/sweep", payload, tally)
-            tally.record(status, context + " sweep")
+            status, body, seconds = _timed(base, "/v1/sweep", payload, tally)
+            tally.record(status, context + " sweep", kind, seconds)
             if status == 200:
                 points = body if stream else body["points"]
                 with tally.lock:
@@ -151,10 +171,10 @@ def _client(base, client_id, rounds, sweep_payload, importance_payload, tally, r
         except Exception as exc:
             tally.crash(context + " sweep", exc)
         try:
-            status, body = _request_with_backoff(
-                base, "POST", "/v1/importance", importance_payload, tally
+            status, body, seconds = _timed(
+                base, "/v1/importance", importance_payload, tally
             )
-            tally.record(status, context + " importance")
+            tally.record(status, context + " importance", "importance", seconds)
             if status == 200:
                 with tally.lock:
                     responses.append(body["ranking"])
@@ -318,6 +338,16 @@ def _run_burst(args):
         )
     for line in tally.errors[:10]:
         print("  FAIL %s" % line)
+    for kind, seconds in tally.latencies.items():
+        if seconds:
+            print(
+                "  latency %-10s n=%-3d p50 %7.1f ms  p90 %7.1f ms  p99 %7.1f ms"
+                % (
+                    kind,
+                    len(seconds),
+                    *(1e3 * _percentile(seconds, q) for q in (0.5, 0.9, 0.99)),
+                )
+            )
 
     status, raw, _ = _request(args.base_url, "GET", "/stats", timeout=10.0)
     if status == 200:
@@ -328,6 +358,8 @@ def _run_burst(args):
             "repro_server_coalesced_joins",
             "repro_server_rejected",
             "repro_server_requests ",
+            "repro_server_request_seconds_count",
+            "repro_server_request_seconds_sum",
         )
         for line in text.splitlines():
             if any(line.startswith(name) for name in wanted):

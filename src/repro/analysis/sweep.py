@@ -51,7 +51,7 @@ def defect_density_sweep(
     ordering: Optional[OrderingSpec] = None,
     service: Optional[SweepService] = None,
     workers: int = 0,
-    shard_size: int = 16,
+    shard_size: Optional[int] = None,
 ) -> List[Tuple[float, float, int]]:
     """Return ``(mean_defects, yield_estimate, M)`` over a defect-density sweep.
 
@@ -62,8 +62,9 @@ def defect_density_sweep(
     batched bottom-up pass.  ``epsilon`` defaults to the service's configured
     budget (1e-4 for a fresh service); passing it explicitly overrides per
     point.  ``workers`` / ``shard_size`` configure the multiprocessing
-    fan-out with intra-group point sharding (ignored when an explicit
-    ``service`` is supplied).
+    fan-out with intra-group point sharding, cost-gated unless
+    ``shard_size`` is given (ignored when an explicit ``service`` is
+    supplied).
     """
     if service is None:
         service = SweepService(

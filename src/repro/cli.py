@@ -10,10 +10,10 @@ Python:
 * ``sweep NAME``        — evaluate a defect-density sweep through the
   engine's batch service: one diagram build per truncation level, all defect
   models of a build evaluated in a single batched kernel pass, optional
-  ``--workers``/``--jobs`` fan-out with intra-group point sharding
-  (``--shard-size``, zero-copy shared-memory dispatch unless
-  ``--no-shared-memory``), a ``--cache-dir`` result cache and ``--stats``
-  engine diagnostics;
+  ``--workers``/``--jobs`` fan-out with cost-gated intra-group point
+  sharding (or a fixed ``--shard-size``; zero-copy shared-memory dispatch
+  unless ``--no-shared-memory``), a ``--cache-dir`` result cache and
+  ``--stats`` engine diagnostics;
 * ``importance NAME``   — rank the components of a benchmark by yield
   sensitivity (analytic reverse-mode gradients over the linearized ROMDD,
   or ``--fd`` for the legacy central finite difference) and by hardening
@@ -135,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--shard-size",
         type=int,
-        default=16,
+        default=None,
         metavar="POINTS",
-        help="minimum points per intra-group worker shard (default 16)",
+        help="minimum points per intra-group worker shard (default: cost-gated)",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -348,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shard-size",
         type=int,
-        default=16,
+        default=None,
         metavar="POINTS",
-        help="minimum points per intra-group worker shard (default 16)",
+        help="minimum points per intra-group worker shard (default: cost-gated)",
     )
     serve.add_argument(
         "--cache-dir",

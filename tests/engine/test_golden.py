@@ -234,3 +234,13 @@ def test_golden_sweep_digest_on_the_shared_memory_route(tmp_path):
     assert service.stats.points_sharded == len(SWEEP)
     assert service.stats.shm_bytes > 0
     assert results_digest(results) == SWEEP_DIGESTS[name][0]
+
+
+def test_golden_sweep_digest_on_the_default_pooled_route(tmp_path):
+    name = "ESEN4x1"
+    service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
+    try:
+        results = service.evaluate_batch(sweep_points(name, GOLDEN[name]["truncation"]))
+    finally:
+        service.close()
+    assert results_digest(results) == SWEEP_DIGESTS[name][0]
