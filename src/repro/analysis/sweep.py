@@ -62,9 +62,8 @@ def defect_density_sweep(
     batched bottom-up pass.  ``epsilon`` defaults to the service's configured
     budget (1e-4 for a fresh service); passing it explicitly overrides per
     point.  ``workers`` / ``shard_size`` configure the multiprocessing
-    fan-out with intra-group point sharding, cost-gated unless
-    ``shard_size`` is given (ignored when an explicit ``service`` is
-    supplied).
+    fan-out, with intra-group point sharding only when ``shard_size`` is
+    given (ignored when an explicit ``service`` is supplied).
     """
     if service is None:
         service = SweepService(

@@ -10,8 +10,8 @@ Python:
 * ``sweep NAME``        — evaluate a defect-density sweep through the
   engine's batch service: one diagram build per truncation level, all defect
   models of a build evaluated in a single batched kernel pass, optional
-  ``--workers``/``--jobs`` fan-out with cost-gated intra-group point
-  sharding (or a fixed ``--shard-size``; zero-copy shared-memory dispatch
+  ``--workers``/``--jobs`` fan-out of structure builds (a fixed
+  ``--shard-size`` also shards points, through zero-copy shared memory
   unless ``--no-shared-memory``), a ``--cache-dir`` result cache and
   ``--stats`` engine diagnostics;
 * ``importance NAME``   — rank the components of a benchmark by yield
@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="POINTS",
-        help="minimum points per intra-group worker shard (default: cost-gated)",
+        help="shard groups of 2*POINTS or more over the workers (default: "
+        "no point shards; a held structure runs in-process)",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -350,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="POINTS",
-        help="minimum points per intra-group worker shard (default: cost-gated)",
+        help="shard groups of 2*POINTS or more over the workers (default: "
+        "no point shards; a held structure runs in-process)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -454,7 +456,8 @@ def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="URL",
         help="dispatch shards of large groups to this `repro worker` "
-        "(repeatable; requires --store-dir shared with the workers)",
+        "(repeatable; requires --shard-size and a --store-dir shared with "
+        "the workers)",
     )
     parser.add_argument(
         "--heartbeat-interval",

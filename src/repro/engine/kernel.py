@@ -290,6 +290,10 @@ class DDKernel:
         # this way, on instances whose __dict__ may still be empty
         loaded = self.__dict__.get("_loaded")
         if loaded is None or name not in self._NODE_TABLES:
+            if loaded is None and name in self.__dict__:
+                # a concurrent first read built the tables after this
+                # lookup missed them (it drops the arrays only after)
+                return self.__dict__[name]
             raise AttributeError(name)
         tables = self._materialise(loaded)
         # tables first, then drop the arrays: a concurrent first read builds

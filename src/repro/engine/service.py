@@ -21,9 +21,12 @@ needs **one** diagram build, not one per point.
 * independent groups can fan out over ``multiprocessing`` workers — each
   worker builds its group's structure once and evaluates all of the group's
   points in-process;
-* a group on a structure the parent holds is split over the workers only
-  when :func:`shard_pays` (an explicit ``shard_size`` splits by size).  The
-  parent builds the structure once; without a store the pickled
+* a group on a structure the parent already holds runs its pass in the
+  parent, outside the dispatch lock: at every measured K one batched pass
+  costs less than a dispatch.  Only an explicit ``shard_size`` shards a
+  large group's points across workers (``shard_size`` points minimum per
+  shard) or remote workers.  The parent builds the structure once;
+  without a store the pickled
   :class:`~repro.core.method.CompiledYield` ships with every shard, with a
   store (``store_dir``) the shard payload carries only a store *reference*
   and each worker warm-starts the structure from disk — slimming the
@@ -126,30 +129,6 @@ def _native_passes_of(compiled) -> int:
     """Current native-pass count of a structure's linearization (0 if none)."""
     linearized = getattr(compiled, "_linearized", None)
     return linearized.native_passes if linearized is not None else 0
-
-
-def _nodes_of(compiled) -> int:
-    """Nodes one model's pass visits (the ROMDD size before linearization)."""
-    linearized = getattr(compiled, "_linearized", None)
-    return linearized.node_count if linearized is not None else compiled.romdd_size
-
-
-#: The dispatch ledger (registry gauges; unset means "no sample").
-SECONDS_PER_CELL = "kernel.seconds_per_cell"
-OVERHEAD_SECONDS = "dispatch.overhead_seconds."
-
-
-def shard_pays(models, nodes, seconds_per_cell, overhead, workers) -> bool:
-    """Whether the kernel time a split saves, ``models x nodes x
-    seconds_per_cell x (1 - 1/workers)``, exceeds the route's ``overhead``.
-
-    No kernel sample (``None``): run in-process, which takes one.  No
-    overhead sample: count it as zero, so one split teaches the route.
-    """
-    if workers <= 1 or not seconds_per_cell:
-        return False
-    saved = models * nodes * seconds_per_cell * (1.0 - 1.0 / workers)
-    return saved > (overhead or 0.0)
 
 
 def _annotate_kernel(span, compiled) -> None:
@@ -442,12 +421,12 @@ class SweepService:
         batch and torn down by :meth:`close`.  Falls back to serial
         execution if the platform cannot spawn workers.
     shard_size:
-        ``None`` (the default): a group on a structure the parent holds is
-        split over the workers only when :func:`shard_pays` on the
-        service's measured ``kernel.seconds_per_cell`` and
-        ``dispatch.overhead_seconds.<route>`` gauges, else run in-process.
-        An integer: a group of at least ``2 * shard_size`` points is split
-        into up to ``workers`` chunks, smaller groups stay whole.
+        ``None`` (the default): a group whose structure the service holds
+        runs in-process, outside the dispatch lock; the pool receives only
+        whole groups it must build, and remote workers receive nothing.
+        An integer pins the fixed split rule the shard routes are tested
+        with: a group of at least ``2 * shard_size`` points is split into
+        up to ``workers`` chunks, smaller groups stay whole.
     cache_dir:
         Optional directory for the on-disk result cache (created on
         demand).  Results are pickled per key; corrupt or unreadable
@@ -476,7 +455,7 @@ class SweepService:
         store — falls back to the local pool and then in-parent, so
         results are identical with or without the fabric.  Requires
         ``store_dir`` (workers resolve structures by digest from the
-        shared store).
+        shared store) and an explicit ``shard_size``.
     heartbeat_interval:
         Seconds between liveness probes of the remote workers.
     max_structures:
@@ -594,13 +573,6 @@ class SweepService:
         #: Epoch seconds of the last pool respawn, for health reporting
         #: (``/healthz`` downgrades to ``degraded`` for a window after one).
         self._last_respawn: Optional[float] = None
-        #: The cost gate of the default ``shard_size`` runs only where a
-        #: dispatch route exists; serial services take no ledger sample.
-        self._gated = self.shard_size is None and (
-            self.workers > 1 or bool(self.remote_workers and self._store)
-        )
-        #: EWMA weights behind the ledger gauges (see :meth:`_learn`).
-        self._ledger_weights: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -659,15 +631,11 @@ class SweepService:
             counts = [rkey[-2] for rkey in keys]
             groups = list(pending.items())
             evaluated = []
+            # the remote fabric gets first claim on sharded groups; what
+            # it cannot finish (no workers, failed shards, small groups)
+            # continues on the local routes unchanged
             fabric = self._fabric_scheduler()
-            if self._gated:
-                evaluated, groups = self._run_gated(
-                    groups, points, truncations, counts, fabric
-                )
-            elif fabric is not None and self._ladder.allows("remote"):
-                # the remote fabric gets first claim on sharded groups; what
-                # it cannot finish (no workers, failed shards, small groups)
-                # continues on the local routes unchanged
+            if fabric is not None and self._ladder.allows("remote"):
                 remote_evaluated, groups = self._run_fabric(
                     groups, points, truncations, counts, fabric
                 )
@@ -1070,33 +1038,17 @@ class SweepService:
         # saving linearizes on demand; surface that build in the counters
         self.stats.linearize_builds += compiled.linearize_builds - builds_before
 
-    def _evaluate_group_locally(
-        self, compiled, problems, counts, *, reused: bool, decision=None
-    ):
+    def _evaluate_group_locally(self, compiled, problems, counts, *, reused: bool):
         """One batched pass over a group's defect models, with bookkeeping."""
         builds_before = compiled.linearize_builds
         reuses_before = compiled.linearize_reuses
         fused_before = _fused_passes_of(compiled)
         native_before = _native_passes_of(compiled)
-        k = len(problems)
         started = time.perf_counter()
-        with obs_trace.span("service.evaluate", models=k, **(decision or {})) as span:
-            # evaluate_many, timing the pass in CPU time: a served pass also
-            # waits for other threads to drop the GIL, which no split saves
-            count, location = compiled.model_matrices(problems, counts)
-            passed = time.thread_time()
-            probabilities = compiled.evaluate_probabilities(count, location, k)
-            kernel = time.thread_time() - passed
-            results = compiled.package_results(
-                problems, [vector[-1] for vector in counts], probabilities,
-                reused=reused, per_point=(time.perf_counter() - started) / k,
-            )
+        with obs_trace.span("service.evaluate", models=len(problems)) as span:
+            results = compiled.evaluate_many(problems, counts=counts, reused=reused)
             _annotate_kernel(span, compiled)
         self.stats.evaluate_seconds += time.perf_counter() - started
-        cells = k * _nodes_of(compiled)
-        # the gate's ledger; a pass that linearized first would skew it
-        if self._gated and cells and compiled.linearize_builds == builds_before:
-            self._learn(SECONDS_PER_CELL, kernel, cells)
         self.stats.batched_passes += 1
         self.stats.linearize_builds += compiled.linearize_builds - builds_before
         self.stats.linearize_reuses += compiled.linearize_reuses - reuses_before
@@ -1123,7 +1075,7 @@ class SweepService:
             while len(self._results) > self.max_results:
                 self._results.popitem(last=False)
 
-    def _run_serial(self, groups, points, truncations, counts, decisions=None):
+    def _run_serial(self, groups, points, truncations, counts):
         evaluated = []
         for skey, indices in groups:
             first = indices[0]
@@ -1136,84 +1088,19 @@ class SweepService:
                     [points[idx].problem for idx in indices],
                     [counts[idx] for idx in indices],
                     reused=reused,
-                    decision=(decisions or {}).get(skey),
                 )
             evaluated.extend(zip(indices, results))
         return evaluated
 
-    def _learn(self, gauge: str, seconds: float, weight: float = 1.0) -> None:
-        """Set a ledger gauge to an EWMA of ``seconds`` over one of ``weight``:
-        a pass weighs its cells, so small passes' fixed cost does not skew
-        the rate large groups extrapolate.  A seeded gauge has no weight."""
-        alpha = ShardSupervisor.LATENCY_ALPHA
-        with self._lock:
-            kept = (1.0 - alpha) * self._ledger_weights.get(gauge, 0.0)
-            total = self._ledger_weights[gauge] = kept + alpha * weight
-            rate = self.registry.gauge(gauge) or 0.0
-            self.registry.set_gauge(gauge, (kept * rate + alpha * seconds) / total)
-
-    def _dispatch_route(self, fabric) -> Tuple[Optional[str], int]:
-        """The route a sharded group would take now, and its worker count."""
-        if fabric is not None and self._ladder.allows("remote"):
-            live = len(fabric.live_workers())
-            if live:
-                return "remote", live
-            # keep probing so returning workers are re-admitted
-            fabric.monitor.ensure()
-        if self.workers <= 1 or self._pool_broken:
-            return None, 1
-        shm = self._store is not None and self.use_shared_memory
-        shm = shm and self._ladder.allows("shm")
-        return ("shm" if shm else "pickled"), self.workers
-
-    def _run_gated(self, groups, points, truncations, counts, fabric):
-        """Decide each group on a held structure by :func:`shard_pays`,
-        before any dispatch lock, shared-memory block or pickle.  Returns
-        ``(evaluated, unheld groups)``; the latter fan out whole, as before.
-        """
-        route, workers = self._dispatch_route(fabric)
-        seconds_per_cell = self.registry.gauge(SECONDS_PER_CELL)
-        overhead = self.registry.gauge(OVERHEAD_SECONDS + route) if route else None
-        local, sharded, fanout = [], [], []
-        decisions: Dict[Tuple, Dict] = {}
-        for skey, indices in groups:
-            with self._lock:
-                compiled = self._structures.get(skey)
-            if compiled is None:
-                fanout.append((skey, indices))
-                continue
-            nodes = _nodes_of(compiled)
-            pays = shard_pays(len(indices), nodes, seconds_per_cell, overhead, workers)
-            kernel = len(indices) * nodes * (seconds_per_cell or 0.0)
-            decisions[skey] = dict(
-                route=route if pays else "in-process",
-                candidate=route,
-                predicted_kernel_ms=kernel * 1e3,
-                overhead_ms=None if overhead is None else overhead * 1e3,
-            )
-            (sharded if pays else local).append((skey, indices))
-        self.registry.inc("dispatch.groups_in_process", len(local))
-        self.registry.inc("dispatch.groups_sharded", len(sharded))
-        evaluated = []
-        if sharded:
-            args = (sharded, points, truncations, counts)
-            decision = decisions[sharded[0][0]]
-            if route == "remote":
-                evaluated, leftover = self._run_fabric(*args, fabric, decision)
-                local.extend(leftover)
-            else:
-                evaluated = self._run_parallel(*args, decision)
-        evaluated += self._run_serial(local, points, truncations, counts, decisions)
-        return evaluated, fanout
-
     def _fabric_scheduler(self):
         """The remote shard fabric, created lazily (``None`` if unusable).
 
-        The fabric needs configured workers and a structure store (workers
-        resolve structures by digest).  Rebuilt after :meth:`close`, so a
-        respawned service keeps its remote route.
+        The fabric needs configured workers, a structure store (workers
+        resolve structures by digest) and an explicit ``shard_size``.
+        Rebuilt after :meth:`close`, so a respawned service keeps its
+        remote route.
         """
-        if not self.remote_workers or self._store is None:
+        if not self.remote_workers or self._store is None or self.shard_size is None:
             return None
         with self._lock:
             if self._fabric is None:
@@ -1230,7 +1117,7 @@ class SweepService:
                 )
             return self._fabric
 
-    def _run_fabric(self, groups, points, truncations, counts, fabric, decision=None):
+    def _run_fabric(self, groups, points, truncations, counts, fabric):
         """Dispatch sharded groups to the remote fabric.
 
         Returns ``(evaluated, leftover)``: results for every model span a
@@ -1239,7 +1126,7 @@ class SweepService:
         or loads each group's structure once, persists it to the shared
         store, assembles the model matrices, and ships per-span column
         slices — workers run only the kernel pass, so a remote result is
-        bit-for-bit the local one.  ``decision`` marks a gated split.
+        bit-for-bit the local one.
         """
         from .fabric import FabricShard
         from .store import digest_of
@@ -1256,7 +1143,7 @@ class SweepService:
         fabric_groups = []
         live = max(1, len(fabric.live_workers()))
         for skey, indices in groups:
-            if decision is None and len(indices) < self.shard_size:
+            if len(indices) < self.shard_size:
                 leftover.append((skey, indices))
                 continue
             first = indices[0]
@@ -1295,8 +1182,9 @@ class SweepService:
             }
             fabric_groups.append(group)
             digest = digest_of(skey)
-            chunks = k if decision is not None else k // self.shard_size
-            for chunk in _chunked(list(range(k)), max(1, min(2 * live, chunks))):
+            for chunk in _chunked(
+                list(range(k)), max(1, min(2 * live, k // self.shard_size))
+            ):
                 a, b = chunk[0], chunk[-1] + 1
                 shards.append(
                     FabricShard(
@@ -1318,12 +1206,7 @@ class SweepService:
             return [], leftover
 
         started = time.perf_counter()
-        with obs_trace.span("service.dispatch", shards=len(shards), **(decision or {})):
-            successes, failures = fabric.dispatch(shards)
-        if decision is not None and not failures:
-            longest = max(shard.evaluate_seconds for shard in successes)
-            wall = time.perf_counter() - started
-            self._learn(OVERHEAD_SECONDS + "remote", max(0.0, wall - longest))
+        successes, failures = fabric.dispatch(shards)
         for shard in successes:
             group = shard.group
             a, b = shard.span
@@ -1363,6 +1246,12 @@ class SweepService:
         if successes:
             self.stats.points_sharded += sum(s.models for s in successes)
         return evaluated, leftover
+
+    def _shard_count(self, num_points: int) -> int:
+        """How many worker shards a group of ``num_points`` points gets."""
+        if self.workers <= 1 or self.shard_size is None:
+            return 1
+        return min(self.workers, max(1, num_points // self.shard_size))
 
     def _prepare_shm_group(self, compiled, indices, points, counts, fresh):
         """Stage one sharded group's matrices in a shared-memory block.
@@ -1481,19 +1370,28 @@ class SweepService:
                 (group["indices"][m], result) for m, result in zip(retry, results)
             )
 
-    def _run_parallel(self, groups, points, truncations, counts, decision=None):
-        # one supervised dispatch at a time: the supervisor respawns the
-        # shared pool on faults, which two concurrent dispatch loops would
-        # race; concurrent batches queue here while serial-route batches
-        # (different keys) keep running in parallel
-        with self._dispatch_lock:
-            return self._run_parallel_locked(
-                groups, points, truncations, counts, decision
-            )
+    def _run_parallel(self, groups, points, truncations, counts):
+        evaluated = []
+        if self.shard_size is None:
+            # a held structure needs one in-process pass, cheaper than any
+            # dispatch; it runs here, so it never queues for the lock below
+            with self._lock:
+                held = [group for group in groups if group[0] in self._structures]
+            groups = [group for group in groups if group not in held]
+            self.registry.inc("dispatch.groups_in_process", len(held))
+            evaluated = self._run_serial(held, points, truncations, counts)
+        if groups:
+            # one supervised dispatch at a time: the supervisor respawns the
+            # shared pool on faults, which two concurrent dispatch loops
+            # would race; concurrent batches queue here while serial-route
+            # batches (different keys) keep running in parallel
+            with self._dispatch_lock:
+                evaluated += self._run_parallel_locked(
+                    groups, points, truncations, counts
+                )
+        return evaluated
 
-    def _run_parallel_locked(self, groups, points, truncations, counts, decision=None):
-        """Dispatch ``groups``; ``decision`` marks a gated split (see
-        :meth:`_run_gated`), other groups of a gated service go whole."""
+    def _run_parallel_locked(self, groups, points, truncations, counts):
         # settle pool availability before any stats-mutating shard prep, so
         # a platform that cannot spawn workers falls back to the serial
         # route without double-counting structure/linearization work
@@ -1508,9 +1406,8 @@ class SweepService:
         for skey, indices in groups:
             with self._lock:
                 compiled = self._structures.get(skey)
-            per_shard = 1 if decision else self.shard_size or len(indices)
-            group_shards = min(self.workers, max(1, len(indices) // per_shard))
-            if group_shards <= 1:
+            shards = self._shard_count(len(indices))
+            if shards <= 1:
                 if compiled is not None:
                     # already compiled locally: cheaper to evaluate in-process
                     local_groups.append((skey, indices))
@@ -1565,7 +1462,7 @@ class SweepService:
             if shm_group is not None:
                 shm_group["skey"] = skey
                 shm_groups[skey] = shm_group
-                for chunk in _chunked(list(range(len(indices))), group_shards):
+                for chunk in _chunked(list(range(len(indices))), shards):
                     payloads.append(
                         {
                             "kind": "columns",
@@ -1581,7 +1478,7 @@ class SweepService:
                     )
                     sharded_payloads += 1
                 continue
-            for shard_index, chunk in enumerate(_chunked(indices, group_shards)):
+            for shard_index, chunk in enumerate(_chunked(indices, shards)):
                 payloads.append(
                     self._payload(
                         skey,
@@ -1672,13 +1569,10 @@ class SweepService:
                         shard_timeout=self.shard_timeout,
                         backoff=self._backoff,
                     )
-                    with obs_trace.span(
-                        "service.dispatch", shards=len(payloads), **(decision or {})
-                    ):
+                    with obs_trace.span("service.dispatch", shards=len(payloads)):
                         successes, quarantined = supervisor.dispatch(
                             jobs, _evaluate_shard, repickle=repickle
                         )
-                    passes = []  # worker-reported pass seconds
                     for job, shard_result in successes:
                         skey, compiled, chunk, shard_stats = shard_result
                         # every worker counter arrives as one registry
@@ -1697,7 +1591,6 @@ class SweepService:
                                     self._persist_structure(skey, compiled)
                         if shard_stats.get("built"):
                             worker_build_seconds += shard_stats.get("build_seconds", 0.0)
-                        passes.append(shard_stats.get("evaluate_seconds", 0.0))
                         if shard_stats.get("kind") == "columns":
                             group = shm_groups[skey]
                             span = shard_stats["span"]
@@ -1711,11 +1604,6 @@ class SweepService:
                             continue
                         evaluated.extend(chunk)
                         self._ladder.note_success("pickled", self.registry)
-                    route = decision and decision["route"]
-                    if route and _clean(jobs, quarantined, shm_groups, route):
-                        # what the split cost beyond its slowest worker pass
-                        wall = time.perf_counter() - started - max(passes)
-                        self._learn(OVERHEAD_SECONDS + route, max(0.0, wall))
                     # quarantined shards exhausted their retries (or the
                     # pool is gone): the parent evaluates them itself — the
                     # bottom rung of the cascade, always available
@@ -1828,14 +1716,6 @@ class SweepService:
             os.replace(tmp, path)
         except OSError:  # pragma: no cover - caching must never fail a sweep
             pass
-
-
-def _clean(jobs, quarantined, shm_groups, route) -> bool:
-    """Whether a dispatch ran on ``route`` free of faults (or skewed time)."""
-    wanted = "columns" if route == "shm" else "pickled"
-    faulted = any(j.attempts or j.respawns or j.route != wanted for j in jobs)
-    failed = any(group["failed_spans"] for group in shm_groups.values())
-    return not (quarantined or faulted or failed)
 
 
 def _chunked(items: Sequence, chunks: int) -> List[list]:
@@ -2003,8 +1883,7 @@ def _evaluate_shard_pickled(payload):
         # a pickled shard holds only problems: their vectors are computed
         # here, by the helper the parent's result keys use
         results = compiled.evaluate_many(problems, reused=not fresh)
-        seconds = time.perf_counter() - started
-        wstats.worker_evaluate_seconds += seconds
+        wstats.worker_evaluate_seconds += time.perf_counter() - started
         wstats.batched_passes += 1
         wstats.linearize_builds += compiled.linearize_builds - builds_before
         wstats.linearize_reuses += compiled.linearize_reuses - reuses_before
@@ -2014,7 +1893,6 @@ def _evaluate_shard_pickled(payload):
     shard_stats = {
         "built": built,
         "models": len(problems),
-        "evaluate_seconds": seconds,
         "metrics": registry.snapshot(),
     }
     if built:

@@ -33,12 +33,9 @@ The fault-tolerance layer (:mod:`repro.engine.supervise` /
   ``supervise.per_model_seconds`` latency gauge that deadlines are
   scaled from.
 
-The sweep service's dispatch cost gate keeps its ledger here: the
-``kernel.seconds_per_cell`` gauge (in-process kernel seconds per model x
-node), one ``dispatch.overhead_seconds.<route>`` gauge per route
-(``shm``, ``pickled``, ``remote``: dispatch wall time minus the slowest
-worker pass) and the ``dispatch.groups_in_process`` /
-``dispatch.groups_sharded`` decision counters.
+The sweep service counts in ``dispatch.groups_in_process`` the groups a
+pooled service under the default ``shard_size`` ran in-process because it
+held their structure.
 
 The remote shard fabric (:mod:`repro.engine.fabric`) reserves three
 more:

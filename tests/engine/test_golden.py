@@ -238,9 +238,20 @@ def test_golden_sweep_digest_on_the_shared_memory_route(tmp_path):
 
 def test_golden_sweep_digest_on_the_default_pooled_route(tmp_path):
     name = "ESEN4x1"
+    truncation = GOLDEN[name]["truncation"]
+    primer = benchmark_problem(name, mean_defects=1.0)
     service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
     try:
-        results = service.evaluate_batch(sweep_points(name, GOLDEN[name]["truncation"]))
+        # a held structure: the sweep takes the default in-process route
+        service.prime_structure(primer, truncation)
+        results = service.evaluate_batch(sweep_points(name, truncation))
     finally:
         service.close()
-    assert results_digest(results) == SWEEP_DIGESTS[name][0]
+    assert service.registry.counter("dispatch.groups_in_process") == 1
+    assert service.stats.shards_dispatched == 0
+    # a reused structure flags its results, so the reference is a primed
+    # serial service rather than the fresh pin
+    serial = SweepService()
+    serial.prime_structure(primer, truncation)
+    expected = serial.evaluate_batch(sweep_points(name, truncation))
+    assert results_digest(results) == results_digest(expected)
