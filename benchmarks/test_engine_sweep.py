@@ -11,10 +11,10 @@ static ordering of Table 2 (``vrw``), group-preserving sifting must bring
 the coded ROBDD at least back under that ordering's size.
 
 The third check is the acceptance bar of the batched probability engine: a
-*single-group* multi-model sweep (one structure, many defect models) must
-run at least 3x faster through the batched linearized pass plus intra-group
-point sharding than the per-point recursive-traversal route the service
-used before, with bit-for-bit identical results.  The measured timings are
+*single-group* multi-model sweep (one structure, many defect models) on a
+pooled service must run at least 3x faster through the batched linearized
+pass than the per-point recursive-traversal route the service used before,
+with bit-for-bit identical results.  The measured timings are
 also written to ``benchmarks/results/BENCH_sweep.json`` so CI can archive a
 perf record per run.
 """
@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.core.method import YieldAnalyzer
-from repro.engine.service import SweepService
+from repro.engine.service import SweepPoint, SweepService
 from repro.mdd.probability import probability_of_one_reference
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
@@ -94,14 +94,14 @@ def test_engine_reuse_beats_serial_rebuild(benchmark, name):
 
 #: Dense single-structure sweep: one group, many defect models.  ESEN4x2 at
 #: M = 5 makes the per-point traversal expensive enough (ROMDD ~7.7k nodes)
-#: that both batching and sharding matter.
+#: that batching matters.
 MULTI_MODEL_BENCHMARK = "ESEN4x2"
 MULTI_MODEL_MAX_DEFECTS = 5
 MULTI_MODEL_DENSITIES = [0.25 + 0.05 * i for i in range(96)]
 
 
-def test_batched_engine_with_sharding_beats_per_point_traversal(benchmark):
-    """Acceptance bar: batched pass + point sharding >= 3x the per-point route."""
+def test_batched_engine_beats_per_point_traversal(benchmark):
+    """Acceptance bar: the batched pass >= 3x the per-point route."""
     name = MULTI_MODEL_BENCHMARK
     truncation = MULTI_MODEL_MAX_DEFECTS
     factory = _factory(name)
@@ -110,12 +110,11 @@ def test_batched_engine_with_sharding_beats_per_point_traversal(benchmark):
     # one shared diagram build: the service compiles it, the per-point
     # baseline reads the same structure back from the service's LRU; the
     # persistent worker pool is spawned up front, so both routes price pure
-    # evaluation — exactly the repeat-sweep regime the engine serves
+    # evaluation — exactly the repeat-sweep regime the engine serves (the
+    # pooled service runs its held structure's pass in-process)
     from repro.engine.service import result_key, structure_key
 
-    service = SweepService(
-        ordering=ordering, epsilon=PAPER_EPSILON, workers=2, shard_size=24
-    )
+    service = SweepService(ordering=ordering, epsilon=PAPER_EPSILON, workers=2)
     probe = factory(MULTI_MODEL_DENSITIES[0])
     service.evaluate(probe, max_defects=truncation)
     service.ensure_workers()
@@ -142,7 +141,7 @@ def test_batched_engine_with_sharding_beats_per_point_traversal(benchmark):
         )
     per_point_seconds = time.perf_counter() - started
 
-    # ---- batched engine + intra-group point sharding ---------------------- #
+    # ---- batched engine --------------------------------------------------- #
     def run_sweep():
         return service.density_sweep(
             factory, MULTI_MODEL_DENSITIES, max_defects=truncation
@@ -159,12 +158,12 @@ def test_batched_engine_with_sharding_beats_per_point_traversal(benchmark):
     speedup = per_point_seconds / max(batched_seconds, 1e-9)
     stats = service.stats
     print_table(
-        "Batched engine + sharding vs per-point traversal — %s, %d models"
+        "Batched engine vs per-point traversal — %s, %d models"
         % (name, len(MULTI_MODEL_DENSITIES)),
         ("route", "time (s)", "speedup"),
         [
             ("per-point recursive traversal", round(per_point_seconds, 4), "1.0x"),
-            ("batched pass + sharding", round(batched_seconds, 4), "%.1fx" % speedup),
+            ("batched pass", round(batched_seconds, 4), "%.1fx" % speedup),
         ],
     )
 
@@ -225,36 +224,47 @@ SUPERVISION_SLACK_SECONDS = 0.25
 SUPERVISION_ROUNDS = 4
 
 
-def test_supervised_dispatch_overhead_within_bound(monkeypatch):
-    """Fault-free supervision must stay within 5% of bare pool.map dispatch."""
+def test_supervised_dispatch_overhead_within_bound(monkeypatch, tmp_path):
+    """Fault-free supervision must stay within 5% of bare pool.map dispatch.
+
+    Each timed sweep covers two structure groups (M = 4 and 5) and starts
+    from empty parent LRUs, so both groups go to the pool as whole-group
+    jobs; the workers resolve them from their own LRU or the store.
+    """
     from repro.engine import supervise
     from repro.engine.supervise import ShardSupervisor
 
-    truncation = MULTI_MODEL_MAX_DEFECTS
     factory = _factory(MULTI_MODEL_BENCHMARK)
+    points = [
+        SweepPoint(factory(mean), max_defects=truncation)
+        for truncation in (MULTI_MODEL_MAX_DEFECTS - 1, MULTI_MODEL_MAX_DEFECTS)
+        for mean in MULTI_MODEL_DENSITIES
+    ]
     service = SweepService(
         ordering=OrderingSpec("w", "ml"),
         epsilon=PAPER_EPSILON,
         workers=2,
-        shard_size=24,
+        store_dir=str(tmp_path / "store"),
     )
     try:
-        service.evaluate(factory(MULTI_MODEL_DENSITIES[0]), max_defects=truncation)
-        service.ensure_workers()
+        if service.ensure_workers() is None:
+            pytest.skip("platform cannot spawn worker processes")
 
         def timed_sweep():
-            service._results.clear()
+            service.clear()  # both groups unheld: two pool jobs
+            batches = service.stats.parallel_batches
             started = time.perf_counter()
-            rows = service.density_sweep(
-                factory, MULTI_MODEL_DENSITIES, max_defects=truncation
-            )
-            return time.perf_counter() - started, rows
+            results = service.evaluate_batch(points)
+            seconds = time.perf_counter() - started
+            assert service.stats.parallel_batches == batches + 1
+            return seconds, [result.yield_estimate for result in results]
 
-        # one warm-up so the pool, store and structure caches are hot for
-        # both routes; interleave the routes (swapping who goes first each
-        # round) and compare per-route *minima* — timing noise on a
+        # warm-ups so the store and the workers' structure caches are hot
+        # for both routes; interleave the routes (swapping who goes first
+        # each round) and compare per-route *minima* — timing noise on a
         # quarter-second sweep is strictly additive, so the minimum is the
         # robust estimator of each route's true cost
+        timed_sweep()
         timed_sweep()
         supervised, baseline = [], []
         reference = None
@@ -286,7 +296,7 @@ def test_supervised_dispatch_overhead_within_bound(monkeypatch):
 
         print_table(
             "Supervised vs bare dispatch — %s, %d models, %d rounds"
-            % (MULTI_MODEL_BENCHMARK, len(MULTI_MODEL_DENSITIES), SUPERVISION_ROUNDS),
+            % (MULTI_MODEL_BENCHMARK, len(points), SUPERVISION_ROUNDS),
             ("route", "best time (s)", "overhead"),
             [
                 ("bare pool.map", round(baseline_seconds, 4), "baseline"),
@@ -396,7 +406,7 @@ def test_default_pool_against_serial_in_process(tmp_path):
     pool_vs_serial = min(entry["ratio"] for entry in by_points.values())
     routed = {
         name: pool.registry.counter(name)
-        for name in ("dispatch.groups_in_process", "service.shards.dispatched")
+        for name in ("dispatch.groups_in_process", "service.batches.parallel")
     }
     print_table(
         "Default pool vs serial in-process — %s M=%d, best of %d"
@@ -418,7 +428,7 @@ def test_default_pool_against_serial_in_process(tmp_path):
         pool_routes=routed,
     )
     # every timed pool sweep ran on its held structure, in-process
-    assert routed["service.shards.dispatched"] == 0
+    assert routed["service.batches.parallel"] == 0
 
 
 def test_sifting_recovers_from_worst_static_ordering():

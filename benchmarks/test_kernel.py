@@ -1,17 +1,11 @@
-"""Native kernel and zero-copy dispatch — the tier-2 acceptance bars.
+"""Native kernel — the tier-2 acceptance bar.
 
-Assertions on a 96-model single-group sweep (ESEN4x2, M=5):
-
-* the native compiled kernel runs the whole-batch evaluation pass at
-  least **3x** as fast as the fused numpy kernel (and its backward pass
-  faster still), bit-for-bit identical — skipped, not failed, on hosts
-  where the library cannot be built.  The two kernels are timed
-  interleaved, best of fifteen each, for both passes, so machine-speed
-  drift hits both alike;
-* with the structure store and shared-memory dispatch enabled, the
-  pickled shard payload shrinks at least **10x** against the same sweep
-  dispatched with shared memory disabled (problems ride in the block,
-  the payload is indices plus a name) — results again identical.
+Assertion on a 96-model single-group sweep (ESEN4x2, M=5): the native
+compiled kernel runs the whole-batch evaluation pass at least **3x** as
+fast as the fused numpy kernel (and its backward pass faster still),
+bit-for-bit identical — skipped, not failed, on hosts where the library
+cannot be built.  The two kernels are timed interleaved, best of fifteen
+each, for both passes, so machine-speed drift hits both alike.
 
 The measured numbers land in ``benchmarks/results/BENCH_kernel.json`` so
 CI archives a perf record per run, next to the other ``BENCH_*.json``
@@ -25,11 +19,8 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.core.method import YieldAnalyzer
 from repro.engine import native as native_backend
-from repro.engine.service import SweepService
 from repro.mdd.probability import columns_from_matrices
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
@@ -58,7 +49,7 @@ def _best_of(*functions, rounds=ROUNDS):
     return best
 
 
-def test_native_kernel_and_zero_copy_dispatch(benchmark, tmp_path):
+def test_native_kernel_speedup(benchmark):
     compiled = YieldAnalyzer(OrderingSpec("w", "ml")).compile_for_truncation(
         _problem(2.0), MAX_DEFECTS
     )
@@ -99,28 +90,8 @@ def test_native_kernel_and_zero_copy_dispatch(benchmark, tmp_path):
             lambda: _best_of(forward("fused")), rounds=1, iterations=1
         )
 
-    # ---- zero-copy dispatch: pickled payload bytes, shm vs no shm ---- #
-    def run_service(store_name, use_shared_memory):
-        service = SweepService(
-            ordering=OrderingSpec("w", "ml"),
-            workers=2,
-            shard_size=16,
-            store_dir=str(tmp_path / store_name),
-            use_shared_memory=use_shared_memory,
-        )
-        rows = service.density_sweep(_problem, DENSITIES, max_defects=MAX_DEFECTS)
-        service.close()
-        return service.stats, rows
-
-    shm_stats, shm_rows = run_service("shm", True)
-    pickled_stats, pickled_rows = run_service("pickled", False)
-    assert shm_rows == pickled_rows  # bit-for-bit, not approx
-    payload_shrink = pickled_stats.shard_payload_bytes / max(
-        1, shm_stats.shard_payload_bytes
-    )
-
     print_table(
-        "Native kernel & zero-copy dispatch — %s, %d models, M=%d"
+        "Native kernel — %s, %d models, M=%d"
         % (BENCHMARK, MODELS, MAX_DEFECTS),
         ("route", "value", "vs baseline"),
         [
@@ -137,13 +108,6 @@ def test_native_kernel_and_zero_copy_dispatch(benchmark, tmp_path):
                 if native_backward_speedup
                 else "no compiler",
             ),
-            ("pickled shard payload (B)", pickled_stats.shard_payload_bytes, "1.0x"),
-            (
-                "shm shard payload (B)",
-                shm_stats.shard_payload_bytes,
-                "%.1fx smaller" % payload_shrink,
-            ),
-            ("shm block bytes", shm_stats.shm_bytes, "zero-copy"),
         ],
     )
 
@@ -166,13 +130,6 @@ def test_native_kernel_and_zero_copy_dispatch(benchmark, tmp_path):
         "native_backward_seconds": native_backward_seconds,
         "native_backward_speedup": native_backward_speedup,
         "collapsed_layers": linearized.collapsed_layers,
-        "shm_payload_bytes": shm_stats.shard_payload_bytes,
-        "pickled_payload_bytes": pickled_stats.shard_payload_bytes,
-        "payload_shrink": payload_shrink,
-        "shm_bytes": shm_stats.shm_bytes,
-        "mmap_loads": shm_stats.mmap_loads,
-        "shm_stats": shm_stats.as_dict(),
-        "pickled_stats": pickled_stats.as_dict(),
     }
     try:
         os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -181,10 +138,6 @@ def test_native_kernel_and_zero_copy_dispatch(benchmark, tmp_path):
     except OSError:  # pragma: no cover - reporting must never fail a benchmark
         pass
 
-    # the acceptance bars of the native backend and zero-copy dispatch
+    # the acceptance bar of the native backend
     if native_speedup is not None:
         assert native_speedup >= 3.0
-    if shm_stats.shards_dispatched == 0:
-        pytest.skip("platform cannot spawn worker processes")
-    assert shm_stats.shm_bytes > 0
-    assert payload_shrink >= 10.0

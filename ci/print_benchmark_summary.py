@@ -16,7 +16,7 @@ missing directories or malformed records.
 
 With ``--gate`` the script becomes the benchmark regression gate: the
 committed records under ``benchmarks/baselines/`` (override with
-``--baselines``) are floors for the dimensionless speedup/shrink ratios
+``--baselines``) are floors for the dimensionless speedup ratios
 in :data:`GATED_KEYS`.  A measured ratio may dip up to ``--tolerance``
 (relative, default 0.20) below its floor before the gate fails; anything
 past that exits non-zero with a per-metric verdict table.  Ratios are
@@ -40,15 +40,14 @@ import sys
 _SKIP_KEYS = {"benchmark", "numpy_path_available", "native_available"}
 
 #: Higher-is-better ratio metrics the ``--gate`` mode enforces floors on.
-#: All are dimensionless (speedup over an in-run reference, payload shrink
-#: factor, a default worker pool against serial in-process sweeps), so a
-#: committed floor transfers between machines; absolute seconds
-#: deliberately stay trend-only.
+#: All are dimensionless (speedup over an in-run reference, a default
+#: worker pool against serial in-process sweeps), so a committed floor
+#: transfers between machines; absolute seconds deliberately stay
+#: trend-only.
 GATED_KEYS = (
     "native_speedup",
     "native_backward_speedup",
     "build_speedup",
-    "payload_shrink",
     "speedup",
     "pool_vs_serial",
 )

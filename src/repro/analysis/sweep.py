@@ -51,7 +51,6 @@ def defect_density_sweep(
     ordering: Optional[OrderingSpec] = None,
     service: Optional[SweepService] = None,
     workers: int = 0,
-    shard_size: Optional[int] = None,
 ) -> List[Tuple[float, float, int]]:
     """Return ``(mean_defects, yield_estimate, M)`` over a defect-density sweep.
 
@@ -61,16 +60,14 @@ def defect_density_sweep(
     diagram build, and all of a build's defect models are evaluated in one
     batched bottom-up pass.  ``epsilon`` defaults to the service's configured
     budget (1e-4 for a fresh service); passing it explicitly overrides per
-    point.  ``workers`` / ``shard_size`` configure the multiprocessing
-    fan-out, with intra-group point sharding only when ``shard_size`` is
-    given (ignored when an explicit ``service`` is supplied).
+    point.  ``workers`` configures the multiprocessing fan-out of structure
+    builds (ignored when an explicit ``service`` is supplied).
     """
     if service is None:
         service = SweepService(
             ordering=ordering or OrderingSpec("w", "ml"),
             epsilon=1e-4 if epsilon is None else epsilon,
             workers=workers,
-            shard_size=shard_size,
         )
     return service.density_sweep(
         problem_factory, mean_defect_values, epsilon=epsilon

@@ -10,10 +10,9 @@ Python:
 * ``sweep NAME``        — evaluate a defect-density sweep through the
   engine's batch service: one diagram build per truncation level, all defect
   models of a build evaluated in a single batched kernel pass, optional
-  ``--workers``/``--jobs`` fan-out of structure builds (a fixed
-  ``--shard-size`` also shards points, through zero-copy shared memory
-  unless ``--no-shared-memory``), a ``--cache-dir`` result cache and
-  ``--stats`` engine diagnostics;
+  ``--workers``/``--jobs`` fan-out of structure builds (one whole group
+  per pool job), a ``--cache-dir`` result cache and ``--stats`` engine
+  diagnostics;
 * ``importance NAME``   — rank the components of a benchmark by yield
   sensitivity (analytic reverse-mode gradients over the linearized ROMDD,
   or ``--fd`` for the legacy central finite difference) and by hardening
@@ -22,16 +21,12 @@ Python:
 * ``cache``             — inspect and manage the persistent structure store
   (``ls``/``info``/``warm``/``clear``): compiled decision-diagram
   structures serialized under ``--store-dir`` so later processes (and
-  worker shards) warm-start from disk instead of rebuilding;
+  pool workers) warm-start from disk instead of rebuilding;
 * ``serve``             — long-lived asyncio HTTP front end over one shared
   sweep service (:mod:`repro.server`): JSON sweep/importance endpoints with
   per-structure-key request coalescing, NDJSON streaming, bounded admission
   control (429 + ``Retry-After``), ``/healthz`` and a Prometheus ``/stats``,
   graceful drain on SIGTERM;
-* ``worker``            — long-lived remote shard worker
-  (:mod:`repro.engine.fabric`): resolves digest-addressed structures from
-  a shared ``--store-dir`` and evaluates model spans posted by a parent
-  sweep started with ``--remote-worker URL`` flags;
 * ``trace FILE``        — summarize a Chrome trace-event file exported with
   ``sweep/importance --trace`` as an indented span tree;
 * ``table {1,2,3,4}``   — regenerate one of the paper's tables on the small
@@ -130,15 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="evaluate structure groups (and shards of large groups) in N processes",
-    )
-    sweep.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="POINTS",
-        help="shard groups of 2*POINTS or more over the workers (default: "
-        "no point shards; a held structure runs in-process)",
+        help="build (and evaluate) unheld structure groups in N worker processes",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -151,21 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="persist compiled structures under DIR: later processes (and "
-        "worker shards) warm-start from disk instead of rebuilding",
-    )
-    sweep.add_argument(
-        "--no-shared-memory",
-        dest="shared_memory",
-        action="store_false",
-        help="disable zero-copy shared-memory shard dispatch (results are "
-        "identical; shards fall back to pickled payloads)",
+        "pool workers) warm-start from disk instead of rebuilding",
     )
     sweep.add_argument(
         "--max-retries",
         type=int,
         default=2,
         metavar="N",
-        help="retry a failed worker shard up to N times (with exponential "
+        help="retry a failed pool job up to N times (with exponential "
         "backoff) before the parent evaluates it itself (default 2)",
     )
     sweep.add_argument(
@@ -173,23 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="fixed per-shard worker deadline; the default scales one from "
-        "the measured per-model latency",
-    )
-    _add_fabric_options(sweep)
-    sweep.add_argument(
-        "--no-degrade",
-        dest="degrade",
-        action="store_false",
-        help="keep no shm -> pickled -> in-parent degradation state across "
-        "shards (each faulty shard still falls back individually)",
+        help="deadline of one pool job, doubled on each timeout (default 60)",
     )
     sweep.add_argument(
         "--stats",
         action="store_true",
         help="print engine statistics (cache hits, linearization reuse, "
-        "kernel passes, shared-memory bytes, fault/retry counters, "
-        "phase times)",
+        "kernel passes, fault/retry counters, phase times)",
     )
     _add_telemetry_options(sweep)
 
@@ -344,15 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="evaluate structure groups (and shards of large groups) in N processes",
-    )
-    serve.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="POINTS",
-        help="shard groups of 2*POINTS or more over the workers (default: "
-        "no point shards; a held structure runs in-process)",
+        help="build (and evaluate) unheld structure groups in N worker processes",
     )
     serve.add_argument(
         "--cache-dir",
@@ -364,16 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="persist compiled structures under DIR: restarts (and worker "
-        "shards) warm-start from disk instead of rebuilding",
+        help="persist compiled structures under DIR: restarts (and pool "
+        "workers) warm-start from disk instead of rebuilding",
     )
-    serve.add_argument(
-        "--no-shared-memory",
-        dest="shared_memory",
-        action="store_false",
-        help="disable zero-copy shared-memory shard dispatch",
-    )
-    _add_fabric_options(serve)
     serve.add_argument(
         "--max-queue",
         type=int,
@@ -397,27 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="how long a SIGTERM drain waits for in-flight requests "
         "(default 10)",
-    )
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="serve remote shard evaluations over HTTP from a shared store",
-    )
-    worker.add_argument(
-        "store_dir",
-        metavar="DIR",
-        help="structure store directory shared with the parent sweep",
-    )
-    worker.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; 0.0.0.0 in containers)",
-    )
-    worker.add_argument(
-        "--port",
-        type=int,
-        default=8100,
-        help="TCP port to bind; 0 picks an ephemeral port (default 8100)",
     )
 
     table = subparsers.add_parser("table", help="regenerate one of the paper's tables")
@@ -446,26 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list the available benchmark names")
     return parser
-
-
-def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--remote-worker",
-        dest="remote_workers",
-        action="append",
-        default=None,
-        metavar="URL",
-        help="dispatch shards of large groups to this `repro worker` "
-        "(repeatable; requires --shard-size and a --store-dir shared with "
-        "the workers)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="probe remote workers' /healthz this often (default 1.0)",
-    )
 
 
 def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
@@ -637,15 +551,10 @@ def _run_sweep(args) -> int:
             ordering=_ordering_from(args),
             epsilon=args.epsilon,
             workers=args.workers,
-            shard_size=args.shard_size,
             cache_dir=args.cache_dir,
             store_dir=args.store_dir,
-            use_shared_memory=args.shared_memory,
             max_retries=args.max_retries,
             shard_timeout=args.shard_timeout,
-            degrade=args.degrade,
-            remote_workers=args.remote_workers,
-            heartbeat_interval=args.heartbeat_interval,
         )
         started = time.perf_counter()
         # the worker pool's teardown belongs to the command: close it
@@ -840,12 +749,8 @@ def _run_serve(args) -> int:
             ordering=_ordering_from(args),
             epsilon=args.epsilon,
             workers=args.workers,
-            shard_size=args.shard_size,
             cache_dir=args.cache_dir,
             store_dir=args.store_dir,
-            use_shared_memory=args.shared_memory,
-            remote_workers=args.remote_workers,
-            heartbeat_interval=args.heartbeat_interval,
             node_limit=SERVE_NODE_BUDGET,
         )
     except (OrderingError, ValueError) as exc:
@@ -883,39 +788,6 @@ def _run_serve(args) -> int:
     finally:
         service.close()
     print("repro serve: drained, bye")
-    return 0
-
-
-def _run_worker(args) -> int:
-    import asyncio
-
-    from .engine.fabric import ShardWorker
-
-    try:
-        worker = ShardWorker(args.store_dir, host=args.host, port=args.port)
-    except (OSError, RuntimeError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-
-    async def main() -> None:
-        await worker.start()
-        print(
-            "repro worker: listening on http://%s:%d (store %s)"
-            % (worker.host, worker.port, args.store_dir),
-            flush=True,
-        )
-        await worker.serve_forever()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - signal-timing dependent
-        pass
-    except OSError as exc:
-        # bind failures (port in use, privileged port, bad interface)
-        print("error: cannot listen on %s:%d: %s" % (args.host, args.port, exc),
-              file=sys.stderr)
-        return 2
-    print("repro worker: stopped after %d shards" % worker.shards_served)
     return 0
 
 
@@ -1091,8 +963,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return _run_importance(args)
     if args.command == "serve":
         return _run_serve(args)
-    if args.command == "worker":
-        return _run_worker(args)
     if args.command == "cache":
         return _run_cache(args)
     if args.command == "table":

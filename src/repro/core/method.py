@@ -214,9 +214,11 @@ class CompiledYield:
             counts = [problem.lethal_counts(self.truncation) for problem in problems]
         t0 = time.perf_counter()
         count_matrix, location_matrix = self.model_matrices(problems, counts)
-        probabilities_failed = self.evaluate_probabilities(
-            count_matrix, location_matrix, len(problems)
+        linearized = self.linearized()
+        columns = columns_from_matrices(
+            linearized, self.level_profile, count_matrix, location_matrix
         )
+        probabilities_failed = linearized.evaluate(columns, len(problems))
         elapsed = time.perf_counter() - t0
         return self.package_results(
             problems,
@@ -239,12 +241,10 @@ class CompiledYield:
 
         ``error_bounds`` are the models' truncation error bounds, the tails
         of their lethal count vectors.  Split out of :meth:`evaluate_many`
-        so dispatch routes that run the kernel elsewhere (a worker shard
-        writing probabilities into a shared-memory result vector) can
-        package the results in the parent without re-running the pass.
-        Reused points share one frozen :class:`StageTimings`; every result
-        gets its own copy of one ``extra`` template, because cached results
-        are handed to many callers.
+        so packaging is timed apart from the kernel pass.  Reused points
+        share one frozen :class:`StageTimings`; every result gets its own
+        copy of one ``extra`` template, because cached results are handed
+        to many callers.
         """
         self.evaluations += len(problems)
         extra = {
@@ -295,9 +295,6 @@ class CompiledYield:
         self,
         problems: Sequence[YieldProblem],
         counts: Sequence[Sequence[float]],
-        *,
-        out_count=None,
-        out_location=None,
     ):
         """Assemble the two shared ``cardinality x K`` model matrices.
 
@@ -311,10 +308,7 @@ class CompiledYield:
         validated once and tiled to ``C x K``.
 
         Returns ``(count_matrix, location_matrix)``, the exact float64
-        inputs of the linearized kernel.  ``out_count`` / ``out_location``
-        let callers assemble directly into preallocated buffers (the sweep
-        service points them at a shared-memory block, so worker shards
-        read the matrices zero-copy instead of unpickling them).
+        inputs of the linearized kernel.
         """
         count_columns: List[List[float]] = []
         for vector in counts:
@@ -333,11 +327,7 @@ class CompiledYield:
             location_slots.append(slot)
         validate_model_columns(location_columns, what="location")
         return model_matrices_from_columns(
-            count_columns,
-            location_columns,
-            location_slots,
-            out_count=out_count,
-            out_location=out_location,
+            count_columns, location_columns, location_slots
         )
 
     def _location_column(self, problem: YieldProblem) -> List[float]:
@@ -355,28 +345,6 @@ class CompiledYield:
                 "lethal component probabilities must sum to 1, got %g" % total
             )
         return probabilities
-
-    def evaluate_probabilities(
-        self,
-        count_matrix,
-        location_matrix,
-        num_models: int,
-    ) -> List[float]:
-        """Run only the kernel pass over pre-assembled model matrices.
-
-        :meth:`evaluate_many` runs its pass through here, and so do the
-        shared-memory shards in workers: the parent assembles (and
-        validates) the matrices once for the whole group, the worker maps
-        them out of a shared-memory block, slices its model range and runs
-        the pass (each worker process resolves the native backend
-        independently) — no problems, no distributions, no pickled
-        columns.
-        """
-        linearized = self.linearized()
-        columns = columns_from_matrices(
-            linearized, self.level_profile, count_matrix, location_matrix
-        )
-        return linearized.evaluate(columns, num_models)
 
     def gradients_many(
         self,

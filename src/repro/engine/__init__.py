@@ -25,28 +25,23 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
   identical results;
 * :mod:`repro.engine.service` — the batch evaluation service: build a
   decision diagram once per (structure, truncation, ordering), evaluate all
-  of its defect models in one batched pass, shard the points of large
-  groups across an optional ``multiprocessing`` fan-out (store-backed
-  shards move their column matrices and result vectors through zero-copy
-  ``multiprocessing.shared_memory`` blocks), and keep keyed result caches;
+  of its defect models in one batched pass, fan the groups whose structure
+  it does not hold out over an optional ``multiprocessing`` pool (one
+  whole group per job, the worker builds or loads the structure), and
+  keep keyed result caches;
 * :mod:`repro.engine.store` — the persistent structure store: compiled
   structures serialized to a versioned on-disk format (content-addressed
   per-array ``.npy`` files plus JSON metadata, memory-mappable) so cold
-  processes and worker shards warm-start from disk instead of rebuilding
+  processes and pool workers warm-start from disk instead of rebuilding
   the diagrams.  Corrupt entries are detected, quarantined and rebuilt
   (``verify_all`` / ``repro cache verify``);
-* :mod:`repro.engine.supervise` — fault-tolerant dispatch: per-shard
-  deadlines scaled from measured latency, a worker death watch with pool
-  respawn, bounded retries with deterministic backoff, and the
-  shm → pickled → in-parent degradation cascade;
+* :mod:`repro.engine.supervise` — fault-tolerant pool dispatch: fixed
+  per-job deadlines, a worker death watch with pool respawn, bounded
+  retries with deterministic backoff, and quarantine of exhausted jobs to
+  in-parent evaluation;
 * :mod:`repro.engine.faults` — the deterministic fault-injection harness
   (``REPRO_FAULT_PLAN`` / ``SweepService(fault_plan=...)``) that the
-  supervision layer is tested against;
-* :mod:`repro.engine.fabric` — the remote shard fabric: long-lived HTTP
-  shard workers (``repro worker``) resolving digest-addressed structures
-  from the shared store, and a parent-side scheduler with heartbeats,
-  EWMA deadlines, work stealing and the same bounded-retry guarantees as
-  the local supervisor.
+  supervision layer is tested against.
 """
 
 from .batch import (
@@ -67,14 +62,7 @@ from .kernel import (
 from .reorder import ReorderStats, sift, sift_grouped, sift_to_convergence
 from .service import SweepPoint, SweepService, SweepServiceStats
 from .store import StoreEntry, StoreError, StructureStore
-from .supervise import (
-    Backoff,
-    DegradationLadder,
-    ShardJob,
-    ShardSupervisor,
-    ShmJanitor,
-    janitor,
-)
+from .supervise import Backoff, ShardJob, ShardSupervisor
 
 __all__ = [
     "Backoff",
@@ -83,7 +71,6 @@ __all__ = [
     "CacheStats",
     "DDKernel",
     "DeadlineExceeded",
-    "DegradationLadder",
     "FaultPlan",
     "FusedSchedule",
     "InjectedFault",
@@ -92,8 +79,6 @@ __all__ = [
     "ReorderStats",
     "ShardJob",
     "ShardSupervisor",
-    "ShmJanitor",
-    "janitor",
     "recursion_guard",
     "shard_deadline",
     "sift",
@@ -105,32 +90,4 @@ __all__ = [
     "SweepPoint",
     "SweepService",
     "SweepServiceStats",
-    "FabricError",
-    "FabricScheduler",
-    "FabricShard",
-    "ShardWorker",
-    "WorkerHandle",
-    "worker_in_thread",
 ]
-
-#: Fabric names resolve lazily: importing :mod:`repro.engine.fabric`
-#: pulls in :mod:`repro.server.http` (whose package init imports the app,
-#: which imports this package), so an eager import here would cycle.
-_FABRIC_EXPORTS = frozenset(
-    (
-        "FabricError",
-        "FabricScheduler",
-        "FabricShard",
-        "ShardWorker",
-        "WorkerHandle",
-        "worker_in_thread",
-    )
-)
-
-
-def __getattr__(name):
-    if name in _FABRIC_EXPORTS:
-        from . import fabric
-
-        return getattr(fabric, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

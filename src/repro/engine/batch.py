@@ -52,7 +52,7 @@ oracle both kernels are pinned to.  The arrays depend only on the diagram
 structure, so one linearization serves every sweep point of a structure
 group (see :meth:`repro.core.method.CompiledYield.linearized`), and the
 fused arrays are exactly what :mod:`repro.engine.store` persists and what
-worker shards consume zero-copy through ``mmap``.
+pool workers consume zero-copy through ``mmap``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the dispatch and store layers.
+"""Deterministic fault injection for the pool dispatch and store layers.
 
 The paper studies defect tolerance; this module lets the engine study its
 own.  A :class:`FaultPlan` names *sites* — well-known places in the
@@ -13,38 +13,19 @@ Sites
 -----
 
 ``worker.kill``
-    Fired in the worker entry point, before a shard is evaluated: the
+    Fired in the worker entry point, before a pool job is evaluated: the
     worker SIGKILLs itself (a crash the supervision layer must absorb).
 ``worker.hang``
-    Fired at the same point: the worker sleeps past its deadline
-    (``delay`` seconds, default 30) so the parent's watchdog trips.
+    Fired at the same point: the worker sleeps (``delay`` seconds,
+    default 30), past its deadline unless the job has a long one.
 ``shard.unpickle``
-    Fired while the worker unpickles its shard payload: raises
+    Fired while the worker unpickles its job payload: raises
     :class:`InjectedFault`, modelling a corrupt or version-skewed payload.
-``shm.create``
-    Fired in the parent just before a shared-memory block is created:
-    raises, modelling an exhausted or unwritable ``/dev/shm``.
 ``store.corrupt``
     Fired in :meth:`repro.engine.store.StructureStore.load_digest` before
     an entry is read: the store *truncates one of the entry's array
     files on disk*, so the regular corruption detection (and the
     verify-and-quarantine path) runs against real damage.
-``net.refuse``
-    Fired in the fabric client (:mod:`repro.engine.fabric`) before it
-    connects to a remote worker: raises, modelling a refused connection
-    (dead worker, partition, firewall).
-``net.drop``
-    Fired in the fabric client after the response bytes were read:
-    raises, modelling a connection dropped mid-response — the remote
-    worker did the work but the result never arrived.
-``net.delay``
-    Fired in the fabric client between sending the request and reading
-    the response: sleeps (``delay`` seconds, default 30) so the shard
-    blows its deadline and the scheduler abandons the attempt.
-``net.garbage``
-    Fired in the fabric client after the response was read: returns
-    ``True`` and the client *corrupts the received body itself*, so the
-    regular wire-format validation runs against real damage.
 
 Installation
 ------------
@@ -103,12 +84,7 @@ SITES = (
     "worker.kill",
     "worker.hang",
     "shard.unpickle",
-    "shm.create",
     "store.corrupt",
-    "net.refuse",
-    "net.drop",
-    "net.delay",
-    "net.garbage",
 )
 
 _log = logging.getLogger("repro.engine.faults")
@@ -165,9 +141,9 @@ class FaultPlan:
     occurrence) and ``delay`` (seconds, ``worker.hang`` only)::
 
         FaultPlan.from_spec({
-            "worker.kill": 1,                       # first shard of each worker
+            "worker.kill": 1,                       # first job of each worker
             "store.corrupt": {"at": [2]},           # second store read
-            "worker.hang": {"at": [1], "delay": 3}, # sleep 3 s on first shard
+            "worker.hang": {"at": [1], "delay": 3}, # sleep 3 s on first job
         })
 
     Occurrence counters are per process and per site, starting at 1.
@@ -314,10 +290,9 @@ def fire(site: str, registry=None) -> bool:
 
     Returns ``True`` when the site fired *and* the fault is one the caller
     must act on itself (``store.corrupt``: the store damages its own
-    entry; ``net.garbage``: the fabric client corrupts the received
-    body).  ``worker.kill`` never returns (SIGKILL); ``worker.hang`` and
-    ``net.delay`` sleep, then return ``False``; every other firing site
-    raises :class:`InjectedFault`.  When no plan is installed the cost is
+    entry).  ``worker.kill`` never returns (SIGKILL); ``worker.hang``
+    sleeps, then returns ``False``; every other firing site raises
+    :class:`InjectedFault`.  When no plan is installed the cost is
     one module read and one ``None`` check.
     """
     plan = active()
@@ -333,10 +308,10 @@ def fire(site: str, registry=None) -> bool:
     _log.debug("fault injection: %s fires (occurrence %d)", site, occurrence)
     if site == "worker.kill":
         os.kill(os.getpid(), signal.SIGKILL)  # never returns
-    if site in ("worker.hang", "net.delay"):
+    if site == "worker.hang":
         time.sleep(30.0 if rule.delay is None else rule.delay)
         return False
-    if site in ("store.corrupt", "net.garbage"):
+    if site == "store.corrupt":
         return True
     raise InjectedFault(site, occurrence)
 
@@ -344,7 +319,7 @@ def fire(site: str, registry=None) -> bool:
 def note_suppressed(registry, where: str, exc: BaseException) -> None:
     """Record a swallowed cleanup failure instead of silently passing.
 
-    Best-effort teardown paths (shared-memory unlink, pool terminate)
+    Best-effort teardown paths (pool terminate, pool join)
     must never fail the sweep, but they also must not be invisible: every
     suppressed exception becomes one ``fault.suppressed`` count (plus a
     per-site ``fault.suppressed.<where>``) and a debug-level breadcrumb.

@@ -6,8 +6,8 @@ list, truncation level, ordering strategy).  The in-memory LRU of
 :class:`repro.engine.service.SweepService` already amortizes that cost
 within one process; this module extends the amortization across process
 boundaries: every compiled structure is serialized once to a versioned
-on-disk format, and any later process (a cold service start, a worker
-shard, a CLI invocation) *warm-starts* by loading the flat arrays instead
+on-disk format, and any later process (a cold service start, a pool
+worker, a CLI invocation) *warm-starts* by loading the flat arrays instead
 of rebuilding the diagrams.
 
 What gets persisted is deliberately **not** the MDD node tables: since the
@@ -285,7 +285,7 @@ class StructureStore:
         """Return ``(restored CompiledYield, entry bytes)`` or ``None``.
 
         With ``mmap=True`` (what :class:`repro.engine.service.SweepService`
-        and its worker shards pass) the v2 fused arrays are opened with
+        and its pool workers pass) the v2 fused arrays are opened with
         ``mmap_mode="r"`` — no copies, and the OS page cache is shared
         across every process mapping the same entry.  Any corruption,
         version skew or digest mismatch loads as a miss (the structural

@@ -1,39 +1,29 @@
-"""Supervised shard dispatch: deadlines, bounded retry, degradation.
+"""Supervised pool dispatch: deadlines, bounded retry, quarantine.
 
-:class:`repro.engine.service.SweepService` used to hand its shard blobs to
-``multiprocessing.Pool.map`` and hope: a worker killed mid-shard, a hung
+:class:`repro.engine.service.SweepService` used to hand its pool jobs to
+``multiprocessing.Pool.map`` and hope: a worker killed mid-job, a hung
 child or a payload that fails to unpickle either aborted the sweep or
 hung it forever.  This module wraps the dispatch in a supervision loop
-that guarantees **every shard either completes on a worker or is
-evaluated in the parent** — the sweep's results are bit-for-bit identical
-to a fault-free run no matter which faults strike:
+that guarantees **every job either completes on a worker or is evaluated
+in the parent** — the sweep's results are bit-for-bit identical to a
+fault-free run no matter which faults strike:
 
-* **Deadlines** — every shard gets a deadline scaled from the measured
-  per-model latency (an EWMA kept in the metrics registry as the
-  ``supervise.per_model_seconds`` gauge), overridable with a fixed
-  ``shard_timeout``.  A shard past its deadline is abandoned and the pool
-  respawned, which terminates the hung worker.
+* **Deadlines** — every job gets a fixed deadline: ``shard_timeout`` when
+  the service sets one, else :attr:`ShardSupervisor.DEFAULT_DEADLINE`,
+  long enough for a worker-side structure build.  A job past its
+  deadline is abandoned and the pool respawned, which terminates the hung
+  worker; its retry gets twice the deadline.
 * **Death watch** — the pool's worker pids are watched between polls; a
   worker that vanished (``kill -9``, OOM, a crash) triggers a pool
-  respawn and the resubmission of every in-flight shard.  Respawning the
+  respawn and the resubmission of every in-flight job.  Respawning the
   whole pool (not just the member) is deliberate: a worker killed while
   holding the shared inqueue lock can deadlock its siblings.
 * **Bounded retry with exponential backoff plus deterministic jitter** —
-  failed shards are retried up to ``max_retries`` times, each retry
+  failed jobs are retried up to ``max_retries`` times, each retry
   delayed by :class:`Backoff` (seeded, so test runs are reproducible).
-* **Degradation cascade** — a shared-memory (``columns``) shard whose
-  worker keeps erroring is re-dispatched over the pickled protocol
-  (``repickle`` callback); a shard that exhausts every retry is
-  *quarantined*: returned to the caller, which evaluates it in-parent.
-  :class:`DegradationLadder` keeps per-route state at the service level so
-  a route that failed (e.g. shm creation) is sidestepped for a cooldown
-  and then probed again — the cascade steps back up when the fault clears.
-* **Resource lifecycle** — :class:`ShmJanitor` tracks every shared-memory
-  block the parent creates and unlinks the orphans at interpreter exit,
-  so an exception (or a ``sys.exit``) mid-dispatch cannot leak ``/dev/shm``
-  segments.  (A SIGKILLed parent is covered separately: parent-created
-  blocks stay registered with ``multiprocessing``'s resource tracker,
-  which survives the parent and unlinks them.)
+* **Quarantine** — a job that exhausts every retry (or outlives
+  :attr:`ShardSupervisor.MAX_RESPAWNS` pool respawns) is returned to the
+  caller, which evaluates it in-parent.
 
 Every transition is counted in the service's metrics registry under the
 ``fault.*`` / ``retry.*`` / ``supervise.*`` namespaces (see
@@ -43,128 +33,23 @@ trace make the fault handling observable.
 
 from __future__ import annotations
 
-import atexit
 import random
-import threading
 import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import faults
 from ..obs import trace as obs_trace
 
 __all__ = [
     "Backoff",
-    "DegradationLadder",
     "ShardJob",
     "ShardSupervisor",
-    "ShmJanitor",
-    "janitor",
     "unsupervised_dispatch",
 ]
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory janitor
-# --------------------------------------------------------------------- #
-
-
-class ShmJanitor:
-    """Tracks parent-owned shared-memory blocks until they are released.
-
-    The dispatch code adopts every block right after creation and releases
-    it exactly once (close, optionally unlink).  Whatever is still adopted
-    when the interpreter exits — an exception between creation and the
-    ``finally``, a ``sys.exit`` mid-sweep — is closed and unlinked by the
-    atexit sweep, so no ``/dev/shm`` segment outlives the parent process
-    on any orderly exit path.
-
-    Long-lived processes (the HTTP server) cannot wait for atexit: they
-    call :meth:`sweep_stale` periodically, which releases only blocks
-    older than a generous age bound — a live dispatch holds its blocks
-    for seconds, so a minutes-scale bound never races in-flight work
-    while still capping how long a leaked segment can survive.
-    """
-
-    def __init__(self) -> None:
-        self._blocks = {}  # name -> (SharedMemory, adopted-at monotonic)
-        self._lock = threading.Lock()
-
-    def adopt(self, block) -> None:
-        with self._lock:
-            self._blocks[block.name] = (block, time.monotonic())
-
-    def release(self, block, *, unlink: bool, registry=None) -> None:
-        """Close (and optionally unlink) ``block``; idempotent per block."""
-        with self._lock:
-            self._blocks.pop(getattr(block, "name", None), None)
-        try:
-            block.close()
-        except Exception as exc:  # exported views may pin the buffer
-            faults.note_suppressed(registry, "shm.close", exc)
-        if unlink:
-            try:
-                block.unlink()
-            except Exception as exc:  # already removed
-                faults.note_suppressed(registry, "shm.unlink", exc)
-
-    def orphans(self) -> List[str]:
-        with self._lock:
-            return sorted(self._blocks)
-
-    def _release_all(self, leaked, registry) -> int:
-        for block in leaked:
-            try:
-                block.close()
-            except Exception as exc:
-                faults.note_suppressed(registry, "shm.close", exc)
-            try:
-                block.unlink()
-            except Exception as exc:
-                faults.note_suppressed(registry, "shm.unlink", exc)
-        if leaked and registry is not None:
-            registry.inc("fault.shm_orphans", len(leaked))
-        return len(leaked)
-
-    def sweep(self, registry=None) -> int:
-        """Release every still-adopted block; returns how many there were."""
-        with self._lock:
-            leaked = [block for block, _ in self._blocks.values()]
-            self._blocks.clear()
-        return self._release_all(leaked, registry)
-
-    def sweep_stale(self, max_age: float, registry=None) -> int:
-        """Release blocks adopted more than ``max_age`` seconds ago.
-
-        The periodic variant of :meth:`sweep` for processes that never
-        exit: anything younger than ``max_age`` is assumed in-flight and
-        left alone.  Returns how many stale blocks were released.
-        """
-        cutoff = time.monotonic() - float(max_age)
-        with self._lock:
-            stale_names = [
-                name
-                for name, (_, adopted) in self._blocks.items()
-                if adopted <= cutoff
-            ]
-            leaked = [self._blocks.pop(name)[0] for name in stale_names]
-        return self._release_all(leaked, registry)
-
-
-_JANITOR: Optional[ShmJanitor] = None
-
-
-def janitor() -> ShmJanitor:
-    """The process-wide janitor (created, and atexit-registered, once)."""
-    global _JANITOR
-    if _JANITOR is None:
-        _JANITOR = ShmJanitor()
-        atexit.register(_JANITOR.sweep)
-    return _JANITOR
-
-
-# --------------------------------------------------------------------- #
-# Backoff and degradation state
+# Backoff
 # --------------------------------------------------------------------- #
 
 
@@ -196,66 +81,6 @@ class Backoff:
         return full * (0.5 + 0.5 * self._rng.random())
 
 
-#: The dispatch routes, best first.  ``remote`` ships shards to the
-#: distributed worker fabric (:mod:`repro.engine.fabric`), ``shm`` moves
-#: columns through a shared-memory block, ``pickled`` ships pickled
-#: problems, ``parent`` evaluates in-process (always available, never
-#: blocked).
-ROUTES = ("remote", "shm", "pickled", "parent")
-
-
-class DegradationLadder:
-    """Per-route health state driving the shm → pickled → parent cascade.
-
-    A failure at a route blocks it for ``cooldown`` subsequent successes
-    at *any* lower route; each success pays the cooldown down, and once it
-    reaches zero the route is probed again — so a transient fault (a full
-    ``/dev/shm``) degrades the service only until the fault clears, while
-    a persistent one keeps the service on the working route.  With
-    ``enabled=False`` (the ``--no-degrade`` flag) failures still fall back
-    for the *current* shard, but no state is kept: every new group starts
-    back at the top route.
-    """
-
-    def __init__(self, enabled: bool = True, cooldown: int = 2) -> None:
-        self.enabled = bool(enabled)
-        self.cooldown = int(cooldown)
-        self._blocked = {route: 0 for route in ROUTES}
-
-    def allows(self, route: str) -> bool:
-        return not self.enabled or self._blocked.get(route, 0) <= 0
-
-    def blocked_routes(self) -> List[str]:
-        """Routes currently sidestepped by the cascade (health reporting)."""
-        return [route for route in ROUTES if self._blocked.get(route, 0) > 0]
-
-    def preferred(self, top: str = "shm") -> str:
-        """The best currently-allowed route at or below ``top``."""
-        routes = ROUTES[ROUTES.index(top):]
-        for route in routes:
-            if self.allows(route):
-                return route
-        return "parent"
-
-    def note_failure(self, route: str, registry=None) -> None:
-        if not self.enabled:
-            return
-        self._blocked[route] = self.cooldown
-        if registry is not None:
-            registry.inc("fault.degrade.%s" % route)
-
-    def note_success(self, route: str, registry=None) -> None:
-        """A shard finished on ``route``: pay down the routes above it."""
-        if not self.enabled:
-            return
-        index = ROUTES.index(route)
-        for above in ROUTES[:index]:
-            if self._blocked[above] > 0:
-                self._blocked[above] -= 1
-                if self._blocked[above] <= 0 and registry is not None:
-                    registry.inc("fault.restore.%s" % above)
-
-
 # --------------------------------------------------------------------- #
 # The supervisor
 # --------------------------------------------------------------------- #
@@ -267,8 +92,6 @@ class ShardJob:
     __slots__ = (
         "payload",
         "blob",
-        "models",
-        "route",
         "attempts",
         "respawns",
         "not_before",
@@ -278,11 +101,9 @@ class ShardJob:
         "handle",
     )
 
-    def __init__(self, payload, blob, *, models: int, route: str) -> None:
+    def __init__(self, payload, blob) -> None:
         self.payload = payload
         self.blob = blob
-        self.models = int(models)
-        self.route = route
         self.attempts = 0  # failures charged to this job itself
         self.respawns = 0  # collateral resubmissions after a pool respawn
         self.not_before = 0.0
@@ -302,21 +123,17 @@ class ShardSupervisor:
         supervisor only uses ``ensure_workers()`` / ``respawn_workers()``
         and the metrics registry.
     max_retries:
-        How many times one shard may fail (timeout or error) before it is
+        How many times one job may fail (timeout or error) before it is
         quarantined to the parent.
     shard_timeout:
-        Fixed per-shard deadline in seconds; ``None`` computes one from
-        the measured per-model latency (see :meth:`deadline_for`).
+        Fixed per-job deadline in seconds; ``None`` uses
+        :attr:`DEFAULT_DEADLINE` (see :meth:`deadline_for`).
     """
 
-    #: EWMA weight of the newest per-model latency sample.
-    LATENCY_ALPHA = 0.3
-    #: Safety factor between expected and allowed shard duration.
-    DEADLINE_FACTOR = 8.0
-    #: Deadline used before any latency has been measured (must cover a
-    #: worker-side structure build), and the floor under computed ones.
+    #: Deadline of a job when the service sets no ``shard_timeout``.  Every
+    #: job may build its structure, whose cost does not scale with the
+    #: job's point count, so one fixed deadline must cover the slowest build.
     DEFAULT_DEADLINE = 60.0
-    DEADLINE_FLOOR = 0.5
     #: How many collateral resubmissions (pool respawns) one job survives
     #: before it is quarantined along with the genuinely failing ones.
     MAX_RESPAWNS = 4
@@ -349,23 +166,9 @@ class ShardSupervisor:
 
     def deadline_for(self, job: ShardJob) -> float:
         """Seconds this job may spend on a worker before it is abandoned."""
-        if self.shard_timeout is not None:
-            return self.shard_timeout * job.deadline_scale
-        per_model = self.registry.gauge("supervise.per_model_seconds")
-        if not per_model:
+        if self.shard_timeout is None:
             return self.DEFAULT_DEADLINE * job.deadline_scale
-        computed = self.DEADLINE_FACTOR * per_model * max(1, job.models) + 0.5
-        return max(self.DEADLINE_FLOOR, computed) * job.deadline_scale
-
-    def _observe_latency(self, job: ShardJob, seconds: float) -> None:
-        self.registry.observe("retry.shard_seconds", seconds)
-        per_model = seconds / max(1, job.models)
-        previous = self.registry.gauge("supervise.per_model_seconds")
-        if previous:
-            per_model = (
-                (1.0 - self.LATENCY_ALPHA) * previous + self.LATENCY_ALPHA * per_model
-            )
-        self.registry.set_gauge("supervise.per_model_seconds", per_model)
+        return self.shard_timeout * job.deadline_scale
 
     # -- pool health -------------------------------------------------------
 
@@ -389,8 +192,6 @@ class ShardSupervisor:
         self,
         jobs: Sequence[ShardJob],
         worker: Callable,
-        *,
-        repickle: Optional[Callable[[ShardJob], Optional[bytes]]] = None,
     ) -> Tuple[List[Tuple[ShardJob, object]], List[ShardJob]]:
         """Run every job to completion or quarantine.
 
@@ -439,9 +240,11 @@ class ShardSupervisor:
                             result = job.handle.get()
                         except Exception as exc:
                             self._note_failure(job, exc)
-                            self._requeue(job, pending, quarantined, repickle)
+                            self._requeue(job, pending, quarantined)
                         else:
-                            self._observe_latency(job, time.monotonic() - job.submitted)
+                            self.registry.observe(
+                                "retry.shard_seconds", time.monotonic() - job.submitted
+                            )
                             successes.append((job, result))
                         continue
                     if time.monotonic() > job.deadline:
@@ -452,7 +255,7 @@ class ShardSupervisor:
                         self.registry.inc("fault.shard_timeout")
                         job.attempts += 1
                         job.deadline_scale *= 2.0
-                        self._requeue(job, pending, quarantined, repickle)
+                        self._requeue(job, pending, quarantined)
                         respawn_needed = True
                         continue
                     still_running.append(job)
@@ -491,7 +294,7 @@ class ShardSupervisor:
                     # result landing (wait() wakes instantly), a deadline
                     # expiring, or a backoff hold ending — capped at the
                     # watchdog cadence so worker deaths are still noticed.
-                    # Workers pull shards from the shared queue without the
+                    # Workers pull jobs from the shared queue without the
                     # parent's help, so coarse wake-ups cost nothing on the
                     # fault-free path; a busy 5 ms poll measurably starves
                     # the workers on small machines
@@ -518,20 +321,12 @@ class ShardSupervisor:
             self.registry.inc("fault.shard_error")
         job.attempts += 1
 
-    def _requeue(self, job, pending, quarantined, repickle) -> None:
-        """Schedule a failed job's next attempt, degrading or quarantining."""
+    def _requeue(self, job, pending, quarantined) -> None:
+        """Schedule a failed job's next attempt, or quarantine it."""
         if job.attempts > self.max_retries:
             self.registry.inc("fault.quarantined")
             quarantined.append(job)
             return
-        if job.route == "columns" and job.attempts >= 2 and repickle is not None:
-            # the shared-memory route failed twice for this shard: step it
-            # down to the pickled protocol before the last retries
-            blob = repickle(job)
-            if blob is not None:
-                job.blob = blob
-                job.route = "pickled"
-                self.registry.inc("fault.degrade.shard")
         delay = self.backoff.delay(job.attempts)
         self.registry.inc("retry.attempts")
         self.registry.observe("retry.backoff_seconds", delay)
@@ -541,7 +336,7 @@ class ShardSupervisor:
 
 
 def unsupervised_dispatch(
-    supervisor: ShardSupervisor, jobs: Sequence[ShardJob], worker: Callable, **_
+    supervisor: ShardSupervisor, jobs: Sequence[ShardJob], worker: Callable
 ) -> Tuple[List[Tuple[ShardJob, object]], List[ShardJob]]:
     """The pre-supervision dispatch: one bare ``pool.map``, no safety net.
 

@@ -163,9 +163,6 @@ def model_matrices_from_columns(
     count_columns: Sequence[Sequence[float]],
     location_columns: Sequence[Sequence[float]],
     location_slots: Sequence[int],
-    *,
-    out_count=None,
-    out_location=None,
 ):
     """Lay per-model columns out as the two shared float64 matrices.
 
@@ -173,30 +170,15 @@ def model_matrices_from_columns(
     and ``C x K``.  Column ``k`` of the count matrix is
     ``count_columns[k]``; column ``k`` of the location matrix is
     ``location_columns[location_slots[k]]``, so models that share one
-    component model share one ``P'`` column, tiled here.  ``out_count`` /
-    ``out_location`` are optional preallocated float64 destinations
-    (matching shapes) — the sweep service points them into a
-    ``multiprocessing.shared_memory`` block so worker shards map the
-    matrices instead of receiving pickled copies.  The floats are
-    byte-identical either way.
+    component model share one ``P'`` column, tiled here.
     """
     distinct = _np.asarray(location_columns, dtype=_np.float64).T
+    slots = _np.asarray(location_slots, dtype=_np.intp)
+    # ascontiguousarray keeps row indexing (columns[j]) cache-friendly
     return (
-        _place(_np.asarray(count_columns, dtype=_np.float64).T, out_count),
-        _place(distinct[:, _np.asarray(location_slots, dtype=_np.intp)], out_location),
+        _np.ascontiguousarray(_np.asarray(count_columns, dtype=_np.float64).T),
+        _np.ascontiguousarray(distinct[:, slots]),
     )
-
-
-def _place(matrix, out):
-    if out is None:
-        # ascontiguousarray keeps row indexing (columns[j]) cache-friendly
-        return _np.ascontiguousarray(matrix)
-    if out.shape != matrix.shape:
-        raise MDDError(
-            "column buffer has shape %r, expected %r" % (out.shape, matrix.shape)
-        )
-    out[...] = matrix
-    return out
 
 
 def columns_from_matrices(

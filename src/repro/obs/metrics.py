@@ -11,7 +11,7 @@ One registry instance holds every engine metric behind dotted names
 
 ``snapshot()`` returns a plain-dict view that pickles cheaply, so worker
 processes can record into a private registry and ship the snapshot back
-piggybacked on their shard result; the parent folds it in with
+piggybacked on their job result; the parent folds it in with
 ``merge_snapshot()``.  ``diff()`` subtracts an older snapshot to get a
 delta, and ``expose_text()`` renders the Prometheus text exposition
 format for ``--metrics FILE``.
@@ -21,42 +21,17 @@ The fault-tolerance layer (:mod:`repro.engine.supervise` /
 
 * ``fault.*`` — counters, one per fault class and transition:
   ``fault.worker_lost``, ``fault.shard_timeout``, ``fault.shard_error``,
-  ``fault.shm_create``, ``fault.store_corrupt``,
-  ``fault.store_quarantined``, ``fault.quarantined`` (shards routed to
-  in-parent evaluation), ``fault.degrade.<route>`` /
-  ``fault.restore.<route>`` (cascade transitions), ``fault.suppressed``
-  (swallowed cleanup failures) and ``fault.injected[.<site>]``
-  (deterministic injections);
+  ``fault.store_corrupt``, ``fault.store_quarantined``,
+  ``fault.quarantined`` (pool jobs routed to in-parent evaluation),
+  ``fault.pool_wedged``, ``fault.suppressed`` (swallowed cleanup
+  failures) and ``fault.injected[.<site>]`` (deterministic injections);
 * ``retry.*`` — ``retry.attempts`` plus the ``retry.backoff_seconds`` and
   ``retry.shard_seconds`` histograms;
-* ``supervise.*`` — ``supervise.respawns`` and the
-  ``supervise.per_model_seconds`` latency gauge that deadlines are
-  scaled from.
+* ``supervise.*`` — ``supervise.respawns``.
 
 The sweep service counts in ``dispatch.groups_in_process`` the groups a
-pooled service under the default ``shard_size`` ran in-process because it
-held their structure.
-
-The remote shard fabric (:mod:`repro.engine.fabric`) reserves three
-more:
-
-* ``fabric.*`` — the dispatch ledger (``fabric.shards_dispatched`` /
-  ``fabric.shards_completed`` / ``fabric.shards_failed``,
-  ``fabric.models``, ``fabric.timeouts``, ``fabric.worker_errors``,
-  ``fabric.bytes_sent`` / ``fabric.bytes_received`` and the
-  ``fabric.remote_seconds`` histogram) plus the worker-side counters
-  merged home with each result (``fabric.worker_requests``,
-  ``fabric.worker_shards``, ``fabric.worker_models``,
-  ``fabric.worker_failures``, ``fabric.worker_structure_loads`` /
-  ``fabric.worker_structure_bytes`` and the
-  ``fabric.worker_evaluate_seconds`` histogram);
-* ``steal.*`` — speculative re-execution: ``steal.speculated``
-  (duplicate attempts launched), ``steal.wins`` (a speculative copy
-  finished first) and ``steal.late_discards`` (losing results dropped
-  by first-result-wins dedup);
-* ``heartbeat.*`` — the liveness probe loop: ``heartbeat.probes``,
-  ``heartbeat.misses``, ``heartbeat.evictions`` and
-  ``heartbeat.readmissions``.
+pooled service ran in-process because it held their structure, and in
+``dispatch.payload_bytes`` the pickled bytes of the pool jobs it sent.
 
 The HTTP front end (:mod:`repro.server`) adds a ``server.*`` namespace
 on the same shared registry: ``server.requests[.<route>]``,

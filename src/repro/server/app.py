@@ -10,9 +10,8 @@ Endpoints
 
 ``GET /healthz``
     Liveness: ``200 {"status": "ok"}`` while the loop is serving, 503
-    once a drain has started.  A serving loop whose engine is limping —
-    a degradation-ladder route is blocked, or the worker pool was
-    respawned within the last ``respawn_window`` seconds — still answers
+    once a drain has started.  A serving loop whose worker pool was
+    respawned within the last ``respawn_window`` seconds still answers
     200 (the process is alive) but with ``{"status": "degraded",
     "reason": ...}`` so orchestrators can distinguish "up" from "well".
 ``GET /stats``
@@ -43,7 +42,9 @@ the build (``server.builds_started``), every concurrent request for the
 same key awaits the same future (``server.coalesced_joins``) — K clients
 asking for one cold structure cause exactly one compile.  The service's
 own per-key locks make this safe even for callers that bypass the
-server.
+server.  Priming leaves a request's structures resident, so the service
+runs the request's passes in the server process; its worker pool takes
+only groups whose structure left the LRU in between.
 
 Backpressure
 ------------
@@ -70,10 +71,7 @@ Shutdown
 --------
 
 SIGTERM/SIGINT stop the listener, let in-flight requests drain for
-``drain_grace`` seconds, then cancel stragglers.  A periodic task also
-sweeps shared-memory blocks older than ``shm_max_age`` back to the OS
-(:meth:`repro.engine.supervise.ShmJanitor.sweep_stale`) — a long-lived
-server cannot rely on the atexit sweep alone.
+``drain_grace`` seconds, then cancel stragglers.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .http import ChunkedWriter, HTTPError, Request, error_bytes, read_request, response_bytes
 from ..bdd.builder import ResourceLimitExceeded
 from ..engine.service import SweepPoint, SweepService
-from ..engine.supervise import janitor
 
 __all__ = [
     "MAX_SERVED_TRUNCATION",
@@ -168,8 +165,6 @@ class YieldServer:
         max_queue: int = 64,
         http_threads: int = 8,
         drain_grace: float = 10.0,
-        shm_sweep_interval: float = 60.0,
-        shm_max_age: float = 300.0,
         respawn_window: float = 30.0,
     ) -> None:
         self.service = service
@@ -178,8 +173,6 @@ class YieldServer:
         self.port = int(port)
         self.max_queue = int(max_queue)
         self.drain_grace = float(drain_grace)
-        self.shm_sweep_interval = float(shm_sweep_interval)
-        self.shm_max_age = float(shm_max_age)
         self.respawn_window = float(respawn_window)
         self._executor = ThreadPoolExecutor(
             max_workers=int(http_threads), thread_name_prefix="repro-http"
@@ -190,7 +183,6 @@ class YieldServer:
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._sweeper: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -205,8 +197,6 @@ class YieldServer:
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
-        if self.shm_sweep_interval > 0:
-            self._sweeper = asyncio.create_task(self._sweep_loop())
 
     async def serve_forever(self) -> None:
         """Serve until :meth:`initiate_stop` (or SIGTERM/SIGINT) fires."""
@@ -230,8 +220,6 @@ class YieldServer:
             self._stopped.set()
 
     async def _shutdown(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -239,16 +227,6 @@ class YieldServer:
         while self._admitted > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         self._executor.shutdown(wait=False)
-        # the long-lived loop is going away: return adopted blocks now
-        # rather than waiting for atexit
-        janitor().sweep_stale(0.0, self.registry)
-
-    async def _sweep_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.shm_sweep_interval)
-            released = janitor().sweep_stale(self.shm_max_age, self.registry)
-            if released:
-                self.registry.inc("server.shm_sweeps", 1)
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -374,11 +352,7 @@ class YieldServer:
         health = getattr(self.service, "health", None)
         if not callable(health):
             return None
-        snapshot = health()
-        blocked = snapshot.get("blocked_routes") or []
-        if blocked:
-            return "degraded dispatch routes: %s" % ", ".join(sorted(blocked))
-        last_respawn = snapshot.get("last_respawn")
+        last_respawn = health().get("last_respawn")
         if last_respawn is not None and self.respawn_window > 0:
             age = time.time() - last_respawn
             if age < self.respawn_window:

@@ -348,7 +348,6 @@ class TestSweepFaultOptions:
                 "1",
                 "--shard-timeout",
                 "30",
-                "--no-degrade",
                 "--stats",
             ]
         )
@@ -368,118 +367,6 @@ class TestSweepFaultOptions:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestWorkerCommand:
-    def test_parser_accepts_worker_and_fabric_flags(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["worker", "/tmp/store", "--port", "0"])
-        assert args.command == "worker"
-        assert args.store_dir == "/tmp/store"
-        assert args.port == 0
-
-        args = parser.parse_args(
-            [
-                "sweep",
-                "MS2",
-                "--remote-worker",
-                "http://127.0.0.1:8100",
-                "--remote-worker",
-                "127.0.0.1:8101",
-                "--heartbeat-interval",
-                "0.5",
-            ]
-        )
-        assert args.remote_workers == ["http://127.0.0.1:8100", "127.0.0.1:8101"]
-        assert args.heartbeat_interval == 0.5
-
-        args = parser.parse_args(["serve", "--remote-worker", "http://h:1"])
-        assert args.remote_workers == ["http://h:1"]
-
-    def test_sweep_through_a_cli_started_worker_matches_serial(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
-        import subprocess
-        import sys
-        import time
-        from http.client import HTTPConnection
-
-        store = str(tmp_path / "store")
-        import repro
-
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", store, "--port", "0"],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        try:
-            line = process.stdout.readline()
-            assert "listening on http://" in line
-            url = line.split("listening on ", 1)[1].split()[0]
-
-            # the worker really answers its health probe
-            parts = url.split("//", 1)[1].split(":")
-            conn = HTTPConnection(parts[0], int(parts[1]), timeout=10.0)
-            try:
-                deadline = time.time() + 10.0
-                status = None
-                while time.time() < deadline:
-                    try:
-                        conn.request("GET", "/healthz")
-                        status = conn.getresponse().status
-                        break
-                    except OSError:
-                        time.sleep(0.1)
-            finally:
-                conn.close()
-            assert status == 200
-
-            code = main(
-                [
-                    "sweep",
-                    "MS2",
-                    "--max-defects",
-                    "3",
-                    "--densities",
-                    "1.0",
-                    "2.0",
-                    "--store-dir",
-                    store,
-                    "--shard-size",
-                    "1",
-                    "--remote-worker",
-                    url,
-                    "--stats",
-                ]
-            )
-            assert code == 0
-            remote_out = capsys.readouterr().out
-            assert "fabric.shards_completed" in remote_out
-
-            code = main(
-                ["sweep", "MS2", "--max-defects", "3", "--densities", "1.0", "2.0"]
-            )
-            assert code == 0
-            serial_out = capsys.readouterr().out
-
-            import re
-
-            def yields(report):
-                # the sweep table's data rows: mean defects, M, yield
-                return re.findall(r"^\s*\d+(?:\.\d+)?\s+\d+\s+(0\.\d+)\s*$",
-                                  report, re.MULTILINE)
-
-            assert yields(remote_out) and yields(remote_out) == yields(serial_out)
-        finally:
-            process.terminate()
-            process.wait(timeout=10)
 
 
 class TestTelemetry:

@@ -350,29 +350,40 @@ class TestCompiledYieldBatching:
 
 
 class TestServiceSharding:
+    """A pooled service sends each unheld structure group whole to the pool."""
+
+    def points(self):
+        return [
+            SweepPoint(make_problem(mean), max_defects=truncation)
+            for truncation in (3, 4)
+            for mean in MEANS
+        ]
+
     def test_sharded_sweep_matches_serial(self):
-        serial = SweepService()
-        expected = serial.density_sweep(make_problem, MEANS, max_defects=3)
+        expected = SweepService().evaluate_batch(self.points())
 
-        sharded = SweepService(workers=2, shard_size=3)
-        rows = sharded.density_sweep(make_problem, MEANS, max_defects=3)
-        for (mean_a, yield_a, m_a), (mean_b, yield_b, m_b) in zip(expected, rows):
-            assert mean_a == mean_b
-            assert m_a == m_b
-            assert yield_b == yield_a  # same batched arithmetic on every route
+        pooled = SweepService(workers=2)
+        try:
+            results = pooled.evaluate_batch(self.points())
+        finally:
+            pooled.close()
+        for a, b in zip(expected, results):
+            assert b.truncation == a.truncation
+            assert b.yield_estimate == a.yield_estimate  # same batched arithmetic
 
-        stats = sharded.stats
+        stats = pooled.stats
         if stats.parallel_batches:  # pool may be unavailable on odd platforms
-            assert stats.points_sharded == len(MEANS)
-            assert 2 <= stats.shards_dispatched <= len(MEANS)
-            # the parent built the structure once and shipped it
-            assert stats.structures_built == 1
+            # one job per group: each worker built its structure once and
+            # the parent kept both for later batches
+            assert stats.structures_built == 2
+            assert stats.batched_passes == 2
+            assert len(pooled._structures) == 2
 
     def test_small_groups_stay_whole(self):
-        service = SweepService(workers=4, shard_size=16)
+        service = SweepService(workers=4)
         service.density_sweep(make_problem, MEANS[:4], max_defects=3)
-        assert service.stats.points_sharded == 0
         assert service.stats.parallel_batches == 0
+        assert service.stats.batched_passes == 1
 
     def test_batched_pass_counters_and_phase_clock(self):
         service = SweepService()
@@ -383,12 +394,8 @@ class TestServiceSharding:
         assert stats.evaluate_seconds > 0.0
         assert stats.build_seconds > 0.0
         as_dict = stats.as_dict()
-        for key in ("points_sharded", "shards_dispatched", "reorder_seconds"):
+        for key in ("parallel_batches", "shard_payload_bytes", "reorder_seconds"):
             assert key in as_dict
-
-    def test_shard_size_validation(self):
-        with pytest.raises(ValueError):
-            SweepService(shard_size=0)
 
 
 class TestSiftConvergence:

@@ -2,13 +2,12 @@
 
 The deterministic fault harness (:mod:`repro.engine.faults`) fires at
 well-known sites; the supervision layer (:mod:`repro.engine.supervise`)
-must turn every fault into retries, degradations or in-parent
-quarantine — the sweep results stay **bit-for-bit identical** to a clean
-run, and every transition is visible in the ``fault.*`` / ``retry.*`` /
-``supervise.*`` metrics.
+must turn every fault into retries, respawns or in-parent quarantine —
+the sweep results stay **bit-for-bit identical** to a clean run, and every
+transition is visible in the ``fault.*`` / ``retry.*`` / ``supervise.*``
+metrics.  The end-to-end runs evaluate two structure groups the service
+does not hold, so each batch goes to the pool as two whole-group jobs.
 """
-
-import os
 
 import pytest
 
@@ -16,13 +15,8 @@ from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
 from repro.engine import faults
 from repro.engine.faults import PLAN_ENV, FaultPlan, InjectedFault
-from repro.engine.service import SweepService
-from repro.engine.supervise import (
-    Backoff,
-    DegradationLadder,
-    ShardSupervisor,
-    ShmJanitor,
-)
+from repro.engine.service import SweepPoint, SweepService
+from repro.engine.supervise import Backoff, ShardSupervisor
 from repro.faulttree import FaultTreeBuilder
 
 
@@ -89,19 +83,19 @@ class TestFaultPlan:
         assert again.to_json() == plan.to_json()
 
     def test_reset_restarts_the_occurrence_counters(self):
-        plan = FaultPlan.from_spec({"shm.create": 1})
-        assert plan.check("shm.create") is not None
-        assert plan.check("shm.create") is None
+        plan = FaultPlan.from_spec({"shard.unpickle": 1})
+        assert plan.check("shard.unpickle") is not None
+        assert plan.check("shard.unpickle") is None
         plan.reset()
-        assert plan.check("shm.create") is not None
+        assert plan.check("shard.unpickle") is not None
 
     def test_env_var_installs_a_plan(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, '{"shm.create": {"at": [1]}}')
+        monkeypatch.setenv(PLAN_ENV, '{"shard.unpickle": {"at": [1]}}')
         faults.clear()  # force re-resolution of the env var
         plan = faults.active()
         assert plan is not None
         with pytest.raises(InjectedFault):
-            faults.fire("shm.create")
+            faults.fire("shard.unpickle")
 
     def test_malformed_env_var_is_ignored(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "{not json")
@@ -117,50 +111,9 @@ class TestFaultPlan:
         # pool's result-handler thread; InjectedFault must round-trip
         import pickle
 
-        exc = pickle.loads(pickle.dumps(InjectedFault("shm.create", 3)))
-        assert exc.site == "shm.create"
+        exc = pickle.loads(pickle.dumps(InjectedFault("shard.unpickle", 3)))
+        assert exc.site == "shard.unpickle"
         assert exc.occurrence == 3
-
-
-class TestNetworkFaultSites:
-    """The four ``net.*`` sites the remote fabric is chaos-tested through."""
-
-    def test_refuse_and_drop_raise_injected_faults(self):
-        faults.install(FaultPlan.from_spec({"net.refuse": 1, "net.drop": 1}))
-        with pytest.raises(InjectedFault) as info:
-            faults.fire("net.refuse")
-        assert info.value.site == "net.refuse"
-        with pytest.raises(InjectedFault):
-            faults.fire("net.drop")
-
-    def test_delay_sleeps_then_reports_not_fired(self):
-        import time
-
-        faults.install(FaultPlan.from_spec({"net.delay": {"at": [1], "delay": 0.2}}))
-        started = time.perf_counter()
-        assert faults.fire("net.delay") is False  # caller proceeds normally
-        assert time.perf_counter() - started >= 0.2
-
-    def test_garbage_returns_true_for_caller_side_corruption(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        faults.install(FaultPlan.from_spec({"net.garbage": 1}))
-        assert faults.fire("net.garbage", registry) is True
-        assert registry.counter("fault.injected.net.garbage") == 1
-        assert faults.fire("net.garbage", registry) is False  # occurrence 2
-
-    def test_remote_is_the_first_ladder_rung(self):
-        ladder = DegradationLadder(cooldown=2)
-        assert ladder.preferred("remote") == "remote"
-        ladder.note_failure("remote")
-        assert ladder.blocked_routes() == ["remote"]
-        assert ladder.preferred("remote") == "shm"
-        # local successes pay the remote block down again
-        ladder.note_success("shm")
-        ladder.note_success("shm")
-        assert ladder.blocked_routes() == []
-        assert ladder.allows("remote")
 
 
 class TestBackoff:
@@ -186,129 +139,43 @@ class TestBackoff:
             Backoff(factor=0.5)
 
 
-class TestDegradationLadder:
-    def test_failure_blocks_and_successes_restore(self):
-        ladder = DegradationLadder(cooldown=2)
-        assert ladder.allows("shm")
-        ladder.note_failure("shm")
-        assert not ladder.allows("shm")
-        assert ladder.preferred() == "pickled"
-        ladder.note_success("pickled")
-        assert not ladder.allows("shm")  # one success paid one of two down
-        ladder.note_success("pickled")
-        assert ladder.allows("shm")  # cascade steps back up
-        assert ladder.preferred() == "shm"
-
-    def test_parent_route_is_never_blocked(self):
-        ladder = DegradationLadder(cooldown=1)
-        ladder.note_failure("shm")
-        ladder.note_failure("pickled")
-        assert ladder.preferred() == "parent"
-
-    def test_disabled_ladder_keeps_no_state(self):
-        ladder = DegradationLadder(enabled=False)
-        ladder.note_failure("shm")
-        assert ladder.allows("shm")
-
-    def test_restore_transition_is_counted(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        ladder = DegradationLadder(cooldown=1)
-        ladder.note_failure("shm", registry)
-        ladder.note_success("pickled", registry)
-        assert registry.counter("fault.degrade.shm") == 1
-        assert registry.counter("fault.restore.shm") == 1
-
-
-class TestShmJanitor:
-    def test_sweep_unlinks_adopted_blocks(self):
-        shared_memory = pytest.importorskip("multiprocessing.shared_memory")
-        janitor = ShmJanitor()
-        block = shared_memory.SharedMemory(create=True, size=64)
-        name = block.name
-        janitor.adopt(block)
-        assert janitor.orphans() == [name]
-        assert janitor.sweep() == 1
-        assert janitor.orphans() == []
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_release_is_idempotent_and_removes_from_orphans(self):
-        shared_memory = pytest.importorskip("multiprocessing.shared_memory")
-        janitor = ShmJanitor()
-        block = shared_memory.SharedMemory(create=True, size=64)
-        janitor.adopt(block)
-        janitor.release(block, unlink=True)
-        assert janitor.orphans() == []
-        janitor.release(block, unlink=True)  # second release must not raise
-        assert janitor.sweep() == 0
-
-    def test_sweep_reclaims_a_segment_leaked_by_a_dead_process(self, tmp_path):
-        """A child leaks a real segment; the parent's sweep returns it.
-
-        This is the janitor's actual production scenario — a SIGKILLed
-        worker never runs its cleanup — so the test crosses a real
-        process boundary instead of simulating the leak in-process.
-        """
-        shared_memory = pytest.importorskip("multiprocessing.shared_memory")
-        import subprocess
-        import sys
-
-        child = (
-            "import os, sys\n"
-            "from multiprocessing import resource_tracker, shared_memory\n"
-            "block = shared_memory.SharedMemory(create=True, size=128)\n"
-            "block.buf[:4] = b'leak'\n"
-            # stop the child's resource tracker from reclaiming the block
-            # at exit: the leak must be real, the parent's job to sweep
-            "try:\n"
-            "    resource_tracker.unregister(block._name, 'shared_memory')\n"
-            "except Exception:\n"
-            "    pass\n"
-            "print(block.name, flush=True)\n"
-            "os._exit(0)\n"  # no cleanup, like a killed worker
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", child],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        name = result.stdout.strip()
-        assert name
-
-        # the leak outlived its creator: the parent can still attach
-        leaked = shared_memory.SharedMemory(name=name)
-        assert bytes(leaked.buf[:4]) == b"leak"
-
-        janitor = ShmJanitor()
-        janitor.adopt(leaked)
-        assert janitor.orphans() == [name]
-        assert janitor.sweep() == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
 # --------------------------------------------------------------------- #
 # End-to-end: every fault class yields bit-identical sweep results
 # --------------------------------------------------------------------- #
 
 
-def run_sweep(tmp_path, name, fault_plan=None, **kwargs):
+def sweep_points(offset=0.0):
+    """Two structure groups (M = 3 and 4) over the same densities."""
+    return [
+        SweepPoint(make_problem(mean + offset), max_defects=truncation)
+        for truncation in (3, 4)
+        for mean in DENSITIES
+    ]
+
+
+def rows_of(results):
+    return [
+        (r.yield_estimate, r.error_bound, r.probability_not_functioning, r.truncation)
+        for r in results
+    ]
+
+
+def run_sweep(tmp_path, name, fault_plan=None, warm=False, **kwargs):
+    """One pooled sweep over the two groups; ``warm`` first commits both
+    structures to the store, so the workers load them instead of building."""
     faults.clear()
+    store_dir = str(tmp_path / name)
+    if warm:
+        SweepService(store_dir=store_dir).evaluate_batch(
+            [SweepPoint(make_problem(1.0), max_defects=m) for m in (3, 4)]
+        )
     service = SweepService(
-        workers=2,
-        shard_size=8,
-        store_dir=str(tmp_path / name),
-        fault_plan=fault_plan,
-        **kwargs,
+        workers=2, store_dir=store_dir, fault_plan=fault_plan, **kwargs
     )
     try:
-        rows = service.density_sweep(make_problem, DENSITIES, max_defects=3)
+        rows = rows_of(service.evaluate_batch(sweep_points()))
         counters = service.registry.snapshot()["counters"]
-        dispatched = service.stats.shards_dispatched
+        dispatched = service.stats.parallel_batches
     finally:
         service.close()
         faults.clear()
@@ -363,25 +230,16 @@ class TestFaultInjectionEndToEnd:
             tmp_path,
             clean,
             {"shard.unpickle": {"at": list(range(1, 40))}},
-            use_shared_memory=False,
             max_retries=0,
         )
         assert counters.get("fault.quarantined", 0) >= 1
 
-    def test_shm_creation_failure_degrades_to_pickled(self, tmp_path, clean):
-        counters = self._run_faulted(tmp_path, clean, {"shm.create": {"at": [1]}})
-        assert counters.get("fault.shm_create", 0) >= 1
-        assert counters.get("fault.degrade.shm", 0) >= 1
-        assert counters.get("fault.injected.shm.create", 0) >= 1
-
     def test_corrupt_store_entry_is_quarantined_and_survived(self, tmp_path, clean):
-        # the pool forks before the parent's first store load, so each
-        # worker's occurrence counter starts at 0: occurrence 1 fires on
-        # every worker's first read and damages the committed entry (the
-        # parent's own occurrence-1 firing hits a not-yet-committed entry,
-        # a no-op)
+        # the store holds both structures before the pool forks, so each
+        # worker's first store read (occurrence 1 of its own counter)
+        # damages a committed entry, detects it and rebuilds
         counters = self._run_faulted(
-            tmp_path, clean, {"store.corrupt": {"at": [1]}}
+            tmp_path, clean, {"store.corrupt": {"at": [1]}}, warm=True
         )
         assert counters.get("fault.store_corrupt", 0) >= 1
         assert counters.get("fault.injected.store.corrupt", 0) >= 1
@@ -394,53 +252,50 @@ class TestFaultInjectionEndToEnd:
             tmp_path,
             "quarantine",
             fault_plan=FaultPlan.from_spec({"store.corrupt": {"at": [1]}}),
+            warm=True,
         )
         quarantine = tmp_path / "quarantine" / "quarantine"
         assert quarantine.is_dir()
         assert any(quarantine.iterdir())
 
 
-class TestMidSweepDegradation:
-    def test_shm_failure_mid_sweep_falls_back_per_group(self, tmp_path):
-        """First group dispatches over shm, the second falls back to pickled."""
-        from repro.engine.service import SweepPoint
+class TestPoolDeadline:
+    def test_a_build_slower_than_the_last_batch_trips_no_deadline(self):
+        """A job's deadline must cover a build, however fast the last batch's
+        points ran: every job here hangs 1 s on its worker, a stand-in for
+        a slow build, and no job may be abandoned for it."""
+        from repro.soc import benchmark_problem
 
-        def run(name, fault_plan=None):
-            faults.clear()
-            service = SweepService(
-                workers=2,
-                shard_size=4,
-                store_dir=str(tmp_path / name),
-                fault_plan=fault_plan,
-            )
-            try:
-                # two structure groups (different truncations), each sharded
-                points = [
-                    SweepPoint(make_problem(m), max_defects=3) for m in DENSITIES[:16]
-                ] + [
-                    SweepPoint(make_problem(m), max_defects=4) for m in DENSITIES[:16]
-                ]
-                results = [r.yield_estimate for r in service.evaluate_batch(points)]
-                counters = service.registry.snapshot()["counters"]
-                dispatched = service.stats.shards_dispatched
-                shm_bytes = service.stats.shm_bytes
-            finally:
-                service.close()
-                faults.clear()
-            return results, counters, dispatched, shm_bytes
+        def batch(truncations, count):
+            return [
+                SweepPoint(
+                    benchmark_problem("MS2", mean_defects=0.1 + 0.01 * index),
+                    max_defects=truncation,
+                )
+                for truncation in truncations
+                for index in range(count)
+            ]
 
-        clean, _, dispatched, clean_shm = run("clean")
-        if dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        rows, counters, _, shm_bytes = run(
-            "faulted", FaultPlan.from_spec({"shm.create": {"at": [2]}})
+        plan = FaultPlan.from_spec(
+            {"worker.hang": {"at": list(range(1, 50)), "delay": 1.0}}
         )
-        assert rows == clean
-        assert counters.get("fault.shm_create", 0) >= 1
-        # the first group still used the zero-copy route...
-        assert 0 < shm_bytes < clean_shm
-        # ...and the clean run used it for both groups
-        assert counters.get("fault.degrade.shm", 0) >= 1
+        service = SweepService(workers=2, fault_plan=plan)
+        try:
+            if service.ensure_workers() is None:
+                pytest.skip("platform cannot spawn worker processes")
+            # two unheld 200-point groups, then two unheld 1-point groups
+            first = service.evaluate_batch(batch((3, 4), 200))
+            second = service.evaluate_batch(batch((5, 6), 1))
+            counters = service.registry.snapshot()["counters"]
+        finally:
+            service.close()
+            faults.clear()
+        assert service.stats.parallel_batches == 2
+        assert counters.get("fault.shard_timeout", 0) == 0
+        assert counters.get("supervise.respawns", 0) == 0
+        serial = SweepService()
+        assert rows_of(first) == rows_of(serial.evaluate_batch(batch((3, 4), 200)))
+        assert rows_of(second) == rows_of(serial.evaluate_batch(batch((5, 6), 1)))
 
 
 class TestPoolTeardown:
@@ -448,7 +303,7 @@ class TestPoolTeardown:
         self, tmp_path, monkeypatch
     ):
         """An exception while draining results must not double-terminate."""
-        service = SweepService(workers=2, shard_size=8, store_dir=str(tmp_path))
+        service = SweepService(workers=2, store_dir=str(tmp_path))
         pool = service.ensure_workers()
         if pool is None:
             pytest.skip("platform cannot spawn worker processes")
@@ -461,15 +316,13 @@ class TestPoolTeardown:
 
         monkeypatch.setattr(pool, "terminate", counting_terminate)
 
-        def exploding_dispatch(self, jobs, worker, **kwargs):
+        def exploding_dispatch(self, jobs, worker):
             raise RuntimeError("boom while draining")
 
         monkeypatch.setattr(ShardSupervisor, "dispatch", exploding_dispatch)
-        rows = service.density_sweep(make_problem, DENSITIES, max_defects=3)
+        rows = rows_of(service.evaluate_batch(sweep_points()))
 
-        reference = SweepService().density_sweep(
-            make_problem, DENSITIES, max_defects=3
-        )
+        reference = rows_of(SweepService().evaluate_batch(sweep_points()))
         assert rows == reference  # the serial fallback still answered
         assert calls["terminate"] == 1
         service.close()  # pool reference already cleared: still exactly once
@@ -491,11 +344,11 @@ class TestSuppressedFaultAccounting:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        faults.note_suppressed(registry, "shm.unlink", OSError("gone"))
+        faults.note_suppressed(registry, "pool.join", OSError("gone"))
         faults.note_suppressed(registry, "pool.terminate", OSError("dead"))
         assert registry.counter("fault.suppressed") == 2
-        assert registry.counter("fault.suppressed.shm.unlink") == 1
+        assert registry.counter("fault.suppressed.pool.join") == 1
         assert registry.counter("fault.suppressed.pool.terminate") == 1
 
     def test_note_suppressed_tolerates_no_registry(self):
-        faults.note_suppressed(None, "shm.close", OSError("x"))  # must not raise
+        faults.note_suppressed(None, "pool.kill", OSError("x"))  # must not raise

@@ -222,18 +222,27 @@ def test_golden_sweep_and_gradient_digests(name):
     assert len({r.extra["robdd_allocated"] for r in results}) == 1
 
 
-def test_golden_sweep_digest_on_the_shared_memory_route(tmp_path):
-    name = "ESEN4x1"
-    service = SweepService(workers=2, shard_size=16, store_dir=str(tmp_path / "store"))
+def test_golden_sweep_digests_on_the_whole_group_pool_route(tmp_path):
+    """Two golden structures in one batch on a fresh pooled service: each
+    group goes whole to a worker, which builds it and evaluates all 96
+    points; each group's digest is its serial pin."""
+    names = ["ESEN4x1", "MS2"]
+    points = [
+        point
+        for name in names
+        for point in sweep_points(name, GOLDEN[name]["truncation"])
+    ]
+    service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
     try:
-        results = service.evaluate_batch(sweep_points(name, GOLDEN[name]["truncation"]))
+        results = service.evaluate_batch(points)
     finally:
         service.close()
-    if service.stats.shards_dispatched == 0:
+    if service.stats.parallel_batches == 0:
         pytest.skip("platform cannot spawn worker processes")
-    assert service.stats.points_sharded == len(SWEEP)
-    assert service.stats.shm_bytes > 0
-    assert results_digest(results) == SWEEP_DIGESTS[name][0]
+    assert service.stats.structures_built == len(names)
+    for index, name in enumerate(names):
+        group = results[index * len(SWEEP) : (index + 1) * len(SWEEP)]
+        assert results_digest(group) == SWEEP_DIGESTS[name][0]
 
 
 def test_golden_sweep_digest_on_the_default_pooled_route(tmp_path):
@@ -248,7 +257,7 @@ def test_golden_sweep_digest_on_the_default_pooled_route(tmp_path):
     finally:
         service.close()
     assert service.registry.counter("dispatch.groups_in_process") == 1
-    assert service.stats.shards_dispatched == 0
+    assert service.stats.parallel_batches == 0
     # a reused structure flags its results, so the reference is a primed
     # serial service rather than the fresh pin
     serial = SweepService()

@@ -1,6 +1,6 @@
-"""The default ``shard_size``: a pooled service runs every group whose
-structure it holds in-process, outside its dispatch lock, and sends the
-pool only whole groups it must build.
+"""A pooled service runs every group whose structure it holds in-process,
+outside its dispatch lock, and sends the pool only whole groups it must
+build.
 """
 
 import json
@@ -71,8 +71,8 @@ class TestHeldStructures:
             results = run_holding_the_dispatch_lock(
                 service, lambda: service.evaluate_batch(points)
             )
-            assert service.stats.shards_dispatched == 0
-            assert service.stats.shm_bytes == 0
+            assert service.stats.parallel_batches == 0
+            assert service.stats.shard_payload_bytes == 0
             assert in_process(service) == 1
             assert bits(results) == serial_bits(points)
         finally:
@@ -86,7 +86,7 @@ class TestHeldStructures:
                 service, lambda: service.evaluate(problem, max_defects=M)
             )
             assert in_process(service) == 1
-            assert service.stats.shards_dispatched == 0
+            assert service.stats.parallel_batches == 0
             expected = SweepService().evaluate(problem, max_defects=M)
             assert bits([result]) == bits([expected])
         finally:
@@ -101,8 +101,6 @@ class TestHeldStructures:
             cold = sweep(0.01, 3) + sweep(0.01)
             results = service.evaluate_batch(cold)
             assert service.stats.parallel_batches == 1
-            assert service.stats.shards_dispatched == 0
-            assert service.stats.points_sharded == 0
             assert in_process(service) == 0
             assert bits(results) == serial_bits(cold)
             # the parent kept both worker-built structures
@@ -113,33 +111,6 @@ class TestHeldStructures:
             assert bits(results) == serial_bits(warm)
         finally:
             service.close()
-
-    def test_an_explicit_shard_size_still_splits_a_held_group(self, tmp_path):
-        service = held(store_dir=str(tmp_path / "store"), shard_size=16)
-        try:
-            if service.ensure_workers() is None:
-                pytest.skip("platform cannot spawn worker processes")
-            points = sweep(0.03)
-            results = service.evaluate_batch(points)
-            assert service.stats.shards_dispatched == 2
-            assert in_process(service) == 0
-            assert bits(results) == serial_bits(points)
-        finally:
-            service.close()
-
-
-def test_remote_workers_take_shards_only_with_an_explicit_shard_size(tmp_path):
-    # nothing listens there: the default never creates the fabric
-    service = SweepService(
-        store_dir=str(tmp_path / "store"), remote_workers=["http://127.0.0.1:9"]
-    )
-    try:
-        points = sweep(0.04)
-        results = service.evaluate_batch(points)
-        assert service.registry.counters_with_prefix("fabric.") == {}
-        assert bits(results) == serial_bits(points)
-    finally:
-        service.close()
 
 
 def test_serial_services_count_no_decision():

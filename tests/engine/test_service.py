@@ -127,93 +127,6 @@ class TestResultCaching:
         assert len(service._results) == 3
 
 
-class TestSharedMemoryDispatch:
-    DENSITIES = [0.2 + 0.05 * index for index in range(48)]
-
-    def run_sweep(self, tmp_path, name, **kwargs):
-        service = SweepService(
-            workers=2, shard_size=8, store_dir=str(tmp_path / name), **kwargs
-        )
-        rows = service.density_sweep(make_problem, self.DENSITIES, max_defects=3)
-        service.close()
-        return service.stats, rows
-
-    def test_shm_dispatch_matches_pickled_dispatch_exactly(self, tmp_path):
-        reference = SweepService().density_sweep(
-            make_problem, self.DENSITIES, max_defects=3
-        )
-        shm_stats, shm_rows = self.run_sweep(tmp_path, "shm")
-        pickled_stats, pickled_rows = self.run_sweep(
-            tmp_path, "pickled", use_shared_memory=False
-        )
-        assert shm_rows == reference  # bit-for-bit on every route
-        assert pickled_rows == reference
-        if shm_stats.shards_dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        assert pickled_stats.shm_bytes == 0
-
-    def test_shm_shrinks_the_pickled_payload(self, tmp_path):
-        shm_stats, _ = self.run_sweep(tmp_path, "shm")
-        pickled_stats, _ = self.run_sweep(
-            tmp_path, "pickled", use_shared_memory=False
-        )
-        if shm_stats.shards_dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        assert shm_stats.shm_bytes > 0
-        # the problems no longer ride along with every shard: the payload
-        # shrinks to indices plus a shared-memory block name
-        assert shm_stats.shard_payload_bytes * 10 <= pickled_stats.shard_payload_bytes
-
-    def test_workers_mmap_the_store_on_shm_dispatch(self, tmp_path):
-        stats, _ = self.run_sweep(tmp_path, "shm")
-        if stats.shards_dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        assert stats.mmap_loads >= 1  # each worker maps the fused arrays
-        assert stats.batched_passes >= stats.shards_dispatched
-
-
-    def test_consecutive_pools_leave_the_resource_tracker_quiet(self, tmp_path):
-        """Three pools in one process: the tracker must never complain.
-
-        Workers of every pool attach the parent's blocks; the parent's
-        resource tracker must see each block registered once and
-        unregistered once, so its stderr stays free of tracebacks.
-        """
-        import os
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.engine.service import SweepService\n"
-            "from repro.soc import benchmark_problem\n"
-            "means = [0.05 + 0.05 * i for i in range(64)]\n"
-            "for _ in range(3):\n"
-            "    service = SweepService(store_dir=%r, workers=2, shard_size=16)\n"
-            "    service.density_sweep(\n"
-            "        lambda mean: benchmark_problem('ESEN4x1', mean_defects=mean),\n"
-            "        means,\n"
-            "        max_defects=4,\n"
-            "    )\n"
-            "    service.close()\n"
-            "    print(service.stats.shm_bytes > 0, flush=True)\n"
-        ) % str(tmp_path / "store")
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        if result.stdout.split() != ["True"] * 3:
-            pytest.skip("platform cannot dispatch through shared memory")
-        assert "Traceback" not in result.stderr, result.stderr
-        assert "KeyError" not in result.stderr, result.stderr
-        assert "leaked" not in result.stderr, result.stderr
-
-
 class TestParallelFanOut:
     def test_worker_fan_out_matches_serial_results(self):
         serial = SweepService()
@@ -232,6 +145,43 @@ class TestParallelFanOut:
         service.density_sweep(make_problem, MEANS, max_defects=3)
         assert service.stats.parallel_batches == 0
         assert service.stats.structures_built == 1
+
+    def test_consecutive_pools_leave_stderr_clean(self, tmp_path):
+        """Three pools in one process, each building two structures: no
+        pool's workers or teardown may print a traceback or a leak."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.engine.service import SweepPoint, SweepService\n"
+            "from repro.soc import benchmark_problem\n"
+            "means = [0.05 + 0.05 * i for i in range(64)]\n"
+            "for _ in range(3):\n"
+            "    service = SweepService(store_dir=%r, workers=2)\n"
+            "    service.evaluate_batch([\n"
+            "        SweepPoint(benchmark_problem('ESEN4x1', mean_defects=mean),\n"
+            "                   max_defects=truncation)\n"
+            "        for truncation in (3, 4) for mean in means\n"
+            "    ])\n"
+            "    service.close()\n"
+            "    print(service.stats.parallel_batches > 0, flush=True)\n"
+        ) % str(tmp_path / "store")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        if result.stdout.split() != ["True"] * 3:
+            pytest.skip("platform cannot spawn worker processes")
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "KeyError" not in result.stderr, result.stderr
+        assert "leaked" not in result.stderr, result.stderr
 
     def test_worker_built_structures_serve_later_batches(self):
         service = SweepService(workers=2)

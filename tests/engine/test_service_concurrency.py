@@ -134,7 +134,8 @@ class TestScopedFaultPlans:
     def test_constructor_no_longer_installs_a_process_global_plan(self):
         faults.clear()
         try:
-            service = SweepService(fault_plan=FaultPlan.from_spec({"shm.create": 1}))
+            plan = FaultPlan.from_spec({"shard.unpickle": 1})
+            service = SweepService(fault_plan=plan)
             assert faults.active() is None
             service.close()
             assert faults.active() is None

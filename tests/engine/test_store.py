@@ -243,53 +243,33 @@ class TestServiceWarmStart:
 
 
 class TestWorkerWarmStart:
-    def test_shard_payloads_shrink_when_the_store_is_enabled(self, tmp_path):
-        densities = [0.2 + 0.05 * index for index in range(48)]
-
-        plain = SweepService(ordering=ORDERING, workers=2, shard_size=8)
-        plain.density_sweep(make_problem, densities, max_defects=3)
-        plain_bytes = plain.stats.shard_payload_bytes
-        plain_shards = plain.stats.shards_dispatched
-        plain.close()
-        if plain_shards == 0:
-            pytest.skip("platform cannot spawn worker processes")
-
-        stored = SweepService(
-            ordering=ORDERING,
-            workers=2,
-            shard_size=8,
-            store_dir=str(tmp_path / "store"),
-        )
-        stored.density_sweep(make_problem, densities, max_defects=3)
-        stored_bytes = stored.stats.shard_payload_bytes
-        stored.close()
-        # same sweep, same shard count — but the structure no longer rides
-        # along with every shard, only a store reference does
-        assert stored.stats.shards_dispatched == plain_shards
-        assert stored_bytes < plain_bytes
-
     def test_workers_warm_start_from_the_store(self, tmp_path):
         densities = [0.2 + 0.05 * index for index in range(48)]
         store_dir = str(tmp_path / "store")
+        points = [
+            SweepPoint(make_problem(mean), max_defects=truncation)
+            for truncation in (3, 4)
+            for mean in densities
+        ]
         # warm the store in one (serial) service ...
-        SweepService(ordering=ORDERING, store_dir=store_dir).evaluate(
-            make_problem(1.0), max_defects=3
-        )
-        # ... and fan out in another: workers resolve the structure from
-        # disk, nobody rebuilds it
-        service = SweepService(
-            ordering=ORDERING, workers=2, shard_size=8, store_dir=store_dir
-        )
-        rows = service.density_sweep(make_problem, densities, max_defects=3)
+        warm = SweepService(ordering=ORDERING, store_dir=store_dir)
+        for truncation in (3, 4):
+            warm.evaluate(make_problem(1.0), max_defects=truncation)
+        # ... and fan the two groups out in another: the workers resolve
+        # both structures from disk, nobody rebuilds them
+        service = SweepService(ordering=ORDERING, workers=2, store_dir=store_dir)
+        results = service.evaluate_batch(points)
         service.close()
-        if service.stats.shards_dispatched == 0:
+        if service.stats.parallel_batches == 0:
             pytest.skip("platform cannot spawn worker processes")
         assert service.stats.structures_built == 0
         assert service.stats.store_hits >= 1
 
         reference = SweepService(ordering=ORDERING)
-        expected = reference.density_sweep(make_problem, densities, max_defects=3)
-        assert rows == expected
+        expected = reference.evaluate_batch(points)
+        assert [r.yield_estimate for r in results] == [
+            r.yield_estimate for r in expected
+        ]
 
 
 class TestVerifyAndQuarantine:

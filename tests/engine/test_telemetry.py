@@ -1,8 +1,7 @@
-"""End-to-end telemetry: worker metric aggregation on every dispatch route,
-worker span adoption, and Chrome trace validation on a real sweep."""
+"""End-to-end telemetry: worker metric aggregation from pool jobs, worker
+span adoption, and Chrome trace validation on a real sweep."""
 
 import json
-import multiprocessing
 import os
 import time
 
@@ -10,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import native
-from repro.engine.service import SweepService
+from repro.engine.service import SweepPoint, SweepService
 from repro.obs import trace as obs_trace
 from repro.soc import benchmark_problem
 
@@ -35,11 +34,25 @@ def _no_leaked_tracer():
     obs_trace.stop()
 
 
-def run_sweep(tmp_path, name, **kwargs):
-    service = SweepService(
-        workers=2, shard_size=8, store_dir=str(tmp_path / name), **kwargs
-    )
-    rows = service.density_sweep(make_problem, DENSITIES, max_defects=3)
+def sweep_points():
+    """Two structure groups (M = 2 and 3): the pool takes one job each."""
+    return [
+        SweepPoint(make_problem(mean), max_defects=truncation)
+        for truncation in (2, 3)
+        for mean in DENSITIES
+    ]
+
+
+def run_sweep(tmp_path, name, warm=False):
+    """One pooled sweep; ``warm`` first commits both structures to the
+    store, so the workers load them instead of building."""
+    store_dir = str(tmp_path / name)
+    if warm:
+        # the first point of each group: one build per structure
+        first_points = sweep_points()[:: len(DENSITIES)]
+        SweepService(store_dir=store_dir).evaluate_batch(first_points)
+    service = SweepService(workers=2, store_dir=store_dir)
+    rows = [r.yield_estimate for r in service.evaluate_batch(sweep_points())]
     service.close()
     return service, rows
 
@@ -47,17 +60,17 @@ def run_sweep(tmp_path, name, **kwargs):
 def reference_rows():
     if not _REFERENCE:
         _REFERENCE.append(
-            SweepService().density_sweep(make_problem, DENSITIES, max_defects=3)
+            [r.yield_estimate for r in SweepService().evaluate_batch(sweep_points())]
         )
     return _REFERENCE[0]
 
 
 class TestWorkerMetricAggregation:
-    """Worker-side counters must land in the parent registry on all routes."""
+    """Worker-side counters must land in the parent registry."""
 
-    def test_shared_memory_route(self, tmp_path):
-        service, rows = run_sweep(tmp_path, "shm")
-        if service.stats.shards_dispatched == 0:
+    def test_pickled_route(self, tmp_path):
+        service, rows = run_sweep(tmp_path, "pickled", warm=True)
+        if service.stats.parallel_batches == 0:
             pytest.skip("platform cannot spawn worker processes")
         assert rows == reference_rows()
         registry = service.registry
@@ -66,51 +79,13 @@ class TestWorkerMetricAggregation:
         assert registry.counter("store.hits") >= 1
         assert registry.counter("store.mmap_loads") >= 1
         assert registry.counter(resolved_pass_counter()) >= 1
-        assert (
-            registry.counter("service.passes.batched")
-            >= service.stats.shards_dispatched
-        )
+        assert registry.counter("service.passes.batched") >= 2
         assert registry.histogram_count("phase.worker_evaluate_seconds") >= 1
         # the facade exposes the merged totals under the legacy names
         assert service.stats.store_hits == registry.counter("store.hits")
         assert service.stats.mmap_loads == registry.counter("store.mmap_loads")
         assert service.stats.fused_passes == registry.counter("kernel.fused_passes")
         assert service.stats.native_passes == registry.counter("kernel.native_passes")
-
-    def test_pickled_route(self, tmp_path):
-        service, rows = run_sweep(tmp_path, "pickled", use_shared_memory=False)
-        if service.stats.shards_dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        assert rows == reference_rows()
-        registry = service.registry
-        assert service.stats.shm_bytes == 0
-        assert registry.counter("store.hits") >= 1
-        assert registry.counter(resolved_pass_counter()) >= 1
-        assert registry.histogram_count("phase.worker_evaluate_seconds") >= 1
-
-    def test_fallback_route_ships_metrics_with_ok_false(self, tmp_path, monkeypatch):
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the forced store miss relies on fork inheritance")
-        from repro.engine import store as store_module
-
-        # every store load fails: fresh workers cannot resolve the
-        # structure, report ok:False, and the parent re-evaluates their
-        # spans in-process.  The patch lands before the pool exists, so
-        # forked workers inherit it.
-        monkeypatch.setattr(
-            store_module.StructureStore, "load", lambda self, skey, mmap=False: None
-        )
-        service, rows = run_sweep(tmp_path, "fallback")
-        if service.stats.shards_dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        assert rows == reference_rows()
-        registry = service.registry
-        # nobody could load: no hits anywhere, and the worker-side misses
-        # rode home on the ok:False shard stats (the parent itself only
-        # misses once, when resolving the structure for the build)
-        assert registry.counter("store.hits") == 0
-        assert registry.counter("store.misses") > 1
-        assert registry.histogram_count("phase.worker_evaluate_seconds") == 0
 
 
 class TestWorkerSpanAdoption:
@@ -120,7 +95,7 @@ class TestWorkerSpanAdoption:
             service, _ = run_sweep(tmp_path, "traced")
         finally:
             obs_trace.stop()
-        if service.stats.shards_dispatched == 0:
+        if service.stats.parallel_batches == 0:
             pytest.skip("platform cannot spawn worker processes")
         spans = tracer.spans()
         names = {s["name"] for s in spans}
@@ -168,16 +143,18 @@ class TestChromeTraceValidation:
 class TestTraceCoverage:
     def test_sweep_trace_covers_most_of_the_wall_clock(self, tmp_path, capsys):
         """Acceptance: the exported spans cover >=90% of the measured wall
-        clock of a sharded ESEN4x2 sweep, worker-process spans included."""
+        clock of a pooled ESEN4x2 sweep, worker-process spans included.
+        The two densities resolve to M = 2 and 3: two groups, two jobs."""
         trace_file = tmp_path / "trace.json"
         argv = [
             "sweep",
             "ESEN4x2",
-            "--max-defects",
-            "4",
+            "--epsilon",
+            "1e-2",
+            "--densities",
+            "0.5",
+            "1.0",
             "--workers",
-            "2",
-            "--shard-size",
             "2",
             "--store-dir",
             str(tmp_path / "store"),
@@ -195,6 +172,6 @@ class TestTraceCoverage:
         assert len(roots) == 1
         covered = roots[0]["dur"] / 1e6  # µs -> s
         assert covered >= 0.9 * elapsed
-        if "service.shards.dispatched" in out:
+        if "service.batches.parallel" in out:
             worker_spans = [e for e in xs if e["name"] == "worker.shard"]
             assert worker_spans  # worker-process spans made it into the file

@@ -139,28 +139,35 @@ FIXED_TREES = [
 ]
 
 
-@pytest.mark.parametrize("route", ["pickled", "shm"])
+@pytest.mark.parametrize("route", ["build", "store"])
 def test_service_pool_matches_exact_enumeration(route, tmp_path):
-    """Sharded over two workers: without a store each shard unpickles the
-    structure (its ROMDD manager still in loaded form), with a store each
-    maps it and reads its columns from shared memory.  Bit-for-bit equal to
-    the in-process route, and exact to rel 1e-9."""
-    store_dir = str(tmp_path / "store") if route == "shm" else None
-    pool = SweepService(workers=2, shard_size=2, store_dir=store_dir)
+    """The five trees in one batch on two workers, one whole group per job:
+    without a store each worker builds its structure, with a pre-warmed
+    store each memory-maps it.  Bit-for-bit equal to the in-process
+    route, and exact to rel 1e-9."""
+    problems = [
+        build_problem(expr, weights, mean, 2.0)
+        for expr, weights in FIXED_TREES
+        for mean in (0.3, 0.9, 1.6, 2.4)
+    ]
+    points = [SweepPoint(problem, max_defects=3) for problem in problems]
+    store_dir = None
+    if route == "store":
+        store_dir = str(tmp_path / "store")
+        SweepService(store_dir=store_dir).evaluate_batch(points[::4])
+    pool = SweepService(workers=2, store_dir=store_dir)
     try:
-        for expr, weights in FIXED_TREES:
-            problems = [build_problem(expr, weights, mean, 2.0) for mean in (0.3, 0.9, 1.6, 2.4)]
-            points = [SweepPoint(problem, max_defects=3) for problem in problems]
-            dispatched = pool.stats.shards_dispatched
-            sharded = pool.evaluate_batch(points)
-            assert pool.stats.shards_dispatched > dispatched
-            in_process = SweepService().evaluate_batch(points)
-            for problem, fresh, result in zip(problems, in_process, sharded):
-                assert result.yield_estimate == fresh.yield_estimate  # bit-for-bit
-                reference = exact_yield(problem, max_defects=3)
-                assert result.yield_estimate == pytest.approx(
-                    reference.yield_estimate, rel=1e-9
-                )
-        assert (pool.stats.shm_bytes > 0) == (route == "shm")
+        pooled = pool.evaluate_batch(points)
     finally:
         pool.close()
+    assert pool.stats.parallel_batches == 1
+    if route == "store":
+        assert pool.stats.structures_built == 0
+        assert pool.stats.mmap_loads == len(FIXED_TREES)
+    in_process = SweepService().evaluate_batch(points)
+    for problem, fresh, result in zip(problems, in_process, pooled):
+        assert result.yield_estimate == fresh.yield_estimate  # bit-for-bit
+        reference = exact_yield(problem, max_defects=3)
+        assert result.yield_estimate == pytest.approx(
+            reference.yield_estimate, rel=1e-9
+        )

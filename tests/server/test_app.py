@@ -490,14 +490,6 @@ class TestAdmissionControl:
 class TestDegradedHealth:
     """``/healthz`` distinguishes "up" from "well" (still HTTP 200)."""
 
-    def test_blocked_ladder_route_reports_degraded(self, served):
-        service, handle = served
-        service._ladder.note_failure("remote", service.registry)
-        status, payload = get_json(handle, "/healthz")
-        assert status == 200
-        assert payload["status"] == "degraded"
-        assert "remote" in payload["reason"]
-
     def test_recent_pool_respawn_reports_degraded(self, served):
         import time
 
@@ -517,33 +509,28 @@ class TestDegradedHealth:
         assert status == 200
         assert payload == {"status": "ok"}
 
-    def test_recovered_ladder_is_healthy_again(self, served):
-        service, handle = served
-        ladder = service._ladder
-        ladder.note_failure("remote", service.registry)
-        ladder.note_success("shm", service.registry)
-        ladder.note_success("shm", service.registry)
-        status, payload = get_json(handle, "/healthz")
-        assert status == 200
-        assert payload == {"status": "ok"}
-
 
 class TestResilience:
     def test_healthz_stays_green_through_a_worker_kill(self):
-        service = SweepService(workers=2, shard_size=2)
+        service = SweepService(workers=2)
         handle = serve_in_thread(service)
         try:
-            payload = {
-                "benchmark": BENCH,
-                "densities": DENSITIES,
-                "max_defects": 3,
-            }
-            response, before = post_json(handle, "/v1/sweep", payload)
-            assert response.status == 200
+            # a served request primes its structures and runs in-process, so
+            # the pool's work comes from a batch on two structures the
+            # service does not hold: one whole-group job each
+            cold = [
+                SweepPoint(benchmark_problem(BENCH, mean_defects=m), max_defects=t)
+                for t in (4, 5)
+                for m in DENSITIES
+            ]
+            before = service.evaluate_batch(cold)
+            if service.stats.parallel_batches == 0:
+                pytest.skip("platform cannot spawn worker processes")
+            assert [r.yield_estimate for r in before] == [
+                r.yield_estimate for r in SweepService().evaluate_batch(cold)
+            ]
 
             pool = service.ensure_workers()
-            if pool is None:
-                pytest.skip("platform cannot spawn worker processes")
             import os
             import signal
 
@@ -591,13 +578,11 @@ class TestServeCli:
                 "--host", "0.0.0.0",
                 "--port", "8123",
                 "--workers", "2",
-                "--shard-size", "8",
                 "--max-queue", "16",
                 "--http-threads", "4",
                 "--drain-grace", "3.5",
                 "--store-dir", "/tmp/store",
                 "--cache-dir", "/tmp/cache",
-                "--no-shared-memory",
                 "--epsilon", "1e-5",
             ]
         )
@@ -608,5 +593,4 @@ class TestServeCli:
         assert args.max_queue == 16
         assert args.http_threads == 4
         assert args.drain_grace == 3.5
-        assert args.shared_memory is False
         assert args.epsilon == 1e-5
