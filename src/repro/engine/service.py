@@ -474,6 +474,10 @@ class SweepService:
         self._results: "OrderedDict[Tuple, object]" = OrderedDict()
         self._pool = None
         self._pool_broken = False
+        #: Pids of the pool's members at spawn.  The pool replaces a member
+        #: that dies on its own, so a death between dispatches shows only as
+        #: a pid missing from this set (see :meth:`ShardSupervisor.dispatch`).
+        self.pool_pids: frozenset = frozenset()
         #: Reentrant guard over every piece of shared mutable state: the
         #: structure/result LRUs, the per-key lock table and the lazy
         #: pool reference.  Held only for dict-sized critical sections —
@@ -738,6 +742,9 @@ class SweepService:
                         processes=self.workers,
                         initializer=faults.install_worker_plan,
                         initargs=(None if plan is None else plan.to_json(),),
+                    )
+                    self.pool_pids = frozenset(
+                        process.pid for process in getattr(self._pool, "_pool", ())
                     )
                 except Exception as exc:  # pragma: no cover - platform specific
                     faults.note_suppressed(

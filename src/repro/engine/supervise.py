@@ -13,11 +13,13 @@ fault-free run no matter which faults strike:
   long enough for a worker-side structure build.  A job past its
   deadline is abandoned and the pool respawned, which terminates the hung
   worker; its retry gets twice the deadline.
-* **Death watch** — the pool's worker pids are watched between polls; a
-  worker that vanished (``kill -9``, OOM, a crash) triggers a pool
-  respawn and the resubmission of every in-flight job.  Respawning the
-  whole pool (not just the member) is deliberate: a worker killed while
-  holding the shared inqueue lock can deadlock its siblings.
+* **Death watch** — the pool's worker pids are watched between polls,
+  starting from the pids the pool was spawned with; a worker that
+  vanished (``kill -9``, OOM, a crash), during a dispatch or between two,
+  triggers a pool respawn and the resubmission of every in-flight job.
+  Respawning the whole pool (not just the member) is deliberate: a
+  worker killed while holding the shared inqueue lock can deadlock its
+  siblings.
 * **Bounded retry with exponential backoff plus deterministic jitter** —
   failed jobs are retried up to ``max_retries`` times, each retry
   delayed by :class:`Backoff` (seeded, so test runs are reproducible).
@@ -120,8 +122,8 @@ class ShardSupervisor:
     ----------
     service:
         The owning :class:`~repro.engine.service.SweepService`; the
-        supervisor only uses ``ensure_workers()`` / ``respawn_workers()``
-        and the metrics registry.
+        supervisor only uses ``ensure_workers()`` / ``respawn_workers()``,
+        ``pool_pids`` and the metrics registry.
     max_retries:
         How many times one job may fail (timeout or error) before it is
         quarantined to the parent.
@@ -208,7 +210,10 @@ class ShardSupervisor:
         pool = self.service.ensure_workers()
         if pool is None:
             return [], list(jobs)
-        self._known_pids = self._worker_pids(pool)
+        # watch from the pids the pool was spawned with: a member that died
+        # between dispatches (killed while idle, it can hold the task-queue
+        # lock and wedge its siblings) counts as lost at the first scan
+        self._known_pids = set(self.service.pool_pids) or self._worker_pids(pool)
 
         with obs_trace.span("service.supervise", shards=len(jobs)):
             while pending or inflight:

@@ -259,23 +259,25 @@ class TestFaultInjectionEndToEnd:
         assert any(quarantine.iterdir())
 
 
+def ms2_batch(truncations, count):
+    """``count`` MS2 points per truncation level: one group per level."""
+    from repro.soc import benchmark_problem
+
+    return [
+        SweepPoint(
+            benchmark_problem("MS2", mean_defects=0.1 + 0.01 * index),
+            max_defects=truncation,
+        )
+        for truncation in truncations
+        for index in range(count)
+    ]
+
+
 class TestPoolDeadline:
     def test_a_build_slower_than_the_last_batch_trips_no_deadline(self):
         """A job's deadline must cover a build, however fast the last batch's
         points ran: every job here hangs 1 s on its worker, a stand-in for
         a slow build, and no job may be abandoned for it."""
-        from repro.soc import benchmark_problem
-
-        def batch(truncations, count):
-            return [
-                SweepPoint(
-                    benchmark_problem("MS2", mean_defects=0.1 + 0.01 * index),
-                    max_defects=truncation,
-                )
-                for truncation in truncations
-                for index in range(count)
-            ]
-
         plan = FaultPlan.from_spec(
             {"worker.hang": {"at": list(range(1, 50)), "delay": 1.0}}
         )
@@ -284,8 +286,8 @@ class TestPoolDeadline:
             if service.ensure_workers() is None:
                 pytest.skip("platform cannot spawn worker processes")
             # two unheld 200-point groups, then two unheld 1-point groups
-            first = service.evaluate_batch(batch((3, 4), 200))
-            second = service.evaluate_batch(batch((5, 6), 1))
+            first = service.evaluate_batch(ms2_batch((3, 4), 200))
+            second = service.evaluate_batch(ms2_batch((5, 6), 1))
             counters = service.registry.snapshot()["counters"]
         finally:
             service.close()
@@ -294,8 +296,44 @@ class TestPoolDeadline:
         assert counters.get("fault.shard_timeout", 0) == 0
         assert counters.get("supervise.respawns", 0) == 0
         serial = SweepService()
-        assert rows_of(first) == rows_of(serial.evaluate_batch(batch((3, 4), 200)))
-        assert rows_of(second) == rows_of(serial.evaluate_batch(batch((5, 6), 1)))
+        assert rows_of(first) == rows_of(serial.evaluate_batch(ms2_batch((3, 4), 200)))
+        assert rows_of(second) == rows_of(serial.evaluate_batch(ms2_batch((5, 6), 1)))
+
+    def test_members_killed_between_batches_are_replaced_up_front(self):
+        """Members killed while idle can die holding the pool's task-queue
+        lock; the next dispatch must count them lost and respawn at once
+        instead of waiting for a deadline."""
+        import os
+        import signal
+        import time
+
+        service = SweepService(workers=2)
+        service._CLOSE_TIMEOUT = 0.5  # a wedged pool cannot be drained
+        try:
+            pool = service.ensure_workers()
+            if pool is None:
+                pytest.skip("platform cannot spawn worker processes")
+            service.evaluate_batch(ms2_batch((3, 4), 8))
+            killed = {process.pid for process in pool._pool}
+            for pid in killed:
+                os.kill(pid, signal.SIGKILL)
+            # let the pool replace both members, as it does long before a
+            # later batch arrives: the deaths are over when it starts
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                live = {p.pid for p in pool._pool if p.exitcode is None}
+                if len(live) == 2 and not live & killed:
+                    break
+                time.sleep(0.02)
+            results = service.evaluate_batch(ms2_batch((5, 6), 8))
+            counters = service.registry.snapshot()["counters"]
+        finally:
+            service.close()
+        assert service.stats.parallel_batches == 2
+        assert counters.get("fault.worker_lost", 0) >= 1
+        assert counters.get("fault.shard_timeout", 0) == 0
+        expected = SweepService().evaluate_batch(ms2_batch((5, 6), 8))
+        assert rows_of(results) == rows_of(expected)
 
 
 class TestPoolTeardown:
