@@ -144,10 +144,10 @@ class TestBackoff:
 # --------------------------------------------------------------------- #
 
 
-def sweep_points(offset=0.0):
+def sweep_points():
     """Two structure groups (M = 3 and 4) over the same densities."""
     return [
-        SweepPoint(make_problem(mean + offset), max_defects=truncation)
+        SweepPoint(make_problem(mean), max_defects=truncation)
         for truncation in (3, 4)
         for mean in DENSITIES
     ]
