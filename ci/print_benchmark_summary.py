@@ -22,8 +22,8 @@ in :data:`GATED_KEYS`.  A measured ratio may dip up to ``--tolerance``
 past that exits non-zero with a per-metric verdict table.  Ratios are
 gated rather than raw seconds so the gate is stable across runner
 hardware.  Missing records or metrics — a benchmark that did not run, or
-``native_speedup``/``build_speedup: null`` on a host without a C
-compiler — only warn: the
+``native_speedup``/``build_speedup``/``romdd_speedup: null`` on a host
+without a C compiler — only warn: the
 gate must not fail hosts where an optional backend is legitimately
 unavailable.
 """
@@ -48,6 +48,7 @@ GATED_KEYS = (
     "native_speedup",
     "native_backward_speedup",
     "build_speedup",
+    "romdd_speedup",
     "speedup",
     "pool_vs_serial",
 )

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.builder import CircuitBDDBuilder
 from ..bdd.manager import BDDManager
+from ..engine import native
 from ..engine.batch import LinearizedDiagram
 from ..mdd.from_bdd import convert_bdd_to_mdd
 from ..mdd.probability import (
@@ -596,7 +597,9 @@ class YieldAnalyzer:
                 bdd_manager, bdd_root, grouped_order.groups
             )
             romdd_size = mdd_manager.size(mdd_root)
-            romdd_span.set(nodes=romdd_size)
+            romdd_span.set(
+                nodes=romdd_size, backend="native" if native.available() else "numpy"
+            )
         t3 = time.perf_counter()
 
         return CompiledYield(

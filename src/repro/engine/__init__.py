@@ -21,8 +21,10 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
 * :mod:`repro.engine.native` — the C backend: the in-repo kernel source
   is compiled on demand with the system ``cc``, cached content-addressed
   under the store, loaded via ``ctypes`` and fed the FusedSchedule arrays
-  zero-copy; hosts without a working compiler run the fused kernel with
-  identical results;
+  zero-copy; the same library builds coded ROBDDs, converts them to
+  ROMDDs and linearizes those; hosts without a working compiler run the
+  fused kernel, the Python gate loop and the numpy conversion and
+  linearization with identical results;
 * :mod:`repro.engine.service` — the batch evaluation service: build a
   decision diagram once per (structure, truncation, ordering), evaluate all
   of its defect models in one batched pass, fan the groups whose structure

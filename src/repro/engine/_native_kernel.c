@@ -1,9 +1,11 @@
-/* Native backend for repro.engine.batch and repro.bdd.builder.
+/* Native backend for repro.engine.batch, repro.bdd.builder and
+ * repro.mdd.from_bdd.
  *
  * Compiled on demand by repro/engine/native.py with the system C compiler
- * and loaded via ctypes.  Two independent parts share the library: the
- * fused probability kernel below, and the coded-ROBDD builder at the end of
- * the file.  The kernel functions walk the *same* FusedSchedule
+ * and loaded via ctypes.  Three independent parts share the library: the
+ * fused probability kernel below, the coded-ROBDD builder after it, and the
+ * ROMDD conversion and linearization at the end of the file.  The kernel
+ * functions walk the *same* FusedSchedule
  * arrays the numpy fused kernel walks (concatenated child-position-major
  * `kids` array plus the (level, s0, s1, e0, e1, card) layer bounds table)
  * and perform the *same* IEEE-754 operations in the *same* order, so the
@@ -29,7 +31,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_NATIVE_ABI 2
+#define REPRO_NATIVE_ABI 3
 
 /* numpy-compatible pairwise summation over a contiguous double vector.
  * Mirrors numpy's pairwise_sum (numpy/_core/src/umath/loops.c.src):
@@ -414,10 +416,14 @@ typedef struct {
     int64_t hits, misses, insertions, evictions;
 } bdd_t;
 
+/* The arrays a call hands back: up to RESULT_ARRAYS int64 arrays, copied
+ * out with repro_result_export and released with repro_result_free. */
+enum { RESULT_ARRAYS = 4 };
+
 typedef struct {
-    int64_t count;
-    int64_t *level, *low, *high;
-} bdd_result_t;
+    int64_t len[RESULT_ARRAYS];
+    int64_t *data[RESULT_ARRAYS];
+} result_t;
 
 static inline uint64_t
 mix64(uint64_t x)
@@ -808,31 +814,60 @@ validate_circuit(const int64_t *kinds, const int64_t *args,
     return 1;
 }
 
-/* Compact the nodes reachable from root into a result, renumbered
- * 2.. in creation order (children keep smaller ids than parents). */
-static bdd_result_t *
-export_reachable(const bdd_t *b, uint32_t root, int64_t *root_out)
+static void
+result_free(result_t *res)
 {
-    bdd_result_t *res = calloc(1, sizeof *res);
+    if (res) {
+        for (int i = 0; i < RESULT_ARRAYS; i++) {
+            free(res->data[i]);
+        }
+        free(res);
+    }
+}
+
+/* a result of `count` arrays with room for caps[i] entries each; the
+ * lengths start at the capacities */
+static result_t *
+result_new(int count, const int64_t *caps)
+{
+    result_t *res = calloc(1, sizeof *res);
+    for (int i = 0; res && i < count; i++) {
+        res->len[i] = caps[i];
+        res->data[i] = malloc((size_t)(caps[i] ? caps[i] : 1) * sizeof(int64_t));
+        if (!res->data[i]) {
+            result_free(res);
+            res = NULL;
+        }
+    }
+    return res;
+}
+
+/* Compact the nodes reachable from root into (level, low, high) arrays,
+ * renumbered 2.. in creation order (children keep smaller ids than
+ * parents). */
+static result_t *
+export_reachable(const bdd_t *b, uint32_t root, int64_t *count_out,
+                 int64_t *root_out)
+{
+    result_t *res = NULL;
     uint8_t *mark = calloc((size_t)b->n, 1);
     uint32_t *renum = malloc((size_t)b->n * sizeof *renum);
-    int ok = res && mark && renum;
-    if (ok) {
+    if (mark && renum) {
+        int64_t count = 0;
         mark[root] = 1;
         for (int64_t id = root; id >= 2; id--) {
             if (mark[id]) {
                 mark[b->nodes[id].low] = 1;
                 mark[b->nodes[id].high] = 1;
-                res->count++;
+                count++;
             }
         }
-        size_t m = (size_t)res->count;
-        res->level = malloc((m ? m : 1) * sizeof(int64_t));
-        res->low = malloc((m ? m : 1) * sizeof(int64_t));
-        res->high = malloc((m ? m : 1) * sizeof(int64_t));
-        ok = res->level && res->low && res->high;
+        const int64_t caps[3] = {count, count, count};
+        res = result_new(3, caps);
+        *count_out = count;
     }
-    if (ok) {
+    if (res) {
+        int64_t *level = res->data[0], *low = res->data[1], *high = res->data[2];
         renum[0] = 0;
         renum[1] = 1;
         int64_t next = 0;
@@ -842,22 +877,15 @@ export_reachable(const bdd_t *b, uint32_t root, int64_t *root_out)
             }
             const node_t *nd = &b->nodes[id];
             renum[id] = (uint32_t)(next + 2);
-            res->level[next] = nd->level;
-            res->low[next] = renum[nd->low];
-            res->high[next] = renum[nd->high];
+            level[next] = nd->level;
+            low[next] = renum[nd->low];
+            high[next] = renum[nd->high];
             next++;
         }
         *root_out = renum[root];
     }
     free(mark);
     free(renum);
-    if (!ok && res) {
-        free(res->level);
-        free(res->low);
-        free(res->high);
-        free(res);
-        res = NULL;
-    }
     return res;
 }
 
@@ -871,9 +899,9 @@ export_reachable(const bdd_t *b, uint32_t root, int64_t *root_out)
  * node_limit    fail once more than this many nodes (terminals included)
  *               were created, checked as the gate loop does; < 0: none
  * info          INFO_SIZE counters, written on every return
- * result_out    on BUILD_OK, the reachable diagram for
- *               repro_bdd_result_export; release it with
- *               repro_bdd_result_free.  NULL on every failure.
+ * result_out    on BUILD_OK, the reachable diagram as (level, low, high)
+ *               arrays of INFO_NODES entries each, for repro_result_export;
+ *               release it with repro_result_free.  NULL on every failure.
  */
 int
 repro_bdd_build(
@@ -947,11 +975,9 @@ repro_bdd_build(
     info[INFO_INSERTIONS] = b.insertions;
     info[INFO_EVICTIONS] = b.evictions;
     if (b.status == BUILD_OK) {
-        bdd_result_t *res = export_reachable(&b, vals[output], &info[INFO_ROOT]);
-        if (res) {
-            info[INFO_NODES] = res->count;
-            *result_out = res;
-        } else {
+        *result_out = export_reachable(&b, vals[output], &info[INFO_NODES],
+                                       &info[INFO_ROOT]);
+        if (!*result_out) {
             b.status = BUILD_NO_MEMORY;
         }
     }
@@ -960,26 +986,560 @@ repro_bdd_build(
     return b.status;
 }
 
-/* Copy a build result into caller arrays of at least INFO_NODES entries. */
+
+/* Copy a result's arrays into caller arrays of at least len[i] entries. */
 void
-repro_bdd_result_export(const void *result, int64_t *level, int64_t *low,
-                        int64_t *high)
+repro_result_export(const void *result, int64_t *const *out)
 {
-    const bdd_result_t *res = result;
-    size_t bytes = (size_t)res->count * sizeof(int64_t);
-    memcpy(level, res->level, bytes);
-    memcpy(low, res->low, bytes);
-    memcpy(high, res->high, bytes);
+    const result_t *res = result;
+    for (int i = 0; i < RESULT_ARRAYS; i++) {
+        if (res->data[i] && res->len[i]) {
+            memcpy(out[i], res->data[i], (size_t)res->len[i] * sizeof(int64_t));
+        }
+    }
 }
 
 void
-repro_bdd_result_free(void *result)
+repro_result_free(void *result)
 {
-    bdd_result_t *res = result;
-    if (res) {
-        free(res->level);
-        free(res->low);
-        free(res->high);
-        free(res);
+    result_free(result);
+}
+
+/* ------------------------------------------------------------------------
+ * ROMDD conversion and linearization (repro.mdd.from_bdd and
+ * repro.engine.batch, native route).
+ *
+ * Both calls are array-in, array-out and number their output exactly as
+ * the numpy routes do, so store digests and the gradient summation order
+ * never depend on the route:
+ *
+ *  - repro_mdd_convert turns a coded ROBDD into ROMDD layers.  Layers run
+ *    deepest first and a layer's entry nodes in ascending handle order;
+ *    each (entry, codeword) pair walks the layer one ROBDD level at a time,
+ *    stepping to a child only at a node that tests that level (terminals
+ *    and free slots sit in a pseudo-level below every layer); a row whose
+ *    children are all equal collapses to that child, and distinct rows are
+ *    numbered from 2 in order of first occurrence.  The codewords are
+ *    walked in sorted order, so each shared codeword prefix is walked once
+ *    per entry.
+ *  - repro_mdd_linearize flattens an ROMDD into the FusedSchedule arrays:
+ *    a stack walk from the root (pop the last node pushed, push its
+ *    unseen non-terminal children left to right), then a stable sort of
+ *    the walked nodes deepest level first, whose positions are the slots.
+ *    The node arrays bound every output, so the caller allocates them.
+ *
+ * Everything a call allocates is freed before it returns, except the
+ * result a conversion hands back; failures come back as BUILD_* status
+ * codes.
+ * ---------------------------------------------------------------------- */
+
+/* entries of one layer walked together by repro_mdd_convert */
+#define WALK_BLOCK 32
+
+/* info[] slots written by repro_mdd_convert */
+enum { CONVERT_LAYERS = 0, CONVERT_CHILDREN, CONVERT_ROOT, CONVERT_INFO_SIZE };
+
+/* info[] slots written by repro_mdd_linearize */
+enum {
+    LINEAR_ROOT_SLOT = 0, LINEAR_SLOTS, LINEAR_LAYERS, LINEAR_EDGES,
+    LINEAR_INFO_SIZE
+};
+
+/* The codewords of one layer in ROBDD level order, sorted, with the
+ * length of the prefix each shares with the one before it. */
+typedef struct {
+    int64_t steps, top;
+    uint8_t *bits;  /* card x steps, row i = the i-th sorted codeword */
+    int64_t *value; /* value index of the i-th sorted codeword */
+    int64_t *lcp;   /* shared prefix length with codeword i - 1 (0 for i = 0) */
+} codes_t;
+
+static int
+codes_init(codes_t *c, const int64_t *table, int64_t card, int64_t width,
+           const int64_t *level_bit, int64_t top, int64_t steps)
+{
+    c->steps = steps;
+    c->top = top;
+    c->bits = malloc((size_t)(card * steps > 0 ? card * steps : 1));
+    c->value = malloc((size_t)card * sizeof *c->value);
+    c->lcp = malloc((size_t)card * sizeof *c->lcp);
+    if (!c->bits || !c->value || !c->lcp) {
+        return 0;
     }
+    uint8_t *row = malloc((size_t)(steps ? steps : 1));
+    if (!row) {
+        return 0;
+    }
+    /* insertion sort of the level-ordered codewords (cardinalities are
+     * small, and this runs once per layer, not per entry) */
+    for (int64_t v = 0; v < card; v++) {
+        for (int64_t k = 0; k < steps; k++) {
+            row[k] = (uint8_t)table[v * width + level_bit[top + k]];
+        }
+        int64_t i = v;
+        while (i > 0 && memcmp(c->bits + (i - 1) * steps, row, (size_t)steps) > 0) {
+            memcpy(c->bits + i * steps, c->bits + (i - 1) * steps, (size_t)steps);
+            c->value[i] = c->value[i - 1];
+            i--;
+        }
+        memcpy(c->bits + i * steps, row, (size_t)steps);
+        c->value[i] = v;
+    }
+    free(row);
+    for (int64_t i = 0; i < card; i++) {
+        int64_t k = 0;
+        if (i > 0) {
+            const uint8_t *a = c->bits + (i - 1) * steps, *b = c->bits + i * steps;
+            while (k < steps && a[k] == b[k]) {
+                k++;
+            }
+        }
+        c->lcp[i] = k;
+    }
+    return 1;
+}
+
+static void
+codes_release(codes_t *c)
+{
+    free(c->bits);
+    free(c->value);
+    free(c->lcp);
+}
+
+/* Convert the coded ROBDD rooted at `root` into ROMDD layers.
+ *
+ * level, low, high  n ROBDD node arrays indexed by handle (0/1 terminals)
+ * root              the root handle, 2 <= root < n
+ * level_layer       per ROBDD level: its layer, nondecreasing
+ * level_bit         per ROBDD level: its bit position in the layer's code
+ * cards, widths     per layer: cardinality and code width
+ * codes             per layer, concatenated: the cards x widths 0/1
+ *                   codeword bit table, most significant bit first
+ * info              CONVERT_INFO_SIZE entries: output layers, children and
+ *                   the root's image, written on BUILD_OK
+ * result_out        on BUILD_OK: the layer of each output layer, its row
+ *                   count, and every row's children concatenated (row
+ *                   major, deepest layer first) for repro_result_export
+ */
+int
+repro_mdd_convert(
+    const int64_t *level,
+    const int64_t *low,
+    const int64_t *high,
+    int64_t n,
+    int64_t root,
+    const int64_t *level_layer,
+    const int64_t *level_bit,
+    int64_t num_levels,
+    const int64_t *cards,
+    const int64_t *widths,
+    const int64_t *codes,
+    int64_t num_layers,
+    int64_t *info,
+    void **result_out)
+{
+    memset(info, 0, CONVERT_INFO_SIZE * sizeof *info);
+    *result_out = NULL;
+    if (n < 3 || root < 2 || root >= n || n > INT32_MAX || num_levels < 1
+        || num_layers < 1 || num_levels >= INT32_MAX) {
+        return BUILD_INVALID;
+    }
+
+    int status = BUILD_OK;
+    /* layer of each level (a level outside the table is a terminal's or
+     * a free slot's); where each layer's run of levels starts, its length,
+     * and where its codeword table starts */
+    int64_t *layer_at = malloc((size_t)num_levels * sizeof *layer_at);
+    int64_t *top = malloc((size_t)num_layers * sizeof *top);
+    int64_t *steps = calloc((size_t)num_layers, sizeof *steps);
+    int64_t *code_off = malloc((size_t)num_layers * sizeof *code_off);
+    /* per layer: entry count, then the start of its bucket in `entries` */
+    int64_t *bucket = calloc((size_t)num_layers + 1, sizeof *bucket);
+    int64_t *fill = malloc((size_t)num_layers * sizeof *fill);
+    uint8_t *mark = calloc((size_t)n, 1);
+    /* the walk's stack, then the entries bucketed by layer */
+    uint32_t *entries = malloc((size_t)n * sizeof *entries);
+    int64_t *image = malloc((size_t)n * sizeof *image);
+    int64_t *block_rows = NULL, *table = NULL;
+    uint32_t *path = NULL;
+    /* each row's hash: one multiply per child, in walk order, mixed once */
+    uint64_t hashes[WALK_BLOCK];
+    result_t *res = NULL;
+    codes_t code;
+    memset(&code, 0, sizeof code);
+    if (!layer_at || !top || !steps || !code_off || !bucket || !fill || !mark
+        || !entries || !image) {
+        status = BUILD_NO_MEMORY;
+        goto done;
+    }
+
+    int64_t offset = 0;
+    for (int64_t l = 0; l < num_layers; l++) {
+        top[l] = -1;
+        code_off[l] = offset;
+        offset += cards[l] * widths[l];
+    }
+    for (int64_t v = 0; v < num_levels; v++) {
+        int64_t l = level_layer[v];
+        if (l < 0 || l >= num_layers || (v > 0 && l < level_layer[v - 1])
+            || level_bit[v] < 0 || level_bit[v] >= widths[l]) {
+            status = BUILD_INVALID;
+            goto done;
+        }
+        if (top[l] < 0) {
+            top[l] = v;
+        }
+        steps[l]++;
+        layer_at[v] = l;
+    }
+
+    /* reachable nodes from the root; entry nodes are the root plus every
+     * child across a layer boundary.  Every reached node is popped, and a
+     * popped node must test a level of the table above its children's. */
+    enum { REACHED = 1, ENTRY = 2 };
+    int64_t sp = 0;
+    mark[root] = REACHED | ENTRY;
+    entries[sp++] = (uint32_t)root;
+    while (sp > 0) {
+        const uint32_t p = entries[--sp];
+        const int64_t lp = level[p];
+        if (lp < 0 || lp >= num_levels) {
+            status = BUILD_INVALID;
+            goto done;
+        }
+        const int64_t kids[2] = {low[p], high[p]};
+        for (int j = 0; j < 2; j++) {
+            const int64_t c = kids[j];
+            if (c <= 1) {
+                continue;
+            }
+            const int64_t lc = level[c];
+            if (lc <= lp) {
+                status = BUILD_INVALID;
+                goto done;
+            }
+            if (lc >= num_levels || layer_at[lc] != layer_at[lp]) {
+                mark[c] |= ENTRY;
+            }
+            if (!(mark[c] & REACHED)) {
+                mark[c] |= REACHED;
+                entries[sp++] = (uint32_t)c;
+            }
+        }
+    }
+
+    /* entries bucketed by layer, ascending handles within a bucket */
+    int64_t capacity = 0, widest = 0, max_steps = 0, max_card = 0;
+    for (int64_t h = 2; h < n; h++) {
+        if (mark[h] & ENTRY) {
+            bucket[layer_at[level[h]]]++;
+        }
+    }
+    for (int64_t l = 0; l < num_layers; l++) {
+        capacity += bucket[l] * cards[l];
+        widest = bucket[l] > widest ? bucket[l] : widest;
+        max_steps = steps[l] > max_steps ? steps[l] : max_steps;
+        max_card = cards[l] > max_card ? cards[l] : max_card;
+    }
+    for (int64_t l = 0, start = 0; l <= num_layers; l++) {
+        int64_t count = bucket[l];
+        bucket[l] = start;
+        start += count;
+    }
+    memcpy(fill, bucket, (size_t)num_layers * sizeof *fill);
+    for (int64_t h = 2; h < n; h++) {
+        image[h] = -1;
+        if (mark[h] & ENTRY) {
+            entries[fill[layer_at[level[h]]]++] = (uint32_t)h;
+        }
+    }
+    image[0] = 0;
+    image[1] = 1;
+
+    int64_t table_size = 1;
+    while (table_size < 2 * widest) {
+        table_size *= 2;
+    }
+    table = malloc((size_t)table_size * sizeof *table);
+    /* per walk step, the node each entry of a block is at; then the
+     * block's rows */
+    path = malloc((size_t)(max_steps + 1) * WALK_BLOCK * sizeof *path);
+    block_rows = malloc((size_t)max_card * WALK_BLOCK * sizeof *block_rows);
+    const int64_t caps[3] = {num_layers, num_layers, capacity};
+    res = result_new(3, caps);
+    if (!table || !path || !block_rows || !res) {
+        status = BUILD_NO_MEMORY;
+        goto done;
+    }
+
+    int64_t *out_layer = res->data[0], *out_count = res->data[1];
+    int64_t *children = res->data[2];
+    int64_t layers_out = 0, filled = 0, created = 2;
+    for (int64_t l = num_layers - 1; l >= 0; l--) {
+        const uint32_t *nodes_l = entries + bucket[l];
+        const int64_t count = bucket[l + 1] - bucket[l];
+        if (count == 0) {
+            continue;
+        }
+        const int64_t card = cards[l];
+        if (!codes_init(&code, codes + code_off[l], card, widths[l], level_bit,
+                        top[l], steps[l])) {
+            status = BUILD_NO_MEMORY;
+            goto done;
+        }
+        int64_t mask = 1;
+        while (mask < 2 * count) {
+            mask *= 2;
+        }
+        mask -= 1;
+        for (int64_t t = 0; t <= mask; t++) {
+            table[t] = -1;
+        }
+        int64_t *layer_rows = children + filled;
+        int64_t rows = 0;
+        for (int64_t e0 = 0; e0 < count; e0 += WALK_BLOCK) {
+            const int64_t nb = count - e0 < WALK_BLOCK ? count - e0 : WALK_BLOCK;
+            for (int64_t b = 0; b < nb; b++) {
+                path[b] = nodes_l[e0 + b];
+                hashes[b] = 0xcbf29ce484222325ULL;
+            }
+            /* the block's entries walk in lockstep, so the node loads of
+             * different entries overlap instead of forming one chain */
+            for (int64_t i = 0; i < card; i++) {
+                const uint8_t *bits = code.bits + i * code.steps;
+                for (int64_t k = code.lcp[i]; k < code.steps; k++) {
+                    const uint32_t *from = path + k * WALK_BLOCK;
+                    uint32_t *to = path + (k + 1) * WALK_BLOCK;
+                    const int64_t at_level = code.top + k;
+                    const int64_t *next = bits[k] ? high : low;
+                    for (int64_t b = 0; b < nb; b++) {
+                        const uint32_t at = from[b];
+                        /* branch-free: whether a node moves is data */
+                        const uint32_t stay = -(uint32_t)(level[at] != at_level);
+                        to[b] = (at & stay) | ((uint32_t)next[at] & ~stay);
+                    }
+                }
+                const uint32_t *ends = path + code.steps * WALK_BLOCK;
+                for (int64_t b = 0; b < nb; b++) {
+                    const int64_t child = image[ends[b]];
+                    block_rows[b * card + code.value[i]] = child;
+                    hashes[b] = (hashes[b] ^ (uint64_t)child) * 0x100000001b3ULL;
+                }
+            }
+            for (int64_t b = 0; b < nb; b++) {
+                const int64_t entry = nodes_l[e0 + b];
+                const int64_t *row = block_rows + b * card;
+                int64_t j = 1;
+                while (j < card && row[j] == row[0]) {
+                    j++;
+                }
+                if (row[0] < 0) {
+                    status = BUILD_INVALID;
+                    goto done;
+                }
+                if (j == card) {
+                    image[entry] = row[0];
+                    continue;
+                }
+                uint64_t h = mix64(hashes[b]) & (uint64_t)mask;
+                for (;;) {
+                    int64_t r = table[h];
+                    if (r < 0) {
+                        for (j = 0; j < card; j++) {
+                            if (row[j] < 0) {
+                                status = BUILD_INVALID;
+                                goto done;
+                            }
+                        }
+                        memcpy(layer_rows + rows * card, row, (size_t)card * sizeof *row);
+                        table[h] = rows;
+                        image[entry] = created + rows;
+                        rows++;
+                        break;
+                    }
+                    if (!memcmp(layer_rows + r * card, row, (size_t)card * sizeof *row)) {
+                        image[entry] = created + r;
+                        break;
+                    }
+                    h = (h + 1) & (uint64_t)mask;
+                }
+            }
+        }
+        codes_release(&code);
+        memset(&code, 0, sizeof code);
+        if (rows) {
+            out_layer[layers_out] = l;
+            out_count[layers_out] = rows;
+            layers_out++;
+            filled += rows * card;
+            created += rows;
+        }
+    }
+    res->len[0] = res->len[1] = layers_out;
+    res->len[2] = filled;
+    info[CONVERT_LAYERS] = layers_out;
+    info[CONVERT_CHILDREN] = filled;
+    info[CONVERT_ROOT] = image[root];
+
+done:
+    codes_release(&code);
+    free(layer_at);
+    free(top);
+    free(steps);
+    free(code_off);
+    free(bucket);
+    free(fill);
+    free(mark);
+    free(entries);
+    free(image);
+    free(path);
+    free(block_rows);
+    free(table);
+    if (status == BUILD_OK) {
+        *result_out = res;
+    } else {
+        result_free(res);
+    }
+    return status;
+}
+
+/* Linearize the ROMDD rooted at `root` into the FusedSchedule arrays.
+ *
+ * level, offsets, children  the CSR node arrays of n handles: the children
+ *                           of h are children[offsets[h] .. offsets[h+1]]
+ * root                      the root handle, 2 <= root < n
+ * num_levels                the variable count; every walked node's level
+ *                           lies in [0, num_levels)
+ * kids, seg, slot_levels,   caller arrays of at least offsets[n], n - 1,
+ * bounds                    n - 2 and 6 * num_levels entries: the fused
+ *                           edge array, CSR offsets, per-slot levels and
+ *                           the (level, s0, s1, e0, e1, card) layer rows
+ * info                      LINEAR_INFO_SIZE entries: root slot, slot
+ *                           count, layers and edges, written on BUILD_OK
+ */
+int
+repro_mdd_linearize(
+    const int64_t *level,
+    const int64_t *offsets,
+    const int64_t *children,
+    int64_t n,
+    int64_t root,
+    int64_t num_levels,
+    int64_t *kids,
+    int64_t *seg,
+    int64_t *slot_levels,
+    int64_t *bounds,
+    int64_t *info)
+{
+    memset(info, 0, LINEAR_INFO_SIZE * sizeof *info);
+    if (n < 3 || root < 2 || root >= n || num_levels < 1
+        || num_levels >= INT32_MAX) {
+        return BUILD_INVALID;
+    }
+
+    int status = BUILD_OK;
+    uint8_t *seen = calloc((size_t)n, 1);
+    int64_t *walked = malloc((size_t)n * sizeof *walked);
+    int64_t *stack = malloc((size_t)n * sizeof *stack);
+    int64_t *slot_of = malloc((size_t)n * sizeof *slot_of);
+    /* per level: node count, then the first position of its run */
+    int64_t *start = calloc((size_t)num_levels + 1, sizeof *start);
+    int64_t *card = malloc((size_t)num_levels * sizeof *card);
+    if (!seen || !walked || !stack || !slot_of || !start || !card) {
+        status = BUILD_NO_MEMORY;
+        goto done;
+    }
+
+    /* the stack walk, counting nodes and edges per level */
+    int64_t sp = 0, nw = 0, edges = 0;
+    seen[root] = 1;
+    stack[sp++] = root;
+    while (sp > 0) {
+        const int64_t node = stack[--sp];
+        const int64_t lv = level[node];
+        const int64_t k0 = offsets[node], k1 = offsets[node + 1];
+        if (lv < 0 || lv >= num_levels || k1 <= k0
+            || (start[lv] ? card[lv] != k1 - k0 : 0)) {
+            status = BUILD_INVALID;
+            goto done;
+        }
+        card[lv] = k1 - k0;
+        start[lv]++;
+        walked[nw++] = node;
+        edges += k1 - k0;
+        for (int64_t k = k0; k < k1; k++) {
+            const int64_t c = children[k];
+            if (c <= 1 || seen[c]) {
+                continue;
+            }
+            if (level[c] <= lv) {
+                status = BUILD_INVALID;
+                goto done;
+            }
+            seen[c] = 1;
+            stack[sp++] = c;
+        }
+    }
+
+    /* stable counting sort, deepest level first: runs start where the
+     * deeper levels' counts end */
+    int64_t nlayers = 0;
+    for (int64_t lv = num_levels - 1, pos = 0; lv >= 0; lv--) {
+        int64_t count = start[lv];
+        start[lv] = pos;
+        pos += count;
+        nlayers += count > 0;
+    }
+    int64_t *order = stack; /* the walk is over: reuse its stack */
+    for (int64_t i = 0; i < nw; i++) {
+        const int64_t node = walked[i];
+        const int64_t pos = start[level[node]]++;
+        order[pos] = node;
+        slot_of[node] = pos + 2;
+    }
+    slot_of[0] = 0;
+    slot_of[1] = 1;
+
+    int64_t s0 = 0, e0 = 0, layer = 0;
+    seg[0] = 0;
+    while (s0 < nw) {
+        const int64_t lv = level[order[s0]];
+        const int64_t width = card[lv];
+        int64_t s1 = s0;
+        while (s1 < nw && level[order[s1]] == lv) {
+            s1++;
+        }
+        const int64_t count = s1 - s0;
+        for (int64_t i = 0; i < count; i++) {
+            const int64_t *row = children + offsets[order[s0 + i]];
+            for (int64_t j = 0; j < width; j++) {
+                kids[e0 + j * count + i] = slot_of[row[j]];
+            }
+            slot_levels[s0 + i] = lv;
+            seg[s0 + i + 1] = seg[s0 + i] + width;
+        }
+        int64_t *b = bounds + 6 * layer++;
+        b[0] = lv;
+        b[1] = s0 + 2;
+        b[2] = s1 + 2;
+        b[3] = e0;
+        b[4] = e0 + count * width;
+        b[5] = width;
+        e0 += count * width;
+        s0 = s1;
+    }
+    info[LINEAR_ROOT_SLOT] = slot_of[root];
+    info[LINEAR_SLOTS] = nw + 2;
+    info[LINEAR_LAYERS] = nlayers;
+    info[LINEAR_EDGES] = edges;
+
+done:
+    free(seen);
+    free(walked);
+    free(stack);
+    free(slot_of);
+    free(start);
+    free(card);
+    return status;
 }

@@ -355,51 +355,29 @@ class LinearizedDiagram:
         Works on the manager's CSR :meth:`~repro.mdd.MDDManager.node_arrays`,
         so a bulk-loaded manager never builds its node tuples.  Slots follow
         a stack depth-first walk from the root: layers deepest level first,
-        and within a layer the order the walk pops the nodes.  The walk is
-        the one Python loop; it visits each node once and looks only at
-        non-terminal children that differ from their left neighbour.  The
-        layers' child-slot rows are numpy gathers.
+        and within a layer the order the walk pops the nodes.  The walk runs
+        in the native library (:func:`repro.engine.native.linearize_mdd`)
+        whenever it loads, and otherwise in :func:`_linearize_numpy`; both
+        give the same slots and arrays.
         """
+        return cls._linearize(manager, root, native=_native.available())
+
+    @classmethod
+    def _linearize(cls, manager, root: int, *, native: bool) -> "LinearizedDiagram":
+        """:meth:`from_mdd` on the native library or on numpy."""
         if root <= 1:
             return cls(root, 2, ())
-        level, offsets, children = manager.node_arrays()
-        counts = _np.diff(offsets)
-
-        # the walk skips terminal children and a child repeating its left
-        # neighbour; any other repeat is caught by the seen check
-        keep = children > 1
-        keep[1:] &= children[1:] != children[:-1]
-        firsts = offsets[:-1][counts > 0]
-        keep[firsts] = children[firsts] > 1
-        starts = _np.concatenate(([0], _np.cumsum(keep)))[offsets].tolist()
-        kept = children[keep].tolist()
-
-        walked = []
-        seen = bytearray(len(level))
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            walked.append(node)
-            for child in kept[starts[node] : starts[node + 1]]:
-                if not seen[child]:
-                    seen[child] = 1
-                    stack.append(child)
-
-        # deepest level first; slots 0/1 are the terminals
-        walked = _np.array(walked, dtype=_np.int64)
-        order = walked[_np.argsort(-level[walked], kind="stable")]
-        slot_of = _np.arange(len(level), dtype=_np.int64)  # terminals keep 0/1
-        slot_of[order] = _np.arange(2, len(order) + 2)
-        order_levels = level[order]
-        cuts = _np.flatnonzero(order_levels[1:] != order_levels[:-1]) + 1
-        layers = []
-        for s0, s1 in zip([0] + cuts.tolist(), cuts.tolist() + [len(order)]):
-            nodes = order[s0:s1]
-            edges = offsets[nodes, None] + _np.arange(counts[nodes[0]])
-            rows = slot_of[children[edges]]
-            layers.append((int(order_levels[s0]), range(s0 + 2, s1 + 2), rows))
-        return cls(int(slot_of[root]), len(order) + 2, layers)
+        arrays = manager.node_arrays()
+        if native:
+            root_slot, num_slots, fused = _native.linearize_mdd(
+                *arrays, root, manager.num_variables
+            )
+            schedule = FusedSchedule(*fused)
+        else:
+            root_slot, num_slots, schedule = _linearize_numpy(*arrays, root)
+        diagram = cls.__new__(cls)
+        diagram._adopt(root_slot, num_slots, schedule)
+        return diagram
 
     @classmethod
     def from_fused_arrays(
@@ -813,3 +791,49 @@ class LinearizedDiagram:
             self.node_count,
             len(self._fused.bounds),
         )
+
+
+def _linearize_numpy(level, offsets, children, root: int):
+    """The numpy linearization: ``(root_slot, num_slots, schedule)``.
+
+    The stack walk is the one Python loop; it visits each node once and
+    looks only at non-terminal children that differ from their left
+    neighbour.  The layers' child-slot rows are numpy gathers.
+    """
+    counts = _np.diff(offsets)
+
+    # the walk skips terminal children and a child repeating its left
+    # neighbour; any other repeat is caught by the seen check
+    keep = children > 1
+    keep[1:] &= children[1:] != children[:-1]
+    firsts = offsets[:-1][counts > 0]
+    keep[firsts] = children[firsts] > 1
+    starts = _np.concatenate(([0], _np.cumsum(keep)))[offsets].tolist()
+    kept = children[keep].tolist()
+
+    walked = []
+    seen = bytearray(len(level))
+    seen[root] = 1
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        walked.append(node)
+        for child in kept[starts[node] : starts[node + 1]]:
+            if not seen[child]:
+                seen[child] = 1
+                stack.append(child)
+
+    # deepest level first; slots 0/1 are the terminals
+    walked = _np.array(walked, dtype=_np.int64)
+    order = walked[_np.argsort(-level[walked], kind="stable")]
+    slot_of = _np.arange(len(level), dtype=_np.int64)  # terminals keep 0/1
+    slot_of[order] = _np.arange(2, len(order) + 2)
+    order_levels = level[order]
+    cuts = _np.flatnonzero(order_levels[1:] != order_levels[:-1]) + 1
+    layers = []
+    for s0, s1 in zip([0] + cuts.tolist(), cuts.tolist() + [len(order)]):
+        nodes = order[s0:s1]
+        edges = offsets[nodes, None] + _np.arange(counts[nodes[0]])
+        rows = slot_of[children[edges]]
+        layers.append((int(order_levels[s0]), range(s0 + 2, s1 + 2), rows))
+    return int(slot_of[root]), len(order) + 2, FusedSchedule.from_layers(layers)

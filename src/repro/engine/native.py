@@ -1,4 +1,5 @@
-"""Native compiled backend: the fused kernel and the coded-ROBDD builder.
+"""Native compiled backend: the fused kernel, the coded-ROBDD builder,
+and the ROMDD conversion and linearization.
 
 The fused CSR schedule (:class:`repro.engine.batch.FusedSchedule`) is
 already the exact input format a compiled kernel wants: one concatenated
@@ -6,26 +7,38 @@ child-position-major edge array, a layer bounds table, and contiguous
 float64 probability matrices.  This module compiles the C implementation
 shipped in-repo (``_native_kernel.c``) **on demand** with the system C
 compiler and calls it through :mod:`ctypes`, consuming the schedule
-arrays zero-copy.  The same library builds coded ROBDDs
-(:func:`build_bdd`, the native route of
-:class:`repro.bdd.builder.CircuitBDDBuilder`).  No Numba/cffi/compiled-wheel
-dependency — a plain ``cc`` is the only requirement, and its absence is a
-supported state:
+arrays zero-copy.  The same library runs the compile pipeline after
+ordering, each stage array-in, array-out:
+
+* :func:`build_bdd` builds a coded ROBDD (the native route of
+  :class:`repro.bdd.builder.CircuitBDDBuilder`);
+* :func:`convert_bdd` converts a coded ROBDD's node arrays into ROMDD
+  layers (the native route of :func:`repro.mdd.from_bdd.convert_bdd_to_mdd`);
+* :func:`linearize_mdd` flattens an ROMDD's CSR node arrays into the
+  fused schedule (the native route of
+  :meth:`repro.engine.batch.LinearizedDiagram.from_mdd`).
+
+Every array is checked here before its pointer reaches C.  No
+Numba/cffi/compiled-wheel dependency — a plain ``cc`` is the only
+requirement, and its absence is a supported state:
 
 * no usable compiler (including ``CC=/nonexistent``), a failed compile,
   or a checksum-mismatched cache entry never raises out of a pass — the
   pass runs on the fused numpy kernel and the ``native.fallbacks``
-  counter records it;
+  counter records it; the build, conversion and linearization run on
+  their Python and numpy routes, which number every node and slot the
+  same way;
 * the compiled ``.so`` is cached **content-addressed** (SHA-256 of the C
   source + the compiler identity + the flags + the ABI tag) with a JSON
   marker recording the shared object's own checksum, the same
-  verify-then-trust model the structure store uses.  Services and
-  ``repro worker`` shards point the cache under their store directory
-  (``<store>/native``), so every process on the host warm-starts the
-  library the way it warm-starts structures;
+  verify-then-trust model the structure store uses.  Services point the
+  cache under their store directory (``<store>/native``), so every
+  process on the host warm-starts the library the way it warm-starts
+  structures;
 * a freshly loaded library must pass a bit-exact smoke test (forward,
-  collapse, and backward on a handcrafted diagram, plus the build of a
-  tiny circuit) before it is ever used for real passes.
+  collapse, and backward on a handcrafted diagram, the build of a tiny
+  circuit, and the conversion and linearization of a two-level diagram)
+  before it is ever used for real passes.
 
 The C kernel mirrors the fused kernel operation-for-operation (including
 model-uniform level collapse and numpy's exact gradient-reduction
@@ -52,8 +65,10 @@ __all__ = [
     "backward",
     "build_bdd",
     "cache_dir",
+    "convert_bdd",
     "counters",
     "forward",
+    "linearize_mdd",
     "load",
     "note_fallback",
     "publish_counters",
@@ -74,7 +89,7 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off")
 
 #: Bumped whenever the C call signatures change; part of the cache key
 #: and checked against ``repro_native_abi()`` after every load.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: Node kinds of an encoded circuit for :func:`build_bdd` (the ``NODE_*``
 #: enum of the C source).
@@ -83,13 +98,15 @@ NODE_GATE_KINDS = {
     "AND": 3, "OR": 4, "NOT": 5, "BUF": 6, "XOR": 7, "XNOR": 8, "NAND": 9, "NOR": 10,
 }
 
-#: Status codes of :func:`build_bdd` (the ``BUILD_*`` enum of the C source).
+#: Status codes of the builder, the conversion and the linearization (the
+#: ``BUILD_*`` enum of the C source).
 BUILD_OK, BUILD_NODE_LIMIT, BUILD_NO_MEMORY, BUILD_INVALID = 0, 1, 2, 3
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
 _c_uint8_p = ctypes.POINTER(ctypes.c_uint8)
 _c_double_pp = ctypes.POINTER(_c_double_p)
+_c_int64_pp = ctypes.POINTER(_c_int64_p)
 
 _LOCK = threading.RLock()
 
@@ -240,7 +257,8 @@ class _Library:
     """A loaded, bound, smoke-tested native library."""
 
     __slots__ = (
-        "cdll", "path", "forward", "backward", "bdd_build", "bdd_export", "bdd_free",
+        "cdll", "path", "forward", "backward", "bdd_build", "mdd_convert",
+        "mdd_linearize", "result_export", "result_free",
     )
 
     def __init__(self, cdll, path):
@@ -292,12 +310,45 @@ class _Library:
             _c_int64_p,  # info
             ctypes.POINTER(ctypes.c_void_p),  # result_out
         ]
-        self.bdd_export = cdll.repro_bdd_result_export
-        self.bdd_export.restype = None
-        self.bdd_export.argtypes = [ctypes.c_void_p, _c_int64_p, _c_int64_p, _c_int64_p]
-        self.bdd_free = cdll.repro_bdd_result_free
-        self.bdd_free.restype = None
-        self.bdd_free.argtypes = [ctypes.c_void_p]
+        self.mdd_convert = cdll.repro_mdd_convert
+        self.mdd_convert.restype = ctypes.c_int
+        self.mdd_convert.argtypes = [
+            _c_int64_p,  # level
+            _c_int64_p,  # low
+            _c_int64_p,  # high
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # root
+            _c_int64_p,  # level_layer
+            _c_int64_p,  # level_bit
+            ctypes.c_int64,  # num_levels
+            _c_int64_p,  # cards
+            _c_int64_p,  # widths
+            _c_int64_p,  # codes
+            ctypes.c_int64,  # num_layers
+            _c_int64_p,  # info
+            ctypes.POINTER(ctypes.c_void_p),  # result_out
+        ]
+        self.mdd_linearize = cdll.repro_mdd_linearize
+        self.mdd_linearize.restype = ctypes.c_int
+        self.mdd_linearize.argtypes = [
+            _c_int64_p,  # level
+            _c_int64_p,  # offsets
+            _c_int64_p,  # children
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # root
+            ctypes.c_int64,  # num_levels
+            _c_int64_p,  # kids
+            _c_int64_p,  # seg
+            _c_int64_p,  # slot_levels
+            _c_int64_p,  # bounds
+            _c_int64_p,  # info
+        ]
+        self.result_export = cdll.repro_result_export
+        self.result_export.restype = None
+        self.result_export.argtypes = [ctypes.c_void_p, _c_int64_pp]
+        self.result_free = cdll.repro_result_free
+        self.result_free.restype = None
+        self.result_free.argtypes = [ctypes.c_void_p]
 
 
 def _bind(path: str):
@@ -387,7 +438,43 @@ def _smoke_test(lib) -> bool:
     if [a.tolist() for a in arrays] != [[1, 1, 0], [0, 1, 2], [1, 0, 3]]:
         return False
     status, info, arrays = _run_build(lib, *circuit, 2, 2, 5)
-    return status == BUILD_NODE_LIMIT and arrays is None and info["gates"] == 1
+    if not (status == BUILD_NODE_LIMIT and arrays is None and info["gates"] == 1):
+        return False
+
+    # the coded ROBDD  x[0] ? TRUE : (x[1] ? y : FALSE)  over x (values
+    # 0 1 2, codes 00 01 10) above y (codes 0 1): y converts to node 2
+    # with row (0, 1), then x to node 3 with row (0, 2, 1)
+    def ints(*values):
+        return _np.array(values, dtype=_np.int64)
+
+    terminal = 1 << 30
+    status, info, arrays = _run_convert(
+        lib,
+        ints(terminal, terminal, 2, 1, 0),
+        ints(0, 1, 0, 0, 3),
+        ints(0, 1, 1, 2, 1),
+        4,
+        ints(0, 0, 1),
+        ints(0, 1, 0),
+        [ints(0, 0, 0, 1, 1, 0).reshape(3, 2), ints(0, 1).reshape(2, 1)],
+    )
+    if status != BUILD_OK or info != [2, 5, 3]:
+        return False
+    if [a.tolist() for a in arrays] != [[1, 0], [1, 1], [0, 1, 0, 2, 1]]:
+        return False
+
+    # the same ROMDD with its two nodes numbered the other way round: the
+    # walk reaches handle 3 (level 1) from the root 2, which puts it in
+    # slot 2 and the root in slot 3
+    status, info, arrays = _run_linearize(
+        lib, ints(terminal, terminal, 0, 1), ints(0, 0, 0, 3, 5), ints(0, 3, 1, 0, 1), 2, 2
+    )
+    return (
+        status == BUILD_OK
+        and info == [3, 4, 2, 5]
+        and [a.tolist() for a in arrays]
+        == [[0, 1, 0, 2, 1], [0, 2, 5], [1, 0], [1, 2, 3, 0, 2, 2, 0, 3, 4, 2, 5, 3]]
+    )
 
 
 def _load_cached(so_path: str, marker_path: str):
@@ -515,48 +602,73 @@ _BUILD_INFO_FIELDS = (
     "nodes", "root", "created", "gates", "hits", "misses", "insertions", "evictions",
 )
 
+#: The most arrays one C result holds (``RESULT_ARRAYS`` of the C source).
+_RESULT_ARRAYS = 4
+
+
+def _run(lib, function, args, info_size, lengths):
+    """One C call that hands back a result, on checked arrays.
+
+    Returns ``(status, info, arrays)``: ``info`` is the list of the
+    call's ``info_size`` counters and ``arrays`` the result's int64
+    arrays, of the lengths ``lengths(info)`` gives, when the call
+    succeeded (``None`` otherwise).  The C result is freed on every path.
+    """
+    info = _np.zeros(info_size, dtype=_np.int64)
+    result = ctypes.c_void_p()
+    status = function(*args, _ip(info), ctypes.byref(result))
+    info = info.tolist()
+    arrays = None
+    try:
+        if status == BUILD_OK:
+            arrays = tuple(_np.empty(n, dtype=_np.int64) for n in lengths(info))
+            lib.result_export(result, (_c_int64_p * _RESULT_ARRAYS)(*map(_ip, arrays)))
+    finally:
+        lib.result_free(result)
+    return status, info, arrays
+
 
 def _run_build(lib, kinds, args, starts, fanins, output, num_vars, node_limit):
     """One ``repro_bdd_build`` call on checked arrays.
 
     Returns ``(status, info, arrays)``; ``arrays`` is the exported
-    ``(level, low, high)`` triple on success and ``None`` otherwise.  The
-    C result is freed on every path.
+    ``(level, low, high)`` triple on success and ``None`` otherwise.
     """
-    info = _np.zeros(len(_BUILD_INFO_FIELDS), dtype=_np.int64)
-    result = ctypes.c_void_p()
-    status = lib.bdd_build(
-        _ip(kinds),
-        _ip(args),
-        _ip(starts),
-        _ip(fanins),
-        len(kinds),
-        output,
-        num_vars,
-        -1 if node_limit is None else node_limit,
-        _ip(info),
-        ctypes.byref(result),
+    status, info, arrays = _run(
+        lib,
+        lib.bdd_build,
+        (
+            _ip(kinds),
+            _ip(args),
+            _ip(starts),
+            _ip(fanins),
+            len(kinds),
+            output,
+            num_vars,
+            -1 if node_limit is None else node_limit,
+        ),
+        len(_BUILD_INFO_FIELDS),
+        lambda info: (info[0],) * 3,
     )
-    arrays = None
-    try:
-        if status == BUILD_OK:
-            arrays = tuple(_np.empty(int(info[0]), dtype=_np.int64) for _ in range(3))
-            lib.bdd_export(result, *(_ip(a) for a in arrays))
-    finally:
-        lib.bdd_free(result)
-    return status, dict(zip(_BUILD_INFO_FIELDS, info.tolist())), arrays
+    return status, dict(zip(_BUILD_INFO_FIELDS, info)), arrays
 
 
-def _check_circuit(kinds, args, starts, fanins, output, num_vars) -> None:
-    """Validate an encoded circuit before any pointer reaches C."""
-    for array in (kinds, args, starts, fanins):
+def _check_int_arrays(message, *arrays) -> None:
+    for array in arrays:
         if not (
             isinstance(array, _np.ndarray)
             and array.dtype == _np.int64
             and array.ndim == 1
             and array.flags["C_CONTIGUOUS"]
         ):
-            raise ValueError("encoded circuit arrays must be contiguous 1-D int64")
+            raise ValueError(message)
+
+
+def _check_circuit(kinds, args, starts, fanins, output, num_vars) -> None:
+    """Validate an encoded circuit before any pointer reaches C."""
+    _check_int_arrays(
+        "encoded circuit arrays must be contiguous 1-D int64", kinds, args, starts, fanins
+    )
     n = len(kinds)
     if n < 1 or len(args) != n or len(starts) != n + 1:
         raise ValueError("encoded circuit arrays disagree in length")
@@ -607,6 +719,185 @@ def build_bdd(kinds, args, starts, fanins, output, num_vars, node_limit=None):
     if status not in (BUILD_OK, BUILD_NODE_LIMIT):
         raise NativeError("native ROBDD build rejected its input (status %d)" % status)
     return status, info, arrays
+
+
+# --------------------------------------------------------------------- #
+# ROMDD conversion and linearization
+# --------------------------------------------------------------------- #
+
+
+def _library():
+    lib = load()
+    if lib is None:
+        raise NativeError("native backend is not loaded")
+    return lib
+
+
+def _raise_for(status, what) -> None:
+    if status == BUILD_NO_MEMORY:
+        raise MemoryError("native %s ran out of memory" % what)
+    if status != BUILD_OK:
+        raise ValueError("native %s rejected a malformed diagram (status %d)" % (what, status))
+
+
+def _check_conversion(level, low, high, root, level_layers, level_bits, codes) -> None:
+    """Validate a conversion's inputs before any pointer reaches C."""
+    _check_int_arrays("ROBDD node arrays must be contiguous 1-D int64", level, low, high)
+    n = len(level)
+    if not 3 <= n < 2**31 or len(low) != n or len(high) != n:
+        raise ValueError("ROBDD node arrays disagree in length")
+    if not 2 <= root < n:
+        raise ValueError("root handle out of range")
+    if min(int(low.min()), int(high.min())) < 0 or max(int(low.max()), int(high.max())) >= n:
+        raise ValueError("a child handle is out of range")
+    _check_int_arrays("level tables must be contiguous 1-D int64", level_layers, level_bits)
+    if not 1 <= len(level_layers) == len(level_bits) < 2**31 or not codes:
+        raise ValueError("level tables disagree in length")
+    for table in codes:
+        if not (
+            isinstance(table, _np.ndarray)
+            and table.dtype == _np.int64
+            and table.ndim == 2
+            and min(table.shape) >= 1
+        ):
+            raise ValueError("codeword tables must be cardinality x width int64 arrays")
+        if ((table != 0) & (table != 1)).any():
+            raise ValueError("codeword bits must be 0 or 1")
+    if (
+        int(level_layers.min()) < 0
+        or int(level_layers.max()) >= len(codes)
+        or (_np.diff(level_layers) < 0).any()
+    ):
+        raise ValueError("level layers must be nondecreasing layer indices")
+    widths = _np.array([table.shape[1] for table in codes], dtype=_np.int64)
+    if ((level_bits < 0) | (level_bits >= widths[level_layers])).any():
+        raise ValueError("a level's bit position lies outside its codeword")
+
+
+def _run_convert(lib, level, low, high, root, level_layers, level_bits, codes):
+    """One ``repro_mdd_convert`` call on checked arrays.
+
+    Returns ``(status, info, arrays)``; ``arrays`` is the exported
+    ``(layer ids, row counts, children)`` triple on success.
+    """
+    return _run(
+        lib,
+        lib.mdd_convert,
+        (
+            _ip(level),
+            _ip(low),
+            _ip(high),
+            len(level),
+            root,
+            _ip(level_layers),
+            _ip(level_bits),
+            len(level_layers),
+            _ip(_np.array([len(table) for table in codes], dtype=_np.int64)),
+            _ip(_np.array([table.shape[1] for table in codes], dtype=_np.int64)),
+            _ip(_np.concatenate([table.ravel() for table in codes])),
+            len(codes),
+        ),
+        3,
+        lambda info: (info[0], info[0], info[1]),
+    )
+
+
+def convert_bdd(level, low, high, root, level_layers, level_bits, codes):
+    """Convert a coded ROBDD into ROMDD layers natively.
+
+    ``level``/``low``/``high`` are the ROBDD's int64 node arrays (handles
+    ``0``/``1`` the terminals; levels outside the table mark terminals and
+    free slots) and ``root`` a non-terminal handle.  Level ``i`` of the
+    ROBDD encodes bit ``level_bits[i]`` of layer ``level_layers[i]``, and
+    ``codes[layer]`` is the layer's ``cardinality x width`` codeword bit
+    table (most significant bit first).
+
+    Returns ``(layers, root)`` exactly as the numpy route of
+    :func:`repro.mdd.from_bdd.convert_bdd_to_mdd` makes them: ``(layer,
+    rows)`` pairs, deepest layer first, for
+    :meth:`repro.mdd.manager.MDDManager.load_layers`, and the root's
+    image.  Raises :class:`NativeError` when the library is not loaded,
+    :class:`ValueError` on malformed arrays and :class:`MemoryError`
+    when the C side ran out of memory.
+    """
+    lib = _library()
+    _check_conversion(level, low, high, root, level_layers, level_bits, codes)
+    status, info, arrays = _run_convert(
+        lib, level, low, high, root, level_layers, level_bits, codes
+    )
+    _raise_for(status, "ROMDD conversion")
+    layer_ids, counts, children = arrays
+    layers = []
+    offset = 0
+    for layer, count in zip(layer_ids.tolist(), counts.tolist()):
+        card = len(codes[layer])
+        layers.append((layer, children[offset : offset + count * card].reshape(count, card)))
+        offset += count * card
+    return layers, info[2]
+
+
+def _check_linearization(level, offsets, children, root, num_levels) -> None:
+    """Validate a linearization's inputs before any pointer reaches C."""
+    _check_int_arrays(
+        "ROMDD node arrays must be contiguous 1-D int64", level, offsets, children
+    )
+    n = len(level)
+    if n < 3 or len(offsets) != n + 1:
+        raise ValueError("ROMDD node arrays disagree in length")
+    if not 2 <= root < n:
+        raise ValueError("root handle out of range")
+    if int(offsets[0]) != 0 or int(offsets[-1]) != len(children) or (_np.diff(offsets) < 0).any():
+        raise ValueError("child offsets do not cover the child array")
+    if len(children) and (int(children.min()) < 0 or int(children.max()) >= n):
+        raise ValueError("a child handle is out of range")
+    if not 1 <= num_levels < 2**31:
+        raise ValueError("level count out of range")
+
+
+def _run_linearize(lib, level, offsets, children, root, num_levels):
+    """One ``repro_mdd_linearize`` call on checked arrays.
+
+    Returns ``(status, info, arrays)``: ``arrays`` holds ``kids``,
+    ``seg``, ``slot_levels`` and the flat ``bounds`` table, trimmed to the
+    lengths ``info`` gives.  An array is the caller-allocated buffer itself
+    when the walk reached every node, and a trimmed copy otherwise.
+    """
+    n = len(level)
+    arrays = tuple(
+        _np.empty(size, dtype=_np.int64)
+        for size in (len(children), n - 1, n - 2, 6 * num_levels)
+    )
+    info = _np.zeros(4, dtype=_np.int64)
+    status = lib.mdd_linearize(
+        _ip(level), _ip(offsets), _ip(children), n, root, num_levels,
+        *map(_ip, arrays), _ip(info),
+    )
+    info = info.tolist()
+    lengths = (info[3], info[1] - 1, info[1] - 2, 6 * info[2])
+    arrays = tuple(
+        array if len(array) == size else array[:size].copy()
+        for array, size in zip(arrays, lengths)
+    )
+    return status, info, arrays
+
+
+def linearize_mdd(level, offsets, children, root, num_levels):
+    """Linearize an ROMDD into the fused schedule arrays natively.
+
+    ``level``/``offsets``/``children`` are the manager's CSR
+    :meth:`~repro.mdd.MDDManager.node_arrays`, ``root`` a non-terminal
+    handle and ``num_levels`` the manager's variable count.  Returns
+    ``(root_slot, num_slots, (kids, seg, slot_levels, bounds))`` with
+    exactly the slots and arrays of the numpy route of
+    :meth:`repro.engine.batch.LinearizedDiagram.from_mdd` (``bounds`` as
+    rows of six ints).  Raises as :func:`convert_bdd` does.
+    """
+    lib = _library()
+    _check_linearization(level, offsets, children, root, num_levels)
+    status, info, arrays = _run_linearize(lib, level, offsets, children, root, num_levels)
+    _raise_for(status, "ROMDD linearization")
+    kids, seg, slot_levels, bounds = arrays
+    return info[0], info[1], (kids, seg, slot_levels, bounds.reshape(-1, 6).tolist())
 
 
 # --------------------------------------------------------------------- #
@@ -698,9 +989,7 @@ def forward(diagram, columns_by_level, num_models):
     their scalar lives in the C side's width-1 table.  ``collapsed`` is
     the number of layers that took the collapse path.
     """
-    lib = load()
-    if lib is None:
-        raise NativeError("native backend is not loaded")
+    lib = _library()
     ctx = _context(diagram.fused())
     ptrs, _hold = _column_ptrs(ctx, columns_by_level, num_models)
     values = _np.empty((diagram.num_slots, num_models), dtype=_np.float64)
@@ -731,9 +1020,7 @@ def backward(diagram, columns_by_level, num_models):
     the exact shape and float contents of the fused kernel's result:
     ``{level: (per-value gradient row tuples)}``.
     """
-    lib = load()
-    if lib is None:
-        raise NativeError("native backend is not loaded")
+    lib = _library()
     ctx = _context(diagram.fused())
     ptrs, _hold = _column_ptrs(ctx, columns_by_level, num_models)
     K = num_models

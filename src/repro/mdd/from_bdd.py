@@ -15,16 +15,20 @@ coming from other (higher) layers, plus the root.  For every entry node and
 every value of the layer's variable, the group's code bits are "simulated"
 downward through the layer to find the node reached; the ROMDD node for the
 entry node has the (already converted) images of those reached nodes as
-children.  Each layer is one vectorized pass: all entry nodes walk the
-tree of codeword prefixes at once with array gathers, one ROBDD level per
-step, rows whose children are all equal collapse to that child, and equal
-rows share one node — the two reductions the paper describes.  The distinct
-rows are found in bulk and numbered as hash-consing them one by one would
-number them, and the finished layers are bulk-loaded into a fresh
+children.  Rows whose children are all equal collapse to that child, and
+equal rows share one node — the two reductions the paper describes.  The
+distinct rows are numbered as hash-consing them one by one would number
+them, and the finished layers are bulk-loaded into a fresh
 :class:`repro.mdd.manager.MDDManager` (:meth:`~repro.mdd.manager.MDDManager.load_layers`),
 which builds its node lists only if an operation needs them.  Nodes created
 through unused codewords are simply never hit by the final
 size/probability traversals.
+
+The walk runs in the native library (:func:`repro.engine.native.convert_bdd`)
+whenever it loads, and otherwise on numpy (:func:`_convert_numpy`): each
+layer is one vectorized pass in which all entry nodes walk the tree of
+codeword prefixes at once with array gathers, one ROBDD level per step.
+Both routes produce the same layers, handle for handle.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 from ..bdd.manager import FALSE as BDD_FALSE
 from ..bdd.manager import TRUE as BDD_TRUE
 from ..bdd.manager import BDDManager
+from ..engine import native as _native
 from ..faulttree.multivalued import MultiValuedVariable
 from .manager import FALSE as MDD_FALSE
 from .manager import TRUE as MDD_TRUE
@@ -121,19 +126,37 @@ def convert_bdd_to_mdd(
         A fresh ROMDD manager, bulk-loaded with the converted nodes (the
         root holds one reference), and the handle of the converted function.
     """
+    return _convert(bdd, root, groups, native=_native.available())
+
+
+def _convert(bdd: BDDManager, root: int, groups: GroupSpec, *, native: bool):
+    """:func:`convert_bdd_to_mdd` on the native library or on numpy."""
     mdd = MDDManager([variable for variable, _ in groups])
-    bit_info = _bit_positions(groups)
-    per_level = _validate_grouping(bdd, groups, bit_info)
+    per_level = _validate_grouping(bdd, groups, _bit_positions(groups))
     if root <= BDD_TRUE:
         return mdd, MDD_TRUE if root == BDD_TRUE else MDD_FALSE
+    level_layers, level_bits = (np.array(column, dtype=np.int64) for column in zip(*per_level))
+    codes = [
+        np.array([variable.code.codeword(v) for v in variable.values], dtype=np.int64)
+        for variable, _ in groups
+    ]
+    convert = _native.convert_bdd if native else _convert_numpy
+    layers, root = convert(*bdd.node_arrays(), root, level_layers, level_bits, codes)
+    return mdd, mdd.load_layers(layers, root)
 
+
+def _convert_numpy(levels, lows, highs, root, level_layers, level_bits, codes):
+    """The numpy conversion: ``(layer, rows)`` pairs and the root's image.
+
+    Takes the arguments of :func:`repro.engine.native.convert_bdd` and
+    returns what it returns.
+    """
     # per-handle layer; terminals and free slots sit in the pseudo-layer
-    # len(groups), below every real layer
-    levels, lows, highs = bdd.node_arrays()
-    num_levels = len(per_level)
+    # len(codes), below every real layer
+    num_levels = len(level_layers)
     levels = np.where((levels >= 0) & (levels < num_levels), levels, num_levels)
-    level_layers = [layer for layer, _ in per_level]
-    layer_of = np.asarray(level_layers + [len(groups)], dtype=np.int64)[levels]
+    level_layers = level_layers.tolist()
+    layer_of = np.asarray(level_layers + [len(codes)], dtype=np.int64)[levels]
 
     # reachable nodes, one ROBDD level at a time from the root down
     reachable = np.zeros(len(levels), dtype=bool)
@@ -164,18 +187,16 @@ def convert_bdd_to_mdd(
     layers = []
     created = MDD_TRUE + 1
     for layer in np.unique(entry_layers)[::-1].tolist():
-        variable, bit_names = groups[layer]
         nodes = entries[entry_layers == layer]
         top = level_layers.index(layer)
-        codes = np.array([variable.code.codeword(v) for v in variable.values], dtype=np.int64)
         # the codeword bits in ROBDD level order
-        bits = codes[:, [position for _, position in per_level[top : top + len(bit_names)]]]
+        bits = codes[layer][:, level_bits[top : top + level_layers.count(layer)]]
         # walk every entry node down the tree of codeword prefixes: after k
         # steps, column j of `at` holds each entry's first node below level
         # top + k on the path of prefix j, and codeword v ends in column
         # prefix[v]; a node steps only when it tests the next level's bit
         at = nodes[:, None]
-        prefix = np.zeros(len(codes), dtype=np.int64)
+        prefix = np.zeros(len(bits), dtype=np.int64)
         for step in range(bits.shape[1]):
             extended, prefix = np.unique(2 * prefix + bits[:, step], return_inverse=True)
             at = at[:, extended // 2]
@@ -197,6 +218,4 @@ def convert_bdd_to_mdd(
         image[nodes[~same]] = handles[inverse]
         layers.append((layer, rows[first[order]]))
         created += len(order)
-
-    root = int(image[root])
-    return mdd, mdd.load_layers(layers, root)
+    return layers, int(image[root])

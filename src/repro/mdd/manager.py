@@ -216,10 +216,10 @@ class MDDManager(DDKernel):
         layers become handles ``2 ..`` in order, exactly the nodes making
         them one by one with :meth:`mk` would create: children come before
         their parents, and no row repeats within its level or has all its
-        children equal.  The child-edge reference counts plus one reference
-        held by ``root`` and the created count are set as
-        :meth:`repro.bdd.BDDManager.load_diagram` sets them; the node lists
-        and unique table are built on first use (see
+        children equal.  The created count is set, and the child-edge
+        reference counts plus one reference held by ``root`` are set as
+        :meth:`repro.bdd.BDDManager.load_diagram` sets them, when the node
+        lists and unique table are built on first use (see
         :meth:`~repro.engine.kernel.DDKernel._load_lazily`).
         """
         if len(self._level) != 2:
@@ -234,17 +234,17 @@ class MDDManager(DDKernel):
         children = np.concatenate(
             [np.empty(0, dtype=np.int64)] + [rows.ravel() for _, rows in layers]
         )
-        refs = np.bincount(children, minlength=len(level))
-        refs[:2] = 1  # terminals are pinned
-        if root > TRUE:
-            refs[root] += 1
-        self._load_lazily((level, offsets, children, refs))
+        self._load_lazily((level, offsets, children, root))
         self._created = len(level)
         self._live_at_last_gc = len(level)
         return root
 
     def _materialise(self, loaded):
-        level, offsets, children, refs = loaded
+        level, offsets, children, root = loaded
+        refs = np.bincount(children, minlength=len(level))
+        refs[:2] = 1  # terminals are pinned
+        if root > TRUE:
+            refs[root] += 1
         flat = children.tolist()
         bounds = offsets.tolist()
         kids = [tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])]

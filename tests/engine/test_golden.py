@@ -9,9 +9,10 @@ same sweep again, served from the caches).  The store digests pin the
 structure keys, so stores written by earlier versions keep hitting.
 
 The ROMDD allocation count and a SHA-256 of the fused schedule are pinned
-too, on both coded-ROBDD build routes: the native builder and the Python
-gate loop (forced by passing a :class:`BDDManager`).  Both routes must
-convert to byte-identical fused arrays, so store entries and yields never
+too, on both coded-ROBDD build routes — the native builder and the Python
+gate loop (forced by passing a :class:`BDDManager`) — times both
+conversion and linearization routes, native and numpy.  Every pair must
+give byte-identical fused arrays, so store entries and yields never
 depend on which route built them.
 """
 
@@ -28,7 +29,7 @@ from repro.engine import native
 from repro.engine.batch import LinearizedDiagram
 from repro.engine.service import SweepService, structure_key
 from repro.engine.store import StructureStore, digest_of
-from repro.mdd.from_bdd import convert_bdd_to_mdd
+from repro.mdd.from_bdd import _convert
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
 
@@ -138,10 +139,14 @@ def test_golden_fused_schedule_on_both_build_routes(name, route):
     expected = "native" if route == "native" and native.available() else "python"
     assert stats.backend == expected
 
-    mdd, mdd_root = convert_bdd_to_mdd(bdd, root, grouped.groups)
-    assert (stats.final_size, mdd.size(mdd_root)) == golden["sizes"]
-    assert mdd.num_nodes_allocated == golden["mdd_allocated"]
-    assert fused_digest(LinearizedDiagram.from_mdd(mdd, mdd_root)) == golden["fused"]
+    # every conversion and linearization route: numpy, and native where
+    # the library loads
+    for use_native in (False, True) if native.available() else (False,):
+        mdd, mdd_root = _convert(bdd, root, grouped.groups, native=use_native)
+        assert (stats.final_size, mdd.size(mdd_root)) == golden["sizes"]
+        assert mdd.num_nodes_allocated == golden["mdd_allocated"]
+        diagram = LinearizedDiagram._linearize(mdd, mdd_root, native=use_native)
+        assert fused_digest(diagram) == golden["fused"]
 
 
 #: The fixed densities of the 96-point sweep digests.

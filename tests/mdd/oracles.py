@@ -1,7 +1,8 @@
 """The list-based ROMDD conversion and linearization, kept as oracles.
 
-The production routes work on arrays: :func:`repro.mdd.from_bdd.convert_bdd_to_mdd`
-deduplicates each layer's rows in bulk and bulk-loads the manager, and
+The production routes work on arrays, in the native library or on numpy:
+:func:`repro.mdd.from_bdd.convert_bdd_to_mdd` deduplicates each layer's
+rows and bulk-loads the manager, and
 :meth:`repro.engine.batch.LinearizedDiagram.from_mdd` walks the manager's
 CSR node arrays.  The two functions here are the routes they replaced:
 every converted row hash-consed one at a time through

@@ -2,16 +2,19 @@
 
 :func:`~repro.mdd.from_bdd.convert_bdd_to_mdd` deduplicates rows in bulk
 and bulk-loads its manager; :meth:`~repro.engine.batch.LinearizedDiagram.from_mdd`
-linearizes from CSR node arrays.  The oracles of :mod:`tests.mdd.oracles`
-make every node with ``_mk_raw`` and walk node tuples.  On the random fault
-trees of the method properties (both coded-ROBDD build routes) and the
-random multiple-valued expressions of the ROMDD properties, the loaded
-manager must equal the oracle manager node for node, and the fused arrays
-must be identical and structurally valid — also on an apply-built
-manager whose reclaimed slots were reused.
+linearizes from CSR node arrays.  Each runs on two routes: the native
+library when it loads, and numpy otherwise.  The oracles of
+:mod:`tests.mdd.oracles` make every node with ``_mk_raw`` and walk node
+tuples.  On the random fault trees of the method properties (both
+coded-ROBDD build routes) and the random multiple-valued expressions of
+the ROMDD properties, constant roots included, every example runs both
+routes: the loaded manager of each must equal the oracle manager node for
+node, and the fused arrays of each must be identical and structurally
+valid — also on an apply-built manager whose reclaimed slots were reused.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.bdd import build_circuit_bdd
@@ -19,32 +22,49 @@ from repro.bdd.builder import CircuitBDDBuilder
 from repro.bdd.manager import BDDManager
 from repro.core.gfunction import GeneralizedFaultTree
 from repro.core.method import YieldAnalyzer
+from repro.engine import native
 from repro.engine.batch import LinearizedDiagram
 from repro.mdd.direct import build_mdd_from_mvcircuit
-from repro.mdd.from_bdd import convert_bdd_to_mdd
+from repro.mdd.from_bdd import _convert
 from repro.mdd.manager import TRUE
 from repro.ordering import OrderingSpec
 from tests.engine.test_golden import fused_digest
 from tests.mdd.oracles import convert_by_rows, linearize_by_walk, node_state
-from tests.property.test_mdd_properties import VARIABLE_NAMES, build_mv_circuit, mv_expressions
+from tests.property.test_mdd_properties import (
+    DOMAINS,
+    VARIABLE_NAMES,
+    build_mv_circuit,
+    mv_expressions,
+)
 from tests.property.test_method_properties import build_problem, structure_expressions
+
+#: The conversion and linearization routes every example runs on: numpy
+#: everywhere, and native where the library loads.
+ROUTES = (False, True) if native.available() else (False,)
+
+
+def linearize(manager, root, use_native):
+    diagram = LinearizedDiagram._linearize(manager, root, native=use_native)
+    diagram.fused().validate(diagram.num_slots)
+    return diagram
 
 
 def assert_matches_oracles(bdd, bdd_root, groups):
-    loaded, root = convert_bdd_to_mdd(bdd, bdd_root, groups)
     oracle, oracle_root = convert_by_rows(bdd, bdd_root, groups)
-    assert root == oracle_root
-    # the array routes first, while the loaded manager has no lists yet
-    diagram = LinearizedDiagram.from_mdd(loaded, root)
-    size = loaded.size(root)
-    arrays = loaded.node_arrays()
-    assert "_loaded" in vars(loaded) or root <= TRUE
-    for array, expected in zip(arrays, oracle.node_arrays()):
-        np.testing.assert_array_equal(array, expected)
-    assert node_state(loaded) == node_state(oracle)
-    assert size == len(oracle.reachable(oracle_root))
-    assert fused_digest(diagram) == fused_digest(linearize_by_walk(oracle, oracle_root))
-    diagram.fused().validate(diagram.num_slots)
+    expected = fused_digest(linearize_by_walk(oracle, oracle_root))
+    for use_native in ROUTES:
+        loaded, root = _convert(bdd, bdd_root, groups, native=use_native)
+        assert root == oracle_root
+        # the array routes first, while the loaded manager has no lists yet
+        diagram = linearize(loaded, root, use_native)
+        size = loaded.size(root)
+        arrays = loaded.node_arrays()
+        assert "_loaded" in vars(loaded) or root <= TRUE
+        for array, oracle_array in zip(arrays, oracle.node_arrays()):
+            np.testing.assert_array_equal(array, oracle_array)
+        assert node_state(loaded) == node_state(oracle)
+        assert size == len(oracle.reachable(oracle_root))
+        assert fused_digest(diagram) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,6 +104,15 @@ def test_mv_conversion_matches_the_oracles(expr, order_names, bit_order):
     assert_matches_oracles(bdd, root, groups)
 
 
+@pytest.mark.parametrize("constant", [0, 1])
+def test_constant_roots_match_the_oracles(constant):
+    name = VARIABLE_NAMES[0]
+    mv = build_mv_circuit(("eq", name, DOMAINS[name][0]))
+    groups = [(variable, variable.bit_names()) for variable in mv.variables]
+    bdd = BDDManager([bit for _, bits in groups for bit in bits])
+    assert_matches_oracles(bdd, constant, groups)
+
+
 @settings(max_examples=40, deadline=None)
 @given(mv_expressions(), mv_expressions())
 def test_apply_built_manager_with_reclaimed_slots(first, second):
@@ -98,7 +127,7 @@ def test_apply_built_manager_with_reclaimed_slots(first, second):
     )
     combined = manager.xor_(root, other)  # new nodes fill the reclaimed slots
     for node in (root, other, combined):
-        diagram = LinearizedDiagram.from_mdd(manager, node)
-        assert fused_digest(diagram) == fused_digest(linearize_by_walk(manager, node))
-        diagram.fused().validate(diagram.num_slots)
+        expected = fused_digest(linearize_by_walk(manager, node))
+        for use_native in ROUTES:
+            assert fused_digest(linearize(manager, node, use_native)) == expected
         assert manager.size(node) == len(manager.reachable(node))
