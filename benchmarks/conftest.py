@@ -85,6 +85,19 @@ def span_breakdown(function):
     return result, tracer.aggregate()
 
 
+def registry_stats(service) -> dict:
+    """A service's counters and phase-histogram sums, keyed by registry name.
+
+    The ``*_stats`` block of a ``BENCH_*.json`` record: every counter of
+    ``service.registry.snapshot()`` plus each histogram's ``sum``.
+    """
+    snapshot = service.registry.snapshot()
+    stats = dict(snapshot["counters"])
+    for name, histogram in snapshot["histograms"].items():
+        stats[name] = histogram["sum"]
+    return stats
+
+
 def print_table(title: str, headers, rows) -> None:
     """Print a formatted table and append it to ``benchmarks/results/tables.txt``."""
     from repro.analysis import format_table

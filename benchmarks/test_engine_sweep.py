@@ -33,7 +33,13 @@ from repro.mdd.probability import probability_of_one_reference
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
 
-from .conftest import PAPER_EPSILON, RESULTS_DIR, print_table, span_breakdown
+from .conftest import (
+    PAPER_EPSILON,
+    RESULTS_DIR,
+    print_table,
+    registry_stats,
+    span_breakdown,
+)
 
 #: Mean manufacturing defect counts of the sweep (lambda' = mean * 0.5).
 DENSITIES = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -80,14 +86,14 @@ def test_engine_reuse_beats_serial_rebuild(benchmark, name):
             ("serial rebuild", len(DENSITIES), round(serial_seconds, 3), "1.0x"),
             (
                 "engine reuse",
-                service.stats.structures_built,
+                service.registry.counter("service.structures.built"),
                 round(engine_seconds, 3),
                 "%.1fx" % (serial_seconds / max(engine_seconds, 1e-9)),
             ),
         ],
     )
 
-    assert service.stats.structures_built == 1
+    assert service.registry.counter("service.structures.built") == 1
     # the acceptance bar: one build plus N traversals must beat N builds
     assert engine_seconds < serial_seconds
 
@@ -156,7 +162,6 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
         assert row_truncation == truncation
 
     speedup = per_point_seconds / max(batched_seconds, 1e-9)
-    stats = service.stats
     print_table(
         "Batched engine vs per-point traversal — %s, %d models"
         % (name, len(MULTI_MODEL_DENSITIES)),
@@ -181,7 +186,7 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
         "per_point_seconds": per_point_seconds,
         "batched_seconds": batched_seconds,
         "speedup": speedup,
-        "service_stats": stats.as_dict(),
+        "service_stats": registry_stats(service),
     }
     try:
         os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -192,7 +197,7 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
 
     service.close()
     # structure built once (during the warm-up), never again for the sweep
-    assert stats.structures_built == 1
+    assert service.registry.counter("service.structures.built") == 1
     # the acceptance bar of the batched probability engine
     assert speedup >= 3.0
 
@@ -252,11 +257,11 @@ def test_supervised_dispatch_overhead_within_bound(monkeypatch, tmp_path):
 
         def timed_sweep():
             service.clear()  # both groups unheld: two pool jobs
-            batches = service.stats.parallel_batches
+            batches = service.registry.counter("service.batches.parallel")
             started = time.perf_counter()
             results = service.evaluate_batch(points)
             seconds = time.perf_counter() - started
-            assert service.stats.parallel_batches == batches + 1
+            assert service.registry.counter("service.batches.parallel") == batches + 1
             return seconds, [result.yield_estimate for result in results]
 
         # warm-ups so the store and the workers' structure caches are hot

@@ -29,7 +29,13 @@ from repro.engine.service import SweepService, structure_key
 from repro.faulttree import FaultTreeBuilder
 from repro.ordering import OrderingSpec
 
-from .conftest import PAPER_EPSILON, RESULTS_DIR, print_table, span_breakdown
+from .conftest import (
+    PAPER_EPSILON,
+    RESULTS_DIR,
+    print_table,
+    registry_stats,
+    span_breakdown,
+)
 
 #: 24 redundant pairs -> 48 components -> a 96-model finite-difference group.
 NUM_PAIRS = 24
@@ -80,7 +86,7 @@ def test_analytic_importance_beats_finite_differences(benchmark):
     # same structure key, so it reuses this very build)
     service.evaluate(problem, max_defects=MAX_DEFECTS)
     compiled = service._structures[structure_key(problem, MAX_DEFECTS, ordering)]
-    assert service.stats.structures_built == 1
+    assert service.registry.counter("service.structures.built") == 1
 
     # ---- perturbation route: 2 models per component, one batched pass ---- #
     started = time.perf_counter()
@@ -93,7 +99,7 @@ def test_analytic_importance_beats_finite_differences(benchmark):
     )
     fd_seconds = time.perf_counter() - started
     fd_models = 2 * problem.num_components
-    assert service.stats.points_evaluated >= fd_models
+    assert service.registry.counter("service.points.evaluated") >= fd_models
 
     # ---- analytic route: one forward + one reverse linearized pass ------- #
     def run_analytic():
@@ -106,7 +112,7 @@ def test_analytic_importance_beats_finite_differences(benchmark):
     analytic_seconds = time.perf_counter() - started
 
     # no structure was rebuilt by either route
-    assert service.stats.structures_built == 1
+    assert service.registry.counter("service.structures.built") == 1
 
     # the routes approximate the same derivative: identical rankings
     assert [name for name, _ in analytic_ranking] == [
@@ -139,7 +145,7 @@ def test_analytic_importance_beats_finite_differences(benchmark):
         "fd_seconds": fd_seconds,
         "analytic_seconds": analytic_seconds,
         "speedup": speedup,
-        "service_stats": service.stats.as_dict(),
+        "service_stats": registry_stats(service),
     }
     try:
         os.makedirs(RESULTS_DIR, exist_ok=True)

@@ -20,7 +20,13 @@ from repro.engine.store import StructureStore
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
 
-from .conftest import PAPER_EPSILON, RESULTS_DIR, print_table, span_breakdown
+from .conftest import (
+    PAPER_EPSILON,
+    RESULTS_DIR,
+    print_table,
+    registry_stats,
+    span_breakdown,
+)
 
 #: Single-structure multi-model group: the batched-engine benchmark circuit.
 BENCHMARK = "ESEN4x2"
@@ -46,8 +52,8 @@ def test_store_warm_start_beats_cold_build(benchmark, tmp_path):
         _factory, DENSITIES, max_defects=MAX_DEFECTS
     )
     cold_seconds = time.perf_counter() - started
-    assert cold_service.stats.structures_built == 1
-    assert cold_service.stats.store_misses == 1
+    assert cold_service.registry.counter("service.structures.built") == 1
+    assert cold_service.registry.counter("store.misses") == 1
 
     # ---- warm route: a fresh "process" resolves the structure on disk --- #
     def run_warm():
@@ -61,8 +67,8 @@ def test_store_warm_start_beats_cold_build(benchmark, tmp_path):
     warm_service, warm_rows = benchmark.pedantic(run_warm, rounds=1, iterations=1)
     warm_seconds = time.perf_counter() - started
 
-    assert warm_service.stats.structures_built == 0
-    assert warm_service.stats.store_hits == 1
+    assert warm_service.registry.counter("service.structures.built") == 0
+    assert warm_service.registry.counter("store.hits") == 1
     assert warm_rows == cold_rows  # bit-for-bit, not approx
 
     speedup = cold_seconds / max(warm_seconds, 1e-9)
@@ -91,8 +97,8 @@ def test_store_warm_start_beats_cold_build(benchmark, tmp_path):
         "warm_seconds": warm_seconds,
         "speedup": speedup,
         "store_entry_bytes": entry_bytes,
-        "cold_stats": cold_service.stats.as_dict(),
-        "warm_stats": warm_service.stats.as_dict(),
+        "cold_stats": registry_stats(cold_service),
+        "warm_stats": registry_stats(warm_service),
     }
     try:
         os.makedirs(RESULTS_DIR, exist_ok=True)

@@ -12,7 +12,9 @@ record.  When a baseline directory holds records of the same names, a
 delta column shows how each numeric headline moved against the baseline.
 
 Without ``--gate`` the step is a trend report and always exits 0, even on
-missing directories or malformed records.
+missing directories or malformed records.  It also prints the line count of
+the library's sources (``src/**/*.py`` plus ``*.c``), the code-size figure
+of merit; that line is never gated.
 
 With ``--gate`` the script becomes the benchmark regression gate: the
 committed records under ``benchmarks/baselines/`` (override with
@@ -52,6 +54,19 @@ GATED_KEYS = (
     "speedup",
     "pool_vs_serial",
 )
+
+
+def src_line_count(root=None):
+    """Lines of ``*.py`` and ``*.c`` files under the repository's ``src/``."""
+    if root is None:
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    total = 0
+    for directory, _, names in os.walk(root):
+        for name in names:
+            if name.endswith((".py", ".c")):
+                with open(os.path.join(directory, name), "rb") as handle:
+                    total += sum(1 for _ in handle)
+    return total
 
 
 def _load_records(directory):
@@ -216,6 +231,7 @@ def main(argv):
     if baseline_dir is None and args.gate:
         baseline_dir = args.baselines
 
+    print("src/ lines (*.py + *.c, trend only): %d" % src_line_count())
     records = _load_records(args.results_dir)
     baselines = _load_records(baseline_dir)
     if not records:

@@ -62,10 +62,10 @@ def main():
     print("engine reuse   : %.3f s" % engine_seconds)
     if engine_seconds > 0:
         print("speedup        : %.1fx" % (serial_seconds / engine_seconds))
-    stats = service.stats
+    counter = service.registry.counter
     print(
         "service stats  : %d structures built, %d points evaluated"
-        % (stats.structures_built, stats.points_evaluated)
+        % (counter("service.structures.built"), counter("service.points.evaluated"))
     )
 
     # --- dynamic reordering -------------------------------------------- #

@@ -213,24 +213,20 @@ class BDDManager(DDKernel):
 
         ``level``/``low``/``high`` (int arrays) describe handles ``2 ..``
         with children before parents, as the native builder exports them.
-        The child-edge reference counts plus one reference held by
-        ``root``, the ``created`` count and the ITE computed-table
-        ``cache_stats`` (hits/misses/insertions/evictions) are set as if
-        the nodes had been built here, so every manager operation keeps
-        working on the result.  The manager keeps the arrays and builds its
-        node lists and unique table on first use (see
-        :meth:`~repro.engine.kernel.DDKernel._load_lazily`).
+        The ``created`` count and the ITE computed-table ``cache_stats``
+        (hits/misses/insertions/evictions) are set as if the nodes had been
+        built here, and so are the child-edge reference counts plus one
+        reference held by ``root``, when the node lists and unique table
+        are built on first use (see
+        :meth:`~repro.engine.kernel.DDKernel._load_lazily`) — so every
+        manager operation keeps working on the result.
         """
         if len(self._level) != 2:
             raise BDDError("load_diagram needs an empty manager")
         level = np.concatenate(([TERMINAL_LEVEL, TERMINAL_LEVEL], level))
         low = np.concatenate(([FALSE, TRUE], low))
         high = np.concatenate(([FALSE, TRUE], high))
-        refs = np.bincount(np.concatenate((low, high)), minlength=len(level))
-        refs[:2] = 1  # terminals are pinned
-        if root > TRUE:
-            refs[root] += 1
-        self._load_lazily((level, low, high, refs))
+        self._load_lazily((level, low, high, root))
         self._created = int(created)
         self._live_at_last_gc = len(level)
         stats = self._ite_cache.stats
@@ -239,9 +235,14 @@ class BDDManager(DDKernel):
         return root
 
     def _materialise(self, loaded):
-        level, low, high, refs = (column.tolist() for column in loaded)
+        level, low, high, root = loaded
+        refs = np.bincount(np.concatenate((low, high)), minlength=len(level))
+        refs[:2] = 1  # terminals are pinned
+        if root > TRUE:
+            refs[root] += 1
+        level, low, high = level.tolist(), low.tolist(), high.tolist()
         unique = dict(zip(zip(level[2:], low[2:], high[2:]), range(2, len(level))))
-        return {"_level": level, "_low": low, "_high": high, "_refs": refs, "_unique": unique}
+        return {"_level": level, "_low": low, "_high": high, "_refs": refs.tolist(), "_unique": unique}
 
     def var(self, name: str) -> int:
         """Return the BDD of the single positive literal ``name``."""

@@ -586,13 +586,13 @@ def _run_sweep(args) -> int:
             [("%g" % mean, "%d" % m, "%.6f" % y) for mean, y, m in rows],
         )
     )
-    stats = service.stats
+    counter = service.registry.counter
     print(
         "  structures built    : %d (%d reused, %d cache hits)"
         % (
-            stats.structures_built,
-            stats.structure_reuses,
-            stats.result_cache_hits + stats.disk_cache_hits,
+            counter("service.structures.built"),
+            counter("service.structures.reused"),
+            counter("service.cache.result_hits") + counter("service.cache.disk_hits"),
         )
     )
     print("  time (s)            : %.2f" % elapsed)

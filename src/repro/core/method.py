@@ -29,7 +29,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.builder import CircuitBDDBuilder
-from ..bdd.manager import BDDManager
 from ..engine import native
 from ..engine.batch import LinearizedDiagram
 from ..mdd.from_bdd import convert_bdd_to_mdd
@@ -82,7 +81,6 @@ class CompiledYield:
         build_timings: Tuple[float, float, float],
         sift_swaps: int = 0,
         reorder_seconds: float = 0.0,
-        reorder_triggers: int = 0,
         component_names: Optional[Tuple[str, ...]] = None,
         count_variable_name: Optional[str] = None,
         location_variable_names: Optional[Tuple[str, ...]] = None,
@@ -109,8 +107,6 @@ class CompiledYield:
         self.sift_swaps = sift_swaps
         #: Wall-clock seconds spent in dynamic reordering during the build.
         self.reorder_seconds = reorder_seconds
-        #: Times the kernel's checkpoint fired mid-build reordering.
-        self.reorder_triggers = reorder_triggers
         #: Flat identity fields (derived from the heavyweight objects when
         #: they are present; supplied explicitly by the store's restore).
         if gfunction is not None:
@@ -143,10 +139,6 @@ class CompiledYield:
         #: and whether that load memory-mapped the fused arrays (store v2).
         self.from_store = from_store
         self.store_mmapped = False
-        #: Number of :meth:`evaluate` calls served by this structure.
-        self.evaluations = 0
-        #: Number of defect models differentiated by :meth:`gradients_many`.
-        self.gradient_evaluations = 0
         #: Linearized-array cache of the ROMDD plus its reuse counters.
         self._linearized: Optional[LinearizedDiagram] = linearized
         self.linearize_builds = 0
@@ -247,7 +239,6 @@ class CompiledYield:
         copy of one ``extra`` template, because cached results are handed
         to many callers.
         """
-        self.evaluations += len(problems)
         extra = {
             "robdd_allocated": float(self.robdd_allocated),
             "mdd_allocated": float(self.mdd_allocated),
@@ -260,8 +251,6 @@ class CompiledYield:
             extra["structure_from_store"] = 1.0
         if self.ordering.sift:
             extra["sift_swaps"] = float(self.sift_swaps)
-        if self.reorder_triggers:
-            extra["reorder_triggers"] = float(self.reorder_triggers)
         reused_timings = StageTimings(probability=per_point)
         ordering = (self.ordering.mv, self.ordering.bits)
         results: List[YieldResult] = []
@@ -390,7 +379,6 @@ class CompiledYield:
         probabilities_failed, level_gradients = linearized.backward(
             columns, len(problems)
         )
-        self.gradient_evaluations += len(problems)
 
         names = self.component_names
         profile = self.level_profile
@@ -492,12 +480,6 @@ class YieldAnalyzer:
         Optional cap on allocated ROBDD nodes; exceeding it raises
         :class:`repro.bdd.builder.ResourceLimitExceeded` (the paper's
         "failed" entries).
-    reorder_on_growth:
-        Optional live-node threshold after which the kernel's checkpoint
-        triggers group-preserving sifting *during* the coded-ROBDD build
-        (see :meth:`repro.engine.kernel.DDKernel.set_reorder_trigger`).
-        Keeps ballooning intermediate diagrams in check before the final
-        sift/conversion.  ``None`` disables mid-build reordering.
     """
 
     def __init__(
@@ -508,14 +490,12 @@ class YieldAnalyzer:
         track_peak: bool = False,
         peak_stride: int = 1,
         node_limit: Optional[int] = None,
-        reorder_on_growth: Optional[int] = None,
     ) -> None:
         self.ordering = ordering or OrderingSpec("w", "ml")
         self.epsilon = float(epsilon)
         self.track_peak = track_peak
         self.peak_stride = peak_stride
         self.node_limit = node_limit
-        self.reorder_on_growth = reorder_on_growth
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -568,18 +548,17 @@ class YieldAnalyzer:
         t1 = time.perf_counter()
 
         with obs_trace.span("compile.robdd", truncation=int(truncation)) as robdd_span:
-            bdd_manager, bdd_root, build_stats, grouped_order, trigger_state = (
-                self._build_coded_robdd(gfunction, grouped_order)
+            bdd_manager, bdd_root, build_stats = self._build_coded_robdd(
+                gfunction, grouped_order
             )
-            sift_swaps = trigger_state["swaps"]
-            reorder_seconds = trigger_state["seconds"]
+            sift_swaps = 0
+            reorder_seconds = 0.0
             if self.ordering.sift:
                 t_sift = time.perf_counter()
-                grouped_order, pass_swaps = self._sift(
+                grouped_order, sift_swaps = self._sift(
                     bdd_manager, bdd_root, grouped_order
                 )
-                reorder_seconds += time.perf_counter() - t_sift
-                sift_swaps += pass_swaps
+                reorder_seconds = time.perf_counter() - t_sift
                 build_stats.final_size = bdd_manager.size(bdd_root)
                 if build_stats.final_size > build_stats.peak_live_nodes:
                     build_stats.peak_live_nodes = build_stats.final_size
@@ -617,7 +596,6 @@ class YieldAnalyzer:
             build_timings=(t1 - t0, t2 - t1, t3 - t2),
             sift_swaps=sift_swaps,
             reorder_seconds=reorder_seconds,
-            reorder_triggers=trigger_state["triggers"],
             kernel_cache_stats={
                 "bdd": bdd_manager.cache_totals(),
                 "mdd": mdd_manager.cache_totals(),
@@ -681,44 +659,7 @@ class YieldAnalyzer:
             peak_stride=self.peak_stride,
             node_limit=self.node_limit,
         )
-        trigger_state = {
-            "groups": grouped_order.groups,
-            "swaps": 0,
-            "triggers": 0,
-            "seconds": 0.0,
-        }
-        # mid-build reordering needs a live manager, which keeps the build
-        # on the gate loop; otherwise the builder may take the native route
-        manager = None
-        if self.reorder_on_growth is not None:
-            from ..engine.reorder import sift_grouped
-
-            manager = BDDManager(grouped_order.flat_bit_order())
-
-            def mid_build_reorder(mgr) -> None:
-                # the builder ref-protects every live gate function before
-                # its checkpoint, so this is a safe point to reorder; the
-                # group state threads through so later triggers (and the
-                # final conversion) see the current order
-                started = time.perf_counter()
-                new_groups, stats = sift_grouped(mgr, trigger_state["groups"])
-                trigger_state["groups"] = new_groups
-                trigger_state["swaps"] += stats.swaps
-                trigger_state["triggers"] += 1
-                trigger_state["seconds"] += time.perf_counter() - started
-
-            manager.set_reorder_trigger(
-                mid_build_reorder, threshold=int(self.reorder_on_growth)
-            )
-        bdd_manager, bdd_root, build_stats = builder.build(
-            gfunction.binary_circuit(), manager
-        )
-        if manager is not None:
-            manager.clear_reorder_trigger()
-        if trigger_state["triggers"]:
-            grouped_order = GroupedVariableOrder(trigger_state["groups"])
-            build_stats.final_size = bdd_manager.size(bdd_root)
-        return bdd_manager, bdd_root, build_stats, grouped_order, trigger_state
+        return builder.build(gfunction.binary_circuit())
 
     def _sift(self, bdd_manager, bdd_root: int, grouped_order: GroupedVariableOrder):
         from ..engine.reorder import sift_grouped

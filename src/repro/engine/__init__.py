@@ -62,7 +62,7 @@ from .kernel import (
     recursion_guard,
 )
 from .reorder import ReorderStats, sift, sift_grouped, sift_to_convergence
-from .service import SweepPoint, SweepService, SweepServiceStats
+from .service import SweepPoint, SweepService
 from .store import StoreEntry, StoreError, StructureStore
 from .supervise import Backoff, ShardJob, ShardSupervisor
 
@@ -91,5 +91,4 @@ __all__ = [
     "StructureStore",
     "SweepPoint",
     "SweepService",
-    "SweepServiceStats",
 ]

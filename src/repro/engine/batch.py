@@ -65,7 +65,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as _np
 
 from . import native as _native
-from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 
 #: Node-block size of the fused kernel, in (node, model) cells: blocks are
@@ -462,10 +461,10 @@ class LinearizedDiagram:
         self.models_evaluated += num_models
         if kernel == "native":
             self.native_passes += 1
-            runner = lambda log=None: self._evaluate_native(columns, num_models)
+            runner = lambda: self._evaluate_native(columns, num_models)
         else:
             self.fused_passes += 1
-            runner = lambda log=None: self._evaluate_fused(columns, num_models, log)
+            runner = lambda: self._evaluate_fused(columns, num_models)
         return self._run_pass("evaluate", kernel, num_models, runner)
 
     def backward(
@@ -517,41 +516,23 @@ class LinearizedDiagram:
         self.models_differentiated += num_models
         if kernel == "native":
             self.native_passes += 1
-            runner = lambda log=None: self._backward_native(columns, num_models)
+            runner = lambda: self._backward_native(columns, num_models)
         else:
             self.fused_passes += 1
-            runner = lambda log=None: self._backward_fused(columns, num_models, log)
+            runner = lambda: self._backward_fused(columns, num_models)
         return self._run_pass("backward", kernel, num_models, runner)
 
     def _run_pass(self, op, kernel, num_models, runner):
-        """Execute one pass, with telemetry only when telemetry is on.
+        """Execute one pass, in a ``kernel.<op>`` span when tracing is on.
 
-        The disabled path costs two module-attribute reads; the per-layer
-        ``layer_log`` accounting inside the fused kernel only happens while
-        a profiler is installed.
+        The disabled path costs one module-attribute read.
         """
-        profiler = _obs_profile.active()
-        if profiler is None and _obs_trace.active() is None:
+        if _obs_trace.active() is None:
             return runner()
         with _obs_trace.span(
             "kernel." + op, kernel=kernel, models=num_models, nodes=self.node_count
         ):
-            if profiler is None:
-                return runner()
-            layer_log = []  # type: List[dict]
-            collapsed_before = self.collapsed_layers
-            started = _time.perf_counter()
-            result = runner(layer_log)
-            profiler.record_pass(
-                op=op,
-                kernel=kernel,
-                models=num_models,
-                nodes=self.node_count,
-                seconds=_time.perf_counter() - started,
-                collapsed_layers=self.collapsed_layers - collapsed_before,
-                layers=tuple(layer_log),
-            )
-            return result
+            return runner()
 
     def _columns(self, level_columns, num_models: int) -> Dict[int, "object"]:
         """Every level's columns as one ``(cardinality, K)`` float64 matrix.
@@ -607,7 +588,7 @@ class LinearizedDiagram:
     # Fused kernel
     # ------------------------------------------------------------------ #
 
-    def _forward_fused(self, columns_by_level, num_models: int, layer_log=None):
+    def _forward_fused(self, columns_by_level, num_models: int):
         """The fused bottom-up pass over the precompiled schedule.
 
         Two mechanisms on top of a plain per-layer gather/multiply/add,
@@ -642,8 +623,6 @@ class LinearizedDiagram:
         for level, s0, s1, kid_views, card in walk:
             columns = columns_by_level[level]
             n = s1 - s0
-            if layer_log is not None:
-                layer_started = _time.perf_counter()
             uniform = num_models == 1 or bool(
                 (columns[:, 1:] == columns[:, :1]).all()
             )
@@ -666,17 +645,6 @@ class LinearizedDiagram:
                 values[s0:s1] = row[:, None]
                 narrow[s0:s1] = True
                 self.collapsed_layers += 1
-                if layer_log is not None:
-                    layer_log.append(
-                        {
-                            "level": level,
-                            "nodes": n,
-                            "cardinality": card,
-                            "collapsed": True,
-                            "blocks": 0,
-                            "seconds": _time.perf_counter() - layer_started,
-                        }
-                    )
                 continue
             if ws is None:
                 ws = _np.empty((block, num_models), dtype=_np.float64)
@@ -691,24 +659,13 @@ class LinearizedDiagram:
                     _np.take(values, kid_views[j][b0:b1], axis=0, out=g)
                     g *= columns[j]
                     out += g
-            if layer_log is not None:
-                layer_log.append(
-                    {
-                        "level": level,
-                        "nodes": n,
-                        "cardinality": card,
-                        "collapsed": False,
-                        "blocks": -(-n // block),
-                        "seconds": _time.perf_counter() - layer_started,
-                    }
-                )
         return values
 
-    def _evaluate_fused(self, columns_by_level, num_models: int, layer_log=None) -> List[float]:
-        values = self._forward_fused(columns_by_level, num_models, layer_log)
+    def _evaluate_fused(self, columns_by_level, num_models: int) -> List[float]:
+        values = self._forward_fused(columns_by_level, num_models)
         return values[self.root_slot].tolist()
 
-    def _backward_fused(self, columns_by_level, num_models: int, layer_log=None):
+    def _backward_fused(self, columns_by_level, num_models: int):
         """Fused forward pass plus the adjoint sweep over the schedule.
 
         The adjoint accumulation cannot collapse (the count level injects
@@ -717,7 +674,7 @@ class LinearizedDiagram:
         ``np.add.at`` (which handles shared children) and reduces each
         child position's gradient row over the layer's nodes.
         """
-        values = self._forward_fused(columns_by_level, num_models, layer_log)
+        values = self._forward_fused(columns_by_level, num_models)
         adjoint = _np.zeros((self.num_slots, num_models), dtype=_np.float64)
         adjoint[self.root_slot] = 1.0
         gradients: Dict[int, Tuple[Tuple[float, ...], ...]] = {}

@@ -40,7 +40,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 #: Handle of the FALSE terminal (shared by every manager).
 FALSE = 0
@@ -204,8 +204,6 @@ class KernelStats:
     gc_threshold: int
     #: Computed-table statistics, keyed by table name.
     caches: Dict[str, Dict[str, int]]
-    #: Times the automatic reordering trigger fired (0 when not configured).
-    reorder_triggers: int = 0
 
 
 class DDKernel:
@@ -258,9 +256,6 @@ class DDKernel:
         self._gc_runs = 0
         self._nodes_reclaimed = 0
         self._live_at_last_gc = 2
-        self._reorder_trigger: Optional[Callable[["DDKernel"], Any]] = None
-        self._reorder_trigger_threshold = 0
-        self._reorder_triggers = 0
 
     def _new_computed_table(self, name: str) -> BoundedComputedTable:
         """Create (and register for flush-on-GC) a named computed table."""
@@ -420,67 +415,13 @@ class DDKernel:
         """
         grown = self.num_live_nodes - self._live_at_last_gc
         if grown < self._gc_threshold:
-            # the reordering trigger watches the absolute live count, so it
-            # must be consulted even when the growth-based collection is not
-            self._maybe_trigger_reorder()
             return 0
         freed = self.garbage_collect()
         if freed * 4 < grown:
             self._gc_threshold *= 2
         elif self._gc_threshold > self._gc_initial_threshold:
             self._gc_threshold //= 2
-        self._maybe_trigger_reorder()
         return freed
-
-    # ------------------------------------------------------------------ #
-    # Automatic reordering trigger
-    # ------------------------------------------------------------------ #
-
-    def set_reorder_trigger(
-        self, callback: Callable[["DDKernel"], Any], *, threshold: int
-    ) -> None:
-        """Arrange for ``callback(manager)`` to run when the table balloons.
-
-        After a :meth:`checkpoint` collection, if the table still holds at
-        least ``threshold`` live nodes, ``callback`` is invoked (outside any
-        reordering session) — the hook the pipeline uses to run dynamic
-        reordering *during* a build instead of only after it.  To avoid
-        thrashing, the threshold is doubled (at least past the current live
-        count) before each invocation.  Every diagram the caller still needs
-        must be ref-protected, exactly as for :meth:`garbage_collect`.
-        """
-        if threshold < 1:
-            raise ValueError("reorder trigger threshold must be positive")
-        self._reorder_trigger = callback
-        self._reorder_trigger_threshold = int(threshold)
-
-    def clear_reorder_trigger(self) -> None:
-        """Remove the automatic reordering trigger."""
-        self._reorder_trigger = None
-        self._reorder_trigger_threshold = 0
-
-    @property
-    def reorder_triggers(self) -> int:
-        """How many times the automatic reordering trigger has fired."""
-        return self._reorder_triggers
-
-    def _maybe_trigger_reorder(self) -> None:
-        trigger = self._reorder_trigger
-        if trigger is None:
-            return
-        live = self.num_live_nodes
-        if live < self._reorder_trigger_threshold:
-            return
-        if getattr(self, "in_reorder", False):  # pragma: no cover - defensive
-            return
-        # raise the bar before calling out so a callback that shrinks little
-        # (or allocates while reordering) cannot re-enter immediately
-        self._reorder_trigger_threshold = max(
-            self._reorder_trigger_threshold * 2, live * 2
-        )
-        self._reorder_triggers += 1
-        trigger(self)
-        self._live_at_last_gc = self.num_live_nodes
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -522,5 +463,4 @@ class DDKernel:
                 name: table.stats.as_dict()
                 for name, table in self._computed_tables.items()
             },
-            reorder_triggers=self._reorder_triggers,
         )

@@ -31,8 +31,8 @@ needs **one** diagram build, not one per point.
   arrays and the level profile in a versioned on-disk format that loaders
   memory-map (``mmap_mode="r"`` — no copies, page cache shared across
   forked workers), and the service resolves structures memory-LRU → disk
-  store → build (``store_hits`` / ``store_misses`` / ``store_bytes`` /
-  ``mmap_loads`` count the traffic);
+  store → build (``store.hits`` / ``store.misses`` / ``store.bytes`` /
+  ``store.mmap_loads`` in the service's registry count the traffic);
 * :meth:`SweepService.gradient_batch` serves *importance* queries the same
   way: per structure group, one forward-plus-reverse linearized pass
   differentiates all of the group's defect models analytically
@@ -72,51 +72,75 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _MISS = object()
 
 
-def _fused_passes_of(compiled) -> int:
-    """Current fused-pass count of a structure's linearization (0 if none).
+def _resolve_structure(registry, store, skey, analyzer, problem, truncation: int):
+    """Load a structure from the store, else build it: ``(compiled, built)``.
 
-    Shared by the parent service and the worker entry points so the
-    parent/worker split of the ``fused_passes`` counter cannot drift.
+    The one resolution step below the in-memory LRUs, shared by the service
+    and its pool workers, with its accounting: the ``store.*`` traffic and,
+    for a build, ``service.structures.built``, the ``phase.build_seconds``
+    and ``phase.reorder_seconds`` samples and the computed-table totals the
+    build snapshotted (``kernel.cache.<manager>.<event>``; a worker ships
+    them home in its registry snapshot, so they aggregate across processes).
     """
-    linearized = getattr(compiled, "_linearized", None)
-    return linearized.fused_passes if linearized is not None else 0
-
-
-def _native_passes_of(compiled) -> int:
-    """Current native-pass count of a structure's linearization (0 if none)."""
-    linearized = getattr(compiled, "_linearized", None)
-    return linearized.native_passes if linearized is not None else 0
-
-
-def _annotate_kernel(span, compiled) -> None:
-    """Record which kernel the pass actually ran into its span.
-
-    Each pass resolves its backend on the host it runs on, so traces must
-    carry the *resolved* one (``linearized.last_kernel``) — otherwise a
-    trace cannot show whether a pass took the native or the fused path.
-    """
-    linearized = getattr(compiled, "_linearized", None)
-    kernel = getattr(linearized, "last_kernel", None)
-    if kernel is not None:
-        span.set(kernel=kernel)
-
-
-def _publish_kernel_caches(registry, compiled) -> None:
-    """Fold a fresh build's DD-kernel cache totals into the registry.
-
-    ``compile_for_truncation`` snapshots the ITE/apply computed-table
-    stats of both managers onto the compiled structure; published as
-    ``kernel.cache.<manager>.<event>`` counters they aggregate across
-    builds — worker builds included, since workers publish into their own
-    registry and ship the snapshot home.
-    """
-    caches = getattr(compiled, "kernel_cache_stats", None)
-    if not caches:
-        return
-    for manager, totals in caches.items():
+    if store is not None:
+        loaded = store.load(skey, mmap=True)
+        if loaded is not None:
+            compiled, nbytes = loaded
+            registry.inc("store.hits")
+            registry.inc("store.bytes", nbytes)
+            if compiled.store_mmapped:
+                registry.inc("store.mmap_loads")
+            return compiled, False
+        registry.inc("store.misses")
+    with obs_trace.span("service.build", truncation=truncation):
+        compiled = analyzer.compile_for_truncation(problem, truncation)
+    registry.inc("service.structures.built")
+    registry.observe("phase.build_seconds", sum(compiled.build_timings))
+    if compiled.reorder_seconds:
+        registry.observe("phase.reorder_seconds", compiled.reorder_seconds)
+    for manager, totals in (compiled.kernel_cache_stats or {}).items():
         for event, value in totals.items():
             if value:
                 registry.inc("kernel.cache.%s.%s" % (manager, event), value)
+    return compiled, True
+
+
+@contextmanager
+def _counted_pass(registry, native_state, compiled, phase, passes, span=None, models=0):
+    """Count the one kernel pass over ``compiled`` that runs in the block.
+
+    The pass bookkeeping of the service and its pool workers: one ``phase``
+    histogram sample, one ``passes`` increment, the deltas of the
+    structure's linearization builds and reuses and of its fused and native
+    passes, and the native backend's ``native.*`` counters (``native_state``
+    holds the caller's high-water marks).  With a ``span`` name the pass
+    runs in that span, which records the kernel the pass resolved on this
+    host (``linearized.last_kernel``), so a trace shows which path it took.
+    """
+
+    def counts():
+        linearized = compiled._linearized
+        return {
+            "service.linearize.builds": compiled.linearize_builds,
+            "service.linearize.reuses": compiled.linearize_reuses,
+            "kernel.fused_passes": getattr(linearized, "fused_passes", 0),
+            "kernel.native_passes": getattr(linearized, "native_passes", 0),
+        }
+
+    before = counts()
+    started = time.perf_counter()
+    opened = obs_trace.span(span, models=models) if span else obs_trace.NULL_SPAN
+    with opened as active:
+        yield
+        kernel = getattr(compiled._linearized, "last_kernel", None)
+        if kernel is not None:
+            active.set(kernel=kernel)
+    registry.observe(phase, time.perf_counter() - started)
+    registry.inc(passes)
+    for name, value in counts().items():
+        if value != before[name]:
+            registry.inc(name, value - before[name])
+    _native.publish_counters(registry, native_state)
 
 
 @dataclass(frozen=True)
@@ -132,168 +156,6 @@ class SweepPoint:
     problem: object
     max_defects: Optional[int] = None
     epsilon: Optional[float] = None
-
-
-#: Counter attribute -> registry metric name.  Every legacy
-#: ``SweepServiceStats`` field keeps working (``stats.store_hits += 1``)
-#: but the value now lives in the service's :class:`MetricsRegistry`
-#: under a namespaced metric, where worker deltas merge into the same
-#: names.
-_COUNTER_METRICS = {
-    "points_requested": "service.points.requested",
-    "points_evaluated": "service.points.evaluated",
-    "structures_built": "service.structures.built",
-    "structure_reuses": "service.structures.reused",
-    "result_cache_hits": "service.cache.result_hits",
-    "disk_cache_hits": "service.cache.disk_hits",
-    "parallel_batches": "service.batches.parallel",
-    # Batched multi-model passes executed (one per group evaluation).
-    "batched_passes": "service.passes.batched",
-    # Linearized-array builds / reuses across the compiled structures.
-    "linearize_builds": "service.linearize.builds",
-    "linearize_reuses": "service.linearize.reuses",
-    # Reverse-mode gradient passes (one per structure group) and the
-    # defect models they covered.
-    "gradient_passes": "service.passes.gradient",
-    "points_differentiated": "service.points.differentiated",
-    # Persistent-store traffic: warm starts served from disk (parent and
-    # worker processes), rebuilds the store could not prevent, bytes moved
-    # to/from the store, and loads that memory-mapped the fused arrays.
-    "store_hits": "store.hits",
-    "store_misses": "store.misses",
-    "store_bytes": "store.bytes",
-    "mmap_loads": "store.mmap_loads",
-    # Pickled payload bytes of the pool dispatch.
-    "shard_payload_bytes": "dispatch.payload_bytes",
-    # Fused-kernel passes executed (parent and worker processes).
-    "fused_passes": "kernel.fused_passes",
-    # Native compiled-kernel passes executed (parent and worker processes).
-    "native_passes": "kernel.native_passes",
-}
-
-#: Timing attribute -> registry histogram.  One naming scheme for every
-#: phase: ``stats.build_seconds += dt`` records one histogram sample.
-_TIMER_METRICS = {
-    "build_seconds": "phase.build_seconds",
-    "reorder_seconds": "phase.reorder_seconds",
-    "evaluate_seconds": "phase.evaluate_seconds",
-    "gradient_seconds": "phase.gradient_seconds",
-    "worker_evaluate_seconds": "phase.worker_evaluate_seconds",
-}
-
-
-class _Applied:
-    """Marker consumed by ``SweepServiceStats.__setattr__`` after ``+=``."""
-
-    __slots__ = ()
-
-
-_APPLIED = _Applied()
-
-
-class _CounterValue(int):
-    """An int whose ``+=`` is one atomic registry increment.
-
-    ``stats.x += n`` expands to a read (``__getattr__``), an add and a
-    write-back (``__setattr__``) — under concurrent callers the write-back
-    of a stale read loses updates.  Returning this from ``__getattr__``
-    routes the add through ``__iadd__`` → ``registry.inc`` (atomic under
-    the registry lock) and hands ``__setattr__`` a marker to discard, so
-    every ``+=`` in the service is a single atomic increment while plain
-    reads still behave as ints.
-    """
-
-    # no __slots__: variable-sized bases (int) do not support them
-
-    def __new__(cls, value, registry, metric):
-        self = int.__new__(cls, value)
-        self._registry = registry
-        self._metric = metric
-        return self
-
-    def __iadd__(self, other):
-        if other:
-            self._registry.inc(self._metric, other)
-        return _APPLIED
-
-    def __isub__(self, other):
-        if other:
-            self._registry.inc(self._metric, -other)
-        return _APPLIED
-
-
-class _TimerValue(float):
-    """A float whose ``+=`` is one atomic histogram observation."""
-
-    __slots__ = ("_registry", "_metric")
-
-    def __new__(cls, value, registry, metric):
-        self = float.__new__(cls, value)
-        self._registry = registry
-        self._metric = metric
-        return self
-
-    def __iadd__(self, other):
-        if other:
-            self._registry.observe(self._metric, other)
-        return _APPLIED
-
-
-class SweepServiceStats:
-    """Monotone counters describing what a service instance did so far.
-
-    Historically a plain dataclass; now a facade over a
-    :class:`repro.obs.metrics.MetricsRegistry` so the same numbers are
-    available as namespaced metrics (``snapshot()`` / Prometheus
-    exposition) and worker-process deltas aggregate into them.  The
-    attribute API is unchanged: counters read/``+=`` as ints, the
-    ``*_seconds`` attributes as floats (each ``+=`` becomes one histogram
-    observation) — and every ``+=`` is atomic (one registry operation
-    under the registry lock), so concurrent callers never lose updates.
-    """
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        object.__setattr__(
-            self, "registry", registry if registry is not None else MetricsRegistry()
-        )
-
-    def __getattr__(self, name):
-        metric = _COUNTER_METRICS.get(name)
-        if metric is not None:
-            return _CounterValue(self.registry.counter(metric), self.registry, metric)
-        metric = _TIMER_METRICS.get(name)
-        if metric is not None:
-            return _TimerValue(
-                self.registry.histogram_sum(metric), self.registry, metric
-            )
-        raise AttributeError(name)
-
-    def __setattr__(self, name, value):
-        if value is _APPLIED:
-            return  # ``+=`` already applied atomically by __iadd__
-        metric = _COUNTER_METRICS.get(name)
-        if metric is not None:
-            self.registry.set_counter(metric, value)
-            return
-        metric = _TIMER_METRICS.get(name)
-        if metric is not None:
-            # a plain assignment of a new total (legacy callers): record
-            # the delta as one histogram sample.
-            delta = value - self.registry.histogram_sum(metric)
-            if delta:
-                self.registry.observe(metric, delta)
-            return
-        raise AttributeError(name)
-
-    def as_dict(self) -> Dict[str, float]:
-        out = {}  # type: Dict[str, float]
-        for name in _COUNTER_METRICS:
-            out[name] = self.registry.counter(_COUNTER_METRICS[name])
-        for name in _TIMER_METRICS:
-            out[name] = self.registry.histogram_sum(_TIMER_METRICS[name])
-        return out
 
 
 def _float_digest(values) -> str:
@@ -433,11 +295,10 @@ class SweepService:
         #: compile/load/fallback counters, so several services in one
         #: process publish each event into their registry exactly once.
         self._native_state: Dict[str, int] = {}
-        #: One metrics registry per service: every stats counter lives here
-        #: under a namespaced metric, worker deltas merge into it, and
-        #: ``registry.expose_text()`` serves ``--metrics`` / future ``/stats``.
+        #: One metrics registry per service: the service counts and times
+        #: its work here under dotted names, worker deltas merge into it,
+        #: and ``registry.expose_text()`` serves ``--metrics`` and ``/stats``.
         self.registry = MetricsRegistry()
-        self.stats = SweepServiceStats(self.registry)
         if store_dir:
             from .store import StructureStore
 
@@ -513,7 +374,9 @@ class SweepService:
 
     def _evaluate_batch(self, points: Sequence[SweepPoint]) -> List[object]:
         points = list(points)
-        self.stats.points_requested += len(points)
+        if not points:
+            return []
+        self.registry.inc("service.points.requested", len(points))
         truncations = [self._resolve_truncation(point) for point in points]
         keys = [
             result_key(point.problem, truncation, self.ordering)
@@ -531,7 +394,8 @@ class SweepService:
                     self._results.move_to_end(rkey)
                     results[idx] = cached
                     hits += 1
-        self.stats.result_cache_hits += hits
+        if hits:
+            self.registry.inc("service.cache.result_hits", hits)
         if self.cache_dir:
             disk_hits = []
             for idx, rkey in enumerate(keys):
@@ -539,8 +403,9 @@ class SweepService:
                     results[idx] = self._disk_get(rkey)
                     if results[idx] is not _MISS:
                         disk_hits.append((rkey, results[idx]))
-            self.stats.disk_cache_hits += len(disk_hits)
-            self._remember_results(disk_hits)
+            if disk_hits:
+                self.registry.inc("service.cache.disk_hits", len(disk_hits))
+                self._remember_results(disk_hits)
 
         pending: Dict[Tuple, List[int]] = {}
         for idx, rkey in enumerate(keys):
@@ -560,7 +425,7 @@ class SweepService:
             if self.cache_dir:
                 for idx, result in evaluated:
                     self._disk_put(keys[idx], result)
-            self.stats.points_evaluated += len(evaluated)
+            self.registry.inc("service.points.evaluated", len(evaluated))
 
         missing = [i for i, r in enumerate(results) if r is _MISS]
         if missing:  # pragma: no cover - defensive
@@ -603,32 +468,19 @@ class SweepService:
                     compiled, _ = self._structure_for(
                         skey, points[first].problem, truncations[first]
                     )
-                    builds_before = compiled.linearize_builds
-                    reuses_before = compiled.linearize_reuses
-                    fused_before = _fused_passes_of(compiled)
-                    native_before = _native_passes_of(compiled)
-                    started = time.perf_counter()
-                    with obs_trace.span(
-                        "service.gradients", models=len(indices)
-                    ) as span:
+                    with _counted_pass(
+                        self.registry,
+                        self._native_state,
+                        compiled,
+                        "phase.gradient_seconds",
+                        "service.passes.gradient",
+                        span="service.gradients",
+                        models=len(indices),
+                    ):
                         gradients = compiled.gradients_many(
                             [points[idx].problem for idx in indices]
                         )
-                        _annotate_kernel(span, compiled)
-                    self.stats.gradient_seconds += time.perf_counter() - started
-                    self.stats.gradient_passes += 1
-                    self.stats.points_differentiated += len(indices)
-                    self.stats.linearize_builds += (
-                        compiled.linearize_builds - builds_before
-                    )
-                    self.stats.linearize_reuses += (
-                        compiled.linearize_reuses - reuses_before
-                    )
-                    self.stats.fused_passes += _fused_passes_of(compiled) - fused_before
-                    self.stats.native_passes += (
-                        _native_passes_of(compiled) - native_before
-                    )
-                    _native.publish_counters(self.registry, self._native_state)
+                self.registry.inc("service.points.differentiated", len(indices))
                 for idx, gradient in zip(indices, gradients):
                     results[idx] = gradient
         return results  # type: ignore[return-value]
@@ -886,28 +738,15 @@ class SweepService:
             compiled = self._structures.get(skey)
             if compiled is not None:
                 self._structures.move_to_end(skey)
-                self.stats.structure_reuses += 1
+                self.registry.inc("service.structures.reused")
                 return compiled, True
-        if self._store is not None:
-            loaded = self._store.load(skey, mmap=True)
-            if loaded is not None:
-                compiled, nbytes = loaded
-                self.stats.store_hits += 1
-                self.stats.store_bytes += nbytes
-                if getattr(compiled, "store_mmapped", False):
-                    self.stats.mmap_loads += 1
-                self._store_structure(skey, compiled)
-                return compiled, True
-            self.stats.store_misses += 1
-        with obs_trace.span("service.build", truncation=truncation):
-            compiled = self._analyzer().compile_for_truncation(problem, truncation)
+        compiled, built = _resolve_structure(
+            self.registry, self._store, skey, self._analyzer(), problem, truncation
+        )
         self._store_structure(skey, compiled)
-        self.stats.structures_built += 1
-        self.stats.build_seconds += sum(compiled.build_timings)
-        self.stats.reorder_seconds += compiled.reorder_seconds
-        _publish_kernel_caches(self.registry, compiled)
-        self._persist_structure(skey, compiled)
-        return compiled, False
+        if built:
+            self._persist_structure(skey, compiled)
+        return compiled, not built
 
     def _persist_structure(self, skey: Tuple, compiled) -> None:
         """Save a freshly built structure to the store (never fails a sweep)."""
@@ -915,30 +754,14 @@ class SweepService:
             return
         builds_before = compiled.linearize_builds
         try:
-            self.stats.store_bytes += self._store.save(skey, compiled)
+            self.registry.inc("store.bytes", self._store.save(skey, compiled))
         except OSError:  # pragma: no cover - persisting is best-effort
             pass
         # saving linearizes on demand; surface that build in the counters
-        self.stats.linearize_builds += compiled.linearize_builds - builds_before
-
-    def _evaluate_group_locally(self, compiled, problems, counts, *, reused: bool):
-        """One batched pass over a group's defect models, with bookkeeping."""
-        builds_before = compiled.linearize_builds
-        reuses_before = compiled.linearize_reuses
-        fused_before = _fused_passes_of(compiled)
-        native_before = _native_passes_of(compiled)
-        started = time.perf_counter()
-        with obs_trace.span("service.evaluate", models=len(problems)) as span:
-            results = compiled.evaluate_many(problems, counts=counts, reused=reused)
-            _annotate_kernel(span, compiled)
-        self.stats.evaluate_seconds += time.perf_counter() - started
-        self.stats.batched_passes += 1
-        self.stats.linearize_builds += compiled.linearize_builds - builds_before
-        self.stats.linearize_reuses += compiled.linearize_reuses - reuses_before
-        self.stats.fused_passes += _fused_passes_of(compiled) - fused_before
-        self.stats.native_passes += _native_passes_of(compiled) - native_before
-        _native.publish_counters(self.registry, self._native_state)
-        return results
+        if compiled.linearize_builds != builds_before:
+            self.registry.inc(
+                "service.linearize.builds", compiled.linearize_builds - builds_before
+            )
 
     def _store_structure(self, skey: Tuple, compiled) -> None:
         with self._lock:
@@ -966,12 +789,20 @@ class SweepService:
                 compiled, reused = self._structure_for(
                     skey, points[first].problem, truncations[first]
                 )
-                results = self._evaluate_group_locally(
+                with _counted_pass(
+                    self.registry,
+                    self._native_state,
                     compiled,
-                    [points[idx].problem for idx in indices],
-                    [counts[idx] for idx in indices],
-                    reused=reused,
-                )
+                    "phase.evaluate_seconds",
+                    "service.passes.batched",
+                    span="service.evaluate",
+                    models=len(indices),
+                ):
+                    results = compiled.evaluate_many(
+                        [points[idx].problem for idx in indices],
+                        counts=[counts[idx] for idx in indices],
+                        reused=reused,
+                    )
             evaluated.extend(zip(indices, results))
         return evaluated
 
@@ -1029,10 +860,12 @@ class SweepService:
                 )
                 # the parent pickles the payloads itself (the pool then
                 # moves opaque bytes), so the exact payload size lands in
-                # shard_payload_bytes
+                # dispatch.payload_bytes
                 blob = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
                 jobs.append(ShardJob(payload, blob))
-            self.stats.shard_payload_bytes += sum(len(job.blob) for job in jobs)
+            self.registry.inc(
+                "dispatch.payload_bytes", sum(len(job.blob) for job in jobs)
+            )
             started = time.perf_counter()
             supervisor = ShardSupervisor(
                 self,
@@ -1071,9 +904,10 @@ class SweepService:
             )
             # the pool wall clock minus the build time workers reported is
             # the evaluation (plus transfer) share
-            elapsed = time.perf_counter() - started
-            self.stats.evaluate_seconds += max(0.0, elapsed - worker_build_seconds)
-            self.stats.parallel_batches += 1
+            evaluate_seconds = time.perf_counter() - started - worker_build_seconds
+            if evaluate_seconds > 0.0:
+                self.registry.observe("phase.evaluate_seconds", evaluate_seconds)
+            self.registry.inc("service.batches.parallel")
         except Exception:
             # pickling or pool trouble: drop the (possibly wedged) pool and
             # fall back to in-process work; the next batch may retry with a
@@ -1217,63 +1051,42 @@ def _evaluate_shard(blob, deadline=None):
 
 
 def _evaluate_group(payload: GroupPayload):
+    from ..core.method import YieldAnalyzer
+    from ..ordering.strategies import OrderingSpec
+    from .store import StructureStore
+
     skey, problems = payload.skey, payload.problems
     _worker_native_setup(payload.store_root)
     registry = MetricsRegistry()
-    wstats = SweepServiceStats(registry)
     built = False
     with obs_trace.span("worker.shard", models=len(problems)):
         compiled = _worker_structure_get(skey)
         resolved = compiled is None
         if resolved:
-            if payload.store_root is not None:
-                from .store import StructureStore
-
-                loaded = StructureStore(payload.store_root, registry=registry).load(
-                    skey, mmap=True
-                )
-                if loaded is not None:
-                    compiled, store_bytes = loaded
-                    wstats.store_hits += 1
-                    wstats.store_bytes += store_bytes
-                    if getattr(compiled, "store_mmapped", False):
-                        wstats.mmap_loads += 1
-                else:
-                    wstats.store_misses += 1
-            if compiled is None:
-                from ..core.method import YieldAnalyzer
-                from ..ordering.strategies import OrderingSpec
-
-                analyzer = YieldAnalyzer(
-                    OrderingSpec.from_key(payload.ordering_key),
-                    epsilon=payload.epsilon,
-                    **payload.analyzer_options,
-                )
-                with obs_trace.span("service.build", truncation=payload.truncation):
-                    compiled = analyzer.compile_for_truncation(
-                        problems[0], payload.truncation
-                    )
-                built = True
-                wstats.structures_built += 1
-                wstats.build_seconds += sum(compiled.build_timings)
-                wstats.reorder_seconds += compiled.reorder_seconds
-                _publish_kernel_caches(registry, compiled)
+            store = (
+                None
+                if payload.store_root is None
+                else StructureStore(payload.store_root, registry=registry)
+            )
+            analyzer = YieldAnalyzer(
+                OrderingSpec.from_key(payload.ordering_key),
+                epsilon=payload.epsilon,
+                **payload.analyzer_options,
+            )
+            compiled, built = _resolve_structure(
+                registry, store, skey, analyzer, problems[0], payload.truncation
+            )
             _worker_structure_put(skey, compiled)
-        builds_before = compiled.linearize_builds
-        reuses_before = compiled.linearize_reuses
-        fused_before = _fused_passes_of(compiled)
-        native_before = _native_passes_of(compiled)
-        started = time.perf_counter()
         # a job holds only problems: their count vectors are computed here,
         # by the helper the parent's result keys use
-        results = compiled.evaluate_many(problems, reused=not built)
-        wstats.worker_evaluate_seconds += time.perf_counter() - started
-        wstats.batched_passes += 1
-        wstats.linearize_builds += compiled.linearize_builds - builds_before
-        wstats.linearize_reuses += compiled.linearize_reuses - reuses_before
-        wstats.fused_passes += _fused_passes_of(compiled) - fused_before
-        wstats.native_passes += _native_passes_of(compiled) - native_before
-        _native.publish_counters(registry, _WORKER_NATIVE_STATE)
+        with _counted_pass(
+            registry,
+            _WORKER_NATIVE_STATE,
+            compiled,
+            "phase.worker_evaluate_seconds",
+            "service.passes.batched",
+        ):
+            results = compiled.evaluate_many(problems, reused=not built)
     shard_stats = {
         "built": built,
         "build_seconds": sum(compiled.build_timings) if built else 0.0,

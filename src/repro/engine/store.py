@@ -56,7 +56,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as _np
 
 from . import faults
-from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 
 #: Identifies the file format (checked on load).
@@ -207,7 +206,6 @@ class StructureStore:
                 "build_timings": list(compiled.build_timings),
                 "sift_swaps": compiled.sift_swaps,
                 "reorder_seconds": compiled.reorder_seconds,
-                "reorder_triggers": compiled.reorder_triggers,
                 "mdd_allocated": compiled.mdd_allocated,
             },
             "linearized": {
@@ -314,7 +312,6 @@ class StructureStore:
                 # corrupt entry, not a plain miss
                 self._note_corrupt(digest, quarantine)
             return None
-        started = time.perf_counter()
         with _obs_trace.span("store.load", digest=digest[:16], mmap=mmap) as span:
             try:
                 linearized, payload_bytes, mmapped = self._read_linearized(
@@ -333,14 +330,6 @@ class StructureStore:
                     self._note_corrupt(digest, quarantine)
                 return None
             span.set(nbytes=json_bytes + payload_bytes, mmapped=mmapped)
-        profiler = _obs_profile.active()
-        if profiler is not None:
-            profiler.record_store_load(
-                digest=digest,
-                seconds=time.perf_counter() - started,
-                nbytes=json_bytes + payload_bytes,
-                mmapped=mmapped,
-            )
         return structure, json_bytes + payload_bytes
 
     def _read_meta(self, json_path: str, digest: str) -> Optional[Dict]:
@@ -410,7 +399,6 @@ class StructureStore:
             build_timings=tuple(float(t) for t in diagnostics["build_timings"]),
             sift_swaps=int(diagnostics["sift_swaps"]),
             reorder_seconds=float(diagnostics["reorder_seconds"]),
-            reorder_triggers=int(diagnostics["reorder_triggers"]),
             component_names=tuple(structure["component_names"]),
             count_variable_name=structure["count_variable"],
             location_variable_names=tuple(structure["location_variables"]),

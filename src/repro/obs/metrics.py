@@ -12,9 +12,11 @@ One registry instance holds every engine metric behind dotted names
 ``snapshot()`` returns a plain-dict view that pickles cheaply, so worker
 processes can record into a private registry and ship the snapshot back
 piggybacked on their job result; the parent folds it in with
-``merge_snapshot()``.  ``diff()`` subtracts an older snapshot to get a
-delta, and ``expose_text()`` renders the Prometheus text exposition
-format for ``--metrics FILE``.
+``merge_snapshot()``.  ``expose_text()`` renders the Prometheus text
+exposition format for ``--metrics FILE``.
+
+Readers go by these names too: ``registry.counter("store.hits")`` is the
+one way to read a counter, and ``snapshot()`` reads them all.
 
 The fault-tolerance layer (:mod:`repro.engine.supervise` /
 :mod:`repro.engine.faults`) publishes into three reserved namespaces:
@@ -132,10 +134,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
 
-    def set_counter(self, name, value):
-        with self._lock:
-            self._counters[name] = value
-
     def counter(self, name):
         with self._lock:
             return self._counters.get(name, 0)
@@ -190,38 +188,6 @@ class MetricsRegistry:
                     name: hist.as_dict() for name, hist in self._histograms.items()
                 },
             }
-
-    def diff(self, older):
-        """The delta of the current state relative to ``older`` (a snapshot)."""
-        current = self.snapshot()
-        old_counters = older.get("counters", {})
-        old_hists = older.get("histograms", {})
-        counters = {}
-        for name, value in current["counters"].items():
-            delta = value - old_counters.get(name, 0)
-            if delta:
-                counters[name] = delta
-        histograms = {}
-        for name, hist in current["histograms"].items():
-            old = old_hists.get(name, {})
-            count = hist["count"] - int(old.get("count", 0))
-            total = hist["sum"] - float(old.get("sum", 0.0))
-            if count or total:
-                old_buckets = old.get("buckets") or [0] * len(hist["buckets"])
-                histograms[name] = {
-                    "count": count,
-                    "sum": total,
-                    "min": None,
-                    "max": None,
-                    "buckets": [
-                        b - o for b, o in zip(hist["buckets"], old_buckets)
-                    ],
-                }
-        return {
-            "counters": counters,
-            "gauges": dict(current["gauges"]),
-            "histograms": histograms,
-        }
 
     def merge_snapshot(self, snap):
         """Fold a snapshot (typically a worker delta) into this registry.

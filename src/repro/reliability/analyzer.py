@@ -33,7 +33,7 @@ from ..bdd.builder import CircuitBDDBuilder
 from ..core.method import YieldAnalyzer
 from ..core.problem import YieldProblem
 from ..mdd.from_bdd import convert_bdd_to_mdd
-from ..mdd.probability import probability_of_one
+from ..mdd.probability import probability_of_many
 from ..ordering.grouped import GroupedVariableOrder
 from ..ordering.strategies import OrderingSpec, compute_grouped_order
 from .field import FieldFailureModel
@@ -102,6 +102,30 @@ class ReliabilityAnalyzer:
         epsilon: Optional[float] = None,
     ) -> ReliabilityResult:
         """Evaluate the survival probability at ``mission_time``."""
+        return self._sweep(problem, field_model, [mission_time], max_defects, epsilon)[0]
+
+    def mission_sweep(
+        self,
+        problem: YieldProblem,
+        field_model: FieldFailureModel,
+        mission_times: Sequence[float],
+        *,
+        max_defects: Optional[int] = None,
+    ) -> List[ReliabilityResult]:
+        """Evaluate a whole mission-time curve (one result per time point).
+
+        A mission time changes only the field variables' probabilities, so
+        the sweep builds ``G_rel`` and computes the yield once, then
+        evaluates every mission time in one batched pass.  Each result's
+        ``elapsed_seconds`` is the sweep's wall clock divided by the number
+        of mission times.
+        """
+        return self._sweep(problem, field_model, mission_times, max_defects, None)
+
+    def _sweep(self, problem, field_model, mission_times, max_defects, epsilon):
+        mission_times = list(mission_times)
+        if not mission_times:
+            return []
         started = time_module.perf_counter()
         lethal = problem.lethal_defect_distribution()
         budget = self.epsilon if epsilon is None else float(epsilon)
@@ -126,50 +150,48 @@ class ReliabilityAnalyzer:
             for name in problem.component_names
             if name in set(problem.fault_tree.input_names)
         ]
-        unreliabilities = field_model.unreliabilities(support, mission_time)
-        distributions = gfunction.variable_distributions(
-            lethal, problem.lethal_component_probabilities(), unreliabilities
-        )
-        failure_probability = probability_of_one(mdd_manager, mdd_root, distributions)
-        survival = 1.0 - failure_probability
-
-        yield_result = YieldAnalyzer(self.ordering, epsilon=budget).evaluate(
-            problem, max_defects=truncation
-        )
-        yield_estimate = yield_result.yield_estimate
-        conditional = survival / yield_estimate if yield_estimate > 0.0 else 0.0
-
-        elapsed = time_module.perf_counter() - started
-        return ReliabilityResult(
-            name=problem.name,
-            mission_time=float(mission_time),
-            survival_probability=survival,
-            yield_estimate=yield_estimate,
-            conditional_reliability=min(1.0, conditional),
-            error_bound=error_bound,
-            truncation=truncation,
-            coded_robdd_size=build_stats.final_size,
-            romdd_size=mdd_manager.size(mdd_root),
-            elapsed_seconds=elapsed,
-            extra={
-                "binary_variables": float(len(grouped.flat_bit_order())),
-                "field_variables": float(len(gfunction.field_variables)),
-            },
+        hits = problem.lethal_component_probabilities()
+        failure_probabilities = probability_of_many(
+            mdd_manager,
+            mdd_root,
+            [
+                gfunction.variable_distributions(
+                    lethal, hits, field_model.unreliabilities(support, mission_time)
+                )
+                for mission_time in mission_times
+            ],
         )
 
-    def mission_sweep(
-        self,
-        problem: YieldProblem,
-        field_model: FieldFailureModel,
-        mission_times: Sequence[float],
-        *,
-        max_defects: Optional[int] = None,
-    ) -> List[ReliabilityResult]:
-        """Evaluate a whole mission-time curve (one result per time point)."""
-        return [
-            self.evaluate(problem, field_model, t, max_defects=max_defects)
-            for t in mission_times
-        ]
+        yield_estimate = (
+            YieldAnalyzer(self.ordering, epsilon=budget)
+            .evaluate(problem, max_defects=truncation)
+            .yield_estimate
+        )
+        romdd_size = mdd_manager.size(mdd_root)
+        elapsed = (time_module.perf_counter() - started) / len(mission_times)
+        results = []
+        for mission_time, failure_probability in zip(mission_times, failure_probabilities):
+            survival = 1.0 - failure_probability
+            conditional = survival / yield_estimate if yield_estimate > 0.0 else 0.0
+            results.append(
+                ReliabilityResult(
+                    name=problem.name,
+                    mission_time=float(mission_time),
+                    survival_probability=survival,
+                    yield_estimate=yield_estimate,
+                    conditional_reliability=min(1.0, conditional),
+                    error_bound=error_bound,
+                    truncation=truncation,
+                    coded_robdd_size=build_stats.final_size,
+                    romdd_size=romdd_size,
+                    elapsed_seconds=elapsed,
+                    extra={
+                        "binary_variables": float(len(grouped.flat_bit_order())),
+                        "field_variables": float(len(gfunction.field_variables)),
+                    },
+                )
+            )
+        return results
 
     # ------------------------------------------------------------------ #
 

@@ -257,10 +257,10 @@ class TestServiceIntegration:
                 series_parallel_problem, max_defects=3, service=service
             )
             # one structure serves the gradient pass and every perturbed model
-            assert service.stats.structures_built == 1
-            assert service.stats.gradient_passes == 1
-            assert service.stats.points_differentiated == 1
-            assert service.stats.batched_passes == 1
+            assert service.registry.counter("service.structures.built") == 1
+            assert service.registry.counter("service.passes.gradient") == 1
+            assert service.registry.counter("service.points.differentiated") == 1
+            assert service.registry.counter("service.passes.batched") == 1
         finally:
             service.close()
 
@@ -276,8 +276,8 @@ class TestServiceIntegration:
             ]
             gradients = service.gradient_batch(points)
             assert [g.truncation for g in gradients] == [2, 3, 2]
-            assert service.stats.gradient_passes == 2  # one per structure group
-            assert service.stats.points_differentiated == 3
+            assert service.registry.counter("service.passes.gradient") == 2  # one per structure group
+            assert service.registry.counter("service.points.differentiated") == 3
             # results come back in request order with per-point values
             assert gradients[0].sensitivity == gradients[2].sensitivity
         finally:

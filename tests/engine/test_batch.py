@@ -371,31 +371,28 @@ class TestServiceSharding:
             assert b.truncation == a.truncation
             assert b.yield_estimate == a.yield_estimate  # same batched arithmetic
 
-        stats = pooled.stats
-        if stats.parallel_batches:  # pool may be unavailable on odd platforms
+        counter = pooled.registry.counter
+        if counter("service.batches.parallel"):  # pool may be unavailable on odd platforms
             # one job per group: each worker built its structure once and
             # the parent kept both for later batches
-            assert stats.structures_built == 2
-            assert stats.batched_passes == 2
+            assert counter("service.structures.built") == 2
+            assert counter("service.passes.batched") == 2
             assert len(pooled._structures) == 2
 
     def test_small_groups_stay_whole(self):
         service = SweepService(workers=4)
         service.density_sweep(make_problem, MEANS[:4], max_defects=3)
-        assert service.stats.parallel_batches == 0
-        assert service.stats.batched_passes == 1
+        assert service.registry.counter("service.batches.parallel") == 0
+        assert service.registry.counter("service.passes.batched") == 1
 
     def test_batched_pass_counters_and_phase_clock(self):
         service = SweepService()
         service.density_sweep(make_problem, MEANS, max_defects=3)
-        stats = service.stats
-        assert stats.batched_passes == 1
-        assert stats.linearize_builds == 1
-        assert stats.evaluate_seconds > 0.0
-        assert stats.build_seconds > 0.0
-        as_dict = stats.as_dict()
-        for key in ("parallel_batches", "shard_payload_bytes", "reorder_seconds"):
-            assert key in as_dict
+        registry = service.registry
+        assert registry.counter("service.passes.batched") == 1
+        assert registry.counter("service.linearize.builds") == 1
+        assert registry.histogram_sum("phase.evaluate_seconds") > 0.0
+        assert registry.histogram_sum("phase.build_seconds") > 0.0
 
 
 class TestSiftConvergence:
@@ -427,31 +424,3 @@ class TestSiftConvergence:
         assert converged.yield_estimate == pytest.approx(
             plain.yield_estimate, abs=1e-12
         )
-
-
-class TestMidBuildReorderTrigger:
-    def test_trigger_fires_and_result_is_unchanged(self):
-        problem = make_problem(1.0)
-        plain = YieldAnalyzer().evaluate(problem, max_defects=4)
-        triggered_analyzer = YieldAnalyzer(
-            # tiny thresholds so the small benchmark trips the trigger
-            reorder_on_growth=32,
-        )
-        compiled = triggered_analyzer.compile(problem, max_defects=4)
-        result = compiled.evaluate(problem)
-        assert result.yield_estimate == pytest.approx(plain.yield_estimate, abs=1e-12)
-        assert compiled.reorder_triggers >= 1
-        assert result.extra["reorder_triggers"] >= 1.0
-
-    def test_trigger_counts_in_kernel_stats(self):
-        problem = make_problem(1.0)
-        analyzer = YieldAnalyzer(reorder_on_growth=32)
-        compiled = analyzer.compile(problem, max_defects=4)
-        assert compiled.reorder_triggers >= 1
-
-    def test_service_threads_reorder_option(self):
-        service = SweepService(reorder_on_growth=32)
-        rows = service.density_sweep(make_problem, MEANS[:3], max_defects=4)
-        reference = SweepService().density_sweep(make_problem, MEANS[:3], max_defects=4)
-        for (_, yield_a, _), (_, yield_b, _) in zip(rows, reference):
-            assert yield_a == pytest.approx(yield_b, abs=1e-12)

@@ -175,7 +175,7 @@ def run_sweep(tmp_path, name, fault_plan=None, warm=False, **kwargs):
     try:
         rows = rows_of(service.evaluate_batch(sweep_points()))
         counters = service.registry.snapshot()["counters"]
-        dispatched = service.stats.parallel_batches
+        dispatched = service.registry.counter("service.batches.parallel")
     finally:
         service.close()
         faults.clear()
@@ -292,7 +292,7 @@ class TestPoolDeadline:
         finally:
             service.close()
             faults.clear()
-        assert service.stats.parallel_batches == 2
+        assert service.registry.counter("service.batches.parallel") == 2
         assert counters.get("fault.shard_timeout", 0) == 0
         assert counters.get("supervise.respawns", 0) == 0
         serial = SweepService()
@@ -329,7 +329,7 @@ class TestPoolDeadline:
             counters = service.registry.snapshot()["counters"]
         finally:
             service.close()
-        assert service.stats.parallel_batches == 2
+        assert service.registry.counter("service.batches.parallel") == 2
         assert counters.get("fault.worker_lost", 0) >= 1
         assert counters.get("fault.shard_timeout", 0) == 0
         expected = SweepService().evaluate_batch(ms2_batch((5, 6), 8))

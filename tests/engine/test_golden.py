@@ -117,8 +117,8 @@ def test_golden_record_fresh_then_warm(name, tmp_path):
         assert diagnostics["mdd_allocated"] == golden["mdd_allocated"], state
 
     # the warm pass was served from the caches: one build in total
-    assert service.stats.structures_built == 1
-    assert service.stats.points_evaluated == len(DENSITIES)
+    assert service.registry.counter("service.structures.built") == 1
+    assert service.registry.counter("service.points.evaluated") == len(DENSITIES)
 
 
 @pytest.mark.parametrize("route", ["native", "python"])
@@ -242,9 +242,9 @@ def test_golden_sweep_digests_on_the_whole_group_pool_route(tmp_path):
         results = service.evaluate_batch(points)
     finally:
         service.close()
-    if service.stats.parallel_batches == 0:
+    if service.registry.counter("service.batches.parallel") == 0:
         pytest.skip("platform cannot spawn worker processes")
-    assert service.stats.structures_built == len(names)
+    assert service.registry.counter("service.structures.built") == len(names)
     for index, name in enumerate(names):
         group = results[index * len(SWEEP) : (index + 1) * len(SWEEP)]
         assert results_digest(group) == SWEEP_DIGESTS[name][0]
@@ -262,7 +262,7 @@ def test_golden_sweep_digest_on_the_default_pooled_route(tmp_path):
     finally:
         service.close()
     assert service.registry.counter("dispatch.groups_in_process") == 1
-    assert service.stats.parallel_batches == 0
+    assert service.registry.counter("service.batches.parallel") == 0
     # a reused structure flags its results, so the reference is a primed
     # serial service rather than the fresh pin
     serial = SweepService()

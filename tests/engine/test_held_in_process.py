@@ -71,8 +71,8 @@ class TestHeldStructures:
             results = run_holding_the_dispatch_lock(
                 service, lambda: service.evaluate_batch(points)
             )
-            assert service.stats.parallel_batches == 0
-            assert service.stats.shard_payload_bytes == 0
+            assert service.registry.counter("service.batches.parallel") == 0
+            assert service.registry.counter("dispatch.payload_bytes") == 0
             assert in_process(service) == 1
             assert bits(results) == serial_bits(points)
         finally:
@@ -86,7 +86,7 @@ class TestHeldStructures:
                 service, lambda: service.evaluate(problem, max_defects=M)
             )
             assert in_process(service) == 1
-            assert service.stats.parallel_batches == 0
+            assert service.registry.counter("service.batches.parallel") == 0
             expected = SweepService().evaluate(problem, max_defects=M)
             assert bits([result]) == bits([expected])
         finally:
@@ -100,13 +100,13 @@ class TestHeldStructures:
             # two structures (M = 3 and 4): the pool builds one each
             cold = sweep(0.01, 3) + sweep(0.01)
             results = service.evaluate_batch(cold)
-            assert service.stats.parallel_batches == 1
+            assert service.registry.counter("service.batches.parallel") == 1
             assert in_process(service) == 0
             assert bits(results) == serial_bits(cold)
             # the parent kept both worker-built structures
             warm = sweep(0.02, 3) + sweep(0.02)
             results = service.evaluate_batch(warm)
-            assert service.stats.parallel_batches == 1
+            assert service.registry.counter("service.batches.parallel") == 1
             assert in_process(service) == 2
             assert bits(results) == serial_bits(warm)
         finally:

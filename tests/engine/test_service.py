@@ -38,8 +38,8 @@ class TestStructureReuse:
         service = SweepService()
         rows = service.density_sweep(make_problem, MEANS, max_defects=3)
         assert len(rows) == len(MEANS)
-        assert service.stats.structures_built == 1
-        assert service.stats.points_evaluated == len(MEANS)
+        assert service.registry.counter("service.structures.built") == 1
+        assert service.registry.counter("service.points.evaluated") == len(MEANS)
 
     def test_sweep_results_match_the_serial_analyzer(self):
         service = SweepService()
@@ -87,10 +87,10 @@ class TestResultCaching:
     def test_repeated_sweep_hits_the_memory_cache(self):
         service = SweepService()
         service.density_sweep(make_problem, MEANS, max_defects=3)
-        evaluated = service.stats.points_evaluated
+        evaluated = service.registry.counter("service.points.evaluated")
         service.density_sweep(make_problem, MEANS, max_defects=3)
-        assert service.stats.points_evaluated == evaluated
-        assert service.stats.result_cache_hits == len(MEANS)
+        assert service.registry.counter("service.points.evaluated") == evaluated
+        assert service.registry.counter("service.cache.result_hits") == len(MEANS)
 
     def test_disk_cache_survives_service_instances(self, tmp_path):
         cache_dir = str(tmp_path / "yield-cache")
@@ -99,8 +99,8 @@ class TestResultCaching:
 
         second = SweepService(cache_dir=cache_dir)
         cached_rows = second.density_sweep(make_problem, MEANS, max_defects=3)
-        assert second.stats.disk_cache_hits == len(MEANS)
-        assert second.stats.structures_built == 0
+        assert second.registry.counter("service.cache.disk_hits") == len(MEANS)
+        assert second.registry.counter("service.structures.built") == 0
         for row, cached in zip(rows, cached_rows):
             assert cached[1] == pytest.approx(row[1], abs=1e-15)
 
@@ -143,8 +143,8 @@ class TestParallelFanOut:
     def test_single_group_batches_stay_in_process(self):
         service = SweepService(workers=4)
         service.density_sweep(make_problem, MEANS, max_defects=3)
-        assert service.stats.parallel_batches == 0
-        assert service.stats.structures_built == 1
+        assert service.registry.counter("service.batches.parallel") == 0
+        assert service.registry.counter("service.structures.built") == 1
 
     def test_consecutive_pools_leave_stderr_clean(self, tmp_path):
         """Three pools in one process, each building two structures: no
@@ -165,7 +165,8 @@ class TestParallelFanOut:
             "        for truncation in (3, 4) for mean in means\n"
             "    ])\n"
             "    service.close()\n"
-            "    print(service.stats.parallel_batches > 0, flush=True)\n"
+            "    print(service.registry.counter('service.batches.parallel') > 0,\n"
+            "          flush=True)\n"
         ) % str(tmp_path / "store")
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -186,12 +187,12 @@ class TestParallelFanOut:
     def test_worker_built_structures_serve_later_batches(self):
         service = SweepService(workers=2)
         service.truncation_sweep(make_problem(1.0), [2, 3])
-        built = service.stats.structures_built
+        built = service.registry.counter("service.structures.built")
         assert len(service._structures) == 2
         # same structures, different defect model: no rebuild anywhere
         service.truncation_sweep(make_problem(1.5), [2, 3])
-        assert service.stats.structures_built == built
-        assert service.stats.structure_reuses == 2
+        assert service.registry.counter("service.structures.built") == built
+        assert service.registry.counter("service.structures.reused") == 2
 
 
 class TestOnePmfPerPoint:
@@ -237,7 +238,7 @@ class TestOnePmfPerPoint:
         calls = self.count_calls(monkeypatch)
         rows = service.density_sweep(self.factory, self.DENSITIES, max_defects=self.M)
         assert len(rows) == len(self.DENSITIES)
-        assert service.stats.structures_built == 1
+        assert service.registry.counter("service.structures.built") == 1
         assert dict(calls) == {("pmf_vector", self.M): len(self.DENSITIES)}
 
     def test_gradients_make_one_pmf_vector_call_per_model(self, monkeypatch):

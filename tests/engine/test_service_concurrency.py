@@ -6,6 +6,7 @@ callers — and its fault plan must stay scoped to the instance instead of
 leaking process-wide.  Every test here pins one of those properties.
 """
 
+import sys
 import threading
 
 import pytest
@@ -78,7 +79,7 @@ class TestThreadedEvaluation:
             assert values == expected[index:] + expected[:index]
         # one structure key (same tree / truncation / ordering): however
         # the threads interleave, the structure is compiled exactly once
-        assert shared.stats.structures_built == 1
+        assert shared.registry.counter("service.structures.built") == 1
 
     def test_concurrent_same_key_callers_share_one_build(self):
         service = SweepService()
@@ -93,8 +94,8 @@ class TestThreadedEvaluation:
 
         run_threads(worker, 8)
         assert len(results) == 8
-        assert service.stats.structures_built == 1
-        assert service.stats.points_evaluated == 8
+        assert service.registry.counter("service.structures.built") == 1
+        assert service.registry.counter("service.points.evaluated") == 8
 
     def test_concurrent_ensure_workers_spawns_one_pool(self):
         service = SweepService(workers=2)
@@ -116,18 +117,26 @@ class TestThreadedEvaluation:
 class TestAtomicStats:
     def test_concurrent_increments_never_lose_updates(self):
         service = SweepService()
-        per_thread, threads = 500, 8
+        batches, threads = 250, 8
 
         def worker(index):
-            for _ in range(per_thread):
-                service.stats.points_requested += 1
-                service.stats.evaluate_seconds += 0.001
+            # every thread asks for densities no other thread asks for, so
+            # each point misses the caches and is evaluated exactly once;
+            # one-point batches make the most counter updates per second
+            for batch in range(batches):
+                mean = 0.1 + 0.0001 * (index * batches + batch)
+                service.evaluate_batch([SweepPoint(make_problem(mean), max_defects=2)])
 
-        run_threads(worker, threads)
-        assert service.stats.points_requested == per_thread * threads
-        assert service.stats.evaluate_seconds == pytest.approx(
-            0.001 * per_thread * threads
-        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: races show sooner
+        try:
+            run_threads(worker, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        total = batches * threads
+        assert service.registry.counter("service.points.requested") == total
+        assert service.registry.counter("service.points.evaluated") == total
+        assert service.registry.counter("service.passes.batched") == total
 
 
 class TestScopedFaultPlans:
@@ -204,9 +213,9 @@ class TestNoneResultCaching:
         service._remember_results([(self._rkey(service, point), None)])
         results = service.evaluate_batch([point])
         assert results == [None]
-        assert service.stats.result_cache_hits == 1
-        assert service.stats.points_evaluated == 0
-        assert service.stats.structures_built == 0
+        assert service.registry.counter("service.cache.result_hits") == 1
+        assert service.registry.counter("service.points.evaluated") == 0
+        assert service.registry.counter("service.structures.built") == 0
 
     def test_disk_cached_none_is_a_hit_not_a_miss(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -217,8 +226,8 @@ class TestNoneResultCaching:
         service = SweepService(cache_dir=cache_dir)
         results = service.evaluate_batch([point])
         assert results == [None]
-        assert service.stats.disk_cache_hits == 1
-        assert service.stats.points_evaluated == 0
+        assert service.registry.counter("service.cache.disk_hits") == 1
+        assert service.registry.counter("service.points.evaluated") == 0
         # a second lookup is now served from memory
         assert service.evaluate_batch([point]) == [None]
-        assert service.stats.result_cache_hits == 1
+        assert service.registry.counter("service.cache.result_hits") == 1

@@ -192,15 +192,15 @@ class TestServiceWarmStart:
         store_dir = str(tmp_path / "store")
         cold = SweepService(ordering=ORDERING, store_dir=store_dir)
         cold_rows = cold.density_sweep(make_problem, MEANS, max_defects=3)
-        assert cold.stats.structures_built == 1
-        assert cold.stats.store_misses == 1
-        assert cold.stats.store_bytes > 0
+        assert cold.registry.counter("service.structures.built") == 1
+        assert cold.registry.counter("store.misses") == 1
+        assert cold.registry.counter("store.bytes") > 0
 
         warm = SweepService(ordering=ORDERING, store_dir=store_dir)
         warm_rows = warm.density_sweep(make_problem, MEANS, max_defects=3)
-        assert warm.stats.structures_built == 0
-        assert warm.stats.store_hits == 1
-        assert warm.stats.store_misses == 0
+        assert warm.registry.counter("service.structures.built") == 0
+        assert warm.registry.counter("store.hits") == 1
+        assert warm.registry.counter("store.misses") == 0
         # warm-start results are bit-for-bit the cold-build results
         assert warm_rows == cold_rows
 
@@ -211,8 +211,8 @@ class TestServiceWarmStart:
 
         warm = SweepService(ordering=ORDERING, store_dir=store_dir)
         restored = warm.gradients(make_problem(1.0), max_defects=3)
-        assert warm.stats.structures_built == 0
-        assert warm.stats.store_hits == 1
+        assert warm.registry.counter("service.structures.built") == 0
+        assert warm.registry.counter("store.hits") == 1
         assert restored.d_yield_d_raw == reference.d_yield_d_raw
         assert restored.sensitivity == reference.sensitivity
         assert restored.d_failure_d_count == reference.d_failure_d_count
@@ -220,10 +220,10 @@ class TestServiceWarmStart:
     def test_memory_lru_is_consulted_before_the_store(self, tmp_path):
         service = SweepService(ordering=ORDERING, store_dir=str(tmp_path / "store"))
         service.density_sweep(make_problem, MEANS, max_defects=3)
-        hits_before = service.stats.store_hits
+        hits_before = service.registry.counter("store.hits")
         service.density_sweep(make_problem, [2.4, 2.8], max_defects=3)
-        assert service.stats.store_hits == hits_before
-        assert service.stats.structure_reuses >= 1
+        assert service.registry.counter("store.hits") == hits_before
+        assert service.registry.counter("service.structures.reused") >= 1
 
     def test_store_survives_service_clear(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -231,8 +231,8 @@ class TestServiceWarmStart:
         service.density_sweep(make_problem, MEANS, max_defects=3)
         service.clear()
         service.density_sweep(make_problem, [2.4], max_defects=3)
-        assert service.stats.structures_built == 1
-        assert service.stats.store_hits == 1
+        assert service.registry.counter("service.structures.built") == 1
+        assert service.registry.counter("store.hits") == 1
 
     def test_results_match_the_storeless_service_exactly(self, tmp_path):
         plain = SweepService(ordering=ORDERING)
@@ -260,10 +260,10 @@ class TestWorkerWarmStart:
         service = SweepService(ordering=ORDERING, workers=2, store_dir=store_dir)
         results = service.evaluate_batch(points)
         service.close()
-        if service.stats.parallel_batches == 0:
+        if service.registry.counter("service.batches.parallel") == 0:
             pytest.skip("platform cannot spawn worker processes")
-        assert service.stats.structures_built == 0
-        assert service.stats.store_hits >= 1
+        assert service.registry.counter("service.structures.built") == 0
+        assert service.registry.counter("store.hits") >= 1
 
         reference = SweepService(ordering=ORDERING)
         expected = reference.evaluate_batch(points)

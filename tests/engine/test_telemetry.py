@@ -70,7 +70,7 @@ class TestWorkerMetricAggregation:
 
     def test_pickled_route(self, tmp_path):
         service, rows = run_sweep(tmp_path, "pickled", warm=True)
-        if service.stats.parallel_batches == 0:
+        if service.registry.counter("service.batches.parallel") == 0:
             pytest.skip("platform cannot spawn worker processes")
         assert rows == reference_rows()
         registry = service.registry
@@ -81,11 +81,6 @@ class TestWorkerMetricAggregation:
         assert registry.counter(resolved_pass_counter()) >= 1
         assert registry.counter("service.passes.batched") >= 2
         assert registry.histogram_count("phase.worker_evaluate_seconds") >= 1
-        # the facade exposes the merged totals under the legacy names
-        assert service.stats.store_hits == registry.counter("store.hits")
-        assert service.stats.mmap_loads == registry.counter("store.mmap_loads")
-        assert service.stats.fused_passes == registry.counter("kernel.fused_passes")
-        assert service.stats.native_passes == registry.counter("kernel.native_passes")
 
 
 class TestWorkerSpanAdoption:
@@ -95,7 +90,7 @@ class TestWorkerSpanAdoption:
             service, _ = run_sweep(tmp_path, "traced")
         finally:
             obs_trace.stop()
-        if service.stats.parallel_batches == 0:
+        if service.registry.counter("service.batches.parallel") == 0:
             pytest.skip("platform cannot spawn worker processes")
         spans = tracer.spans()
         names = {s["name"] for s in spans}

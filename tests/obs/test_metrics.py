@@ -3,6 +3,8 @@
 import pickle
 import threading
 
+import pytest
+
 from repro.obs.metrics import HISTOGRAM_BOUNDS, MetricsRegistry
 
 
@@ -13,12 +15,6 @@ class TestCounters:
         registry.inc("service.points.evaluated", 5)
         assert registry.counter("service.points.evaluated") == 6
         assert registry.counter("missing") == 0
-
-    def test_set_counter_overwrites(self):
-        registry = MetricsRegistry()
-        registry.inc("store.bytes", 100)
-        registry.set_counter("store.bytes", 42)
-        assert registry.counter("store.bytes") == 42
 
     def test_thread_safety(self):
         registry = MetricsRegistry()
@@ -75,27 +71,6 @@ class TestSnapshotDiffMerge:
         assert snap["counters"] == {"a": 2}
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
-
-    def test_diff_subtracts_an_older_snapshot(self):
-        registry = MetricsRegistry()
-        registry.inc("a", 2)
-        registry.observe("h", 0.1)
-        older = registry.snapshot()
-        registry.inc("a", 3)
-        registry.inc("b")
-        registry.observe("h", 0.2)
-        delta = registry.diff(older)
-        assert delta["counters"] == {"a": 3, "b": 1}
-        assert delta["histograms"]["h"]["count"] == 1
-        assert abs(delta["histograms"]["h"]["sum"] - 0.2) < 1e-12
-        # unchanged metrics do not appear in the delta
-        registry2 = MetricsRegistry()
-        registry2.inc("a", 2)
-        assert registry2.diff(registry2.snapshot()) == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
 
     def test_merge_snapshot_folds_a_worker_delta(self):
         parent = MetricsRegistry()
@@ -156,48 +131,146 @@ class TestExposition:
         assert 'repro_t_bucket{le="+Inf"} 3' in text
 
 
-class TestServiceStatsFacade:
-    def test_attribute_reads_and_writes_map_to_metrics(self):
-        from repro.engine.service import SweepServiceStats
+#: The registry namespaces of the README metrics table a sweep service
+#: writes.  ``native.*`` is left out: it counts process-wide events once per
+#: process, so its values depend on what ran earlier in the test process.
+SERVICE_PREFIXES = ("service.", "store.", "kernel.", "dispatch.")
 
-        stats = SweepServiceStats()
-        assert stats.points_evaluated == 0
-        stats.points_evaluated += 19
-        assert stats.points_evaluated == 19
-        assert stats.registry.counter("service.points.evaluated") == 19
 
-    def test_timer_attributes_observe_deltas(self):
-        from repro.engine.service import SweepServiceStats
+def service_counters(service):
+    counters = service.registry.snapshot()["counters"]
+    return {
+        name: value for name, value in counters.items() if name.startswith(SERVICE_PREFIXES)
+    }
 
-        stats = SweepServiceStats()
-        stats.build_seconds += 0.5
-        stats.build_seconds += 1.5
-        assert stats.build_seconds == 2.0
-        assert stats.registry.histogram_count("phase.build_seconds") == 2
-        assert stats.registry.histogram_sum("phase.build_seconds") == 2.0
 
-    def test_unknown_attribute_raises(self):
-        import pytest
+def phase_counts(service):
+    histograms = service.registry.snapshot()["histograms"]
+    return {
+        name: histogram["count"]
+        for name, histogram in histograms.items()
+        if name.startswith("phase.")
+    }
 
-        from repro.engine.service import SweepServiceStats
 
-        stats = SweepServiceStats()
-        with pytest.raises(AttributeError):
-            stats.nonexistent_counter
-        with pytest.raises(AttributeError):
-            stats.nonexistent_counter = 1
+class TestServiceRegistryNames:
+    """A fixed scenario counted exactly, read by registry name only."""
 
-    def test_as_dict_covers_every_field(self):
-        from repro.engine.service import (
-            _COUNTER_METRICS,
-            _TIMER_METRICS,
-            SweepServiceStats,
-        )
+    MEANS = [0.25 * i for i in range(1, 9)]
 
-        stats = SweepServiceStats()
-        stats.fused_passes += 3
-        stats.evaluate_seconds += 0.25
-        data = stats.as_dict()
-        assert set(data) == set(_COUNTER_METRICS) | set(_TIMER_METRICS)
-        assert data["fused_passes"] == 3
-        assert data["evaluate_seconds"] == 0.25
+    def points(self, truncations):
+        from repro.engine.service import SweepPoint
+        from repro.soc import benchmark_problem
+
+        return [
+            SweepPoint(benchmark_problem("ESEN4x1", mean_defects=mean), max_defects=m)
+            for m in truncations
+            for mean in self.MEANS
+        ]
+
+    @staticmethod
+    def build_counters(*truncations):
+        """The ``kernel.cache.*`` totals the builds at ``truncations`` publish."""
+        from repro.core.method import YieldAnalyzer
+        from repro.soc import benchmark_problem
+
+        totals = {}
+        for truncation in truncations:
+            compiled = YieldAnalyzer().compile_for_truncation(
+                benchmark_problem("ESEN4x1", mean_defects=1.0), truncation
+            )
+            for manager, events in compiled.kernel_cache_stats.items():
+                for event, value in events.items():
+                    if value:
+                        name = "kernel.cache.%s.%s" % (manager, event)
+                        totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def test_scenario_counts_under_registry_names(self, tmp_path):
+        from repro.engine import native
+        from repro.engine.service import SweepService, structure_key
+        from repro.engine.store import StructureStore, digest_of
+
+        store_dir = str(tmp_path / "store")
+        passes = "kernel.native_passes" if native.available() else "kernel.fused_passes"
+
+        def entry_bytes(*truncations):
+            sizes = {entry.digest: entry.nbytes for entry in StructureStore(store_dir).entries()}
+            return sum(
+                sizes[digest_of(structure_key(self.points([m])[0].problem, m, service.ordering))]
+                for m in truncations
+            )
+
+        # 1-3: a cold serial sweep (one build, saved), the same sweep again
+        # (result-cache hits) and a gradient batch on the held structure
+        service = SweepService(store_dir=store_dir)
+        service.evaluate_batch(self.points([3]))
+        service.evaluate_batch(self.points([3]))
+        service.gradient_batch(self.points([3])[:3])
+        assert service_counters(service) == {
+            "service.points.requested": 16,
+            "service.points.evaluated": 8,
+            "service.cache.result_hits": 8,
+            "service.structures.built": 1,
+            "service.structures.reused": 1,
+            "service.passes.batched": 1,
+            "service.passes.gradient": 1,
+            "service.points.differentiated": 3,
+            # saving linearizes; both passes reuse the arrays
+            "service.linearize.builds": 1,
+            "service.linearize.reuses": 2,
+            "store.misses": 1,
+            "store.bytes": entry_bytes(3),
+            passes: 2,
+            **self.build_counters(3),
+        }
+        assert phase_counts(service) == {
+            "phase.build_seconds": 1,
+            "phase.evaluate_seconds": 1,
+            "phase.gradient_seconds": 1,
+        }
+
+        # 4: a second service warm-starts from the first one's store
+        warm = SweepService(store_dir=store_dir)
+        warm.evaluate_batch(self.points([3]))
+        assert service_counters(warm) == {
+            "service.points.requested": 8,
+            "service.points.evaluated": 8,
+            "service.passes.batched": 1,
+            "service.linearize.reuses": 1,
+            "store.hits": 1,
+            "store.mmap_loads": 1,
+            "store.bytes": entry_bytes(3),
+            passes: 1,
+        }
+        assert phase_counts(warm) == {"phase.evaluate_seconds": 1}
+
+        # 5: a pooled sweep of two groups it does not hold: each goes whole
+        # to a worker, which misses the store and builds
+        pooled = SweepService(workers=2, store_dir=store_dir)
+        try:
+            if pooled.ensure_workers() is None:
+                pytest.skip("platform cannot spawn worker processes")
+            pooled.evaluate_batch(self.points([2, 4]))
+        finally:
+            pooled.close()
+        counters = service_counters(pooled)
+        assert counters.pop("dispatch.payload_bytes") > 0
+        assert counters == {
+            "service.points.requested": 16,
+            "service.points.evaluated": 16,
+            "service.batches.parallel": 1,
+            "dispatch.groups_in_process": 0,
+            "service.structures.built": 2,
+            "service.passes.batched": 2,
+            "service.linearize.builds": 2,
+            "store.misses": 2,
+            "store.bytes": entry_bytes(2, 4),
+            passes: 2,
+            **self.build_counters(2, 4),
+        }
+        assert phase_counts(pooled) == {
+            "phase.build_seconds": 2,
+            "phase.evaluate_seconds": 1,
+            "phase.worker_evaluate_seconds": 2,
+        }

@@ -335,7 +335,7 @@ class TestStoreMigration:
         assert [r.yield_estimate for r in rows] == [
             r.yield_estimate for r in compiled.evaluate_many(problems)
         ]
-        assert service.stats.store_misses == 1 and service.stats.structures_built == 1
+        assert service.registry.counter("store.misses") == 1 and service.registry.counter("service.structures.built") == 1
         assert not os.path.exists(store._sidecar(digest, ".npz"))
         for suffix in (".kids.npy", ".seg.npy", ".levels.npy", ".bounds.npy"):
             assert os.path.exists(store._sidecar(digest, suffix))

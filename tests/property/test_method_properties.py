@@ -115,8 +115,12 @@ def test_service_matches_exact_enumeration(expr, weights, means, clustering, tru
         in_process = SweepService(store_dir=store_dir).evaluate_batch(points)
         restored_service = SweepService(store_dir=store_dir)
         restored = restored_service.evaluate_batch(points)
-        stats = restored_service.stats
-        assert (stats.store_hits, stats.mmap_loads, stats.structures_built) == (1, 1, 0)
+        counter = restored_service.registry.counter
+        assert (
+            counter("store.hits"),
+            counter("store.mmap_loads"),
+            counter("service.structures.built"),
+        ) == (1, 1, 0)
     for problem, fresh, loaded in zip(problems, in_process, restored):
         assert loaded.yield_estimate == fresh.yield_estimate  # bit-for-bit
         reference = exact_yield(problem, max_defects=truncation)
@@ -160,10 +164,10 @@ def test_service_pool_matches_exact_enumeration(route, tmp_path):
         pooled = pool.evaluate_batch(points)
     finally:
         pool.close()
-    assert pool.stats.parallel_batches == 1
+    assert pool.registry.counter("service.batches.parallel") == 1
     if route == "store":
-        assert pool.stats.structures_built == 0
-        assert pool.stats.mmap_loads == len(FIXED_TREES)
+        assert pool.registry.counter("service.structures.built") == 0
+        assert pool.registry.counter("store.mmap_loads") == len(FIXED_TREES)
     in_process = SweepService().evaluate_batch(points)
     for problem, fresh, result in zip(problems, in_process, pooled):
         assert result.yield_estimate == fresh.yield_estimate  # bit-for-bit

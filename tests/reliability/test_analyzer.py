@@ -140,3 +140,73 @@ class TestAnalyzer:
         assert heuristic.survival_probability == pytest.approx(
             reference.survival_probability, rel=1e-10
         )
+
+
+#: The MS2 mission-survival curve of ``examples/operational_reliability.py``
+#: at M = 4, bit for bit the values of evaluating each mission time on its
+#: own (its own ``G_rel`` build and yield evaluation):
+#: ``(time, survival, conditional)``.
+MS2_CURVE = [
+    (0.0, 0.9396192014631912, 1.0),
+    (0.5, 0.9333167354885755, 0.9932925317354079),
+    (1.0, 0.9266663845437643, 0.986214823090826),
+    (2.0, 0.9123857656977348, 0.9710165184757313),
+    (3.0, 0.8969031099933913, 0.9545389330025592),
+    (5.0, 0.8628190051076683, 0.9182645520271102),
+    (7.0, 0.8253514669553964, 0.8783893152355177),
+    (10.0, 0.7646891567031342, 0.8138287888458932),
+]
+
+
+class TestMissionSweep:
+    @pytest.fixture
+    def ms2(self):
+        from repro.soc import ms_problem
+
+        problem = ms_problem(2, mean_defects=2.0)
+        rates = {"IPM": 0.020, "IPS": 0.020, "CM": 0.004, "CS": 0.004}
+        field = ExponentialFieldModel(
+            {name: rates[name.split("_", 1)[0]] for name in problem.component_names}
+        )
+        return problem, field
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.bdd.builder import CircuitBDDBuilder
+
+        calls = []
+        build = CircuitBDDBuilder.build
+
+        def counted(builder, *args, **kwargs):
+            calls.append(args[0].name)
+            return build(builder, *args, **kwargs)
+
+        monkeypatch.setattr(CircuitBDDBuilder, "build", counted)
+        return calls
+
+    def test_ms2_curve_is_pinned_bit_for_bit(self, ms2, builds):
+        problem, field = ms2
+        times = [time for time, _, _ in MS2_CURVE]
+        curve = ReliabilityAnalyzer().mission_sweep(problem, field, times, max_defects=4)
+        assert [
+            (r.mission_time, r.survival_probability, r.conditional_reliability)
+            for r in curve
+        ] == MS2_CURVE
+        for result in curve:
+            assert result.name == "MS2"
+            assert result.yield_estimate == 0.9396192014631912
+            assert result.error_bound == 0.010406400000000371
+            assert result.truncation == 4
+            assert (result.coded_robdd_size, result.romdd_size) == (19902, 6740)
+            assert result.extra == {"binary_variables": 41.0, "field_variables": 18.0}
+        # one G_rel build and one yield build per sweep, not two per time
+        assert len(builds) == 2
+
+    def test_single_time_equals_its_sweep_point(self, ms2, builds):
+        problem, field = ms2
+        analyzer = ReliabilityAnalyzer()
+        single = analyzer.evaluate(problem, field, 5.0, max_defects=4)
+        assert (single.survival_probability, single.conditional_reliability) == MS2_CURVE[5][1:]
+        assert len(builds) == 2
+        assert analyzer.mission_sweep(problem, field, [], max_defects=4) == []
+        assert len(builds) == 2

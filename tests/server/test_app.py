@@ -155,7 +155,7 @@ class TestEndpoints:
         assert response.status == 400
         assert "invalid importance parameters" in payload["error"]
         # rejected before any structure was built
-        assert service.stats.structures_built == 0
+        assert service.registry.counter("service.structures.built") == 0
 
     def test_problems_are_built_off_the_event_loop(self, served, monkeypatch):
         import repro.soc
@@ -391,7 +391,7 @@ class TestRequestBounds:
         assert response.status == 422
         assert "densities" in payload["error"]
         assert built == []
-        assert service.stats.points_requested == 0
+        assert service.registry.counter("service.points.requested") == 0
         assert counter_from_stats(handle, "repro_server_over_densities") == 1
 
     @pytest.mark.parametrize("path", ["/v1/sweep", "/v1/importance"])
@@ -404,7 +404,7 @@ class TestRequestBounds:
         assert response.status == 422
         assert "truncation level" in payload["error"]
         assert built == []
-        assert service.stats.structures_built == 0
+        assert service.registry.counter("service.structures.built") == 0
         assert counter_from_stats(handle, "repro_server_over_truncation") == 1
 
     @pytest.mark.parametrize("path", ["/v1/sweep", "/v1/importance"])
@@ -419,8 +419,8 @@ class TestRequestBounds:
         response, payload = post_json(handle, path, body)
         assert response.status == 422
         assert "truncation level" in payload["error"]
-        assert service.stats.structures_built == 0
-        assert service.stats.points_requested == 0
+        assert service.registry.counter("service.structures.built") == 0
+        assert service.registry.counter("service.points.requested") == 0
         assert counter_from_stats(handle, "repro_server_over_truncation") == 1
 
     @pytest.mark.parametrize(
@@ -439,7 +439,7 @@ class TestRequestBounds:
         response, payload = post_json(handle, "/v1/sweep", body)
         assert response.status == 400
         assert "invalid sweep parameters" in payload["error"]
-        assert service.stats.structures_built == 0
+        assert service.registry.counter("service.structures.built") == 0
         assert counter_from_stats(handle, "repro_server_errors") == 0
 
 
@@ -469,13 +469,13 @@ class TestAdmissionControl:
             thread.start()
             assert entered.wait(60), "first request never reached the service"
 
-            requested_before = float(service.stats.points_requested)
+            requested_before = float(service.registry.counter("service.points.requested"))
             response, decoded = post_json(handle, "/v1/sweep", payload)
             assert response.status == 429
             assert response.getheader("Retry-After") == "1"
             assert "too many in-flight requests" in decoded["error"]
             # the rejected request performed no service work at all
-            assert float(service.stats.points_requested) == requested_before
+            assert float(service.registry.counter("service.points.requested")) == requested_before
             assert counter_from_stats(handle, "repro_server_rejected") == 1
 
             release.set()
@@ -524,7 +524,7 @@ class TestResilience:
                 for m in DENSITIES
             ]
             before = service.evaluate_batch(cold)
-            if service.stats.parallel_batches == 0:
+            if service.registry.counter("service.batches.parallel") == 0:
                 pytest.skip("platform cannot spawn worker processes")
             assert [r.yield_estimate for r in before] == [
                 r.yield_estimate for r in SweepService().evaluate_batch(cold)
