@@ -131,6 +131,104 @@ class TestExposition:
         assert 'repro_t_bucket{le="+Inf"} 3' in text
 
 
+def esen_points(means, truncation=2):
+    from repro.engine.service import SweepPoint
+    from repro.soc import benchmark_problem
+
+    return [
+        SweepPoint(benchmark_problem("ESEN4x1", mean_defects=mean), max_defects=truncation)
+        for mean in means
+    ]
+
+
+class TestServiceStatsFacade:
+    """The registry is the sweep service's one view of its statistics.
+
+    The service counts with ``registry.inc`` and times phases with
+    ``registry.observe``; it has no ``stats`` attribute to read them from.
+    """
+
+    def test_attribute_reads_and_writes_map_to_metrics(self):
+        from repro.engine.service import SweepService
+
+        service = SweepService()
+        assert not hasattr(service, "stats")
+        registry = service.registry
+        assert registry.counter("service.points.evaluated") == 0
+        service.evaluate_batch(esen_points([0.5, 1.0, 1.5]))
+        assert registry.counter("service.points.requested") == 3
+        assert registry.counter("service.points.evaluated") == 3
+        assert registry.counter("service.structures.built") == 1
+        service.evaluate_batch(esen_points([0.5, 1.0, 1.5]))
+        assert registry.counter("service.points.requested") == 6
+        assert registry.counter("service.points.evaluated") == 3
+        assert registry.counter("service.cache.result_hits") == 3
+        assert registry.counter("service.structures.built") == 1
+
+    def test_timer_attributes_observe_deltas(self):
+        import time
+
+        from repro.engine.service import SweepService
+
+        service = SweepService()
+        registry = service.registry
+        start = time.perf_counter()
+        service.evaluate_batch(esen_points([0.5, 1.0]))
+        elapsed = time.perf_counter() - start
+        assert registry.histogram_count("phase.build_seconds") == 1
+        assert registry.histogram_count("phase.evaluate_seconds") == 1
+        build = registry.histogram_sum("phase.build_seconds")
+        evaluate = registry.histogram_sum("phase.evaluate_seconds")
+        assert build > 0 and evaluate > 0
+        assert build + evaluate <= elapsed
+
+        # new means on the held structure: one more evaluate sample, no build
+        start = time.perf_counter()
+        service.evaluate_batch(esen_points([2.0, 2.5]))
+        elapsed = time.perf_counter() - start
+        assert registry.histogram_count("phase.build_seconds") == 1
+        assert registry.histogram_sum("phase.build_seconds") == build
+        assert registry.histogram_count("phase.evaluate_seconds") == 2
+        delta = registry.histogram_sum("phase.evaluate_seconds") - evaluate
+        assert 0 < delta <= elapsed
+
+    def test_as_dict_covers_every_field(self):
+        from repro.engine import native
+        from repro.engine.service import SweepService
+
+        service = SweepService()
+        points = esen_points([0.5, 1.0, 1.5])
+        service.evaluate_batch(points)
+        service.gradient_batch(points[:2])
+        registry = service.registry
+        snapshot = registry.snapshot()
+        pickle.loads(pickle.dumps(snapshot))
+        for name, value in snapshot["counters"].items():
+            assert registry.counter(name) == value
+        for name, histogram in snapshot["histograms"].items():
+            assert registry.histogram_count(name) == histogram["count"]
+            assert registry.histogram_sum(name) == histogram["sum"]
+        passes = "kernel.native_passes" if native.available() else "kernel.fused_passes"
+        counters = {
+            name for name in snapshot["counters"] if not name.startswith("kernel.cache.")
+        }
+        assert counters >= {
+            "service.points.requested",
+            "service.points.evaluated",
+            "service.points.differentiated",
+            "service.structures.built",
+            "service.passes.batched",
+            "service.passes.gradient",
+            "service.linearize.builds",
+            passes,
+        }
+        assert set(snapshot["histograms"]) == {
+            "phase.build_seconds",
+            "phase.evaluate_seconds",
+            "phase.gradient_seconds",
+        }
+
+
 #: The registry namespaces of the README metrics table a sweep service
 #: writes.  ``native.*`` is left out: it counts process-wide events once per
 #: process, so its values depend on what ran earlier in the test process.
@@ -159,14 +257,7 @@ class TestServiceRegistryNames:
     MEANS = [0.25 * i for i in range(1, 9)]
 
     def points(self, truncations):
-        from repro.engine.service import SweepPoint
-        from repro.soc import benchmark_problem
-
-        return [
-            SweepPoint(benchmark_problem("ESEN4x1", mean_defects=mean), max_defects=m)
-            for m in truncations
-            for mean in self.MEANS
-        ]
+        return [point for m in truncations for point in esen_points(self.MEANS, m)]
 
     @staticmethod
     def build_counters(*truncations):
