@@ -23,4 +23,4 @@ HEALTHCHECK --interval=10s --timeout=3s --start-period=15s --retries=3 \
 
 # SIGTERM (docker stop) triggers the server's graceful drain.
 CMD ["repro", "serve", "--host", "0.0.0.0", "--port", "8000", \
-     "--workers", "2", "--store-dir", "/data/store", "--cache-dir", "/data/cache"]
+     "--workers", "2", "--store-dir", "/data/store"]

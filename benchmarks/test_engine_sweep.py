@@ -220,6 +220,60 @@ def _merge_into_sweep_record(**entries):
         pass
 
 
+#: Points and timed rounds of the large-sweep trend leg.
+LARGE_SWEEP_POINTS = 4800
+LARGE_SWEEP_ROUNDS = 5
+
+
+def test_large_sweep_on_a_primed_serial_service():
+    """Trend leg: a 4800-point ESEN4x2 M=5 sweep on a primed serial service.
+
+    The structure is built before timing, and every round sweeps fresh
+    densities (result-cache misses), so a round times what a warm request
+    pays per point: problem construction, grouping and keying, the one
+    kernel pass and the rows.  Rows are checked bit for bit against
+    :meth:`CompiledYield.evaluate_many`.  The median round is written to
+    ``BENCH_sweep.json`` as ``large_sweep_seconds``; it has no floor yet.
+    """
+    import random
+    import statistics
+
+    factory = _factory(MULTI_MODEL_BENCHMARK)
+    truncation = MULTI_MODEL_MAX_DEFECTS
+    service = SweepService(ordering=OrderingSpec("w", "ml"), epsilon=PAPER_EPSILON)
+    service.density_sweep(factory, [1.0], max_defects=truncation)
+    (compiled,) = service._structures.values()
+    draw = random.Random(23)
+    seconds = []
+    for _ in range(LARGE_SWEEP_ROUNDS):
+        densities = [draw.uniform(0.25, 5.0) for _ in range(LARGE_SWEEP_POINTS)]
+        started = time.perf_counter()
+        rows = service.density_sweep(factory, densities, max_defects=truncation)
+        seconds.append(time.perf_counter() - started)
+        expected = compiled.evaluate_many([factory(mean) for mean in densities])
+        assert rows == [
+            (mean, result.yield_estimate, result.truncation)
+            for mean, result in zip(densities, expected)
+        ]
+    assert service.registry.counter("service.structures.built") == 1
+    median = statistics.median(seconds)
+    print_table(
+        "Large sweep on a primed serial service — %s M=%d, %d points"
+        % (MULTI_MODEL_BENCHMARK, truncation, LARGE_SWEEP_POINTS),
+        ("rounds", "median (s)", "best (s)"),
+        [(LARGE_SWEEP_ROUNDS, round(median, 4), round(min(seconds), 4))],
+    )
+    _merge_into_sweep_record(
+        large_sweep_seconds=median,
+        large_sweep={
+            "points": LARGE_SWEEP_POINTS,
+            "max_defects": truncation,
+            "best_seconds": min(seconds),
+            "round_seconds": seconds,
+        },
+    )
+
+
 #: Acceptance bar of the supervision layer: on a fault-free sweep the
 #: supervised dispatch (deadlines, watchdog polling, retry accounting) must
 #: cost at most 5% over the bare ``pool.map`` it replaced, plus a small

@@ -7,9 +7,12 @@ Usage::
     python ci/print_benchmark_summary.py RESULTS_DIR --gate [--tolerance 0.2]
 
 Reads every ``BENCH_*.json`` in ``RESULTS_DIR`` and prints its headline
-numbers plus the span breakdown the telemetry subsystem attached to the
-record.  When a baseline directory holds records of the same names, a
-delta column shows how each numeric headline moved against the baseline.
+numbers, the numbers of its stats blocks (``service_stats``,
+``supervision``, the ``*_stats`` blocks: one ``block.name`` line each,
+nested blocks joined with dots) and the span breakdown the telemetry
+subsystem attached to the record.  When a baseline directory holds records
+of the same names, a delta column shows how each number moved against the
+baseline.  The stats blocks are trend-only: the gate reads headlines alone.
 
 Without ``--gate`` the step is a trend report and always exits 0, even on
 missing directories or malformed records.  It also prints the line count of
@@ -92,6 +95,23 @@ def _numeric_items(record):
             yield key, value
 
 
+def _block_items(record):
+    """``(block.name, value)`` for every number inside the record's dict
+    blocks, nested blocks joined with dots; ``spans`` has its own table."""
+    for key in sorted(record):
+        if key != "spans" and isinstance(record[key], dict):
+            yield from _flattened(key, record[key])
+
+
+def _flattened(prefix, block):
+    for key in sorted(block, key=str):
+        value, name = block[key], "%s.%s" % (prefix, key)
+        if isinstance(value, dict):
+            yield from _flattened(name, value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield name, value
+
+
 def _format_number(value):
     if isinstance(value, float):
         return "%.6g" % value
@@ -117,6 +137,12 @@ def print_record(name, record, baseline):
         print(
             "  %-26s %12s%s"
             % (key, _format_number(value), _delta(value, base.get(key)))
+        )
+    base_blocks = dict(_block_items(base))
+    for key, value in _block_items(record):
+        print(
+            "  %-44s %12s%s"
+            % (key, _format_number(value), _delta(value, base_blocks.get(key)))
         )
     spans = record.get("spans") or {}
     if spans:

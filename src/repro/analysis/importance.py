@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.problem import YieldProblem
 from ..distributions import ComponentDefectModel
-from ..engine.service import SweepPoint, SweepService
+from ..engine.service import SweepService
 from ..ordering.strategies import OrderingSpec
 
 #: Residual relative weight used for an "immune" component (cannot be exactly
@@ -108,6 +108,17 @@ def _service_for(
     return SweepService(ordering=ordering, epsilon=epsilon, workers=workers), True
 
 
+def _yields(
+    service: SweepService,
+    problems: Sequence[YieldProblem],
+    max_defects: Optional[int],
+    epsilon: float,
+) -> List[float]:
+    """``Y_M`` of every problem: one probability column per structure group."""
+    truncations = service.resolve(problems, max_defects=max_defects, epsilon=epsilon)
+    return service.sweep(problems, truncations).yields
+
+
 def _batched_gains(
     problem: YieldProblem,
     labeled_scales: Sequence[Tuple[str, Dict[str, float]]],
@@ -130,19 +141,14 @@ def _batched_gains(
     ]
     service, owned = _service_for(service, ordering, epsilon, workers)
     try:
-        results = service.evaluate_batch(
-            [
-                SweepPoint(candidate, max_defects=max_defects, epsilon=epsilon)
-                for candidate in [problem] + perturbed
-            ]
-        )
+        yields = _yields(service, [problem] + perturbed, max_defects, epsilon)
     finally:
         if owned:
             service.close()
-    baseline = results[0].yield_estimate
+    baseline = yields[0]
     ranking = [
-        (label, result.yield_estimate - baseline)
-        for (label, _), result in zip(labeled_scales, results[1:])
+        (label, estimate - baseline)
+        for (label, _), estimate in zip(labeled_scales, yields[1:])
     ]
     ranking.sort(key=lambda item: item[1], reverse=True)
     return ranking
@@ -236,22 +242,16 @@ def yield_sensitivity(
                 raise KeyError("unknown component %r" % (unknown[0],))
             ranking = [(name, gradients.sensitivity[name]) for name in names]
         else:
-            points: List[SweepPoint] = []
-            for name in names:
-                for factor in (1.0 + relative_step, 1.0 - relative_step):
-                    points.append(
-                        SweepPoint(
-                            _perturbed_problem(problem, {name: factor}),
-                            max_defects=max_defects,
-                            epsilon=epsilon,
-                        )
-                    )
-            results = service.evaluate_batch(points)
-            ranking = []
-            for index, name in enumerate(names):
-                yield_up = results[2 * index].yield_estimate
-                yield_down = results[2 * index + 1].yield_estimate
-                ranking.append((name, (yield_up - yield_down) / (2.0 * relative_step)))
+            perturbed = [
+                _perturbed_problem(problem, {name: factor})
+                for name in names
+                for factor in (1.0 + relative_step, 1.0 - relative_step)
+            ]
+            yields = _yields(service, perturbed, max_defects, epsilon)
+            ranking = [
+                (name, (yields[2 * index] - yields[2 * index + 1]) / (2.0 * relative_step))
+                for index, name in enumerate(names)
+            ]
     finally:
         if owned:
             service.close()

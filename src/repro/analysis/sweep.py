@@ -7,9 +7,9 @@ degrades with the expected number of lethal defects.
 
 Both routes go through the engine's :class:`repro.engine.service.SweepService`
 so that points sharing a diagram structure (same fault tree, truncation and
-ordering) are served by a single build; pass your own service instance to
-share its structure/result caches across calls or to enable the
-``multiprocessing`` fan-out and the on-disk cache.
+ordering) are served by a single build and one kernel pass; pass your own
+service instance to share its structure/result caches across calls or to
+enable the ``multiprocessing`` fan-out and the structure store.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Python:
   engine's batch service: one diagram build per truncation level, all defect
   models of a build evaluated in a single batched kernel pass, optional
   ``--workers``/``--jobs`` fan-out of structure builds (one whole group
-  per pool job), a ``--cache-dir`` result cache and ``--stats`` engine
+  per pool job), a ``--store-dir`` structure store and ``--stats`` engine
   diagnostics;
 * ``importance NAME``   — rank the components of a benchmark by yield
   sensitivity (analytic reverse-mode gradients over the linearized ROMDD,
@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="build (and evaluate) unheld structure groups in N worker processes",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist sweep results under DIR and reuse them on later runs",
     )
     sweep.add_argument(
         "--store-dir",
@@ -315,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="build (and evaluate) unheld structure groups in N worker processes",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist sweep results under DIR and reuse them across requests",
     )
     serve.add_argument(
         "--store-dir",
@@ -551,7 +539,6 @@ def _run_sweep(args) -> int:
             ordering=_ordering_from(args),
             epsilon=args.epsilon,
             workers=args.workers,
-            cache_dir=args.cache_dir,
             store_dir=args.store_dir,
             max_retries=args.max_retries,
             shard_timeout=args.shard_timeout,
@@ -592,7 +579,7 @@ def _run_sweep(args) -> int:
         % (
             counter("service.structures.built"),
             counter("service.structures.reused"),
-            counter("service.cache.result_hits") + counter("service.cache.disk_hits"),
+            counter("service.cache.result_hits"),
         )
     )
     print("  time (s)            : %.2f" % elapsed)
@@ -749,7 +736,6 @@ def _run_serve(args) -> int:
             ordering=_ordering_from(args),
             epsilon=args.epsilon,
             workers=args.workers,
-            cache_dir=args.cache_dir,
             store_dir=args.store_dir,
             node_limit=SERVE_NODE_BUDGET,
         )

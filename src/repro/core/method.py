@@ -25,8 +25,9 @@ densities re-run only step 7; the batch front-end for that reuse is
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bdd.builder import CircuitBDDBuilder
 from ..engine import native
@@ -44,6 +45,78 @@ from ..ordering.strategies import OrderingSpec, compute_grouped_order
 from .gfunction import GeneralizedFaultTree, GFunctionError
 from .problem import YieldProblem
 from .results import StageTimings, YieldGradients, YieldResult
+
+
+class StructureRecord(NamedTuple):
+    """What a :class:`YieldResult` takes from its structure, one per structure.
+
+    The sizes, ordering and build diagnostics every result of one compiled
+    structure shares (:attr:`CompiledYield.record`).  A defect model adds
+    only its ``P(G = 1)`` and error bound, so the sweep service caches a
+    point as its probability plus a reference to this record and packages
+    results only where an API returns them.  ``extra`` is the template of
+    :attr:`YieldResult.extra`; it is never mutated.
+    """
+
+    truncation: int
+    coded_robdd_size: int
+    robdd_peak: int
+    romdd_size: int
+    ordering: Tuple[str, str]
+    variable_order: Tuple[str, ...]
+    build_timings: Tuple[float, float, float]
+    extra: Dict[str, float]
+
+    def package(
+        self,
+        problems: Sequence[YieldProblem],
+        error_bounds: Sequence[float],
+        probabilities_failed: Sequence[float],
+        *,
+        reused: bool = False,
+        per_point: float = 0.0,
+        models: Optional[int] = None,
+    ) -> List[YieldResult]:
+        """One :class:`YieldResult` per model of one pass over this structure.
+
+        Unless ``reused``, the first result is the structure's fresh build:
+        it carries the build timings and ``structure_reused = 0``.
+        ``models`` is the pass's model count, ``extra["batched_models"]``
+        (default: ``len(problems)``; 0 for results no pass computed).
+        Reused points share one frozen :class:`StageTimings`; every result
+        gets its own copy of the ``extra`` template, because results are
+        handed to many callers.
+        """
+        extra = dict(self.extra)
+        extra["batched_models"] = float(len(problems) if models is None else models)
+        reused_timings = StageTimings(probability=per_point)
+        results: List[YieldResult] = []
+        for problem, error_bound, probability_failed in zip(
+            problems, error_bounds, probabilities_failed
+        ):
+            timings = reused_timings
+            point_extra = dict(extra)
+            if not (reused or results):
+                # the first point of a fresh build carries its timings
+                timings = StageTimings(*self.build_timings, probability=per_point)
+                point_extra["structure_reused"] = 0.0
+            results.append(
+                YieldResult(
+                    name=problem.name,
+                    yield_estimate=1.0 - probability_failed,
+                    error_bound=error_bound,
+                    truncation=self.truncation,
+                    probability_not_functioning=probability_failed,
+                    coded_robdd_size=self.coded_robdd_size,
+                    robdd_peak=self.robdd_peak,
+                    romdd_size=self.romdd_size,
+                    ordering=self.ordering,
+                    variable_order=self.variable_order,
+                    timings=timings,
+                    extra=point_extra,
+                )
+            )
+        return results
 
 
 class CompiledYield:
@@ -166,60 +239,62 @@ class CompiledYield:
             self.linearize_reuses += 1
         return self._linearized
 
-    def evaluate(self, problem: YieldProblem, *, reused: bool = False) -> YieldResult:
+    def evaluate(self, problem: YieldProblem) -> YieldResult:
         """Run the probability traversal for ``problem`` on this structure.
 
         ``problem`` must share the fault-tree structure and component names
         the structure was compiled from; only its defect model (densities,
-        lethality, count distribution) may differ.  ``reused`` marks the
-        result's ``extra`` diagnostics so reports can tell a fresh build
-        from a structure-cache hit.
+        lethality, count distribution) may differ.
         """
-        return self.evaluate_many([problem], reused=reused)[0]
+        return self.evaluate_many([problem])[0]
 
-    def evaluate_many(
-        self,
-        problems: Sequence[YieldProblem],
-        *,
-        counts: Optional[Sequence[Sequence[float]]] = None,
-        reused: bool = False,
-    ) -> List[YieldResult]:
+    def evaluate_many(self, problems: Sequence[YieldProblem]) -> List[YieldResult]:
         """Evaluate every defect model in one batched bottom-up pass.
 
         All ``problems`` must share the fault-tree structure and component
         names the structure was compiled from; only their defect models may
         differ.  The ROMDD is walked **once** for the whole batch (see
-        :mod:`repro.engine.batch`), so K models cost one linearized pass
-        instead of K traversals.  The first result carries the build
-        diagnostics (``reused`` flag and build timings); the rest are
-        marked as structure reuses, mirroring the per-point route.
-
-        ``counts`` are the models' lethal count vectors at this structure's
-        ``M`` (:meth:`~repro.core.problem.YieldProblem.lethal_counts`).  A
-        caller that holds them already — the sweep service computes them
-        for its result keys — passes them in; otherwise they are computed
-        here, so each model's pmf is evaluated once either way.
+        :meth:`probabilities`), so K models cost one linearized pass
+        instead of K traversals.  Each model's pmf is evaluated once, for
+        its count column and its error bound.  The first result carries the
+        build diagnostics (build timings, ``structure_reused = 0``); the
+        rest are marked as structure reuses.
         """
         problems = list(problems)
         if not problems:
             return []
-        if counts is None:
-            counts = [problem.lethal_counts(self.truncation) for problem in problems]
+        counts = [problem.lethal_counts(self.truncation) for problem in problems]
         t0 = time.perf_counter()
-        count_matrix, location_matrix = self.model_matrices(problems, counts)
-        linearized = self.linearized()
-        columns = columns_from_matrices(
-            linearized, self.level_profile, count_matrix, location_matrix
-        )
-        probabilities_failed = linearized.evaluate(columns, len(problems))
+        probabilities_failed = self.probabilities(problems, counts)
         elapsed = time.perf_counter() - t0
         return self.package_results(
             problems,
             [vector[-1] for vector in counts],
             probabilities_failed,
-            reused=reused,
             per_point=elapsed / len(problems),
         )
+
+    def probabilities(
+        self,
+        problems: Sequence[YieldProblem],
+        counts: Sequence[Sequence[float]],
+    ) -> List[float]:
+        """``P(G = 1)`` of every defect model: the column of one kernel pass.
+
+        ``counts`` holds each model's lethal count vector at this
+        structure's ``M``.  The pass assembles the two model matrices
+        (:meth:`model_matrices`), maps them onto the diagram's levels and
+        walks the linearized ROMDD once for all K models.  Every
+        evaluation route runs through here: :meth:`evaluate_many` and the
+        sweep service, whose sweeps read this column and package no
+        :class:`YieldResult`.
+        """
+        count_matrix, location_matrix = self.model_matrices(problems, counts)
+        linearized = self.linearized()
+        columns = columns_from_matrices(
+            linearized, self.level_profile, count_matrix, location_matrix
+        )
+        return linearized.evaluate(columns, len(problems))
 
     def package_results(
         self,
@@ -234,52 +309,42 @@ class CompiledYield:
 
         ``error_bounds`` are the models' truncation error bounds, the tails
         of their lethal count vectors.  Split out of :meth:`evaluate_many`
-        so packaging is timed apart from the kernel pass.  Reused points
-        share one frozen :class:`StageTimings`; every result gets its own
-        copy of one ``extra`` template, because cached results are handed
-        to many callers.
+        so packaging is timed apart from the kernel pass; the work is
+        :meth:`StructureRecord.package` on this structure's :attr:`record`.
         """
+        return self.record.package(
+            problems,
+            error_bounds,
+            probabilities_failed,
+            reused=reused,
+            per_point=per_point,
+        )
+
+    @functools.cached_property
+    def record(self) -> "StructureRecord":
+        """This structure's share of every :class:`YieldResult`, made once."""
         extra = {
             "robdd_allocated": float(self.robdd_allocated),
             "mdd_allocated": float(self.mdd_allocated),
             "binary_variables": float(self.binary_variables),
             "gates_processed": float(self.gates_processed),
             "structure_reused": 1.0,
-            "batched_models": float(len(problems)),
+            "batched_models": 0.0,
         }
         if self.from_store:
             extra["structure_from_store"] = 1.0
         if self.ordering.sift:
             extra["sift_swaps"] = float(self.sift_swaps)
-        reused_timings = StageTimings(probability=per_point)
-        ordering = (self.ordering.mv, self.ordering.bits)
-        results: List[YieldResult] = []
-        for problem, error_bound, probability_failed in zip(
-            problems, error_bounds, probabilities_failed
-        ):
-            timings = reused_timings
-            point_extra = dict(extra)
-            if not (reused or results):
-                # the first point of a fresh build carries its timings
-                timings = StageTimings(*self.build_timings, probability=per_point)
-                point_extra["structure_reused"] = 0.0
-            results.append(
-                YieldResult(
-                    name=problem.name,
-                    yield_estimate=1.0 - probability_failed,
-                    error_bound=error_bound,
-                    truncation=self.truncation,
-                    probability_not_functioning=probability_failed,
-                    coded_robdd_size=self.coded_robdd_size,
-                    robdd_peak=self.robdd_peak,
-                    romdd_size=self.romdd_size,
-                    ordering=ordering,
-                    variable_order=self.variable_names,
-                    timings=timings,
-                    extra=point_extra,
-                )
-            )
-        return results
+        return StructureRecord(
+            truncation=self.truncation,
+            coded_robdd_size=self.coded_robdd_size,
+            robdd_peak=self.robdd_peak,
+            romdd_size=self.romdd_size,
+            ordering=(self.ordering.mv, self.ordering.bits),
+            variable_order=self.variable_names,
+            build_timings=tuple(self.build_timings),
+            extra=extra,
+        )
 
     def model_matrices(
         self,

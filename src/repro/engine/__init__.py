@@ -25,12 +25,13 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
   ROMDDs and linearizes those; hosts without a working compiler run the
   fused kernel, the Python gate loop and the numpy conversion and
   linearization with identical results;
-* :mod:`repro.engine.service` — the batch evaluation service: build a
-  decision diagram once per (structure, truncation, ordering), evaluate all
-  of its defect models in one batched pass, fan the groups whose structure
-  it does not hold out over an optional ``multiprocessing`` pool (one
-  whole group per job, the worker builds or loads the structure), and
-  keep keyed result caches;
+* :mod:`repro.engine.service` — the batch evaluation service: group a
+  request once per (structure, truncation, ordering), build each decision
+  diagram once, evaluate all of a group's defect models in one batched
+  pass as a probability column, fan the groups whose structure it does
+  not hold out over an optional ``multiprocessing`` pool (one whole group
+  per job, the worker builds or loads the structure), and keep a keyed
+  result cache of probabilities;
 * :mod:`repro.engine.store` — the persistent structure store: compiled
   structures serialized to a versioned on-disk format (content-addressed
   per-array ``.npy`` files plus JSON metadata, memory-mappable) so cold

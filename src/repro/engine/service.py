@@ -7,17 +7,25 @@ defect densities, clustering and lethality only enter the final — and
 cheap — probability traversal.  A sweep over defect densities therefore
 needs **one** diagram build, not one per point.
 
-:class:`SweepService` exploits that:
+:class:`SweepService` exploits that with one request shape: K problems and
+their truncation levels, evaluated as columns.
 
-* points (:class:`SweepPoint`) are grouped by their *structure key*
-  (a digest of the fault tree, the component list, ``M`` and the ordering);
-* one :class:`repro.core.method.CompiledYield` is built per group (LRU-kept
-  across batches) and every point of the group re-runs only the traversal —
-  **all of a group's defect models in one batched bottom-up pass** over the
-  structure's linearized arrays (:mod:`repro.engine.batch`), not one
-  traversal per point;
-* finished results live in a keyed in-memory cache and, optionally, an
-  on-disk cache (``cache_dir``), so repeated sweeps are free;
+* :meth:`SweepService.group` groups a request once per distinct (fault
+  tree, component model, ``M``) — the ordering is the service's — with one
+  :func:`structure_key` call and one ``P'_i`` digest per group; each point
+  computes only its lethal count vector and its result-cache key
+  (:class:`PointGroup`);
+* one :class:`repro.core.method.CompiledYield` is built per structure
+  (LRU-kept across batches) and :meth:`SweepService.evaluate_groups` runs
+  **one batched bottom-up pass per group** over all of its defect models
+  (:meth:`~repro.core.method.CompiledYield.probabilities`), returning a
+  probability column (:class:`GroupColumns`);
+* sweeps, the HTTP server and the importance measures read those columns;
+  :meth:`SweepService.evaluate_batch` alone packages
+  :class:`~repro.core.results.YieldResult` records from them;
+* the in-memory result LRU holds each point's ``P(G = 1)`` plus a reference
+  to its structure's one :class:`~repro.core.method.StructureRecord`, so
+  repeated points are free;
 * a pooled service (``workers > 1``) runs every group whose structure it
   holds in-process, outside the dispatch lock: at every measured K one
   batched pass costs less than a dispatch.  Each group it does not hold
@@ -51,7 +59,6 @@ import os
 import pickle
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -66,9 +73,8 @@ from ..obs.metrics import MetricsRegistry
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Cache-miss sentinel: the result caches must be able to store *any*
-#: value — including ``None`` — so lookups compare against this marker
-#: instead of testing the stored value's truthiness.
+#: Cache-miss sentinel: a cached probability may be exactly ``0.0``, so
+#: lookups compare against this marker instead of testing truthiness.
 _MISS = object()
 
 
@@ -145,7 +151,8 @@ def _counted_pass(registry, native_state, compiled, phase, passes, span=None, mo
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One evaluation request: a problem plus its truncation policy.
+    """One row of :meth:`SweepService.evaluate_batch`: a problem plus its
+    truncation policy.
 
     ``max_defects`` pins the truncation level ``M``; when omitted, ``M`` is
     chosen from ``epsilon`` (the point's, else the service's default) via
@@ -164,12 +171,6 @@ def _float_digest(values) -> str:
         h.update(repr(float(v)).encode())
         h.update(b",")
     return h.hexdigest()
-
-
-#: ``P'_i`` digests per component model.  A ``ComponentDefectModel`` is
-#: immutable, so its vector is hashed once rather than once per point
-#: (two racing threads at worst hash it twice, to the same value).
-_LETHAL_DIGESTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def structure_key(problem, truncation: int, ordering) -> Tuple:
@@ -194,24 +195,106 @@ def result_key(problem, truncation: int, ordering) -> Tuple:
 
     The probability traversal consumes exactly the lethal count pmf
     ``Q'_0..Q'_M`` (plus the tail mass) and the conditional hit vector
-    ``P'_i``, so those capture every defect-model input.  The key carries
-    the point's lethal count vector itself
+    ``P'_i``, so those capture every defect-model input.  The key is the
+    point's :func:`structure_key` followed by its lethal count vector
     (:meth:`~repro.core.problem.YieldProblem.lethal_counts`, the one pmf
-    evaluation of the point) followed by the ``P'_i`` digest: every
-    evaluation route reads the vector back from the key (``key[-2]``) for
-    the count column and the error bound.  The point's
-    :func:`structure_key` is the key without its last two entries.
+    evaluation of the point) and the ``P'_i`` digest.
+    :meth:`SweepService.group` makes the same keys a group at a time,
+    through :func:`_point_key`, with the structure key and the digest
+    computed once per group.
     """
-    components = problem.components
-    hits = _LETHAL_DIGESTS.get(components)
-    if hits is None:
-        hits = _LETHAL_DIGESTS[components] = _float_digest(
-            components.lethal_probabilities()
-        )
-    return structure_key(problem, truncation, ordering) + (
+    return _point_key(
+        structure_key(problem, truncation, ordering),
         problem.lethal_counts(truncation),
-        hits,
+        _float_digest(problem.components.lethal_probabilities()),
     )
+
+
+def _point_key(skey: Tuple, counts: Tuple, hits: str) -> Tuple:
+    """The result-key layout shared by :func:`result_key` and the groups."""
+    return skey + (counts, hits)
+
+
+class PointGroup(NamedTuple):
+    """The points of one request that share one structure: one kernel pass.
+
+    Made by :meth:`SweepService.group`.  ``indices`` are the points'
+    request positions, in request order; ``problems``, ``counts`` (lethal
+    count vectors ``(Q'_0 .. Q'_M, tail)``) and ``keys`` (result-cache
+    keys) run parallel to them.  An unkeyed group (gradients) leaves
+    ``counts`` and ``keys`` empty.
+    """
+
+    skey: Tuple
+    truncation: int
+    indices: List[int]
+    problems: List
+    counts: List[Tuple[float, ...]]
+    keys: List[Tuple]
+
+
+class GroupColumns(NamedTuple):
+    """One group's outcome as columns, in the group's point order.
+
+    ``failed`` holds each point's ``P(G = 1)`` and ``records`` the
+    :class:`~repro.core.method.StructureRecord` of the structure that
+    computed it.  ``evaluated`` lists the positions this call's pass
+    computed (the rest were result-cache hits); ``reused`` says whether
+    that pass ran on a structure this call did not build, and
+    ``per_point`` is its seconds per evaluated point.
+    """
+
+    group: PointGroup
+    failed: List[float]
+    records: List
+    evaluated: List[int]
+    reused: bool
+    per_point: float
+
+    def results(self) -> List[object]:
+        """Package the group's :class:`~repro.core.results.YieldResult` records.
+
+        The points this call evaluated are packaged as their pass:
+        ``batched_models`` is the pass's K and, on a fresh build, the first
+        carries the build timings.  A cache hit ran no pass: it is packaged
+        as a structure reuse with zero timings and ``batched_models = 0``,
+        under the name of the problem that asked for it.
+        """
+        group, failed, records = self.group, self.failed, self.records
+        results: List[object] = [None] * len(failed)
+        if self.evaluated:
+            packaged = records[self.evaluated[0]].package(
+                [group.problems[i] for i in self.evaluated],
+                [group.counts[i][-1] for i in self.evaluated],
+                [failed[i] for i in self.evaluated],
+                reused=self.reused,
+                per_point=self.per_point,
+            )
+            for position, result in zip(self.evaluated, packaged):
+                results[position] = result
+        for position, result in enumerate(results):
+            if result is None:
+                (results[position],) = records[position].package(
+                    [group.problems[position]],
+                    [group.counts[position][-1]],
+                    [failed[position]],
+                    reused=True,
+                    models=0,
+                )
+        return results
+
+
+class SweepColumns(NamedTuple):
+    """A request's outcome as columns, in request order (:meth:`SweepService.sweep`)."""
+
+    failed: List[float]
+    error_bounds: List[float]
+    truncations: List[int]
+
+    @property
+    def yields(self) -> List[float]:
+        """The estimates ``Y_M = 1 - P(G = 1)``."""
+        return [1.0 - failed for failed in self.failed]
 
 
 class SweepService:
@@ -235,10 +318,6 @@ class SweepService:
         with :meth:`ensure_workers`), reused by every later batch and torn
         down by :meth:`close`.  Falls back to serial execution if the
         platform cannot spawn workers.
-    cache_dir:
-        Optional directory for the on-disk result cache (created on
-        demand).  Results are pickled per key; corrupt or unreadable
-        entries are treated as misses.
     store_dir:
         Optional directory for the persistent *structure* store
         (:class:`repro.engine.store.StructureStore`).  Compiled structures
@@ -248,8 +327,8 @@ class SweepService:
     max_structures:
         How many compiled structures to keep in memory (LRU).
     max_results:
-        How many finished results to keep in the in-memory cache (oldest
-        evicted first); the on-disk cache, when enabled, is unbounded.
+        How many evaluated points to keep in the in-memory result cache
+        (oldest evicted first).
     max_retries:
         How many times one pool job may fail before the parent evaluates
         its group itself.
@@ -271,7 +350,6 @@ class SweepService:
         ordering=None,
         epsilon: float = 1e-4,
         workers: int = 0,
-        cache_dir: Optional[str] = None,
         store_dir: Optional[str] = None,
         max_structures: int = 8,
         max_results: int = 65536,
@@ -289,7 +367,6 @@ class SweepService:
         self.ordering = ordering or OrderingSpec("w", "ml")
         self.epsilon = float(epsilon)
         self.workers = int(workers)
-        self.cache_dir = cache_dir
         self.store_dir = store_dir
         #: High-water marks for the native backend's process-wide
         #: compile/load/fallback counters, so several services in one
@@ -332,7 +409,8 @@ class SweepService:
         self._backoff = Backoff(seed=0)
         self.analyzer_options = analyzer_options
         self._structures: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._results: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: Result LRU: result key -> ``(P(G = 1), StructureRecord)``.
+        self._results: "OrderedDict[Tuple, Tuple[float, object]]" = OrderedDict()
         self._pool = None
         self._pool_broken = False
         #: Pids of the pool's members at spawn.  The pool replaces a member
@@ -368,69 +446,148 @@ class SweepService:
         )[0]
 
     def evaluate_batch(self, points: Sequence[SweepPoint]) -> List[object]:
-        """Evaluate every point and return the results in request order."""
+        """Evaluate every point and return its ``YieldResult``, in request order.
+
+        The one entry point that packages results: it evaluates the same
+        columns as :meth:`sweep` and packages them
+        (:meth:`GroupColumns.results`).
+        """
+        problems, truncations = self._rows(points)
+        results: List[object] = [None] * len(problems)
+        for columns in self.evaluate_groups(self.group(problems, truncations)):
+            for idx, result in zip(columns.group.indices, columns.results()):
+                results[idx] = result
+        return results
+
+    def sweep(self, problems: Sequence[object], truncations: Sequence[int]) -> SweepColumns:
+        """Evaluate ``problems`` at their truncation levels, as columns.
+
+        ``truncations`` holds each problem's ``M`` (see :meth:`resolve`).
+        Returns ``P(G = 1)``, the error bound and ``M`` of every point, in
+        request order; no per-point result object is made.
+        """
+        problems = list(problems)
+        failed = [0.0] * len(problems)
+        bounds = [0.0] * len(problems)
+        levels = [0] * len(problems)
+        for columns in self.evaluate_groups(self.group(problems, truncations)):
+            group = columns.group
+            for idx, probability, counts in zip(group.indices, columns.failed, group.counts):
+                failed[idx] = probability
+                bounds[idx] = counts[-1]
+                levels[idx] = group.truncation
+        return SweepColumns(failed, bounds, levels)
+
+    def resolve(
+        self,
+        problems: Sequence[object],
+        *,
+        max_defects: Optional[int] = None,
+        epsilon: Optional[float] = None,
+    ) -> List[int]:
+        """The truncation level ``M`` of every problem.
+
+        ``max_defects`` pins it; otherwise it is chosen from ``epsilon``
+        (default: the service's) via each problem's lethal defect
+        distribution, as :meth:`repro.core.method.YieldAnalyzer.evaluate`
+        does.
+        """
+        return [self._truncation(problem, max_defects, epsilon) for problem in problems]
+
+    def group(
+        self,
+        problems: Sequence[object],
+        truncations: Sequence[int],
+        *,
+        keyed: bool = True,
+    ) -> List[PointGroup]:
+        """Group a request's points by structure, in request order.
+
+        Points are grouped once per distinct (fault tree, component model,
+        ``M``) — the ordering is the service's — with one
+        :func:`structure_key` call and one ``P'_i`` digest per group;
+        groups whose structure keys agree merge.  A keyed group (the
+        default) also holds each point's lethal count vector, its one pmf
+        evaluation, and its result-cache key, as :func:`result_key` makes
+        it.  Gradients need neither: ``keyed=False`` skips both.
+        """
+        identities: Dict[Tuple, Tuple[PointGroup, Optional[str]]] = {}
+        groups: Dict[Tuple, PointGroup] = {}
+        for idx, (problem, truncation) in enumerate(zip(problems, truncations)):
+            identity = (id(problem.fault_tree), id(problem.components), truncation)
+            known = identities.get(identity)
+            if known is None:
+                skey = structure_key(problem, truncation, self.ordering)
+                group = groups.get(skey)
+                if group is None:
+                    group = groups[skey] = PointGroup(skey, int(truncation), [], [], [], [])
+                hits = (
+                    _float_digest(problem.components.lethal_probabilities())
+                    if keyed
+                    else None
+                )
+                known = identities[identity] = (group, hits)
+            group, hits = known
+            group.indices.append(idx)
+            group.problems.append(problem)
+            if keyed:
+                counts = problem.lethal_counts(group.truncation)
+                group.counts.append(counts)
+                group.keys.append(_point_key(group.skey, counts, hits))
+        return list(groups.values())
+
+    def evaluate_groups(self, groups: Sequence[PointGroup]) -> List[GroupColumns]:
+        """Evaluate keyed groups: one probability column per group, in order.
+
+        Points the result cache holds are served from it; every group's
+        other points run in **one** kernel pass on its structure (resolved
+        memory LRU → store → build), in-process or, on a pooled service,
+        on the pool for groups whose structure the service does not hold.
+        The new points are cached as ``(P(G = 1), StructureRecord)``.
+        """
         with self._fault_scope():
-            return self._evaluate_batch(points)
+            return self._evaluate_groups(list(groups))
 
-    def _evaluate_batch(self, points: Sequence[SweepPoint]) -> List[object]:
-        points = list(points)
-        if not points:
-            return []
-        self.registry.inc("service.points.requested", len(points))
-        truncations = [self._resolve_truncation(point) for point in points]
-        keys = [
-            result_key(point.problem, truncation, self.ordering)
-            for point, truncation in zip(points, truncations)
+    def _evaluate_groups(self, groups: List[PointGroup]) -> List[GroupColumns]:
+        requested = sum(len(group.keys) for group in groups)
+        if requested:
+            self.registry.inc("service.points.requested", requested)
+        columns = [
+            GroupColumns(group, [0.0] * len(group.keys), [None] * len(group.keys), [], True, 0.0)
+            for group in groups
         ]
-
-        # serve what the caches already know: one lock for the memory LRU,
-        # the disk only when there is one
-        results: List[object] = [_MISS] * len(points)
+        misses: List[Tuple[int, PointGroup, List[int]]] = []
         hits = 0
         with self._lock:
-            for idx, rkey in enumerate(keys):
-                cached = self._results.get(rkey, _MISS)
-                if cached is not _MISS:
-                    self._results.move_to_end(rkey)
-                    results[idx] = cached
-                    hits += 1
+            for number, (group, failed, records, *_) in enumerate(columns):
+                missed = []
+                for position, rkey in enumerate(group.keys):
+                    cached = self._results.get(rkey, _MISS)
+                    if cached is _MISS:
+                        missed.append(position)
+                    else:
+                        self._results.move_to_end(rkey)
+                        failed[position], records[position] = cached
+                        hits += 1
+                if missed:
+                    misses.append((number, group, missed))
         if hits:
             self.registry.inc("service.cache.result_hits", hits)
-        if self.cache_dir:
-            disk_hits = []
-            for idx, rkey in enumerate(keys):
-                if results[idx] is _MISS:
-                    results[idx] = self._disk_get(rkey)
-                    if results[idx] is not _MISS:
-                        disk_hits.append((rkey, results[idx]))
-            if disk_hits:
-                self.registry.inc("service.cache.disk_hits", len(disk_hits))
-                self._remember_results(disk_hits)
-
-        pending: Dict[Tuple, List[int]] = {}
-        for idx, rkey in enumerate(keys):
-            if results[idx] is _MISS:
-                # the result key extends the structure key: no second hashing
-                pending.setdefault(rkey[:-2], []).append(idx)
-
-        if pending:
-            # each point's lethal count vector, computed once for its key
-            counts = [rkey[-2] for rkey in keys]
-            groups = list(pending.items())
-            run = self._run_parallel if self.workers > 1 else self._run_serial
-            evaluated = run(groups, points, truncations, counts)
-            for idx, result in evaluated:
-                results[idx] = result
-            self._remember_results([(keys[idx], result) for idx, result in evaluated])
-            if self.cache_dir:
-                for idx, result in evaluated:
-                    self._disk_put(keys[idx], result)
+        if misses:
+            passes = (self._run_parallel if self.workers > 1 else self._run_serial)(misses)
+            evaluated = []
+            for number, group, positions in misses:
+                record, column, reused, per_point = passes[number]
+                _, failed, records, *_ = columns[number]
+                for position, probability in zip(positions, column):
+                    failed[position], records[position] = probability, record
+                    evaluated.append((group.keys[position], (probability, record)))
+                columns[number] = columns[number]._replace(
+                    evaluated=positions, reused=reused, per_point=per_point
+                )
+            self._remember_results(evaluated)
             self.registry.inc("service.points.evaluated", len(evaluated))
-
-        missing = [i for i, r in enumerate(results) if r is _MISS]
-        if missing:  # pragma: no cover - defensive
-            raise RuntimeError("points %s were not evaluated" % missing)
-        return results  # type: ignore[return-value]
+        return columns
 
     def gradients(self, problem, *, max_defects=None, epsilon=None):
         """Analytic yield gradients of a single point (see :meth:`gradient_batch`)."""
@@ -441,32 +598,34 @@ class SweepService:
     def gradient_batch(self, points: Sequence[SweepPoint]) -> List[object]:
         """Differentiate every point analytically, in request order.
 
-        Points are grouped by structure key exactly like
-        :meth:`evaluate_batch`; each group reuses (or builds once) its
-        compiled structure and runs **one** forward-plus-reverse linearized
-        pass over all of the group's defect models
-        (:meth:`repro.core.method.CompiledYield.gradients_many`).  Returns
-        one :class:`repro.core.results.YieldGradients` per point — exact
+        Points are grouped by structure exactly like :meth:`evaluate_batch`,
+        but unkeyed: gradient results are not cached, since a pass costs
+        about two traversals, less than the digesting a result cache would
+        need.  See :meth:`gradient_groups`.  Returns one
+        :class:`repro.core.results.YieldGradients` per point — exact
         ``dY_M/dP_i`` for every component, with no perturbed re-evaluations.
-
-        Gradient results are not cached: a pass costs about two traversals,
-        which is cheaper than the digesting a result cache would need.
         """
-        points = list(points)
-        results: List[Optional[object]] = [None] * len(points)
-        pending: Dict[Tuple, List[int]] = {}
-        truncations: List[int] = [0] * len(points)
-        for idx, point in enumerate(points):
-            truncation = self._resolve_truncation(point)
-            truncations[idx] = truncation
-            skey = structure_key(point.problem, truncation, self.ordering)
-            pending.setdefault(skey, []).append(idx)
+        problems, truncations = self._rows(points)
+        groups = self.group(problems, truncations, keyed=False)
+        results: List[object] = [None] * len(problems)
+        for group, gradients in zip(groups, self.gradient_groups(groups)):
+            for idx, gradient in zip(group.indices, gradients):
+                results[idx] = gradient
+        return results
+
+    def gradient_groups(self, groups: Sequence[PointGroup]) -> List[List[object]]:
+        """Differentiate every group's points: one list per group, in order.
+
+        Each group reuses (or builds once) its compiled structure and runs
+        **one** forward-plus-reverse linearized pass over all of its
+        defect models (:meth:`repro.core.method.CompiledYield.gradients_many`).
+        """
+        out = []
         with self._fault_scope():
-            for skey, indices in pending.items():
-                first = indices[0]
-                with self._locked_key(skey):
+            for group in groups:
+                with self._locked_key(group.skey):
                     compiled, _ = self._structure_for(
-                        skey, points[first].problem, truncations[first]
+                        group.skey, group.problems[0], group.truncation
                     )
                     with _counted_pass(
                         self.registry,
@@ -475,15 +634,12 @@ class SweepService:
                         "phase.gradient_seconds",
                         "service.passes.gradient",
                         span="service.gradients",
-                        models=len(indices),
+                        models=len(group.problems),
                     ):
-                        gradients = compiled.gradients_many(
-                            [points[idx].problem for idx in indices]
-                        )
-                self.registry.inc("service.points.differentiated", len(indices))
-                for idx, gradient in zip(indices, gradients):
-                    results[idx] = gradient
-        return results  # type: ignore[return-value]
+                        gradients = compiled.gradients_many(group.problems)
+                self.registry.inc("service.points.differentiated", len(group.problems))
+                out.append(gradients)
+        return out
 
     def density_sweep(
         self,
@@ -499,22 +655,22 @@ class SweepService:
         defects to a problem (e.g. ``lambda mean: ms_problem(2,
         mean_defects=mean)``).  Because the factory varies only the defect
         model, every point that resolves to the same truncation level
-        shares one diagram build.
+        shares one diagram build and one kernel pass (:meth:`sweep`).
 
-        The point keys are cheapest when the factory reuses one frozen
-        fault tree and one component model, as the :mod:`repro.soc`
-        generators do: the circuit digest and the ``P'_i`` digest are then
-        computed once for the whole sweep.  A factory that builds a fresh
-        circuit per call gives the same results but hashes each circuit.
+        The sweep is cheapest when the factory reuses one frozen fault
+        tree and one component model, as the :mod:`repro.soc` generators
+        do: the points then form one group per ``M``, keyed once.  A
+        factory that builds a fresh circuit per call gives the same
+        results but hashes each circuit.
         """
-        points = [
-            SweepPoint(problem_factory(mean), max_defects=max_defects, epsilon=epsilon)
-            for mean in mean_defect_values
-        ]
-        results = self.evaluate_batch(points)
+        means = list(mean_defect_values)
+        problems = [problem_factory(mean) for mean in means]
+        columns = self.sweep(
+            problems, self.resolve(problems, max_defects=max_defects, epsilon=epsilon)
+        )
         return [
-            (float(mean), result.yield_estimate, result.truncation)
-            for mean, result in zip(mean_defect_values, results)
+            (float(mean), 1.0 - failed, truncation)
+            for mean, failed, truncation in zip(means, columns.failed, columns.truncations)
         ]
 
     def truncation_sweep(
@@ -523,28 +679,18 @@ class SweepService:
         max_defects_values: Sequence[int],
     ) -> List[Tuple[int, float, float]]:
         """Return ``(M, yield_estimate, error_bound)`` for every requested ``M``."""
-        points = [SweepPoint(problem, max_defects=int(m)) for m in max_defects_values]
-        results = self.evaluate_batch(points)
+        levels = [int(m) for m in max_defects_values]
+        columns = self.sweep([problem] * len(levels), levels)
         return [
-            (int(m), result.yield_estimate, result.error_bound)
-            for m, result in zip(max_defects_values, results)
+            (m, 1.0 - failed, bound)
+            for m, failed, bound in zip(levels, columns.failed, columns.error_bounds)
         ]
 
     def clear(self) -> None:
-        """Drop the in-memory structure and result caches (disk kept)."""
+        """Drop the in-memory structure and result caches."""
         with self._lock:
             self._structures.clear()
             self._results.clear()
-
-    def resolve_point(self, point: SweepPoint) -> Tuple[Tuple, int]:
-        """Return ``(structure_key, truncation)`` of a point.
-
-        The submission seam for front ends: a server coalesces concurrent
-        requests on the structure key *before* touching the service, so
-        only one of them pays (or waits on) the build.
-        """
-        truncation = self._resolve_truncation(point)
-        return structure_key(point.problem, truncation, self.ordering), truncation
 
     def has_structure(self, skey: Tuple) -> bool:
         """Whether ``skey`` is resident in the in-memory structure LRU."""
@@ -688,11 +834,19 @@ class SweepService:
 
         return YieldAnalyzer(self.ordering, epsilon=self.epsilon, **self.analyzer_options)
 
-    def _resolve_truncation(self, point: SweepPoint) -> int:
-        if point.max_defects is not None:
-            return int(point.max_defects)
-        budget = self.epsilon if point.epsilon is None else float(point.epsilon)
-        return point.problem.lethal_defect_distribution().truncation_level(budget)
+    def _rows(self, points: Sequence[SweepPoint]) -> Tuple[List, List[int]]:
+        """``(problems, truncations)`` of :class:`SweepPoint` rows."""
+        points = list(points)
+        return [point.problem for point in points], [
+            self._truncation(point.problem, point.max_defects, point.epsilon)
+            for point in points
+        ]
+
+    def _truncation(self, problem, max_defects, epsilon) -> int:
+        if max_defects is not None:
+            return int(max_defects)
+        budget = self.epsilon if epsilon is None else float(epsilon)
+        return problem.lethal_defect_distribution().truncation_level(budget)
 
     def _fault_scope(self):
         """Thread-scoped activation of this service's fault plan (if any)."""
@@ -771,7 +925,7 @@ class SweepService:
                 self._structures.popitem(last=False)
 
     def _remember_results(self, items) -> None:
-        """Put ``(result key, result)`` pairs in the memory LRU, one lock."""
+        """Put ``(result key, (P(G = 1), record))`` pairs in the LRU, one lock."""
         if not items:
             return
         with self._lock:
@@ -781,14 +935,24 @@ class SweepService:
             while len(self._results) > self.max_results:
                 self._results.popitem(last=False)
 
-    def _run_serial(self, groups, points, truncations, counts):
-        evaluated = []
-        for skey, indices in groups:
-            first = indices[0]
-            with self._locked_key(skey):
+    def _run_serial(self, misses) -> Dict[int, Tuple]:
+        """One in-process pass per ``(number, group, missed positions)``.
+
+        Returns ``number -> (record, P(G = 1) column, reused, seconds per
+        point)``, as :meth:`_run_pool` does.
+        """
+        passes = {}
+        for number, group, positions in misses:
+            if len(positions) == len(group.problems):
+                problems, counts = group.problems, group.counts
+            else:
+                problems = [group.problems[i] for i in positions]
+                counts = [group.counts[i] for i in positions]
+            with self._locked_key(group.skey):
                 compiled, reused = self._structure_for(
-                    skey, points[first].problem, truncations[first]
+                    group.skey, problems[0], group.truncation
                 )
+                started = time.perf_counter()
                 with _counted_pass(
                     self.registry,
                     self._native_state,
@@ -796,41 +960,38 @@ class SweepService:
                     "phase.evaluate_seconds",
                     "service.passes.batched",
                     span="service.evaluate",
-                    models=len(indices),
+                    models=len(problems),
                 ):
-                    results = compiled.evaluate_many(
-                        [points[idx].problem for idx in indices],
-                        counts=[counts[idx] for idx in indices],
-                        reused=reused,
-                    )
-            evaluated.extend(zip(indices, results))
-        return evaluated
+                    failed = compiled.probabilities(problems, counts)
+                per_point = (time.perf_counter() - started) / len(problems)
+            passes[number] = (compiled.record, failed, reused, per_point)
+        return passes
 
-    def _split_held(self, groups):
+    def _split_held(self, misses):
         """``(held, unheld)``: the groups whose structure the LRU holds, the rest."""
         with self._lock:
-            held = {skey for skey, _ in groups if skey in self._structures}
+            held = {group.skey for _, group, _ in misses if group.skey in self._structures}
         return (
-            [group for group in groups if group[0] in held],
-            [group for group in groups if group[0] not in held],
+            [miss for miss in misses if miss[1].skey in held],
+            [miss for miss in misses if miss[1].skey not in held],
         )
 
-    def _run_parallel(self, groups, points, truncations, counts):
+    def _run_parallel(self, misses) -> Dict[int, Tuple]:
         # a held structure needs one in-process pass, cheaper than any
         # dispatch; it runs here, so it never queues for the lock below
-        held, unheld = self._split_held(groups)
+        held, unheld = self._split_held(misses)
         self.registry.inc("dispatch.groups_in_process", len(held))
-        evaluated = self._run_serial(held, points, truncations, counts)
+        passes = self._run_serial(held)
         if unheld:
             # one supervised dispatch at a time: the supervisor respawns the
             # shared pool on faults, which two concurrent dispatch loops
             # would race; concurrent batches queue here while in-process
             # batches (held keys) keep running in parallel
             with self._dispatch_lock:
-                evaluated += self._run_pool(unheld, points, truncations, counts)
-        return evaluated
+                passes.update(self._run_pool(unheld))
+        return passes
 
-    def _run_pool(self, groups, points, truncations, counts):
+    def _run_pool(self, misses) -> Dict[int, Tuple]:
         """Send each group whole to the pool; evaluate what it cannot finish.
 
         A worker resolves its group's structure (its LRU → the store → a
@@ -838,23 +999,24 @@ class SweepService:
         on it in-process.  Groups whose structure another batch resolved
         while this one waited for the dispatch lock run in-process too.
         """
-        local, dispatched = self._split_held(groups)
+        local, dispatched = self._split_held(misses)
         if len(dispatched) <= 1 or self.ensure_workers() is None:
             # at most one build pending: a pool cannot help
-            return self._run_serial(groups, points, truncations, counts)
+            return self._run_serial(misses)
         store_root = self.store_dir if self._store is not None else None
         trace = obs_trace.active() is not None
         try:
             jobs = []
-            for skey, indices in dispatched:
+            for number, group, positions in dispatched:
                 payload = GroupPayload(
-                    skey,
+                    group.skey,
                     self.ordering.key(),
                     self.epsilon,
                     self.analyzer_options,
-                    truncations[indices[0]],
-                    list(indices),
-                    [points[idx].problem for idx in indices],
+                    group.truncation,
+                    number,
+                    [group.problems[i] for i in positions],
+                    [group.counts[i] for i in positions],
                     store_root,
                     trace,
                 )
@@ -875,10 +1037,10 @@ class SweepService:
             )
             with obs_trace.span("service.dispatch", shards=len(jobs)):
                 successes, quarantined = supervisor.dispatch(jobs, _evaluate_shard)
-            evaluated = []
+            passes = {}
             worker_build_seconds = 0.0
             tracer = obs_trace.active()
-            for job, (compiled, results, shard_stats) in successes:
+            for job, (compiled, record, failed, shard_stats) in successes:
                 payload = job.payload
                 # every worker counter arrives as one registry snapshot;
                 # merging it is the whole aggregation
@@ -893,20 +1055,21 @@ class SweepService:
                         payload.skey
                     ):
                         self._persist_structure(payload.skey, compiled)
-                evaluated.extend(zip(payload.indices, results))
+                passes[payload.number] = (
+                    record, failed, not shard_stats["built"], shard_stats["per_point"]
+                )
             # quarantined jobs exhausted their retries (or the pool is
             # gone): the parent evaluates their groups itself
-            evaluated += self._run_serial(
-                [(job.payload.skey, job.payload.indices) for job in quarantined],
-                points,
-                truncations,
-                counts,
+            numbers = {job.payload.number for job in quarantined}
+            passes.update(
+                self._run_serial([miss for miss in dispatched if miss[0] in numbers])
             )
             # the pool wall clock minus the build time workers reported is
-            # the evaluation (plus transfer) share
+            # the evaluation (plus transfer) share, one sample per batch;
+            # builds on different workers overlap, so their sum can pass
+            # the wall clock
             evaluate_seconds = time.perf_counter() - started - worker_build_seconds
-            if evaluate_seconds > 0.0:
-                self.registry.observe("phase.evaluate_seconds", evaluate_seconds)
+            self.registry.observe("phase.evaluate_seconds", max(0.0, evaluate_seconds))
             self.registry.inc("service.batches.parallel")
         except Exception:
             # pickling or pool trouble: drop the (possibly wedged) pool and
@@ -914,58 +1077,22 @@ class SweepService:
             # fresh pool — one bad payload must not disable parallelism for
             # the service's lifetime
             self.close()
-            evaluated = self._run_serial(dispatched, points, truncations, counts)
-        return evaluated + self._run_serial(local, points, truncations, counts)
-
-    # ------------------------------------------------------------------ #
-    # Disk cache
-    # ------------------------------------------------------------------ #
-
-    def _disk_path(self, rkey: Tuple) -> Optional[str]:
-        if not self.cache_dir:
-            return None
-        digest = hashlib.sha256(repr(rkey).encode()).hexdigest()
-        return os.path.join(self.cache_dir, "yield-%s.pkl" % digest)
-
-    def _disk_get(self, rkey: Tuple):
-        """One disk-cache lookup: the stored result, or ``_MISS``.
-
-        The sentinel (not ``None``) reports a miss so a legitimately
-        stored ``None`` result still counts as a hit.
-        """
-        path = self._disk_path(rkey)
-        if path is None:
-            return _MISS
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
-            return _MISS
-
-    def _disk_put(self, rkey: Tuple, result) -> None:
-        path = self._disk_path(rkey)
-        if path is None:
-            return
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as handle:
-                pickle.dump(result, handle, protocol=_PICKLE_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:  # pragma: no cover - caching must never fail a sweep
-            pass
+            passes = self._run_serial(dispatched)
+        passes.update(self._run_serial(local))
+        return passes
 
 
 class GroupPayload(NamedTuple):
-    """One pool job: a whole structure group, as its worker needs it."""
+    """One pool job: a whole structure group's misses, as its worker needs them."""
 
     skey: Tuple
     ordering_key: Tuple
     epsilon: float
     analyzer_options: Dict
     truncation: int
-    indices: List[int]
+    number: int
     problems: List
+    counts: List[Tuple[float, ...]]
     store_root: Optional[str]
     trace: bool
 
@@ -1019,11 +1146,12 @@ def _evaluate_shard(blob, deadline=None):
     group's structure in warmth order — the per-process LRU, the
     persistent store (memory-mapped), a fresh build — and evaluates all
     of the group's defect models in one batched pass.  Returns
-    ``(structure, results, stats)``: the structure when this job loaded
-    or built it (``None`` on an LRU hit), so the parent's LRU serves later
-    batches without re-resolving it; the results in the payload's
-    order; and the job's ``built`` flag, build seconds, metrics snapshot
-    and, when traced, its spans.
+    ``(structure, record, failed, stats)``: the structure when this job
+    loaded or built it (``None`` on an LRU hit), so the parent's LRU serves
+    later batches without re-resolving it; the structure's
+    :class:`~repro.core.method.StructureRecord`; the ``P(G = 1)`` column in
+    the payload's order; and the job's ``built`` flag, build seconds, pass
+    seconds per point, metrics snapshot and, when traced, its spans.
 
     ``deadline`` (epoch seconds, from the supervisor) arms the job-level
     deadline hook in the batch kernel: a worker stuck in a long pass
@@ -1041,13 +1169,13 @@ def _evaluate_shard(blob, deadline=None):
     tracer = obs_trace.start() if payload.trace else None
     try:
         with shard_deadline(deadline):
-            compiled, results, shard_stats = _evaluate_group(payload)
+            compiled, record, failed, shard_stats = _evaluate_group(payload)
     finally:
         if tracer is not None:
             obs_trace.stop()
     if tracer is not None:
         shard_stats["spans"] = tracer.spans()
-    return compiled, results, shard_stats
+    return compiled, record, failed, shard_stats
 
 
 def _evaluate_group(payload: GroupPayload):
@@ -1077,8 +1205,7 @@ def _evaluate_group(payload: GroupPayload):
                 registry, store, skey, analyzer, problems[0], payload.truncation
             )
             _worker_structure_put(skey, compiled)
-        # a job holds only problems: their count vectors are computed here,
-        # by the helper the parent's result keys use
+        started = time.perf_counter()
         with _counted_pass(
             registry,
             _WORKER_NATIVE_STATE,
@@ -1086,10 +1213,12 @@ def _evaluate_group(payload: GroupPayload):
             "phase.worker_evaluate_seconds",
             "service.passes.batched",
         ):
-            results = compiled.evaluate_many(problems, reused=not built)
+            failed = compiled.probabilities(problems, payload.counts)
+        per_point = (time.perf_counter() - started) / len(problems)
     shard_stats = {
         "built": built,
         "build_seconds": sum(compiled.build_timings) if built else 0.0,
+        "per_point": per_point,
         "metrics": registry.snapshot(),
     }
-    return (compiled if resolved else None), results, shard_stats
+    return (compiled if resolved else None), compiled.record, failed, shard_stats

@@ -55,6 +55,32 @@ class MDDError(ValueError):
 _TERMINAL_LEVEL = TERMINAL_LEVEL
 
 
+def _joined_rows(arrays) -> np.ndarray:
+    """The int64 ``arrays``, flattened and joined in order, as one 1-D array.
+
+    The native conversion exports every layer's rows as consecutive views
+    of one child array (at MS6 ``M = 6``, 4.3M entries); that array is
+    returned as it is, not copied.  Arrays of any other origin are
+    concatenated.
+    """
+    if arrays:
+        base = arrays[0].base
+        if (
+            isinstance(base, np.ndarray)
+            and base.ndim == 1
+            and base.dtype == np.int64
+            and base.flags.c_contiguous
+            and all(a.base is base and a.flags.c_contiguous for a in arrays)
+        ):
+            start = base.ctypes.data
+            ends = [a.ctypes.data + a.nbytes for a in arrays]
+            if all(a.ctypes.data == end for a, end in zip(arrays[1:], ends)):
+                return base[
+                    (arrays[0].ctypes.data - start) // 8 : (ends[-1] - start) // 8
+                ]
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [a.ravel() for a in arrays])
+
+
 class MDDManager(DDKernel):
     """Manager holding ROMDD nodes for a multiple-valued variable order.
 
@@ -231,9 +257,7 @@ class MDDManager(DDKernel):
             [[0, 0]] + [np.full(len(rows), rows.shape[1]) for _, rows in layers]
         )
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        children = np.concatenate(
-            [np.empty(0, dtype=np.int64)] + [rows.ravel() for _, rows in layers]
-        )
+        children = _joined_rows([rows for _, rows in layers])
         self._load_lazily((level, offsets, children, root))
         self._created = len(level)
         self._live_at_last_gc = len(level)

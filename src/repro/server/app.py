@@ -21,8 +21,10 @@ Endpoints
 ``POST /v1/sweep``
     Body: ``{"benchmark": "MS2", "densities": [0.5, 1.0], "clustering":
     4.0, "max_defects": null, "epsilon": null, "stream": false}``.
-    Evaluates one yield point per density through
-    :meth:`SweepService.evaluate_batch`.  With ``"stream": true`` the
+    Evaluates one yield point per density as columns
+    (:meth:`SweepService.evaluate_groups`, one kernel pass per structure
+    group) and writes each point as :func:`result_to_dict` would write its
+    ``YieldResult``, without making one.  With ``"stream": true`` the
     response is NDJSON (``Transfer-Encoding: chunked``): one line per
     point, written as each structure group completes, each line carrying
     its request ``index`` so clients may reorder.
@@ -35,8 +37,9 @@ Endpoints
 Coalescing
 ----------
 
-Every sweep/importance request resolves its points to structure keys
-*before* touching the caches.  Keys not yet resident are primed through
+Every sweep/importance request groups its points by structure
+(:meth:`SweepService.group`, which keys each group once) *before*
+touching the caches.  Keys not yet resident are primed through
 a per-key in-flight table on the event loop: the first request starts
 the build (``server.builds_started``), every concurrent request for the
 same key awaits the same future (``server.coalesced_joins``) — K clients
@@ -85,7 +88,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .http import ChunkedWriter, HTTPError, Request, error_bytes, read_request, response_bytes
 from ..bdd.builder import ResourceLimitExceeded
-from ..engine.service import SweepPoint, SweepService
+from ..engine.service import PointGroup, SweepService
 
 __all__ = [
     "MAX_SERVED_TRUNCATION",
@@ -120,20 +123,60 @@ def result_to_dict(result, index: int, mean_defects: Optional[float] = None) -> 
     decoded value compares bit-for-bit equal to the in-process result —
     the property the smoke tests assert.
     """
+    return _point_dict(
+        index,
+        result.name,
+        result.probability_not_functioning,
+        result.error_bound,
+        result.truncation,
+        result.romdd_size,
+        result.ordering,
+        mean_defects,
+    )
+
+
+def _point_dict(
+    index, name, probability_failed, error_bound, truncation, romdd_size, ordering, mean_defects
+) -> Dict:
+    """The JSON shape of one point: :func:`result_to_dict` and the columns."""
+    estimate = 1.0 - probability_failed
     out = {
         "index": index,
-        "name": result.name,
-        "yield": result.yield_estimate,
-        "yield_upper_bound": result.yield_upper_bound,
-        "error_bound": result.error_bound,
-        "truncation": result.truncation,
-        "probability_not_functioning": result.probability_not_functioning,
-        "romdd_size": result.romdd_size,
-        "ordering": list(result.ordering),
+        "name": name,
+        "yield": estimate,
+        "yield_upper_bound": min(1.0, estimate + error_bound),
+        "error_bound": error_bound,
+        "truncation": truncation,
+        "probability_not_functioning": probability_failed,
+        "romdd_size": romdd_size,
+        "ordering": list(ordering),
     }
     if mean_defects is not None:
         out["mean_defects"] = mean_defects
     return out
+
+
+def _column_dicts(columns, densities) -> List[Tuple[int, Dict]]:
+    """``(request index, point dict)`` for every point of one group's columns."""
+    group = columns.group
+    return [
+        (
+            index,
+            _point_dict(
+                index,
+                problem.name,
+                probability,
+                counts[-1],
+                group.truncation,
+                record.romdd_size,
+                record.ordering,
+                densities[index],
+            ),
+        )
+        for index, problem, counts, probability, record in zip(
+            group.indices, group.problems, group.counts, columns.failed, columns.records
+        )
+    ]
 
 
 def gradients_to_dict(gradients) -> Dict:
@@ -390,18 +433,19 @@ class YieldServer:
             % (truncation, MAX_SERVED_TRUNCATION),
         )
 
-    def _points_builder(
-        self, benchmark: str, densities: List, payload, what: str
-    ) -> Callable[[], Tuple[List[SweepPoint], List[Tuple[Tuple, int]]]]:
-        """A callable that builds and resolves one point per density, for the executor.
+    def _groups_builder(
+        self, benchmark: str, densities: List, payload, what: str, *, keyed: bool = True
+    ) -> Callable[[], List[PointGroup]]:
+        """A callable that builds, resolves and groups one point per density.
 
-        Problem construction and truncation resolution run off the event
-        loop and return ``(points, [(structure key, M), ...])``; parameter
-        errors still surface as ``400`` (``KeyError`` for an unknown
-        benchmark, ``TypeError``/``ValueError`` for invalid parameters).
-        An ``M`` over :data:`MAX_SERVED_TRUNCATION` is ``422``: an explicit
-        ``max_defects`` here, before any problem is built, and an
-        ``epsilon``-resolved one before any structure is built.
+        Problem construction, truncation resolution and grouping (one key
+        per structure group, :meth:`SweepService.group`) run off the event
+        loop; parameter errors still surface as ``400`` (``KeyError`` for
+        an unknown benchmark, ``TypeError``/``ValueError`` for invalid
+        parameters).  An ``M`` over :data:`MAX_SERVED_TRUNCATION` is
+        ``422``: an explicit ``max_defects`` here, before any problem is
+        built, and an ``epsilon``-resolved one before any structure is
+        built.  ``keyed`` as in :meth:`SweepService.group`.
         """
         clustering = payload.get("clustering", 4.0)
         max_defects = payload.get("max_defects")
@@ -422,27 +466,27 @@ class YieldServer:
             from ..soc import benchmark_problem
 
             try:
-                points = [
-                    SweepPoint(
-                        benchmark_problem(
-                            benchmark,
-                            mean_defects=float(mean),
-                            clustering=float(clustering),
-                        ),
-                        max_defects=max_defects,
-                        epsilon=None if epsilon is None else float(epsilon),
+                problems = [
+                    benchmark_problem(
+                        benchmark,
+                        mean_defects=float(mean),
+                        clustering=float(clustering),
                     )
                     for mean in densities
                 ]
-                resolved = [self.service.resolve_point(point) for point in points]
+                truncations = self.service.resolve(
+                    problems,
+                    max_defects=max_defects,
+                    epsilon=None if epsilon is None else float(epsilon),
+                )
+                deepest = max(truncations)
+                if deepest > MAX_SERVED_TRUNCATION:
+                    raise self._over_truncation(deepest)
+                return self.service.group(problems, truncations, keyed=keyed)
             except KeyError as exc:
                 raise HTTPError(400, str(exc.args[0])) from None
             except (TypeError, ValueError) as exc:
                 raise HTTPError(400, "invalid %s parameters: %s" % (what, exc)) from None
-            deepest = max(truncation for _, truncation in resolved)
-            if deepest > MAX_SERVED_TRUNCATION:
-                raise self._over_truncation(deepest)
-            return points, resolved
 
         return build
 
@@ -463,7 +507,7 @@ class YieldServer:
             densities = [float(value) for value in densities]
         except (TypeError, ValueError):
             raise HTTPError(400, "'densities' must be a non-empty list of numbers") from None
-        build = self._points_builder(benchmark, densities, payload, "sweep")
+        build = self._groups_builder(benchmark, densities, payload, "sweep")
         return benchmark, densities, build
 
     async def _in_executor(self, func, *args):
@@ -471,25 +515,20 @@ class YieldServer:
         return await loop.run_in_executor(self._executor, func, *args)
 
     async def _prime_structures(
-        self, build: Callable[[], Tuple[List[SweepPoint], List[Tuple[Tuple, int]]]]
-    ) -> Tuple[List[SweepPoint], Dict[Tuple, List[int]]]:
-        """Build the points, coalesce structure builds; return the points
-        and ``skey -> point indices``.
+        self, build: Callable[[], List[PointGroup]]
+    ) -> List[PointGroup]:
+        """Build and group the points, coalesce structure builds; return the groups.
 
-        Problem construction and key resolution share one executor call
-        (``build``, see :meth:`_points_builder`).  The in-flight table
+        Problem construction and grouping share one executor call
+        (``build``, see :meth:`_groups_builder`).  The in-flight table
         lives on the event loop, so membership checks and future creation
         are race-free without locks; the build itself runs on the thread
         pool.
         """
-        points, resolved = await self._in_executor(build)
-        groups: Dict[Tuple, List[int]] = {}
+        groups = await self._in_executor(build)
         waits = []
-        for idx, (skey, truncation) in enumerate(resolved):
-            first_sight = skey not in groups
-            groups.setdefault(skey, []).append(idx)
-            if not first_sight:
-                continue
+        for group in groups:
+            skey = group.skey
             pending = self._builds.get(skey)
             if pending is not None:
                 self.registry.inc("server.coalesced_joins")
@@ -502,16 +541,16 @@ class YieldServer:
             self.registry.inc("server.builds_started")
             waits.append(
                 asyncio.ensure_future(
-                    self._build_structure(skey, points[idx], truncation, future)
+                    self._build_structure(skey, group.problems[0], group.truncation, future)
                 )
             )
         for waited in waits:
             outcome = await waited
             if isinstance(outcome, BaseException):
                 raise outcome
-        return points, groups
+        return groups
 
-    async def _build_structure(self, skey, point: SweepPoint, truncation: int, future):
+    async def _build_structure(self, skey, problem, truncation: int, future):
         """Run one coalesced structure build; resolve its future for joiners.
 
         The future always resolves with the outcome (an exception instance
@@ -521,7 +560,7 @@ class YieldServer:
         outcome = None
         try:
             await self._in_executor(
-                self.service.prime_structure, point.problem, truncation, skey
+                self.service.prime_structure, problem, truncation, skey
             )
         except Exception as exc:
             outcome = exc
@@ -535,16 +574,14 @@ class YieldServer:
         payload = request.json()
         benchmark, densities, build = self._sweep_request(payload)
         stream = bool(payload.get("stream", False))
-        points, groups = await self._prime_structures(build)
+        groups = await self._prime_structures(build)
         if not stream:
-            results = await self._in_executor(self.service.evaluate_batch, points)
-            body = {
-                "benchmark": benchmark,
-                "points": [
-                    result_to_dict(result, idx, densities[idx])
-                    for idx, result in enumerate(results)
-                ],
-            }
+            outcomes = await self._in_executor(self.service.evaluate_groups, groups)
+            points: List[Optional[Dict]] = [None] * len(densities)
+            for columns in outcomes:
+                for idx, point in _column_dicts(columns, densities):
+                    points[idx] = point
+            body = {"benchmark": benchmark, "points": points}
             writer.write(response_bytes(200, _json_bytes(body)))
             await writer.drain()
             return 200
@@ -554,13 +591,10 @@ class YieldServer:
         # index for reordering
         chunked = ChunkedWriter(writer)
         await chunked.start(200)
-        for indices in groups.values():
-            results = await self._in_executor(
-                self.service.evaluate_batch, [points[idx] for idx in indices]
-            )
+        for group in groups:
+            (columns,) = await self._in_executor(self.service.evaluate_groups, [group])
             lines = b"".join(
-                _json_bytes(result_to_dict(result, idx, densities[idx])) + b"\n"
-                for idx, result in zip(indices, results)
+                _json_bytes(point) + b"\n" for _, point in _column_dicts(columns, densities)
             )
             await chunked.send(lines)
         await chunked.finish()
@@ -569,12 +603,12 @@ class YieldServer:
     async def _handle_importance(self, request: Request, writer) -> int:
         payload = request.json()
         benchmark = self._benchmark_of(payload)
-        build = self._points_builder(
-            benchmark, [payload.get("mean_defects", 2.0)], payload, "importance"
+        build = self._groups_builder(
+            benchmark, [payload.get("mean_defects", 2.0)], payload, "importance", keyed=False
         )
-        points, _ = await self._prime_structures(build)
-        gradients = await self._in_executor(self.service.gradient_batch, points)
-        body = dict(gradients_to_dict(gradients[0]), benchmark=benchmark)
+        groups = await self._prime_structures(build)
+        gradients = await self._in_executor(self.service.gradient_groups, groups)
+        body = dict(gradients_to_dict(gradients[0][0]), benchmark=benchmark)
         writer.write(response_bytes(200, _json_bytes(body)))
         await writer.drain()
         return 200

@@ -92,18 +92,6 @@ class TestResultCaching:
         assert service.registry.counter("service.points.evaluated") == evaluated
         assert service.registry.counter("service.cache.result_hits") == len(MEANS)
 
-    def test_disk_cache_survives_service_instances(self, tmp_path):
-        cache_dir = str(tmp_path / "yield-cache")
-        first = SweepService(cache_dir=cache_dir)
-        rows = first.density_sweep(make_problem, MEANS, max_defects=3)
-
-        second = SweepService(cache_dir=cache_dir)
-        cached_rows = second.density_sweep(make_problem, MEANS, max_defects=3)
-        assert second.registry.counter("service.cache.disk_hits") == len(MEANS)
-        assert second.registry.counter("service.structures.built") == 0
-        for row, cached in zip(rows, cached_rows):
-            assert cached[1] == pytest.approx(row[1], abs=1e-15)
-
     def test_different_densities_never_collide(self):
         ordering = OrderingSpec("w", "ml")
         key_a = result_key(make_problem(0.5), 3, ordering)

@@ -202,32 +202,25 @@ class TestScopedFaultPlans:
             faults.clear()
 
 
-class TestNoneResultCaching:
-    def _rkey(self, service, point):
-        truncation = service._resolve_truncation(point)
-        return result_key(point.problem, truncation, service.ordering)
+class TestZeroProbabilityCaching:
+    """A cached entry is ``(P(G = 1), StructureRecord)``: a probability of
+    exactly 0.0 must still be a hit, since lookups compare against a miss
+    sentinel rather than the stored value's truth."""
 
-    def test_memory_cached_none_is_a_hit_not_a_miss(self):
+    def test_cached_zero_is_a_hit(self):
+        problem = make_problem(1.0)
+        primer = SweepService()
+        (columns,) = primer.evaluate_groups(primer.group([problem], [3]))
         service = SweepService()
-        point = SweepPoint(make_problem(1.0), max_defects=3)
-        service._remember_results([(self._rkey(service, point), None)])
-        results = service.evaluate_batch([point])
-        assert results == [None]
-        assert service.registry.counter("service.cache.result_hits") == 1
+        rkey = result_key(problem, 3, service.ordering)
+        service._remember_results([(rkey, (0.0, columns.records[0]))])
+
+        (result,) = service.evaluate_batch([SweepPoint(problem, max_defects=3)])
+        assert result.probability_not_functioning == 0.0
+        assert result.yield_estimate == 1.0
+        assert service.density_sweep(lambda mean: problem, [1.0], max_defects=3) == [
+            (1.0, 1.0, 3)
+        ]
+        assert service.registry.counter("service.cache.result_hits") == 2
         assert service.registry.counter("service.points.evaluated") == 0
         assert service.registry.counter("service.structures.built") == 0
-
-    def test_disk_cached_none_is_a_hit_not_a_miss(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        warm = SweepService(cache_dir=cache_dir)
-        point = SweepPoint(make_problem(1.0), max_defects=3)
-        warm._disk_put(self._rkey(warm, point), None)
-
-        service = SweepService(cache_dir=cache_dir)
-        results = service.evaluate_batch([point])
-        assert results == [None]
-        assert service.registry.counter("service.cache.disk_hits") == 1
-        assert service.registry.counter("service.points.evaluated") == 0
-        # a second lookup is now served from memory
-        assert service.evaluate_batch([point]) == [None]
-        assert service.registry.counter("service.cache.result_hits") == 1

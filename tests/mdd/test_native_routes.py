@@ -24,6 +24,7 @@ from repro.core.method import YieldAnalyzer
 from repro.engine import native
 from repro.engine.batch import LinearizedDiagram
 from repro.mdd.from_bdd import _bit_positions, _convert, _validate_grouping, convert_bdd_to_mdd
+from repro.mdd.manager import MDDManager
 from repro.obs import trace as obs_trace
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
@@ -111,6 +112,25 @@ def test_malformed_conversion_inputs_raise_value_error(small):
     assert np.concatenate([rows.ravel() for _, rows in layers]).tolist() == (
         mdd.node_arrays()[2].tolist()
     )
+
+
+@needs_native
+def test_loaded_children_share_memory_with_the_export(small):
+    """A native conversion's child array is loaded as it is, not copied."""
+    bdd, root, grouped = small
+    layers, image = native.convert_bdd(*conversion_inputs(bdd, root, grouped.groups))
+    exported = layers[0][1].base
+    mdd = MDDManager([variable for variable, _ in grouped.groups])
+    mdd.load_layers(layers, image)
+    children = mdd.node_arrays()[2]
+    assert np.shares_memory(children, exported)
+    assert children.tolist() == np.concatenate([rows.ravel() for _, rows in layers]).tolist()
+    # rows of any other origin are joined into a fresh array
+    copies = [(layer, rows.copy()) for layer, rows in layers]
+    numpy_loaded = MDDManager([variable for variable, _ in grouped.groups])
+    numpy_loaded.load_layers(copies, image)
+    assert not np.shares_memory(numpy_loaded.node_arrays()[2], exported)
+    assert manager_state(numpy_loaded) == manager_state(mdd)
 
 
 @needs_native

@@ -247,6 +247,51 @@ class TestSweepCorrectness:
         assert payload["ranking"] == expected
 
 
+class TestSweepBodyIsEvaluateBatch:
+    """A served sweep is evaluated as columns and written without a
+    ``YieldResult``; its body must be ``result_to_dict`` over the results
+    ``evaluate_batch`` makes for the same points, fixed and streamed."""
+
+    @staticmethod
+    def expected(name, densities, **options):
+        from repro.server.app import result_to_dict
+
+        results = SweepService().evaluate_batch(
+            [SweepPoint(benchmark_problem(name, mean_defects=m), **options) for m in densities]
+        )
+        body = [result_to_dict(r, i, m) for i, (r, m) in enumerate(zip(results, densities))]
+        return json.loads(json.dumps(body))
+
+    def bodies(self, handle, request):
+        """The fixed body's points, then the streamed lines in index order."""
+        out = []
+        for stream in (False, True):
+            response, decoded = post_json(handle, "/v1/sweep", dict(request, stream=stream))
+            assert response.status == 200
+            points = decoded if stream else decoded["points"]
+            out.append(sorted(points, key=lambda point: point["index"]))
+        return out
+
+    @pytest.mark.parametrize("name", ["ESEN4x1", "ESEN4x2", "MS2", "MS4"])
+    def test_golden_structures(self, served, name):
+        from tests.engine.test_golden import GOLDEN
+
+        _, handle = served
+        truncation = GOLDEN[name]["truncation"]
+        densities = [0.5 + 0.25 * i for i in range(12)]
+        request = {"benchmark": name, "densities": densities, "max_defects": truncation}
+        expected = self.expected(name, densities, max_defects=truncation)
+        assert self.bodies(handle, request) == [expected, expected]
+
+    def test_epsilon_resolved_mixed_structures(self, served):
+        _, handle = served
+        densities = [0.2, 0.6, 1.0, 1.6, 2.4]
+        request = {"benchmark": BENCH, "densities": densities, "epsilon": 1e-3}
+        expected = self.expected(BENCH, densities, epsilon=1e-3)
+        assert len({point["truncation"] for point in expected}) > 1
+        assert self.bodies(handle, request) == [expected, expected]
+
+
 class TestCoalescing:
     def test_concurrent_same_key_requests_build_once(self):
         service = SweepService()
@@ -413,8 +458,8 @@ class TestRequestBounds:
 
         service, handle, built = recorded
         mean, epsilon = 20.0, 1e-12
-        point = SweepPoint(benchmark_problem(BENCH, mean_defects=mean), epsilon=epsilon)
-        assert service.resolve_point(point)[1] > MAX_SERVED_TRUNCATION
+        problem = benchmark_problem(BENCH, mean_defects=mean)
+        assert service.resolve([problem], epsilon=epsilon)[0] > MAX_SERVED_TRUNCATION
         body = {"benchmark": BENCH, "densities": [mean], "mean_defects": mean, "epsilon": epsilon}
         response, payload = post_json(handle, path, body)
         assert response.status == 422
@@ -448,14 +493,14 @@ class TestAdmissionControl:
         service = SweepService()
         release = threading.Event()
         entered = threading.Event()
-        real_evaluate = service.evaluate_batch
+        real_evaluate = service.evaluate_groups
 
-        def blocking_evaluate(points):
+        def blocking_evaluate(groups):
             entered.set()
             release.wait(timeout=60)
-            return real_evaluate(points)
+            return real_evaluate(groups)
 
-        service.evaluate_batch = blocking_evaluate
+        service.evaluate_groups = blocking_evaluate
         handle = serve_in_thread(service, max_queue=1)
         try:
             payload = {"benchmark": BENCH, "densities": [1.0], "max_defects": 3}
@@ -582,7 +627,6 @@ class TestServeCli:
                 "--http-threads", "4",
                 "--drain-grace", "3.5",
                 "--store-dir", "/tmp/store",
-                "--cache-dir", "/tmp/cache",
                 "--epsilon", "1e-5",
             ]
         )
