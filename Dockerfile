@@ -21,6 +21,8 @@ EXPOSE 8000
 HEALTHCHECK --interval=10s --timeout=3s --start-period=15s --retries=3 \
     CMD ["python", "-c", "import urllib.request,sys; sys.exit(0 if urllib.request.urlopen('http://127.0.0.1:8000/healthz', timeout=2).status == 200 else 1)"]
 
-# SIGTERM (docker stop) triggers the server's graceful drain.
+# SIGTERM (docker stop) triggers the server's graceful drain.  The server
+# is one process: `--workers 2` sets two threads that build the structures
+# of a batch side by side.
 CMD ["repro", "serve", "--host", "0.0.0.0", "--port", "8000", \
      "--workers", "2", "--store-dir", "/data/store"]

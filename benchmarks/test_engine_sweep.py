@@ -12,11 +12,14 @@ the coded ROBDD at least back under that ordering's size.
 
 The third check is the acceptance bar of the batched probability engine: a
 *single-group* multi-model sweep (one structure, many defect models) on a
-pooled service must run at least 3x faster through the batched linearized
-pass than the per-point recursive-traversal route the service used before,
-with bit-for-bit identical results.  The measured timings are
+``workers=2`` service must run at least 3x faster through the batched
+linearized pass than the per-point recursive-traversal route the service
+used before, with bit-for-bit identical results.  The measured timings are
 also written to ``benchmarks/results/BENCH_sweep.json`` so CI can archive a
 perf record per run.
+
+The fan-out leg times cold multi-structure batches on fresh services,
+serial against ``workers=2`` build threads, and records ``fanout_speedup``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import time
 import pytest
 
 from repro.core.method import YieldAnalyzer
-from repro.engine.service import SweepPoint, SweepService
+from repro.engine import native
+from repro.engine.service import SweepService
 from repro.mdd.probability import probability_of_one_reference
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
@@ -114,16 +118,14 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
     ordering = OrderingSpec("w", "ml")
 
     # one shared diagram build: the service compiles it, the per-point
-    # baseline reads the same structure back from the service's LRU; the
-    # persistent worker pool is spawned up front, so both routes price pure
-    # evaluation — exactly the repeat-sweep regime the engine serves (the
-    # pooled service runs its held structure's pass in-process)
+    # baseline reads the same structure back from the service's LRU, so both
+    # routes price pure evaluation — exactly the repeat-sweep regime the
+    # engine serves (the service runs its held structure's pass in-process)
     from repro.engine.service import result_key, structure_key
 
     service = SweepService(ordering=ordering, epsilon=PAPER_EPSILON, workers=2)
     probe = factory(MULTI_MODEL_DENSITIES[0])
     service.evaluate(probe, max_defects=truncation)
-    service.ensure_workers()
     compiled = service._structures[structure_key(probe, truncation, ordering)]
 
     # ---- PR 1 per-point path: one recursive traversal per defect model, --- #
@@ -195,7 +197,6 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
     except OSError:  # pragma: no cover - reporting must never fail a benchmark
         pass
 
-    service.close()
     # structure built once (during the warm-up), never again for the sweep
     assert service.registry.counter("service.structures.built") == 1
     # the acceptance bar of the batched probability engine
@@ -274,220 +275,79 @@ def test_large_sweep_on_a_primed_serial_service():
     )
 
 
-#: Acceptance bar of the supervision layer: on a fault-free sweep the
-#: supervised dispatch (deadlines, watchdog polling, retry accounting) must
-#: cost at most 5% over the bare ``pool.map`` it replaced, plus a small
-#: absolute slack so sub-second runs are not failed by scheduler jitter.
-SUPERVISION_OVERHEAD = 0.05
-SUPERVISION_SLACK_SECONDS = 0.25
-SUPERVISION_ROUNDS = 4
+#: The cold batches of the fan-out leg: (benchmark, M) per structure group,
+#: 96 points each.
+FANOUT_LEGS = {
+    "2 structures": [("ESEN4x2", 5), ("MS4", 5)],
+    "4 structures": [("ESEN4x2", 5), ("MS4", 5), ("ESEN4x2", 4), ("MS4", 4)],
+    "6 structures": [("MS2", m) for m in (4, 6, 7, 8, 9, 10)],
+}
+FANOUT_DENSITIES = [0.25 + 0.05 * i for i in range(96)]
+FANOUT_ROUNDS = 7
 
 
-def test_supervised_dispatch_overhead_within_bound(monkeypatch, tmp_path):
-    """Fault-free supervision must stay within 5% of bare pool.map dispatch.
+def test_fan_out_against_serial_on_cold_batches():
+    """Build threads against serial on cold multi-structure batches.
 
-    Each timed sweep covers two structure groups (M = 4 and 5) and starts
-    from empty parent LRUs, so both groups go to the pool as whole-group
-    jobs; the workers resolve them from their own LRU or the store.
-    """
-    from repro.engine import supervise
-    from repro.engine.supervise import ShardSupervisor
-
-    factory = _factory(MULTI_MODEL_BENCHMARK)
-    points = [
-        SweepPoint(factory(mean), max_defects=truncation)
-        for truncation in (MULTI_MODEL_MAX_DEFECTS - 1, MULTI_MODEL_MAX_DEFECTS)
-        for mean in MULTI_MODEL_DENSITIES
-    ]
-    service = SweepService(
-        ordering=OrderingSpec("w", "ml"),
-        epsilon=PAPER_EPSILON,
-        workers=2,
-        store_dir=str(tmp_path / "store"),
-    )
-    try:
-        if service.ensure_workers() is None:
-            pytest.skip("platform cannot spawn worker processes")
-
-        def timed_sweep():
-            service.clear()  # both groups unheld: two pool jobs
-            batches = service.registry.counter("service.batches.parallel")
-            started = time.perf_counter()
-            results = service.evaluate_batch(points)
-            seconds = time.perf_counter() - started
-            assert service.registry.counter("service.batches.parallel") == batches + 1
-            return seconds, [result.yield_estimate for result in results]
-
-        # warm-ups so the store and the workers' structure caches are hot
-        # for both routes; interleave the routes (swapping who goes first
-        # each round) and compare per-route *minima* — timing noise on a
-        # quarter-second sweep is strictly additive, so the minimum is the
-        # robust estimator of each route's true cost
-        timed_sweep()
-        timed_sweep()
-        supervised, baseline = [], []
-        reference = None
-        for round_index in range(SUPERVISION_ROUNDS):
-            pair = []
-            for patched in (round_index % 2 == 0, round_index % 2 == 1):
-                with monkeypatch.context() as patch:
-                    if patched:
-                        patch.setattr(
-                            ShardSupervisor,
-                            "dispatch",
-                            supervise.unsupervised_dispatch,
-                        )
-                    seconds, rows = timed_sweep()
-                if reference is None:
-                    reference = rows
-                assert rows == reference  # bit-for-bit across routes, rounds
-                pair.append((patched, seconds))
-            for patched, seconds in pair:
-                (baseline if patched else supervised).append(seconds)
-
-        supervised_seconds = min(supervised)
-        baseline_seconds = min(baseline)
-        overhead = supervised_seconds / max(baseline_seconds, 1e-9) - 1.0
-
-        # span breakdown of one traced supervised re-run, archived with the
-        # timings so a regression can be pinned to the dispatch span
-        _, supervise_spans = span_breakdown(timed_sweep)
-
-        print_table(
-            "Supervised vs bare dispatch — %s, %d models, %d rounds"
-            % (MULTI_MODEL_BENCHMARK, len(points), SUPERVISION_ROUNDS),
-            ("route", "best time (s)", "overhead"),
-            [
-                ("bare pool.map", round(baseline_seconds, 4), "baseline"),
-                (
-                    "supervised dispatch",
-                    round(supervised_seconds, 4),
-                    "%+.1f%%" % (overhead * 100.0),
-                ),
-            ],
-        )
-
-        record = {
-            "benchmark": MULTI_MODEL_BENCHMARK,
-            "rounds": SUPERVISION_ROUNDS,
-            "supervised_seconds": supervised,
-            "baseline_seconds": baseline,
-            "best_supervised_seconds": supervised_seconds,
-            "best_baseline_seconds": baseline_seconds,
-            "overhead_fraction": overhead,
-            "spans": supervise_spans,
-            "fault_counters": service.registry.counters_with_prefix("fault."),
-            "retry_counters": service.registry.counters_with_prefix("retry."),
-        }
-        _merge_into_sweep_record(supervision=record)
-
-        # a clean sweep must not trip the fault machinery at all
-        assert service.registry.counter("fault.quarantined") == 0
-        assert service.registry.counter("fault.shard_timeout") == 0
-        # the acceptance bar: <= 5% supervision overhead (plus jitter slack)
-        assert supervised_seconds <= (
-            baseline_seconds * (1.0 + SUPERVISION_OVERHEAD)
-            + SUPERVISION_SLACK_SECONDS
-        )
-    finally:
-        service.close()
-
-
-#: Point counts and timed rounds of the pool-vs-serial ratio.
-POOL_VS_SERIAL_POINTS = (96, 960, 4800)
-POOL_VS_SERIAL_ROUNDS = 25
-
-
-def test_default_pool_against_serial_in_process(tmp_path):
-    """A default-configured pool must not be slower than serial in-process.
-
-    Both services are primed (structure held, pool spawned); every round
-    sweeps fresh densities through both, alternating which goes first, and
-    the best of the rounds is kept per route and point count.
-    ``pool_vs_serial`` is the smallest best-serial / best-pool ratio over
-    the point counts.
+    Every round sweeps each leg's batch on a fresh serial service and a
+    fresh ``SweepService(workers=2)``, alternating which goes first, after
+    one warm-up round; the rows must agree bit for bit and every
+    ``workers=2`` batch must fan out.  ``fanout_speedup`` is the smallest
+    best-serial / best-``workers=2`` time ratio over the legs.
     """
     import gc
-    import random
+    import statistics
 
-    factory = _factory(MULTI_MODEL_BENCHMARK)
-    truncation = MULTI_MODEL_MAX_DEFECTS
-    ordering = OrderingSpec("w", "ml")
-    draw = random.Random(17)
-    routes = {
-        "serial": SweepService(ordering=ordering, epsilon=PAPER_EPSILON),
-        "pool": SweepService(
-            ordering=ordering,
-            epsilon=PAPER_EPSILON,
-            workers=2,
-            store_dir=str(tmp_path / "store"),
-        ),
-    }
-    pool = routes["pool"]
-    try:
-        if pool.ensure_workers() is None:
-            pytest.skip("platform cannot spawn worker processes")
-
-        def sweep_round(points, order):
-            densities = [draw.uniform(0.25, 5.0) for _ in range(points)]
-            seconds, rows = {}, {}
-            for route in order:
-                service = routes[route]
-                service._results.clear()
+    legs = {}
+    for leg, structures in FANOUT_LEGS.items():
+        problems, truncations = [], []
+        for name, truncation in structures:
+            problems += [benchmark_problem(name, mean_defects=m) for m in FANOUT_DENSITIES]
+            truncations += [truncation] * len(FANOUT_DENSITIES)
+        seconds = {0: [], 2: []}
+        reference = None
+        for round_index in range(FANOUT_ROUNDS + 1):
+            for workers in (0, 2) if round_index % 2 == 0 else (2, 0):
+                service = SweepService(workers=workers)
                 gc.collect()
                 started = time.perf_counter()
-                rows[route] = service.density_sweep(
-                    factory, densities, max_defects=truncation
+                failed = service.sweep(problems, truncations).failed
+                elapsed = time.perf_counter() - started
+                reference = failed if reference is None else reference
+                assert failed == reference  # bit for bit
+                assert service.registry.counter("service.batches.parallel") == (
+                    1 if workers else 0
                 )
-                seconds[route] = time.perf_counter() - started
-            assert rows["pool"] == rows["serial"]  # bit for bit
-            return seconds
-
-        for points in POOL_VS_SERIAL_POINTS:
-            sweep_round(points, ("serial", "pool"))
-        best = {points: {} for points in POOL_VS_SERIAL_POINTS}
-        for round_index in range(POOL_VS_SERIAL_ROUNDS):
-            order = ("serial", "pool") if round_index % 2 == 0 else ("pool", "serial")
-            for points in POOL_VS_SERIAL_POINTS:
-                for route, seconds in sweep_round(points, order).items():
-                    best[points][route] = min(best[points].get(route, seconds), seconds)
-    finally:
-        pool.close()
-
-    by_points = {
-        str(points): {
-            "serial_seconds": times["serial"],
-            "pool_seconds": times["pool"],
-            "ratio": times["serial"] / times["pool"],
+                if round_index:  # the first round is a warm-up
+                    seconds[workers].append(elapsed)
+        legs[leg] = {
+            "structures": len(structures),
+            "serial_seconds": seconds[0],
+            "workers2_seconds": seconds[2],
+            "serial_median": statistics.median(seconds[0]),
+            "workers2_median": statistics.median(seconds[2]),
+            "ratio": min(seconds[0]) / min(seconds[2]),
         }
-        for points, times in best.items()
-    }
-    pool_vs_serial = min(entry["ratio"] for entry in by_points.values())
-    routed = {
-        name: pool.registry.counter(name)
-        for name in ("dispatch.groups_in_process", "service.batches.parallel")
-    }
+    # without the native library the gate loop holds the GIL and the
+    # threads build one structure at a time: no speed claim, no ratio
+    fanout_speedup = (
+        min(entry["ratio"] for entry in legs.values()) if native.available() else None
+    )
     print_table(
-        "Default pool vs serial in-process — %s M=%d, best of %d"
-        % (MULTI_MODEL_BENCHMARK, truncation, POOL_VS_SERIAL_ROUNDS),
-        ("points", "serial (s)", "pool (s)", "serial / pool"),
+        "Build threads vs serial, cold batches of %d points per structure, "
+        "%d rounds" % (len(FANOUT_DENSITIES), FANOUT_ROUNDS),
+        ("batch", "serial median (ms)", "workers=2 median (ms)", "best serial / best workers=2"),
         [
             (
-                points,
-                round(entry["serial_seconds"], 4),
-                round(entry["pool_seconds"], 4),
+                leg,
+                round(1e3 * entry["serial_median"], 1),
+                round(1e3 * entry["workers2_median"], 1),
                 "%.2f" % entry["ratio"],
             )
-            for points, entry in by_points.items()
+            for leg, entry in legs.items()
         ],
     )
-    _merge_into_sweep_record(
-        pool_vs_serial=pool_vs_serial,
-        pool_vs_serial_by_points=by_points,
-        pool_routes=routed,
-    )
-    # every timed pool sweep ran on its held structure, in-process
-    assert routed["service.batches.parallel"] == 0
+    _merge_into_sweep_record(fanout_speedup=fanout_speedup, fanout_legs=legs)
 
 
 def test_sifting_recovers_from_worst_static_ordering():

@@ -154,6 +154,5 @@ def test_analytic_importance_beats_finite_differences(benchmark):
     except OSError:  # pragma: no cover - reporting must never fail a benchmark
         pass
 
-    service.close()
     # the acceptance bar of the analytic importance engine
     assert speedup >= 3.0

@@ -27,8 +27,8 @@ in :data:`GATED_KEYS`.  A measured ratio may dip up to ``--tolerance``
 past that exits non-zero with a per-metric verdict table.  Ratios are
 gated rather than raw seconds so the gate is stable across runner
 hardware.  Missing records or metrics — a benchmark that did not run, or
-``native_speedup``/``build_speedup``/``romdd_speedup: null`` on a host
-without a C compiler — only warn: the
+``native_speedup``/``build_speedup``/``romdd_speedup``/``fanout_speedup:
+null`` on a host without a C compiler — only warn: the
 gate must not fail hosts where an optional backend is legitimately
 unavailable.
 """
@@ -45,8 +45,8 @@ import sys
 _SKIP_KEYS = {"benchmark", "numpy_path_available", "native_available"}
 
 #: Higher-is-better ratio metrics the ``--gate`` mode enforces floors on.
-#: All are dimensionless (speedup over an in-run reference, a default
-#: worker pool against serial in-process sweeps), so a committed floor
+#: All are dimensionless (speedup over an in-run reference, build threads
+#: against serial on cold multi-structure batches), so a committed floor
 #: transfers between machines; absolute seconds deliberately stay
 #: trend-only.
 GATED_KEYS = (
@@ -55,7 +55,7 @@ GATED_KEYS = (
     "build_speedup",
     "romdd_speedup",
     "speedup",
-    "pool_vs_serial",
+    "fanout_speedup",
 )
 
 

@@ -188,34 +188,31 @@ def _verify(args, sweep_responses, importance_responses):
     from repro.soc import benchmark_problem
 
     service = SweepService()
-    try:
-        points = [
-            SweepPoint(
-                benchmark_problem(
-                    args.benchmark, mean_defects=mean, clustering=args.clustering
-                ),
-                max_defects=args.max_defects,
-            )
-            for mean in args.densities
-        ]
-        expected = [
-            (result.yield_estimate, result.error_bound, result.truncation)
-            for result in service.evaluate_batch(points)
-        ]
-        importance_point = SweepPoint(
+    points = [
+        SweepPoint(
             benchmark_problem(
-                args.benchmark,
-                mean_defects=args.importance_mean,
-                clustering=args.clustering,
+                args.benchmark, mean_defects=mean, clustering=args.clustering
             ),
             max_defects=args.max_defects,
         )
-        gradients = service.gradient_batch([importance_point])[0]
-        expected_ranking = [
-            (name, value) for name, value in gradients.ranking()
-        ]
-    finally:
-        service.close()
+        for mean in args.densities
+    ]
+    expected = [
+        (result.yield_estimate, result.error_bound, result.truncation)
+        for result in service.evaluate_batch(points)
+    ]
+    importance_point = SweepPoint(
+        benchmark_problem(
+            args.benchmark,
+            mean_defects=args.importance_mean,
+            clustering=args.clustering,
+        ),
+        max_defects=args.max_defects,
+    )
+    gradients = service.gradient_batch([importance_point])[0]
+    expected_ranking = [
+        (name, value) for name, value in gradients.ranking()
+    ]
 
     mismatches = 0
     for response in sweep_responses:
@@ -261,7 +258,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    service = handle = None
+    handle = None
     if args.base_url is None:
         from repro.engine.service import SweepService
         from repro.server import serve_in_thread
@@ -282,8 +279,6 @@ def main(argv=None):
     finally:
         if handle is not None:
             handle.stop()
-        if service is not None:
-            service.close()
 
 
 def _run_burst(args):

@@ -14,7 +14,7 @@ the paper's defect model:
   re-evaluating perturbed problems — but through the engine's
   :class:`~repro.engine.service.SweepService`, which evaluates all perturbed
   models of a structure group in **one** batched linearized pass (and can
-  fan groups out over workers) instead of one full sweep per component.
+  build the structures on threads) instead of one full sweep per component.
 * **yield sensitivity** — the derivative of the yield with respect to a
   relative change of a component's defect probability ``P_i``, useful for
   area/yield trade-off studies where a component's footprint grows or
@@ -101,11 +101,11 @@ def _service_for(
     ordering: Optional[OrderingSpec],
     epsilon: float,
     workers: int,
-) -> Tuple[SweepService, bool]:
-    """Return ``(service, owned)`` — an ephemeral service when none is given."""
+) -> SweepService:
+    """Return ``service``, or an ephemeral service when none is given."""
     if service is not None:
-        return service, False
-    return SweepService(ordering=ordering, epsilon=epsilon, workers=workers), True
+        return service
+    return SweepService(ordering=ordering, epsilon=epsilon, workers=workers)
 
 
 def _yields(
@@ -133,18 +133,14 @@ def _batched_gains(
 
     Evaluates the baseline plus one perturbed problem per ``(label, scale)``
     pair through the sweep service — all models of a structure group in one
-    linearized pass, optionally fanned out over ``workers`` processes — and
+    linearized pass, the structures built on up to ``workers`` threads — and
     returns ``[(label, gain), ...]`` sorted by decreasing gain.
     """
     perturbed = [
         _perturbed_problem(problem, scale) for _, scale in labeled_scales
     ]
-    service, owned = _service_for(service, ordering, epsilon, workers)
-    try:
-        yields = _yields(service, [problem] + perturbed, max_defects, epsilon)
-    finally:
-        if owned:
-            service.close()
+    service = _service_for(service, ordering, epsilon, workers)
+    yields = _yields(service, [problem] + perturbed, max_defects, epsilon)
     baseline = yields[0]
     ranking = [
         (label, estimate - baseline)
@@ -175,7 +171,7 @@ def hardening_potential(
     from the lethality ``P_L``), so this measure re-evaluates perturbed
     problems; the evaluation is batched through the sweep service — all
     perturbed defect models that share a structure run in one linearized
-    pass, optionally fanned out over ``workers`` processes.
+    pass, the structures built on up to ``workers`` threads.
     """
     epsilon = _validated_epsilon(epsilon)
     names = list(components) if components is not None else list(problem.component_names)
@@ -231,30 +227,26 @@ def yield_sensitivity(
                 "P_i * (1 - step) to zero or below" % (relative_step,)
             )
     names = list(components) if components is not None else list(problem.component_names)
-    service, owned = _service_for(service, ordering, epsilon, workers)
-    try:
-        if method == "analytic":
-            gradients = service.gradients(
-                problem, max_defects=max_defects, epsilon=epsilon
-            )
-            unknown = [name for name in names if name not in gradients.sensitivity]
-            if unknown:
-                raise KeyError("unknown component %r" % (unknown[0],))
-            ranking = [(name, gradients.sensitivity[name]) for name in names]
-        else:
-            perturbed = [
-                _perturbed_problem(problem, {name: factor})
-                for name in names
-                for factor in (1.0 + relative_step, 1.0 - relative_step)
-            ]
-            yields = _yields(service, perturbed, max_defects, epsilon)
-            ranking = [
-                (name, (yields[2 * index] - yields[2 * index + 1]) / (2.0 * relative_step))
-                for index, name in enumerate(names)
-            ]
-    finally:
-        if owned:
-            service.close()
+    service = _service_for(service, ordering, epsilon, workers)
+    if method == "analytic":
+        gradients = service.gradients(
+            problem, max_defects=max_defects, epsilon=epsilon
+        )
+        unknown = [name for name in names if name not in gradients.sensitivity]
+        if unknown:
+            raise KeyError("unknown component %r" % (unknown[0],))
+        ranking = [(name, gradients.sensitivity[name]) for name in names]
+    else:
+        perturbed = [
+            _perturbed_problem(problem, {name: factor})
+            for name in names
+            for factor in (1.0 + relative_step, 1.0 - relative_step)
+        ]
+        yields = _yields(service, perturbed, max_defects, epsilon)
+        ranking = [
+            (name, (yields[2 * index] - yields[2 * index + 1]) / (2.0 * relative_step))
+            for index, name in enumerate(names)
+        ]
     ranking.sort(key=lambda item: item[1])
     return ranking
 

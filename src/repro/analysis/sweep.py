@@ -9,7 +9,7 @@ Both routes go through the engine's :class:`repro.engine.service.SweepService`
 so that points sharing a diagram structure (same fault tree, truncation and
 ordering) are served by a single build and one kernel pass; pass your own
 service instance to share its structure/result caches across calls or to
-enable the ``multiprocessing`` fan-out and the structure store.
+enable build threads and the structure store.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def defect_density_sweep(
     diagram build, and all of a build's defect models are evaluated in one
     batched bottom-up pass.  ``epsilon`` defaults to the service's configured
     budget (1e-4 for a fresh service); passing it explicitly overrides per
-    point.  ``workers`` configures the multiprocessing fan-out of structure
-    builds (ignored when an explicit ``service`` is supplied).
+    point.  ``workers`` is the number of build threads of the service
+    (ignored when an explicit ``service`` is supplied).
     """
     if service is None:
         service = SweepService(

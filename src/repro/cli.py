@@ -10,18 +10,18 @@ Python:
 * ``sweep NAME``        — evaluate a defect-density sweep through the
   engine's batch service: one diagram build per truncation level, all defect
   models of a build evaluated in a single batched kernel pass, optional
-  ``--workers``/``--jobs`` fan-out of structure builds (one whole group
-  per pool job), a ``--store-dir`` structure store and ``--stats`` engine
-  diagnostics;
+  ``--workers``/``--jobs`` build threads (the structures of a batch that
+  the service does not hold build side by side), a ``--store-dir``
+  structure store and ``--stats`` engine diagnostics;
 * ``importance NAME``   — rank the components of a benchmark by yield
   sensitivity (analytic reverse-mode gradients over the linearized ROMDD,
   or ``--fd`` for the legacy central finite difference) and by hardening
   potential (immune-component perturbations, batched through the sweep
-  service with optional ``--jobs`` fan-out);
+  service with optional ``--jobs`` build threads);
 * ``cache``             — inspect and manage the persistent structure store
   (``ls``/``info``/``warm``/``clear``): compiled decision-diagram
-  structures serialized under ``--store-dir`` so later processes (and
-  pool workers) warm-start from disk instead of rebuilding;
+  structures serialized under ``--store-dir`` so later processes
+  warm-start from disk instead of rebuilding;
 * ``serve``             — long-lived asyncio HTTP front end over one shared
   sweep service (:mod:`repro.server`): JSON sweep/importance endpoints with
   per-structure-key request coalescing, NDJSON streaming, bounded admission
@@ -48,7 +48,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import closing
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -61,6 +60,12 @@ from .faulttree.parser import FaultTreeParseError, load
 from .ordering import OrderingSpec
 from .ordering.grouped import OrderingError
 from .soc import BENCHMARK_NAMES, benchmark_problem
+
+#: Help text of ``--workers``/``--jobs`` on ``sweep``, ``importance`` and ``serve``.
+WORKERS_HELP = (
+    "build the structures of a batch that are not in memory on N threads "
+    "(0 or 1: one at a time); every pass runs in this process"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,35 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="build (and evaluate) unheld structure groups in N worker processes",
+        help=WORKERS_HELP,
     )
     sweep.add_argument(
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="persist compiled structures under DIR: later processes (and "
-        "pool workers) warm-start from disk instead of rebuilding",
-    )
-    sweep.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retry a failed pool job up to N times (with exponential "
-        "backoff) before the parent evaluates it itself (default 2)",
-    )
-    sweep.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="deadline of one pool job, doubled on each timeout (default 60)",
+        help="persist compiled structures under DIR: later processes "
+        "warm-start from disk instead of rebuilding",
     )
     sweep.add_argument(
         "--stats",
         action="store_true",
         help="print engine statistics (cache hits, linearization reuse, "
-        "kernel passes, fault/retry counters, phase times)",
+        "kernel passes, store and fault counters, phase times)",
     )
     _add_telemetry_options(sweep)
 
@@ -209,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="evaluate perturbed structure groups in N processes",
+        help=WORKERS_HELP,
     )
     importance.add_argument(
         "--store-dir",
@@ -308,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="build (and evaluate) unheld structure groups in N worker processes",
+        help=WORKERS_HELP,
     )
     serve.add_argument(
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="persist compiled structures under DIR: restarts (and pool "
-        "workers) warm-start from disk instead of rebuilding",
+        help="persist compiled structures under DIR: restarts warm-start "
+        "from disk instead of rebuilding",
     )
     serve.add_argument(
         "--max-queue",
@@ -540,18 +530,14 @@ def _run_sweep(args) -> int:
             epsilon=args.epsilon,
             workers=args.workers,
             store_dir=args.store_dir,
-            max_retries=args.max_retries,
-            shard_timeout=args.shard_timeout,
         )
         started = time.perf_counter()
-        # the worker pool's teardown belongs to the command: close it
-        # inside the root span
         with obs_trace.span(
             "cli.sweep",
             started=args.started,
             benchmark=args.name,
             points=len(args.densities),
-        ), closing(service):
+        ):
             rows = service.density_sweep(
                 lambda mean: benchmark_problem(
                     args.name, mean_defects=mean, clustering=args.clustering
@@ -641,7 +627,6 @@ def _run_importance(args) -> int:
     except KeyError as exc:
         print("error: %s" % exc.args[0], file=sys.stderr)
         return 2
-    service = None
     tracer = obs_trace.start() if args.trace else None
     try:
         service = SweepService(
@@ -657,7 +642,7 @@ def _run_importance(args) -> int:
             started=args.started,
             benchmark=args.name,
             measure=args.measure,
-        ), closing(service):
+        ):
             if args.measure in ("sensitivity", "both"):
                 sensitivity = yield_sensitivity(
                     problem,
@@ -706,8 +691,6 @@ def _run_importance(args) -> int:
     finally:
         if tracer is not None:
             obs_trace.stop()
-        if service is not None:
-            service.close()
     print(
         "Component importance for %s (C=%d, mean defects %g)"
         % (problem.name, problem.num_components, args.mean_defects)
@@ -758,8 +741,6 @@ def _run_serve(args) -> int:
             % (server.host, server.port, args.workers, args.max_queue),
             flush=True,
         )
-        if args.workers > 1:
-            service.ensure_workers()
         await server.serve_forever()
 
     try:
@@ -771,8 +752,6 @@ def _run_serve(args) -> int:
         print("error: cannot listen on %s:%d: %s" % (args.host, args.port, exc),
               file=sys.stderr)
         return 2
-    finally:
-        service.close()
     print("repro serve: drained, bye")
     return 0
 

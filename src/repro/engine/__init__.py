@@ -28,33 +28,22 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
 * :mod:`repro.engine.service` — the batch evaluation service: group a
   request once per (structure, truncation, ordering), build each decision
   diagram once, evaluate all of a group's defect models in one batched
-  pass as a probability column, fan the groups whose structure it does
-  not hold out over an optional ``multiprocessing`` pool (one whole group
-  per job, the worker builds or loads the structure), and keep a keyed
-  result cache of probabilities;
+  pass as a probability column, resolve the structures of a batch that it
+  does not hold on an optional per-batch thread pool (``workers``), and
+  keep a keyed result cache of probabilities;
 * :mod:`repro.engine.store` — the persistent structure store: compiled
   structures serialized to a versioned on-disk format (content-addressed
   per-array ``.npy`` files plus JSON metadata, memory-mappable) so cold
-  processes and pool workers warm-start from disk instead of rebuilding
-  the diagrams.  Corrupt entries are detected, quarantined and rebuilt
-  (``verify_all`` / ``repro cache verify``);
-* :mod:`repro.engine.supervise` — fault-tolerant pool dispatch: fixed
-  per-job deadlines, a worker death watch with pool respawn, bounded
-  retries with deterministic backoff, and quarantine of exhausted jobs to
-  in-parent evaluation;
+  processes warm-start from disk instead of rebuilding the diagrams.
+  Corrupt entries are detected, quarantined and rebuilt (``verify_all`` /
+  ``repro cache verify``);
 * :mod:`repro.engine.faults` — the deterministic fault-injection harness
   (``REPRO_FAULT_PLAN`` / ``SweepService(fault_plan=...)``) that the
-  supervision layer is tested against.
+  store's verify-and-quarantine path is tested against.
 """
 
-from .batch import (
-    BatchEvalError,
-    DeadlineExceeded,
-    FusedSchedule,
-    LinearizedDiagram,
-    shard_deadline,
-)
-from .faults import FaultPlan, InjectedFault
+from .batch import BatchEvalError, FusedSchedule, LinearizedDiagram
+from .faults import FaultPlan
 from .kernel import (
     BoundedComputedTable,
     CacheStats,
@@ -65,25 +54,18 @@ from .kernel import (
 from .reorder import ReorderStats, sift, sift_grouped, sift_to_convergence
 from .service import SweepPoint, SweepService
 from .store import StoreEntry, StoreError, StructureStore
-from .supervise import Backoff, ShardJob, ShardSupervisor
 
 __all__ = [
-    "Backoff",
     "BatchEvalError",
     "BoundedComputedTable",
     "CacheStats",
     "DDKernel",
-    "DeadlineExceeded",
     "FaultPlan",
     "FusedSchedule",
-    "InjectedFault",
     "KernelStats",
     "LinearizedDiagram",
     "ReorderStats",
-    "ShardJob",
-    "ShardSupervisor",
     "recursion_guard",
-    "shard_deadline",
     "sift",
     "sift_grouped",
     "sift_to_convergence",

@@ -52,14 +52,11 @@ oracle both kernels are pinned to.  The arrays depend only on the diagram
 structure, so one linearization serves every sweep point of a structure
 group (see :meth:`repro.core.method.CompiledYield.linearized`), and the
 fused arrays are exactly what :mod:`repro.engine.store` persists and what
-pool workers consume zero-copy through ``mmap``.
+a warm-started process consumes zero-copy through ``mmap``.
 """
 
 from __future__ import annotations
 
-import threading as _threading
-import time as _time
-from contextlib import contextmanager as _contextmanager
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -74,42 +71,6 @@ _FUSED_BLOCK_CELLS = 49152
 
 class BatchEvalError(ValueError):
     """Raised on invalid batched-evaluation requests."""
-
-
-class DeadlineExceeded(RuntimeError):
-    """Raised when a pass outlives the shard deadline of the dispatch layer."""
-
-
-#: Thread-local shard deadline (absolute epoch seconds, or None).  Epoch
-#: time, not a monotonic clock, so a deadline computed in the parent can
-#: ride a shard payload into a worker process and stay comparable there.
-_SHARD_DEADLINE = _threading.local()
-
-
-@_contextmanager
-def shard_deadline(deadline: Optional[float]):
-    """Install an absolute (epoch-seconds) pass deadline for this thread.
-
-    The supervised dispatch wraps each worker-side shard evaluation in
-    this context; :func:`check_deadline` then aborts passes that outlive
-    it — a shard that sat queued behind a hung sibling past its deadline
-    fails fast with :class:`DeadlineExceeded` instead of wasting a full
-    evaluation the parent has already given up on.  ``None`` disables the
-    checks (their cost is then a single thread-local read per pass).
-    """
-    previous = getattr(_SHARD_DEADLINE, "value", None)
-    _SHARD_DEADLINE.value = deadline
-    try:
-        yield
-    finally:
-        _SHARD_DEADLINE.value = previous
-
-
-def check_deadline() -> None:
-    """Raise :class:`DeadlineExceeded` once the installed deadline passed."""
-    deadline = getattr(_SHARD_DEADLINE, "value", None)
-    if deadline is not None and _time.time() > deadline:
-        raise DeadlineExceeded("shard deadline exceeded mid-pass")
 
 
 class FusedSchedule:
@@ -455,7 +416,6 @@ class LinearizedDiagram:
         if self.root_slot <= 1:
             value = float(self.root_slot)
             return [value] * num_models
-        check_deadline()
         columns = self._columns(level_columns, num_models)
         kernel = self._resolve(kernel)
         self.models_evaluated += num_models
@@ -509,7 +469,6 @@ class LinearizedDiagram:
         if self.root_slot <= 1:
             value = float(self.root_slot)
             return [value] * num_models, {}
-        check_deadline()
         columns = self._columns(level_columns, num_models)
         kernel = self._resolve(kernel)
         self.gradient_passes += 1

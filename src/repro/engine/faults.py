@@ -1,26 +1,16 @@
-"""Deterministic fault injection for the pool dispatch and store layers.
+"""Deterministic fault injection for the structure store.
 
 The paper studies defect tolerance; this module lets the engine study its
 own.  A :class:`FaultPlan` names *sites* — well-known places in the
-dispatch and store code paths — and, per site, the exact occurrence
-numbers on which the fault fires.  Because firing is driven by a
-per-process occurrence counter (not by timing or randomness), a plan
-reproduces the same fault sequence on every run, which is what lets
-``tests/engine/test_faults.py`` assert that every fault class still
-yields **bit-for-bit identical** sweep results.
+engine's code paths — and, per site, the exact occurrence numbers on
+which the fault fires.  Because firing is driven by an occurrence counter
+(not by timing or randomness), a plan reproduces the same fault sequence
+on every run, which is what lets ``tests/engine/test_faults.py`` assert
+that a fault still yields **bit-for-bit identical** sweep results.
 
 Sites
 -----
 
-``worker.kill``
-    Fired in the worker entry point, before a pool job is evaluated: the
-    worker SIGKILLs itself (a crash the supervision layer must absorb).
-``worker.hang``
-    Fired at the same point: the worker sleeps (``delay`` seconds,
-    default 30), past its deadline unless the job has a long one.
-``shard.unpickle``
-    Fired while the worker unpickles its job payload: raises
-    :class:`InjectedFault`, modelling a corrupt or version-skewed payload.
 ``store.corrupt``
     Fired in :meth:`repro.engine.store.StructureStore.load_digest` before
     an entry is read: the store *truncates one of the entry's array
@@ -34,22 +24,14 @@ Plans have three scopes, consulted in this order by :func:`active`:
 
 * **thread-scoped** — ``with faults.scoped(plan):`` activates a plan for
   the calling thread only.  This is how ``SweepService(fault_plan=...)``
-  isolates its plan: every service wraps its own evaluation paths in a
-  scope, so two services in one process (or many server threads sharing
-  one process) never see each other's plans, and closing a service
-  leaves no global state behind.
+  isolates its plan: every service wraps its own evaluation paths (and
+  its fan-out threads) in a scope, so two services in one process (or
+  many server threads sharing one process) never see each other's plans.
 * **process-global** — :func:`install` (kept for tests and tools that
   deliberately want process-wide injection).
 * **environment** — the ``REPRO_FAULT_PLAN`` variable (a JSON spec,
   read lazily on first use — this is how the CI chaos job gets its
-  plan into every process).
-
-Worker pool members receive the owning service's plan through the pool
-initializer (:func:`install_worker_plan`): each worker installs a fresh
-copy with occurrence counters starting at zero — identical for every
-pool member, so the injection schedule stays deterministic per worker.
-Workers of a plan-less service install nothing and still resolve the
-environment variable lazily, exactly like any other process.
+  plan into the process).
 """
 
 from __future__ import annotations
@@ -57,20 +39,16 @@ from __future__ import annotations
 import json
 import logging
 import os
-import signal
 import threading
-import time
 from contextlib import contextmanager
 from typing import Dict, Optional
 
 __all__ = [
     "FaultPlan",
-    "InjectedFault",
     "active",
     "clear",
     "fire",
     "install",
-    "install_worker_plan",
     "note_suppressed",
     "scoped",
 ]
@@ -80,41 +58,19 @@ PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: The sites :func:`fire` accepts; unknown sites raise at plan build time
 #: so a typo in a test or chaos job cannot silently inject nothing.
-SITES = (
-    "worker.kill",
-    "worker.hang",
-    "shard.unpickle",
-    "store.corrupt",
-)
+SITES = ("store.corrupt",)
 
 _log = logging.getLogger("repro.engine.faults")
-
-
-class InjectedFault(RuntimeError):
-    """Raised by a firing injection site (never by real faults)."""
-
-    def __init__(self, site: str, occurrence: int):
-        super().__init__("injected fault at %s (occurrence %d)" % (site, occurrence))
-        self.site = site
-        self.occurrence = occurrence
-
-    def __reduce__(self):
-        # default exception pickling replays __init__ with ``self.args``
-        # (the formatted message), which does not match this signature —
-        # and a worker→parent result that cannot unpickle kills the pool's
-        # result-handler thread
-        return (InjectedFault, (self.site, self.occurrence))
 
 
 class _Rule:
     """When one site fires: explicit occurrence numbers and/or a period."""
 
-    __slots__ = ("at", "every", "delay")
+    __slots__ = ("at", "every")
 
-    def __init__(self, at=(), every=0, delay=None):
+    def __init__(self, at=(), every=0):
         self.at = frozenset(int(n) for n in at)
         self.every = int(every)
-        self.delay = None if delay is None else float(delay)
 
     def fires(self, occurrence: int) -> bool:
         if occurrence in self.at:
@@ -127,8 +83,6 @@ class _Rule:
             spec["at"] = sorted(self.at)
         if self.every:
             spec["every"] = self.every
-        if self.delay is not None:
-            spec["delay"] = self.delay
         return spec
 
 
@@ -136,17 +90,13 @@ class FaultPlan:
     """A deterministic schedule of injected faults, keyed by site.
 
     Build one from a spec mapping each site to either a single occurrence
-    number, a list of occurrence numbers, or a dict with any of ``at``
-    (list of 1-based occurrence numbers), ``every`` (fire on every N-th
-    occurrence) and ``delay`` (seconds, ``worker.hang`` only)::
+    number, a list of occurrence numbers, or a dict with ``at`` (list of
+    1-based occurrence numbers) and/or ``every`` (fire on every N-th
+    occurrence)::
 
-        FaultPlan.from_spec({
-            "worker.kill": 1,                       # first job of each worker
-            "store.corrupt": {"at": [2]},           # second store read
-            "worker.hang": {"at": [1], "delay": 3}, # sleep 3 s on first job
-        })
+        FaultPlan.from_spec({"store.corrupt": {"at": [2]}})  # second store read
 
-    Occurrence counters are per process and per site, starting at 1.
+    Occurrence counters are per plan and per site, starting at 1.
     """
 
     def __init__(self, rules: Dict[str, _Rule]):
@@ -166,11 +116,7 @@ class FaultPlan:
         rules = {}
         for site, value in spec.items():
             if isinstance(value, dict):
-                rules[site] = _Rule(
-                    at=value.get("at", ()),
-                    every=value.get("every", 0),
-                    delay=value.get("delay"),
-                )
+                rules[site] = _Rule(at=value.get("at", ()), every=value.get("every", 0))
             elif isinstance(value, (list, tuple)):
                 rules[site] = _Rule(at=value)
             else:
@@ -252,23 +198,6 @@ def scoped(plan: Optional[FaultPlan]):
         stack.pop()
 
 
-def install_worker_plan(text: Optional[str]) -> None:
-    """Pool-initializer: install the owning service's plan in a worker.
-
-    Runs once per pool member with the plan's JSON spec (or ``None``).
-    A fresh :class:`FaultPlan` is built per worker, so occurrence
-    counters start at zero in every member — the deterministic
-    per-worker schedule the fault suite relies on.  A malformed spec is
-    ignored rather than killing the pool at spawn time.
-    """
-    if not text:
-        return
-    try:
-        install(FaultPlan.from_json(text))
-    except (ValueError, TypeError):  # pragma: no cover - defensive
-        _log.warning("ignoring malformed worker fault plan %r", text)
-
-
 def active() -> Optional[FaultPlan]:
     """The effective plan: thread scope, then process, then the env var."""
     global _ACTIVE
@@ -286,14 +215,12 @@ def active() -> Optional[FaultPlan]:
 
 
 def fire(site: str, registry=None) -> bool:
-    """Evaluate one occurrence of ``site``; inject its fault if due.
+    """Count one occurrence of ``site``; return ``True`` when its fault is due.
 
-    Returns ``True`` when the site fired *and* the fault is one the caller
-    must act on itself (``store.corrupt``: the store damages its own
-    entry).  ``worker.kill`` never returns (SIGKILL); ``worker.hang``
-    sleeps, then returns ``False``; every other firing site raises
-    :class:`InjectedFault`.  When no plan is installed the cost is
-    one module read and one ``None`` check.
+    The caller injects the fault itself (``store.corrupt``: the store
+    damages its own entry).  A firing site counts ``fault.injected`` and
+    ``fault.injected.<site>`` in ``registry``.  When no plan is installed
+    the cost is one module read and one ``None`` check.
     """
     plan = active()
     if plan is None:
@@ -301,37 +228,23 @@ def fire(site: str, registry=None) -> bool:
     rule = plan.check(site)
     if rule is None:
         return False
-    occurrence = plan.occurrences(site)
     if registry is not None:
         registry.inc("fault.injected")
         registry.inc("fault.injected.%s" % site)
-    _log.debug("fault injection: %s fires (occurrence %d)", site, occurrence)
-    if site == "worker.kill":
-        os.kill(os.getpid(), signal.SIGKILL)  # never returns
-    if site == "worker.hang":
-        time.sleep(30.0 if rule.delay is None else rule.delay)
-        return False
-    if site == "store.corrupt":
-        return True
-    raise InjectedFault(site, occurrence)
+    _log.debug("fault injection: %s fires (occurrence %d)", site, plan.occurrences(site))
+    return True
 
 
 def note_suppressed(registry, where: str, exc: BaseException) -> None:
-    """Record a swallowed cleanup failure instead of silently passing.
+    """Record a swallowed failure instead of silently passing.
 
-    Best-effort teardown paths (pool terminate, pool join)
-    must never fail the sweep, but they also must not be invisible: every
-    suppressed exception becomes one ``fault.suppressed`` count (plus a
-    per-site ``fault.suppressed.<where>``) and a debug-level breadcrumb.
-    ``registry`` may be ``None`` (interpreter-shutdown paths).
+    Best-effort paths (saving a structure to the store) must never fail
+    the sweep, but they also must not be invisible: every suppressed
+    exception becomes one ``fault.suppressed`` count (plus a per-site
+    ``fault.suppressed.<where>``) and a debug-level breadcrumb.
+    ``registry`` may be ``None``.
     """
     if registry is not None:
-        try:
-            registry.inc("fault.suppressed")
-            registry.inc("fault.suppressed.%s" % where)
-        except Exception:  # registry torn down at interpreter exit
-            pass
-    try:
-        _log.debug("suppressed %s failure: %r", where, exc)
-    except Exception:
-        pass
+        registry.inc("fault.suppressed")
+        registry.inc("fault.suppressed.%s" % where)
+    _log.debug("suppressed %s failure: %r", where, exc)

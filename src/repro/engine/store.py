@@ -31,8 +31,8 @@ digest of the structure key::
 The arrays are the fused CSR schedule of :class:`repro.engine.batch` —
 written **uncompressed**, one plain ``.npy`` file per array, so loaders
 open them with ``numpy.load(..., mmap_mode="r")``: no decompression, no
-copy, and on fork-capable platforms every worker process shares the same
-page-cache pages.  A diagram whose root is a terminal writes empty
+copy, and every process that maps an entry shares the same page-cache
+pages.  A diagram whose root is a terminal writes empty
 arrays.  Entries of any other version (such as v1, per-layer arrays in
 one compressed ``.npz``) load as misses and are rebuilt.
 
@@ -283,7 +283,7 @@ class StructureStore:
         """Return ``(restored CompiledYield, entry bytes)`` or ``None``.
 
         With ``mmap=True`` (what :class:`repro.engine.service.SweepService`
-        and its pool workers pass) the v2 fused arrays are opened with
+        passes) the v2 fused arrays are opened with
         ``mmap_mode="r"`` — no copies, and the OS page cache is shared
         across every process mapping the same entry.  Any corruption,
         version skew or digest mismatch loads as a miss (the structural

@@ -8,9 +8,7 @@ Two small, dependency-free facilities:
   (``kernel.evaluate``, ``kernel.backward``) carries its kernel, models and
   nodes, and a ``store.load`` span its bytes and whether it memory-mapped;
 * :mod:`repro.obs.metrics` — a namespaced registry of counters, gauges and
-  histograms with ``snapshot()``/``merge_snapshot()`` and Prometheus-style
-  text exposition.  Worker processes record into their own registry and
-  ship the snapshot back piggybacked on their job results.
+  histograms with ``snapshot()`` and Prometheus-style text exposition.
 
 Tracing is off by default, and the disabled path costs a single
 module-attribute check.

@@ -9,31 +9,23 @@ One registry instance holds every engine metric behind dotted names
 * **histograms** record observation count/sum/min/max plus fixed
   log-spaced latency buckets (``observe``).
 
-``snapshot()`` returns a plain-dict view that pickles cheaply, so worker
-processes can record into a private registry and ship the snapshot back
-piggybacked on their job result; the parent folds it in with
-``merge_snapshot()``.  ``expose_text()`` renders the Prometheus text
-exposition format for ``--metrics FILE``.
+``snapshot()`` returns a plain-dict view of the whole registry, and
+``expose_text()`` renders the Prometheus text exposition format for
+``--metrics FILE``.
 
 Readers go by these names too: ``registry.counter("store.hits")`` is the
 one way to read a counter, and ``snapshot()`` reads them all.
 
-The fault-tolerance layer (:mod:`repro.engine.supervise` /
-:mod:`repro.engine.faults`) publishes into three reserved namespaces:
+The structure store and the fault harness (:mod:`repro.engine.store` /
+:mod:`repro.engine.faults`) publish into the reserved ``fault.*``
+namespace: ``fault.store_corrupt``, ``fault.store_quarantined``,
+``fault.injected[.<site>]`` (deterministic injections) and
+``fault.suppressed[.<site>]`` (swallowed best-effort failures).
 
-* ``fault.*`` — counters, one per fault class and transition:
-  ``fault.worker_lost``, ``fault.shard_timeout``, ``fault.shard_error``,
-  ``fault.store_corrupt``, ``fault.store_quarantined``,
-  ``fault.quarantined`` (pool jobs routed to in-parent evaluation),
-  ``fault.pool_wedged``, ``fault.suppressed`` (swallowed cleanup
-  failures) and ``fault.injected[.<site>]`` (deterministic injections);
-* ``retry.*`` — ``retry.attempts`` plus the ``retry.backoff_seconds`` and
-  ``retry.shard_seconds`` histograms;
-* ``supervise.*`` — ``supervise.respawns``.
-
-The sweep service counts in ``dispatch.groups_in_process`` the groups a
-pooled service ran in-process because it held their structure, and in
-``dispatch.payload_bytes`` the pickled bytes of the pool jobs it sent.
+A service with ``workers > 1`` counts in ``dispatch.groups_in_process``
+the groups whose structure it held when their batch arrived, and in
+``service.batches.parallel`` the batches whose unheld structures it
+resolved on threads.
 
 The HTTP front end (:mod:`repro.server`) adds a ``server.*`` namespace
 on the same shared registry: ``server.requests[.<route>]``,
@@ -94,22 +86,6 @@ class _Histogram:
             "max": self.maximum,
             "buckets": list(self.buckets),
         }
-
-
-def _merge_histogram(hist, snap):
-    hist.count += int(snap.get("count", 0))
-    hist.total += float(snap.get("sum", 0.0))
-    for key in ("min", "max"):
-        value = snap.get(key)
-        if value is None:
-            continue
-        if key == "min" and (hist.minimum is None or value < hist.minimum):
-            hist.minimum = value
-        if key == "max" and (hist.maximum is None or value > hist.maximum):
-            hist.maximum = value
-    buckets = snap.get("buckets") or []
-    for index, value in enumerate(buckets[: len(hist.buckets)]):
-        hist.buckets[index] += int(value)
 
 
 def _mangle(name):
@@ -179,7 +155,7 @@ class MetricsRegistry:
     # -- views ------------------------------------------------------------
 
     def snapshot(self):
-        """A plain-dict copy of the whole registry (cheap to pickle)."""
+        """A plain-dict copy of the whole registry."""
         with self._lock:
             return {
                 "counters": dict(self._counters),
@@ -188,25 +164,6 @@ class MetricsRegistry:
                     name: hist.as_dict() for name, hist in self._histograms.items()
                 },
             }
-
-    def merge_snapshot(self, snap):
-        """Fold a snapshot (typically a worker delta) into this registry.
-
-        Counters add, gauges are last-write-wins, histograms merge their
-        count/sum/min/max/buckets.
-        """
-        if not snap:
-            return
-        with self._lock:
-            for name, value in snap.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snap.get("gauges", {}).items():
-                self._gauges[name] = value
-            for name, data in snap.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = _Histogram()
-                _merge_histogram(hist, data)
 
     def clear(self):
         with self._lock:

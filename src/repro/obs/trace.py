@@ -13,10 +13,8 @@ Usage::
 ``trace.span`` is safe to leave in hot paths: when no tracer is active it
 returns a shared no-op context manager, so the disabled cost is one module
 attribute read.  Span stacks are thread-local, so concurrent threads each
-get a correctly nested tree.  Worker processes run their own tracer and
-ship the finished spans back with their shard result; the parent folds
-them in with :meth:`Tracer.adopt` — pid/tid recorded at span close keep
-the processes apart in the exported trace.
+get a correctly nested tree, and the thread id recorded at span close
+keeps the threads apart in the exported trace.
 """
 
 from __future__ import annotations
@@ -115,8 +113,8 @@ class Tracer:
 
     Span ``ts``/``dur`` are stored in seconds.  ``ts`` is an epoch-aligned
     monotonic stamp (``time.time() - time.perf_counter()`` captured once at
-    tracer creation, plus the per-span ``perf_counter``), so spans recorded
-    by different processes land on one shared timeline.
+    tracer creation, plus the per-span ``perf_counter``), so the timeline
+    lines up with wall-clock time.
     """
 
     def __init__(self):
@@ -145,13 +143,6 @@ class Tracer:
         with self._lock:
             return list(self._finished)
 
-    def adopt(self, spans):
-        """Fold spans recorded by another tracer (e.g. a worker process)."""
-        if not spans:
-            return
-        with self._lock:
-            self._finished.extend(dict(s) for s in spans)
-
     # -- views ------------------------------------------------------------
 
     def aggregate(self):
@@ -168,15 +159,14 @@ class Tracer:
         spans = self.spans()
         events = []
         base = min((s["ts"] for s in spans), default=0.0)
-        for pid in sorted({s["pid"] for s in spans}):
-            label = "repro" if pid == self.pid else "repro worker"
+        if spans:
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": self.pid,
                     "tid": 0,
-                    "args": {"name": "%s (pid %d)" % (label, pid)},
+                    "args": {"name": "repro (pid %d)" % self.pid},
                 }
             )
         for finished in sorted(spans, key=lambda s: s["ts"]):

@@ -118,7 +118,7 @@ class OrderingSpec:
 
     @classmethod
     def from_key(cls, key: Tuple[str, str, object], *, strict: bool = False) -> "OrderingSpec":
-        """Rebuild a spec from :meth:`key` (used by the worker processes)."""
+        """Rebuild a spec from :meth:`key` (used by the structure store)."""
         mv, bits, mode = key
         return cls(
             mv,

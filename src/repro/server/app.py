@@ -1,19 +1,16 @@
 """The asyncio HTTP front end over a shared :class:`SweepService`.
 
 One process, one service, many concurrent clients: the event loop owns
-admission control and **request coalescing per structure key**, a small
-thread pool runs the (blocking, now thread-safe) service calls, and the
-worker-pool fan-out below stays exactly as the CLI uses it.
+admission control and **request coalescing per structure key**, and a
+small thread pool runs the (blocking, thread-safe) service calls.  The
+server forks nothing: every build and every pass runs in its process.
 
 Endpoints
 ---------
 
 ``GET /healthz``
-    Liveness: ``200 {"status": "ok"}`` while the loop is serving, 503
-    once a drain has started.  A serving loop whose worker pool was
-    respawned within the last ``respawn_window`` seconds still answers
-    200 (the process is alive) but with ``{"status": "degraded",
-    "reason": ...}`` so orchestrators can distinguish "up" from "well".
+    Liveness: ``200 {"status": "ok"}`` while the loop is serving, ``503
+    {"status": "draining"}`` once a drain has started.
 ``GET /stats``
     The service's entire :class:`~repro.obs.metrics.MetricsRegistry` in
     Prometheus text exposition format — the same numbers the CLI's
@@ -46,8 +43,7 @@ same key awaits the same future (``server.coalesced_joins``) — K clients
 asking for one cold structure cause exactly one compile.  The service's
 own per-key locks make this safe even for callers that bypass the
 server.  Priming leaves a request's structures resident, so the service
-runs the request's passes in the server process; its worker pool takes
-only groups whose structure left the LRU in between.
+runs the request's passes on them without a second resolution.
 
 Backpressure
 ------------
@@ -208,7 +204,6 @@ class YieldServer:
         max_queue: int = 64,
         http_threads: int = 8,
         drain_grace: float = 10.0,
-        respawn_window: float = 30.0,
     ) -> None:
         self.service = service
         self.registry = service.registry
@@ -216,7 +211,6 @@ class YieldServer:
         self.port = int(port)
         self.max_queue = int(max_queue)
         self.drain_grace = float(drain_grace)
-        self.respawn_window = float(respawn_window)
         self._executor = ThreadPoolExecutor(
             max_workers=int(http_threads), thread_name_prefix="repro-http"
         )
@@ -376,31 +370,10 @@ class YieldServer:
         if self._draining:
             status, payload = 503, {"status": "draining"}
         else:
-            status = 200
-            reason = self._degraded_reason()
-            if reason is None:
-                payload = {"status": "ok"}
-            else:
-                payload = {"status": "degraded", "reason": reason}
+            status, payload = 200, {"status": "ok"}
         writer.write(response_bytes(status, _json_bytes(payload)))
         await writer.drain()
         return status
-
-    def _degraded_reason(self) -> Optional[str]:
-        """Why the engine is limping, or ``None`` while it is healthy.
-
-        Reads :meth:`SweepService.health`; services without it (tests
-        stub the service with a bare object) count as healthy.
-        """
-        health = getattr(self.service, "health", None)
-        if not callable(health):
-            return None
-        last_respawn = health().get("last_respawn")
-        if last_respawn is not None and self.respawn_window > 0:
-            age = time.time() - last_respawn
-            if age < self.respawn_window:
-                return "worker pool respawned %.1fs ago" % age
-        return None
 
     async def _handle_stats(self, request, writer) -> int:
         text = self.registry.expose_text()

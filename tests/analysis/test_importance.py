@@ -249,39 +249,33 @@ class TestServiceIntegration:
         from repro.engine.service import SweepService
 
         service = SweepService()
-        try:
-            yield_sensitivity(
-                series_parallel_problem, max_defects=3, service=service
-            )
-            hardening_potential(
-                series_parallel_problem, max_defects=3, service=service
-            )
-            # one structure serves the gradient pass and every perturbed model
-            assert service.registry.counter("service.structures.built") == 1
-            assert service.registry.counter("service.passes.gradient") == 1
-            assert service.registry.counter("service.points.differentiated") == 1
-            assert service.registry.counter("service.passes.batched") == 1
-        finally:
-            service.close()
+        yield_sensitivity(
+            series_parallel_problem, max_defects=3, service=service
+        )
+        hardening_potential(
+            series_parallel_problem, max_defects=3, service=service
+        )
+        # one structure serves the gradient pass and every perturbed model
+        assert service.registry.counter("service.structures.built") == 1
+        assert service.registry.counter("service.passes.gradient") == 1
+        assert service.registry.counter("service.points.differentiated") == 1
+        assert service.registry.counter("service.passes.batched") == 1
 
     def test_gradient_batch_groups_by_truncation(self, series_parallel_problem):
         from repro.engine.service import SweepPoint, SweepService
 
         service = SweepService()
-        try:
-            points = [
-                SweepPoint(series_parallel_problem, max_defects=2),
-                SweepPoint(series_parallel_problem, max_defects=3),
-                SweepPoint(series_parallel_problem, max_defects=2),
-            ]
-            gradients = service.gradient_batch(points)
-            assert [g.truncation for g in gradients] == [2, 3, 2]
-            assert service.registry.counter("service.passes.gradient") == 2  # one per structure group
-            assert service.registry.counter("service.points.differentiated") == 3
-            # results come back in request order with per-point values
-            assert gradients[0].sensitivity == gradients[2].sensitivity
-        finally:
-            service.close()
+        points = [
+            SweepPoint(series_parallel_problem, max_defects=2),
+            SweepPoint(series_parallel_problem, max_defects=3),
+            SweepPoint(series_parallel_problem, max_defects=2),
+        ]
+        gradients = service.gradient_batch(points)
+        assert [g.truncation for g in gradients] == [2, 3, 2]
+        assert service.registry.counter("service.passes.gradient") == 2  # one per structure group
+        assert service.registry.counter("service.points.differentiated") == 3
+        # results come back in request order with per-point values
+        assert gradients[0].sensitivity == gradients[2].sensitivity
 
 
 class TestClassHardening:

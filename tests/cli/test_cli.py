@@ -334,39 +334,29 @@ class TestCache:
 
 
 class TestSweepFaultOptions:
-    def test_sweep_accepts_the_supervision_flags(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "MS2",
-                "--max-defects",
-                "2",
-                "--densities",
-                "1.0",
-                "2.0",
-                "--max-retries",
-                "1",
-                "--shard-timeout",
-                "30",
-                "--stats",
-            ]
-        )
-        assert code == 0
-        assert "Engine statistics" in capsys.readouterr().out
-
     @pytest.mark.parametrize(
         "flags",
         [["--shard-timeout", "-3"], ["--max-retries", "-1"]],
         ids=["negative-timeout", "negative-retries"],
     )
     def test_invalid_supervision_values_are_rejected_up_front(self, flags, capsys):
-        # even a sweep that never shards (serial route) must not accept
-        # an unusable supervision configuration
-        code = main(
-            ["sweep", "MS2", "--max-defects", "2", "--densities", "1.0"] + flags
-        )
-        assert code == 2
+        # the supervision options no longer exist: passing one is a usage
+        # error before any sweep work starts
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "MS2", "--max-defects", "2", "--densities", "1.0"] + flags)
+        assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_build_threads_print_the_serial_rows(self, capsys):
+        """``--workers``/``--jobs`` set build threads: the table is serial's."""
+        argv = ["sweep", "MS2", "--densities", "0.5", "3.0", "--epsilon", "1e-3"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out.split("  time (s)")[0]
+        for flag in ("--workers", "--jobs"):
+            assert main(argv + [flag, "2", "--stats"]) == 0
+            out = capsys.readouterr().out
+            assert out.split("  time (s)")[0] == serial
+            assert "service.batches.parallel" in out
 
 
 class TestTelemetry:

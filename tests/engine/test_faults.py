@@ -1,22 +1,28 @@
-"""Fault-tolerant dispatch: every injected fault class must be absorbed.
+"""Injected faults and failing builds on the fan-out route.
 
-The deterministic fault harness (:mod:`repro.engine.faults`) fires at
-well-known sites; the supervision layer (:mod:`repro.engine.supervise`)
-must turn every fault into retries, respawns or in-parent quarantine —
-the sweep results stay **bit-for-bit identical** to a clean run, and every
-transition is visible in the ``fault.*`` / ``retry.*`` / ``supervise.*``
-metrics.  The end-to-end runs evaluate two structure groups the service
-does not hold, so each batch goes to the pool as two whole-group jobs.
+The deterministic fault harness (:mod:`repro.engine.faults`) fires at the
+structure store's well-known site: a corrupt entry must be detected,
+quarantined and rebuilt, with sweep results **bit-for-bit identical** to a
+clean run and the transitions visible in the ``fault.*`` metrics.  The
+end-to-end runs evaluate two structure groups the service does not hold,
+so each batch resolves both structures on the fan-out threads.  A build
+that fails on a fan-out thread fails its batch with the exception the
+serial route raises, and leaves no thread behind.
 """
+
+import threading
+import time
 
 import pytest
 
+from repro.bdd.builder import ResourceLimitExceeded
+from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
 from repro.engine import faults
-from repro.engine.faults import PLAN_ENV, FaultPlan, InjectedFault
+from repro.engine import service as service_module
+from repro.engine.faults import PLAN_ENV, FaultPlan
 from repro.engine.service import SweepPoint, SweepService
-from repro.engine.supervise import Backoff, ShardSupervisor
 from repro.faulttree import FaultTreeBuilder
 
 
@@ -47,6 +53,10 @@ def _no_leaked_plan(monkeypatch):
     faults.clear()
 
 
+def fan_out_threads():
+    return [thread for thread in threading.enumerate() if thread.name.startswith("repro-fanout")]
+
+
 # --------------------------------------------------------------------- #
 # The harness itself
 # --------------------------------------------------------------------- #
@@ -54,48 +64,41 @@ def _no_leaked_plan(monkeypatch):
 
 class TestFaultPlan:
     def test_spec_forms_int_list_and_dict(self):
-        plan = FaultPlan.from_spec(
-            {
-                "worker.kill": 2,
-                "shard.unpickle": [1, 3],
-                "worker.hang": {"at": [1], "delay": 0.5},
-                "store.corrupt": {"every": 2},
-            }
-        )
-        assert plan.check("worker.kill") is None  # occurrence 1
-        assert plan.check("worker.kill") is not None  # occurrence 2
-        assert plan.check("shard.unpickle") is not None  # 1
-        assert plan.check("shard.unpickle") is None  # 2
-        assert plan.check("shard.unpickle") is not None  # 3
-        assert plan.check("worker.hang").delay == 0.5
-        assert plan.check("store.corrupt") is None  # 1
-        assert plan.check("store.corrupt") is not None  # every 2nd
+        for spec, fired in (
+            ({"store.corrupt": 2}, [False, True, False]),
+            ({"store.corrupt": [1, 3]}, [True, False, True]),
+            ({"store.corrupt": {"every": 2}}, [False, True, False, True]),
+            ({"store.corrupt": {"at": [1], "every": 3}}, [True, False, True]),
+        ):
+            plan = FaultPlan.from_spec(spec)
+            assert [plan.check("store.corrupt") is not None for _ in fired] == fired
 
     def test_unknown_site_is_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan.from_spec({"worker.explode": 1})
+        # a plan naming a site that does not exist (any more) must fail
+        # loudly, or a stale chaos plan would silently inject nothing
+        for site in ("worker.explode", "worker.kill", "worker.hang", "shard.unpickle"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultPlan.from_spec({site: 1})
 
     def test_json_round_trip(self):
-        plan = FaultPlan.from_spec(
-            {"worker.kill": [1], "worker.hang": {"at": [2], "delay": 3.0}}
-        )
+        plan = FaultPlan.from_spec({"store.corrupt": {"at": [2], "every": 3}})
         again = FaultPlan.from_json(plan.to_json())
         assert again.to_json() == plan.to_json()
 
     def test_reset_restarts_the_occurrence_counters(self):
-        plan = FaultPlan.from_spec({"shard.unpickle": 1})
-        assert plan.check("shard.unpickle") is not None
-        assert plan.check("shard.unpickle") is None
+        plan = FaultPlan.from_spec({"store.corrupt": 1})
+        assert plan.check("store.corrupt") is not None
+        assert plan.check("store.corrupt") is None
         plan.reset()
-        assert plan.check("shard.unpickle") is not None
+        assert plan.check("store.corrupt") is not None
 
     def test_env_var_installs_a_plan(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, '{"shard.unpickle": {"at": [1]}}')
+        monkeypatch.setenv(PLAN_ENV, '{"store.corrupt": {"at": [1]}}')
         faults.clear()  # force re-resolution of the env var
         plan = faults.active()
         assert plan is not None
-        with pytest.raises(InjectedFault):
-            faults.fire("shard.unpickle")
+        assert faults.fire("store.corrupt") is True
+        assert faults.fire("store.corrupt") is False
 
     def test_malformed_env_var_is_ignored(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "{not json")
@@ -106,41 +109,9 @@ class TestFaultPlan:
         faults.install(None)
         assert faults.fire("store.corrupt") is False
 
-    def test_injected_fault_survives_pickling(self):
-        # a worker->parent exception that cannot unpickle kills the
-        # pool's result-handler thread; InjectedFault must round-trip
-        import pickle
-
-        exc = pickle.loads(pickle.dumps(InjectedFault("shard.unpickle", 3)))
-        assert exc.site == "shard.unpickle"
-        assert exc.occurrence == 3
-
-
-class TestBackoff:
-    def test_delays_grow_exponentially_and_cap(self):
-        backoff = Backoff(base=0.1, factor=2.0, cap=0.5, seed=7)
-        delays = [backoff.delay(attempt) for attempt in range(1, 6)]
-        # jitter is in [0.5, 1.0] x the full delay
-        assert 0.05 <= delays[0] <= 0.1
-        assert 0.1 <= delays[1] <= 0.2
-        assert all(delay <= 0.5 for delay in delays)
-
-    def test_same_seed_reproduces_the_sequence(self):
-        a = [Backoff(seed=3).delay(n) for n in range(1, 6)]
-        b = [Backoff(seed=3).delay(n) for n in range(1, 6)]
-        assert a == b
-        c = [Backoff(seed=4).delay(n) for n in range(1, 6)]
-        assert a != c
-
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            Backoff(base=-1)
-        with pytest.raises(ValueError):
-            Backoff(factor=0.5)
-
 
 # --------------------------------------------------------------------- #
-# End-to-end: every fault class yields bit-identical sweep results
+# End-to-end: a corrupt store entry yields bit-identical sweep results
 # --------------------------------------------------------------------- #
 
 
@@ -160,94 +131,50 @@ def rows_of(results):
     ]
 
 
-def run_sweep(tmp_path, name, fault_plan=None, warm=False, **kwargs):
-    """One pooled sweep over the two groups; ``warm`` first commits both
-    structures to the store, so the workers load them instead of building."""
+def run_sweep(tmp_path, name, fault_plan=None, warm=False):
+    """One fan-out sweep over the two groups; ``warm`` first commits both
+    structures to the store, so the fan-out threads load them instead of
+    building."""
     faults.clear()
     store_dir = str(tmp_path / name)
     if warm:
         SweepService(store_dir=store_dir).evaluate_batch(
             [SweepPoint(make_problem(1.0), max_defects=m) for m in (3, 4)]
         )
-    service = SweepService(
-        workers=2, store_dir=store_dir, fault_plan=fault_plan, **kwargs
-    )
+    service = SweepService(workers=2, store_dir=store_dir, fault_plan=fault_plan)
     try:
         rows = rows_of(service.evaluate_batch(sweep_points()))
-        counters = service.registry.snapshot()["counters"]
-        dispatched = service.registry.counter("service.batches.parallel")
     finally:
-        service.close()
         faults.clear()
-    return rows, counters, dispatched
+    assert service.registry.counter("service.batches.parallel") == 1
+    assert not fan_out_threads()
+    return rows, service.registry.snapshot()["counters"]
 
 
 class TestFaultInjectionEndToEnd:
-    """One test per fault class: identical results, nonzero fault metrics."""
-
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
-        rows, counters, dispatched = run_sweep(
-            tmp_path_factory.mktemp("clean"), "clean"
-        )
-        return rows, dispatched
-
-    def _run_faulted(self, tmp_path, clean, spec, **kwargs):
-        clean_rows, dispatched = clean
-        if dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
-        rows, counters, _ = run_sweep(
-            tmp_path, "faulted", fault_plan=FaultPlan.from_spec(spec), **kwargs
-        )
-        assert rows == clean_rows  # bit-for-bit despite the faults
-        return counters
-
-    def test_killed_worker_does_not_abort_the_sweep(self, tmp_path, clean):
-        counters = self._run_faulted(tmp_path, clean, {"worker.kill": {"at": [1]}})
-        assert counters.get("fault.worker_lost", 0) >= 1
-        assert counters.get("supervise.respawns", 0) >= 1
-
-    def test_hung_worker_trips_the_deadline_watchdog(self, tmp_path, clean):
-        counters = self._run_faulted(
-            tmp_path,
-            clean,
-            {"worker.hang": {"at": [1], "delay": 30}},
-            shard_timeout=0.75,
-            max_retries=1,
-        )
-        assert counters.get("fault.shard_timeout", 0) >= 1
-        assert counters.get("supervise.respawns", 0) >= 1
-
-    def test_unpicklable_shard_is_retried_with_backoff(self, tmp_path, clean):
-        counters = self._run_faulted(
-            tmp_path, clean, {"shard.unpickle": {"at": [1]}}
-        )
-        assert counters.get("fault.shard_error", 0) >= 1
-        assert counters.get("retry.attempts", 0) >= 1
-
-    def test_exhausted_pickled_shards_are_evaluated_in_parent(self, tmp_path, clean):
-        counters = self._run_faulted(
-            tmp_path,
-            clean,
-            {"shard.unpickle": {"at": list(range(1, 40))}},
-            max_retries=0,
-        )
-        assert counters.get("fault.quarantined", 0) >= 1
+        rows, _ = run_sweep(tmp_path_factory.mktemp("clean"), "clean")
+        return rows
 
     def test_corrupt_store_entry_is_quarantined_and_survived(self, tmp_path, clean):
-        # the store holds both structures before the pool forks, so each
-        # worker's first store read (occurrence 1 of its own counter)
-        # damages a committed entry, detects it and rebuilds
-        counters = self._run_faulted(
-            tmp_path, clean, {"store.corrupt": {"at": [1]}}, warm=True
+        # the store holds both structures before the batch, so the first
+        # store read on a fan-out thread damages a committed entry, detects
+        # it and rebuilds; the other loads clean
+        rows, counters = run_sweep(
+            tmp_path,
+            "faulted",
+            fault_plan=FaultPlan.from_spec({"store.corrupt": {"at": [1]}}),
+            warm=True,
         )
-        assert counters.get("fault.store_corrupt", 0) >= 1
-        assert counters.get("fault.injected.store.corrupt", 0) >= 1
+        assert rows == clean  # bit-for-bit despite the fault
+        assert counters.get("fault.store_corrupt", 0) == 1
+        assert counters.get("fault.store_quarantined", 0) == 1
+        assert counters.get("fault.injected.store.corrupt", 0) == 1
+        assert counters.get("service.structures.built", 0) == 1
+        assert counters.get("store.hits", 0) == 1
 
     def test_quarantined_store_entry_lands_in_the_quarantine_dir(self, tmp_path, clean):
-        _, dispatched = clean
-        if dispatched == 0:
-            pytest.skip("platform cannot spawn worker processes")
         run_sweep(
             tmp_path,
             "quarantine",
@@ -257,6 +184,11 @@ class TestFaultInjectionEndToEnd:
         quarantine = tmp_path / "quarantine" / "quarantine"
         assert quarantine.is_dir()
         assert any(quarantine.iterdir())
+
+
+# --------------------------------------------------------------------- #
+# Slow and failing builds on the fan-out threads
+# --------------------------------------------------------------------- #
 
 
 def ms2_batch(truncations, count):
@@ -274,107 +206,104 @@ def ms2_batch(truncations, count):
 
 
 class TestPoolDeadline:
-    def test_a_build_slower_than_the_last_batch_trips_no_deadline(self):
-        """A job's deadline must cover a build, however fast the last batch's
-        points ran: every job here hangs 1 s on its worker, a stand-in for
-        a slow build, and no job may be abandoned for it."""
-        plan = FaultPlan.from_spec(
-            {"worker.hang": {"at": list(range(1, 50)), "delay": 1.0}}
-        )
-        service = SweepService(workers=2, fault_plan=plan)
-        try:
-            if service.ensure_workers() is None:
-                pytest.skip("platform cannot spawn worker processes")
-            # two unheld 200-point groups, then two unheld 1-point groups
-            first = service.evaluate_batch(ms2_batch((3, 4), 200))
-            second = service.evaluate_batch(ms2_batch((5, 6), 1))
-            counters = service.registry.snapshot()["counters"]
-        finally:
-            service.close()
-            faults.clear()
+    """The fan-out's thread pool puts no deadline on a build: only the
+    analyzer's ``node_limit`` bounds one, as on the serial route."""
+
+    def test_a_build_slower_than_the_last_batch_trips_no_deadline(self, monkeypatch):
+        """Every build here sleeps 1 s first, a stand-in for a slow build:
+        both batches complete, bit-equal to serial, and the two slow builds
+        of a batch overlap on the two threads."""
+        real = YieldAnalyzer.compile_for_truncation
+        sleeps = []
+
+        def slow(self, problem, truncation):
+            started = time.perf_counter()
+            time.sleep(1.0)
+            sleeps.append((started, time.perf_counter()))
+            return real(self, problem, truncation)
+
+        monkeypatch.setattr(YieldAnalyzer, "compile_for_truncation", slow)
+        service = SweepService(workers=2)
+        # two unheld 200-point groups, then two unheld 1-point groups
+        first = service.evaluate_batch(ms2_batch((3, 4), 200))
+        second = service.evaluate_batch(ms2_batch((5, 6), 1))
+        monkeypatch.undo()
         assert service.registry.counter("service.batches.parallel") == 2
-        assert counters.get("fault.shard_timeout", 0) == 0
-        assert counters.get("supervise.respawns", 0) == 0
+        assert service.registry.counter("service.structures.built") == 4
+        for one, other in (sleeps[:2], sleeps[2:]):
+            assert max(one[0], other[0]) < min(one[1], other[1])  # side by side
         serial = SweepService()
         assert rows_of(first) == rows_of(serial.evaluate_batch(ms2_batch((3, 4), 200)))
         assert rows_of(second) == rows_of(serial.evaluate_batch(ms2_batch((5, 6), 1)))
 
-    def test_members_killed_between_batches_are_replaced_up_front(self):
-        """Members killed while idle can die holding the pool's task-queue
-        lock; the next dispatch must count them lost and respawn at once
-        instead of waiting for a deadline."""
-        import os
-        import signal
-        import time
-
-        service = SweepService(workers=2)
-        service._CLOSE_TIMEOUT = 0.5  # a wedged pool cannot be drained
-        try:
-            pool = service.ensure_workers()
-            if pool is None:
-                pytest.skip("platform cannot spawn worker processes")
-            service.evaluate_batch(ms2_batch((3, 4), 8))
-            killed = {process.pid for process in pool._pool}
-            for pid in killed:
-                os.kill(pid, signal.SIGKILL)
-            # let the pool replace both members, as it does long before a
-            # later batch arrives: the deaths are over when it starts
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                live = {p.pid for p in pool._pool if p.exitcode is None}
-                if len(live) == 2 and not live & killed:
-                    break
-                time.sleep(0.02)
-            results = service.evaluate_batch(ms2_batch((5, 6), 8))
-            counters = service.registry.snapshot()["counters"]
-        finally:
-            service.close()
-        assert service.registry.counter("service.batches.parallel") == 2
-        assert counters.get("fault.worker_lost", 0) >= 1
-        assert counters.get("fault.shard_timeout", 0) == 0
-        expected = SweepService().evaluate_batch(ms2_batch((5, 6), 8))
-        assert rows_of(results) == rows_of(expected)
-
 
 class TestPoolTeardown:
-    def test_dispatch_error_terminates_the_pool_exactly_once(
-        self, tmp_path, monkeypatch
-    ):
-        """An exception while draining results must not double-terminate."""
-        service = SweepService(workers=2, store_dir=str(tmp_path))
-        pool = service.ensure_workers()
-        if pool is None:
-            pytest.skip("platform cannot spawn worker processes")
-        calls = {"terminate": 0}
-        original = pool.terminate
+    def test_dispatch_error_terminates_the_pool_exactly_once(self, monkeypatch):
+        """A build that raises on a fan-out thread shuts the batch's thread
+        pool down exactly once, joins its threads and propagates the error."""
+        shutdowns = []
 
-        def counting_terminate():
-            calls["terminate"] += 1
-            original()
+        class CountingExecutor(service_module.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                shutdowns.append(self)
+                return super().shutdown(*args, **kwargs)
 
-        monkeypatch.setattr(pool, "terminate", counting_terminate)
+        real = YieldAnalyzer.compile_for_truncation
 
-        def exploding_dispatch(self, jobs, worker):
-            raise RuntimeError("boom while draining")
+        def exploding(self, problem, truncation):
+            if truncation == 4:
+                raise RuntimeError("boom while building")
+            return real(self, problem, truncation)
 
-        monkeypatch.setattr(ShardSupervisor, "dispatch", exploding_dispatch)
+        monkeypatch.setattr(service_module, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(YieldAnalyzer, "compile_for_truncation", exploding)
+        service = SweepService(workers=2)
+        with pytest.raises(RuntimeError, match="boom while building"):
+            service.evaluate_batch(sweep_points())
+        assert len(shutdowns) == 1
+        assert not fan_out_threads()
+        monkeypatch.undo()
+        # the service still answers, bit for bit
         rows = rows_of(service.evaluate_batch(sweep_points()))
+        assert rows == rows_of(SweepService().evaluate_batch(sweep_points()))
 
-        reference = rows_of(SweepService().evaluate_batch(sweep_points()))
-        assert rows == reference  # the serial fallback still answered
-        assert calls["terminate"] == 1
-        service.close()  # pool reference already cleared: still exactly once
-        assert calls["terminate"] == 1
 
-    def test_close_is_reentrant(self, tmp_path):
-        service = SweepService(workers=2, store_dir=str(tmp_path))
-        if service.ensure_workers() is None:
-            pytest.skip("platform cannot spawn worker processes")
-        service.close()
-        service.close()
-        assert service._pool is None
-        assert service.respawn_workers() is not None
-        service.close()
+class TestFailingBuild:
+    def test_a_failing_build_fails_only_its_own_group(self):
+        """Two unheld groups, one past ``node_limit``: the batch raises what
+        the serial route raises, the healthy structure stays resident, and
+        the next batch on it runs in-process with no rebuild."""
+        from repro.soc import benchmark_problem
+
+        def points(name, truncation, offset):
+            return [
+                SweepPoint(
+                    benchmark_problem(name, mean_defects=0.5 + offset + 0.01 * index),
+                    max_defects=truncation,
+                )
+                for index in range(8)
+            ]
+
+        limit = 3000
+        healthy, failing = points("MS2", 2, 0.0), points("MS4", 5, 0.0)
+        with pytest.raises(ResourceLimitExceeded):
+            SweepService(node_limit=limit).evaluate_batch(failing)
+        service = SweepService(workers=2, node_limit=limit)
+        with pytest.raises(ResourceLimitExceeded):
+            service.evaluate_batch(healthy + failing)
+        assert not fan_out_threads()
+        assert service.registry.counter("service.batches.parallel") == 1
+        assert service.registry.counter("service.structures.built") == 1
+        (skey,) = {group.skey for group in service.group([p.problem for p in healthy], [2] * 8)}
+        assert service.has_structure(skey)
+
+        later = points("MS2", 2, 1.0)
+        results = service.evaluate_batch(later)
+        assert service.registry.counter("service.structures.built") == 1
+        assert service.registry.counter("service.structures.reused") == 1
+        assert service.registry.counter("dispatch.groups_in_process") == 1
+        assert service.registry.counter("service.batches.parallel") == 1
+        assert rows_of(results) == rows_of(SweepService().evaluate_batch(later))
 
 
 class TestSuppressedFaultAccounting:
@@ -382,11 +311,22 @@ class TestSuppressedFaultAccounting:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        faults.note_suppressed(registry, "pool.join", OSError("gone"))
-        faults.note_suppressed(registry, "pool.terminate", OSError("dead"))
+        faults.note_suppressed(registry, "store.save", OSError("disk full"))
+        faults.note_suppressed(registry, "store.save", OSError("read-only"))
         assert registry.counter("fault.suppressed") == 2
-        assert registry.counter("fault.suppressed.pool.join") == 1
-        assert registry.counter("fault.suppressed.pool.terminate") == 1
+        assert registry.counter("fault.suppressed.store.save") == 2
 
     def test_note_suppressed_tolerates_no_registry(self):
-        faults.note_suppressed(None, "pool.kill", OSError("x"))  # must not raise
+        faults.note_suppressed(None, "store.save", OSError("x"))  # must not raise
+
+    def test_a_failed_store_save_is_counted_not_raised(self, tmp_path, monkeypatch):
+        from repro.engine.store import StructureStore
+
+        def failing_save(self, skey, compiled):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(StructureStore, "save", failing_save)
+        service = SweepService(store_dir=str(tmp_path / "store"))
+        rows = rows_of(service.evaluate_batch(sweep_points()))
+        assert rows == rows_of(SweepService().evaluate_batch(sweep_points()))
+        assert service.registry.counter("fault.suppressed.store.save") == 2

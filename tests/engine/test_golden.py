@@ -228,9 +228,9 @@ def test_golden_sweep_and_gradient_digests(name):
 
 
 def test_golden_sweep_digests_on_the_whole_group_pool_route(tmp_path):
-    """Two golden structures in one batch on a fresh pooled service: each
-    group goes whole to a worker, which builds it and evaluates all 96
-    points; each group's digest is its serial pin."""
+    """Two golden structures in one batch on a fresh ``workers=2`` service:
+    a fan-out thread builds each, the pass evaluates all 96 points, and each
+    group's digest is its serial pin (a fresh build, not a reuse)."""
     names = ["ESEN4x1", "MS2"]
     points = [
         point
@@ -238,13 +238,10 @@ def test_golden_sweep_digests_on_the_whole_group_pool_route(tmp_path):
         for point in sweep_points(name, GOLDEN[name]["truncation"])
     ]
     service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
-    try:
-        results = service.evaluate_batch(points)
-    finally:
-        service.close()
-    if service.registry.counter("service.batches.parallel") == 0:
-        pytest.skip("platform cannot spawn worker processes")
+    results = service.evaluate_batch(points)
+    assert service.registry.counter("service.batches.parallel") == 1
     assert service.registry.counter("service.structures.built") == len(names)
+    assert service.registry.counter("service.structures.reused") == 0
     for index, name in enumerate(names):
         group = results[index * len(SWEEP) : (index + 1) * len(SWEEP)]
         assert results_digest(group) == SWEEP_DIGESTS[name][0]
@@ -255,12 +252,9 @@ def test_golden_sweep_digest_on_the_default_pooled_route(tmp_path):
     truncation = GOLDEN[name]["truncation"]
     primer = benchmark_problem(name, mean_defects=1.0)
     service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
-    try:
-        # a held structure: the sweep takes the default in-process route
-        service.prime_structure(primer, truncation)
-        results = service.evaluate_batch(sweep_points(name, truncation))
-    finally:
-        service.close()
+    # a held structure: the sweep takes the default in-process route
+    service.prime_structure(primer, truncation)
+    results = service.evaluate_batch(sweep_points(name, truncation))
     assert service.registry.counter("dispatch.groups_in_process") == 1
     assert service.registry.counter("service.batches.parallel") == 0
     # a reused structure flags its results, so the reference is a primed

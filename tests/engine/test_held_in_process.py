@@ -1,13 +1,14 @@
-"""A pooled service runs every group whose structure it holds in-process,
-outside its dispatch lock, and sends the pool only whole groups it must
-build.
+"""A ``workers > 1`` service runs every group in-process.  A group whose
+structure it holds needs only its pass, which never waits for another
+batch's fan-out; the structures it does not hold resolve on the fan-out
+threads first.  (The pool's dispatch lock is gone; the tests keep their
+names and check the property that lock was kept out of: a held pass does
+not queue behind a cold batch.)
 """
 
 import json
 import threading
 from http.client import HTTPConnection
-
-import pytest
 
 from repro.cli import main
 from repro.engine.service import SweepPoint, SweepService
@@ -39,7 +40,7 @@ def serial_bits(points):
 
 
 def held(**kwargs):
-    """A default-configured pooled service holding the sweep's structure."""
+    """A ``workers=2`` service holding the sweep's structure."""
     service = SweepService(workers=2, **kwargs)
     service.prime_structure(benchmark_problem(NAME, mean_defects=1.0), M)
     return service
@@ -49,68 +50,76 @@ def in_process(service):
     return service.registry.counter("dispatch.groups_in_process")
 
 
-def run_holding_the_dispatch_lock(service, call):
-    """Run ``call`` on a thread while this thread holds the dispatch lock;
-    return its result, or fail if it waited for the lock."""
+def run_during_a_fan_out(service, call):
+    """Run ``call`` on a thread while another batch's fan-out is stuck in
+    its builds; return its result, or fail if it waited for the fan-out."""
+    analyzer = service._analyzer
+    real = analyzer.compile_for_truncation
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked(problem, truncation):
+        entered.set()
+        release.wait(60.0)
+        return real(problem, truncation)
+
+    analyzer.compile_for_truncation = blocked
+    cold = sweep(0.5, 2) + sweep(0.5, 3)  # two unheld structures: a fan-out
+    fan_out = threading.Thread(target=lambda: service.evaluate_batch(cold), daemon=True)
+    fan_out.start()
     out = {}
-    with service._dispatch_lock:
-        thread = threading.Thread(target=lambda: out.update(result=call()), daemon=True)
+    thread = threading.Thread(target=lambda: out.update(result=call()), daemon=True)
+    try:
+        assert entered.wait(30.0)
         thread.start()
         thread.join(30.0)
         finished = not thread.is_alive()
+    finally:
+        release.set()
+        fan_out.join(60.0)
+        del analyzer.compile_for_truncation
     thread.join(60.0)
-    assert finished, "the in-process pass waited for the dispatch lock"
+    assert finished, "the in-process pass waited for the fan-out"
     return out["result"]
 
 
 class TestHeldStructures:
     def test_a_warm_sweep_runs_in_process_outside_the_dispatch_lock(self, tmp_path):
         service = held(store_dir=str(tmp_path / "store"))
-        try:
-            points = sweep(0.0)
-            results = run_holding_the_dispatch_lock(
-                service, lambda: service.evaluate_batch(points)
-            )
-            assert service.registry.counter("service.batches.parallel") == 0
-            assert service.registry.counter("dispatch.payload_bytes") == 0
-            assert in_process(service) == 1
-            assert bits(results) == serial_bits(points)
-        finally:
-            service.close()
+        points = sweep(0.0)
+        results = run_during_a_fan_out(service, lambda: service.evaluate_batch(points))
+        # only the cold batch fanned out; the warm sweep's one group was held
+        assert service.registry.counter("service.batches.parallel") == 1
+        assert in_process(service) == 1
+        assert bits(results) == serial_bits(points)
 
     def test_a_single_point_runs_in_process_outside_the_dispatch_lock(self):
         service = held()
-        try:
-            problem = benchmark_problem(NAME, mean_defects=1.5)
-            result = run_holding_the_dispatch_lock(
-                service, lambda: service.evaluate(problem, max_defects=M)
-            )
-            assert in_process(service) == 1
-            assert service.registry.counter("service.batches.parallel") == 0
-            expected = SweepService().evaluate(problem, max_defects=M)
-            assert bits([result]) == bits([expected])
-        finally:
-            service.close()
+        problem = benchmark_problem(NAME, mean_defects=1.5)
+        result = run_during_a_fan_out(
+            service, lambda: service.evaluate(problem, max_defects=M)
+        )
+        assert in_process(service) == 1
+        assert service.registry.counter("service.batches.parallel") == 1
+        expected = SweepService().evaluate(problem, max_defects=M)
+        assert bits([result]) == bits([expected])
 
     def test_unheld_structures_fan_out_whole_then_run_in_process(self, tmp_path):
         service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
-        try:
-            if service.ensure_workers() is None:
-                pytest.skip("platform cannot spawn worker processes")
-            # two structures (M = 3 and 4): the pool builds one each
-            cold = sweep(0.01, 3) + sweep(0.01)
-            results = service.evaluate_batch(cold)
-            assert service.registry.counter("service.batches.parallel") == 1
-            assert in_process(service) == 0
-            assert bits(results) == serial_bits(cold)
-            # the parent kept both worker-built structures
-            warm = sweep(0.02, 3) + sweep(0.02)
-            results = service.evaluate_batch(warm)
-            assert service.registry.counter("service.batches.parallel") == 1
-            assert in_process(service) == 2
-            assert bits(results) == serial_bits(warm)
-        finally:
-            service.close()
+        # two structures (M = 3 and 4): one fan-out thread builds each
+        cold = sweep(0.01, 3) + sweep(0.01)
+        results = service.evaluate_batch(cold)
+        assert service.registry.counter("service.batches.parallel") == 1
+        assert in_process(service) == 0
+        assert service.registry.counter("service.structures.built") == 2
+        assert service.registry.counter("service.structures.reused") == 0
+        assert bits(results) == serial_bits(cold)
+        # the service kept both structures the fan-out built
+        warm = sweep(0.02, 3) + sweep(0.02)
+        results = service.evaluate_batch(warm)
+        assert service.registry.counter("service.batches.parallel") == 1
+        assert in_process(service) == 2
+        assert service.registry.counter("service.structures.built") == 2
+        assert bits(results) == serial_bits(warm)
 
 
 def test_serial_services_count_no_decision():
@@ -146,5 +155,4 @@ def test_served_stats_list_the_in_process_groups(tmp_path):
                 conn.close()
     finally:
         handle.stop()
-        service.close()
     assert "repro_dispatch_groups_in_process 1" in text

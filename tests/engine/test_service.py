@@ -115,6 +115,24 @@ class TestResultCaching:
         assert len(service._results) == 3
 
 
+class TestAnalyzerOptions:
+    @pytest.mark.parametrize(
+        "options", [{"max_retries": 2}, {"shard_timeout": 30.0}, {"cache_dir": "x"}]
+    )
+    def test_unknown_options_raise_at_construction(self, options):
+        # an option the analyzer does not take must not wait for the first
+        # build (or for ever, when every point hits the result cache)
+        with pytest.raises(TypeError):
+            SweepService(**options)
+
+    def test_analyzer_options_reach_every_build(self):
+        from repro.bdd.builder import ResourceLimitExceeded
+
+        service = SweepService(node_limit=100, workers=2)
+        with pytest.raises(ResourceLimitExceeded):
+            service.truncation_sweep(make_problem(1.0), [3, 4])
+
+
 class TestParallelFanOut:
     def test_worker_fan_out_matches_serial_results(self):
         serial = SweepService()
@@ -135,8 +153,9 @@ class TestParallelFanOut:
         assert service.registry.counter("service.structures.built") == 1
 
     def test_consecutive_pools_leave_stderr_clean(self, tmp_path):
-        """Three pools in one process, each building two structures: no
-        pool's workers or teardown may print a traceback or a leak."""
+        """Three services in one process, each building two structures on
+        its fan-out thread pool: nothing may print a traceback or a leak,
+        and no fan-out thread may outlive its batch."""
         import os
         import subprocess
         import sys
@@ -152,9 +171,10 @@ class TestParallelFanOut:
             "                   max_defects=truncation)\n"
             "        for truncation in (3, 4) for mean in means\n"
             "    ])\n"
-            "    service.close()\n"
             "    print(service.registry.counter('service.batches.parallel') > 0,\n"
             "          flush=True)\n"
+            "import threading\n"
+            "print(sorted(t.name for t in threading.enumerate()))\n"
         ) % str(tmp_path / "store")
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -166,8 +186,7 @@ class TestParallelFanOut:
             env=env,
         )
         assert result.returncode == 0, result.stderr
-        if result.stdout.split() != ["True"] * 3:
-            pytest.skip("platform cannot spawn worker processes")
+        assert result.stdout.splitlines() == ["True"] * 3 + ["['MainThread']"]
         assert "Traceback" not in result.stderr, result.stderr
         assert "KeyError" not in result.stderr, result.stderr
         assert "leaked" not in result.stderr, result.stderr

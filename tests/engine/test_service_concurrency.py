@@ -1,7 +1,7 @@
 """Concurrency-safety of :class:`SweepService`: the serving prerequisites.
 
 The HTTP front end shares one service between many threads, so the
-service's caches, stats and pool lifecycle must hold up under concurrent
+service's caches, stats and build fan-out must hold up under concurrent
 callers — and its fault plan must stay scoped to the instance instead of
 leaking process-wide.  Every test here pins one of those properties.
 """
@@ -97,21 +97,58 @@ class TestThreadedEvaluation:
         assert service.registry.counter("service.structures.built") == 1
         assert service.registry.counter("service.points.evaluated") == 8
 
-    def test_concurrent_ensure_workers_spawns_one_pool(self):
-        service = SweepService(workers=2)
-        pools = [None] * 8
+    @pytest.mark.parametrize("route", ["native", "no-compiler"])
+    def test_concurrent_fan_out_batches_build_each_structure_once(
+        self, route, tmp_path, monkeypatch
+    ):
+        """Four threads send overlapping cold multi-structure batches to one
+        ``workers=2`` service: every distinct key is built exactly once,
+        every row equals a serial service's, and no fan-out thread outlives
+        the calls.  Without a compiler the gate loop holds the GIL, so the
+        builds serialize, with the same outcome."""
+        from repro.engine import native
+        from repro.soc import benchmark_problem
 
-        def worker(index):
-            pools[index] = service.ensure_workers()
-
+        if route == "no-compiler":
+            monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+            monkeypatch.setenv("CC", "/nonexistent")
+            native.reset()
         try:
-            run_threads(worker, 8)
-            spawned = {id(pool) for pool in pools if pool is not None}
-            if not spawned:
-                pytest.skip("platform cannot spawn worker processes")
-            assert len(spawned) == 1
+            structures = [("MS2", 3), ("MS2", 4), ("ESEN4x1", 3), ("ESEN4x1", 4)]
+            batches = [
+                [
+                    SweepPoint(
+                        benchmark_problem(name, mean_defects=0.5 + 0.01 * (4 * index + k)),
+                        max_defects=truncation,
+                    )
+                    for name, truncation in structures[index : index + 2]
+                    + structures[(index + 3) % 4 : (index + 3) % 4 + 1]
+                    for k in range(4)
+                ]
+                for index in range(4)
+            ]
+            expected = {
+                index: [r.yield_estimate for r in SweepService().evaluate_batch(batch)]
+                for index, batch in enumerate(batches)
+            }
+            service = SweepService(workers=2)
+            outputs = {}
+
+            def worker(index):
+                results = service.evaluate_batch(batches[index])
+                outputs[index] = [r.yield_estimate for r in results]
+
+            run_threads(worker, 4)
         finally:
-            service.close()
+            native.reset()
+        assert outputs == expected
+        assert service.registry.counter("service.structures.built") == len(structures)
+        assert service.registry.counter("service.batches.parallel") >= 1
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-fanout")
+        ]
 
 
 class TestAtomicStats:
@@ -143,10 +180,10 @@ class TestScopedFaultPlans:
     def test_constructor_no_longer_installs_a_process_global_plan(self):
         faults.clear()
         try:
-            plan = FaultPlan.from_spec({"shard.unpickle": 1})
+            plan = FaultPlan.from_spec({"store.corrupt": 1})
             service = SweepService(fault_plan=plan)
             assert faults.active() is None
-            service.close()
+            service.evaluate_batch([SweepPoint(make_problem(1.0), max_defects=3)])
             assert faults.active() is None
         finally:
             faults.clear()
@@ -172,7 +209,6 @@ class TestScopedFaultPlans:
                 )[0].yield_estimate
                 for index in range(2)
             }
-            reference.close()
 
             def warm_and_reload(service, out, index):
                 service.evaluate_batch([point])  # build + persist
@@ -197,8 +233,6 @@ class TestScopedFaultPlans:
             # the calling thread never saw either plan outside the scopes
             assert faults.active() is None
         finally:
-            service_a.close()
-            service_b.close()
             faults.clear()
 
 

@@ -1,8 +1,10 @@
-"""End-to-end telemetry: worker metric aggregation from pool jobs, worker
-span adoption, and Chrome trace validation on a real sweep."""
+"""End-to-end telemetry: fan-out thread metrics and spans land in the
+service's one registry and the one trace, and Chrome trace validation on a
+real sweep."""
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -35,7 +37,7 @@ def _no_leaked_tracer():
 
 
 def sweep_points():
-    """Two structure groups (M = 2 and 3): the pool takes one job each."""
+    """Two structure groups (M = 2 and 3): one fan-out thread resolves each."""
     return [
         SweepPoint(make_problem(mean), max_defects=truncation)
         for truncation in (2, 3)
@@ -44,8 +46,8 @@ def sweep_points():
 
 
 def run_sweep(tmp_path, name, warm=False):
-    """One pooled sweep; ``warm`` first commits both structures to the
-    store, so the workers load them instead of building."""
+    """One fan-out sweep; ``warm`` first commits both structures to the
+    store, so the fan-out threads load them instead of building."""
     store_dir = str(tmp_path / name)
     if warm:
         # the first point of each group: one build per structure
@@ -53,7 +55,6 @@ def run_sweep(tmp_path, name, warm=False):
         SweepService(store_dir=store_dir).evaluate_batch(first_points)
     service = SweepService(workers=2, store_dir=store_dir)
     rows = [r.yield_estimate for r in service.evaluate_batch(sweep_points())]
-    service.close()
     return service, rows
 
 
@@ -66,21 +67,22 @@ def reference_rows():
 
 
 class TestWorkerMetricAggregation:
-    """Worker-side counters must land in the parent registry."""
+    """Counters the fan-out threads write land in the service's registry."""
 
     def test_pickled_route(self, tmp_path):
+        # the route that pickled jobs to a worker pool (a ``workers=2``
+        # service, two unheld structures, a warm store) now resolves both
+        # on threads that count straight into the one registry
         service, rows = run_sweep(tmp_path, "pickled", warm=True)
-        if service.registry.counter("service.batches.parallel") == 0:
-            pytest.skip("platform cannot spawn worker processes")
+        assert service.registry.counter("service.batches.parallel") == 1
         assert rows == reference_rows()
         registry = service.registry
-        # these counters are only incremented inside worker processes on
-        # this route; seeing them here proves the snapshots were merged
-        assert registry.counter("store.hits") >= 1
-        assert registry.counter("store.mmap_loads") >= 1
-        assert registry.counter(resolved_pass_counter()) >= 1
-        assert registry.counter("service.passes.batched") >= 2
-        assert registry.histogram_count("phase.worker_evaluate_seconds") >= 1
+        assert registry.counter("store.hits") == 2
+        assert registry.counter("store.mmap_loads") == 2
+        assert registry.counter("service.structures.built") == 0
+        assert registry.counter(resolved_pass_counter()) == 2
+        assert registry.counter("service.passes.batched") == 2
+        assert registry.histogram_count("phase.evaluate_seconds") == 2
 
 
 class TestWorkerSpanAdoption:
@@ -90,19 +92,26 @@ class TestWorkerSpanAdoption:
             service, _ = run_sweep(tmp_path, "traced")
         finally:
             obs_trace.stop()
-        if service.registry.counter("service.batches.parallel") == 0:
-            pytest.skip("platform cannot spawn worker processes")
+        assert service.registry.counter("service.batches.parallel") == 1
         spans = tracer.spans()
-        names = {s["name"] for s in spans}
-        assert "service.dispatch" in names
-        assert "worker.shard" in names
-        worker_pids = {s["pid"] for s in spans} - {os.getpid()}
-        assert worker_pids  # adopted spans keep their worker pid
+        assert {s["pid"] for s in spans} == {os.getpid()}
+        fanout = [s for s in spans if s["name"] == "service.fanout"]
+        builds = [s for s in spans if s["name"] == "service.build"]
+        passes = [s for s in spans if s["name"] == "service.evaluate"]
+        assert len(fanout) == 1 and len(builds) == 2 and len(passes) == 2
+        # the builds ran on the fan-out threads, the passes on the caller
+        caller = fanout[0]["tid"]
+        assert caller not in {s["tid"] for s in builds}
+        assert {s["tid"] for s in passes} == {caller}
+        for build in builds:
+            assert fanout[0]["ts"] <= build["ts"]
+            assert build["ts"] + build["dur"] <= fanout[0]["ts"] + fanout[0]["dur"]
 
     def test_no_tracer_no_span_shipping(self, tmp_path):
         service, rows = run_sweep(tmp_path, "untraced")
         assert rows == reference_rows()
         assert obs_trace.active() is None
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-fanout")]
 
 
 class TestChromeTraceValidation:
@@ -112,7 +121,6 @@ class TestChromeTraceValidation:
             service = SweepService(workers=2, store_dir=str(tmp_path / "store"))
             with obs_trace.span("cli.sweep", benchmark="ESEN4x2"):
                 rows = service.truncation_sweep(make_problem(1.0), [2, 3])
-            service.close()
         finally:
             obs_trace.stop()
         assert len(rows) == 2
@@ -138,8 +146,9 @@ class TestChromeTraceValidation:
 class TestTraceCoverage:
     def test_sweep_trace_covers_most_of_the_wall_clock(self, tmp_path, capsys):
         """Acceptance: the exported spans cover >=90% of the measured wall
-        clock of a pooled ESEN4x2 sweep, worker-process spans included.
-        The two densities resolve to M = 2 and 3: two groups, two jobs."""
+        clock of an ESEN4x2 sweep with two build threads, their spans
+        included.  The two densities resolve to M = 2 and 3: two groups,
+        both built on the fan-out."""
         trace_file = tmp_path / "trace.json"
         argv = [
             "sweep",
@@ -167,6 +176,8 @@ class TestTraceCoverage:
         assert len(roots) == 1
         covered = roots[0]["dur"] / 1e6  # µs -> s
         assert covered >= 0.9 * elapsed
-        if "service.batches.parallel" in out:
-            worker_spans = [e for e in xs if e["name"] == "worker.shard"]
-            assert worker_spans  # worker-process spans made it into the file
+        assert "service.batches.parallel" in out
+        # the fan-out threads' builds made it into the file
+        builds = [e for e in xs if e["name"] == "service.build"]
+        assert len(builds) == 2
+        assert {e["tid"] for e in builds}.isdisjoint({roots[0]["tid"]})

@@ -72,28 +72,6 @@ class TestSnapshotDiffMerge:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
 
-    def test_merge_snapshot_folds_a_worker_delta(self):
-        parent = MetricsRegistry()
-        parent.inc("kernel.fused_passes", 1)
-        parent.observe("phase.worker_evaluate_seconds", 0.5)
-        worker = MetricsRegistry()
-        worker.inc("kernel.fused_passes", 2)
-        worker.inc("store.hits")
-        worker.set_gauge("workers", 2)
-        worker.observe("phase.worker_evaluate_seconds", 1.5)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counter("kernel.fused_passes") == 3
-        assert parent.counter("store.hits") == 1
-        assert parent.gauge("workers") == 2
-        assert parent.histogram_count("phase.worker_evaluate_seconds") == 2
-        assert parent.histogram_sum("phase.worker_evaluate_seconds") == 2.0
-
-    def test_merge_none_is_a_no_op(self):
-        parent = MetricsRegistry()
-        parent.merge_snapshot(None)
-        parent.merge_snapshot({})
-        assert parent.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
     def test_clear(self):
         registry = MetricsRegistry()
         registry.inc("a")
@@ -336,17 +314,11 @@ class TestServiceRegistryNames:
         }
         assert phase_counts(warm) == {"phase.evaluate_seconds": 1}
 
-        # 5: a pooled sweep of two groups it does not hold: each goes whole
-        # to a worker, which misses the store and builds
+        # 5: a fan-out sweep of two groups it does not hold: one thread
+        # each misses the store and builds, then both pass in-process
         pooled = SweepService(workers=2, store_dir=store_dir)
-        try:
-            if pooled.ensure_workers() is None:
-                pytest.skip("platform cannot spawn worker processes")
-            pooled.evaluate_batch(self.points([2, 4]))
-        finally:
-            pooled.close()
+        pooled.evaluate_batch(self.points([2, 4]))
         counters = service_counters(pooled)
-        assert counters.pop("dispatch.payload_bytes") > 0
         assert counters == {
             "service.points.requested": 16,
             "service.points.evaluated": 16,
@@ -354,7 +326,9 @@ class TestServiceRegistryNames:
             "dispatch.groups_in_process": 0,
             "service.structures.built": 2,
             "service.passes.batched": 2,
+            # as on the serial route: saving linearizes, each pass reuses
             "service.linearize.builds": 2,
+            "service.linearize.reuses": 2,
             "store.misses": 2,
             "store.bytes": entry_bytes(2, 4),
             passes: 2,
@@ -362,6 +336,5 @@ class TestServiceRegistryNames:
         }
         assert phase_counts(pooled) == {
             "phase.build_seconds": 2,
-            "phase.evaluate_seconds": 1,
-            "phase.worker_evaluate_seconds": 2,
+            "phase.evaluate_seconds": 2,
         }

@@ -87,18 +87,6 @@ class TestSpanRecording:
         assert all(s["parent"] is None for s in spans)
         assert spans[0]["tid"] != spans[1]["tid"]
 
-    def test_adopt_folds_worker_spans(self):
-        tracer = trace.start()
-        with trace.span("parent"):
-            pass
-        trace.stop()
-        worker = Tracer()
-        with worker.span("worker.shard"):
-            pass
-        tracer.adopt(worker.spans())
-        tracer.adopt(None)  # no-op
-        assert {s["name"] for s in tracer.spans()} == {"parent", "worker.shard"}
-
     def test_aggregate_totals_by_name(self):
         tracer = trace.start()
         for _ in range(3):

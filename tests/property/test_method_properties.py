@@ -5,8 +5,9 @@ components, assigns random defect probabilities and checks the combinatorial
 method against the exact enumeration baseline — the strongest invariant the
 library has, because it crosses every subsystem.  The oracle also reaches
 through the production stack: the sweep service, in process, after a round
-trip through the structure store, and sharded over a worker pool on both of
-its routes (a pickled structure, and shared memory with a store).
+trip through the structure store, and through the ``workers=2`` fan-out on
+both of its routes (the build threads building, and memory-mapping a
+pre-warmed store).
 """
 
 import random
@@ -145,9 +146,9 @@ FIXED_TREES = [
 
 @pytest.mark.parametrize("route", ["build", "store"])
 def test_service_pool_matches_exact_enumeration(route, tmp_path):
-    """The five trees in one batch on two workers, one whole group per job:
-    without a store each worker builds its structure, with a pre-warmed
-    store each memory-maps it.  Bit-for-bit equal to the in-process
+    """The five trees in one batch on two build threads, one group per
+    structure: without a store each thread builds its structure, with a
+    pre-warmed store each memory-maps it.  Bit-for-bit equal to the serial
     route, and exact to rel 1e-9."""
     problems = [
         build_problem(expr, weights, mean, 2.0)
@@ -160,14 +161,13 @@ def test_service_pool_matches_exact_enumeration(route, tmp_path):
         store_dir = str(tmp_path / "store")
         SweepService(store_dir=store_dir).evaluate_batch(points[::4])
     pool = SweepService(workers=2, store_dir=store_dir)
-    try:
-        pooled = pool.evaluate_batch(points)
-    finally:
-        pool.close()
+    pooled = pool.evaluate_batch(points)
     assert pool.registry.counter("service.batches.parallel") == 1
     if route == "store":
         assert pool.registry.counter("service.structures.built") == 0
         assert pool.registry.counter("store.mmap_loads") == len(FIXED_TREES)
+    else:
+        assert pool.registry.counter("service.structures.built") == len(FIXED_TREES)
     in_process = SweepService().evaluate_batch(points)
     for problem, fresh, result in zip(problems, in_process, pooled):
         assert result.yield_estimate == fresh.yield_estimate  # bit-for-bit

@@ -62,22 +62,18 @@ def served():
     handle = serve_in_thread(service)
     yield service, handle
     handle.stop()
-    service.close()
 
 
 def serial_reference(densities=DENSITIES, max_defects=3):
     service = SweepService()
-    try:
-        points = [
-            SweepPoint(benchmark_problem(BENCH, mean_defects=m), max_defects=max_defects)
-            for m in densities
-        ]
-        return [
-            (r.yield_estimate, r.error_bound, r.truncation)
-            for r in service.evaluate_batch(points)
-        ]
-    finally:
-        service.close()
+    points = [
+        SweepPoint(benchmark_problem(BENCH, mean_defects=m), max_defects=max_defects)
+        for m in densities
+    ]
+    return [
+        (r.yield_estimate, r.error_bound, r.truncation)
+        for r in service.evaluate_batch(points)
+    ]
 
 
 class TestEndpoints:
@@ -230,16 +226,13 @@ class TestSweepCorrectness:
         )
         assert response.status == 200
         reference = SweepService()
-        try:
-            gradients = reference.gradient_batch(
-                [
-                    SweepPoint(
-                        benchmark_problem(BENCH, mean_defects=2.0), max_defects=3
-                    )
-                ]
-            )[0]
-        finally:
-            reference.close()
+        gradients = reference.gradient_batch(
+            [
+                SweepPoint(
+                    benchmark_problem(BENCH, mean_defects=2.0), max_defects=3
+                )
+            ]
+        )[0]
         expected = [
             {"component": name, "sensitivity": value}
             for name, value in gradients.ranking()
@@ -334,7 +327,6 @@ class TestCoalescing:
             )
         finally:
             handle.stop()
-            service.close()
 
 
 class TestNodeBudget:
@@ -381,7 +373,6 @@ class TestNodeBudget:
             assert counter_from_stats(handle, "repro_server_errors") == 0
         finally:
             handle.stop()
-            service.close()
 
     def test_serve_budgets_its_service(self, monkeypatch):
         from repro import cli
@@ -529,75 +520,43 @@ class TestAdmissionControl:
         finally:
             release.set()
             handle.stop()
-            service.close()
-
-
-class TestDegradedHealth:
-    """``/healthz`` distinguishes "up" from "well" (still HTTP 200)."""
-
-    def test_recent_pool_respawn_reports_degraded(self, served):
-        import time
-
-        service, handle = served
-        service._last_respawn = time.time()
-        status, payload = get_json(handle, "/healthz")
-        assert status == 200
-        assert payload["status"] == "degraded"
-        assert "respawned" in payload["reason"]
-
-    def test_old_respawn_is_healthy_again(self, served):
-        import time
-
-        service, handle = served
-        service._last_respawn = time.time() - 3600.0
-        status, payload = get_json(handle, "/healthz")
-        assert status == 200
-        assert payload == {"status": "ok"}
 
 
 class TestResilience:
     def test_healthz_stays_green_through_a_worker_kill(self):
-        service = SweepService(workers=2)
+        """A fan-out worker whose build dies (here: past the node budget)
+        fails its own batch only: the server stays healthy, keeps the
+        structure the other worker built and serves on, bit for bit."""
+        from repro.bdd.builder import ResourceLimitExceeded
+
+        service = SweepService(workers=2, node_limit=20_000)
         handle = serve_in_thread(service)
         try:
-            # a served request primes its structures and runs in-process, so
-            # the pool's work comes from a batch on two structures the
-            # service does not hold: one whole-group job each
             cold = [
-                SweepPoint(benchmark_problem(BENCH, mean_defects=m), max_defects=t)
-                for t in (4, 5)
+                SweepPoint(benchmark_problem(name, mean_defects=m), max_defects=t)
+                for name, t in (("MS2", 3), ("MS4", 5))
                 for m in DENSITIES
             ]
-            before = service.evaluate_batch(cold)
-            if service.registry.counter("service.batches.parallel") == 0:
-                pytest.skip("platform cannot spawn worker processes")
-            assert [r.yield_estimate for r in before] == [
-                r.yield_estimate for r in SweepService().evaluate_batch(cold)
-            ]
-
-            pool = service.ensure_workers()
-            import os
-            import signal
-
-            os.kill(pool._pool[0].pid, signal.SIGKILL)
+            with pytest.raises(ResourceLimitExceeded):
+                service.evaluate_batch(cold)
+            assert service.registry.counter("service.batches.parallel") == 1
 
             status, health = get_json(handle, "/healthz")
-            assert status == 200 and health["status"] == "ok"
-            # a fresh benchmark forces real evaluation work after the kill
+            assert status == 200 and health == {"status": "ok"}
             response, after = post_json(
                 handle,
                 "/v1/sweep",
                 {"benchmark": BENCH, "densities": [3.0], "max_defects": 3},
             )
             assert response.status == 200
-            reference = serial_reference(densities=[3.0])
             assert [
                 (p["yield"], p["error_bound"], p["truncation"])
                 for p in after["points"]
-            ] == reference
+            ] == serial_reference(densities=[3.0])
+            # the MS2 structure the healthy worker built served the request
+            assert counter_from_stats(handle, "repro_service_structures_built") == 1
         finally:
             handle.stop()
-            service.close()
 
     def test_drain_turns_healthz_unhealthy_and_rejects_new_work(self):
         service = SweepService()
@@ -607,13 +566,71 @@ class TestResilience:
             assert status == 200
         finally:
             handle.stop()
-            service.close()
         # the listener is gone after the drain completes
         with pytest.raises(OSError):
             request(handle, "GET", "/healthz", timeout=2.0)
 
 
+class TestDrainingHealth:
+    def test_a_draining_server_answers_503(self, served):
+        _, handle = served
+        handle._server._draining = True
+        status, payload = get_json(handle, "/healthz")
+        assert status == 503 and payload == {"status": "draining"}
+        response, body = post_json(
+            handle, "/v1/sweep", {"benchmark": BENCH, "densities": [1.0], "max_defects": 3}
+        )
+        assert response.status == 503 and "draining" in body["error"]
+
+
 class TestServeCli:
+    def test_serve_with_workers_is_one_process(self, tmp_path):
+        """``repro serve --workers 2`` sets build threads: after a cold
+        two-structure batch the server process still has no child."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import types
+
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc to list child processes")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2",
+             "--store-dir", str(tmp_path / "store")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            line = server.stdout.readline().decode()
+            assert "listening on http://" in line, line
+            host, port = line.split("http://", 1)[1].split()[0].rsplit(":", 1)
+            handle = types.SimpleNamespace(host=host, port=int(port))
+            for truncation in (2, 3):
+                response, _ = post_json(
+                    handle,
+                    "/v1/sweep",
+                    {"benchmark": BENCH, "densities": [1.0, 2.0], "max_defects": truncation},
+                )
+                assert response.status == 200
+            children = []
+            for entry in os.listdir("/proc"):
+                if entry.isdigit():
+                    try:
+                        with open("/proc/%s/stat" % entry) as stat:
+                            fields = stat.read().rsplit(")", 1)[1].split()
+                    except OSError:
+                        continue
+                    if int(fields[1]) == server.pid:
+                        children.append(int(entry))
+            assert children == []
+        finally:
+            server.send_signal(signal.SIGTERM)
+            server.communicate(timeout=60)
+
     def test_parser_accepts_the_serve_options(self):
         from repro.cli import build_parser
 
