@@ -8,9 +8,12 @@ minutes (MS2, MS4, ESEN4x1, ESEN4x2 at lambda' = 1 plus MS2 at lambda' = 2).
 Set ``REPRO_BENCH_FULL=1`` to add the larger configurations (MS6, ESEN8x1...)
 — expect a long run.
 
-All benchmarks use ``benchmark.pedantic(..., rounds=1)``: the functions being
-timed build multi-hundred-thousand-node decision diagrams, so repeated rounds
-would add minutes for no statistical benefit.
+The table benchmarks use ``benchmark.pedantic(..., rounds=1)``: the functions
+being timed build multi-hundred-thousand-node decision diagrams, so repeated
+rounds would add minutes for no statistical benefit.  The gated ratios of
+fast in-process routes (``fanout_speedup``, ``importance.speedup``) time
+several rounds instead, alternating which route goes first, and compare the
+best times, so one round that shared the CPU cannot move them.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ def truncation_sweep(
 
     The yield estimates are non-decreasing in ``M`` and the error bounds are
     non-increasing; both facts are asserted by the test-suite.  ``workers``
-    fans the independent truncation levels out over processes (ignored when
-    an explicit ``service`` is supplied).
+    builds the independent truncation levels' structures on that many
+    threads (ignored when an explicit ``service`` is supplied).
     """
     if service is None:
         service = SweepService(

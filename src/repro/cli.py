@@ -61,7 +61,7 @@ from .ordering import OrderingSpec
 from .ordering.grouped import OrderingError
 from .soc import BENCHMARK_NAMES, benchmark_problem
 
-#: Help text of ``--workers``/``--jobs`` on ``sweep``, ``importance`` and ``serve``.
+#: Help text of ``--workers``/``--jobs`` on ``sweep`` and ``importance``.
 WORKERS_HELP = (
     "build the structures of a batch that are not in memory on N threads "
     "(0 or 1: one at a time); every pass runs in this process"
@@ -298,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help=WORKERS_HELP,
+        help="has no effect: the server builds every structure of a request "
+        "on its --http-threads executor before the batch reaches the "
+        "service (accepted so existing command lines still parse)",
     )
     serve.add_argument(
         "--store-dir",
@@ -365,9 +367,9 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="FILE",
-        help="export a hierarchical span trace (including worker-process "
-        "spans) as Chrome trace-event JSON to FILE; inspect with "
-        "chrome://tracing, Perfetto, or `repro trace FILE`",
+        help="export a hierarchical span trace as Chrome trace-event JSON "
+        "to FILE; inspect with chrome://tracing, Perfetto, or "
+        "`repro trace FILE`",
     )
     parser.add_argument(
         "--metrics",
@@ -597,7 +599,7 @@ def _report_engine_stats(service) -> None:
 
     Every line is generated from the metrics registry, so the labels are
     the namespaced metric names — the same names used by the Prometheus
-    exposition (``--metrics``) and by the worker-aggregated snapshots.
+    exposition (``--metrics``) and by ``GET /stats``.
     """
     snapshot = service.registry.snapshot()
     print("Engine statistics")

@@ -36,14 +36,10 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
   per-array ``.npy`` files plus JSON metadata, memory-mappable) so cold
   processes warm-start from disk instead of rebuilding the diagrams.
   Corrupt entries are detected, quarantined and rebuilt (``verify_all`` /
-  ``repro cache verify``);
-* :mod:`repro.engine.faults` — the deterministic fault-injection harness
-  (``REPRO_FAULT_PLAN`` / ``SweepService(fault_plan=...)``) that the
-  store's verify-and-quarantine path is tested against.
+  ``repro cache verify``).
 """
 
 from .batch import BatchEvalError, FusedSchedule, LinearizedDiagram
-from .faults import FaultPlan
 from .kernel import (
     BoundedComputedTable,
     CacheStats,
@@ -60,7 +56,6 @@ __all__ = [
     "BoundedComputedTable",
     "CacheStats",
     "DDKernel",
-    "FaultPlan",
     "FusedSchedule",
     "KernelStats",
     "LinearizedDiagram",

@@ -675,33 +675,6 @@ class LinearizedDiagram:
         self.collapsed_layers += collapsed
         return values[self.root_slot].tolist(), gradients
 
-    # ------------------------------------------------------------------ #
-    # Pickle support: the fused arrays travel as they are
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self):
-        schedule = self._fused
-        return {
-            "root_slot": self.root_slot,
-            "num_slots": self.num_slots,
-            "fused": (schedule.kids, schedule.seg, schedule.slot_levels, schedule.bounds),
-            "fused_passes": self.fused_passes,
-            "native_passes": self.native_passes,
-            "collapsed_layers": self.collapsed_layers,
-            "models_evaluated": self.models_evaluated,
-            "gradient_passes": self.gradient_passes,
-            "models_differentiated": self.models_differentiated,
-        }
-
-    def __setstate__(self, state):
-        self._adopt(state["root_slot"], state["num_slots"], FusedSchedule(*state["fused"]))
-        self.fused_passes = state["fused_passes"]
-        self.native_passes = state["native_passes"]
-        self.collapsed_layers = state["collapsed_layers"]
-        self.models_evaluated = state["models_evaluated"]
-        self.gradient_passes = state["gradient_passes"]
-        self.models_differentiated = state["models_differentiated"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "LinearizedDiagram(nodes=%d, levels=%d)" % (
             self.node_count,

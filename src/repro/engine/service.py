@@ -52,19 +52,21 @@ top-level import here would be circular.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import faults
 from . import native as _native
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
+
+_log = logging.getLogger("repro.engine.service")
 
 #: Cache-miss sentinel: a cached probability may be exactly ``0.0``, so
 #: lookups compare against this marker instead of testing truthiness.
@@ -247,9 +249,6 @@ class SweepService:
     max_results:
         How many evaluated points to keep in the in-memory result cache
         (oldest evicted first).
-    fault_plan:
-        Optional :class:`repro.engine.faults.FaultPlan` scoped to this
-        service's threads.
     analyzer_options:
         Extra keyword arguments for the underlying
         :class:`repro.core.method.YieldAnalyzer` (e.g. ``node_limit``); an
@@ -265,7 +264,6 @@ class SweepService:
         store_dir: Optional[str] = None,
         max_structures: int = 8,
         max_results: int = 65536,
-        fault_plan=None,
         **analyzer_options,
     ) -> None:
         if max_structures < 1:
@@ -303,11 +301,6 @@ class SweepService:
             self._store = None
         self.max_structures = int(max_structures)
         self.max_results = int(max_results)
-        #: The service's fault plan is *scoped*, not process-global: the
-        #: injection sites see it through a thread-local ``faults.scoped``
-        #: block around every evaluation path and every fan-out thread, so
-        #: two services in one process never clobber each other's plans.
-        self._fault_plan = fault_plan
         self._structures: "OrderedDict[Tuple, object]" = OrderedDict()
         #: Result LRU: result key -> ``(P(G = 1), StructureRecord)``.
         self._results: "OrderedDict[Tuple, Tuple[float, object]]" = OrderedDict()
@@ -432,10 +425,6 @@ class SweepService:
         unheld structures of the batch resolve on threads first).  The new
         points are cached as ``(P(G = 1), StructureRecord)``.
         """
-        with self._fault_scope():
-            return self._evaluate_groups(list(groups))
-
-    def _evaluate_groups(self, groups: List[PointGroup]) -> List[GroupColumns]:
         requested = sum(len(group.keys) for group in groups)
         if requested:
             self.registry.inc("service.points.requested", requested)
@@ -508,22 +497,21 @@ class SweepService:
         defect models (:meth:`repro.core.method.CompiledYield.gradients_many`).
         """
         out = []
-        with self._fault_scope():
-            for group in groups:
-                with self._locked_key(group.skey):
-                    compiled, _ = self._structure_for(
-                        group.skey, group.problems[0], group.truncation
-                    )
-                    with self._counted_pass(
-                        compiled,
-                        "phase.gradient_seconds",
-                        "service.passes.gradient",
-                        "service.gradients",
-                        len(group.problems),
-                    ):
-                        gradients = compiled.gradients_many(group.problems)
-                self.registry.inc("service.points.differentiated", len(group.problems))
-                out.append(gradients)
+        for group in groups:
+            with self._locked_key(group.skey):
+                compiled, _ = self._structure_for(
+                    group.skey, group.problems[0], group.truncation
+                )
+                with self._counted_pass(
+                    compiled,
+                    "phase.gradient_seconds",
+                    "service.passes.gradient",
+                    "service.gradients",
+                    len(group.problems),
+                ):
+                    gradients = compiled.gradients_many(group.problems)
+            self.registry.inc("service.points.differentiated", len(group.problems))
+            out.append(gradients)
         return out
 
     def density_sweep(
@@ -591,9 +579,8 @@ class SweepService:
         """
         if skey is None:
             skey = structure_key(problem, truncation, self.ordering)
-        with self._fault_scope():
-            with self._locked_key(skey):
-                self._structure_for(skey, problem, int(truncation))
+        with self._locked_key(skey):
+            self._structure_for(skey, problem, int(truncation))
         return skey
 
     # ------------------------------------------------------------------ #
@@ -613,12 +600,6 @@ class SweepService:
             return int(max_defects)
         budget = self.epsilon if epsilon is None else float(epsilon)
         return problem.lethal_defect_distribution().truncation_level(budget)
-
-    def _fault_scope(self):
-        """Thread-scoped activation of this service's fault plan (if any)."""
-        if self._fault_plan is None:
-            return nullcontext()
-        return faults.scoped(self._fault_plan)
 
     @contextmanager
     def _locked_key(self, skey: Tuple):
@@ -733,8 +714,10 @@ class SweepService:
         builds_before = compiled.linearize_builds
         try:
             self.registry.inc("store.bytes", self._store.save(skey, compiled))
-        except OSError as exc:  # persisting is best-effort
-            faults.note_suppressed(self.registry, "store.save", exc)
+        except OSError as exc:  # best-effort: counted and logged, never raised
+            self.registry.inc("fault.suppressed")
+            self.registry.inc("fault.suppressed.store.save")
+            _log.debug("suppressed store.save failure: %r", exc)
         # saving linearizes on demand; surface that build in the counters
         if compiled.linearize_builds != builds_before:
             self.registry.inc(
@@ -823,7 +806,7 @@ class SweepService:
         """
 
         def resolve(group, problem):
-            with self._fault_scope(), self._locked_key(group.skey):
+            with self._locked_key(group.skey):
                 return self._structure_for(group.skey, problem, group.truncation)
 
         with obs_trace.span("service.fanout", structures=len(misses)):

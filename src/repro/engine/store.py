@@ -6,9 +6,9 @@ list, truncation level, ordering strategy).  The in-memory LRU of
 :class:`repro.engine.service.SweepService` already amortizes that cost
 within one process; this module extends the amortization across process
 boundaries: every compiled structure is serialized once to a versioned
-on-disk format, and any later process (a cold service start, a pool
-worker, a CLI invocation) *warm-starts* by loading the flat arrays instead
-of rebuilding the diagrams.
+on-disk format, and any later process (a cold service start, a server, a
+CLI invocation) *warm-starts* by loading the flat arrays instead of
+rebuilding the diagrams.
 
 What gets persisted is deliberately **not** the MDD node tables: since the
 vectorized column assembly landed, evaluation and differentiation consume
@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as _np
 
-from . import faults
 from ..obs import trace as _obs_trace
 
 #: Identifies the file format (checked on load).
@@ -279,7 +278,7 @@ class StructureStore:
     # Load
     # ------------------------------------------------------------------ #
 
-    def load(self, skey: Tuple, *, mmap: bool = False, quarantine: bool = True):
+    def load(self, skey: Tuple, *, mmap: bool = False):
         """Return ``(restored CompiledYield, entry bytes)`` or ``None``.
 
         With ``mmap=True`` (what :class:`repro.engine.service.SweepService`
@@ -287,30 +286,24 @@ class StructureStore:
         ``mmap_mode="r"`` — no copies, and the OS page cache is shared
         across every process mapping the same entry.  Any corruption,
         version skew or digest mismatch loads as a miss (the structural
-        validation includes an edge-range scan of the kids array) — and,
-        with ``quarantine=True`` (the default), the damaged entry's files
-        are moved aside into ``<root>/quarantine/`` so the rebuild that
-        follows can re-commit a clean entry instead of tripping over the
-        corpse again.  Detections and quarantines are counted into the
-        store's registry (``fault.store_corrupt``,
+        validation includes an edge-range scan of the kids array) — and the
+        damaged entry's files are moved aside into ``<root>/quarantine/``
+        so the rebuild that follows can re-commit a clean entry instead of
+        tripping over the corpse again.  Detections and quarantines are
+        counted into the store's registry (``fault.store_corrupt``,
         ``fault.store_quarantined``).
         """
-        return self.load_digest(digest_of(skey), mmap=mmap, quarantine=quarantine)
+        return self.load_digest(digest_of(skey), mmap=mmap)
 
-    def load_digest(self, digest: str, *, mmap: bool = False, quarantine: bool = True):
+    def load_digest(self, digest: str, *, mmap: bool = False):
         """Like :meth:`load`, addressed directly by digest."""
         json_path = self._json_path(digest)
-        if faults.fire("store.corrupt", self.registry):
-            # deterministic fault injection: damage the committed entry on
-            # disk, then read it normally — the regular corruption
-            # detection and quarantine path runs against real damage
-            self._damage_entry(digest)
         meta = self._read_meta(json_path, digest)
         if meta is None:
             if os.path.exists(json_path):
                 # a marker that exists but does not parse/match is a
                 # corrupt entry, not a plain miss
-                self._note_corrupt(digest, quarantine)
+                self._note_corrupt(digest)
             return None
         with _obs_trace.span("store.load", digest=digest[:16], mmap=mmap) as span:
             try:
@@ -327,7 +320,7 @@ class StructureStore:
                 # removal leaves no marker and is not counted as corruption
                 span.set(miss=True)
                 if os.path.exists(json_path):
-                    self._note_corrupt(digest, quarantine)
+                    self._note_corrupt(digest)
                 return None
             span.set(nbytes=json_bytes + payload_bytes, mmapped=mmapped)
         return structure, json_bytes + payload_bytes
@@ -414,9 +407,9 @@ class StructureStore:
     # Corruption handling: detection, quarantine, verification
     # ------------------------------------------------------------------ #
 
-    def _note_corrupt(self, digest: str, quarantine: bool) -> None:
+    def _note_corrupt(self, digest: str) -> None:
         self._count("fault.store_corrupt")
-        if quarantine and self.quarantine_entry(digest):
+        if self.quarantine_entry(digest):
             self._count("fault.store_quarantined")
 
     def _entry_paths(self, digest: str) -> List[str]:
@@ -444,20 +437,6 @@ class StructureStore:
                 # replaced) the file first; whoever won, the entry is gone
                 continue
         return moved
-
-    def _damage_entry(self, digest: str) -> None:
-        """Truncate one committed array of ``digest`` (fault injection only)."""
-        candidates = [
-            self._sidecar(digest, suffix) for suffix in _SIDECAR_SUFFIXES
-        ]
-        candidates = [path for path in candidates if os.path.exists(path)]
-        target = max(candidates, key=os.path.getsize, default=self._json_path(digest))
-        try:
-            size = os.path.getsize(target)
-            with open(target, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
-        except OSError:  # pragma: no cover - nothing to damage
-            pass
 
     def verify_entry(self, digest: str) -> Tuple[bool, List[str]]:
         """Deep-check one committed entry; return ``(ok, problems)``.

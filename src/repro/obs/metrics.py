@@ -16,10 +16,9 @@ One registry instance holds every engine metric behind dotted names
 Readers go by these names too: ``registry.counter("store.hits")`` is the
 one way to read a counter, and ``snapshot()`` reads them all.
 
-The structure store and the fault harness (:mod:`repro.engine.store` /
-:mod:`repro.engine.faults`) publish into the reserved ``fault.*``
-namespace: ``fault.store_corrupt``, ``fault.store_quarantined``,
-``fault.injected[.<site>]`` (deterministic injections) and
+The structure store and the sweep service (:mod:`repro.engine.store` /
+:mod:`repro.engine.service`) publish into the reserved ``fault.*``
+namespace: ``fault.store_corrupt``, ``fault.store_quarantined`` and
 ``fault.suppressed[.<site>]`` (swallowed best-effort failures).
 
 A service with ``workers > 1`` counts in ``dispatch.groups_in_process``
@@ -38,7 +37,7 @@ coalescing), ``server.inflight`` (gauge) and the
 ``GET /stats`` through :meth:`MetricsRegistry.expose_text`.
 
 :meth:`MetricsRegistry.counters_with_prefix` slices any one namespace out
-of the registry (used by ``--stats`` and the fault-injection suite).
+of the registry (used by ``--stats`` and the store-corruption tests).
 """
 
 from __future__ import annotations

@@ -98,13 +98,11 @@ def _split_target(target: str) -> Tuple[str, str]:
     return target, ""
 
 
-async def read_request(reader, *, max_body: int = MAX_BODY_BYTES) -> Optional[Request]:
+async def read_request(reader) -> Optional[Request]:
     """Parse one request off ``reader``; ``None`` on a clean EOF.
 
     Protocol violations raise :class:`HTTPError` (the caller renders it
     and closes); the function never returns a half-parsed request.
-    ``max_body`` overrides the default body bound for servers that accept
-    large binary payloads (the shard worker's float64 matrices).
     """
     try:
         line = await reader.readline()
@@ -148,7 +146,7 @@ async def read_request(reader, *, max_body: int = MAX_BODY_BYTES) -> Optional[Re
             raise HTTPError(400, "malformed Content-Length") from None
         if length < 0:
             raise HTTPError(400, "malformed Content-Length")
-        if length > max_body:
+        if length > MAX_BODY_BYTES:
             raise HTTPError(413, "request body too large")
         if length:
             try:

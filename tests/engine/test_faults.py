@@ -1,15 +1,17 @@
-"""Injected faults and failing builds on the fan-out route.
+"""Store corruption and failing builds on the fan-out route.
 
-The deterministic fault harness (:mod:`repro.engine.faults`) fires at the
-structure store's well-known site: a corrupt entry must be detected,
-quarantined and rebuilt, with sweep results **bit-for-bit identical** to a
-clean run and the transitions visible in the ``fault.*`` metrics.  The
-end-to-end runs evaluate two structure groups the service does not hold,
-so each batch resolves both structures on the fan-out threads.  A build
-that fails on a fan-out thread fails its batch with the exception the
-serial route raises, and leaves no thread behind.
+A store entry damaged on disk (its largest array file truncated to half
+its size) must be detected, quarantined and rebuilt, with sweep results
+**bit-for-bit identical** to a clean run and the transitions visible in
+the ``fault.*`` metrics.  The end-to-end runs evaluate two structure
+groups the service does not hold, so each batch resolves both structures
+on the fan-out threads.  A build that fails on a fan-out thread fails its
+batch with the exception the serial route raises, and leaves no thread
+behind.
 """
 
+import glob
+import os
 import threading
 import time
 
@@ -19,9 +21,7 @@ from repro.bdd.builder import ResourceLimitExceeded
 from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
-from repro.engine import faults
 from repro.engine import service as service_module
-from repro.engine.faults import PLAN_ENV, FaultPlan
 from repro.engine.service import SweepPoint, SweepService
 from repro.faulttree import FaultTreeBuilder
 
@@ -44,70 +44,8 @@ def make_problem(mean_defects):
 DENSITIES = [0.2 + 0.05 * index for index in range(48)]
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_plan(monkeypatch):
-    """Fault plans are process-global state: never leak one across tests."""
-    monkeypatch.delenv(PLAN_ENV, raising=False)
-    faults.clear()
-    yield
-    faults.clear()
-
-
 def fan_out_threads():
     return [thread for thread in threading.enumerate() if thread.name.startswith("repro-fanout")]
-
-
-# --------------------------------------------------------------------- #
-# The harness itself
-# --------------------------------------------------------------------- #
-
-
-class TestFaultPlan:
-    def test_spec_forms_int_list_and_dict(self):
-        for spec, fired in (
-            ({"store.corrupt": 2}, [False, True, False]),
-            ({"store.corrupt": [1, 3]}, [True, False, True]),
-            ({"store.corrupt": {"every": 2}}, [False, True, False, True]),
-            ({"store.corrupt": {"at": [1], "every": 3}}, [True, False, True]),
-        ):
-            plan = FaultPlan.from_spec(spec)
-            assert [plan.check("store.corrupt") is not None for _ in fired] == fired
-
-    def test_unknown_site_is_rejected_eagerly(self):
-        # a plan naming a site that does not exist (any more) must fail
-        # loudly, or a stale chaos plan would silently inject nothing
-        for site in ("worker.explode", "worker.kill", "worker.hang", "shard.unpickle"):
-            with pytest.raises(ValueError, match="unknown fault site"):
-                FaultPlan.from_spec({site: 1})
-
-    def test_json_round_trip(self):
-        plan = FaultPlan.from_spec({"store.corrupt": {"at": [2], "every": 3}})
-        again = FaultPlan.from_json(plan.to_json())
-        assert again.to_json() == plan.to_json()
-
-    def test_reset_restarts_the_occurrence_counters(self):
-        plan = FaultPlan.from_spec({"store.corrupt": 1})
-        assert plan.check("store.corrupt") is not None
-        assert plan.check("store.corrupt") is None
-        plan.reset()
-        assert plan.check("store.corrupt") is not None
-
-    def test_env_var_installs_a_plan(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, '{"store.corrupt": {"at": [1]}}')
-        faults.clear()  # force re-resolution of the env var
-        plan = faults.active()
-        assert plan is not None
-        assert faults.fire("store.corrupt") is True
-        assert faults.fire("store.corrupt") is False
-
-    def test_malformed_env_var_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "{not json")
-        faults.clear()
-        assert faults.active() is None
-
-    def test_fire_without_a_plan_is_free_and_false(self):
-        faults.install(None)
-        assert faults.fire("store.corrupt") is False
 
 
 # --------------------------------------------------------------------- #
@@ -131,21 +69,27 @@ def rows_of(results):
     ]
 
 
-def run_sweep(tmp_path, name, fault_plan=None, warm=False):
-    """One fan-out sweep over the two groups; ``warm`` first commits both
+def truncate_largest_array(store_dir):
+    """Damage a committed entry on disk: cut the largest array file under
+    the store to half its size."""
+    target = max(glob.glob(os.path.join(store_dir, "*", "*.npy")), key=os.path.getsize)
+    with open(target, "r+b") as handle:
+        handle.truncate(os.path.getsize(target) // 2)
+
+
+def run_sweep(tmp_path, name, warm=False, damage=False):
+    """One fan-out sweep over the two groups.  ``warm`` first commits both
     structures to the store, so the fan-out threads load them instead of
-    building."""
-    faults.clear()
+    building; ``damage`` then truncates one of them on disk."""
     store_dir = str(tmp_path / name)
     if warm:
         SweepService(store_dir=store_dir).evaluate_batch(
             [SweepPoint(make_problem(1.0), max_defects=m) for m in (3, 4)]
         )
-    service = SweepService(workers=2, store_dir=store_dir, fault_plan=fault_plan)
-    try:
-        rows = rows_of(service.evaluate_batch(sweep_points()))
-    finally:
-        faults.clear()
+    if damage:
+        truncate_largest_array(store_dir)
+    service = SweepService(workers=2, store_dir=store_dir)
+    rows = rows_of(service.evaluate_batch(sweep_points()))
     assert service.registry.counter("service.batches.parallel") == 1
     assert not fan_out_threads()
     return rows, service.registry.snapshot()["counters"]
@@ -158,29 +102,18 @@ class TestFaultInjectionEndToEnd:
         return rows
 
     def test_corrupt_store_entry_is_quarantined_and_survived(self, tmp_path, clean):
-        # the store holds both structures before the batch, so the first
-        # store read on a fan-out thread damages a committed entry, detects
-        # it and rebuilds; the other loads clean
-        rows, counters = run_sweep(
-            tmp_path,
-            "faulted",
-            fault_plan=FaultPlan.from_spec({"store.corrupt": {"at": [1]}}),
-            warm=True,
-        )
-        assert rows == clean  # bit-for-bit despite the fault
+        # the store holds both structures before the batch, one of them
+        # truncated: a fan-out thread detects the damage on load and
+        # rebuilds that structure; the other loads clean
+        rows, counters = run_sweep(tmp_path, "faulted", warm=True, damage=True)
+        assert rows == clean  # bit-for-bit despite the damage
         assert counters.get("fault.store_corrupt", 0) == 1
         assert counters.get("fault.store_quarantined", 0) == 1
-        assert counters.get("fault.injected.store.corrupt", 0) == 1
         assert counters.get("service.structures.built", 0) == 1
         assert counters.get("store.hits", 0) == 1
 
     def test_quarantined_store_entry_lands_in_the_quarantine_dir(self, tmp_path, clean):
-        run_sweep(
-            tmp_path,
-            "quarantine",
-            fault_plan=FaultPlan.from_spec({"store.corrupt": {"at": [1]}}),
-            warm=True,
-        )
+        run_sweep(tmp_path, "quarantine", warm=True, damage=True)
         quarantine = tmp_path / "quarantine" / "quarantine"
         assert quarantine.is_dir()
         assert any(quarantine.iterdir())
@@ -307,18 +240,6 @@ class TestFailingBuild:
 
 
 class TestSuppressedFaultAccounting:
-    def test_suppressed_cleanup_failures_are_counted(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        faults.note_suppressed(registry, "store.save", OSError("disk full"))
-        faults.note_suppressed(registry, "store.save", OSError("read-only"))
-        assert registry.counter("fault.suppressed") == 2
-        assert registry.counter("fault.suppressed.store.save") == 2
-
-    def test_note_suppressed_tolerates_no_registry(self):
-        faults.note_suppressed(None, "store.save", OSError("x"))  # must not raise
-
     def test_a_failed_store_save_is_counted_not_raised(self, tmp_path, monkeypatch):
         from repro.engine.store import StructureStore
 
@@ -329,4 +250,5 @@ class TestSuppressedFaultAccounting:
         service = SweepService(store_dir=str(tmp_path / "store"))
         rows = rows_of(service.evaluate_batch(sweep_points()))
         assert rows == rows_of(SweepService().evaluate_batch(sweep_points()))
+        assert service.registry.counter("fault.suppressed") == 2
         assert service.registry.counter("fault.suppressed.store.save") == 2

@@ -117,7 +117,8 @@ class TestResultCaching:
 
 class TestAnalyzerOptions:
     @pytest.mark.parametrize(
-        "options", [{"max_retries": 2}, {"shard_timeout": 30.0}, {"cache_dir": "x"}]
+        "options",
+        [{"max_retries": 2}, {"shard_timeout": 30.0}, {"cache_dir": "x"}, {"fault_plan": None}],
     )
     def test_unknown_options_raise_at_construction(self, options):
         # an option the analyzer does not take must not wait for the first

@@ -2,8 +2,8 @@
 
 The HTTP front end shares one service between many threads, so the
 service's caches, stats and build fan-out must hold up under concurrent
-callers — and its fault plan must stay scoped to the instance instead of
-leaking process-wide.  Every test here pins one of those properties.
+callers — and damage in one service's store must stay in that service.
+Every test here pins one of those properties.
 """
 
 import sys
@@ -13,10 +13,9 @@ import pytest
 
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
-from repro.engine import faults
-from repro.engine.faults import FaultPlan
 from repro.engine.service import SweepPoint, SweepService, result_key
 from repro.faulttree import FaultTreeBuilder
+from tests.engine.test_faults import truncate_largest_array
 
 
 def build_tree():
@@ -176,64 +175,37 @@ class TestAtomicStats:
         assert service.registry.counter("service.passes.batched") == total
 
 
-class TestScopedFaultPlans:
-    def test_constructor_no_longer_installs_a_process_global_plan(self):
-        faults.clear()
-        try:
-            plan = FaultPlan.from_spec({"store.corrupt": 1})
-            service = SweepService(fault_plan=plan)
-            assert faults.active() is None
-            service.evaluate_batch([SweepPoint(make_problem(1.0), max_defects=3)])
-            assert faults.active() is None
-        finally:
-            faults.clear()
+class TestStoreDamageIsolation:
+    def test_damage_stays_in_its_own_service(self, tmp_path):
+        """Two services with two stores on two threads; A's entry is
+        truncated on disk between its save and its reload.  A detects the
+        damage, B counts no fault, and both answer bit-equal to serial."""
+        stores = [str(tmp_path / "store-a"), str(tmp_path / "store-b")]
+        services = [SweepService(store_dir=store) for store in stores]
+        point = SweepPoint(make_problem(1.0), max_defects=3)
+        fresh = [
+            SweepPoint(make_problem(1.0 + 0.01 * (index + 1)), max_defects=3)
+            for index in range(2)
+        ]
+        reference = SweepService()
+        baselines = {
+            index: reference.evaluate_batch([fresh[index]])[0].yield_estimate
+            for index in range(2)
+        }
+        outcomes = {}
 
-    def test_two_services_keep_their_plans_apart(self, tmp_path):
-        """A's plan fires in A only; B sees neither faults nor counters."""
-        faults.clear()
-        store_a = str(tmp_path / "store-a")
-        store_b = str(tmp_path / "store-b")
-        # store.corrupt fires on every store read: any load A performs is
-        # damaged (then detected, quarantined and rebuilt) while B's
-        # loads — concurrent, same process — must stay clean
-        plan = FaultPlan.from_spec({"store.corrupt": {"every": 1}})
-        service_a = SweepService(fault_plan=plan, store_dir=store_a)
-        service_b = SweepService(store_dir=store_b)
-        try:
-            point = SweepPoint(make_problem(1.0), max_defects=3)
-            reference = SweepService()
-            baselines = {
-                index: reference.evaluate_batch(
-                    [SweepPoint(make_problem(1.0 + 0.01 * (index + 1)),
-                                max_defects=3)]
-                )[0].yield_estimate
-                for index in range(2)
-            }
+        def warm_and_reload(index):
+            service = services[index]
+            service.evaluate_batch([point])  # build + persist
+            service.clear()  # drop the memory LRU, keep the store
+            if index == 0:
+                truncate_largest_array(stores[0])
+            outcomes[index] = service.evaluate_batch([fresh[index]])[0].yield_estimate
 
-            def warm_and_reload(service, out, index):
-                service.evaluate_batch([point])  # build + persist
-                service.clear()  # drop the memory LRU, keep the store
-                fresh = SweepPoint(make_problem(1.0 + 0.01 * (index + 1)),
-                                   max_defects=3)
-                out[index] = service.evaluate_batch([fresh])
-
-            outcomes = {}
-            run_threads(
-                lambda i: warm_and_reload(service_a if i == 0 else service_b,
-                                          outcomes, i),
-                2,
-            )
-            # injected store damage must not change either service's answer
-            for index in range(2):
-                assert outcomes[index][0].yield_estimate == baselines[index]
-            injected_a = service_a.registry.counter("fault.injected.store.corrupt")
-            injected_b = service_b.registry.counter("fault.injected.store.corrupt")
-            assert injected_a >= 1
-            assert injected_b == 0
-            # the calling thread never saw either plan outside the scopes
-            assert faults.active() is None
-        finally:
-            faults.clear()
+        run_threads(warm_and_reload, 2)
+        assert outcomes == baselines
+        assert services[0].registry.counter("fault.store_corrupt") == 1
+        assert services[1].registry.counters_with_prefix("fault.") == {}
 
 
 class TestZeroProbabilityCaching:
