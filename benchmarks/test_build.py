@@ -14,6 +14,10 @@ the library cannot be built, which the CI gate reports as a warning.
 
 A third, trend-only leg compiles MS6 at ``M = 6`` (the paper's largest
 Table 4 row) on the default route and records the seconds of each stage.
+Both the ESEN4x2 and the MS6 legs also record the native builder's work,
+trend-only: nodes created (``native_created``, ``ms6_native_created``)
+and computed-table lookups, hits plus misses (``native_lookups``,
+``ms6_native_lookups``); ``null`` without the library.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ MS6_SIZES = (1100049, 103228)
 RECORD = {}
 
 
+def native_work(manager, stats):
+    """``(created, lookups)`` of a native build, ``(None, None)`` otherwise."""
+    if stats.backend != "native":
+        return None, None
+    cache = manager.cache_totals()
+    return stats.allocated_nodes, cache["hits"] + cache["misses"]
+
+
 def write_record(**entries):
     RECORD.update(entries)
     try:
@@ -76,12 +88,15 @@ def test_native_build_beats_the_gate_loop(benchmark):
     available = native.available()
     loop_seconds = native_seconds = float("inf")
     sizes = set()
+    work = set()  # (created, lookups) of every native round
 
     def timed(build):
         started = time.perf_counter()
-        _, _, stats = build()
+        manager, _, stats = build()
         elapsed = time.perf_counter() - started
         sizes.add(stats.final_size)
+        if stats.backend == "native":
+            work.add(native_work(manager, stats))
         return elapsed
 
     def rounds():
@@ -93,6 +108,8 @@ def test_native_build_beats_the_gate_loop(benchmark):
 
     benchmark.pedantic(rounds, rounds=1, iterations=1)
     assert sizes == {50994}  # both routes build the pinned diagram
+    assert len(work) <= 1  # every native round does the same work
+    native_created, native_lookups = work.pop() if work else (None, None)
     build_speedup = loop_seconds / native_seconds if available else None
 
     print_table(
@@ -120,6 +137,8 @@ def test_native_build_beats_the_gate_loop(benchmark):
         native_available=available,
         gate_loop_seconds=loop_seconds,
         native_seconds=native_seconds if available else None,
+        native_created=native_created,
+        native_lookups=native_lookups,
         build_speedup=build_speedup,
         spans=spans,
     )
@@ -189,6 +208,7 @@ def test_ms6_compile_stages(benchmark):
     problem = benchmark_problem("MS6", mean_defects=2.0)
     analyzer = YieldAnalyzer(OrderingSpec("w", "ml"))
     stages = {}
+    work = {}
 
     def compile_ms6():
         # the ordering stage includes the binary circuit the build reads
@@ -212,6 +232,7 @@ def test_ms6_compile_stages(benchmark):
             conversion=converted - built,
             linearization=linearized - converted,
         )
+        work["created"], work["lookups"] = native_work(bdd, stats)
         return stats.final_size, mdd.size(mdd_root)
 
     sizes = benchmark.pedantic(compile_ms6, rounds=1, iterations=1)
@@ -227,5 +248,7 @@ def test_ms6_compile_stages(benchmark):
     write_record(
         ms6_coded_robdd_size=MS6_SIZES[0],
         ms6_romdd_size=MS6_SIZES[1],
+        ms6_native_created=work["created"],
+        ms6_native_lookups=work["lookups"],
         **{"ms6_%s_seconds" % stage: seconds for stage, seconds in stages.items()},
     )

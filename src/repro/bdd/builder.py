@@ -19,7 +19,7 @@ when the native library cannot be built on this host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class CircuitBDDBuilder:
 
     def _build_guarded(self, circuit: Circuit, manager: BDDManager, cone, output):
         stats = BuildStats()
-        node_bdd: Dict[int, int] = {}
+        # every value is a (handle, complemented) pair: see _apply_gate
+        node_bdd: Dict[int, Tuple[int, bool]] = {}
 
         # fanout counts restricted to the cone let us drop intermediate results
         # as soon as the last reader has been processed, which is what the
@@ -153,19 +154,25 @@ class CircuitBDDBuilder:
         for idx in sorted(cone):
             node = circuit.node(idx)
             if node.is_input:
-                node_bdd[idx] = manager.var(node.name)
+                handle = manager.var(node.name)
+                node_bdd[idx] = (handle, False)
                 if gc:
-                    manager.ref(node_bdd[idx])
+                    manager.ref(handle)
                 continue
             if node.is_const:
-                node_bdd[idx] = TRUE if node.name == "1" else FALSE
+                node_bdd[idx] = (TRUE if node.name == "1" else FALSE, False)
                 continue
 
-            fanin_bdds = [node_bdd[f] for f in node.fanins]
-            node_bdd[idx] = self._apply_gate(manager, node.op, fanin_bdds)
+            handle, complemented = self._apply_gate(
+                manager, node.op, [node_bdd[f] for f in node.fanins]
+            )
+            if complemented and idx == output:
+                # the one NOT a complemented output costs, inside its gate
+                handle, complemented = manager.not_(handle), False
+            node_bdd[idx] = (handle, complemented)
             stats.gates_processed += 1
             if gc:
-                manager.ref(node_bdd[idx])
+                manager.ref(handle)
 
             if (
                 self._node_limit is not None
@@ -182,7 +189,7 @@ class CircuitBDDBuilder:
                 if remaining_readers[f] == 0 and f != output:
                     released = node_bdd.pop(f, None)
                     if gc and released is not None:
-                        manager.deref(released)
+                        manager.deref(released[0])
 
             if gc:
                 # every function still needed is ref-protected, so this is a
@@ -192,17 +199,17 @@ class CircuitBDDBuilder:
             gates_since_sample += 1
             if self._track_peak and gates_since_sample >= self._peak_stride:
                 gates_since_sample = 0
-                live = manager.reachable_size(node_bdd.values())
+                live = manager.reachable_size(handle for handle, _ in node_bdd.values())
                 stats.live_samples.append(live)
                 if live > stats.peak_live_nodes:
                     stats.peak_live_nodes = live
 
-        root = node_bdd[output]
+        root = node_bdd[output][0]
         if gc:
             # keep the final diagram protected; release the other handles
             # (deref is a no-op for terminals, so const entries are safe)
             manager.ref(root)
-            for handle in node_bdd.values():
+            for handle, _ in node_bdd.values():
                 manager.deref(handle)
         stats.final_size = manager.size(root)
         stats.allocated_nodes = manager.num_nodes_allocated
@@ -257,30 +264,39 @@ class CircuitBDDBuilder:
         return manager, root, stats
 
     @staticmethod
-    def _apply_gate(manager: BDDManager, op: GateOp, fanins: List[int]) -> int:
-        if op is GateOp.NOT:
-            return manager.not_(fanins[0])
-        if op is GateOp.BUF:
-            return fanins[0]
-        if op is GateOp.AND:
-            return manager.and_many(fanins)
-        if op is GateOp.OR:
-            return manager.or_many(fanins)
-        if op is GateOp.NAND:
-            return manager.not_(manager.and_many(fanins))
-        if op is GateOp.NOR:
-            return manager.not_(manager.or_many(fanins))
-        if op is GateOp.XOR:
-            result = fanins[0]
-            for f in fanins[1:]:
-                result = manager.xor_(result, f)
-            return result
-        if op is GateOp.XNOR:
-            result = fanins[0]
-            for f in fanins[1:]:
-                result = manager.xor_(result, f)
-            return manager.not_(result)
-        raise BDDError("unsupported gate operator %r" % (op,))  # pragma: no cover
+    def _apply_gate(
+        manager: BDDManager, op: GateOp, fanins: List[Tuple[int, bool]]
+    ) -> Tuple[int, bool]:
+        """Evaluate one gate on ``(handle, complemented)`` operands.
+
+        Returns the gate's ``(handle, complemented)`` value.  NOT flips the
+        polarity and BUF copies it, so neither applies anything.  AND, OR,
+        NAND and NOR fold the dual operator (De Morgan) when no operand is
+        a plain non-terminal node, and their own operator otherwise; an
+        operand of the other polarity is complemented just before its fold
+        step (the complement of a terminal is the other terminal, which
+        costs nothing).  XOR and XNOR fold the handles and keep the parity
+        of the complemented operands.  The C builder applies the same rule.
+        """
+        if op is GateOp.NOT or op is GateOp.BUF:
+            handle, complemented = fanins[0]
+            return handle, complemented != (op is GateOp.NOT)
+        if op is GateOp.XOR or op is GateOp.XNOR:
+            result = fanins[0][0]
+            for handle, _ in fanins[1:]:
+                result = manager.xor_(result, handle)
+            parity = sum(complemented for _, complemented in fanins) % 2
+            return result, bool(parity) != (op is GateOp.XNOR)
+        dual = all(complemented or handle <= TRUE for handle, complemented in fanins)
+        conjunctive = (op is GateOp.AND or op is GateOp.NAND) != dual
+        fold = manager.and_many if conjunctive else manager.or_many
+        # a generator: and_many/or_many stop at their absorbing constant,
+        # before the complements of the operands they never reach
+        result = fold(
+            manager.not_(handle) if complemented != dual else handle
+            for handle, complemented in fanins
+        )
+        return result, dual != (op is GateOp.NAND or op is GateOp.NOR)
 
 
 def build_circuit_bdd(

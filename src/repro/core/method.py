@@ -616,6 +616,7 @@ class YieldAnalyzer:
             bdd_manager, bdd_root, build_stats = self._build_coded_robdd(
                 gfunction, grouped_order
             )
+            build_cache = bdd_manager.cache_totals()
             sift_swaps = 0
             reorder_seconds = 0.0
             if self.ordering.sift:
@@ -629,6 +630,8 @@ class YieldAnalyzer:
                     build_stats.peak_live_nodes = build_stats.final_size
             robdd_span.set(
                 nodes=build_stats.final_size,
+                created=build_stats.allocated_nodes,
+                lookups=build_cache["hits"] + build_cache["misses"],
                 sift_swaps=sift_swaps,
                 backend=build_stats.backend,
             )

@@ -339,13 +339,15 @@ repro_native_backward(
  *
  * Builds the ROBDD of a gate-level circuit with the operations the gate
  * loop of builder.py performs, minus its garbage collection: nodes are
- * visited in index order; an input makes its variable node; an n-ary gate
- * folds left over its fanins (AND and OR stop at their absorbing constant);
- * NAND, NOR and XNOR complement their fold; and every XOR step first
- * complements its right operand, because the gate loop's  ite(f, NOT g, g)
- * creates those nodes.  Reduced, hash-consed nodes are never freed here,
- * so the set of nodes created depends only on that operation sequence and
- * the created count equals the gate loop's with collect_garbage=False.
+ * visited in index order; an input makes its variable node; every gate
+ * value is a node with a polarity bit (see apply_gate), so NOT and BUF
+ * apply nothing and only a complemented output is complemented at the
+ * end; an n-ary gate folds left over its fanins (AND and OR stop at their
+ * absorbing constant); and every XOR step first complements its right
+ * operand, because the gate loop's  ite(f, NOT g, g)  creates those
+ * nodes.  Reduced, hash-consed nodes are never freed here, so the set of
+ * nodes created depends only on that operation sequence and the created
+ * count equals the gate loop's with collect_garbage=False.
  *
  * Nodes are dense uint32 ids in creation order: 0/1 are the FALSE/TRUE
  * terminals and children always have smaller ids than their parents.  The
@@ -735,40 +737,31 @@ descend:
     return r;
 }
 
-/* one gate of the circuit, exactly as builder.py's _apply_gate orders it */
+/* One gate of the circuit, exactly as builder.py's _apply_gate orders it.
+ * Node j's value is vals[j], complemented when neg[j] is set; the gate's
+ * polarity goes to *neg_out.  NOT flips the bit and BUF copies it.  AND,
+ * OR, NAND and NOR fold the dual operator (De Morgan) when no operand is
+ * a plain non-terminal node, and their own operator otherwise; an operand
+ * of the other polarity is complemented just before its fold step (the
+ * complement of a terminal is the other terminal, which costs nothing).
+ * XOR and XNOR fold the nodes and keep the parity of the complemented
+ * operands. */
 static uint32_t
-apply_gate(bdd_t *b, int64_t kind, const uint32_t *vals, const int64_t *fan,
-           int64_t count)
+apply_gate(bdd_t *b, int64_t kind, const uint32_t *vals, const uint8_t *neg,
+           const int64_t *fan, int64_t count, uint8_t *neg_out)
 {
-    uint32_t r;
+    uint32_t r, x;
     switch (kind) {
     case NODE_BUF:
-        return vals[fan[0]];
     case NODE_NOT:
-        return apply(b, OP_NOT, vals[fan[0]], 0);
-    case NODE_AND:
-    case NODE_NAND:
-        r = 1;
-        for (int64_t i = 0; i < count && r != 0; i++) {
-            r = apply(b, OP_AND, r, vals[fan[i]]);
-            if (r == NIL) {
-                return NIL;
-            }
-        }
-        return kind == NODE_AND ? r : apply(b, OP_NOT, r, 0);
-    case NODE_OR:
-    case NODE_NOR:
-        r = 0;
-        for (int64_t i = 0; i < count && r != 1; i++) {
-            r = apply(b, OP_OR, r, vals[fan[i]]);
-            if (r == NIL) {
-                return NIL;
-            }
-        }
-        return kind == NODE_OR ? r : apply(b, OP_NOT, r, 0);
-    default: /* NODE_XOR, NODE_XNOR */
+        *neg_out = neg[fan[0]] ^ (kind == NODE_NOT);
+        return vals[fan[0]];
+    case NODE_XOR:
+    case NODE_XNOR:
+        *neg_out = (kind == NODE_XNOR) ^ neg[fan[0]];
         r = vals[fan[0]];
         for (int64_t i = 1; i < count; i++) {
+            *neg_out ^= neg[fan[i]];
             if (apply(b, OP_NOT, vals[fan[i]], 0) == NIL) {
                 return NIL;
             }
@@ -777,7 +770,29 @@ apply_gate(bdd_t *b, int64_t kind, const uint32_t *vals, const int64_t *fan,
                 return NIL;
             }
         }
-        return kind == NODE_XOR ? r : apply(b, OP_NOT, r, 0);
+        return r;
+    default: { /* NODE_AND, NODE_OR, NODE_NAND, NODE_NOR */
+        uint8_t dual = 1;
+        for (int64_t i = 0; i < count && dual; i++) {
+            dual = neg[fan[i]] || vals[fan[i]] <= 1;
+        }
+        int conjunctive = (kind == NODE_AND || kind == NODE_NAND) ^ dual;
+        int32_t op = conjunctive ? OP_AND : OP_OR;
+        uint32_t absorbing = conjunctive ? 0 : 1;
+        *neg_out = dual ^ (kind == NODE_NAND || kind == NODE_NOR);
+        r = absorbing ^ 1u;
+        for (int64_t i = 0; i < count && r != absorbing; i++) {
+            x = vals[fan[i]];
+            if (neg[fan[i]] != dual && (x = apply(b, OP_NOT, x, 0)) == NIL) {
+                return NIL;
+            }
+            r = apply(b, op, r, x);
+            if (r == NIL) {
+                return NIL;
+            }
+        }
+        return r;
+    }
     }
 }
 
@@ -933,7 +948,8 @@ repro_bdd_build(
     b.utab = calloc((size_t)1 << b.ubits, sizeof *b.utab);
     b.stack = malloc((size_t)(num_vars + 1) * sizeof *b.stack);
     uint32_t *vals = malloc((size_t)num_nodes * sizeof *vals);
-    if (!b.nodes || !b.utab || !b.stack || !vals) {
+    uint8_t *neg = calloc((size_t)num_nodes, 1);
+    if (!b.nodes || !b.utab || !b.stack || !vals || !neg) {
         b.status = BUILD_NO_MEMORY;
     } else {
         /* terminals sit below every variable level */
@@ -957,8 +973,13 @@ repro_bdd_build(
         }
         gates++;
         b.in_gate = 1;
-        vals[i] = apply_gate(&b, kind, vals, fanins + starts[i],
-                             starts[i + 1] - starts[i]);
+        vals[i] = apply_gate(&b, kind, vals, neg, fanins + starts[i],
+                             starts[i + 1] - starts[i], &neg[i]);
+        /* a complemented output costs one NOT, inside its gate */
+        if (i == output && neg[i] && b.status == BUILD_OK) {
+            vals[i] = apply(&b, OP_NOT, vals[i], 0);
+            neg[i] = 0;
+        }
         b.in_gate = 0;
         if (b.status == BUILD_OK && b.limit >= 0 && b.n > b.limit) {
             b.status = BUILD_NODE_LIMIT;
@@ -982,6 +1003,7 @@ repro_bdd_build(
         }
     }
     free(vals);
+    free(neg);
     bdd_release(&b);
     return b.status;
 }

@@ -293,10 +293,7 @@ class StructureStore:
         counted into the store's registry (``fault.store_corrupt``,
         ``fault.store_quarantined``).
         """
-        return self.load_digest(digest_of(skey), mmap=mmap)
-
-    def load_digest(self, digest: str, *, mmap: bool = False):
-        """Like :meth:`load`, addressed directly by digest."""
+        digest = digest_of(skey)
         json_path = self._json_path(digest)
         meta = self._read_meta(json_path, digest)
         if meta is None:

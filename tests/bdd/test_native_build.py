@@ -3,9 +3,10 @@
 The gate loop of :class:`repro.bdd.builder.CircuitBDDBuilder` is the
 reference: the native route must build the same function (same size, same
 converted fused arrays), create exactly the nodes the gate loop creates
-without garbage collection, fail the same builds under a node limit, fall
-back to the gate loop when the library cannot be built, and keep no shared
-state between concurrent builds.
+without garbage collection (both walk the gates with a polarity bit, and
+the golden structures' counts are pinned), fail the same builds under a
+node limit, fall back to the gate loop when the library cannot be built,
+and keep no shared state between concurrent builds.
 """
 
 import sys
@@ -25,6 +26,7 @@ from repro.engine import native
 from repro.engine.batch import LinearizedDiagram
 from repro.faulttree import Circuit, GateOp
 from repro.mdd.from_bdd import convert_bdd_to_mdd
+from repro.obs import trace as obs_trace
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
 from tests.engine.test_deep_recursion import DEPTH, build_and_chain
@@ -150,6 +152,135 @@ def test_native_build_matches_the_gate_loop_on_every_gate_kind(sample):
     for values in range(32):
         assignment = {"x%d" % i: bool(values >> i & 1) for i in range(5)}
         assert bdd.evaluate(root, assignment) == circuit.evaluate_output(assignment)
+
+
+@st.composite
+def de_morgan_circuits(draw):
+    """Circuits whose fold gates read NOTs of earlier gates.
+
+    Each AND/OR/NAND/NOR gate takes all-complemented, all-plain or mixed
+    fan-ins (NOTs over gate outputs, inputs, NOT-of-NOT pairs and constants),
+    an occasional XOR/XNOR reads complements too, and the output is
+    complemented: every polarity case of the builders' walk runs.
+    """
+    circuit = Circuit("de-morgan")
+    nodes = [circuit.add_input("x%d" % i) for i in range(5)]
+    if draw(st.booleans()):
+        nodes.append(circuit.add_const(draw(st.booleans())))
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        op = draw(st.sampled_from(GATES))
+        mode = draw(st.sampled_from(["complemented", "plain", "mixed"]))
+        fanins = []
+        for node in draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4)):
+            nots = draw(st.integers(0, 2)) if mode == "mixed" else int(mode == "complemented")
+            for _ in range(nots):
+                node = circuit.add_gate(GateOp.NOT, [node], share=False)
+            fanins.append(node)
+        nodes.append(circuit.add_gate(op, fanins, share=False))
+    circuit.set_output(circuit.add_gate(GateOp.NOT, [nodes[-1]], share=False))
+    order = draw(st.permutations(["x%d" % i for i in range(5)]))
+    return circuit, list(order)
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(de_morgan_circuits())
+def test_native_build_matches_the_gate_loop_on_complemented_fanins(sample):
+    circuit, order = sample
+    bdd, root, stats = build_circuit_bdd(circuit, order)
+    assert stats.backend == "native"
+    ref_bdd, ref_root, ref_stats = gate_loop(order, circuit, collect_garbage=False)
+    assert stats.final_size == ref_stats.final_size
+    assert stats.allocated_nodes == ref_stats.allocated_nodes
+    assert stats.gates_processed == ref_stats.gates_processed
+    for values in range(32):
+        assignment = {"x%d" % i: bool(values >> i & 1) for i in range(5)}
+        expected = circuit.evaluate_output(assignment)
+        assert bdd.evaluate(root, assignment) == expected
+        assert ref_bdd.evaluate(ref_root, assignment) == expected
+    # the output's complement counts inside its gate's node-limit check
+    created = stats.allocated_nodes
+    for limit, expected in ((created - 1, "exceeded"), (created, "built")):
+        if limit >= 2:
+            for native_route in (True, False):
+                outcome = limit_outcome(
+                    order, circuit, limit, native_route=native_route, collect_garbage=False
+                )
+                assert outcome == expected
+
+
+@pytest.mark.parametrize("route", [pytest.param("native", marks=needs_native), "python"])
+def test_complemented_fanins_fold_the_dual_operator(route):
+    """NOT(OR(NOT a, NOT b, NOT c)) costs what AND(a, b, c) costs: no NOT runs."""
+    order = ["a", "b", "c"]
+
+    def allocated(build_output):
+        circuit = Circuit("de-morgan")
+        circuit.set_output(build_output(circuit, [circuit.add_input(x) for x in order]))
+        manager = None if route == "native" else BDDManager(order)
+        _, _, stats = CircuitBDDBuilder(order, track_peak=False).build(circuit, manager)
+        assert stats.backend == route
+        return stats.allocated_nodes
+
+    def conjunction(circuit, inputs):
+        return circuit.add_gate(GateOp.AND, inputs)
+
+    def de_morgan(circuit, inputs):
+        complements = [circuit.add_gate(GateOp.NOT, [x]) for x in inputs]
+        return circuit.add_gate(GateOp.NOT, [circuit.add_gate(GateOp.OR, complements)])
+
+    # two terminals, three variables and the two nodes of a AND b AND c
+    # below its root: 2 + 3 + 3
+    assert allocated(de_morgan) == allocated(conjunction) == 8
+
+
+#: Nodes created and gates processed by the coded-ROBDD builds of the
+#: golden structures (``tests/engine/test_golden.py``, ordering pair
+#: ``("w", "ml")``), the same on the native route and on the gate loop
+#: without garbage collection.
+GOLDEN_BUILDS = {
+    ("ESEN4x1", 6): (14508, 225),
+    ("ESEN4x2", 5): (65186, 393),
+    ("MS2", 6): (48290, 325),
+    ("MS4", 5): (171454, 446),
+}
+
+
+@pytest.mark.parametrize("route", [pytest.param("native", marks=needs_native), "python"])
+@pytest.mark.parametrize("name, truncation", sorted(GOLDEN_BUILDS))
+def test_golden_builds_create_the_pinned_node_counts(name, truncation, route):
+    circuit, grouped = coded_circuit(
+        benchmark_problem(name, mean_defects=1.0), "w", truncation
+    )
+    order = grouped.flat_bit_order()
+    if route == "native":
+        _, _, stats = CircuitBDDBuilder(order, track_peak=False).build(circuit)
+    else:
+        _, _, stats = gate_loop(order, circuit, collect_garbage=False)
+    assert stats.backend == route
+    assert (stats.allocated_nodes, stats.gates_processed) == GOLDEN_BUILDS[(name, truncation)]
+
+
+@pytest.mark.parametrize("track_peak", [False, True])  # native when it loads; the gate loop
+def test_robdd_span_counts_the_build_work(track_peak):
+    problem = benchmark_problem("MS2", mean_defects=1.0)
+    tracer = obs_trace.start()
+    try:
+        compiled = YieldAnalyzer(
+            OrderingSpec("w", "ml"), track_peak=track_peak
+        ).compile_for_truncation(problem, 3)
+    finally:
+        obs_trace.stop()
+    (span,) = [s["args"] for s in tracer.spans() if s["name"] == "compile.robdd"]
+
+    circuit, grouped = coded_circuit(problem, "w", 3)
+    manager, _, stats = CircuitBDDBuilder(
+        grouped.flat_bit_order(), track_peak=track_peak
+    ).build(circuit)
+    cache = manager.cache_totals()
+    assert span["backend"] == stats.backend
+    assert span["created"] == stats.allocated_nodes == compiled.robdd_allocated
+    assert span["lookups"] == cache["hits"] + cache["misses"] > 0
 
 
 @needs_native
