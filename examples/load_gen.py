@@ -4,7 +4,7 @@ Fires a mixed burst of sweep and importance requests at a running server
 from many client threads — stdlib only (``http.client`` + ``threading``),
 so it runs anywhere the package does::
 
-    repro serve --port 8123 --workers 2 &
+    repro serve --port 8123 &
     python examples/load_gen.py --base-url http://127.0.0.1:8123 \
         --clients 8 --rounds 3 --verify
 

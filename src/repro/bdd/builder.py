@@ -11,9 +11,9 @@ by unprocessed gates).
 Two routes build the same diagram.  The native route hands the whole gate
 list to the C builder of :mod:`repro.engine.native` in one call and
 bulk-loads the reachable result into an ordinary :class:`BDDManager`.
-The Python gate loop runs instead when the caller supplies the manager
-(mid-build reordering needs a live one), when the peak is tracked, or
-when the native library cannot be built on this host.
+The Python gate loop runs instead when the caller supplies the manager,
+when the peak is tracked, or when the native library cannot be built on
+this host.
 """
 
 from __future__ import annotations

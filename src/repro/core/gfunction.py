@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..distributions import DefectCountDistribution
+from ..distributions import DefectCountDistribution, plain_sum
 from ..faulttree.circuit import Circuit
 from ..faulttree.multivalued import MVCircuit, MultiValuedVariable
 from ..faulttree.ops import CircuitError, GateOp
@@ -204,14 +204,14 @@ class GeneralizedFaultTree:
                 "expected %d component probabilities, got %d"
                 % (self.num_components, len(probabilities))
             )
-        total = sum(probabilities)
+        total = plain_sum(probabilities)
         if abs(total - 1.0) > 1e-6:
             raise GFunctionError(
                 "lethal component probabilities must sum to 1, got %g" % total
             )
 
         count_pmf = [lethal_distribution.pmf(k) for k in range(self.max_defects + 1)]
-        overflow = max(0.0, 1.0 - sum(count_pmf))
+        overflow = max(0.0, 1.0 - plain_sum(count_pmf))
         w_distribution = {k: count_pmf[k] for k in range(self.max_defects + 1)}
         w_distribution[self.max_defects + 1] = overflow
 

@@ -30,6 +30,7 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bdd.builder import CircuitBDDBuilder
+from ..distributions import plain_sum
 from ..engine import native
 from ..engine.batch import LinearizedDiagram
 from ..mdd.from_bdd import convert_bdd_to_mdd
@@ -357,10 +358,11 @@ class CompiledYield:
         first ``M + 1`` entries are ``Q'_0 .. Q'_M``: a lethal count
         vector, or the ``pmf_vector(M + 1)`` of the gradient pass.  Its
         last entry is not read — the column's saturated entry is
-        ``max(0, 1 - sum(Q'))`` with a plain left-to-right float sum, the
-        value the per-model dict route produced.  Every count column is
-        validated; each distinct component model's ``P'`` column is
-        validated once and tiled to ``C x K``.
+        ``max(0, 1 - sum(Q'))`` with a plain left-to-right float sum
+        (:func:`~repro.distributions.plain_sum`), the value the per-model
+        dict route produced.  Every count column is validated; each
+        distinct component model's ``P'`` column is validated once and
+        tiled to ``C x K``.
 
         Returns ``(count_matrix, location_matrix)``, the exact float64
         inputs of the linearized kernel.
@@ -368,7 +370,7 @@ class CompiledYield:
         count_columns: List[List[float]] = []
         for vector in counts:
             head = vector[:-1]
-            count_columns.append([*head, max(0.0, 1.0 - sum(head))])
+            count_columns.append([*head, max(0.0, 1.0 - plain_sum(head))])
         validate_model_columns(count_columns, what="count")
         location_columns: List[List[float]] = []
         slot_of: Dict[int, int] = {}
@@ -394,7 +396,7 @@ class CompiledYield:
                 "expected %d component probabilities, got %d"
                 % (expected, len(probabilities))
             )
-        total = sum(probabilities)
+        total = plain_sum(probabilities)
         if abs(total - 1.0) > 1e-6:
             raise GFunctionError(
                 "lethal component probabilities must sum to 1, got %g" % total
@@ -491,12 +493,12 @@ class CompiledYield:
                 for k in range(truncation + 1)
             ]
             d_overflow_d_lethality = (truncation + 1) * qprime[truncation + 1] / lethality
-            d_failure_d_lethality = sum(
+            d_failure_d_lethality = plain_sum(
                 g * d for g, d in zip(d_failure_d_count, d_count_d_lethality)
             ) + d_failure_d_count[truncation + 1] * d_overflow_d_lethality
 
             # chain rule through the conditional hit vector P'_j(P_1..P_C)
-            location_dot = sum(
+            location_dot = plain_sum(
                 s * p for s, p in zip(location_sums, conditional)
             )
             d_yield_d_raw = {}

@@ -22,6 +22,21 @@ class ProblemError(ValueError):
     """Raised when a yield problem is inconsistent."""
 
 
+def _check_pair(fault_tree: Circuit, components: ComponentDefectModel) -> None:
+    """Check that the fault tree has one output and only known inputs."""
+    try:
+        fault_tree.primary_output
+    except CircuitError as exc:
+        raise ProblemError("fault tree must have exactly one output: %s" % exc) from exc
+    known = components.name_set
+    unknown = [name for name in fault_tree.input_names if name not in known]
+    if unknown:
+        raise ProblemError(
+            "fault tree inputs missing from the component model: %s"
+            % ", ".join(sorted(unknown))
+        )
+
+
 class YieldProblem:
     """A fault-tolerant system-on-chip yield evaluation problem.
 
@@ -49,21 +64,30 @@ class YieldProblem:
         *,
         name: Optional[str] = None,
     ) -> None:
-        try:
-            fault_tree.primary_output
-        except CircuitError as exc:
-            raise ProblemError("fault tree must have exactly one output: %s" % exc) from exc
-        known = components.name_set
-        unknown = [name for name in fault_tree.input_names if name not in known]
-        if unknown:
-            raise ProblemError(
-                "fault tree inputs missing from the component model: %s"
-                % ", ".join(sorted(unknown))
-            )
+        _check_pair(fault_tree, components)
         self.fault_tree = fault_tree
         self.components = components
         self.defect_distribution = defect_distribution
         self.name = name or fault_tree.name
+
+    def with_defects(self, defect_distribution: DefectCountDistribution) -> "YieldProblem":
+        """Return this problem with ``defect_distribution`` as its ``Q_k``.
+
+        The copy shares the fault tree, the component model and the name.
+        A frozen fault tree was checked against the component model when
+        this problem was made and cannot have changed since, so the copy
+        skips the single-output and input-name checks; a mutable one is
+        checked again.  The :mod:`repro.soc` generators make every point
+        this way, from one template per parameter set.
+        """
+        if not self.fault_tree.frozen:
+            _check_pair(self.fault_tree, self.components)
+        problem = object.__new__(type(self))
+        problem.fault_tree = self.fault_tree
+        problem.components = self.components
+        problem.defect_distribution = defect_distribution
+        problem.name = self.name
+        return problem
 
     # ------------------------------------------------------------------ #
     # Lethal-defect model

@@ -18,6 +18,7 @@ This subpackage provides the probabilistic substrate of the yield method:
 from .base import (
     DefectCountDistribution,
     DistributionError,
+    plain_sum,
     validate_probability_vector,
 )
 from .components import ComponentDefectModel, split_weights_by_class
@@ -29,6 +30,7 @@ from .poisson import PoissonDefectDistribution
 __all__ = [
     "DefectCountDistribution",
     "DistributionError",
+    "plain_sum",
     "validate_probability_vector",
     "ComponentDefectModel",
     "split_weights_by_class",

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, List, Sequence
 
 
 class DistributionError(ValueError):
@@ -118,6 +120,16 @@ class DefectCountDistribution(ABC):
                     out.append(k)
                     break
         return out
+
+
+def plain_sum(values: Iterable[float]) -> float:
+    """Return ``((0.0 + v_0) + v_1) + ...``, a plain left-to-right float sum.
+
+    Builtin ``sum`` compensates float rounding since Python 3.12, so its
+    last bits depend on the interpreter; every float sum a result depends
+    on goes through here instead, and gives the same bits everywhere.
+    """
+    return reduce(add, values, 0.0)
 
 
 def validate_probability_vector(values: Sequence[float], *, name: str = "probabilities") -> List[float]:

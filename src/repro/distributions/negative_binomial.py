@@ -20,10 +20,32 @@ parameter and mean ``lambda' = lambda * P_L``.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List
+from typing import List, Tuple
 
 from .base import DefectCountDistribution, DistributionError
+
+#: Rows of the ``k``-only term table kept at once (see :func:`_k_terms`).
+#: The clustering parameter arrives from clients, so the table is bounded.
+TERM_TABLE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=TERM_TABLE_SIZE)
+def _k_terms(alpha: float, max_k: int) -> Tuple[Tuple[float, int, float], ...]:
+    """The terms of ``log Q_k`` that depend on ``alpha`` and ``k`` only.
+
+    One ``(lgamma(alpha + k) - lgamma(k + 1) - lgamma(alpha), k, alpha + k)``
+    triple per ``k`` in ``0 .. max_k``: the left-to-right prefix of
+    :meth:`NegativeBinomialDefectDistribution.pmf`'s expression, so adding
+    the mean's terms in the same order gives the same float.
+    """
+    lgamma = math.lgamma
+    log_gamma_alpha = lgamma(alpha)
+    return tuple(
+        (lgamma(alpha + k) - lgamma(k + 1) - log_gamma_alpha, k, alpha + k)
+        for k in range(max_k + 1)
+    )
 
 
 class NegativeBinomialDefectDistribution(DefectCountDistribution):
@@ -79,38 +101,42 @@ class NegativeBinomialDefectDistribution(DefectCountDistribution):
     def pmf_vector(self, max_k: int) -> List[float]:
         """Return ``[pmf(0), ..., pmf(max_k)]``, each entry bit for bit ``pmf(k)``.
 
-        The terms that do not depend on ``k`` (``lgamma(alpha)``,
-        ``log(lam/alpha)``, ``log1p(lam/alpha)``) are computed once; every
-        entry keeps :meth:`pmf`'s scalar expression in its left-to-right
-        order, so the floats are the same.  A recurrence or numpy's
-        ``exp``/``log`` would round differently.
+        The ``lgamma`` terms depend on ``alpha`` and ``k`` only, so they
+        come from a bounded table keyed on ``(alpha, max_k)``
+        (:func:`_k_terms`); ``log(lam/alpha)`` and ``log1p(lam/alpha)`` are
+        computed once.  Every entry keeps :meth:`pmf`'s scalar expression
+        in its left-to-right order, so the floats are the same.  A
+        recurrence or numpy's ``exp``/``log`` would round differently.
         """
         if max_k < 0:
             raise DistributionError("max_k must be non-negative, got %d" % max_k)
-        lam, alpha = self._mean, self._alpha
-        lgamma, exp = math.lgamma, math.exp
-        log_gamma_alpha = lgamma(alpha)
-        log_ratio = math.log(lam / alpha)
-        log1p_ratio = math.log1p(lam / alpha)
+        exp = math.exp
+        ratio = self._mean / self._alpha
+        log_ratio = math.log(ratio)
+        log1p_ratio = math.log1p(ratio)
         return [
-            exp(
-                lgamma(alpha + k)
-                - lgamma(k + 1)
-                - log_gamma_alpha
-                + k * log_ratio
-                - (alpha + k) * log1p_ratio
-            )
-            for k in range(max_k + 1)
+            exp(head + k * log_ratio - shifted * log1p_ratio)
+            for head, k, shifted in _k_terms(self._alpha, max_k)
         ]
 
     def thinned(self, retain_probability: float) -> "NegativeBinomialDefectDistribution":
+        """Return the negative binomial of mean ``lambda * P_L``, same ``alpha``.
+
+        The clustering parameter and the mean already passed this
+        distribution's checks; only the thinned mean, which can underflow
+        to zero, is checked again.
+        """
         if not 0.0 < retain_probability <= 1.0:
             raise DistributionError(
                 "retain_probability must be in (0, 1], got %r" % (retain_probability,)
             )
-        return NegativeBinomialDefectDistribution(
-            mean=self._mean * retain_probability, clustering=self._alpha
-        )
+        mean = self._mean * retain_probability
+        if not mean > 0.0:
+            raise DistributionError("thinned mean must be positive, got %r" % (mean,))
+        thinned = object.__new__(NegativeBinomialDefectDistribution)
+        thinned._mean = mean
+        thinned._alpha = self._alpha
+        return thinned
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NegativeBinomialDefectDistribution(mean=%g, clustering=%g)" % (

@@ -8,16 +8,22 @@ literal and the binary gates of the circuit are applied with the ROMDD
 ``apply`` operations.  The result is canonical, so it must be identical (same
 manager size from the same order) to what the conversion route produces —
 which is also a powerful cross-validation of both implementations.
+
+Gates are evaluated with the coded-ROBDD builder's polarity rule
+(:meth:`repro.bdd.builder.CircuitBDDBuilder._apply_gate`): every gate value
+is a ``(handle, complemented)`` pair, so a NOT flips a bit instead of
+copying its operand, and a complemented output costs one NOT at the end.
+Both managers number their terminals ``FALSE = 0`` and ``TRUE = 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from ..bdd.builder import CircuitBDDBuilder
 from ..faulttree.circuit import Circuit
-from ..faulttree.multivalued import FilterKind, MVCircuit, MultiValuedVariable
-from ..faulttree.ops import GateOp
+from ..faulttree.multivalued import MVCircuit, MultiValuedVariable
 from .manager import FALSE, TRUE, MDDError, MDDManager
 
 
@@ -75,7 +81,9 @@ def build_mdd_from_mvcircuit(
 
     from ..engine.kernel import recursion_guard
 
-    node_mdd: Dict[int, int] = {}
+    # every value is a (handle, complemented) pair, as in the coded build
+    node_mdd: Dict[int, Tuple[int, bool]] = {}
+    apply_gate = CircuitBDDBuilder._apply_gate
     # the binary apply recurses once per multiple-valued level; guard for
     # chain-shaped circuits over many variables
     with recursion_guard(2 * manager.num_variables + 200):
@@ -84,14 +92,18 @@ def build_mdd_from_mvcircuit(
             if node.is_input:
                 gate = filters[node.name]
                 accepted = [v for v in gate.variable.values if gate.evaluate(v)]
-                node_mdd[idx] = manager.literal(gate.variable.name, accepted)
+                node_mdd[idx] = (manager.literal(gate.variable.name, accepted), False)
                 continue
             if node.is_const:
-                node_mdd[idx] = TRUE if node.name == "1" else FALSE
+                node_mdd[idx] = (TRUE if node.name == "1" else FALSE, False)
                 continue
 
-            fanin_mdds = [node_mdd[f] for f in node.fanins]
-            node_mdd[idx] = _apply_gate(manager, node.op, fanin_mdds)
+            handle, complemented = apply_gate(
+                manager, node.op, [node_mdd[f] for f in node.fanins]
+            )
+            if complemented and idx == output:
+                handle, complemented = manager.not_(handle), False
+            node_mdd[idx] = (handle, complemented)
             stats.gates_processed += 1
 
             for fanin in node.fanins:
@@ -101,40 +113,15 @@ def build_mdd_from_mvcircuit(
 
             if track_peak:
                 live = len(
-                    set().union(*(manager.reachable(h) for h in node_mdd.values()))
+                    set().union(*(manager.reachable(h) for h, _ in node_mdd.values()))
                 )
                 if live > stats.peak_live_nodes:
                     stats.peak_live_nodes = live
 
-    root = node_mdd[output]
+    root = node_mdd[output][0]
     stats.final_size = manager.size(root)
     stats.allocated_nodes = manager.num_nodes_allocated
     if stats.final_size > stats.peak_live_nodes:
         stats.peak_live_nodes = stats.final_size
     return manager, root, stats
 
-
-def _apply_gate(manager: MDDManager, op: GateOp, fanins: List[int]) -> int:
-    if op is GateOp.NOT:
-        return manager.not_(fanins[0])
-    if op is GateOp.BUF:
-        return fanins[0]
-    if op is GateOp.AND:
-        return manager.and_many(fanins)
-    if op is GateOp.OR:
-        return manager.or_many(fanins)
-    if op is GateOp.NAND:
-        return manager.not_(manager.and_many(fanins))
-    if op is GateOp.NOR:
-        return manager.not_(manager.or_many(fanins))
-    if op is GateOp.XOR:
-        result = fanins[0]
-        for f in fanins[1:]:
-            result = manager.xor_(result, f)
-        return result
-    if op is GateOp.XNOR:
-        result = fanins[0]
-        for f in fanins[1:]:
-            result = manager.xor_(result, f)
-        return manager.not_(result)
-    raise MDDError("unsupported gate operator %r" % (op,))  # pragma: no cover

@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
+from ..distributions import plain_sum
 from ..engine.batch import LinearizedDiagram
 from .manager import FALSE, TRUE, MDDError, MDDManager
 
@@ -66,7 +67,7 @@ class VariableDistributions:
                         "negative probability %r for %r=%r" % (p, variable.name, value)
                     )
                 probs.append(p)
-            total = sum(probs)
+            total = plain_sum(probs)
             if abs(total - 1.0) > 1e-6:
                 raise MDDError(
                     "distribution of %r sums to %g, expected 1" % (variable.name, total)

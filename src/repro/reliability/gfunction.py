@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..core.gfunction import GFunctionError
-from ..distributions import DefectCountDistribution
+from ..distributions import DefectCountDistribution, plain_sum
 from ..faulttree.circuit import Circuit
 from ..faulttree.multivalued import MVCircuit, MultiValuedVariable
 from ..faulttree.ops import GateOp
@@ -186,7 +186,7 @@ class ReliabilityFaultTree:
                 % (self.num_components, len(probabilities))
             )
         count_pmf = [lethal_distribution.pmf(k) for k in range(self.max_defects + 1)]
-        overflow = max(0.0, 1.0 - sum(count_pmf))
+        overflow = max(0.0, 1.0 - plain_sum(count_pmf))
         distributions: Dict[str, Dict[int, float]] = {
             self.count_variable.name: dict(enumerate(count_pmf))
         }

@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List
 
 from ..core.problem import YieldProblem
@@ -36,17 +37,17 @@ from .ms import (
 #: factory accepts the keyword arguments of the underlying ``*_problem``
 #: function (``mean_defects``, ``clustering``, ``lethality``...).
 BENCHMARKS: Dict[str, Callable[..., YieldProblem]] = {
-    "MS2": lambda **kw: ms_problem(2, **kw),
-    "MS4": lambda **kw: ms_problem(4, **kw),
-    "MS6": lambda **kw: ms_problem(6, **kw),
-    "MS8": lambda **kw: ms_problem(8, **kw),
-    "MS10": lambda **kw: ms_problem(10, **kw),
-    "ESEN4x1": lambda **kw: esen_problem(4, 1, **kw),
-    "ESEN4x2": lambda **kw: esen_problem(4, 2, **kw),
-    "ESEN4x4": lambda **kw: esen_problem(4, 4, **kw),
-    "ESEN8x1": lambda **kw: esen_problem(8, 1, **kw),
-    "ESEN8x2": lambda **kw: esen_problem(8, 2, **kw),
-    "ESEN8x4": lambda **kw: esen_problem(8, 4, **kw),
+    "MS2": partial(ms_problem, 2),
+    "MS4": partial(ms_problem, 4),
+    "MS6": partial(ms_problem, 6),
+    "MS8": partial(ms_problem, 8),
+    "MS10": partial(ms_problem, 10),
+    "ESEN4x1": partial(esen_problem, 4, 1),
+    "ESEN4x2": partial(esen_problem, 4, 2),
+    "ESEN4x4": partial(esen_problem, 4, 4),
+    "ESEN8x1": partial(esen_problem, 8, 1),
+    "ESEN8x2": partial(esen_problem, 8, 2),
+    "ESEN8x4": partial(esen_problem, 8, 4),
 }
 
 #: The benchmark names in the order of Table 1.

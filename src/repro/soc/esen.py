@@ -297,6 +297,31 @@ def esen_component_model(
     return ComponentDefectModel.from_relative_weights(ordered, lethality)
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _esen_template(
+    n: int,
+    m: int,
+    required_ipa: Optional[int],
+    required_ipb: Optional[int],
+    lethality: float,
+    ipb_to_ipa: float,
+    se_to_ipa: float,
+    conc_to_ipa: float,
+) -> YieldProblem:
+    """The checked ESEN n x m problem (default defect model) each point derives from."""
+    circuit = esen_fault_tree(n, m, required_ipa=required_ipa, required_ipb=required_ipb)
+    model = esen_component_model(
+        n,
+        m,
+        lethality=lethality,
+        ipb_to_ipa=ipb_to_ipa,
+        se_to_ipa=se_to_ipa,
+        conc_to_ipa=conc_to_ipa,
+    )
+    defects = NegativeBinomialDefectDistribution(mean=2.0, clustering=DEFAULT_CLUSTERING)
+    return YieldProblem(circuit, model, defects, name="ESEN%dx%d" % (n, m))
+
+
 def esen_problem(
     n: int,
     m: int,
@@ -314,22 +339,17 @@ def esen_problem(
     """Return the full :class:`YieldProblem` for ESEN n x m.
 
     The fault tree and component model are shared templates; only the
-    defect distribution is built per call.
+    defect distribution is built per call, and the problem is the parameter
+    set's template with that distribution (:meth:`YieldProblem.with_defects`).
     """
-    circuit = esen_fault_tree(n, m, required_ipa=required_ipa, required_ipb=required_ipb)
-    model = esen_component_model(
-        n,
-        m,
-        lethality=lethality,
-        ipb_to_ipa=ipb_to_ipa,
-        se_to_ipa=se_to_ipa,
-        conc_to_ipa=conc_to_ipa,
+    template = _esen_template(
+        n, m, required_ipa, required_ipb, lethality, ipb_to_ipa, se_to_ipa, conc_to_ipa
     )
     if defect_distribution is None:
         defect_distribution = NegativeBinomialDefectDistribution(
             mean=mean_defects, clustering=clustering
         )
-    return YieldProblem(circuit, model, defect_distribution, name="ESEN%dx%d" % (n, m))
+    return template.with_defects(defect_distribution)
 
 
 def esen_architecture_summary(n: int, m: int) -> str:

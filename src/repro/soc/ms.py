@@ -47,9 +47,10 @@ DEFAULT_LETHALITY = 0.5
 #: Default negative-binomial clustering parameter ``alpha``.
 DEFAULT_CLUSTERING = 4.0
 
-#: Fault trees and component models kept per generator.  Both are
-#: immutable, so every problem built with the same parameters shares one
-#: template and the sweep service hashes its structure once.
+#: Fault trees, component models and problem templates kept per
+#: generator.  All are immutable, so every problem built with the same
+#: parameters derives from one template, which was checked once, and the
+#: sweep service hashes its structure once.
 TEMPLATE_CACHE_SIZE = 32
 
 
@@ -127,6 +128,18 @@ def ms_component_model(
     return ComponentDefectModel.from_relative_weights(ordered, lethality)
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _ms_template(
+    n: int, lethality: float, ips_to_ipm: float, comm_to_ipm: float
+) -> YieldProblem:
+    """The checked MSn problem (default defect model) each point derives from."""
+    model = ms_component_model(
+        n, lethality=lethality, ips_to_ipm=ips_to_ipm, comm_to_ipm=comm_to_ipm
+    )
+    defects = NegativeBinomialDefectDistribution(mean=2.0, clustering=DEFAULT_CLUSTERING)
+    return YieldProblem(ms_fault_tree(n), model, defects, name="MS%d" % n)
+
+
 def ms_problem(
     n: int,
     *,
@@ -143,17 +156,15 @@ def ms_problem(
     number of *lethal* defects is 1, the paper's "moderate" operating point;
     ``mean_defects = 4`` gives the "large" point (``lambda' = 2``).  The
     fault tree and component model are shared templates; only the defect
-    distribution is built per call.
+    distribution is built per call, and the problem is the parameter set's
+    template with that distribution (:meth:`YieldProblem.with_defects`).
     """
-    circuit = ms_fault_tree(n)
-    model = ms_component_model(
-        n, lethality=lethality, ips_to_ipm=ips_to_ipm, comm_to_ipm=comm_to_ipm
-    )
+    template = _ms_template(n, lethality, ips_to_ipm, comm_to_ipm)
     if defect_distribution is None:
         defect_distribution = NegativeBinomialDefectDistribution(
             mean=mean_defects, clustering=clustering
         )
-    return YieldProblem(circuit, model, defect_distribution, name="MS%d" % n)
+    return template.with_defects(defect_distribution)
 
 
 def ms_architecture_summary(n: int) -> str:

@@ -97,3 +97,17 @@ def tmr_problem(two_of_three_tree):
     model = ComponentDefectModel.uniform(["M1", "M2", "M3"], lethality=0.8)
     distribution = NegativeBinomialDefectDistribution(mean=2.0, clustering=4.0)
     return YieldProblem(two_of_three_tree, model, distribution, name="tmr")
+
+
+@pytest.fixture
+def pair_checks(monkeypatch):
+    """The ``(fault tree, component model)`` pairs a ``YieldProblem`` checks
+    from now on (calls of ``repro.core.problem._check_pair``)."""
+    from repro.core import problem as problem_module
+
+    seen = []
+    original = problem_module._check_pair
+    monkeypatch.setattr(
+        problem_module, "_check_pair", lambda *pair: seen.append(pair) or original(*pair)
+    )
+    return seen

@@ -50,6 +50,45 @@ class TestConstruction:
         assert problem.name == "pair"
 
 
+class TestWithDefects:
+    def test_copy_shares_everything_but_the_distribution(self):
+        model = ComponentDefectModel({"A": 0.2, "B": 0.3})
+        first = PoissonDefectDistribution(1.0)
+        problem = YieldProblem(simple_tree(), model, first, name="pair-1")
+        second = PoissonDefectDistribution(2.0)
+        copy = problem.with_defects(second)
+        assert copy.fault_tree is problem.fault_tree
+        assert copy.components is problem.components
+        assert copy.name == "pair-1"
+        assert copy.defect_distribution is second
+        assert problem.defect_distribution is first
+
+    def test_frozen_tree_is_checked_once(self, pair_checks):
+        model = ComponentDefectModel({"A": 0.2, "B": 0.3})
+        template = YieldProblem(simple_tree(), model, PoissonDefectDistribution(1.0))
+        for mean in (0.5, 1.5, 2.5):
+            template.with_defects(PoissonDefectDistribution(mean))
+        assert len(pair_checks) == 1
+
+    def test_mutable_tree_is_checked_on_every_copy(self, pair_checks):
+        from repro.faulttree import Circuit, GateOp
+
+        circuit = Circuit("mutable")
+        circuit.set_output(circuit.add_gate(GateOp.BUF, [circuit.add_input("A")]), "F")
+        model = ComponentDefectModel({"A": 0.2, "B": 0.3})
+        template = YieldProblem(circuit, model, PoissonDefectDistribution(1.0))
+        template.with_defects(PoissonDefectDistribution(2.0))
+        template.with_defects(PoissonDefectDistribution(3.0))
+        assert len(pair_checks) == 3
+
+        circuit.add_input("INTRUDER")
+        with pytest.raises(ProblemError, match="INTRUDER"):
+            template.with_defects(PoissonDefectDistribution(2.0))
+        circuit.set_output(circuit.input_index("A"), "G")
+        with pytest.raises(ProblemError, match="exactly one output"):
+            template.with_defects(PoissonDefectDistribution(2.0))
+
+
 class TestLethalModel:
     def test_lethal_distribution_is_thinned(self):
         model = ComponentDefectModel({"A": 0.2, "B": 0.3})

@@ -101,6 +101,46 @@ class TestThinning:
         with pytest.raises(DistributionError):
             dist.thinned(1.5)
 
+    def test_thinned_parameters_are_exact(self):
+        dist = NegativeBinomialDefectDistribution(mean=2.7, clustering=0.3)
+        thinned = dist.thinned(0.37)
+        assert thinned.mean() == 2.7 * 0.37
+        assert thinned.clustering == 0.3
+
+    def test_thinned_mean_that_underflows_to_zero_is_rejected(self):
+        dist = NegativeBinomialDefectDistribution(mean=5e-324, clustering=1.0)
+        assert 5e-324 * 0.5 == 0.0
+        with pytest.raises(DistributionError, match="thinned mean"):
+            dist.thinned(0.5)
+
+
+def bits(values):
+    return [float(value).hex() for value in values]
+
+
+class TestTermTable:
+    def test_table_stays_bounded_and_every_row_is_bit_equal(self):
+        from repro.distributions.negative_binomial import TERM_TABLE_SIZE, _k_terms
+
+        alphas = [0.05 + 0.37 * index for index in range(TERM_TABLE_SIZE + 16)]
+        for truncation in (0, 5):
+            for alpha in alphas:
+                dist = NegativeBinomialDefectDistribution(mean=1.3, clustering=alpha)
+                assert bits(dist.pmf_vector(truncation)) == bits(
+                    dist.pmf(k) for k in range(truncation + 1)
+                )
+                assert _k_terms.cache_info().currsize <= TERM_TABLE_SIZE
+        # the first rows were evicted; made again, they are the same floats
+        for alpha in alphas[:4]:
+            dist = NegativeBinomialDefectDistribution(mean=0.4, clustering=alpha)
+            assert bits(dist.pmf_vector(5)) == bits(dist.pmf(k) for k in range(6))
+
+    def test_rows_are_keyed_on_the_truncation_too(self):
+        dist = NegativeBinomialDefectDistribution(mean=2.2, clustering=4.0)
+        longer = dist.pmf_vector(9)
+        assert bits(dist.pmf_vector(3)) == bits(longer[:4])
+        assert len(dist.pmf_vector(3)) == 4
+
 
 class TestTruncation:
     def test_truncation_level_meets_error_budget(self):

@@ -11,6 +11,7 @@ and the count column is the per-model column built from ``pmf`` calls
 
 import functools
 import math
+import operator
 
 from hypothesis import given, settings, strategies as st
 
@@ -52,12 +53,13 @@ def thinned_count_columns(distributions, truncation):
 
     The column assembly the vector route replaced: ``M + 1`` scalar
     ``pmf`` calls, then the saturated entry ``max(0, 1 - sum(Q'))`` over a
-    plain left-to-right float sum.
+    plain left-to-right float sum (not builtin ``sum``, which compensates
+    since Python 3.12).
     """
     columns = []
     for distribution in distributions:
         pmf = [distribution.pmf(k) for k in range(truncation + 1)]
-        pmf.append(max(0.0, 1.0 - sum(pmf)))
+        pmf.append(max(0.0, 1.0 - functools.reduce(operator.add, pmf, 0.0)))
         columns.append(pmf)
     return columns
 

@@ -585,8 +585,8 @@ class TestDrainingHealth:
 
 class TestServeCli:
     def test_serve_with_workers_is_one_process(self, tmp_path):
-        """``repro serve --workers 2`` sets build threads: after a cold
-        two-structure batch the server process still has no child."""
+        """``repro serve --workers 2`` still parses and forks nothing: after
+        a cold two-structure batch the server process has no child."""
         import os
         import signal
         import subprocess

@@ -4,11 +4,18 @@ import pickle
 
 import pytest
 
-from repro.core.problem import YieldProblem
+from repro.core.problem import ProblemError, YieldProblem
+from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
 from repro.engine.service import result_key, structure_key
-from repro.faulttree import CircuitError, GateOp
+from repro.faulttree import Circuit, CircuitError, GateOp
 from repro.ordering import OrderingSpec
-from repro.soc import benchmark_problem, esen_problem, ms_fault_tree, ms_problem
+from repro.soc import (
+    benchmark_problem,
+    esen_problem,
+    ms_component_model,
+    ms_fault_tree,
+    ms_problem,
+)
 
 ORDERING = OrderingSpec("w", "ml")
 
@@ -84,3 +91,38 @@ class TestTemplateSharing:
         )
         assert fresh.fault_tree is not shared.fault_tree
         assert result_key(fresh, 3, ORDERING) == result_key(shared, 3, ORDERING)
+
+
+class TestCheckedTemplates:
+    def test_each_parameter_set_is_checked_once(self, pair_checks):
+        # parameter sets no other test uses, so their templates are new here
+        for mean in (0.5, 1.0, 1.5, 2.0):
+            ms_problem(2, mean_defects=mean, lethality=0.4321)
+            esen_problem(4, 1, mean_defects=mean, se_to_ipa=0.1234)
+        assert len(pair_checks) == 2
+        ms_problem(2, lethality=0.4322)
+        assert len(pair_checks) == 3
+
+    def test_points_are_distinct_problems_on_one_template(self):
+        first = benchmark_problem("ESEN4x1", mean_defects=1.0)
+        second = benchmark_problem("ESEN4x1", mean_defects=1.0)
+        assert first is not second
+        assert first.defect_distribution is not second.defect_distribution
+        assert first.name == second.name == "ESEN4x1"
+        assert first.lethal_counts(4) == second.lethal_counts(4)
+
+    def test_pairing_with_a_missing_input_raises(self):
+        names = ms_component_model(2).names
+        partial = ComponentDefectModel({name: 0.01 for name in names if name != "IPM_1"})
+        with pytest.raises(ProblemError, match="IPM_1"):
+            YieldProblem(ms_fault_tree(2), partial, PoissonDefectDistribution(1.0))
+
+    def test_frozen_circuit_without_a_single_output_raises(self):
+        circuit = Circuit("two-outputs")
+        a = circuit.add_input("A")
+        circuit.set_output(a, "F")
+        circuit.set_output(circuit.add_gate(GateOp.NOT, [a]), "G")
+        circuit.freeze()
+        model = ComponentDefectModel({"A": 0.5})
+        with pytest.raises(ProblemError, match="exactly one output"):
+            YieldProblem(circuit, model, PoissonDefectDistribution(1.0))
