@@ -5,7 +5,10 @@ compiled kernel runs the whole-batch evaluation pass at least **3x** as
 fast as the fused numpy kernel (and its backward pass faster still),
 bit-for-bit identical — skipped, not failed, on hosts where the library
 cannot be built.  The two kernels are timed interleaved, best of fifteen
-each, for both passes, so machine-speed drift hits both alike.
+each, for both passes, so machine-speed drift hits both alike.  Each
+timed forward round rotates the location rows, so no native round finds
+its model-uniform run in the forward memo and every one times a full
+pass; the memo-hit time is recorded apart, trend-only.
 
 The measured numbers land in ``benchmarks/results/BENCH_kernel.json`` so
 CI archives a perf record per run, next to the other ``BENCH_*.json``
@@ -18,6 +21,8 @@ from __future__ import annotations
 import json
 import os
 import time
+
+import numpy as np
 
 from repro.core.method import YieldAnalyzer
 from repro.engine import native as native_backend
@@ -39,12 +44,13 @@ def _problem(mean):
 
 
 def _best_of(*functions, rounds=ROUNDS):
-    """Best time of each function over ``rounds`` alternating calls."""
+    """Best time of each function over ``rounds`` alternating calls; each
+    call is passed the round's index."""
     best = [float("inf")] * len(functions)
-    for _ in range(rounds):
+    for round_index in range(rounds):
         for index, function in enumerate(functions):
             started = time.perf_counter()
-            function()
+            function(round_index)
             best[index] = min(best[index], time.perf_counter() - started)
     return best
 
@@ -56,28 +62,47 @@ def test_native_kernel_speedup(benchmark):
     linearized = compiled.linearized()
     problems = [_problem(mean) for mean in DENSITIES]
     counts = [problem.lethal_counts(MAX_DEFECTS) for problem in problems]
+    count_matrix, location_matrix = compiled.model_matrices(problems, counts)
     columns = columns_from_matrices(
-        linearized, compiled.level_profile, *compiled.model_matrices(problems, counts)
+        linearized, compiled.level_profile, count_matrix, location_matrix
     )
+    # one column set per timed round, its location rows rotated: a new key
+    # for the forward memo every round
+    rotated = [
+        columns_from_matrices(
+            linearized,
+            compiled.level_profile,
+            count_matrix,
+            np.roll(location_matrix, shift, axis=0),
+        )
+        for shift in range(1, ROUNDS + 1)
+    ]
 
     def forward(kernel):
-        return lambda: linearized.evaluate(columns, MODELS, kernel=kernel)
+        return lambda round_index: linearized.evaluate(
+            rotated[round_index], MODELS, kernel=kernel
+        )
 
     def backward(kernel):
-        return lambda: linearized.backward(columns, MODELS, kernel=kernel)
+        return lambda _: linearized.backward(columns, MODELS, kernel=kernel)
 
     # ---- native compiled backend vs the fused kernel ---- #
     native_seconds = native_backward_seconds = native_speedup = None
-    native_backward_speedup = None
+    native_backward_speedup = native_memo_seconds = None
     if native_backend.available():
-        assert forward("native")() == forward("fused")()
+        assert linearized.evaluate(
+            columns, MODELS, kernel="native"
+        ) == linearized.evaluate(columns, MODELS, kernel="fused")
         # bit-for-bit, gradients included
-        assert backward("native")() == backward("fused")()
+        assert backward("native")(0) == backward("fused")(0)
+        misses = linearized.memo_misses
         fused_seconds, native_seconds = benchmark.pedantic(
             lambda: _best_of(forward("fused"), forward("native")),
             rounds=1,
             iterations=1,
         )
+        # every timed native round ran the full pass
+        assert linearized.memo_misses - misses == ROUNDS
         native_speedup = fused_seconds / max(native_seconds, 1e-12)
         fused_backward_seconds, native_backward_seconds = _best_of(
             backward("fused"), backward("native")
@@ -85,6 +110,13 @@ def test_native_kernel_speedup(benchmark):
         native_backward_speedup = fused_backward_seconds / max(
             native_backward_seconds, 1e-12
         )
+        # the forward memo's hit: the same columns as the pass before
+        linearized.evaluate(columns, MODELS)
+        hits = linearized.memo_hits
+        (native_memo_seconds,) = _best_of(
+            lambda _: linearized.evaluate(columns, MODELS)
+        )
+        assert linearized.memo_hits - hits == ROUNDS
     else:
         (fused_seconds,) = benchmark.pedantic(
             lambda: _best_of(forward("fused")), rounds=1, iterations=1
@@ -100,6 +132,13 @@ def test_native_kernel_speedup(benchmark):
                 "native kernel pass (s)",
                 round(native_seconds, 5) if native_seconds else "n/a",
                 "%.1fx over fused" % native_speedup if native_speedup else "no compiler",
+            ),
+            (
+                "native pass, forward-memo hit (s)",
+                round(native_memo_seconds, 5) if native_memo_seconds else "n/a",
+                "%.1fx over fused" % (fused_seconds / native_memo_seconds)
+                if native_memo_seconds
+                else "no compiler",
             ),
             (
                 "native backward pass (s)",
@@ -127,6 +166,7 @@ def test_native_kernel_speedup(benchmark):
         "native_available": native_backend.available(),
         "native_seconds": native_seconds,
         "native_speedup": native_speedup,
+        "native_memo_seconds": native_memo_seconds,
         "native_backward_seconds": native_backward_seconds,
         "native_backward_speedup": native_backward_speedup,
         "collapsed_layers": linearized.collapsed_layers,

@@ -37,7 +37,8 @@ from ..mdd.from_bdd import convert_bdd_to_mdd
 from ..mdd.probability import (
     LevelProfile,
     columns_from_matrices,
-    model_matrices_from_columns,
+    count_matrix,
+    location_matrix,
     validate_model_columns,
 )
 from ..obs import trace as obs_trace
@@ -360,18 +361,14 @@ class CompiledYield:
         last entry is not read — the column's saturated entry is
         ``max(0, 1 - sum(Q'))`` with a plain left-to-right float sum
         (:func:`~repro.distributions.plain_sum`), the value the per-model
-        dict route produced.  Every count column is validated; each
-        distinct component model's ``P'`` column is validated once and
-        tiled to ``C x K``.
+        dict route produced.  :func:`~repro.mdd.probability.count_matrix`
+        builds and validates the count columns; each distinct component
+        model's ``P'`` column is validated once and tiled to ``C x K``.
 
         Returns ``(count_matrix, location_matrix)``, the exact float64
         inputs of the linearized kernel.
         """
-        count_columns: List[List[float]] = []
-        for vector in counts:
-            head = vector[:-1]
-            count_columns.append([*head, max(0.0, 1.0 - plain_sum(head))])
-        validate_model_columns(count_columns, what="count")
+        counts_by_model = count_matrix(counts)
         location_columns: List[List[float]] = []
         slot_of: Dict[int, int] = {}
         location_slots: List[int] = []
@@ -383,9 +380,7 @@ class CompiledYield:
                 location_columns.append(self._location_column(problem))
             location_slots.append(slot)
         validate_model_columns(location_columns, what="location")
-        return model_matrices_from_columns(
-            count_columns, location_columns, location_slots
-        )
+        return counts_by_model, location_matrix(location_columns, location_slots)
 
     def _location_column(self, problem: YieldProblem) -> List[float]:
         """The ``[P'_1 .. P'_C]`` column of one component model, checked."""

@@ -42,7 +42,10 @@ same IEEE operations in the same child order per node):
   structure store, and called through ``ctypes`` on the FusedSchedule
   arrays zero-copy.  It keeps the collapse and accumulation semantics of
   the fused kernel (forward *and* backward are bit-for-bit identical) and
-  removes the per-layer interpreter dispatch entirely.
+  removes the per-layer interpreter dispatch entirely.  Its forward pass
+  memoizes, per diagram, the values of the bottom run of model-uniform
+  layers (every location level of a density sweep), so a warm sweep
+  computes only the layers above it.
 
 Every pass runs ``native`` when the compiled library loads on this host
 and ``fused`` otherwise (each such pass counts one ``native.fallbacks``);
@@ -272,6 +275,8 @@ class LinearizedDiagram:
         "_fused",
         "fused_passes",
         "native_passes",
+        "memo_hits",
+        "memo_misses",
         "collapsed_layers",
         "models_evaluated",
         "gradient_passes",
@@ -295,6 +300,10 @@ class LinearizedDiagram:
         #: Monotone counters describing how this linearization was used.
         self.fused_passes = 0
         self.native_passes = 0
+        #: Native forward passes that found / missed their bottom run of
+        #: model-uniform layers in the memo (see repro.engine.native.forward).
+        self.memo_hits = 0
+        self.memo_misses = 0
         self.collapsed_layers = 0
         self.models_evaluated = 0
         self.gradient_passes = 0
@@ -661,7 +670,8 @@ class LinearizedDiagram:
 
         The C side (:func:`repro.engine.native.forward`) reproduces the
         fused kernel's collapse and accumulation semantics exactly, so the
-        floats match ``fused`` bit for bit.
+        floats match ``fused`` bit for bit; a forward-memo hit supplies
+        the same floats for the bottom run and counts in ``memo_hits``.
         """
         values, collapsed = _native.forward(self, columns_by_level, num_models)
         self.collapsed_layers += collapsed

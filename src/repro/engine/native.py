@@ -369,6 +369,12 @@ def _ip(array):
     return array.ctypes.data_as(_c_int64_p)
 
 
+def _out(array, ctype):
+    """A reference to a fresh array's first element, for a C pointer
+    argument; cheaper than ``ndarray.ctypes`` on a per-pass path."""
+    return ctypes.byref(ctype.from_buffer(array))
+
+
 def _smoke_test(lib) -> bool:
     """Bit-exact sanity check on a handcrafted one-layer diagram.
 
@@ -904,6 +910,11 @@ def linearize_mdd(level, offsets, children, root, num_levels):
 # Pass execution
 # --------------------------------------------------------------------- #
 
+#: Most entries one diagram's forward memo holds (see :func:`forward`).  An
+#: entry is the width-1 values of one run (~60 KB on ESEN4x2 at M = 5), and
+#: a sweep over one structure usually brings one component model.
+MEMO_ENTRIES = 4
+
 
 class _ScheduleContext:
     """The per-schedule arrays the C kernel consumes, prepared once.
@@ -911,17 +922,24 @@ class _ScheduleContext:
     ``kids`` and ``bounds`` come straight from the FusedSchedule — when
     the schedule holds contiguous 8-byte integer arrays (the store's v2
     mmap included) they are passed zero-copy; anything else is converted
-    exactly once and cached here.
+    exactly once and cached here.  ``memo`` is the diagram's forward memo
+    (see :func:`forward`): ``(key, values)`` pairs, newest first, replaced
+    whole under ``lock``.
     """
 
     __slots__ = (
         "kids",
+        "kids_p",
         "bounds",
+        "bounds_p",
         "nlayers",
         "levels",
         "cards",
+        "ends",
         "max_width",
         "sum_cards",
+        "memo",
+        "lock",
     )
 
     def __init__(self, schedule):
@@ -934,50 +952,90 @@ class _ScheduleContext:
         ):
             kids = _np.ascontiguousarray(kids, dtype=_np.int64)
         self.kids = kids
+        self.kids_p = _ip(kids)
         self.bounds = _np.ascontiguousarray(
             _np.asarray(schedule.bounds, dtype=_np.int64)
         )
+        # pointers to the bounds rows from layer i on, made on first use
+        self.bounds_p = [None] * len(schedule.bounds)
         self.nlayers = len(schedule.bounds)
         self.levels = tuple(b[0] for b in schedule.bounds)
         self.cards = tuple(b[5] for b in schedule.bounds)
+        self.ends = tuple(b[2] for b in schedule.bounds)
         self.max_width = max(b[2] - b[1] for b in schedule.bounds)
         self.sum_cards = sum(self.cards)
+        self.memo = ()
+        self.lock = threading.Lock()
+
+    def bounds_from(self, layer):
+        """The C pointer to the bounds table's rows from ``layer`` on."""
+        pointer = self.bounds_p[layer]
+        if pointer is None:
+            pointer = self.bounds_p[layer] = _ip(self.bounds[layer:])
+        return pointer
 
 
 def _context(schedule) -> _ScheduleContext:
     ctx = getattr(schedule, "_native_ctx", None)
     if ctx is None:
-        ctx = _ScheduleContext(schedule)
-        schedule._native_ctx = ctx
+        # one context per schedule, so threads share one memo and lock
+        with _LOCK:
+            ctx = getattr(schedule, "_native_ctx", None)
+            if ctx is None:
+                ctx = schedule._native_ctx = _ScheduleContext(schedule)
     return ctx
 
 
-def _column_ptrs(ctx, columns_by_level, num_models):
-    """Per-layer contiguous column-matrix pointers, deduplicated.
+def _column_ptrs(ctx, columns_by_level, num_models, start=0):
+    """Contiguous column-matrix pointers of the layers from ``start`` on.
 
     Different levels usually share one matrix object (every location
     level points at the same ``C x K`` block), so contiguity conversion
-    happens once per distinct matrix, not once per layer.
+    and the pointer happen once per distinct matrix, not once per layer.
     """
     contiguous = {}
-    keep = []
-    ptrs = (_c_double_p * ctx.nlayers)()
-    for index, level in enumerate(ctx.levels):
-        columns = columns_by_level[level]
+    ptrs = (_c_double_p * (ctx.nlayers - start))()
+    for index in range(start, ctx.nlayers):
+        columns = columns_by_level[ctx.levels[index]]
         entry = contiguous.get(id(columns))
         if entry is None:
-            entry = _np.ascontiguousarray(columns, dtype=_np.float64)
-            contiguous[id(columns)] = entry
-            keep.append(columns)
-        if entry.shape != (ctx.cards[index], num_models):
+            matrix = _np.ascontiguousarray(columns, dtype=_np.float64)
+            # the original rides along so id() keys stay unique
+            entry = contiguous[id(columns)] = (columns, matrix, _dp(matrix))
+        _, matrix, pointer = entry
+        if matrix.shape != (ctx.cards[index], num_models):
             raise NativeError(
                 "level %d columns have shape %r, expected (%d, %d)"
-                % (index, entry.shape, ctx.cards[index], num_models)
+                % (index, matrix.shape, ctx.cards[index], num_models)
             )
-        ptrs[index] = _dp(entry)
-    # `contiguous` holds the converted arrays alive for the call; `keep`
-    # pins the originals so id() keys stay unique
-    return ptrs, (contiguous, keep)
+        ptrs[index - start] = pointer
+    # `contiguous` holds the converted arrays alive for the call
+    return ptrs, contiguous
+
+
+def _memo_run(ctx, columns_by_level, num_models):
+    """The pass's memoizable run and its key: ``(run, key)``.
+
+    The run is the bottom ``run`` layers: from the deepest up, the layers
+    whose columns pass the kernel's uniformity test (each row's K entries
+    equal its first; one model is uniform), ending before the first that
+    fails and never taking the root's layer — a memo over the root would
+    be a result cache.  Every layer of the run takes the collapse path,
+    as its children are terminals or in the run, so its width-1 values
+    depend only on the schedule and on the run's first columns.  The key
+    is those columns' bytes in layer order; its length fixes the run.
+    """
+    firsts = {}
+    parts = []
+    for level in ctx.levels[:-1]:
+        columns = columns_by_level[level]
+        first = firsts.get(id(columns))
+        if first is None:
+            if num_models > 1 and not (columns == columns[:, :1]).all():
+                break
+            first = firsts[id(columns)] = columns[:, 0].tobytes()
+        parts.append(first)
+    return len(parts), b"".join(parts)
 
 
 def forward(diagram, columns_by_level, num_models):
@@ -988,29 +1046,59 @@ def forward(diagram, columns_by_level, num_models):
     collapsed (model-uniform) slots are deliberately unmaterialized —
     their scalar lives in the C side's width-1 table.  ``collapsed`` is
     the number of layers that took the collapse path.
+
+    The width-1 values of the pass's bottom run of model-uniform layers
+    (:func:`_memo_run`) are memoized per diagram, keyed on the run's
+    first columns, in at most :data:`MEMO_ENTRIES` read-only entries.  A
+    hit copies them in and runs C only on the layers above the run: the
+    floats are the ones the collapse would compute, and the run counts
+    as collapsed.  ``diagram.memo_hits`` and ``diagram.memo_misses``
+    count the passes that had a run.  Threads may pass over one diagram:
+    lookups read a snapshot of the memo, and counts and inserts happen
+    under the schedule's lock.
     """
     lib = _library()
     ctx = _context(diagram.fused())
-    ptrs, _hold = _column_ptrs(ctx, columns_by_level, num_models)
+    run, key = _memo_run(ctx, columns_by_level, num_models)
     values = _np.empty((diagram.num_slots, num_models), dtype=_np.float64)
     narrow_values = _np.empty(diagram.num_slots, dtype=_np.float64)
     narrow = _np.empty(diagram.num_slots, dtype=_np.uint8)
+    start = 0
+    if run:
+        end = ctx.ends[run - 1]
+        for entry_key, entry in ctx.memo:
+            if entry_key == key:
+                narrow_values[:end] = entry
+                narrow[:end] = 1
+                start = run
+                break
+    ptrs, _hold = _column_ptrs(ctx, columns_by_level, num_models, start)
     collapsed = ctypes.c_int64(0)
     rc = lib.forward(
-        _ip(ctx.kids),
-        _ip(ctx.bounds),
-        ctx.nlayers,
+        ctx.kids_p,
+        ctx.bounds_from(start),
+        ctx.nlayers - start,
         ptrs,
         num_models,
         diagram.root_slot,
-        _dp(values),
-        _dp(narrow_values),
-        narrow.ctypes.data_as(_c_uint8_p),
+        _out(values, ctypes.c_double),
+        _out(narrow_values, ctypes.c_double),
+        _out(narrow, ctypes.c_uint8),
         ctypes.byref(collapsed),
     )
     if rc != 0:
         raise NativeError("native forward pass failed with status %d" % rc)
-    return values, int(collapsed.value)
+    if run:
+        with ctx.lock:
+            if start:
+                diagram.memo_hits += 1
+            else:
+                diagram.memo_misses += 1
+                if all(entry_key != key for entry_key, _ in ctx.memo):
+                    entry = narrow_values[:end].copy()
+                    entry.flags.writeable = False
+                    ctx.memo = ((key, entry),) + ctx.memo[: MEMO_ENTRIES - 1]
+    return values, int(collapsed.value) + start
 
 
 def backward(diagram, columns_by_level, num_models):
@@ -1032,19 +1120,19 @@ def backward(diagram, columns_by_level, num_models):
     scratch = _np.empty(ctx.max_width, dtype=_np.float64)
     collapsed = ctypes.c_int64(0)
     rc = lib.backward(
-        _ip(ctx.kids),
-        _ip(ctx.bounds),
+        ctx.kids_p,
+        ctx.bounds_from(0),
         ctx.nlayers,
         ptrs,
         K,
         diagram.num_slots,
         diagram.root_slot,
-        _dp(values),
-        _dp(narrow_values),
-        narrow.ctypes.data_as(_c_uint8_p),
-        _dp(adjoint),
-        _dp(grads),
-        _dp(scratch),
+        _out(values, ctypes.c_double),
+        _out(narrow_values, ctypes.c_double),
+        _out(narrow, ctypes.c_uint8),
+        _out(adjoint, ctypes.c_double),
+        _out(grads, ctypes.c_double),
+        _out(scratch, ctypes.c_double),
         ctypes.byref(collapsed),
     )
     if rc != 0:

@@ -676,8 +676,9 @@ class SweepService:
         """Count the one kernel pass over ``compiled`` that runs in the block.
 
         One ``phase`` histogram sample, one ``passes`` increment, the deltas
-        of the structure's linearization builds and reuses and of its fused
-        and native passes, and the native backend's ``native.*`` counters.
+        of the structure's linearization builds and reuses, of its fused
+        and native passes and of its forward-memo hits and misses, and the
+        native backend's ``native.*`` counters.
         The pass runs in a ``span`` that records the kernel it resolved on
         this host (``linearized.last_kernel``), so a trace shows which path
         it took.
@@ -690,6 +691,8 @@ class SweepService:
                 "service.linearize.reuses": compiled.linearize_reuses,
                 "kernel.fused_passes": getattr(linearized, "fused_passes", 0),
                 "kernel.native_passes": getattr(linearized, "native_passes", 0),
+                "kernel.memo_hits": getattr(linearized, "memo_hits", 0),
+                "kernel.memo_misses": getattr(linearized, "memo_misses", 0),
             }
 
         registry = self.registry

@@ -160,26 +160,46 @@ class LevelProfile:
         return "LevelProfile(%d levels)" % len(self.entries)
 
 
-def model_matrices_from_columns(
-    count_columns: Sequence[Sequence[float]],
-    location_columns: Sequence[Sequence[float]],
-    location_slots: Sequence[int],
-):
-    """Lay per-model columns out as the two shared float64 matrices.
+def count_matrix(counts: Sequence[Sequence[float]]):
+    """The validated ``(M + 2) x K`` count matrix of K count vectors.
 
-    Returns ``(count_matrix, location_matrix)`` of shapes ``(M + 2) x K``
-    and ``C x K``.  Column ``k`` of the count matrix is
-    ``count_columns[k]``; column ``k`` of the location matrix is
-    ``location_columns[location_slots[k]]``, so models that share one
-    component model share one ``P'`` column, tiled here.
+    Each vector holds ``M + 2`` floats whose first ``M + 1`` are ``Q'_0 ..
+    Q'_M``; its last entry is not read.  Column ``k`` is model ``k``'s
+    head followed by the saturated entry ``max(0, 1 - sum(Q'))``, a plain
+    left-to-right float sum (the value the per-model dict route produced),
+    and every column passes :func:`validate_model_columns`.  One model
+    takes that route in Python; more take the same additions in numpy.
+    """
+    if len(counts) == 1:
+        head = counts[0][:-1]
+        columns = [[*head, max(0.0, 1.0 - plain_sum(head))]]
+        validate_model_columns(columns, what="count")
+        return _np.ascontiguousarray(_np.asarray(columns, dtype=_np.float64).T)
+    matrix = _np.ascontiguousarray(_np.array(counts, dtype=_np.float64).T)
+    # accumulate adds down each column in order, as plain_sum does
+    head_sum = _np.add.accumulate(matrix[:-1], axis=0)[-1]
+    saturated = 1.0 - head_sum
+    # max(0.0, x) is 0.0 unless x > 0.0, NaN included (np.maximum keeps NaN)
+    matrix[-1] = _np.where(saturated > 0.0, saturated, 0.0)
+    # the checks of validate_model_columns on every column at once; it runs
+    # only to raise its message
+    if (matrix < 0.0).any() or (_np.abs(head_sum + matrix[-1] - 1.0) > 1e-6).any():
+        validate_model_columns(matrix.T.tolist(), what="count")
+    return matrix
+
+
+def location_matrix(
+    location_columns: Sequence[Sequence[float]], location_slots: Sequence[int]
+):
+    """The ``C x K`` location matrix of K models' ``P'`` columns.
+
+    Column ``k`` is ``location_columns[location_slots[k]]``, so models that
+    share one component model share one ``P'`` column, tiled here.
     """
     distinct = _np.asarray(location_columns, dtype=_np.float64).T
     slots = _np.asarray(location_slots, dtype=_np.intp)
     # ascontiguousarray keeps row indexing (columns[j]) cache-friendly
-    return (
-        _np.ascontiguousarray(_np.asarray(count_columns, dtype=_np.float64).T),
-        _np.ascontiguousarray(distinct[:, slots]),
-    )
+    return _np.ascontiguousarray(distinct[:, slots])
 
 
 def columns_from_matrices(

@@ -1,11 +1,16 @@
-"""Unit tests for the ROMDD probability traversal."""
+"""Unit tests for the ROMDD probability traversal and its count columns."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.distributions import plain_sum
 from repro.faulttree import MultiValuedVariable
 from repro.mdd import FALSE, MDDError, MDDManager, TRUE, probability_of_one
+from repro.mdd.probability import count_matrix, validate_model_columns
 
 
 def brute_force_probability(manager, root, variables, distributions):
@@ -93,3 +98,66 @@ class TestProbability:
         p = probability_of_one(manager, f, dist)
         q = probability_of_one(manager, manager.not_(f), dist)
         assert p + q == pytest.approx(1.0, abs=1e-12)
+
+
+def per_model_count_columns(counts):
+    """The count columns as one Python loop over the models builds them:
+    the reference the vectorized :func:`count_matrix` must equal."""
+    columns = []
+    for vector in counts:
+        head = vector[:-1]
+        columns.append([*head, max(0.0, 1.0 - plain_sum(head))])
+    validate_model_columns(columns, what="count")
+    return columns
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def count_vectors():
+    """Two or more count vectors of one length: normalized pmfs with a
+    free last entry, or raw entries with zeros, signs, NaN and infinity."""
+    entry = st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.0, -0.0, -1e-300, 5e-324, math.nan, math.inf, 1.0]),
+    )
+
+    def pmf(length):
+        weights = st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=length, max_size=length
+        ).filter(lambda w: sum(w) > 0.0)
+        return st.tuples(weights, entry).map(
+            lambda drawn: [w / math.fsum(drawn[0]) for w in drawn[0][:-1]] + [drawn[1]]
+        )
+
+    def vectors(length):
+        vector = st.one_of(
+            pmf(length), st.lists(entry, min_size=length, max_size=length)
+        )
+        return st.lists(vector, min_size=2, max_size=6)
+
+    return st.integers(min_value=2, max_value=8).flatmap(vectors)
+
+
+class TestCountMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(count_vectors())
+    def test_matches_the_per_model_loop_bit_for_bit(self, counts):
+        try:
+            expected = per_model_count_columns(counts)
+        except MDDError as exc:
+            with pytest.raises(MDDError) as raised:
+                count_matrix(counts)
+            assert str(raised.value) == str(exc)
+            return
+        matrix = count_matrix(counts)
+        assert matrix.shape == (len(counts[0]), len(counts))
+        assert matrix.flags["C_CONTIGUOUS"]
+        assert bits(matrix.T) == bits(expected)
+
+    def test_one_model_takes_the_loop(self):
+        vector = (0.25, 0.5, 0.2, 0.99)
+        assert bits(count_matrix([vector])[:, 0]) == bits(
+            per_model_count_columns([vector])[0]
+        )

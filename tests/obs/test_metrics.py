@@ -263,6 +263,10 @@ class TestServiceRegistryNames:
         store_dir = str(tmp_path / "store")
         passes = "kernel.native_passes" if native.available() else "kernel.fused_passes"
 
+        def memo_misses(count):
+            # each first native pass over a diagram misses its forward memo
+            return {"kernel.memo_misses": count} if native.available() else {}
+
         def entry_bytes(*truncations):
             sizes = {entry.digest: entry.nbytes for entry in StructureStore(store_dir).entries()}
             return sum(
@@ -291,6 +295,7 @@ class TestServiceRegistryNames:
             "store.misses": 1,
             "store.bytes": entry_bytes(3),
             passes: 2,
+            **memo_misses(1),
             **self.build_counters(3),
         }
         assert phase_counts(service) == {
@@ -311,6 +316,7 @@ class TestServiceRegistryNames:
             "store.mmap_loads": 1,
             "store.bytes": entry_bytes(3),
             passes: 1,
+            **memo_misses(1),
         }
         assert phase_counts(warm) == {"phase.evaluate_seconds": 1}
 
@@ -332,6 +338,7 @@ class TestServiceRegistryNames:
             "store.misses": 2,
             "store.bytes": entry_bytes(2, 4),
             passes: 2,
+            **memo_misses(2),
             **self.build_counters(2, 4),
         }
         assert phase_counts(pooled) == {
