@@ -6,11 +6,7 @@ while the pre-engine route rebuilt the diagrams for every point.  This
 benchmark times both on the same multi-point sweep and asserts that reuse
 actually wins, which is the acceptance bar for the engine subsystem.
 
-A second check exercises dynamic reordering: starting from the *worst*
-static ordering of Table 2 (``vrw``), group-preserving sifting must bring
-the coded ROBDD at least back under that ordering's size.
-
-The third check is the acceptance bar of the batched probability engine: a
+The second check is the acceptance bar of the batched probability engine: a
 *single-group* multi-model sweep (one structure, many defect models) on a
 ``workers=2`` service must run at least 3x faster through the batched
 linearized pass than the per-point recursive-traversal route the service
@@ -349,18 +345,3 @@ def test_fan_out_against_serial_on_cold_batches():
     )
     _merge_into_sweep_record(fanout_speedup=fanout_speedup, fanout_legs=legs)
 
-
-def test_sifting_recovers_from_worst_static_ordering():
-    problem = benchmark_problem("MS2", mean_defects=2.0)
-    worst = YieldAnalyzer(OrderingSpec("vrw", "ml"), epsilon=PAPER_EPSILON)
-    static_size, _ = worst.diagram_sizes(problem, max_defects=MAX_DEFECTS)
-
-    sifting = YieldAnalyzer(OrderingSpec("vrw", "ml", sift=True), epsilon=PAPER_EPSILON)
-    sifted_size, _ = sifting.diagram_sizes(problem, max_defects=MAX_DEFECTS)
-
-    print_table(
-        "Sifting vs worst static ordering — MS2, M=%d" % MAX_DEFECTS,
-        ("ordering", "coded ROBDD nodes"),
-        [("vrw (static)", static_size), ("vrw + sifting", sifted_size)],
-    )
-    assert sifted_size <= static_size

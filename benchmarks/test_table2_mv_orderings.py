@@ -43,21 +43,16 @@ CASES = [
 VRW_NODE_LIMIT = 400_000
 
 
-def _diagram_sizes(problem, ordering, max_defects, node_limit, **spec_options):
+def _romdd_size(problem, ordering, max_defects, node_limit):
     analyzer = YieldAnalyzer(
-        OrderingSpec(ordering, "ml", **spec_options),
+        OrderingSpec(ordering, "ml"),
         epsilon=PAPER_EPSILON,
         node_limit=node_limit,
     )
     try:
-        return analyzer.diagram_sizes(problem, max_defects=max_defects)
+        return analyzer.diagram_sizes(problem, max_defects=max_defects)[1]
     except ResourceLimitExceeded:
         return None
-
-
-def _romdd_size(problem, ordering, max_defects, node_limit, **spec_options):
-    sizes = _diagram_sizes(problem, ordering, max_defects, node_limit, **spec_options)
-    return None if sizes is None else sizes[1]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] + "-l%g" % (c[1] / 2) for c in CASES])
@@ -79,51 +74,11 @@ def test_table2_romdd_size_by_ordering(benchmark, case):
         else:
             sizes[ordering] = _romdd_size(problem, ordering, max_defects, limit)
 
-    # dynamic-reordering variants (--sift / --sift-converge): starting from
-    # the paper's best static ordering and from the worst one.  Sifting
-    # minimizes the *coded ROBDD*, so that is the size tracked per variant.
-    static_robdd = {
-        o: _diagram_sizes(
-            problem,
-            o,
-            max_defects,
-            VRW_NODE_LIMIT if o == "vrw" else NODE_LIMIT,
-        )
-        for o in ("w", "vrw")
-    }
-    variants = {
-        "w+sift": _diagram_sizes(problem, "w", max_defects, NODE_LIMIT, sift=True),
-        "w+sift-conv": _diagram_sizes(
-            problem, "w", max_defects, NODE_LIMIT, sift_converge=True
-        ),
-        "vrw+sift": _diagram_sizes(
-            problem, "vrw", max_defects, VRW_NODE_LIMIT, sift=True
-        ),
-    }
-
     print_table(
         "Table 2 — ROMDD size by MV ordering (%s, lambda'=%g, M=%s)"
         % (name, mean_defects * 0.5, max_defects or "auto"),
         ["ordering"] + list(ORDERINGS),
         [["ROMDD"] + [sizes[o] for o in ORDERINGS]],
-    )
-    print_table(
-        "Table 2 sift variants — coded ROBDD size (%s, lambda'=%g, M=%s)"
-        % (name, mean_defects * 0.5, max_defects or "auto"),
-        ["variant", "w (static)", "w+sift", "w+sift-conv", "vrw (static)", "vrw+sift"],
-        [
-            ["ROBDD"]
-            + [
-                None if entry is None else entry[0]
-                for entry in (
-                    static_robdd["w"],
-                    variants["w+sift"],
-                    variants["w+sift-conv"],
-                    static_robdd["vrw"],
-                    variants["vrw+sift"],
-                )
-            ]
-        ],
     )
 
     # -------------------- shape assertions (paper's findings) ------------- #
@@ -142,15 +97,6 @@ def test_table2_romdd_size_by_ordering(benchmark, case):
     # vrw is far worse: it either fails under the budget or is >5x larger
     if sizes["vrw"] is not None:
         assert sizes["vrw"] > 5 * weight
-
-    # dynamic reordering never ends worse (on the coded ROBDD it minimizes)
-    # than its static starting point; convergence never worse than one pass
-    if variants["w+sift"] is not None and static_robdd["w"] is not None:
-        assert variants["w+sift"][0] <= static_robdd["w"][0]
-    if variants["w+sift-conv"] is not None and variants["w+sift"] is not None:
-        assert variants["w+sift-conv"][0] <= variants["w+sift"][0]
-    if variants["vrw+sift"] is not None and static_robdd["vrw"] is not None:
-        assert variants["vrw+sift"][0] <= static_robdd["vrw"][0]
 
     # topology and H4 coincide with wv on these benchmarks (paper's Table 2)
     if sizes["t"] is not None and sizes["wv"] is not None:

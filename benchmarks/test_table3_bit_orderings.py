@@ -39,9 +39,9 @@ CASES = [
 ]
 
 
-def _sizes(problem, bits, max_defects, **spec_options):
+def _sizes(problem, bits, max_defects):
     analyzer = YieldAnalyzer(
-        OrderingSpec("w", bits, **spec_options),
+        OrderingSpec("w", bits),
         epsilon=PAPER_EPSILON,
         node_limit=NODE_LIMIT,
     )
@@ -62,19 +62,10 @@ def test_table3_robdd_size_by_bit_ordering(benchmark, case):
         else:
             results[bits] = _sizes(problem, bits, max_defects)
 
-    # --sift / --sift-converge variants: dynamic reordering on top of the
-    # best (ml) and worst-performing (lm) static bit orders
-    variants = {
-        "ml+sift": _sizes(problem, "ml", max_defects, sift=True),
-        "ml+sift-conv": _sizes(problem, "ml", max_defects, sift_converge=True),
-        "lm+sift": _sizes(problem, "lm", max_defects, sift=True),
-    }
-
     print_table(
         "Table 3 — coded ROBDD size by bit-group ordering (%s, MV ordering 'w')" % name,
         ["bit order", "coded ROBDD", "ROMDD"],
-        [[bits, results[bits][0], results[bits][1]] for bits in BIT_ORDERINGS]
-        + [[label, size[0], size[1]] for label, size in variants.items()],
+        [[bits, results[bits][0], results[bits][1]] for bits in BIT_ORDERINGS],
     )
 
     robdd = {bits: results[bits][0] for bits in BIT_ORDERINGS}
@@ -82,11 +73,6 @@ def test_table3_robdd_size_by_bit_ordering(benchmark, case):
 
     # the ROMDD does not depend on the in-group bit order
     assert romdd["ml"] == romdd["lm"] == romdd["w"]
-
-    # sifting never leaves the coded ROBDD above its static starting point
-    assert variants["ml+sift"][0] <= robdd["ml"]
-    assert variants["ml+sift-conv"][0] <= variants["ml+sift"][0]
-    assert variants["lm+sift"][0] <= robdd["lm"]
 
     # the three bit orders stay within a factor 2 of each other (paper: small gaps)
     largest, smallest = max(robdd.values()), min(robdd.values())

@@ -9,8 +9,7 @@ once and re-runs only the (cheap) probability traversal per point.
 
 The script sweeps an MS benchmark twice — serial rebuild per point versus
 the engine service — and prints both timings, the speedup and the service's
-cache statistics.  It also shows dynamic reordering: the same sweep with
-``OrderingSpec(sift=True)`` sifts the coded ROBDD before conversion.
+cache statistics.
 """
 
 import os
@@ -67,15 +66,6 @@ def main():
         "service stats  : %d structures built, %d points evaluated"
         % (counter("service.structures.built"), counter("service.points.evaluated"))
     )
-
-    # --- dynamic reordering -------------------------------------------- #
-    static = analyzer.evaluate(factory(2.0), max_defects=MAX_DEFECTS)
-    sifted = YieldAnalyzer(OrderingSpec("w", "ml", sift=True)).evaluate(
-        factory(2.0), max_defects=MAX_DEFECTS
-    )
-    print()
-    print("coded ROBDD at lambda=1, static 'w/ml' order : %d nodes" % static.coded_robdd_size)
-    print("coded ROBDD after group-preserving sifting   : %d nodes" % sifted.coded_robdd_size)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ The public surface is re-exported here; the subpackages are:
 * :mod:`repro.faulttree` — gate-level circuits and multiple-valued variables;
 * :mod:`repro.bdd` — the ROBDD engine;
 * :mod:`repro.mdd` — the ROMDD engine, conversion and probability traversal;
-* :mod:`repro.engine` — the shared DD kernel (GC, bounded caches), dynamic
-  reordering and the batch sweep service;
+* :mod:`repro.engine` — the shared DD kernel (GC, bounded caches), the
+  batch sweep service and the structure store;
 * :mod:`repro.ordering` — variable-ordering heuristics;
 * :mod:`repro.core` — the yield method, Monte-Carlo and exact baselines;
 * :mod:`repro.soc` — the MSn and ESEN benchmark generators;

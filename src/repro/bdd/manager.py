@@ -21,11 +21,9 @@ Design notes
   (directly or through :meth:`~repro.engine.kernel.DDKernel.checkpoint`), so
   code that never calls :meth:`~repro.engine.kernel.DDKernel.ref` keeps the
   original build-only behaviour.
-* The variable order is chosen when the manager is created, but it is no
-  longer frozen: :meth:`BDDManager.swap_adjacent_levels` exchanges two
-  adjacent levels in place (every handle keeps denoting the same function),
-  and :meth:`BDDManager.reorder` runs Rudell-style sifting on top of it (see
-  :mod:`repro.engine.reorder`).
+* The variable order is fixed when the manager is created: the paper
+  orders the variables statically (:mod:`repro.ordering`) and keeps that
+  order.
 * Recursion depth of the ITE operation is bounded by the number of
   variables; builders that process deep circuits wrap their loops in
   :func:`repro.engine.kernel.recursion_guard` so chain-shaped diagrams with
@@ -44,7 +42,6 @@ from ..engine.kernel import (
     DEFAULT_CACHE_BOUND,
     DEFAULT_GC_THRESHOLD,
     FALSE,
-    FREE_LEVEL,
     TERMINAL_LEVEL,
     TRUE,
     DDKernel,
@@ -59,7 +56,7 @@ _TERMINAL_LEVEL = TERMINAL_LEVEL
 
 
 class BDDManager(DDKernel):
-    """Manager holding every ROBDD node for a (dynamically reorderable) order.
+    """Manager holding every ROBDD node for one fixed variable order.
 
     Parameters
     ----------
@@ -99,7 +96,6 @@ class BDDManager(DDKernel):
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._init_kernel(cache_bound=cache_bound, gc_threshold=gc_threshold)
         self._ite_cache = self._new_computed_table("ite")
-        self._reorder_index: Optional[List[Set[int]]] = None
 
     # ------------------------------------------------------------------ #
     # Kernel hooks
@@ -344,185 +340,6 @@ class BDDManager(DDKernel):
             if result == TRUE:
                 return TRUE
         return result
-
-    # ------------------------------------------------------------------ #
-    # Dynamic reordering
-    # ------------------------------------------------------------------ #
-
-    def begin_reorder(self) -> None:
-        """Enter a reordering session.
-
-        Collects garbage (every diagram still needed must be protected with
-        :meth:`~repro.engine.kernel.DDKernel.ref`) and builds the per-level
-        node index that makes adjacent swaps proportional to the size of the
-        two levels involved instead of the whole table.
-        """
-        if self._reorder_index is not None:
-            raise BDDError("a reordering session is already active")
-        self.garbage_collect()
-        index: List[Set[int]] = [set() for _ in self._var_names]
-        level = self._level
-        for h in self.iter_live_handles():
-            index[level[h]].add(h)
-        self._reorder_index = index
-
-    def end_reorder(self) -> None:
-        """Leave the reordering session and flush the computed tables."""
-        self._reorder_index = None
-        for table in self._computed_tables.values():
-            table.clear()
-
-    @property
-    def in_reorder(self) -> bool:
-        return self._reorder_index is not None
-
-    def nodes_at_level(self, level: int) -> int:
-        """Return the number of allocated nodes labelled with ``level``."""
-        if self._reorder_index is not None:
-            return len(self._reorder_index[level])
-        levels = self._level
-        return sum(
-            1 for h in self.iter_live_handles() if levels[h] == level
-        )
-
-    def swap_adjacent_levels(self, level: int) -> None:
-        """Exchange the variables at ``level`` and ``level + 1`` in place.
-
-        Every existing handle keeps denoting the same boolean function; only
-        the variable order (and therefore the diagram shapes) changes.  Inside
-        a reordering session, nodes of the upper level that become unreferenced
-        are reclaimed eagerly so that ``num_live_nodes`` is an exact size
-        metric for sifting; outside a session nothing is freed, which keeps
-        unprotected user handles valid.
-        """
-        i = level
-        j = level + 1
-        if not 0 <= i < len(self._var_names) - 1:
-            raise BDDError("cannot swap level %d with %d" % (i, j))
-        index = self._reorder_index
-        if index is not None:
-            ui, vi = index[i], index[j]
-        else:
-            levels = self._level
-            ui, vi = set(), set()
-            for h in self.iter_live_handles():
-                lv = levels[h]
-                if lv == i:
-                    ui.add(h)
-                elif lv == j:
-                    vi.add(h)
-
-        levels = self._level
-        low = self._low
-        high = self._high
-        refs = self._refs
-        unique = self._unique
-
-        for h in ui:
-            del unique[(i, low[h], high[h])]
-        for h in vi:
-            del unique[(j, low[h], high[h])]
-
-        new_i: Set[int] = set()
-        new_j: Set[int] = set()
-        dependent: List[int] = []
-        for h in ui:
-            if levels[low[h]] == j or levels[high[h]] == j:
-                dependent.append(h)
-            else:
-                # independent of the lower variable: the node just moves down
-                levels[h] = j
-                unique[(j, low[h], high[h])] = h
-                new_j.add(h)
-
-        for h in dependent:
-            f0, f1 = low[h], high[h]
-            if levels[f0] == j:
-                f00, f01 = low[f0], high[f0]
-            else:
-                f00 = f01 = f0
-            if levels[f1] == j:
-                f10, f11 = low[f1], high[f1]
-            else:
-                f10 = f11 = f1
-            if f0 > TRUE:
-                refs[f0] -= 1
-            if f1 > TRUE:
-                refs[f1] -= 1
-            new_low = self._mk(j, f00, f10)
-            new_high = self._mk(j, f01, f11)
-            if new_low > TRUE:
-                refs[new_low] += 1
-                if levels[new_low] == j:
-                    new_j.add(new_low)
-            if new_high > TRUE:
-                refs[new_high] += 1
-                if levels[new_high] == j:
-                    new_j.add(new_high)
-            low[h] = new_low
-            high[h] = new_high
-            levels[h] = i
-            unique[(i, new_low, new_high)] = h
-            new_i.add(h)
-
-        # old lower-level nodes still test the variable now sitting at level i
-        dead: List[int] = []
-        for h in vi:
-            if index is not None and refs[h] == 0:
-                dead.append(h)
-            else:
-                levels[h] = i
-                unique[(i, low[h], high[h])] = h
-                new_i.add(h)
-
-        # inside a session, reclaim the nodes orphaned by the swap (cascading
-        # into deeper levels) so the live count stays an exact size metric
-        while dead:
-            h = dead.pop()
-            if refs[h] != 0 or levels[h] == FREE_LEVEL:
-                continue
-            lv = levels[h]
-            if lv != j:
-                unique.pop((lv, low[h], high[h]), None)
-                index[lv].discard(h)  # type: ignore[index]
-            for child in (low[h], high[h]):
-                if child > TRUE:
-                    refs[child] -= 1
-                    if refs[child] == 0:
-                        dead.append(child)
-            low[h] = FALSE
-            high[h] = FALSE
-            levels[h] = FREE_LEVEL
-            self._free.append(h)
-
-        if index is not None:
-            index[i] = new_i
-            index[j] = new_j
-
-        u_name = self._var_names[i]
-        v_name = self._var_names[j]
-        self._var_names[i] = v_name
-        self._var_names[j] = u_name
-        self._level_of[v_name] = i
-        self._level_of[u_name] = j
-
-    def reorder(self, roots: Iterable[int] = (), **kwargs):
-        """Minimise the diagram sizes by sifting; returns the reorder stats.
-
-        ``roots`` are protected for the duration (on top of anything already
-        :meth:`~repro.engine.kernel.DDKernel.ref`-ed).  Keyword arguments are
-        forwarded to :func:`repro.engine.reorder.sift`.
-        """
-        from ..engine.reorder import sift
-
-        roots = [r for r in roots if r > TRUE]
-        for r in roots:
-            self.ref(r)
-        try:
-            return sift(self, **kwargs)
-        finally:
-            for r in roots:
-                self.deref(r)
 
     # ------------------------------------------------------------------ #
     # Queries

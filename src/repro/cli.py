@@ -33,11 +33,6 @@ Python:
   benchmark set;
 * ``list``              — list the available benchmark names.
 
-Every method command accepts ``--sift`` to improve the static variable
-order by dynamic (group-preserving) sifting before the ROMDD conversion,
-and ``--sift-converge`` to repeat sifting passes (plus a group window
-permutation) until the diagram stops shrinking.
-
 Every command prints a plain-text report to stdout and returns a non-zero
 exit code on user errors (unknown benchmark, malformed file...).
 """
@@ -419,26 +414,10 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
         default="ml",
         help="bit-group ordering: ml, lm, t, w, h (default ml)",
     )
-    parser.add_argument(
-        "--sift",
-        action="store_true",
-        help="improve the static order by dynamic (group-preserving) sifting",
-    )
-    parser.add_argument(
-        "--sift-converge",
-        action="store_true",
-        help="repeat sifting passes (with a group window permutation) until "
-        "the diagram stops shrinking (implies --sift)",
-    )
 
 
 def _ordering_from(args) -> OrderingSpec:
-    return OrderingSpec(
-        args.ordering,
-        args.bit_ordering,
-        sift=args.sift,
-        sift_converge=args.sift_converge,
-    )
+    return OrderingSpec(args.ordering, args.bit_ordering)
 
 
 def _report_result(result, montecarlo_result=None) -> None:

@@ -8,9 +8,7 @@
 3. build the generalized fault tree ``G(w, v_1 .. v_M)`` and its gate-level
    description in binary logic;
 4. compute the grouped variable order with the requested heuristics;
-5. build the coded ROBDD of ``G`` gate by gate (optionally improving the
-   order in place by group-preserving sifting, see
-   :mod:`repro.engine.reorder`);
+5. build the coded ROBDD of ``G`` gate by gate under that fixed order;
 6. convert the coded ROBDD into the ROMDD (bottom-up layer procedure);
 7. evaluate ``P(G = 1)`` by the depth-first probability traversal and return
    ``Y_M = 1 - P(G = 1)`` together with the error bound and the size /
@@ -154,8 +152,6 @@ class CompiledYield:
         romdd_size: int,
         ordering: OrderingSpec,
         build_timings: Tuple[float, float, float],
-        sift_swaps: int = 0,
-        reorder_seconds: float = 0.0,
         component_names: Optional[Tuple[str, ...]] = None,
         count_variable_name: Optional[str] = None,
         location_variable_names: Optional[Tuple[str, ...]] = None,
@@ -179,9 +175,6 @@ class CompiledYield:
         self.romdd_size = romdd_size
         self.ordering = ordering
         self.build_timings = build_timings
-        self.sift_swaps = sift_swaps
-        #: Wall-clock seconds spent in dynamic reordering during the build.
-        self.reorder_seconds = reorder_seconds
         #: Flat identity fields (derived from the heavyweight objects when
         #: they are present; supplied explicitly by the store's restore).
         if gfunction is not None:
@@ -335,8 +328,6 @@ class CompiledYield:
         }
         if self.from_store:
             extra["structure_from_store"] = 1.0
-        if self.ordering.sift:
-            extra["sift_swaps"] = float(self.sift_swaps)
         return StructureRecord(
             truncation=self.truncation,
             coded_robdd_size=self.coded_robdd_size,
@@ -527,9 +518,8 @@ class YieldAnalyzer:
     ordering:
         The variable-ordering strategy.  Defaults to the pair the paper found
         best: weight heuristic for the multiple-valued variables, most
-        significant bit first inside each group.  Pass a spec with
-        ``sift=True`` to additionally run dynamic reordering on the coded
-        ROBDD before conversion.
+        significant bit first inside each group.  The order is fixed
+        before the coded ROBDD is built and never changes.
     epsilon:
         Absolute error budget used to select the truncation level ``M`` when
         :meth:`evaluate` is not given an explicit ``max_defects``.
@@ -589,7 +579,7 @@ class YieldAnalyzer:
         """Build the reusable decision-diagram structure for ``problem``.
 
         Runs steps 3-6 of the pipeline (fault-tree generalization, ordering,
-        coded ROBDD, optional sifting, ROMDD conversion).  The returned
+        coded ROBDD, ROMDD conversion).  The returned
         :class:`CompiledYield` evaluates any defect model over the same
         fault-tree structure without rebuilding.
         """
@@ -614,22 +604,10 @@ class YieldAnalyzer:
                 gfunction, grouped_order
             )
             build_cache = bdd_manager.cache_totals()
-            sift_swaps = 0
-            reorder_seconds = 0.0
-            if self.ordering.sift:
-                t_sift = time.perf_counter()
-                grouped_order, sift_swaps = self._sift(
-                    bdd_manager, bdd_root, grouped_order
-                )
-                reorder_seconds = time.perf_counter() - t_sift
-                build_stats.final_size = bdd_manager.size(bdd_root)
-                if build_stats.final_size > build_stats.peak_live_nodes:
-                    build_stats.peak_live_nodes = build_stats.final_size
             robdd_span.set(
                 nodes=build_stats.final_size,
                 created=build_stats.allocated_nodes,
                 lookups=build_cache["hits"] + build_cache["misses"],
-                sift_swaps=sift_swaps,
                 backend=build_stats.backend,
             )
         t2 = time.perf_counter()
@@ -659,8 +637,6 @@ class YieldAnalyzer:
             romdd_size=romdd_size,
             ordering=self.ordering,
             build_timings=(t1 - t0, t2 - t1, t3 - t2),
-            sift_swaps=sift_swaps,
-            reorder_seconds=reorder_seconds,
             kernel_cache_stats={
                 "bdd": bdd_manager.cache_totals(),
                 "mdd": mdd_manager.cache_totals(),
@@ -725,21 +701,6 @@ class YieldAnalyzer:
             node_limit=self.node_limit,
         )
         return builder.build(gfunction.binary_circuit())
-
-    def _sift(self, bdd_manager, bdd_root: int, grouped_order: GroupedVariableOrder):
-        from ..engine.reorder import sift_grouped
-
-        bdd_manager.ref(bdd_root)
-        try:
-            new_groups, stats = sift_grouped(
-                bdd_manager,
-                grouped_order.groups,
-                converge=self.ordering.sift_converge,
-                window=3 if self.ordering.sift_converge else 0,
-            )
-        finally:
-            bdd_manager.deref(bdd_root)
-        return GroupedVariableOrder(new_groups), stats.swaps
 
 
 def evaluate_yield(

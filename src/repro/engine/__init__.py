@@ -8,10 +8,6 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
   allocation with a free list, reference-counted garbage collection,
   size-bounded computed tables with hit/miss statistics, and automatic
   table-resize / collection checkpoints;
-* :mod:`repro.engine.reorder` — dynamic variable reordering by Rudell-style
-  sifting on top of the managers' ``swap_adjacent_levels`` primitive,
-  including the group-preserving variant needed by the coded-ROBDD
-  pipeline;
 * :mod:`repro.engine.batch` — the batched probability engine: linearize a
   ROMDD once into flat topological arrays and evaluate every defect model
   of a sweep in a single bottom-up pass.  Two bit-for-bit identical
@@ -47,7 +43,6 @@ from .kernel import (
     KernelStats,
     recursion_guard,
 )
-from .reorder import ReorderStats, sift, sift_grouped, sift_to_convergence
 from .service import SweepPoint, SweepService
 from .store import StoreEntry, StoreError, StructureStore
 
@@ -59,11 +54,7 @@ __all__ = [
     "FusedSchedule",
     "KernelStats",
     "LinearizedDiagram",
-    "ReorderStats",
     "recursion_guard",
-    "sift",
-    "sift_grouped",
-    "sift_to_convergence",
     "StoreEntry",
     "StoreError",
     "StructureStore",

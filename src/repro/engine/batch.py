@@ -259,8 +259,8 @@ class LinearizedDiagram:
     single dense value array instead of a memo dict.
 
     Instances are immutable snapshots: rebuilding after a manager-side
-    reordering or GC is the caller's responsibility (compiled structures
-    never mutate their diagram, so they linearize exactly once).  The
+    GC is the caller's responsibility (compiled structures never mutate
+    their diagram, so they linearize exactly once).  The
     constructor compiles ``(level, slots, kid_rows)`` layer tuples into
     the schedule once (each layer's slots must be one contiguous ascending
     range, else :class:`BatchEvalError`); :meth:`from_mdd` linearizes a

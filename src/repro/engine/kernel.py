@@ -427,13 +427,6 @@ class DDKernel:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def iter_live_handles(self) -> Iterable[int]:
-        """Yield every allocated non-terminal handle (dead ones included)."""
-        level = self._level
-        for h in range(TRUE + 1, len(level)):
-            if level[h] != FREE_LEVEL:
-                yield h
-
     def cache_totals(self) -> Dict[str, int]:
         """Computed-table traffic summed over every cache (ITE, apply, ...).
 

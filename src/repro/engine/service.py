@@ -228,8 +228,7 @@ class SweepService:
     ----------
     ordering:
         Ordering strategy shared by every point (default: the paper's best
-        pair, ``OrderingSpec("w", "ml")``; pass ``sift=True`` for dynamic
-        reordering).
+        pair, ``OrderingSpec("w", "ml")``).
     epsilon:
         Default error budget for points that pin neither ``max_defects``
         nor their own ``epsilon``.
@@ -635,9 +634,8 @@ class SweepService:
         (:meth:`_locked_key`) around this, so at most one build per key is
         in flight; the LRU bookkeeping itself is guarded by the service
         lock.  A build counts ``service.structures.built`` and observes
-        ``phase.build_seconds`` (and ``phase.reorder_seconds`` after
-        sifting), and adds the computed-table totals it snapshotted to
-        ``kernel.cache.<manager>.<event>``.
+        ``phase.build_seconds``, and adds the computed-table totals it
+        snapshotted to ``kernel.cache.<manager>.<event>``.
         """
         registry = self.registry
         with self._lock:
@@ -661,8 +659,6 @@ class SweepService:
             compiled = self._analyzer.compile_for_truncation(problem, truncation)
         registry.inc("service.structures.built")
         registry.observe("phase.build_seconds", sum(compiled.build_timings))
-        if compiled.reorder_seconds:
-            registry.observe("phase.reorder_seconds", compiled.reorder_seconds)
         for manager, totals in (compiled.kernel_cache_stats or {}).items():
             for event, value in totals.items():
                 if value:

@@ -203,8 +203,6 @@ class StructureStore:
                 "gates_processed": compiled.gates_processed,
                 "romdd_size": compiled.romdd_size,
                 "build_timings": list(compiled.build_timings),
-                "sift_swaps": compiled.sift_swaps,
-                "reorder_seconds": compiled.reorder_seconds,
                 "mdd_allocated": compiled.mdd_allocated,
             },
             "linearized": {
@@ -373,6 +371,8 @@ class StructureStore:
         from ..ordering.strategies import OrderingSpec
 
         structure = meta["structure"]
+        # diagnostics read by name: the two more that entries of earlier
+        # versions carry are ignored, so those entries still load
         diagnostics = meta["diagnostics"]
         return CompiledYield(
             gfunction=None,
@@ -387,8 +387,6 @@ class StructureStore:
             romdd_size=int(diagnostics["romdd_size"]),
             ordering=OrderingSpec.from_key(tuple(structure["ordering_key"])),
             build_timings=tuple(float(t) for t in diagnostics["build_timings"]),
-            sift_swaps=int(diagnostics["sift_swaps"]),
-            reorder_seconds=float(diagnostics["reorder_seconds"]),
             component_names=tuple(structure["component_names"]),
             count_variable_name=structure["count_variable"],
             location_variable_names=tuple(structure["location_variables"]),

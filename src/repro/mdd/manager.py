@@ -20,10 +20,9 @@ traversal (and the construction routes feeding it) needs:
 
 Like the ROBDD manager, this manager plugs into the shared kernel of
 :mod:`repro.engine.kernel`: nodes are reference counted, dead nodes are
-reclaimed on demand with slot reuse, the apply computed table is
-size-bounded with statistics, and the variable order can be changed in
-place with :meth:`MDDManager.swap_adjacent_levels` /
-:meth:`MDDManager.reorder` (Rudell sifting over multiple-valued variables).
+reclaimed on demand with slot reuse, and the apply computed table is
+size-bounded with statistics.  The variable order is fixed when the
+manager is created.
 
 The function itself is boolean (terminals 0/1); only the variables are
 multiple-valued, which is all the yield method requires.
@@ -40,7 +39,6 @@ from ..engine.kernel import (
     DEFAULT_CACHE_BOUND,
     DEFAULT_GC_THRESHOLD,
     FALSE,
-    FREE_LEVEL,
     TERMINAL_LEVEL,
     TRUE,
     DDKernel,
@@ -120,7 +118,6 @@ class MDDManager(DDKernel):
         self._unique: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self._init_kernel(cache_bound=cache_bound, gc_threshold=gc_threshold)
         self._apply_cache = self._new_computed_table("apply")
-        self._reorder_index: Optional[List[Set[int]]] = None
 
     # ------------------------------------------------------------------ #
     # Kernel hooks
@@ -431,165 +428,6 @@ class MDDManager(DDKernel):
         if node > TRUE and self._level[node] == level:
             return self._children[node]
         return (node,) * cardinality
-
-    # ------------------------------------------------------------------ #
-    # Dynamic reordering
-    # ------------------------------------------------------------------ #
-
-    def begin_reorder(self) -> None:
-        """Enter a reordering session (see :meth:`repro.bdd.BDDManager.begin_reorder`)."""
-        if self._reorder_index is not None:
-            raise MDDError("a reordering session is already active")
-        self.garbage_collect()
-        index: List[Set[int]] = [set() for _ in self._variables]
-        level = self._level
-        for h in self.iter_live_handles():
-            index[level[h]].add(h)
-        self._reorder_index = index
-
-    def end_reorder(self) -> None:
-        """Leave the reordering session and flush the computed tables."""
-        self._reorder_index = None
-        for table in self._computed_tables.values():
-            table.clear()
-
-    @property
-    def in_reorder(self) -> bool:
-        return self._reorder_index is not None
-
-    def nodes_at_level(self, level: int) -> int:
-        """Return the number of allocated nodes labelled with ``level``."""
-        if self._reorder_index is not None:
-            return len(self._reorder_index[level])
-        levels = self._level
-        return sum(1 for h in self.iter_live_handles() if levels[h] == level)
-
-    def swap_adjacent_levels(self, level: int) -> None:
-        """Exchange the variables at ``level`` and ``level + 1`` in place.
-
-        The multiple-valued generalization of the ROBDD swap: a node that
-        depends on both variables is rewritten to branch on the lower
-        variable first, with one fresh upper-variable node per value of the
-        lower variable's domain.  Handles keep denoting the same functions.
-        """
-        i = level
-        j = level + 1
-        if not 0 <= i < len(self._variables) - 1:
-            raise MDDError("cannot swap level %d with %d" % (i, j))
-        index = self._reorder_index
-        if index is not None:
-            ui, vi = index[i], index[j]
-        else:
-            levels = self._level
-            ui, vi = set(), set()
-            for h in self.iter_live_handles():
-                lv = levels[h]
-                if lv == i:
-                    ui.add(h)
-                elif lv == j:
-                    vi.add(h)
-
-        u_var = self._variables[i]
-        v_var = self._variables[j]
-        u_card = u_var.cardinality
-        v_card = v_var.cardinality
-
-        # swap the variable metadata first so _mk_raw levels stay meaningful
-        self._variables[i] = v_var
-        self._variables[j] = u_var
-        self._level_of[v_var.name] = i
-        self._level_of[u_var.name] = j
-
-        levels = self._level
-        children = self._children
-        refs = self._refs
-        unique = self._unique
-
-        for h in ui:
-            del unique[(i, children[h])]
-        for h in vi:
-            del unique[(j, children[h])]
-
-        new_i: Set[int] = set()
-        new_j: Set[int] = set()
-        dependent: List[int] = []
-        for h in ui:
-            if any(levels[c] == j for c in children[h]):
-                dependent.append(h)
-            else:
-                levels[h] = j
-                unique[(j, children[h])] = h
-                new_j.add(h)
-
-        for h in dependent:
-            kids = children[h]
-            grand = [
-                children[c] if levels[c] == j else (c,) * v_card for c in kids
-            ]
-            for c in kids:
-                if c > TRUE:
-                    refs[c] -= 1
-            new_kids: List[int] = []
-            for b in range(v_card):
-                column = tuple(grand[a][b] for a in range(u_card))
-                node = self._mk_raw(j, column)
-                if node > TRUE:
-                    refs[node] += 1
-                    if levels[node] == j:
-                        new_j.add(node)
-                new_kids.append(node)
-            new_tuple = tuple(new_kids)
-            children[h] = new_tuple
-            levels[h] = i
-            unique[(i, new_tuple)] = h
-            new_i.add(h)
-
-        dead: List[int] = []
-        for h in vi:
-            if index is not None and refs[h] == 0:
-                dead.append(h)
-            else:
-                levels[h] = i
-                unique[(i, children[h])] = h
-                new_i.add(h)
-
-        while dead:
-            h = dead.pop()
-            if refs[h] != 0 or levels[h] == FREE_LEVEL:
-                continue
-            lv = levels[h]
-            if lv != j:
-                unique.pop((lv, children[h]), None)
-                index[lv].discard(h)  # type: ignore[index]
-            for c in children[h]:
-                if c > TRUE:
-                    refs[c] -= 1
-                    if refs[c] == 0:
-                        dead.append(c)
-            children[h] = ()
-            levels[h] = FREE_LEVEL
-            self._free.append(h)
-
-        if index is not None:
-            index[i] = new_i
-            index[j] = new_j
-
-    def reorder(self, roots: Iterable[int] = (), **kwargs):
-        """Minimise the diagram sizes by sifting; returns the reorder stats.
-
-        ``roots`` are protected for the duration.  Keyword arguments are
-        forwarded to :func:`repro.engine.reorder.sift`.
-        """
-        from ..engine.reorder import sift
-
-        roots = [r for r in roots if r > TRUE]
-        for r in roots:
-            self.ref(r)
-        try:
-            return sift(self, **kwargs)
-        finally:
-            for r in roots:
-                self.deref(r)
 
     # ------------------------------------------------------------------ #
     # Queries

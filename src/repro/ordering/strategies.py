@@ -64,29 +64,9 @@ class OrderingSpec:
         Enforce the paper's combination rule (heuristic bit orders only with
         the matching multiple-valued heuristic).  Set to ``False`` to explore
         other combinations.
-    sift:
-        Improve the static order dynamically: after the coded ROBDD is
-        built, run group-preserving Rudell sifting
-        (:func:`repro.engine.reorder.sift_grouped`) before converting to the
-        ROMDD.  The static ``mv``/``bits`` pair still provides the starting
-        point, so ``OrderingSpec("w", "ml", sift=True)`` means "the paper's
-        best static order, then sift".
-    sift_converge:
-        Instead of a single sifting pass, repeat group-preserving passes
-        (plus a group-aware window permutation) until the node count stops
-        improving (:func:`repro.engine.reorder.sift_grouped` with
-        ``converge=True``).  Implies ``sift``.
     """
 
-    def __init__(
-        self,
-        mv: str = "w",
-        bits: str = "ml",
-        *,
-        strict: bool = True,
-        sift: bool = False,
-        sift_converge: bool = False,
-    ) -> None:
+    def __init__(self, mv: str = "w", bits: str = "ml", *, strict: bool = True) -> None:
         if mv not in MV_ORDERINGS:
             raise OrderingError("unknown multiple-valued ordering %r" % (mv,))
         if bits not in BIT_ORDERINGS:
@@ -98,41 +78,34 @@ class OrderingSpec:
             )
         self.mv = mv
         self.bits = bits
-        self.sift_converge = bool(sift_converge)
-        self.sift = bool(sift) or self.sift_converge
 
     def needs_circuit(self) -> bool:
         """Return whether this spec requires the binary gate-level description."""
         return self.mv in _HEURISTIC_NAMES or self.bits in _HEURISTIC_NAMES
 
-    def key(self) -> Tuple[str, str, object]:
+    def key(self) -> Tuple[str, str, bool]:
         """Return a hashable identity (used by the engine's caches).
 
-        The third element encodes the dynamic-reordering mode: ``False``
-        (static), ``True`` (one sifting pass) or ``"converge"``
-        (sift-to-convergence) — still truthy exactly when sifting runs, so
-        existing ``(mv, bits, sift)`` unpacking keeps working.
+        The third element is always ``False``.  Earlier versions recorded a
+        variable-order mode there; the constant keeps every structure key
+        and store digest as those versions wrote them.
         """
-        mode: object = "converge" if self.sift_converge else self.sift
-        return (self.mv, self.bits, mode)
+        return (self.mv, self.bits, False)
 
     @classmethod
-    def from_key(cls, key: Tuple[str, str, object], *, strict: bool = False) -> "OrderingSpec":
-        """Rebuild a spec from :meth:`key` (used by the structure store)."""
-        mv, bits, mode = key
-        return cls(
-            mv,
-            bits,
-            strict=strict,
-            sift=bool(mode),
-            sift_converge=(mode == "converge"),
-        )
+    def from_key(cls, key: Tuple[str, str, bool], *, strict: bool = False) -> "OrderingSpec":
+        """Rebuild a spec from :meth:`key` (used by the structure store).
+
+        A key whose third element is not ``False`` names an order that
+        changed after the build, which no spec makes; it raises
+        :class:`OrderingError`.
+        """
+        mv, bits, static = key
+        if static is not False:
+            raise OrderingError("ordering key %r is not a static order" % (key,))
+        return cls(mv, bits, strict=strict)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.sift_converge:
-            return "OrderingSpec(mv=%r, bits=%r, sift_converge=True)" % (self.mv, self.bits)
-        if self.sift:
-            return "OrderingSpec(mv=%r, bits=%r, sift=True)" % (self.mv, self.bits)
         return "OrderingSpec(mv=%r, bits=%r)" % (self.mv, self.bits)
 
 

@@ -333,6 +333,28 @@ class TestCache:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRemovedReorderingFlags:
+    @pytest.mark.parametrize("flag", ["--sift", "--sift-converge"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "duplex.ft"],
+            ["benchmark", "MS2"],
+            ["sweep", "MS2"],
+            ["importance", "MS2"],
+            ["cache", "warm", "store", "MS2"],
+            ["serve"],
+        ],
+        ids=["evaluate", "benchmark", "sweep", "importance", "cache-warm", "serve"],
+    )
+    def test_flag_is_a_usage_error(self, command, flag, capsys):
+        # parse-time rejection: no file, store or socket is touched
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
 class TestSweepFaultOptions:
     @pytest.mark.parametrize(
         "flags",

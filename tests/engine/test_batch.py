@@ -16,7 +16,6 @@ from repro.mdd.probability import (
     probability_of_one,
     probability_of_one_reference,
 )
-from repro.ordering import OrderingSpec
 from tests.engine.test_golden import fused_digest
 
 
@@ -392,33 +391,3 @@ class TestServiceSharding:
         assert registry.histogram_sum("phase.evaluate_seconds") > 0.0
         assert registry.histogram_sum("phase.build_seconds") > 0.0
 
-
-class TestSiftConvergence:
-    def test_ordering_key_modes(self):
-        assert OrderingSpec("w", "ml").key() == ("w", "ml", False)
-        assert OrderingSpec("w", "ml", sift=True).key() == ("w", "ml", True)
-        converge = OrderingSpec("w", "ml", sift_converge=True)
-        assert converge.key() == ("w", "ml", "converge")
-        assert converge.sift  # implied
-        rebuilt = OrderingSpec.from_key(converge.key())
-        assert rebuilt.sift and rebuilt.sift_converge
-        assert OrderingSpec.from_key(("w", "ml", True)).sift
-        assert not OrderingSpec.from_key(("w", "ml", False)).sift
-
-    def test_converge_never_worse_than_static(self):
-        problem = make_problem(1.0)
-        static = YieldAnalyzer(OrderingSpec("vrw", "ml"))
-        converge = YieldAnalyzer(OrderingSpec("vrw", "ml", sift_converge=True))
-        static_size, _ = static.diagram_sizes(problem, max_defects=3)
-        converged_size, _ = converge.diagram_sizes(problem, max_defects=3)
-        assert converged_size <= static_size
-
-    def test_converge_yield_is_unchanged(self):
-        problem = make_problem(1.2)
-        plain = YieldAnalyzer().evaluate(problem, max_defects=3)
-        converged = YieldAnalyzer(
-            OrderingSpec("w", "ml", sift_converge=True)
-        ).evaluate(problem, max_defects=3)
-        assert converged.yield_estimate == pytest.approx(
-            plain.yield_estimate, abs=1e-12
-        )

@@ -204,6 +204,29 @@ class TestServiceWarmStart:
         # warm-start results are bit-for-bit the cold-build results
         assert warm_rows == cold_rows
 
+    def test_entries_with_the_old_reordering_diagnostics_still_load(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        cold = SweepService(ordering=ORDERING, store_dir=store_dir)
+        cold_rows = cold.density_sweep(make_problem, MEANS, max_defects=3)
+        store = StructureStore(store_dir)
+        (entry,) = store.entries()
+        json_path = store._json_path(entry.digest)
+        with open(json_path) as handle:
+            meta = json.load(handle)
+        assert "sift_swaps" not in meta["diagnostics"]
+        assert "reorder_seconds" not in meta["diagnostics"]
+        # the entry as it was written while the variable order could still
+        # change in place: two more diagnostics, everything else the same
+        meta["diagnostics"].update(sift_swaps=0, reorder_seconds=0.0)
+        with open(json_path, "w") as handle:
+            json.dump(meta, handle)
+
+        warm = SweepService(ordering=ORDERING, store_dir=store_dir)
+        warm_rows = warm.density_sweep(make_problem, MEANS, max_defects=3)
+        assert warm.registry.counter("store.hits") == 1
+        assert warm.registry.counter("service.structures.built") == 0
+        assert warm_rows == cold_rows
+
     def test_gradients_through_a_restored_structure(self, tmp_path):
         store_dir = str(tmp_path / "store")
         cold = SweepService(ordering=ORDERING, store_dir=store_dir)

@@ -47,6 +47,20 @@ class TestOrderingSpec:
         assert OrderingSpec("w", "ml").needs_circuit()
         assert OrderingSpec("w", "w").needs_circuit()
 
+    def test_key_round_trips_with_a_constant_third_element(self):
+        assert OrderingSpec("w", "ml").key() == ("w", "ml", False)
+        assert OrderingSpec.from_key(("w", "ml", False)).key() == ("w", "ml", False)
+
+    @pytest.mark.parametrize("option", ["sift", "sift_converge"])
+    def test_removed_reordering_options_raise(self, option):
+        with pytest.raises(TypeError):
+            OrderingSpec("w", "ml", **{option: True})
+
+    @pytest.mark.parametrize("mode", [True, "converge"])
+    def test_keys_of_removed_reordering_modes_raise(self, mode):
+        with pytest.raises(OrderingError):
+            OrderingSpec.from_key(("w", "ml", mode))
+
 
 class TestStaticOrders:
     def test_wv_and_wvr(self):

@@ -8,7 +8,6 @@ accumulate each node's children in the same IEEE order, so even the
 floating-point rounding is identical.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.method import YieldAnalyzer
@@ -89,22 +88,3 @@ def test_batched_kernel_matches_recursive_traversal(
     batched_results = compiled.evaluate_many(problems)
     for result, probability in zip(batched_results, expected):
         assert result.yield_estimate == 1.0 - probability
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    structure_expressions(),
-    st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=5, max_size=5),
-    st.floats(min_value=0.2, max_value=3.0),
-    st.integers(min_value=1, max_value=3),
-)
-def test_sift_converge_preserves_the_function(expr, weights, mean, truncation):
-    problem = build_problem(expr, weights, mean, 4.0)
-    plain = YieldAnalyzer(OrderingSpec("w", "ml")).evaluate(
-        problem, max_defects=truncation
-    )
-    converged = YieldAnalyzer(OrderingSpec("w", "ml", sift_converge=True)).evaluate(
-        problem, max_defects=truncation
-    )
-    assert converged.yield_estimate == pytest.approx(plain.yield_estimate, abs=1e-12)
-    assert converged.coded_robdd_size <= plain.coded_robdd_size

@@ -3,9 +3,10 @@
 The fused CSR schedule (blocked workspace accumulation plus model-uniform
 level collapse) and the native compiled backend behind it must not change
 a single bit of any result: for every diagram shape the engine produces —
-pipeline ROMDDs compiled through the full method, sifted multi-valued
-layouts, chains far deeper than the recursion limit, degenerate 0/1
-probability columns — the native kernel's ``evaluate`` *and* ``backward``
+pipeline ROMDDs compiled through the full method, the multi-valued layouts
+the static ``wv``, ``vw`` and ``vrw`` orders permute, chains far deeper
+than the recursion limit, degenerate 0/1 probability columns — the
+native kernel's ``evaluate`` *and* ``backward``
 outputs are compared ``==`` (never approx) against the fused kernel's,
 and the fused probabilities ``==`` against the original recursive
 traversal (the gradients are checked against finite differences in
@@ -152,15 +153,17 @@ def test_fused_matches_reference_on_pipeline_romdds(
     st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=5, max_size=5),
     st.floats(min_value=0.2, max_value=3.0),
     st.integers(min_value=1, max_value=3),
+    st.sampled_from(("wv", "vw", "vrw")),
 )
-def test_fused_matches_reference_on_sifted_layouts(expr, weights, mean, truncation):
-    """Sifting permutes the multi-valued layout; the kernels must not care."""
+def test_fused_matches_reference_on_permuted_layouts(expr, weights, mean, truncation, mv):
+    """The static orders permute the multi-valued layout; the kernels must not care."""
     problem = build_problem(expr, weights, mean, 4.0)
-    compiled = YieldAnalyzer(
-        OrderingSpec("w", "ml", sift_converge=True)
-    ).compile(problem, max_defects=truncation)
-    # a small density batch over the sifted structure: uniform location
-    # columns, so the fused kernel's model collapse engages
+    compiled = YieldAnalyzer(OrderingSpec(mv, "ml")).compile(
+        problem, max_defects=truncation
+    )
+    # a small density batch over the permuted structure: its location
+    # columns are model-uniform, so under ``wv`` (count variable on top)
+    # the fused kernel's model collapse engages
     problems = [
         build_problem(expr, weights, m, 4.0) for m in (mean, mean + 0.3, mean + 0.7)
     ]

@@ -159,11 +159,11 @@ def test_roundtrip_survives_degenerate_probabilities(expr, hot, truncation):
     assert_equivalent(compiled, restored, problems)
 
 
-def test_roundtrip_of_a_sifted_multi_valued_structure():
-    """Dynamic reordering changes the level layout; the profile must track it."""
+def test_roundtrip_of_a_count_last_multi_valued_structure():
+    """``vrw`` puts the count variable last; the profile must track the layout."""
     circuit = build_circuit(("k2", "C0", ("or", "C1", "C2"), ("and", "C3", "C4")))
     weights = [1.0, 2.0, 0.5, 1.5, 1.0]
-    ordering = OrderingSpec("vrw", "ml", sift=True)
+    ordering = OrderingSpec("vrw", "ml")
     problems = [
         build_problem(circuit, weights, mean, 4.0) for mean in (0.5, 1.5, 2.5)
     ]
