@@ -170,9 +170,8 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
         ],
     )
 
-    # span breakdown of one traced re-run (result cache dropped so the
-    # sweep actually evaluates); the timed run above stayed untraced
-    service._results.clear()
+    # span breakdown of one traced re-run; the timed run above stayed
+    # untraced
     _, sweep_spans = span_breakdown(run_sweep)
 
     record = {
@@ -226,9 +225,9 @@ def test_large_sweep_on_a_primed_serial_service():
     """Trend leg: a 4800-point ESEN4x2 M=5 sweep on a primed serial service.
 
     The structure is built before timing, and every round sweeps fresh
-    densities (result-cache misses), so a round times what a warm request
-    pays per point: problem construction, grouping and keying, the one
-    kernel pass and the rows.  Rows are checked bit for bit against
+    densities, so a round times what a warm request pays per point:
+    problem construction, grouping, the lethal counts, the one kernel pass
+    and the rows.  Rows are checked bit for bit against
     :meth:`CompiledYield.evaluate_many`.  The median round is written to
     ``BENCH_sweep.json`` as ``large_sweep_seconds``; it has no floor yet.
     """

@@ -8,7 +8,7 @@ degrades with the expected number of lethal defects.
 Both routes go through the engine's :class:`repro.engine.service.SweepService`
 so that points sharing a diagram structure (same fault tree, truncation and
 ordering) are served by a single build and one kernel pass; pass your own
-service instance to share its structure/result caches across calls or to
+service instance to share its compiled structures across calls or to
 enable build threads and the structure store.
 """
 

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--stats",
         action="store_true",
-        help="print engine statistics (cache hits, linearization reuse, "
+        help="print engine statistics (structure reuse, linearization reuse, "
         "kernel passes, store and fault counters, phase times)",
     )
     _add_telemetry_options(sweep)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print engine statistics (gradient passes, batched passes, "
-        "cache hits, phase times)",
+        "structure reuse, phase times)",
     )
     _add_telemetry_options(importance)
 
@@ -542,12 +542,8 @@ def _run_sweep(args) -> int:
     )
     counter = service.registry.counter
     print(
-        "  structures built    : %d (%d reused, %d cache hits)"
-        % (
-            counter("service.structures.built"),
-            counter("service.structures.reused"),
-            counter("service.cache.result_hits"),
-        )
+        "  structures built    : %d (%d reused)"
+        % (counter("service.structures.built"), counter("service.structures.reused"))
     )
     print("  time (s)            : %.2f" % elapsed)
     _write_telemetry(args, service, tracer)

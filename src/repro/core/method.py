@@ -52,9 +52,9 @@ class StructureRecord(NamedTuple):
 
     The sizes, ordering and build diagnostics every result of one compiled
     structure shares (:attr:`CompiledYield.record`).  A defect model adds
-    only its ``P(G = 1)`` and error bound, so the sweep service caches a
-    point as its probability plus a reference to this record and packages
-    results only where an API returns them.  ``extra`` is the template of
+    only its ``P(G = 1)`` and error bound, so the sweep service hands a
+    group's columns back with this one record and packages results only
+    where an API returns them.  ``extra`` is the template of
     :attr:`YieldResult.extra`; it is never mutated.
     """
 
@@ -75,20 +75,18 @@ class StructureRecord(NamedTuple):
         *,
         reused: bool = False,
         per_point: float = 0.0,
-        models: Optional[int] = None,
     ) -> List[YieldResult]:
         """One :class:`YieldResult` per model of one pass over this structure.
 
         Unless ``reused``, the first result is the structure's fresh build:
         it carries the build timings and ``structure_reused = 0``.
-        ``models`` is the pass's model count, ``extra["batched_models"]``
-        (default: ``len(problems)``; 0 for results no pass computed).
-        Reused points share one frozen :class:`StageTimings`; every result
-        gets its own copy of the ``extra`` template, because results are
-        handed to many callers.
+        ``extra["batched_models"]`` is the pass's model count,
+        ``len(problems)``.  Reused points share one frozen
+        :class:`StageTimings`; every result gets its own copy of the
+        ``extra`` template, because results are handed to many callers.
         """
         extra = dict(self.extra)
-        extra["batched_models"] = float(len(problems) if models is None else models)
+        extra["batched_models"] = float(len(problems))
         reused_timings = StageTimings(probability=per_point)
         results: List[YieldResult] = []
         for problem, error_bound, probability_failed in zip(

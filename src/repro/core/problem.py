@@ -107,9 +107,9 @@ class YieldProblem:
 
         One pmf evaluation (:meth:`DefectCountDistribution.pmf_vector`).
         The tail ``max(0, 1 - min(1, fsum(Q')))`` is bit for bit
-        ``Q'.tail(M)``, the truncation error bound.  The sweep service keys
-        a result on this vector, and every evaluation route assembles the
-        point's count column and error bound from it.
+        ``Q'.tail(M)``, the truncation error bound.  Every evaluation
+        route makes it once per point, just before its pass, and assembles
+        the point's count column and error bound from it.
         """
         pmf = self.lethal_defect_distribution().pmf_vector(int(truncation))
         pmf.append(max(0.0, 1.0 - min(1.0, math.fsum(pmf))))

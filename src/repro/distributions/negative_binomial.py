@@ -124,15 +124,18 @@ class NegativeBinomialDefectDistribution(DefectCountDistribution):
 
         The clustering parameter and the mean already passed this
         distribution's checks; only the thinned mean, which can underflow
-        to zero, is checked again.
+        to zero, is checked again, through the ratio ``mean / alpha`` the
+        pmf takes the logarithm of.
         """
         if not 0.0 < retain_probability <= 1.0:
             raise DistributionError(
                 "retain_probability must be in (0, 1], got %r" % (retain_probability,)
             )
         mean = self._mean * retain_probability
-        if not mean > 0.0:
-            raise DistributionError("thinned mean must be positive, got %r" % (mean,))
+        if not mean / self._alpha > 0.0:
+            raise DistributionError(
+                "thinned mean %r / clustering %r underflows to zero" % (mean, self._alpha)
+            )
         thinned = object.__new__(NegativeBinomialDefectDistribution)
         thinned._mean = mean
         thinned._alpha = self._alpha

@@ -24,9 +24,9 @@ reusable analysis engine — out of :mod:`repro.bdd` and :mod:`repro.mdd`:
 * :mod:`repro.engine.service` — the batch evaluation service: group a
   request once per (structure, truncation, ordering), build each decision
   diagram once, evaluate all of a group's defect models in one batched
-  pass as a probability column, resolve the structures of a batch that it
-  does not hold on an optional per-batch thread pool (``workers``), and
-  keep a keyed result cache of probabilities;
+  pass as a probability column, and resolve the structures of a batch
+  that it does not hold on an optional per-batch thread pool
+  (``workers``); it keeps compiled structures, never per-point results;
 * :mod:`repro.engine.store` — the persistent structure store: compiled
   structures serialized to a versioned on-disk format (content-addressed
   per-array ``.npy`` files plus JSON metadata, memory-mappable) so cold

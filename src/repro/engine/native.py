@@ -1020,9 +1020,10 @@ def _memo_run(ctx, columns_by_level, num_models):
     whose columns pass the kernel's uniformity test (each row's K entries
     equal its first; one model is uniform), ending before the first that
     fails and never taking the root's layer — a memo over the root would
-    be a result cache.  Every layer of the run takes the collapse path,
-    as its children are terminals or in the run, so its width-1 values
-    depend only on the schedule and on the run's first columns.  The key
+    be a per-point result cache, whose keys cost the same order as the
+    warm pass they would save.  Every layer of the run takes the collapse
+    path, as its children are terminals or in the run, so its width-1
+    values depend only on the schedule and on the run's first columns.  The key
     is those columns' bytes in layer order; its length fixes the run.
     """
     firsts = {}

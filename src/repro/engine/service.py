@@ -12,20 +12,17 @@ their truncation levels, evaluated as columns.
 
 * :meth:`SweepService.group` groups a request once per distinct (fault
   tree, component model, ``M``) — the ordering is the service's — with one
-  :func:`structure_key` call and one ``P'_i`` digest per group; each point
-  computes only its lethal count vector and its result-cache key
-  (:class:`PointGroup`);
+  :func:`structure_key` call per group (:class:`PointGroup`);
 * one :class:`repro.core.method.CompiledYield` is built per structure
   (LRU-kept across batches) and :meth:`SweepService.evaluate_groups` runs
   **one batched bottom-up pass per group** over all of its defect models
-  (:meth:`~repro.core.method.CompiledYield.probabilities`), returning a
+  (:meth:`~repro.core.method.CompiledYield.probabilities`), making each
+  point's lethal count vector just before the pass and returning a
   probability column (:class:`GroupColumns`);
 * sweeps, the HTTP server and the importance measures read those columns;
   :meth:`SweepService.evaluate_batch` alone packages
-  :class:`~repro.core.results.YieldResult` records from them;
-* the in-memory result LRU holds each point's ``P(G = 1)`` plus a reference
-  to its structure's one :class:`~repro.core.method.StructureRecord`, so
-  repeated points are free;
+  :class:`~repro.core.results.YieldResult` records from them.  No point's
+  outcome is kept: a repeated point runs its (cheap) pass again;
 * a service with ``workers > 1`` runs every group in-process too; when a
   batch has two or more groups whose structure it does not hold, it first
   resolves those structures (the store, else a build) on ``workers``
@@ -67,10 +64,6 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 
 _log = logging.getLogger("repro.engine.service")
-
-#: Cache-miss sentinel: a cached probability may be exactly ``0.0``, so
-#: lookups compare against this marker instead of testing truthiness.
-_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -121,91 +114,66 @@ def result_key(problem, truncation: int, ordering) -> Tuple:
     ``Q'_0..Q'_M`` (plus the tail mass) and the conditional hit vector
     ``P'_i``, so those capture every defect-model input.  The key is the
     point's :func:`structure_key` followed by its lethal count vector
-    (:meth:`~repro.core.problem.YieldProblem.lethal_counts`, the one pmf
-    evaluation of the point) and the ``P'_i`` digest.
-    :meth:`SweepService.group` makes the same keys a group at a time,
-    through :func:`_point_key`, with the structure key and the digest
-    computed once per group.
+    (:meth:`~repro.core.problem.YieldProblem.lethal_counts`) and the
+    ``P'_i`` digest.
+
+    The service keeps no per-point results and never calls this.  It
+    stays, with this layout, because ``perfbench/layers.py`` wraps it by
+    name in a traced run (``perfbench/run.py --trace 1``), which fails on
+    a missing target (``tests/ci/test_perfbench_targets.py``); it goes
+    when perfbench stops naming it.
     """
-    return _point_key(
-        structure_key(problem, truncation, ordering),
+    return structure_key(problem, truncation, ordering) + (
         problem.lethal_counts(truncation),
         _float_digest(problem.components.lethal_probabilities()),
     )
-
-
-def _point_key(skey: Tuple, counts: Tuple, hits: str) -> Tuple:
-    """The result-key layout shared by :func:`result_key` and the groups."""
-    return skey + (counts, hits)
 
 
 class PointGroup(NamedTuple):
     """The points of one request that share one structure: one kernel pass.
 
     Made by :meth:`SweepService.group`.  ``indices`` are the points'
-    request positions, in request order; ``problems``, ``counts`` (lethal
-    count vectors ``(Q'_0 .. Q'_M, tail)``) and ``keys`` (result-cache
-    keys) run parallel to them.  An unkeyed group (gradients) leaves
-    ``counts`` and ``keys`` empty.
+    request positions, in request order; ``problems`` runs parallel to
+    them.
     """
 
     skey: Tuple
     truncation: int
     indices: List[int]
     problems: List
-    counts: List[Tuple[float, ...]]
-    keys: List[Tuple]
 
 
 class GroupColumns(NamedTuple):
     """One group's outcome as columns, in the group's point order.
 
-    ``failed`` holds each point's ``P(G = 1)`` and ``records`` the
-    :class:`~repro.core.method.StructureRecord` of the structure that
-    computed it.  ``evaluated`` lists the positions this call's pass
-    computed (the rest were result-cache hits); ``reused`` says whether
-    that pass ran on a structure this call did not build, and
-    ``per_point`` is its seconds per evaluated point.
+    ``counts`` holds each point's lethal count vector ``(Q'_0 .. Q'_M,
+    tail)``, whose tail is its error bound, and ``failed`` its
+    ``P(G = 1)``; ``record`` is the
+    :class:`~repro.core.method.StructureRecord` of the structure the pass
+    ran on.  ``reused`` says whether that structure was one this call did
+    not build, and ``per_point`` is the pass's seconds per point.
     """
 
     group: PointGroup
+    counts: List[Tuple[float, ...]]
     failed: List[float]
-    records: List
-    evaluated: List[int]
+    record: object
     reused: bool
     per_point: float
 
     def results(self) -> List[object]:
         """Package the group's :class:`~repro.core.results.YieldResult` records.
 
-        The points this call evaluated are packaged as their pass:
         ``batched_models`` is the pass's K and, on a fresh build, the first
-        carries the build timings.  A cache hit ran no pass: it is packaged
-        as a structure reuse with zero timings and ``batched_models = 0``,
-        under the name of the problem that asked for it.
+        result carries the build timings.
         """
-        group, failed, records = self.group, self.failed, self.records
-        results: List[object] = [None] * len(failed)
-        if self.evaluated:
-            packaged = records[self.evaluated[0]].package(
-                [group.problems[i] for i in self.evaluated],
-                [group.counts[i][-1] for i in self.evaluated],
-                [failed[i] for i in self.evaluated],
-                reused=self.reused,
-                per_point=self.per_point,
-            )
-            for position, result in zip(self.evaluated, packaged):
-                results[position] = result
-        for position, result in enumerate(results):
-            if result is None:
-                (results[position],) = records[position].package(
-                    [group.problems[position]],
-                    [group.counts[position][-1]],
-                    [failed[position]],
-                    reused=True,
-                    models=0,
-                )
-        return results
+        return self.record.package(
+            self.group.problems,
+            [counts[-1] for counts in self.counts],
+            self.failed,
+            reused=self.reused,
+            per_point=self.per_point,
+        )
 
 
 class SweepColumns(NamedTuple):
@@ -222,7 +190,7 @@ class SweepColumns(NamedTuple):
 
 
 class SweepService:
-    """Evaluates batches of yield points with diagram reuse and caching.
+    """Evaluates batches of yield points with diagram reuse.
 
     Parameters
     ----------
@@ -245,9 +213,6 @@ class SweepService:
         Corrupt or incompatible entries are rebuilt.
     max_structures:
         How many compiled structures to keep in memory (LRU).
-    max_results:
-        How many evaluated points to keep in the in-memory result cache
-        (oldest evicted first).
     analyzer_options:
         Extra keyword arguments for the underlying
         :class:`repro.core.method.YieldAnalyzer` (e.g. ``node_limit``); an
@@ -262,13 +227,10 @@ class SweepService:
         workers: int = 0,
         store_dir: Optional[str] = None,
         max_structures: int = 8,
-        max_results: int = 65536,
         **analyzer_options,
     ) -> None:
         if max_structures < 1:
             raise ValueError("max_structures must be at least 1")
-        if max_results < 1:
-            raise ValueError("max_results must be at least 1")
         from ..core.method import YieldAnalyzer
         from ..ordering.strategies import OrderingSpec
 
@@ -299,12 +261,9 @@ class SweepService:
         else:
             self._store = None
         self.max_structures = int(max_structures)
-        self.max_results = int(max_results)
         self._structures: "OrderedDict[Tuple, object]" = OrderedDict()
-        #: Result LRU: result key -> ``(P(G = 1), StructureRecord)``.
-        self._results: "OrderedDict[Tuple, Tuple[float, object]]" = OrderedDict()
         #: Reentrant guard over every piece of shared mutable state: the
-        #: structure/result LRUs and the per-key lock table.  Held only for
+        #: structure LRU and the per-key lock table.  Held only for
         #: dict-sized critical sections — builds, store IO and kernel
         #: passes run outside it.
         self._lock = threading.RLock()
@@ -351,7 +310,7 @@ class SweepService:
         levels = [0] * len(problems)
         for columns in self.evaluate_groups(self.group(problems, truncations)):
             group = columns.group
-            for idx, probability, counts in zip(group.indices, columns.failed, group.counts):
+            for idx, probability, counts in zip(group.indices, columns.failed, columns.counts):
                 failed[idx] = probability
                 bounds[idx] = counts[-1]
                 levels[idx] = group.truncation
@@ -374,94 +333,45 @@ class SweepService:
         return [self._truncation(problem, max_defects, epsilon) for problem in problems]
 
     def group(
-        self,
-        problems: Sequence[object],
-        truncations: Sequence[int],
-        *,
-        keyed: bool = True,
+        self, problems: Sequence[object], truncations: Sequence[int]
     ) -> List[PointGroup]:
         """Group a request's points by structure, in request order.
 
         Points are grouped once per distinct (fault tree, component model,
         ``M``) — the ordering is the service's — with one
-        :func:`structure_key` call and one ``P'_i`` digest per group;
-        groups whose structure keys agree merge.  A keyed group (the
-        default) also holds each point's lethal count vector, its one pmf
-        evaluation, and its result-cache key, as :func:`result_key` makes
-        it.  Gradients need neither: ``keyed=False`` skips both.
+        :func:`structure_key` call per group; groups whose structure keys
+        agree merge.
         """
-        identities: Dict[Tuple, Tuple[PointGroup, Optional[str]]] = {}
+        identities: Dict[Tuple, PointGroup] = {}
         groups: Dict[Tuple, PointGroup] = {}
         for idx, (problem, truncation) in enumerate(zip(problems, truncations)):
             identity = (id(problem.fault_tree), id(problem.components), truncation)
-            known = identities.get(identity)
-            if known is None:
+            group = identities.get(identity)
+            if group is None:
                 skey = structure_key(problem, truncation, self.ordering)
                 group = groups.get(skey)
                 if group is None:
-                    group = groups[skey] = PointGroup(skey, int(truncation), [], [], [], [])
-                hits = (
-                    _float_digest(problem.components.lethal_probabilities())
-                    if keyed
-                    else None
-                )
-                known = identities[identity] = (group, hits)
-            group, hits = known
+                    group = groups[skey] = PointGroup(skey, int(truncation), [], [])
+                identities[identity] = group
             group.indices.append(idx)
             group.problems.append(problem)
-            if keyed:
-                counts = problem.lethal_counts(group.truncation)
-                group.counts.append(counts)
-                group.keys.append(_point_key(group.skey, counts, hits))
         return list(groups.values())
 
     def evaluate_groups(self, groups: Sequence[PointGroup]) -> List[GroupColumns]:
-        """Evaluate keyed groups: one probability column per group, in order.
+        """Evaluate groups: one probability column per group, in order.
 
-        Points the result cache holds are served from it; every group's
-        other points run in **one** in-process kernel pass on its structure
-        (resolved memory LRU → store → build; with ``workers > 1`` the
-        unheld structures of the batch resolve on threads first).  The new
-        points are cached as ``(P(G = 1), StructureRecord)``.
+        Every group runs **one** in-process kernel pass over all of its
+        points on its structure (resolved memory LRU → store → build; with
+        ``workers > 1`` the unheld structures of the batch resolve on
+        threads first).  Each point's lethal count vector, its one pmf
+        evaluation, is made just before its group's pass.
         """
-        requested = sum(len(group.keys) for group in groups)
-        if requested:
-            self.registry.inc("service.points.requested", requested)
-        columns = [
-            GroupColumns(group, [0.0] * len(group.keys), [None] * len(group.keys), [], True, 0.0)
-            for group in groups
-        ]
-        misses: List[Tuple[int, PointGroup, List[int]]] = []
-        hits = 0
-        with self._lock:
-            for number, (group, failed, records, *_) in enumerate(columns):
-                missed = []
-                for position, rkey in enumerate(group.keys):
-                    cached = self._results.get(rkey, _MISS)
-                    if cached is _MISS:
-                        missed.append(position)
-                    else:
-                        self._results.move_to_end(rkey)
-                        failed[position], records[position] = cached
-                        hits += 1
-                if missed:
-                    misses.append((number, group, missed))
-        if hits:
-            self.registry.inc("service.cache.result_hits", hits)
-        if misses:
-            passes = (self._run_parallel if self.workers > 1 else self._run_serial)(misses)
-            evaluated = []
-            for number, group, positions in misses:
-                record, column, reused, per_point = passes[number]
-                _, failed, records, *_ = columns[number]
-                for position, probability in zip(positions, column):
-                    failed[position], records[position] = probability, record
-                    evaluated.append((group.keys[position], (probability, record)))
-                columns[number] = columns[number]._replace(
-                    evaluated=positions, reused=reused, per_point=per_point
-                )
-            self._remember_results(evaluated)
-            self.registry.inc("service.points.evaluated", len(evaluated))
+        points = sum(len(group.problems) for group in groups)
+        if not points:
+            return []
+        self.registry.inc("service.points.requested", points)
+        columns = (self._run_parallel if self.workers > 1 else self._run_serial)(groups)
+        self.registry.inc("service.points.evaluated", points)
         return columns
 
     def gradients(self, problem, *, max_defects=None, epsilon=None):
@@ -473,15 +383,13 @@ class SweepService:
     def gradient_batch(self, points: Sequence[SweepPoint]) -> List[object]:
         """Differentiate every point analytically, in request order.
 
-        Points are grouped by structure exactly like :meth:`evaluate_batch`,
-        but unkeyed: gradient results are not cached, since a pass costs
-        about two traversals, less than the digesting a result cache would
-        need.  See :meth:`gradient_groups`.  Returns one
+        Points are grouped by structure exactly like :meth:`evaluate_batch`
+        (see :meth:`gradient_groups`).  Returns one
         :class:`repro.core.results.YieldGradients` per point — exact
         ``dY_M/dP_i`` for every component, with no perturbed re-evaluations.
         """
         problems, truncations = self._rows(points)
-        groups = self.group(problems, truncations, keyed=False)
+        groups = self.group(problems, truncations)
         results: List[object] = [None] * len(problems)
         for group, gradients in zip(groups, self.gradient_groups(groups)):
             for idx, gradient in zip(group.indices, gradients):
@@ -559,10 +467,9 @@ class SweepService:
         ]
 
     def clear(self) -> None:
-        """Drop the in-memory structure and result caches."""
+        """Drop the in-memory structure LRU."""
         with self._lock:
             self._structures.clear()
-            self._results.clear()
 
     def has_structure(self, skey: Tuple) -> bool:
         """Whether ``skey`` is resident in the in-memory structure LRU."""
@@ -730,32 +637,19 @@ class SweepService:
             while len(self._structures) > self.max_structures:
                 self._structures.popitem(last=False)
 
-    def _remember_results(self, items) -> None:
-        """Put ``(result key, (P(G = 1), record))`` pairs in the LRU, one lock."""
-        if not items:
-            return
-        with self._lock:
-            for rkey, result in items:
-                self._results[rkey] = result
-                self._results.move_to_end(rkey)
-            while len(self._results) > self.max_results:
-                self._results.popitem(last=False)
+    def _run_serial(self, groups, resolved=None) -> List[GroupColumns]:
+        """One in-process pass per group: its columns, in order.
 
-    def _run_serial(self, misses, resolved=None) -> Dict[int, Tuple]:
-        """One in-process pass per ``(number, group, missed positions)``.
-
-        ``resolved`` maps a group's number to the ``(structure, reused)``
+        ``resolved`` maps a group's position to the ``(structure, reused)``
         pair :meth:`_fan_out` resolved for it; other groups resolve here.
-        Returns ``number -> (record, P(G = 1) column, reused, seconds per
-        point)``.
+        The count vectors are made before the key lock is taken, so they
+        overlap another caller's pass on the same structure; ``per_point``
+        times the pass alone.
         """
-        passes = {}
-        for number, group, positions in misses:
-            if len(positions) == len(group.problems):
-                problems, counts = group.problems, group.counts
-            else:
-                problems = [group.problems[i] for i in positions]
-                counts = [group.counts[i] for i in positions]
+        columns = []
+        for number, group in enumerate(groups):
+            problems = group.problems
+            counts = [problem.lethal_counts(group.truncation) for problem in problems]
             with self._locked_key(group.skey):
                 if resolved and number in resolved:
                     compiled, reused = resolved[number]
@@ -773,10 +667,12 @@ class SweepService:
                 ):
                     failed = compiled.probabilities(problems, counts)
                 per_point = (time.perf_counter() - started) / len(problems)
-            passes[number] = (compiled.record, failed, reused, per_point)
-        return passes
+            columns.append(
+                GroupColumns(group, counts, failed, compiled.record, reused, per_point)
+            )
+        return columns
 
-    def _run_parallel(self, misses) -> Dict[int, Tuple]:
+    def _run_parallel(self, groups) -> List[GroupColumns]:
         """Resolve a batch's unheld structures on threads, then pass in-process.
 
         Held groups need only their pass.  When two or more groups need a
@@ -784,37 +680,42 @@ class SweepService:
         on threads first; every pass then runs on the calling thread.
         """
         with self._lock:
-            unheld = [miss for miss in misses if miss[1].skey not in self._structures]
-        self.registry.inc("dispatch.groups_in_process", len(misses) - len(unheld))
+            unheld = {
+                number: group
+                for number, group in enumerate(groups)
+                if group.skey not in self._structures
+            }
+        self.registry.inc("dispatch.groups_in_process", len(groups) - len(unheld))
         resolved = None
         if len(unheld) > 1:
             self.registry.inc("service.batches.parallel")
             resolved = self._fan_out(unheld)
-        return self._run_serial(misses, resolved)
+        return self._run_serial(groups, resolved)
 
-    def _fan_out(self, misses) -> Dict[int, Tuple]:
+    def _fan_out(self, groups: Dict[int, PointGroup]) -> Dict[int, Tuple]:
         """Resolve each group's structure on a per-batch thread pool.
 
-        ``number -> (structure, reused)``, as :meth:`_structure_for` returns
-        it.  Each thread takes the group's key lock, so a key another batch
-        is building is built once, and the calling thread holds none while
-        it waits.  The native library releases the GIL for a whole build,
-        so the builds overlap.  Every build runs to its end before a failed
-        one's exception propagates: the structures that did build stay in
-        the LRU.
+        ``groups`` maps a group's position in the batch to the group;
+        returns ``position -> (structure, reused)``, as
+        :meth:`_structure_for` returns it.  Each thread takes the group's
+        key lock, so a key another batch is building is built once, and
+        the calling thread holds none while it waits.  The native library
+        releases the GIL for a whole build, so the builds overlap.  Every
+        build runs to its end before a failed one's exception propagates:
+        the structures that did build stay in the LRU.
         """
 
-        def resolve(group, problem):
+        def resolve(group):
             with self._locked_key(group.skey):
-                return self._structure_for(group.skey, problem, group.truncation)
+                return self._structure_for(group.skey, group.problems[0], group.truncation)
 
-        with obs_trace.span("service.fanout", structures=len(misses)):
+        with obs_trace.span("service.fanout", structures=len(groups)):
             with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(misses)),
+                max_workers=min(self.workers, len(groups)),
                 thread_name_prefix="repro-fanout",
             ) as executor:
                 futures = {
-                    number: executor.submit(resolve, group, group.problems[positions[0]])
-                    for number, group, positions in misses
+                    number: executor.submit(resolve, group)
+                    for number, group in groups.items()
                 }
         return {number: future.result() for number, future in futures.items()}

@@ -154,7 +154,7 @@ def _point_dict(
 
 def _column_dicts(columns, densities) -> List[Tuple[int, Dict]]:
     """``(request index, point dict)`` for every point of one group's columns."""
-    group = columns.group
+    group, record = columns.group, columns.record
     return [
         (
             index,
@@ -169,8 +169,8 @@ def _column_dicts(columns, densities) -> List[Tuple[int, Dict]]:
                 densities[index],
             ),
         )
-        for index, problem, counts, probability, record in zip(
-            group.indices, group.problems, group.counts, columns.failed, columns.records
+        for index, problem, counts, probability in zip(
+            group.indices, group.problems, columns.counts, columns.failed
         )
     ]
 
@@ -407,7 +407,7 @@ class YieldServer:
         )
 
     def _groups_builder(
-        self, benchmark: str, densities: List, payload, what: str, *, keyed: bool = True
+        self, benchmark: str, densities: List, payload, what: str
     ) -> Callable[[], List[PointGroup]]:
         """A callable that builds, resolves and groups one point per density.
 
@@ -415,10 +415,11 @@ class YieldServer:
         per structure group, :meth:`SweepService.group`) run off the event
         loop; parameter errors still surface as ``400`` (``KeyError`` for
         an unknown benchmark, ``TypeError``/``ValueError`` for invalid
-        parameters).  An ``M`` over :data:`MAX_SERVED_TRUNCATION` is
+        parameters, including a density whose lethal defect model
+        underflows).  An ``M`` over :data:`MAX_SERVED_TRUNCATION` is
         ``422``: an explicit ``max_defects`` here, before any problem is
         built, and an ``epsilon``-resolved one before any structure is
-        built.  ``keyed`` as in :meth:`SweepService.group`.
+        built.
         """
         clustering = payload.get("clustering", 4.0)
         max_defects = payload.get("max_defects")
@@ -447,6 +448,11 @@ class YieldServer:
                     )
                     for mean in densities
                 ]
+                # the lethal counts are made only at the pass, after the
+                # structure is built: make each lethal model now, so a
+                # density whose model underflows is a 400 and builds nothing
+                for problem in problems:
+                    problem.lethal_defect_distribution()
                 truncations = self.service.resolve(
                     problems,
                     max_defects=max_defects,
@@ -455,7 +461,7 @@ class YieldServer:
                 deepest = max(truncations)
                 if deepest > MAX_SERVED_TRUNCATION:
                     raise self._over_truncation(deepest)
-                return self.service.group(problems, truncations, keyed=keyed)
+                return self.service.group(problems, truncations)
             except KeyError as exc:
                 raise HTTPError(400, str(exc.args[0])) from None
             except (TypeError, ValueError) as exc:
@@ -577,7 +583,7 @@ class YieldServer:
         payload = request.json()
         benchmark = self._benchmark_of(payload)
         build = self._groups_builder(
-            benchmark, [payload.get("mean_defects", 2.0)], payload, "importance", keyed=False
+            benchmark, [payload.get("mean_defects", 2.0)], payload, "importance"
         )
         groups = await self._prime_structures(build)
         gradients = await self._in_executor(self.service.gradient_groups, groups)

@@ -113,6 +113,13 @@ class TestThinning:
         with pytest.raises(DistributionError, match="thinned mean"):
             dist.thinned(0.5)
 
+    def test_thinned_mean_whose_ratio_to_alpha_underflows_is_rejected(self):
+        # the thinned mean is positive, but the pmf takes log(mean / alpha)
+        dist = NegativeBinomialDefectDistribution(mean=1e-323, clustering=4.0)
+        assert 1e-323 * 0.5 > 0.0 and 1e-323 * 0.5 / 4.0 == 0.0
+        with pytest.raises(DistributionError, match="thinned mean"):
+            dist.thinned(0.5)
+
 
 def bits(values):
     return [float(value).hex() for value in values]

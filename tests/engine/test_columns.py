@@ -7,8 +7,8 @@ them.  These tests pin that every columnar route — ``density_sweep``,
 ``truncation_sweep``, :meth:`SweepService.sweep`, hardening and
 finite-difference importance — returns exactly the numbers
 ``evaluate_batch`` does, on the golden structures, a mixed-structure batch
-and ``epsilon``-resolved truncations; that the service keys and caches as
-:func:`result_key` defines; and how a cache hit is packaged.
+and ``epsilon``-resolved truncations; and that a request keys its structure
+once and makes each point's lethal counts once.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.analysis.importance import (
 )
 from repro.core.problem import YieldProblem
 from repro.engine import service as service_module
-from repro.engine.service import SweepPoint, SweepService, result_key
+from repro.engine.service import SweepPoint, SweepService
 from repro.soc import benchmark_problem
 from tests.engine.test_golden import GOLDEN
 
@@ -138,15 +138,6 @@ class TestColumnsMatchEvaluateBatch:
 
 
 class TestKeysAndGroups:
-    def test_stored_keys_are_result_keys(self):
-        service = SweepService()
-        problems = [factory("ESEN4x1")(mean) for mean in DENSITIES]
-        by_mean = dict(zip(DENSITIES, problems))
-        service.density_sweep(by_mean.__getitem__, DENSITIES, max_defects=4)
-        assert list(service._results) == [
-            result_key(problem, 4, service.ordering) for problem in problems
-        ]
-
     def test_a_96_point_sweep_keys_its_structure_once(self, monkeypatch):
         structure_keys = []
         lethal_counts = []
@@ -168,22 +159,3 @@ class TestKeysAndGroups:
         assert len(rows) == 96
         assert len(structure_keys) == 1
         assert lethal_counts == [4] * 96
-
-    def test_a_cache_hit_is_packaged_under_its_own_name(self):
-        service = SweepService()
-        service.density_sweep(factory("MS2"), [1.0, 2.0], max_defects=3)
-        template = factory("MS2")(2.0)
-        renamed = YieldProblem(
-            template.fault_tree, template.components, template.defect_distribution, name="renamed"
-        )
-        fresh, hit = service.evaluate_batch(
-            [SweepPoint(factory("MS2")(3.0), max_defects=3), SweepPoint(renamed, max_defects=3)]
-        )
-        assert service.registry.counter("service.cache.result_hits") == 1
-        assert fresh.extra["batched_models"] == 1.0
-        assert fresh.extra["structure_reused"] == 1.0
-        assert hit.name == "renamed"
-        assert hit.timings.total == 0.0
-        assert hit.extra["batched_models"] == 0.0
-        assert hit.extra["structure_reused"] == 1.0
-        assert hit.yield_estimate == SweepService().evaluate(template, max_defects=3).yield_estimate

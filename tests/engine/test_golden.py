@@ -118,7 +118,7 @@ def test_golden_record_fresh_then_warm(name, tmp_path):
 
     # the warm pass was served from the caches: one build in total
     assert service.registry.counter("service.structures.built") == 1
-    assert service.registry.counter("service.points.evaluated") == len(DENSITIES)
+    assert service.registry.counter("service.points.evaluated") == 2 * (len(DENSITIES) + 1)
 
 
 @pytest.mark.parametrize("route", ["native", "python"])

@@ -1,4 +1,7 @@
-"""Sweep-service invariants: reuse correctness, caching, fan-out."""
+"""Sweep-service invariants: reuse correctness, no per-point state, fan-out."""
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -84,14 +87,6 @@ class TestStructureReuse:
 
 
 class TestResultCaching:
-    def test_repeated_sweep_hits_the_memory_cache(self):
-        service = SweepService()
-        service.density_sweep(make_problem, MEANS, max_defects=3)
-        evaluated = service.registry.counter("service.points.evaluated")
-        service.density_sweep(make_problem, MEANS, max_defects=3)
-        assert service.registry.counter("service.points.evaluated") == evaluated
-        assert service.registry.counter("service.cache.result_hits") == len(MEANS)
-
     def test_different_densities_never_collide(self):
         ordering = OrderingSpec("w", "ml")
         key_a = result_key(make_problem(0.5), 3, ordering)
@@ -109,10 +104,46 @@ class TestResultCaching:
         service.evaluate(make_problem(1.0), max_defects=4)
         assert len(service._structures) == 1
 
-    def test_result_cache_is_bounded(self):
-        service = SweepService(max_results=3)
-        service.density_sweep(make_problem, MEANS, max_defects=2)
-        assert len(service._results) == 3
+
+class TestNoPointState:
+    """The service keeps compiled structures and nothing per point."""
+
+    def test_a_repeated_request_runs_its_pass_again(self):
+        service = SweepService()
+        first = service.density_sweep(make_problem, MEANS, max_defects=3)
+        second = service.density_sweep(make_problem, MEANS, max_defects=3)
+        assert second == first  # bit for bit
+        assert service.registry.counter("service.points.evaluated") == 2 * len(MEANS)
+        assert service.registry.counter("service.passes.batched") == 2
+        assert service.registry.counter("service.structures.built") == 1
+
+    def test_a_warm_service_does_not_grow_with_the_points_it_serves(self):
+        from repro.soc import benchmark_problem
+
+        def factory(mean):
+            return benchmark_problem("ESEN4x1", mean_defects=mean)
+
+        def sweep(number):
+            # fresh densities every request, as a served sweep sees them
+            densities = [0.25 + 0.01 * i + 1e-4 * number for i in range(96)]
+            service.density_sweep(factory, densities, max_defects=4)
+
+        service = SweepService()
+        for number in range(3):  # build, then fill every bounded table
+            sweep(number)
+        sweeps = 50
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for number in range(3, 3 + sweeps):
+                sweep(number)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a per-point result cache held ~0.5 KB per point (~2.4 MB here)
+        assert grown < sweeps * 96 * 512 // 10
 
 
 class TestAnalyzerOptions:
@@ -122,7 +153,7 @@ class TestAnalyzerOptions:
     )
     def test_unknown_options_raise_at_construction(self, options):
         # an option the analyzer does not take must not wait for the first
-        # build (or for ever, when every point hits the result cache)
+        # build
         with pytest.raises(TypeError):
             SweepService(**options)
 

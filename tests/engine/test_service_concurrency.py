@@ -1,7 +1,7 @@
 """Concurrency-safety of :class:`SweepService`: the serving prerequisites.
 
 The HTTP front end shares one service between many threads, so the
-service's caches, stats and build fan-out must hold up under concurrent
+service's structure LRU, stats and build fan-out must hold up under concurrent
 callers — and damage in one service's store must stay in that service.
 Every test here pins one of those properties.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
-from repro.engine.service import SweepPoint, SweepService, result_key
+from repro.engine.service import SweepPoint, SweepService
 from repro.faulttree import FaultTreeBuilder
 from tests.engine.test_faults import truncate_largest_array
 
@@ -85,9 +85,8 @@ class TestThreadedEvaluation:
         results = {}
 
         def worker(index):
-            # distinct defect models (distinct result keys) so no thread
-            # is served from the result cache — they all need the one
-            # structure at the same time
+            # distinct defect models that all need the one structure at
+            # the same time
             point = SweepPoint(make_problem(0.5 + 0.01 * index), max_defects=3)
             results[index] = service.evaluate_batch([point])[0].yield_estimate
 
@@ -156,8 +155,7 @@ class TestAtomicStats:
         batches, threads = 250, 8
 
         def worker(index):
-            # every thread asks for densities no other thread asks for, so
-            # each point misses the caches and is evaluated exactly once;
+            # every thread asks for densities no other thread asks for;
             # one-point batches make the most counter updates per second
             for batch in range(batches):
                 mean = 0.1 + 0.0001 * (index * batches + batch)
@@ -206,27 +204,3 @@ class TestStoreDamageIsolation:
         assert outcomes == baselines
         assert services[0].registry.counter("fault.store_corrupt") == 1
         assert services[1].registry.counters_with_prefix("fault.") == {}
-
-
-class TestZeroProbabilityCaching:
-    """A cached entry is ``(P(G = 1), StructureRecord)``: a probability of
-    exactly 0.0 must still be a hit, since lookups compare against a miss
-    sentinel rather than the stored value's truth."""
-
-    def test_cached_zero_is_a_hit(self):
-        problem = make_problem(1.0)
-        primer = SweepService()
-        (columns,) = primer.evaluate_groups(primer.group([problem], [3]))
-        service = SweepService()
-        rkey = result_key(problem, 3, service.ordering)
-        service._remember_results([(rkey, (0.0, columns.records[0]))])
-
-        (result,) = service.evaluate_batch([SweepPoint(problem, max_defects=3)])
-        assert result.probability_not_functioning == 0.0
-        assert result.yield_estimate == 1.0
-        assert service.density_sweep(lambda mean: problem, [1.0], max_defects=3) == [
-            (1.0, 1.0, 3)
-        ]
-        assert service.registry.counter("service.cache.result_hits") == 2
-        assert service.registry.counter("service.points.evaluated") == 0
-        assert service.registry.counter("service.structures.built") == 0

@@ -139,8 +139,8 @@ class TestServiceStatsFacade:
         assert registry.counter("service.structures.built") == 1
         service.evaluate_batch(esen_points([0.5, 1.0, 1.5]))
         assert registry.counter("service.points.requested") == 6
-        assert registry.counter("service.points.evaluated") == 3
-        assert registry.counter("service.cache.result_hits") == 3
+        assert registry.counter("service.points.evaluated") == 6
+        assert registry.counter("service.structures.reused") == 1
         assert registry.counter("service.structures.built") == 1
 
     def test_timer_attributes_observe_deltas(self):
@@ -263,9 +263,15 @@ class TestServiceRegistryNames:
         store_dir = str(tmp_path / "store")
         passes = "kernel.native_passes" if native.available() else "kernel.fused_passes"
 
-        def memo_misses(count):
-            # each first native pass over a diagram misses its forward memo
-            return {"kernel.memo_misses": count} if native.available() else {}
+        def memo_counts(misses, hits=0):
+            # each first native pass over a diagram misses its forward memo;
+            # a repeated sweep's pass over it hits
+            if not native.available():
+                return {}
+            counts = {"kernel.memo_misses": misses}
+            if hits:
+                counts["kernel.memo_hits"] = hits
+            return counts
 
         def entry_bytes(*truncations):
             sizes = {entry.digest: entry.nbytes for entry in StructureStore(store_dir).entries()}
@@ -275,32 +281,31 @@ class TestServiceRegistryNames:
             )
 
         # 1-3: a cold serial sweep (one build, saved), the same sweep again
-        # (result-cache hits) and a gradient batch on the held structure
+        # (a second pass on the held structure) and a gradient batch on it
         service = SweepService(store_dir=store_dir)
         service.evaluate_batch(self.points([3]))
         service.evaluate_batch(self.points([3]))
         service.gradient_batch(self.points([3])[:3])
         assert service_counters(service) == {
             "service.points.requested": 16,
-            "service.points.evaluated": 8,
-            "service.cache.result_hits": 8,
+            "service.points.evaluated": 16,
             "service.structures.built": 1,
-            "service.structures.reused": 1,
-            "service.passes.batched": 1,
+            "service.structures.reused": 2,
+            "service.passes.batched": 2,
             "service.passes.gradient": 1,
             "service.points.differentiated": 3,
-            # saving linearizes; both passes reuse the arrays
+            # saving linearizes; all three passes reuse the arrays
             "service.linearize.builds": 1,
-            "service.linearize.reuses": 2,
+            "service.linearize.reuses": 3,
             "store.misses": 1,
             "store.bytes": entry_bytes(3),
-            passes: 2,
-            **memo_misses(1),
+            passes: 3,
+            **memo_counts(1, hits=1),
             **self.build_counters(3),
         }
         assert phase_counts(service) == {
             "phase.build_seconds": 1,
-            "phase.evaluate_seconds": 1,
+            "phase.evaluate_seconds": 2,
             "phase.gradient_seconds": 1,
         }
 
@@ -316,7 +321,7 @@ class TestServiceRegistryNames:
             "store.mmap_loads": 1,
             "store.bytes": entry_bytes(3),
             passes: 1,
-            **memo_misses(1),
+            **memo_counts(1),
         }
         assert phase_counts(warm) == {"phase.evaluate_seconds": 1}
 
@@ -338,7 +343,7 @@ class TestServiceRegistryNames:
             "store.misses": 2,
             "store.bytes": entry_bytes(2, 4),
             passes: 2,
-            **memo_misses(2),
+            **memo_counts(2),
             **self.build_counters(2, 4),
         }
         assert phase_counts(pooled) == {

@@ -459,6 +459,19 @@ class TestRequestBounds:
         assert service.registry.counter("service.points.requested") == 0
         assert counter_from_stats(handle, "repro_server_over_truncation") == 1
 
+    @pytest.mark.parametrize("path", ["/v1/sweep", "/v1/importance"])
+    @pytest.mark.parametrize("density", [5e-324, 1e-323])
+    def test_a_density_whose_lethal_model_underflows_is_400(self, served, path, density):
+        # the lethal counts are made only at the pass: the request must
+        # still fail as a bad request, before any structure is built
+        service, handle = served
+        body = {"benchmark": BENCH, "densities": [density], "mean_defects": density}
+        response, payload = post_json(handle, path, dict(body, max_defects=3))
+        assert response.status == 400
+        assert "thinned mean" in payload["error"]
+        assert service.registry.counter("service.structures.built") == 0
+        assert counter_from_stats(handle, "repro_server_errors") == 0
+
     @pytest.mark.parametrize(
         "bad",
         [
