@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from repro.core.gfunction import GeneralizedFaultTree
 from repro.core.method import YieldAnalyzer
 from repro.engine import native
 from repro.engine.service import SweepService
@@ -113,16 +114,19 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
     factory = _factory(name)
     ordering = OrderingSpec("w", "ml")
 
-    # one shared diagram build: the service compiles it, the per-point
-    # baseline reads the same structure back from the service's LRU, so both
-    # routes price pure evaluation — exactly the repeat-sweep regime the
-    # engine serves (the service runs its held structure's pass in-process)
-    from repro.engine.service import result_key, structure_key
+    # both routes price pure evaluation, built before the clock starts: the
+    # service compiles and holds the structure, the per-point baseline
+    # walks the pipeline step's ROMDD of the same structure (a compiled
+    # structure keeps only its linearized arrays) — exactly the
+    # repeat-sweep regime the engine serves (the service runs its held
+    # structure's pass in-process)
+    from repro.engine.service import result_key
 
     service = SweepService(ordering=ordering, epsilon=PAPER_EPSILON, workers=2)
     probe = factory(MULTI_MODEL_DENSITIES[0])
     service.evaluate(probe, max_defects=truncation)
-    compiled = service._structures[structure_key(probe, truncation, ordering)]
+    gfunction = GeneralizedFaultTree(probe.fault_tree, probe.component_names, truncation)
+    built = YieldAnalyzer(ordering).build(gfunction)
 
     # ---- PR 1 per-point path: one recursive traversal per defect model, --- #
     # with the per-point work the service used to do around it (problem
@@ -134,14 +138,12 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
         result_key(problem, truncation, ordering)
         lethal = problem.lethal_defect_distribution()
         lethal.tail(truncation)
-        distributions = compiled.gfunction.variable_distributions(
+        distributions = gfunction.variable_distributions(
             lethal, problem.lethal_component_probabilities()
         )
         per_point.append(
             1.0
-            - probability_of_one_reference(
-                compiled.mdd_manager, compiled.mdd_root, distributions
-            )
+            - probability_of_one_reference(built.mdd_manager, built.mdd_root, distributions)
         )
     per_point_seconds = time.perf_counter() - started
 
@@ -178,7 +180,7 @@ def test_batched_engine_beats_per_point_traversal(benchmark):
         "benchmark": name,
         "points": len(MULTI_MODEL_DENSITIES),
         "max_defects": truncation,
-        "romdd_nodes": compiled.romdd_size,
+        "romdd_nodes": built.romdd_size,
         "spans": sweep_spans,
         "per_point_seconds": per_point_seconds,
         "batched_seconds": batched_seconds,

@@ -34,18 +34,11 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.kernel import (
-    DEFAULT_CACHE_BOUND,
-    DEFAULT_GC_THRESHOLD,
-    FALSE,
-    TERMINAL_LEVEL,
-    TRUE,
-    DDKernel,
-)
+from ..engine.kernel import DEFAULT_GC_THRESHOLD, FALSE, TERMINAL_LEVEL, TRUE, DDKernel
 
 
 class BDDError(ValueError):
@@ -63,12 +56,12 @@ class BDDManager(DDKernel):
     variable_order:
         The variable names from the *top* of the diagrams (level 0) to the
         bottom.  All functions managed by this instance share the order.
-    cache_bound:
-        Maximum number of entries of the ITE computed table (``None`` for
-        unbounded).
     gc_threshold:
         Node-table growth that makes :meth:`~repro.engine.kernel.DDKernel.checkpoint`
         trigger an automatic garbage collection.
+
+    The ITE computed table holds at most
+    :data:`~repro.engine.kernel.DEFAULT_CACHE_BOUND` entries.
     """
 
     _NODE_TABLES = ("_level", "_low", "_high", "_refs", "_unique")
@@ -77,7 +70,6 @@ class BDDManager(DDKernel):
         self,
         variable_order: Sequence[str],
         *,
-        cache_bound: Optional[int] = DEFAULT_CACHE_BOUND,
         gc_threshold: int = DEFAULT_GC_THRESHOLD,
     ) -> None:
         names = [str(v) for v in variable_order]
@@ -94,7 +86,7 @@ class BDDManager(DDKernel):
         self._high: List[int] = [FALSE, TRUE]
 
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._init_kernel(cache_bound=cache_bound, gc_threshold=gc_threshold)
+        self._init_kernel(gc_threshold=gc_threshold)
         self._ite_cache = self._new_computed_table("ite")
 
     # ------------------------------------------------------------------ #

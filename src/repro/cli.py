@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--stats",
         action="store_true",
-        help="print engine statistics (structure reuse, linearization reuse, "
+        help="print engine statistics (structure reuse, "
         "kernel passes, store and fault counters, phase times)",
     )
     _add_telemetry_options(sweep)

@@ -46,6 +46,14 @@ class GeneralizedFaultTree:
 
     COUNT_VARIABLE_NAME = "w"
 
+    #: Prefix of the circuit names (``G[<fault tree>,M=<M>]``).
+    CIRCUIT_NAME = "G"
+
+    #: Binary variables ordered below ``v_M``, one code-bit group each:
+    #: none in ``G``; the field-failure variables of
+    #: :class:`repro.reliability.ReliabilityFaultTree`.
+    field_variables: Tuple[MultiValuedVariable, ...] = ()
+
     def __init__(
         self,
         fault_tree: Circuit,
@@ -86,12 +94,13 @@ class GeneralizedFaultTree:
     # ------------------------------------------------------------------ #
 
     def _build_mv_circuit(self) -> MVCircuit:
-        mv = MVCircuit("G[%s,M=%d]" % (self.fault_tree.name, self.max_defects))
-        mv.add_variable(self.count_variable)
-        for variable in self.location_variables:
+        mv = MVCircuit(
+            "%s[%s,M=%d]" % (self.CIRCUIT_NAME, self.fault_tree.name, self.max_defects)
+        )
+        for variable in self.variables:
             mv.add_variable(variable)
 
-        # failed_i = OR_l ( w >= l AND v_l == i )
+        # failed_i = OR_l ( w >= l AND v_l == i ), plus any further terms
         component_failed: Dict[str, int] = {}
         needed = set(self.fault_tree.input_names)
         for index, name in enumerate(self.component_names, start=1):
@@ -102,8 +111,11 @@ class GeneralizedFaultTree:
                 at_least_l = mv.filter_geq(self.count_variable, position)
                 hits_component = mv.filter_eq(variable, index)
                 terms.append(mv.gate(GateOp.AND, [at_least_l, hits_component]))
-            if terms:
-                component_failed[name] = mv.gate(GateOp.OR, terms) if len(terms) > 1 else terms[0]
+            terms.extend(self._further_failure_terms(mv, name))
+            if len(terms) > 1:
+                component_failed[name] = mv.gate(GateOp.OR, terms)
+            elif terms:
+                component_failed[name] = terms[0]
             else:
                 # M == 0: no defect is analyzed, no component can be failed
                 component_failed[name] = mv.const(False)
@@ -123,14 +135,18 @@ class GeneralizedFaultTree:
         mv.set_top(mv.gate(GateOp.OR, [overflow, f_top]))
         return mv
 
+    def _further_failure_terms(self, mv: MVCircuit, component: str) -> List[int]:
+        """Signals ORed into ``component``'s failed signal besides its defect hits."""
+        return []
+
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
 
     @property
     def variables(self) -> Tuple[MultiValuedVariable, ...]:
-        """All multiple-valued variables, ``w`` first then ``v_1 .. v_M``."""
-        return (self.count_variable,) + self.location_variables
+        """All variables: ``w``, then ``v_1 .. v_M``, then any field variables."""
+        return (self.count_variable,) + self.location_variables + self.field_variables
 
     @property
     def num_components(self) -> int:
@@ -162,6 +178,10 @@ class GeneralizedFaultTree:
             (possible only when they cannot influence the result) default to
             component 1.
         """
+        return self.mv_circuit.evaluate(self._assignment(defect_count, hit_components))
+
+    def _assignment(self, defect_count: int, hit_components: Sequence[int]) -> Dict[str, int]:
+        """The values of ``w`` and ``v_1 .. v_M`` in a defect scenario."""
         w_value = min(defect_count, self.max_defects + 1)
         assignment: Dict[str, int] = {self.count_variable.name: w_value}
         for position, variable in enumerate(self.location_variables):
@@ -169,7 +189,7 @@ class GeneralizedFaultTree:
                 assignment[variable.name] = int(hit_components[position])
             else:
                 assignment[variable.name] = 1
-        return self.mv_circuit.evaluate(assignment)
+        return assignment
 
     def failed_set(self, defect_count: int, hit_components: Sequence[int]) -> List[str]:
         """Return the component names failed by the given defect scenario."""
@@ -226,7 +246,8 @@ class GeneralizedFaultTree:
         return distributions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "GeneralizedFaultTree(C=%d, M=%d, filters=%d, gates=%d)" % (
+        return "%s(C=%d, M=%d, filters=%d, gates=%d)" % (
+            type(self).__name__,
             self.num_components,
             self.max_defects,
             len(self.mv_circuit.filters),

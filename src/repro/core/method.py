@@ -15,9 +15,11 @@
    timing statistics the paper reports.
 
 Steps 3-6 only depend on the fault-tree *structure*, the truncation level
-and the ordering — not on the defect densities.  :meth:`YieldAnalyzer.compile`
-exposes them as a reusable :class:`CompiledYield` so that sweeps over defect
-densities re-run only step 7; the batch front-end for that reuse is
+and the ordering — not on the defect densities.  :meth:`YieldAnalyzer.build`
+runs steps 4-6 for any generalized fault tree (``G`` here, ``G_rel`` in
+:mod:`repro.reliability`), and :meth:`YieldAnalyzer.compile` packages ``G``'s
+as a reusable :class:`CompiledYield` so that sweeps over defect densities
+re-run only step 7; the batch front-end for that reuse is
 :class:`repro.engine.service.SweepService`.
 """
 
@@ -27,11 +29,12 @@ import functools
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..bdd.builder import CircuitBDDBuilder
+from ..bdd.builder import BuildStats, CircuitBDDBuilder
 from ..distributions import plain_sum
 from ..engine import native
 from ..engine.batch import LinearizedDiagram
 from ..mdd.from_bdd import convert_bdd_to_mdd
+from ..mdd.manager import MDDManager
 from ..mdd.probability import (
     LevelProfile,
     columns_from_matrices,
@@ -117,31 +120,44 @@ class StructureRecord(NamedTuple):
         return results
 
 
+class BuiltDiagram(NamedTuple):
+    """What :meth:`YieldAnalyzer.build` makes of one generalized fault tree.
+
+    The ROMDD with its manager, the grouped order it was built under, the
+    coded ROBDD's build statistics, the ``(ordering, coded ROBDD, ROMDD)``
+    stage times and both managers' computed-table totals.  The coded
+    ROBDD's manager is not kept.
+    """
+
+    grouped_order: GroupedVariableOrder
+    build_stats: BuildStats
+    mdd_manager: MDDManager
+    mdd_root: int
+    romdd_size: int
+    timings: Tuple[float, float, float]
+    cache_totals: Dict[str, Dict[str, int]]
+
+
 class CompiledYield:
     """The decision-diagram structure of one (problem, M, ordering) triple.
 
     Holds everything of the pipeline that is independent of the defect
-    densities: the generalized fault tree, the grouped variable order, the
-    ROMDD and the build statistics.  :meth:`evaluate` runs only the final
-    probability traversal, so one compiled structure can serve a whole sweep
-    of defect models over the same fault tree.
+    densities: the linearized ROMDD, its
+    :class:`~repro.mdd.probability.LevelProfile`, the flat identity fields
+    (component and variable names) and the build statistics.
+    :meth:`evaluate` runs only the final probability traversal, so one
+    compiled structure can serve a whole sweep of defect models over the
+    same fault tree.
 
-    Evaluation and differentiation no longer touch the MDD node tables at
-    all: they run over the linearized arrays plus the
-    :class:`~repro.mdd.probability.LevelProfile` captured at compile time.
-    A structure restored from the persistent store
-    (:mod:`repro.engine.store`) therefore works with ``gfunction``,
-    ``grouped_order`` and ``mdd_manager`` all ``None`` — it carries the
-    linearized arrays, the profile and the flat identity fields instead.
+    A structure has one form whether :meth:`YieldAnalyzer.compile_for_truncation`
+    built it or the persistent store (:mod:`repro.engine.store`) restored
+    it: the diagram is linearized when it is compiled, and neither the
+    decision-diagram managers nor the circuits of ``G`` outlive the build.
     """
 
     def __init__(
         self,
         *,
-        gfunction: Optional[GeneralizedFaultTree],
-        grouped_order: Optional[GroupedVariableOrder],
-        mdd_manager,
-        mdd_root: Optional[int],
         truncation: int,
         coded_robdd_size: int,
         robdd_peak: int,
@@ -150,21 +166,17 @@ class CompiledYield:
         romdd_size: int,
         ordering: OrderingSpec,
         build_timings: Tuple[float, float, float],
-        component_names: Optional[Tuple[str, ...]] = None,
-        count_variable_name: Optional[str] = None,
-        location_variable_names: Optional[Tuple[str, ...]] = None,
-        variable_names: Optional[Tuple[str, ...]] = None,
-        binary_variables: Optional[int] = None,
-        level_profile: Optional[LevelProfile] = None,
-        mdd_allocated: Optional[int] = None,
-        linearized: Optional[LinearizedDiagram] = None,
+        component_names: Tuple[str, ...],
+        count_variable_name: str,
+        location_variable_names: Tuple[str, ...],
+        variable_names: Tuple[str, ...],
+        binary_variables: int,
+        level_profile: LevelProfile,
+        mdd_allocated: int,
+        linearized: LinearizedDiagram,
+        kernel_cache_stats: Dict[str, Dict[str, int]],
         from_store: bool = False,
-        kernel_cache_stats: Optional[Dict[str, Dict[str, int]]] = None,
     ) -> None:
-        self.gfunction = gfunction
-        self.grouped_order = grouped_order
-        self.mdd_manager = mdd_manager
-        self.mdd_root = mdd_root
         self.truncation = truncation
         self.coded_robdd_size = coded_robdd_size
         self.robdd_peak = robdd_peak
@@ -173,63 +185,24 @@ class CompiledYield:
         self.romdd_size = romdd_size
         self.ordering = ordering
         self.build_timings = build_timings
-        #: Flat identity fields (derived from the heavyweight objects when
-        #: they are present; supplied explicitly by the store's restore).
-        if gfunction is not None:
-            component_names = gfunction.component_names
-            count_variable_name = gfunction.count_variable.name
-            location_variable_names = tuple(
-                v.name for v in gfunction.location_variables
-            )
-        self.component_names = tuple(component_names or ())
-        self.count_variable_name = count_variable_name or "w"
-        self.location_variable_names = tuple(location_variable_names or ())
-        if grouped_order is not None:
-            variable_names = grouped_order.variable_names
-            binary_variables = len(grouped_order.flat_bit_order())
-        self.variable_names = tuple(variable_names or ())
-        self.binary_variables = int(binary_variables or 0)
-        if mdd_manager is not None:
-            if mdd_allocated is None:
-                mdd_allocated = mdd_manager.num_nodes_allocated
-            if level_profile is None:
-                level_profile = LevelProfile.from_manager(
-                    mdd_manager, self.count_variable_name
-                )
-        self.mdd_allocated = int(mdd_allocated or 0)
+        self.component_names = tuple(component_names)
+        self.count_variable_name = count_variable_name
+        self.location_variable_names = tuple(location_variable_names)
+        self.variable_names = tuple(variable_names)
+        self.binary_variables = int(binary_variables)
         self.level_profile = level_profile
+        self.mdd_allocated = int(mdd_allocated)
+        self._linearized = linearized
         #: Per-manager computed-table totals captured right after the build
-        #: (``{"bdd": {...}, "mdd": {...}}``); not persisted by the store.
+        #: (``{"bdd": {...}, "mdd": {...}}``); empty for a restored structure.
         self.kernel_cache_stats = kernel_cache_stats
         #: Whether this structure was warm-started from the persistent store,
         #: and whether that load memory-mapped the fused arrays (store v2).
         self.from_store = from_store
         self.store_mmapped = False
-        #: Linearized-array cache of the ROMDD plus its reuse counters.
-        self._linearized: Optional[LinearizedDiagram] = linearized
-        self.linearize_builds = 0
-        self.linearize_reuses = 0
 
     def linearized(self) -> LinearizedDiagram:
-        """Return the flat arrays of the ROMDD, linearizing at most once.
-
-        The compiled diagram never mutates, so repeat sweeps over the same
-        structure skip linearization entirely (``linearize_reuses`` counts
-        the skips).  Store-restored structures arrive with the arrays
-        pre-built (the store persists them), so they never linearize.
-        """
-        if self._linearized is None:
-            if self.mdd_manager is None:
-                raise RuntimeError(
-                    "structure has neither an MDD manager nor linearized arrays"
-                )
-            with obs_trace.span("kernel.linearize", nodes=self.romdd_size):
-                self._linearized = LinearizedDiagram.from_mdd(
-                    self.mdd_manager, self.mdd_root
-                )
-            self.linearize_builds += 1
-        else:
-            self.linearize_reuses += 1
+        """The flat arrays of the ROMDD, made when the structure was compiled."""
         return self._linearized
 
     def evaluate(self, problem: YieldProblem) -> YieldResult:
@@ -436,16 +409,10 @@ class CompiledYield:
         # per-level gradient rows mapped back to the variables; levels the
         # diagram skips have identically-zero gradients (their probability
         # entries are never read), matching the old dict route's zero fill
-        count_level = (
-            profile.level_of(self.count_variable_name) if profile is not None else None
-        )
-        count_rows = (
-            level_gradients.get(count_level) if count_level is not None else None
-        )
+        count_rows = level_gradients.get(profile.level_of(self.count_variable_name))
         location_row_sets = []
         for variable_name in self.location_variable_names:
-            level = profile.level_of(variable_name) if profile is not None else None
-            rows = level_gradients.get(level) if level is not None else None
+            rows = level_gradients.get(profile.level_of(variable_name))
             if rows is not None:
                 location_row_sets.append(rows)
         out: List[YieldGradients] = []
@@ -587,20 +554,67 @@ class YieldAnalyzer:
     def compile_for_truncation(
         self, problem: YieldProblem, truncation: int
     ) -> CompiledYield:
-        """Build the structure for an explicit truncation level ``M``."""
+        """Build the structure for an explicit truncation level ``M``.
+
+        Runs :meth:`build` on ``G`` and linearizes the ROMDD; the ROMDD's
+        stage time includes the linearization.  The managers are not kept.
+        """
         gfunction = GeneralizedFaultTree(
             problem.fault_tree, problem.component_names, int(truncation)
         )
+        built = self.build(gfunction)
+        started = time.perf_counter()
+        with obs_trace.span("kernel.linearize", nodes=built.romdd_size):
+            linearized = LinearizedDiagram.from_mdd(built.mdd_manager, built.mdd_root)
+        ordering_time, robdd_time, romdd_time = built.timings
+        stats = built.build_stats
+        return CompiledYield(
+            truncation=int(truncation),
+            coded_robdd_size=stats.final_size,
+            robdd_peak=stats.peak_live_nodes if self.track_peak else 0,
+            robdd_allocated=stats.allocated_nodes,
+            gates_processed=stats.gates_processed,
+            romdd_size=built.romdd_size,
+            ordering=self.ordering,
+            build_timings=(
+                ordering_time,
+                robdd_time,
+                romdd_time + time.perf_counter() - started,
+            ),
+            component_names=gfunction.component_names,
+            count_variable_name=gfunction.count_variable.name,
+            location_variable_names=tuple(v.name for v in gfunction.location_variables),
+            variable_names=built.grouped_order.variable_names,
+            binary_variables=len(built.grouped_order.flat_bit_order()),
+            level_profile=LevelProfile.from_manager(
+                built.mdd_manager, gfunction.count_variable.name
+            ),
+            mdd_allocated=built.mdd_manager.num_nodes_allocated,
+            linearized=linearized,
+            kernel_cache_stats=built.cache_totals,
+        )
 
+    def build(self, gfunction: GeneralizedFaultTree) -> BuiltDiagram:
+        """Grouped order, coded ROBDD, then ROMDD of ``gfunction``.
+
+        The one place a generalized fault tree becomes a ROMDD: steps 4-6 of
+        the pipeline, each in its ``compile.*`` span.  Every structure of
+        :meth:`compile_for_truncation` and every ``G_rel`` of
+        :class:`repro.reliability.ReliabilityAnalyzer` is made here.
+        """
         t0 = time.perf_counter()
         with obs_trace.span("compile.ordering", strategy=self.ordering.key()):
             grouped_order = self._grouped_order(gfunction)
         t1 = time.perf_counter()
 
-        with obs_trace.span("compile.robdd", truncation=int(truncation)) as robdd_span:
-            bdd_manager, bdd_root, build_stats = self._build_coded_robdd(
-                gfunction, grouped_order
+        with obs_trace.span("compile.robdd", truncation=gfunction.max_defects) as robdd_span:
+            builder = CircuitBDDBuilder(
+                grouped_order.flat_bit_order(),
+                track_peak=self.track_peak,
+                peak_stride=self.peak_stride,
+                node_limit=self.node_limit,
             )
+            bdd_manager, bdd_root, build_stats = builder.build(gfunction.binary_circuit())
             build_cache = bdd_manager.cache_totals()
             robdd_span.set(
                 nodes=build_stats.final_size,
@@ -622,20 +636,14 @@ class YieldAnalyzer:
             )
         t3 = time.perf_counter()
 
-        return CompiledYield(
-            gfunction=gfunction,
+        return BuiltDiagram(
             grouped_order=grouped_order,
+            build_stats=build_stats,
             mdd_manager=mdd_manager,
             mdd_root=mdd_root,
-            truncation=int(truncation),
-            coded_robdd_size=build_stats.final_size,
-            robdd_peak=build_stats.peak_live_nodes if self.track_peak else 0,
-            robdd_allocated=build_stats.allocated_nodes,
-            gates_processed=build_stats.gates_processed,
             romdd_size=romdd_size,
-            ordering=self.ordering,
-            build_timings=(t1 - t0, t2 - t1, t3 - t2),
-            kernel_cache_stats={
+            timings=(t1 - t0, t2 - t1, t3 - t2),
+            cache_totals={
                 "bdd": bdd_manager.cache_totals(),
                 "mdd": mdd_manager.cache_totals(),
             },
@@ -660,8 +668,10 @@ class YieldAnalyzer:
         This is what Tables 2 and 3 of the paper compare across orderings.
         """
         truncation = self._resolve_truncation(problem, max_defects, None)
-        compiled = self.compile_for_truncation(problem, truncation)
-        return compiled.coded_robdd_size, compiled.romdd_size
+        built = self.build(
+            GeneralizedFaultTree(problem.fault_tree, problem.component_names, truncation)
+        )
+        return built.build_stats.final_size, built.romdd_size
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -679,26 +689,20 @@ class YieldAnalyzer:
         return problem.lethal_defect_distribution().truncation_level(budget)
 
     def _grouped_order(self, gfunction: GeneralizedFaultTree) -> GroupedVariableOrder:
+        """The strategy's order of ``w, v_1 .. v_M``; field variables below it."""
         binary_circuit = (
             gfunction.binary_circuit() if self.ordering.needs_circuit() else None
         )
-        return compute_grouped_order(
+        defect_order = compute_grouped_order(
             gfunction.count_variable,
             gfunction.location_variables,
             self.ordering,
             binary_circuit,
         )
-
-    def _build_coded_robdd(
-        self, gfunction: GeneralizedFaultTree, grouped_order: GroupedVariableOrder
-    ):
-        builder = CircuitBDDBuilder(
-            grouped_order.flat_bit_order(),
-            track_peak=self.track_peak,
-            peak_stride=self.peak_stride,
-            node_limit=self.node_limit,
+        return GroupedVariableOrder(
+            defect_order.groups
+            + tuple((variable, variable.bit_names()) for variable in gfunction.field_variables)
         )
-        return builder.build(gfunction.binary_circuit())
 
 
 def evaluate_yield(

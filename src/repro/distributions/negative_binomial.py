@@ -67,6 +67,18 @@ class NegativeBinomialDefectDistribution(DefectCountDistribution):
             raise DistributionError(
                 "clustering must be a positive finite number, got %r" % (clustering,)
             )
+        # the pmf takes log(mean / alpha) and lgamma(alpha): both must be
+        # finite, or every pmf entry is NaN or raises
+        if not 0.0 < mean / clustering < math.inf:
+            raise DistributionError(
+                "mean %r / clustering %r is not a positive finite ratio" % (mean, clustering)
+            )
+        try:
+            math.lgamma(clustering)
+        except OverflowError:
+            raise DistributionError(
+                "clustering %r is too large: lgamma(clustering) overflows" % (clustering,)
+            ) from None
         self._mean = float(mean)
         self._alpha = float(clustering)
 

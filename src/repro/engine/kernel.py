@@ -238,18 +238,12 @@ class DDKernel:
     # Initialisation
     # ------------------------------------------------------------------ #
 
-    def _init_kernel(
-        self,
-        *,
-        cache_bound: Optional[int] = DEFAULT_CACHE_BOUND,
-        gc_threshold: int = DEFAULT_GC_THRESHOLD,
-    ) -> None:
+    def _init_kernel(self, *, gc_threshold: int = DEFAULT_GC_THRESHOLD) -> None:
         if gc_threshold < 1:
             raise ValueError("gc_threshold must be positive")
         self._refs: List[int] = [1, 1]  # terminals are pinned
         self._free: List[int] = []
         self._created = 2
-        self._cache_bound = cache_bound
         self._computed_tables: Dict[str, BoundedComputedTable] = {}
         self._gc_threshold = gc_threshold
         self._gc_initial_threshold = gc_threshold
@@ -259,7 +253,7 @@ class DDKernel:
 
     def _new_computed_table(self, name: str) -> BoundedComputedTable:
         """Create (and register for flush-on-GC) a named computed table."""
-        table = BoundedComputedTable(self._cache_bound)
+        table = BoundedComputedTable()
         self._computed_tables[name] = table
         return table
 

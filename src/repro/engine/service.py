@@ -566,7 +566,7 @@ class SweepService:
             compiled = self._analyzer.compile_for_truncation(problem, truncation)
         registry.inc("service.structures.built")
         registry.observe("phase.build_seconds", sum(compiled.build_timings))
-        for manager, totals in (compiled.kernel_cache_stats or {}).items():
+        for manager, totals in compiled.kernel_cache_stats.items():
             for event, value in totals.items():
                 if value:
                     registry.inc("kernel.cache.%s.%s" % (manager, event), value)
@@ -579,23 +579,20 @@ class SweepService:
         """Count the one kernel pass over ``compiled`` that runs in the block.
 
         One ``phase`` histogram sample, one ``passes`` increment, the deltas
-        of the structure's linearization builds and reuses, of its fused
-        and native passes and of its forward-memo hits and misses, and the
-        native backend's ``native.*`` counters.
+        of the structure's fused and native passes and of its forward-memo
+        hits and misses, and the native backend's ``native.*`` counters.
         The pass runs in a ``span`` that records the kernel it resolved on
         this host (``linearized.last_kernel``), so a trace shows which path
         it took.
         """
+        linearized = compiled.linearized()
 
         def counts():
-            linearized = compiled._linearized
             return {
-                "service.linearize.builds": compiled.linearize_builds,
-                "service.linearize.reuses": compiled.linearize_reuses,
-                "kernel.fused_passes": getattr(linearized, "fused_passes", 0),
-                "kernel.native_passes": getattr(linearized, "native_passes", 0),
-                "kernel.memo_hits": getattr(linearized, "memo_hits", 0),
-                "kernel.memo_misses": getattr(linearized, "memo_misses", 0),
+                "kernel.fused_passes": linearized.fused_passes,
+                "kernel.native_passes": linearized.native_passes,
+                "kernel.memo_hits": linearized.memo_hits,
+                "kernel.memo_misses": linearized.memo_misses,
             }
 
         registry = self.registry
@@ -603,9 +600,8 @@ class SweepService:
         started = time.perf_counter()
         with obs_trace.span(span, models=models) as active:
             yield
-            kernel = getattr(compiled._linearized, "last_kernel", None)
-            if kernel is not None:
-                active.set(kernel=kernel)
+            if linearized.last_kernel is not None:
+                active.set(kernel=linearized.last_kernel)
         registry.observe(phase, time.perf_counter() - started)
         registry.inc(passes)
         for name, value in counts().items():
@@ -617,18 +613,12 @@ class SweepService:
         """Save a freshly built structure to the store (never fails a sweep)."""
         if self._store is None:
             return
-        builds_before = compiled.linearize_builds
         try:
             self.registry.inc("store.bytes", self._store.save(skey, compiled))
         except OSError as exc:  # best-effort: counted and logged, never raised
             self.registry.inc("fault.suppressed")
             self.registry.inc("fault.suppressed.store.save")
             _log.debug("suppressed store.save failure: %r", exc)
-        # saving linearizes on demand; surface that build in the counters
-        if compiled.linearize_builds != builds_before:
-            self.registry.inc(
-                "service.linearize.builds", compiled.linearize_builds - builds_before
-            )
 
     def _store_structure(self, skey: Tuple, compiled) -> None:
         with self._lock:

@@ -165,19 +165,14 @@ class StructureStore:
     def save(self, skey: Tuple, compiled) -> int:
         """Persist ``compiled`` under ``skey``; return the entry's bytes.
 
-        Overwrites any existing entry atomically.  The structure must carry
-        a level profile (every structure compiled by
-        :class:`repro.core.method.YieldAnalyzer` does); its linearized
-        arrays are built on demand.
+        Overwrites any existing entry atomically.
         """
-        if compiled.level_profile is None:
-            raise StoreError("structure has no level profile; cannot persist")
-        linearized = compiled.linearized()
         digest = digest_of(skey)
         with _obs_trace.span("store.save", digest=digest[:16]):
-            return self._save_entry(digest, compiled, linearized)
+            return self._save_entry(digest, compiled)
 
-    def _save_entry(self, digest: str, compiled, linearized) -> int:
+    def _save_entry(self, digest: str, compiled) -> int:
+        linearized = compiled.linearized()
         json_path = self._json_path(digest)
         os.makedirs(os.path.dirname(json_path), exist_ok=True)
 
@@ -375,10 +370,6 @@ class StructureStore:
         # versions carry are ignored, so those entries still load
         diagnostics = meta["diagnostics"]
         return CompiledYield(
-            gfunction=None,
-            grouped_order=None,
-            mdd_manager=None,
-            mdd_root=None,
             truncation=int(structure["truncation"]),
             coded_robdd_size=int(diagnostics["coded_robdd_size"]),
             robdd_peak=int(diagnostics["robdd_peak"]),
@@ -395,6 +386,7 @@ class StructureStore:
             level_profile=LevelProfile.from_json(structure["level_profile"]),
             mdd_allocated=int(diagnostics["mdd_allocated"]),
             linearized=linearized,
+            kernel_cache_stats={},
             from_store=True,
         )
 

@@ -31,18 +31,11 @@ multiple-valued, which is all the yield method requires.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.kernel import (
-    DEFAULT_CACHE_BOUND,
-    DEFAULT_GC_THRESHOLD,
-    FALSE,
-    TERMINAL_LEVEL,
-    TRUE,
-    DDKernel,
-)
+from ..engine.kernel import FALSE, TERMINAL_LEVEL, TRUE, DDKernel
 from ..faulttree.multivalued import MultiValuedVariable
 
 
@@ -87,23 +80,16 @@ class MDDManager(DDKernel):
     variables:
         The multiple-valued variables from the top of the diagrams (level 0)
         downwards.
-    cache_bound:
-        Maximum number of entries of the apply computed table (``None`` for
-        unbounded).
-    gc_threshold:
-        Node-table growth that makes :meth:`~repro.engine.kernel.DDKernel.checkpoint`
-        trigger an automatic garbage collection.
+
+    The apply computed table holds at most
+    :data:`~repro.engine.kernel.DEFAULT_CACHE_BOUND` entries, and
+    :meth:`~repro.engine.kernel.DDKernel.checkpoint` collects garbage after
+    :data:`~repro.engine.kernel.DEFAULT_GC_THRESHOLD` nodes of growth.
     """
 
     _NODE_TABLES = ("_level", "_children", "_refs", "_unique")
 
-    def __init__(
-        self,
-        variables: Sequence[MultiValuedVariable],
-        *,
-        cache_bound: Optional[int] = DEFAULT_CACHE_BOUND,
-        gc_threshold: int = DEFAULT_GC_THRESHOLD,
-    ) -> None:
+    def __init__(self, variables: Sequence[MultiValuedVariable]) -> None:
         if not variables:
             raise MDDError("at least one variable is required")
         names = [v.name for v in variables]
@@ -116,7 +102,7 @@ class MDDManager(DDKernel):
         self._children: List[Tuple[int, ...]] = [(), ()]
 
         self._unique: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self._init_kernel(cache_bound=cache_bound, gc_threshold=gc_threshold)
+        self._init_kernel()
         self._apply_cache = self._new_computed_table("apply")
 
     # ------------------------------------------------------------------ #

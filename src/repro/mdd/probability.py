@@ -181,9 +181,11 @@ def count_matrix(counts: Sequence[Sequence[float]]):
     saturated = 1.0 - head_sum
     # max(0.0, x) is 0.0 unless x > 0.0, NaN included (np.maximum keeps NaN)
     matrix[-1] = _np.where(saturated > 0.0, saturated, 0.0)
-    # the checks of validate_model_columns on every column at once; it runs
-    # only to raise its message
-    if (matrix < 0.0).any() or (_np.abs(head_sum + matrix[-1] - 1.0) > 1e-6).any():
+    # the checks of validate_model_columns on every column at once, written
+    # so that NaN fails them; it runs only to raise its message
+    if not (
+        (matrix >= 0.0).all() and (_np.abs(head_sum + matrix[-1] - 1.0) <= 1e-6).all()
+    ):
         validate_model_columns(matrix.T.tolist(), what="count")
     return matrix
 
@@ -233,22 +235,23 @@ def columns_from_matrices(
 def validate_model_columns(
     columns: Sequence[Sequence[float]], *, what: str
 ) -> None:
-    """Check per-model probability columns (non-negative, sum to 1).
+    """Check per-model probability columns (non-negative, sum to 1, no NaN).
 
     Mirrors the per-variable checks of :class:`VariableDistributions` (same
     1e-6 tolerance, plain float sum) for the vectorized assembly route,
-    which never materializes per-variable dicts to validate.
+    which never materializes per-variable dicts to validate.  The checks
+    are written so that NaN fails them.
     """
     for index, column in enumerate(columns):
         total = 0.0
         for p in column:
-            if p < 0.0:
+            if not p >= 0.0:
                 raise MDDError(
-                    "negative probability %r in the %s distribution of model %d"
+                    "negative or NaN probability %r in the %s distribution of model %d"
                     % (p, what, index)
                 )
             total += p
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise MDDError(
                 "%s distribution of model %d sums to %g, expected 1"
                 % (what, index, total)

@@ -1,14 +1,15 @@
 """Operational-reliability evaluation (the paper's announced extension).
 
-:class:`ReliabilityAnalyzer` runs the same pipeline as the yield method on
-the extended function ``G_rel(w, v_1..v_M, y_1..y_C)``:
+:class:`ReliabilityAnalyzer` runs the yield method's pipeline on the
+extended function ``G_rel(w, v_1..v_M, y_1..y_C)``:
 
 1. lethal-defect mapping and truncation exactly as for the yield;
-2. grouped variable order: the defect variables are ordered with the chosen
-   heuristic, the per-component field-failure bits are appended below them
-   (each is a one-bit group);
-3. coded ROBDD, ROMDD conversion and probability traversal, where each field
-   variable carries the component's mission unreliability.
+2. :meth:`repro.core.method.YieldAnalyzer.build`, in the same ``compile.*``
+   spans as ``G``'s build: the grouped variable order (the defect variables
+   ordered with the chosen heuristic, the per-component field-failure bits
+   below them, each a one-bit group), the coded ROBDD and the ROMDD;
+3. the probability traversal, where each field variable carries the
+   component's mission unreliability.
 
 The reported quantities are:
 
@@ -27,15 +28,12 @@ from __future__ import annotations
 
 import time as time_module
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..bdd.builder import CircuitBDDBuilder
 from ..core.method import YieldAnalyzer
 from ..core.problem import YieldProblem
-from ..mdd.from_bdd import convert_bdd_to_mdd
 from ..mdd.probability import probability_of_many
-from ..ordering.grouped import GroupedVariableOrder
-from ..ordering.strategies import OrderingSpec, compute_grouped_order
+from ..ordering.strategies import OrderingSpec
 from .field import FieldFailureModel
 from .gfunction import ReliabilityFaultTree
 
@@ -76,7 +74,8 @@ class ReliabilityResult:
 class ReliabilityAnalyzer:
     """Evaluates operational reliability under manufacturing defects.
 
-    Parameters mirror :class:`repro.core.method.YieldAnalyzer`.
+    Parameters mirror :class:`repro.core.method.YieldAnalyzer`; one such
+    analyzer (:attr:`analyzer`) builds both ``G_rel`` and the yield's ``G``.
     """
 
     def __init__(
@@ -86,9 +85,7 @@ class ReliabilityAnalyzer:
         epsilon: float = 1e-4,
         node_limit: Optional[int] = None,
     ) -> None:
-        self.ordering = ordering or OrderingSpec("w", "ml")
-        self.epsilon = float(epsilon)
-        self.node_limit = node_limit
+        self.analyzer = YieldAnalyzer(ordering, epsilon=epsilon, node_limit=node_limit)
 
     # ------------------------------------------------------------------ #
 
@@ -115,7 +112,7 @@ class ReliabilityAnalyzer:
         """Evaluate a whole mission-time curve (one result per time point).
 
         A mission time changes only the field variables' probabilities, so
-        the sweep builds ``G_rel`` and computes the yield once, then
+        the sweep computes the yield and builds ``G_rel`` once each, then
         evaluates every mission time in one batched pass.  Each result's
         ``elapsed_seconds`` is the sweep's wall clock divided by the number
         of mission times.
@@ -127,33 +124,23 @@ class ReliabilityAnalyzer:
         if not mission_times:
             return []
         started = time_module.perf_counter()
-        lethal = problem.lethal_defect_distribution()
-        budget = self.epsilon if epsilon is None else float(epsilon)
-        truncation = (
-            lethal.truncation_level(budget) if max_defects is None else int(max_defects)
-        )
-        error_bound = lethal.tail(truncation)
-
+        plain = self.analyzer.evaluate(problem, max_defects=max_defects, epsilon=epsilon)
+        truncation = plain.truncation
         gfunction = ReliabilityFaultTree(
             problem.fault_tree, problem.component_names, truncation
         )
-        grouped = self._grouped_order(gfunction)
-
-        builder = CircuitBDDBuilder(
-            grouped.flat_bit_order(), track_peak=False, node_limit=self.node_limit
-        )
-        bdd_manager, bdd_root, build_stats = builder.build(gfunction.binary_circuit())
-        mdd_manager, mdd_root = convert_bdd_to_mdd(bdd_manager, bdd_root, grouped.groups)
+        built = self.analyzer.build(gfunction)
 
         support = [
             name
             for name in problem.component_names
             if name in set(problem.fault_tree.input_names)
         ]
+        lethal = problem.lethal_defect_distribution()
         hits = problem.lethal_component_probabilities()
         failure_probabilities = probability_of_many(
-            mdd_manager,
-            mdd_root,
+            built.mdd_manager,
+            built.mdd_root,
             [
                 gfunction.variable_distributions(
                     lethal, hits, field_model.unreliabilities(support, mission_time)
@@ -162,12 +149,7 @@ class ReliabilityAnalyzer:
             ],
         )
 
-        yield_estimate = (
-            YieldAnalyzer(self.ordering, epsilon=budget)
-            .evaluate(problem, max_defects=truncation)
-            .yield_estimate
-        )
-        romdd_size = mdd_manager.size(mdd_root)
+        yield_estimate = plain.yield_estimate
         elapsed = (time_module.perf_counter() - started) / len(mission_times)
         results = []
         for mission_time, failure_probability in zip(mission_times, failure_probabilities):
@@ -180,35 +162,20 @@ class ReliabilityAnalyzer:
                     survival_probability=survival,
                     yield_estimate=yield_estimate,
                     conditional_reliability=min(1.0, conditional),
-                    error_bound=error_bound,
+                    error_bound=plain.error_bound,
                     truncation=truncation,
-                    coded_robdd_size=build_stats.final_size,
-                    romdd_size=romdd_size,
+                    coded_robdd_size=built.build_stats.final_size,
+                    romdd_size=built.romdd_size,
                     elapsed_seconds=elapsed,
                     extra={
-                        "binary_variables": float(len(grouped.flat_bit_order())),
+                        "binary_variables": float(
+                            len(built.grouped_order.flat_bit_order())
+                        ),
                         "field_variables": float(len(gfunction.field_variables)),
                     },
                 )
             )
         return results
-
-    # ------------------------------------------------------------------ #
-
-    def _grouped_order(self, gfunction: ReliabilityFaultTree) -> GroupedVariableOrder:
-        binary_circuit = (
-            gfunction.binary_circuit() if self.ordering.needs_circuit() else None
-        )
-        defect_order = compute_grouped_order(
-            gfunction.count_variable,
-            gfunction.location_variables,
-            self.ordering,
-            binary_circuit,
-        )
-        groups = list(defect_order.groups)
-        for variable in gfunction.field_variables:
-            groups.append((variable, variable.bit_names()))
-        return GroupedVariableOrder(groups)
 
 
 def evaluate_reliability(

@@ -114,11 +114,32 @@ class TestThinning:
             dist.thinned(0.5)
 
     def test_thinned_mean_whose_ratio_to_alpha_underflows_is_rejected(self):
-        # the thinned mean is positive, but the pmf takes log(mean / alpha)
-        dist = NegativeBinomialDefectDistribution(mean=1e-323, clustering=4.0)
-        assert 1e-323 * 0.5 > 0.0 and 1e-323 * 0.5 / 4.0 == 0.0
+        # the thinned mean is positive, but the pmf takes log(mean / alpha);
+        # the unthinned ratio is the smallest positive float
+        dist = NegativeBinomialDefectDistribution(mean=2e-323, clustering=4.0)
+        assert 2e-323 / 4.0 == 5e-324
+        assert 2e-323 * 0.5 > 0.0 and 2e-323 * 0.5 / 4.0 == 0.0
         with pytest.raises(DistributionError, match="thinned mean"):
             dist.thinned(0.5)
+
+
+#: Defect models whose pmf is NaN or raises at every entry: ``(mean,
+#: clustering)`` with a ``mean / clustering`` ratio that overflows or
+#: underflows, and a clustering whose ``lgamma`` overflows.
+HOSTILE = [(1e300, 1e-10), (1e-323, 4.0), (1.0, 1e306)]
+
+
+class TestHostileParameters:
+    @pytest.mark.parametrize("mean, clustering", HOSTILE)
+    def test_rejected_at_construction(self, mean, clustering):
+        with pytest.raises(DistributionError):
+            NegativeBinomialDefectDistribution(mean, clustering)
+
+    def test_a_clustering_just_below_the_lgamma_overflow_is_accepted(self):
+        dist = NegativeBinomialDefectDistribution(1.0, 2.5e305)
+        assert dist.clustering == 2.5e305
+        with pytest.raises(DistributionError, match="lgamma"):
+            NegativeBinomialDefectDistribution(1.0, 2.6e305)
 
 
 def bits(values):

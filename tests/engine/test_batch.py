@@ -336,12 +336,19 @@ class TestCompiledYieldBatching:
         assert all(r.extra["structure_reused"] == 1.0 for r in batched[1:])
         assert all(r.extra["batched_models"] == len(problems) for r in batched)
 
-    def test_linearization_is_cached(self):
+    def test_linearization_is_cached(self, monkeypatch):
+        """The diagram is linearized when it is compiled, never by a pass."""
         compiled = YieldAnalyzer().compile(make_problem(1.0), max_defects=3)
+        linearized = compiled.linearized()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pass linearized the diagram again")
+
+        monkeypatch.setattr(LinearizedDiagram, "from_mdd", classmethod(refuse))
         compiled.evaluate_many([make_problem(m) for m in MEANS])
         compiled.evaluate_many([make_problem(m + 0.05) for m in MEANS])
-        assert compiled.linearize_builds == 1
-        assert compiled.linearize_reuses == 1
+        assert compiled.linearized() is linearized
+        assert linearized.models_evaluated == 2 * len(MEANS)
 
     def test_empty_batch(self):
         compiled = YieldAnalyzer().compile(make_problem(1.0), max_defects=2)
@@ -387,7 +394,6 @@ class TestServiceSharding:
         service.density_sweep(make_problem, MEANS, max_defects=3)
         registry = service.registry
         assert registry.counter("service.passes.batched") == 1
-        assert registry.counter("service.linearize.builds") == 1
         assert registry.histogram_sum("phase.evaluate_seconds") > 0.0
         assert registry.histogram_sum("phase.build_seconds") > 0.0
 

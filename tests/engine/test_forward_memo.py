@@ -35,6 +35,7 @@ from repro.mdd.probability import columns_from_matrices, probability_of_one_refe
 from repro.ordering import OrderingSpec
 from repro.soc import benchmark_problem
 from tests.engine.test_golden import GOLDEN
+from tests.mdd.oracles import pipeline_romdd
 from tests.property.test_fused_equivalence import build_problem, structure_expressions
 
 COMPONENTS = ("C0", "C1", "C2", "C3", "C4")
@@ -84,12 +85,14 @@ def production_columns(compiled, problems):
 
 
 def reference(compiled, problems):
-    """The recursive traversal, one model at a time."""
+    """The recursive traversal, one model at a time, over the pipeline
+    step's ROMDD of ``compiled``'s structure."""
+    gfunction, built = pipeline_romdd(problems[0], compiled.truncation, compiled.ordering)
     return [
         probability_of_one_reference(
-            compiled.mdd_manager,
-            compiled.mdd_root,
-            compiled.gfunction.variable_distributions(
+            built.mdd_manager,
+            built.mdd_root,
+            gfunction.variable_distributions(
                 p.lethal_defect_distribution(), p.lethal_component_probabilities()
             ),
         )
@@ -180,7 +183,8 @@ def test_drawn_columns_agree_over_successive_passes(expr, truncation, num_models
     problem = build_problem(expr, [1.0] * 5, 1.0, 2.0)
     compiled = compiled_for(problem, truncation)
     linearized = compiled.linearized()
-    manager = compiled.mdd_manager
+    _, built = pipeline_romdd(problem, truncation, compiled.ordering)
+    manager = built.mdd_manager
     variables = {manager.level_of(v.name): v for v in manager.variables}
     pools = {
         level: [drawn_column(data, len(variables[level].values)) for _ in range(2)]
@@ -210,7 +214,7 @@ def test_drawn_columns_agree_over_successive_passes(expr, truncation, num_models
                 for level, v in variables.items()
             }
             assert fused[model] == probability_of_one_reference(
-                manager, compiled.mdd_root, distributions
+                manager, built.mdd_root, distributions
             )
     assert memo_size(linearized) <= native.MEMO_ENTRIES
 

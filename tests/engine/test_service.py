@@ -7,7 +7,11 @@ import pytest
 
 from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
-from repro.distributions import ComponentDefectModel, PoissonDefectDistribution
+from repro.distributions import (
+    ComponentDefectModel,
+    DistributionError,
+    PoissonDefectDistribution,
+)
 from repro.engine.service import (
     SweepPoint,
     SweepService,
@@ -16,6 +20,7 @@ from repro.engine.service import (
 )
 from repro.faulttree import FaultTreeBuilder
 from repro.ordering import OrderingSpec
+from tests.distributions.test_negative_binomial import HOSTILE
 
 
 def build_tree():
@@ -287,3 +292,18 @@ class TestOnePmfPerPoint:
             [SweepPoint(self.factory(mean), max_defects=self.M) for mean in self.DENSITIES]
         )
         assert dict(calls) == {("pmf_vector", self.M + 1): len(self.DENSITIES)}
+
+
+class TestHostileDefectModels:
+    """A defect model whose pmf is NaN or raises is refused when it is made."""
+
+    @pytest.mark.parametrize("mean, clustering", HOSTILE)
+    def test_raises_before_any_build(self, mean, clustering):
+        from repro.soc import benchmark_problem
+
+        service = SweepService()
+        with pytest.raises(DistributionError):
+            service.sweep(
+                [benchmark_problem("MS2", mean_defects=mean, clustering=clustering)], [3]
+            )
+        assert service.registry.counter("service.structures.built") == 0

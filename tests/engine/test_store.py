@@ -1,7 +1,9 @@
 """Persistent structure store: format, round-trips, service warm-starts."""
 
+import gc
 import json
 import os
+import types
 
 import pytest
 
@@ -52,13 +54,71 @@ class TestStoreFormat:
         restored, loaded_bytes = store.load(skey)
         assert loaded_bytes == nbytes
         assert restored.from_store
-        assert restored.mdd_manager is None
         assert restored.truncation == compiled.truncation
         assert restored.romdd_size == compiled.romdd_size
         assert restored.component_names == compiled.component_names
         assert restored.variable_names == compiled.variable_names
         assert restored.level_profile == compiled.level_profile
         assert fused_digest(restored.linearized()) == fused_digest(compiled.linearized())
+
+    def test_a_built_structure_and_its_mmapped_reload_have_one_form(self, tmp_path):
+        problem, compiled, skey = compile_structure()
+        store = StructureStore(str(tmp_path / "store"))
+        store.save(skey, compiled)
+        restored, _ = store.load(skey, mmap=True)
+        assert restored.store_mmapped and not compiled.from_store
+
+        from_store = dict(compiled.record.extra, structure_from_store=1.0)
+        assert restored.record == compiled.record._replace(extra=from_store)
+        for field in (
+            "truncation",
+            "component_names",
+            "count_variable_name",
+            "location_variable_names",
+            "variable_names",
+            "binary_variables",
+            "coded_robdd_size",
+            "robdd_peak",
+            "robdd_allocated",
+            "gates_processed",
+            "romdd_size",
+            "mdd_allocated",
+            "build_timings",
+        ):
+            assert getattr(restored, field) == getattr(compiled, field), field
+        assert restored.ordering.key() == compiled.ordering.key()
+        assert restored.level_profile == compiled.level_profile
+        assert fused_digest(restored.linearized()) == fused_digest(compiled.linearized())
+
+        problems = [make_problem(m) for m in MEANS]
+        counts = [p.lethal_counts(compiled.truncation) for p in problems]
+        assert restored.probabilities(problems, counts) == compiled.probabilities(
+            problems, counts
+        )
+        assert restored.gradients_many(problems) == compiled.gradients_many(problems)
+
+    def test_no_manager_or_circuit_outlives_the_build(self):
+        from repro.bdd.manager import BDDManager
+        from repro.faulttree.circuit import Circuit
+        from repro.faulttree.multivalued import MVCircuit
+        from repro.mdd.manager import MDDManager
+
+        problem, compiled, _ = compile_structure()
+        compiled.evaluate_many([make_problem(m) for m in MEANS])
+        compiled.gradients_many([problem])
+        heavy = (MDDManager, BDDManager, Circuit, MVCircuit)
+        seen, stack = {id(compiled)}, [compiled]
+        while stack:
+            obj = stack.pop()
+            assert not isinstance(obj, heavy), type(obj).__name__
+            for referent in gc.get_referents(obj):
+                # classes, modules and functions lead to the whole program
+                if isinstance(referent, (type, types.ModuleType, types.FunctionType)):
+                    continue
+                if id(referent) not in seen:
+                    seen.add(id(referent))
+                    stack.append(referent)
+        assert len(seen) > 10
 
     def test_v2_layout_and_mmap_load(self, tmp_path):
         """New saves write uncompressed per-array .npy files (format v2)."""
@@ -179,12 +239,6 @@ class TestStoreFormat:
     def test_store_requires_a_directory(self):
         with pytest.raises(StoreError):
             StructureStore("")
-
-    def test_saving_a_profileless_structure_raises(self, tmp_path):
-        problem, compiled, skey = compile_structure()
-        compiled.level_profile = None
-        with pytest.raises(StoreError):
-            StructureStore(str(tmp_path / "store")).save(skey, compiled)
 
 
 class TestServiceWarmStart:

@@ -9,15 +9,31 @@ every converted row hash-consed one at a time through
 :meth:`repro.mdd.manager.MDDManager._mk_raw`, and a dict-memoized stack
 walk over the manager's node tuples.  The array routes must agree with them node
 for node and byte for byte.
+
+:func:`pipeline_romdd` hands the oracles that read a manager (the recursive
+traversal among them) the ROMDD of the pipeline step, since a compiled
+structure keeps only its linearized arrays.
 """
 
 import numpy as np
 
 from repro.bdd.manager import FALSE as BDD_FALSE
 from repro.bdd.manager import TRUE as BDD_TRUE
+from repro.core.gfunction import GeneralizedFaultTree
+from repro.core.method import YieldAnalyzer
 from repro.engine.batch import LinearizedDiagram
 from repro.mdd.from_bdd import _bit_positions, _validate_grouping
 from repro.mdd.manager import FALSE, TRUE, MDDManager
+
+
+def pipeline_romdd(problem, truncation, ordering=None):
+    """``(G, built)``: ``G`` of ``problem`` at ``M = truncation`` and the
+    :class:`~repro.core.method.BuiltDiagram` the pipeline step makes of it
+    under ``ordering`` (the analyzer's default when ``None``) -- the
+    ROMDD whose linearization a compiled structure of the same triple
+    holds."""
+    gfunction = GeneralizedFaultTree(problem.fault_tree, problem.component_names, truncation)
+    return gfunction, YieldAnalyzer(ordering).build(gfunction)
 
 
 def node_state(manager):

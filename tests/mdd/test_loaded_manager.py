@@ -20,12 +20,12 @@ import pytest
 
 from repro.bdd import BDDManager, build_circuit_bdd
 from repro.bdd.builder import CircuitBDDBuilder
-from repro.core.method import YieldAnalyzer
+from repro.engine.batch import LinearizedDiagram
 from repro.engine.service import SweepService
 from repro.faulttree import Circuit, GateOp
 from repro.mdd import MDDManager, convert_bdd_to_mdd
 from repro.soc import benchmark_problem
-from tests.mdd.oracles import convert_by_rows, node_state
+from tests.mdd.oracles import convert_by_rows, node_state, pipeline_romdd
 from tests.mdd.test_from_bdd import groups_for, make_mv_circuit
 
 
@@ -175,10 +175,8 @@ def test_concurrent_first_reads_agree():
     """Threads racing to be a loaded manager's first reader all succeed."""
 
     def compiled():
-        structure = YieldAnalyzer().compile_for_truncation(
-            benchmark_problem("ESEN4x1", mean_defects=1.0), 4
-        )
-        return structure.mdd_manager, structure.mdd_root
+        _, built = pipeline_romdd(benchmark_problem("ESEN4x1", mean_defects=1.0), 4)
+        return built.mdd_manager, built.mdd_root
 
     oracle, oracle_root = compiled()
     expected = sorted(oracle.reachable(oracle_root))
@@ -229,15 +227,22 @@ def test_other_names_keep_raising_attribute_error(cls):
     assert "_loaded" in vars(loaded)  # a failed lookup builds nothing
 
 
-def test_cold_sweep_builds_no_romdd_lists():
+def test_cold_sweep_builds_no_romdd_lists(monkeypatch):
     """The cold path converts, counts and linearizes on the loaded arrays."""
+    linearized = []
+    from_mdd = LinearizedDiagram.from_mdd.__func__
+
+    def recorded(cls, manager, root):
+        linearized.append(manager)
+        return from_mdd(cls, manager, root)
+
+    monkeypatch.setattr(LinearizedDiagram, "from_mdd", classmethod(recorded))
     service = SweepService()
     service.density_sweep(
         lambda mean: benchmark_problem("ESEN4x1", mean_defects=mean),
         [0.5, 1.0, 2.0],
         max_defects=6,
     )
-    (compiled,) = service._structures.values()
-    manager = compiled.mdd_manager
+    (manager,) = linearized
     assert "_loaded" in vars(manager)
     assert not set(MDDManager._NODE_TABLES) & set(vars(manager))

@@ -156,6 +156,18 @@ class TestCountMatrix:
         assert matrix.flags["C_CONTIGUOUS"]
         assert bits(matrix.T) == bits(expected)
 
+    @pytest.mark.parametrize("models", [1, 3])
+    def test_a_nan_count_column_is_rejected(self, models):
+        # nan < 0 and abs(nan - 1) > 1e-6 are both false: the checks must
+        # be written so that NaN fails them
+        counts = [(0.5, 0.25, 0.25)] * (models - 1) + [(math.nan, 0.5, 0.0)]
+        with pytest.raises(MDDError, match="NaN"):
+            count_matrix(counts)
+
+    def test_a_nan_location_column_is_rejected(self):
+        with pytest.raises(MDDError, match="NaN"):
+            validate_model_columns([[0.5, 0.5], [math.nan, 1.0]], what="location")
+
     def test_one_model_takes_the_loop(self):
         vector = (0.25, 0.5, 0.2, 0.99)
         assert bits(count_matrix([vector])[:, 0]) == bits(

@@ -197,7 +197,6 @@ class TestServiceStatsFacade:
             "service.structures.built",
             "service.passes.batched",
             "service.passes.gradient",
-            "service.linearize.builds",
             passes,
         }
         assert set(snapshot["histograms"]) == {
@@ -294,9 +293,6 @@ class TestServiceRegistryNames:
             "service.passes.batched": 2,
             "service.passes.gradient": 1,
             "service.points.differentiated": 3,
-            # saving linearizes; all three passes reuse the arrays
-            "service.linearize.builds": 1,
-            "service.linearize.reuses": 3,
             "store.misses": 1,
             "store.bytes": entry_bytes(3),
             passes: 3,
@@ -316,7 +312,6 @@ class TestServiceRegistryNames:
             "service.points.requested": 8,
             "service.points.evaluated": 8,
             "service.passes.batched": 1,
-            "service.linearize.reuses": 1,
             "store.hits": 1,
             "store.mmap_loads": 1,
             "store.bytes": entry_bytes(3),
@@ -337,9 +332,6 @@ class TestServiceRegistryNames:
             "dispatch.groups_in_process": 0,
             "service.structures.built": 2,
             "service.passes.batched": 2,
-            # as on the serial route: saving linearizes, each pass reuses
-            "service.linearize.builds": 2,
-            "service.linearize.reuses": 2,
             "store.misses": 2,
             "store.bytes": entry_bytes(2, 4),
             passes: 2,

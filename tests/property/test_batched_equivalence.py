@@ -16,6 +16,7 @@ from repro.distributions import ComponentDefectModel, NegativeBinomialDefectDist
 from repro.faulttree import FaultTreeBuilder
 from repro.mdd.probability import probability_of_many, probability_of_one_reference
 from repro.ordering import OrderingSpec
+from tests.mdd.oracles import pipeline_romdd
 
 COMPONENTS = ["C0", "C1", "C2", "C3", "C4"]
 
@@ -54,9 +55,9 @@ def build_problem(expr, weights, mean, clustering):
     return YieldProblem(circuit, model, distribution, name="random")
 
 
-def model_distributions(compiled, problem):
+def model_distributions(gfunction, problem):
     lethal = problem.lethal_defect_distribution()
-    return compiled.gfunction.variable_distributions(
+    return gfunction.variable_distributions(
         lethal, problem.lethal_component_probabilities()
     )
 
@@ -76,13 +77,12 @@ def test_batched_kernel_matches_recursive_traversal(
     compiled = YieldAnalyzer(OrderingSpec("w", "ml")).compile(
         problems[0], max_defects=truncation
     )
-    distributions = [model_distributions(compiled, p) for p in problems]
-    expected = [
-        probability_of_one_reference(compiled.mdd_manager, compiled.mdd_root, d)
-        for d in distributions
-    ]
+    gfunction, built = pipeline_romdd(problems[0], truncation, OrderingSpec("w", "ml"))
+    manager, root = built.mdd_manager, built.mdd_root
+    distributions = [model_distributions(gfunction, p) for p in problems]
+    expected = [probability_of_one_reference(manager, root, d) for d in distributions]
 
-    batched = probability_of_many(compiled.mdd_manager, compiled.mdd_root, distributions)
+    batched = probability_of_many(manager, root, distributions)
     assert batched == expected  # bit-for-bit, not approx
 
     batched_results = compiled.evaluate_many(problems)

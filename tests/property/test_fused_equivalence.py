@@ -46,6 +46,7 @@ from repro.mdd.probability import (
 )
 from repro.ordering import OrderingSpec
 from tests.engine.test_golden import fused_digest
+from tests.mdd.oracles import pipeline_romdd
 
 COMPONENTS = ["C0", "C1", "C2", "C3", "C4"]
 
@@ -84,20 +85,25 @@ def build_problem(expr, weights, mean, clustering):
     return YieldProblem(circuit, model, distribution, name="random")
 
 
-def model_columns(compiled, problems):
-    """Per-level tuple-row columns (converted once by the pass)."""
+def model_columns(gfunction, built, problems):
+    """Per-level tuple-row columns (converted once by the pass), over the
+    linearization of the pipeline step's ROMDD."""
     lethal = [p.lethal_defect_distribution() for p in problems]
     distributions = [
-        compiled.gfunction.variable_distributions(
-            dist, p.lethal_component_probabilities()
-        )
+        gfunction.variable_distributions(dist, p.lethal_component_probabilities())
         for dist, p in zip(lethal, problems)
     ]
-    linearized = compiled.linearized()
-    validated = [
-        VariableDistributions(compiled.mdd_manager, d) for d in distributions
-    ]
+    linearized = LinearizedDiagram.from_mdd(built.mdd_manager, built.mdd_root)
+    validated = [VariableDistributions(built.mdd_manager, d) for d in distributions]
     return linearized, level_columns_for(linearized, validated), distributions
+
+
+def reference(built, distributions):
+    """The recursive traversal of the pipeline step's ROMDD, per model."""
+    return [
+        probability_of_one_reference(built.mdd_manager, built.mdd_root, d)
+        for d in distributions
+    ]
 
 
 def assert_kernels_agree(linearized, columns, num_models, expected=None):
@@ -136,14 +142,9 @@ def test_fused_matches_reference_on_pipeline_romdds(
     expr, weights, means, clustering, truncation
 ):
     problems = [build_problem(expr, weights, mean, clustering) for mean in means]
-    compiled = YieldAnalyzer(OrderingSpec("w", "ml")).compile(
-        problems[0], max_defects=truncation
-    )
-    linearized, columns, distributions = model_columns(compiled, problems)
-    expected = [
-        probability_of_one_reference(compiled.mdd_manager, compiled.mdd_root, d)
-        for d in distributions
-    ]
+    gfunction, built = pipeline_romdd(problems[0], truncation, OrderingSpec("w", "ml"))
+    linearized, columns, distributions = model_columns(gfunction, built, problems)
+    expected = reference(built, distributions)
     assert_kernels_agree(linearized, columns, len(problems), expected)
 
 
@@ -158,20 +159,15 @@ def test_fused_matches_reference_on_pipeline_romdds(
 def test_fused_matches_reference_on_permuted_layouts(expr, weights, mean, truncation, mv):
     """The static orders permute the multi-valued layout; the kernels must not care."""
     problem = build_problem(expr, weights, mean, 4.0)
-    compiled = YieldAnalyzer(OrderingSpec(mv, "ml")).compile(
-        problem, max_defects=truncation
-    )
+    gfunction, built = pipeline_romdd(problem, truncation, OrderingSpec(mv, "ml"))
     # a small density batch over the permuted structure: its location
     # columns are model-uniform, so under ``wv`` (count variable on top)
     # the fused kernel's model collapse engages
     problems = [
         build_problem(expr, weights, m, 4.0) for m in (mean, mean + 0.3, mean + 0.7)
     ]
-    linearized, columns, distributions = model_columns(compiled, problems)
-    expected = [
-        probability_of_one_reference(compiled.mdd_manager, compiled.mdd_root, d)
-        for d in distributions
-    ]
+    linearized, columns, distributions = model_columns(gfunction, built, problems)
+    expected = reference(built, distributions)
     fused_before = linearized.fused_passes
     native_before = linearized.native_passes
     collapsed_before = linearized.collapsed_layers
@@ -258,12 +254,9 @@ class TestDegenerateColumns:
 
     def test_kernels_agree_on_underflowed_columns(self):
         problems = self.build()
-        compiled = YieldAnalyzer().compile(problems[0], max_defects=3)
-        linearized, columns, distributions = model_columns(compiled, problems)
-        expected = [
-            probability_of_one_reference(compiled.mdd_manager, compiled.mdd_root, d)
-            for d in distributions
-        ]
+        gfunction, built = pipeline_romdd(problems[0], 3)
+        linearized, columns, distributions = model_columns(gfunction, built, problems)
+        expected = reference(built, distributions)
         probabilities = assert_kernels_agree(
             linearized, columns, len(problems), expected
         )[0]

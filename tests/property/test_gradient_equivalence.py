@@ -18,7 +18,6 @@ degenerate distributions with exact 0/1 probabilities.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.method import YieldAnalyzer
 from repro.core.problem import YieldProblem
 from repro.distributions import ComponentDefectModel, NegativeBinomialDefectDistribution
 from repro.engine.batch import BatchEvalError, LinearizedDiagram
@@ -27,6 +26,7 @@ from repro.faulttree.multivalued import MultiValuedVariable
 from repro.mdd.manager import FALSE, TRUE, MDDManager
 from repro.mdd.probability import gradient_of_many, probability_of_one_reference
 from repro.ordering import OrderingSpec
+from tests.mdd.oracles import pipeline_romdd
 
 #: Perturbation step of the finite differences.  Small enough that a
 #: perturbed distribution still passes the sum-to-one validation (tolerance
@@ -112,9 +112,9 @@ def assert_gradients_match_fd(manager, root, distributions_list):
                 )
 
 
-def model_distributions(compiled, problem):
+def model_distributions(gfunction, problem):
     lethal = problem.lethal_defect_distribution()
-    return compiled.gfunction.variable_distributions(
+    return gfunction.variable_distributions(
         lethal, problem.lethal_component_probabilities()
     )
 
@@ -132,11 +132,9 @@ def test_pipeline_romdd_gradients_match_finite_differences(
 ):
     """Grouped-variable ROMDDs from the full pipeline, K models per pass."""
     problems = [build_problem(expr, weights, mean, clustering) for mean in means]
-    compiled = YieldAnalyzer(OrderingSpec("w", "ml")).compile(
-        problems[0], max_defects=truncation
-    )
-    distributions = [model_distributions(compiled, p) for p in problems]
-    assert_gradients_match_fd(compiled.mdd_manager, compiled.mdd_root, distributions)
+    gfunction, built = pipeline_romdd(problems[0], truncation, OrderingSpec("w", "ml"))
+    distributions = [model_distributions(gfunction, p) for p in problems]
+    assert_gradients_match_fd(built.mdd_manager, built.mdd_root, distributions)
 
 
 @settings(max_examples=10, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 from repro.engine.service import SweepPoint, SweepService
 from repro.server import serve_in_thread
 from repro.soc import benchmark_problem
+from tests.distributions.test_negative_binomial import HOSTILE
 
 BENCH = "MS2"
 DENSITIES = [0.5, 1.0, 1.5, 2.0]
@@ -463,12 +464,36 @@ class TestRequestBounds:
     @pytest.mark.parametrize("density", [5e-324, 1e-323])
     def test_a_density_whose_lethal_model_underflows_is_400(self, served, path, density):
         # the lethal counts are made only at the pass: the request must
-        # still fail as a bad request, before any structure is built
+        # still fail as a bad request, before any structure is built.  At
+        # the default clustering 4.0 the ratio mean / clustering of both
+        # densities already underflows, so the defect model is refused
+        # when it is made, before it is thinned
         service, handle = served
         body = {"benchmark": BENCH, "densities": [density], "mean_defects": density}
         response, payload = post_json(handle, path, dict(body, max_defects=3))
         assert response.status == 400
-        assert "thinned mean" in payload["error"]
+        assert "not a positive finite ratio" in payload["error"]
+        assert service.registry.counter("service.structures.built") == 0
+        assert counter_from_stats(handle, "repro_server_errors") == 0
+
+    @pytest.mark.parametrize("path", ["/v1/sweep", "/v1/importance"])
+    @pytest.mark.parametrize("mean, clustering", HOSTILE)
+    def test_a_hostile_defect_model_is_400_before_any_build(
+        self, served, path, mean, clustering
+    ):
+        # a pmf that is NaN or raises would surface only after a build, as
+        # NaN tokens (invalid JSON) or a 500
+        service, handle = served
+        body = {
+            "benchmark": BENCH,
+            "densities": [mean],
+            "mean_defects": mean,
+            "clustering": clustering,
+            "max_defects": 3,
+        }
+        response, payload = post_json(handle, path, body)
+        assert response.status == 400
+        assert "invalid" in payload["error"]
         assert service.registry.counter("service.structures.built") == 0
         assert counter_from_stats(handle, "repro_server_errors") == 0
 
